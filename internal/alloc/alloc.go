@@ -11,10 +11,13 @@
 // The solver works on the dual (Kelly-style congestion pricing): at prices
 // λ the utility-maximizing rate of flow f is w_f / Σ_j λ_j R_{jf}. The
 // dual function is smooth and convex, so exact cyclic coordinate descent —
-// for each constraint, bisect its price until the constraint's demand
-// equals capacity or the price hits zero — converges to the optimum. The
-// final rates are scaled into the feasible region to absorb the last
-// floating-point slack, so the returned rates always satisfy R X <= C.
+// for each constraint, move its price to where the constraint's demand
+// equals capacity, or to zero if it is slack even there — converges to the
+// optimum. A constraint's demand is convex and decreasing in its own
+// price, so that root is found by a safeguarded Newton iteration that
+// climbs to it monotonically (see solveRow). The final rates are scaled
+// into the feasible region to absorb the last floating-point slack, so the
+// returned rates always satisfy R X <= C.
 //
 // The package also implements the Theorem 3 capacity prediction (eq. (6)):
 // before placing a new BE application, every element's capacity is scaled
@@ -42,10 +45,12 @@ type Flow struct {
 // defaults suitable for the experiment scales in this repository.
 type Options struct {
 	// Cycles bounds the number of full passes over the constraints
-	// (default 300); each pass bisects every price to machine precision.
+	// (default 300); each pass moves every price to the root of its own
+	// constraint, located to a hundredth of Tolerance.
 	Cycles int
 	// Tolerance is the relative price-change threshold that ends the
-	// descent early (default 1e-12).
+	// descent early (default 1e-12); a constraint whose demand is within
+	// Tolerance of its capacity is left where it is.
 	Tolerance float64
 }
 
@@ -72,6 +77,10 @@ type Stats struct {
 	NNZ int
 	// Cycles is the number of full coordinate-descent passes performed.
 	Cycles int
+	// RowEvals is the number of row passes those cycles made to evaluate a
+	// row's demand and slope: one for a row still at its root, a few for
+	// a row whose price had to move.
+	RowEvals int
 	// Converged reports whether the descent met the tolerance before
 	// exhausting its cycle budget.
 	Converged bool

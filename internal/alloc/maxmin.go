@@ -47,8 +47,8 @@ func buildRows(caps *network.Capacities, flows []Flow) ([]row, []bool, error) {
 	}
 	for j := range s.rows {
 		if s.capOf(s.rows[j].key) <= 0 {
-			for _, slot := range s.rows[j].fidx {
-				boundable[slot] = false
+			for _, e := range s.rows[j].ents {
+				boundable[e.slot] = false
 			}
 		}
 	}
@@ -60,9 +60,9 @@ func buildRows(caps *network.Capacities, flows []Flow) ([]row, []bool, error) {
 			continue
 		}
 		d := row{cap: c, coef: make([]float64, len(flows))}
-		for p, slot := range r.fidx {
-			if boundable[slot] {
-				d.coef[slot] = r.coef[p]
+		for _, e := range r.ents {
+			if boundable[e.slot] {
+				d.coef[e.slot] = e.coef
 			}
 		}
 		rows = append(rows, d)

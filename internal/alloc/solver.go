@@ -1,10 +1,9 @@
 package alloc
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
@@ -23,19 +22,34 @@ type rowKey struct {
 	kind resource.Kind
 }
 
+// entry is one constraint-matrix nonzero: the flow's slot, its per-unit
+// load coef on the element, and cw = coef·weight, the numerator of the
+// flow's demand on the row — kept beside coef so a row pass never gathers
+// weights through the flow table.
+type entry struct {
+	slot     int32 // -1 = tombstoned
+	coef, cw float64
+}
+
 // csrRow is one constraint row in compressed sparse form: only the flows
-// that actually load the element appear. Removed flows leave -1 tombstones
-// in fidx until the next compaction; the dual price survives both removals
+// that actually load the element appear. Removed flows leave tombstones in
+// ents until the next compaction; the dual price survives both removals
 // and compaction, which is what makes re-solves warm.
 type csrRow struct {
 	key   rowKey
-	fidx  []int32 // flow slots; -1 = tombstoned entry
-	coef  []float64
+	ents  []entry
 	dead  int32
 	price float64 // dual price; NaN = never priced
 }
 
-func (r *csrRow) liveNNZ() int { return len(r.fidx) - int(r.dead) }
+func (r *csrRow) liveNNZ() int { return len(r.ents) - int(r.dead) }
+
+// packedRow is one priced row of a single Solve: its capacity and its
+// span pk[off:end] of the packed entries.
+type packedRow struct {
+	row, off, end int32
+	cap           float64
+}
 
 // rowRef locates one matrix entry from the flow side so RemoveFlows can
 // tombstone a flow's column in O(path length).
@@ -54,7 +68,9 @@ type sflow struct {
 // denominators between calls so that after a small change (one app
 // admitted or removed, capacities nudged) the next Solve warm-starts the
 // dual descent from the previous prices and converges in a couple of
-// cycles instead of a full cold run.
+// cycles instead of a full cold run. Each cycle visits every priced row
+// once: one pass over the row tells whether its demand still meets its
+// capacity, and if not a few Newton passes (solveRow) move its price there.
 //
 // Capacities are read lazily at Solve time through the pointer given to
 // NewSolver/SetCapacities, so callers that mutate the capacity vectors in
@@ -79,12 +95,14 @@ type Solver struct {
 
 	solved bool // a prior Solve left usable prices behind
 
-	// scratch reused across solves, sized to len(flows)/len(rows)
-	denom, x  []float64
-	active    []bool
-	rowCap    []float64
-	rowActive []bool
-	kindBuf   []resource.Kind
+	// scratch reused across solves: per-flow-slot vectors, and the packed
+	// view the descent runs over — the priced rows and, row after row,
+	// their live entries of non-zeroed flows
+	denom, x []float64
+	active   []bool
+	pkRows   []packedRow
+	pk       []entry
+	kindBuf  []resource.Kind
 }
 
 // NewSolver returns an empty incremental solver over the given capacities.
@@ -167,9 +185,7 @@ func (s *Solver) insert(f Flow) FlowID {
 				s.kindBuf = append(s.kindBuf, k)
 			}
 		}
-		if len(s.kindBuf) > 1 {
-			sort.Slice(s.kindBuf, func(i, j int) bool { return s.kindBuf[i] < s.kindBuf[j] })
-		}
+		slices.Sort(s.kindBuf)
 		for _, k := range s.kindBuf {
 			s.addEntry(rowKey{elem: int(v), kind: k}, slot, load[k])
 		}
@@ -188,9 +204,9 @@ func (s *Solver) addEntry(key rowKey, slot int32, coef float64) {
 		s.rowIndex[key] = j
 	}
 	r := &s.rows[j]
-	s.flows[slot].refs = append(s.flows[slot].refs, rowRef{row: j, pos: int32(len(r.fidx))})
-	r.fidx = append(r.fidx, slot)
-	r.coef = append(r.coef, coef)
+	f := &s.flows[slot]
+	f.refs = append(f.refs, rowRef{row: j, pos: int32(len(r.ents))})
+	r.ents = append(r.ents, entry{slot: slot, coef: coef, cw: coef * f.weight})
 	s.nnzLive++
 }
 
@@ -207,7 +223,7 @@ func (s *Solver) RemoveFlows(ids []FlowID) {
 		f := &s.flows[slot]
 		for _, ref := range f.refs {
 			r := &s.rows[ref.row]
-			r.fidx[ref.pos] = -1
+			r.ents[ref.pos].slot = -1
 			r.dead++
 		}
 		s.nnzLive -= len(f.refs)
@@ -234,16 +250,7 @@ func (s *Solver) compact() {
 			continue
 		}
 		if r.dead > 0 {
-			w := 0
-			for p, slot := range r.fidx {
-				if slot >= 0 {
-					r.fidx[w] = slot
-					r.coef[w] = r.coef[p]
-					w++
-				}
-			}
-			r.fidx = r.fidx[:w]
-			r.coef = r.coef[:w]
+			r.ents = slices.DeleteFunc(r.ents, func(e entry) bool { return e.slot < 0 })
 			r.dead = 0
 		}
 		s.rowIndex[r.key] = int32(len(kept))
@@ -256,9 +263,8 @@ func (s *Solver) compact() {
 		s.flows[i].refs = s.flows[i].refs[:0]
 	}
 	for j := range s.rows {
-		r := &s.rows[j]
-		for p, slot := range r.fidx {
-			s.flows[slot].refs = append(s.flows[slot].refs, rowRef{row: int32(j), pos: int32(p)})
+		for p, e := range s.rows[j].ents {
+			s.flows[e.slot].refs = append(s.flows[e.slot].refs, rowRef{row: int32(j), pos: int32(p)})
 		}
 	}
 }
@@ -275,211 +281,104 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 	n := len(s.flows)
 	s.denom = resize(s.denom, n)
 	s.x = resize(s.x, n)
-	s.active = resizeBool(s.active, n)
-	s.rowCap = resize(s.rowCap, len(s.rows))
-	s.rowActive = resizeBool(s.rowActive, len(s.rows))
-	active, denom, x := s.active, s.denom, s.x
+	if cap(s.active) < n {
+		s.active = make([]bool, n)
+	}
+	active, denom, x := s.active[:n], s.denom, s.x
 	for i := range s.flows {
 		active[i] = s.flows[i].alive
 	}
 	// Pass 1: read capacities; zero-capacity elements force their flows'
 	// rates to zero (they cannot be bounded away from it).
+	rows := s.pkRows[:0]
 	for j := range s.rows {
 		r := &s.rows[j]
 		if r.liveNNZ() == 0 {
-			s.rowActive[j] = false
 			continue
 		}
-		c := s.capOf(r.key)
-		s.rowCap[j] = c
-		if c <= 0 {
-			s.rowActive[j] = false
-			for _, slot := range r.fidx {
-				if slot >= 0 {
-					active[slot] = false
-				}
-			}
+		if c := s.capOf(r.key); c > 0 {
+			rows = append(rows, packedRow{row: int32(j), cap: c})
 			continue
 		}
-		s.rowActive[j] = true
-	}
-	// Pass 2: a row binding only zeroed flows stays in the row count but
-	// needs no price. When no positive-capacity row is loaded at all the
-	// problem is vacuous.
-	nnz := 0
-	for j := range s.rows {
-		if !s.rowActive[j] {
-			continue
-		}
-		r := &s.rows[j]
-		stats.Rows++
-		any := false
-		for _, slot := range r.fidx {
-			if slot >= 0 && active[slot] {
-				any = true
-				nnz++
+		for _, e := range r.ents {
+			if e.slot >= 0 {
+				active[e.slot] = false
 			}
 		}
-		if !any {
-			s.rowActive[j] = false
+	}
+	stats.Rows = len(rows)
+	// Pass 2: pack the entries the descent will touch. A row binding only
+	// zeroed flows stays in the row count but needs no price; with every
+	// flow zeroed nothing is priced and all rates come out zero.
+	pk, priced := s.pk[:0], rows[:0]
+	for _, pr := range rows {
+		pr.off = int32(len(pk))
+		for _, e := range s.rows[pr.row].ents {
+			if e.slot >= 0 && active[e.slot] {
+				pk = append(pk, e)
+			}
+		}
+		if pr.end = int32(len(pk)); pr.end > pr.off {
+			priced = append(priced, pr)
 		}
 	}
-	stats.NNZ = nnz
-	if stats.Rows == 0 {
-		return nil, stats, errors.New("alloc: no capacity constraints bind any flow")
-	}
-
-	// demandAt computes row j's demand when its price is lambda, holding
-	// every other price fixed.
-	demandAt := func(j int, lambda float64) float64 {
-		r := &s.rows[j]
-		demand := 0.0
-		for p, slot := range r.fidx {
-			if slot < 0 || !active[slot] {
-				continue
-			}
-			coef := r.coef[p]
-			d := denom[slot] - r.price*coef + lambda*coef
-			if d <= 0 {
-				return math.Inf(1)
-			}
-			demand += coef * s.flows[slot].weight / d
-		}
-		return demand
-	}
+	s.pk, s.pkRows, rows = pk, rows, priced
+	stats.NNZ = len(pk)
 
 	// descend (re)initializes never-priced rows at the single-constraint
 	// optimum scale — previously priced rows keep their price, which is the
 	// warm start — rebuilds the denominators in O(nnz), and runs the cyclic
 	// coordinate descent until the tolerance or cycle budget is hit.
-	descend := func() error {
-		for j := range s.rows {
-			if !s.rowActive[j] {
-				continue
-			}
-			r := &s.rows[j]
-			if !math.IsNaN(r.price) {
-				continue
-			}
-			wSum := 0.0
-			for p, slot := range r.fidx {
-				if slot >= 0 && active[slot] && r.coef[p] > 0 {
-					wSum += s.flows[slot].weight
-				}
-			}
-			r.price = wSum / s.rowCap[j]
-		}
+	descend := func() {
 		// denom[f] = Σ_j λ_j R_{jf}, maintained incrementally as prices
 		// move.
-		for i := range denom {
-			denom[i] = 0
-		}
-		for j := range s.rows {
-			if !s.rowActive[j] {
-				continue
-			}
-			r := &s.rows[j]
-			for p, slot := range r.fidx {
-				if slot >= 0 && active[slot] {
-					denom[slot] += r.price * r.coef[p]
+		clear(denom)
+		for _, pr := range rows {
+			r, ents := &s.rows[pr.row], pk[pr.off:pr.end]
+			if math.IsNaN(r.price) {
+				wSum := 0.0
+				for _, e := range ents {
+					wSum += s.flows[e.slot].weight
 				}
+				r.price = wSum / pr.cap
+			}
+			for _, e := range ents {
+				denom[e.slot] += r.price * e.coef
 			}
 		}
 
-		// The bisection stops once the bracket is relatively tighter than a
-		// fraction of the convergence tolerance; the fixed iteration cap is
-		// a safety net, not the usual exit.
-		bisectTol := s.opt.Tolerance * 0.01
 		for cycle := 0; cycle < s.opt.Cycles; cycle++ {
 			stats.Cycles++
 			maxRel := 0.0
-			for j := range s.rows {
-				if !s.rowActive[j] {
-					continue
-				}
-				r := &s.rows[j]
-				cap := s.rowCap[j]
-				var newPrice float64
-				// Test the current price first: if its demand already
-				// matches capacity the row is at its root (demand is
-				// strictly decreasing in the price) and the whole search is
-				// skipped — the common case on warm re-solves. When demand
-				// exceeds capacity the root lies above the current price
-				// and the slack test at zero is redundant.
-				var lo, hi float64
-				bracketed := false
-				if r.price > 0 {
-					d := demandAt(j, r.price)
-					if math.Abs(d-cap) <= cap*s.opt.Tolerance {
-						continue
+			for _, pr := range rows {
+				r, ents := &s.rows[pr.row], pk[pr.off:pr.end]
+				lambda, evals := solveRow(ents, denom, r.price, pr.cap, s.opt.Tolerance)
+				stats.RowEvals += evals
+				if delta := lambda - r.price; delta != 0 {
+					maxRel = math.Max(maxRel, math.Abs(delta)/math.Max(lambda, r.price))
+					for _, e := range ents {
+						denom[e.slot] += delta * e.coef
 					}
-					if d > cap {
-						lo, hi = r.price, r.price
-						bracketed = true
-					}
-				}
-				if !bracketed {
-					if demandAt(j, 0) <= cap {
-						newPrice = 0 // constraint slack: complementary slackness
-						goto apply
-					}
-					lo, hi = 0, math.Max(r.price, 1e-12)
-				}
-				for demandAt(j, hi) > cap {
-					hi *= 2
-					if math.IsInf(hi, 1) {
-						return errors.New("alloc: dual price diverged")
-					}
-				}
-				for k := 0; k < 100 && hi-lo > bisectTol*hi; k++ {
-					mid := (lo + hi) / 2
-					if demandAt(j, mid) > cap {
-						lo = mid
-					} else {
-						hi = mid
-					}
-				}
-				newPrice = hi
-			apply:
-				if delta := newPrice - r.price; delta != 0 {
-					rel := math.Abs(delta) / math.Max(newPrice, r.price)
-					if rel > maxRel {
-						maxRel = rel
-					}
-					for p, slot := range r.fidx {
-						if slot >= 0 && active[slot] {
-							denom[slot] += delta * r.coef[p]
-						}
-					}
-					r.price = newPrice
+					r.price = lambda
 				}
 			}
 			if maxRel < s.opt.Tolerance {
 				stats.Converged = true
-				return nil
+				return
 			}
 		}
-		return nil
 	}
 
-	if err := descend(); err != nil {
-		s.invalidate()
-		return nil, stats, err
-	}
+	descend()
 	if !stats.Converged && stats.Warm {
 		// The stale prices led the descent into a bad valley; restart this
 		// same solve from the cold initialization, which is what a cold
 		// Solve would have done all along.
-		for j := range s.rows {
-			if s.rowActive[j] {
-				s.rows[j].price = math.NaN()
-			}
+		for _, pr := range rows {
+			s.rows[pr.row].price = math.NaN()
 		}
 		stats.Warm = false
-		if err := descend(); err != nil {
-			s.invalidate()
-			return nil, stats, err
-		}
+		descend()
 	}
 
 	for i := range s.flows {
@@ -490,7 +389,7 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 			x[i] = 0
 			continue
 		}
-		if denom[i] <= 0 {
+		if !(denom[i] > 0) {
 			s.invalidate()
 			return nil, stats, fmt.Errorf("alloc: flow %d has zero congestion price (unbounded)", i)
 		}
@@ -499,41 +398,95 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 	// Absorb residual floating-point slack: uniform scaling by the worst
 	// relative violation keeps the result exactly feasible.
 	scale := 1.0
-	for j := range s.rows {
-		if !s.rowActive[j] {
-			continue
-		}
-		r := &s.rows[j]
+	for _, pr := range rows {
 		demand := 0.0
-		for p, slot := range r.fidx {
-			if slot >= 0 && active[slot] {
-				demand += r.coef[p] * x[slot]
-			}
+		for _, e := range pk[pr.off:pr.end] {
+			demand += e.coef * x[e.slot]
 		}
-		if demand > s.rowCap[j] {
-			if sc := s.rowCap[j] / demand; sc < scale {
-				scale = sc
-			}
+		if demand > pr.cap {
+			scale = math.Min(scale, pr.cap/demand)
 		}
 	}
 	if dst == nil {
 		dst = make(map[FlowID]float64, s.live)
 	} else {
-		for k := range dst {
-			delete(dst, k)
-		}
+		clear(dst)
 	}
 	for i := range s.flows {
 		if s.flows[i].alive {
-			r := x[i]
-			if scale < 1 {
-				r *= scale
-			}
-			dst[s.flows[i].id] = r
+			dst[s.flows[i].id] = x[i] * scale
 		}
 	}
 	s.solved = true
 	return dst, stats, nil
+}
+
+// solveRow returns the price at which the row's demand meets cap with every
+// other price held fixed — zero when the row is slack even there — and the
+// number of row passes it took. A price whose demand is within tol of cap
+// is returned unchanged: the row is still at its root, the common case on
+// warm re-solves. Otherwise the root is found by a safeguarded Newton
+// iteration on 1/demand − 1/cap, which is concave and increasing in the
+// price because demand is convex and decreasing: from the side where
+// demand exceeds cap the iterates rise monotonically to the root and never
+// pass it, and a step of relative size s leaves a relative error below s².
+// The root is located to the relative width rootTol, a fraction of tol, so
+// on that side a step within √rootTol already lands that close.
+func solveRow(ents []entry, denom []float64, price, cap, tol float64) (float64, int) {
+	rootTol := tol * 0.01
+	stepTol := math.Sqrt(rootTol)
+	// Demand exceeds cap at lo (−1: at no price tried yet) and does not at
+	// hi; lambda walks from the current price.
+	lo, hi, lambda := -1.0, math.Inf(1), price
+	for it := 1; it <= 100; it++ { // the cap is a safety net, not the usual exit
+		d, slope := rowDemand(ents, denom, lambda-price)
+		if it == 1 && math.Abs(d-cap) <= cap*tol {
+			return price, it
+		}
+		if d > cap {
+			lo = lambda
+		} else if hi = lambda; lambda == 0 {
+			return 0, it // slack at price zero: complementary slackness
+		}
+		next := lambda + (d-cap)/slope*(d/cap)
+		if step := math.Abs(next - lambda); step <= rootTol*lambda || (d > cap && step <= stepTol*lambda) {
+			return next, it
+		}
+		if !(next > math.Max(lo, 0) && next < hi) {
+			// The step left the bracket (a start above the root overshoots
+			// below it, infinite demand has no slope): test zero, grow, or
+			// halve the bracket.
+			switch {
+			case lo < 0:
+				next = 0
+			case math.IsInf(hi, 1):
+				next = math.Max(2*lambda, 1e-12)
+			default:
+				next = (lo + hi) / 2
+			}
+		}
+		lambda = next
+	}
+	return lambda, 100
+}
+
+// rowDemand returns a row's demand Σ cw/(denom+dl·coef) and the magnitude
+// of its slope, Σ cw·coef/(denom+dl·coef)², when the row's price moves by
+// dl with every other price held fixed. Demand is convex and strictly
+// decreasing in the price; a flow whose congestion price would not stay
+// positive makes it +Inf.
+func rowDemand(ents []entry, denom []float64, dl float64) (demand, slope float64) {
+	for _, e := range ents {
+		d := denom[e.slot] + dl*e.coef
+		if d <= 0 {
+			return math.Inf(1), 0
+		}
+		inv := 1 / d
+		q := e.cw * inv
+		demand += q
+		slope += q * e.coef * inv
+	}
+	return demand, slope
 }
 
 // invalidate drops all prices after a failed solve so the next call
@@ -555,13 +508,6 @@ func (s *Solver) capOf(key rowKey) float64 {
 func resize(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
 	}
 	return s[:n]
 }

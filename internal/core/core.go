@@ -342,6 +342,7 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		s.metrics.SetHelp(metricWarmSolves, "Total best-effort rate-allocation solves warm-started from the previous dual prices.")
 		s.metrics.SetHelp(metricAllocNNZ, "Constraint-matrix nonzeros of the most recent best-effort allocation solve.")
 		s.metrics.SetHelp(metricAllocCycles, "Dual coordinate-descent cycles per best-effort allocation solve, by start mode.")
+		s.metrics.SetHelp(metricAllocRowEvals, "Total constraint-row demand evaluations made by best-effort allocation solves.")
 		s.metrics.SetHelp(metricFluctuations, "Total capacity fluctuations applied.")
 		s.syncAppMetrics()
 	}
@@ -360,6 +361,7 @@ const (
 	metricWarmSolves       = "sparcle_alloc_warm_solves_total"
 	metricAllocNNZ         = "sparcle_alloc_rows_nnz"
 	metricAllocCycles      = "sparcle_alloc_solve_cycles"
+	metricAllocRowEvals    = "sparcle_alloc_row_evals_total"
 	metricFluctuations     = "sparcle_fluctuations_total"
 )
 
@@ -792,10 +794,11 @@ func (s *Scheduler) reallocateBE() error {
 			}
 			s.metrics.Gauge(metricAllocNNZ).Set(float64(stats.NNZ))
 			s.metrics.Histogram(metricAllocCycles, allocCycleBuckets, obs.L("mode", mode)).Observe(float64(stats.Cycles))
+			s.metrics.Counter(metricAllocRowEvals).Add(float64(stats.RowEvals))
 		}
 		s.tracer.Alloc(obs.AllocEvent{
 			Solver: solver, Flows: stats.Flows, Rows: stats.Rows, NNZ: stats.NNZ,
-			Cycles: stats.Cycles, Converged: stats.Converged, Warm: stats.Warm, Seconds: elapsed,
+			Cycles: stats.Cycles, RowEvals: stats.RowEvals, Converged: stats.Converged, Warm: stats.Warm, Seconds: elapsed,
 		})
 	}
 	if err != nil {

@@ -291,6 +291,46 @@ func TestRemoveGRRestoresCapacityPool(t *testing.T) {
 	}
 }
 
+// TestRemoveLeavesOnlyZeroedBE: a GR reservation takes every element BE
+// app "a" crosses down to zero capacity while "b" keeps a positive-capacity
+// branch. Removing "b" leaves the solver only zeroed flows — an answer
+// (rate 0), not a failure: Remove succeeds and journals the removal "ok".
+func TestRemoveLeavesOnlyZeroedBE(t *testing.T) {
+	net := twoBranchNet(t, 100, 60, 10, 0)
+	var recs []*Record
+	s := New(net, WithCommitHook(func(r *Record) error {
+		recs = append(recs, r)
+		return nil
+	}))
+	a, err := s.Submit(simpleApp(t, "a", net, 10, QoS{Class: BestEffort, Priority: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Submit(simpleApp(t, "b", net, 10, QoS{Class: BestEffort, Priority: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rate 10 reserves the whole m1 branch: its cpu (10·10) and both
+	// 10-wide links.
+	if _, err := s.Submit(simpleApp(t, "g", net, 10, QoS{
+		Class: GuaranteedRate, MinRate: 10, MinRateAvailability: 0.9, MaxPaths: 1,
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if a.TotalRate() != 0 || b.TotalRate() <= 0 {
+		t.Fatalf("after the reservation a = %v, b = %v; want a zeroed on m1, b served on m2", a.TotalRate(), b.TotalRate())
+	}
+	if err := s.Remove("b"); err != nil {
+		t.Fatalf("Remove leaving only zeroed flows: %v", err)
+	}
+	if got := a.TotalRate(); got != 0 {
+		t.Fatalf("survivor rate = %v, want 0", got)
+	}
+	if last := recs[len(recs)-1]; last.Op != OpRemove || last.Outcome != "ok" {
+		t.Fatalf("last record = %s/%s (%s), want remove/ok", last.Op, last.Outcome, last.Reason)
+	}
+}
+
 func TestClassString(t *testing.T) {
 	if BestEffort.String() != "best-effort" || GuaranteedRate.String() != "guaranteed-rate" {
 		t.Fatal("class names wrong")

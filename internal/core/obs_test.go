@@ -123,8 +123,8 @@ func TestSchedulerTelemetry(t *testing.T) {
 }
 
 // TestAllocTelemetryMetrics covers the incremental-solver metric series:
-// warm solve counter, constraint-matrix nnz gauge, and the per-mode cycle
-// histogram.
+// warm solve counter, constraint-matrix nnz gauge, the per-mode cycle
+// histogram, and the row-evaluation counter.
 func TestAllocTelemetryMetrics(t *testing.T) {
 	net := twoBranchNet(t, 100, 50, 1e6, 0)
 	reg := obs.NewRegistry()
@@ -154,5 +154,10 @@ func TestAllocTelemetryMetrics(t *testing.T) {
 	warmH := findSeries(cycles, map[string]string{"mode": "warm"})
 	if warmH == nil || *warmH.Count < 1 {
 		t.Fatalf("warm cycle histogram = %+v, want count >= 1", warmH)
+	}
+	// Every cycle evaluates every priced row at least once.
+	evals := findSeries(snap[metricAllocRowEvals], nil)
+	if evals == nil || *evals.Value < *cold.Sum+*warmH.Sum {
+		t.Fatalf("row-evals counter = %+v, want >= the %v cycles run", evals, *cold.Sum+*warmH.Sum)
 	}
 }

@@ -240,6 +240,7 @@ func TestNilRegistryAllocationFree(t *testing.T) {
 		r.Counter("sparcle_alloc_warm_solves_total").Inc()
 		r.Gauge("sparcle_alloc_rows_nnz").Set(42)
 		r.Histogram("sparcle_alloc_solve_cycles", nil, L("mode", "warm")).Observe(7)
+		r.Counter("sparcle_alloc_row_evals_total").Add(120)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-registry telemetry allocates %v per run, want 0", allocs)

@@ -231,6 +231,7 @@ type AllocEvent struct {
 	Rows      int     `json:"rows,omitempty"`
 	NNZ       int     `json:"nnz,omitempty"`
 	Cycles    int     `json:"cycles,omitempty"`
+	RowEvals  int     `json:"rowEvals,omitempty"`
 	Converged bool    `json:"converged"`
 	Warm      bool    `json:"warm,omitempty"`
 	Seconds   float64 `json:"seconds"`
