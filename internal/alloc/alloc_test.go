@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparcle/internal/network"
@@ -221,10 +222,10 @@ func TestPredictSharesByPriority(t *testing.T) {
 	net, links := line3(t, 90, 60)
 	pathA := pipelineFlow(t, net, 0, 1, 2, 5, 2, 1, []network.LinkID{links[0]}, []network.LinkID{links[1]}).Path
 	fp := FootprintOf(1, []placement.Path{{P: pathA, Rate: 1}})
-	if !fp.NCPs[1] || fp.NCPs[0] {
+	if !slices.Equal(fp.NCPs, []network.NCPID{1}) {
 		t.Fatalf("footprint NCPs wrong: %v", fp.NCPs)
 	}
-	if !fp.Links[links[0]] || !fp.Links[links[1]] {
+	if !slices.Contains(fp.Links, links[0]) || !slices.Contains(fp.Links, links[1]) {
 		t.Fatalf("footprint links wrong: %v", fp.Links)
 	}
 	pred := Predict(net.BaseCapacities(), []Footprint{fp}, 2)

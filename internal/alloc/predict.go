@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"slices"
+
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
 	"sparcle/internal/resource"
@@ -8,29 +10,25 @@ import (
 
 // Footprint summarizes which network elements an already-placed BE
 // application loads, with its priority. It is the input to the Theorem 3
-// capacity prediction.
+// capacity prediction. NCPs and Links are sorted and duplicate-free.
 type Footprint struct {
 	Priority float64
-	NCPs     map[network.NCPID]bool
-	Links    map[network.LinkID]bool
+	NCPs     []network.NCPID
+	Links    []network.LinkID
 }
 
 // FootprintOf collects the elements loaded by any of an application's
 // task-assignment paths.
 func FootprintOf(priority float64, paths []placement.Path) Footprint {
-	fp := Footprint{
-		Priority: priority,
-		NCPs:     map[network.NCPID]bool{},
-		Links:    map[network.LinkID]bool{},
-	}
+	fp := Footprint{Priority: priority}
 	for _, path := range paths {
-		for _, v := range path.P.LoadedNCPs() {
-			fp.NCPs[v] = true
-		}
-		for _, l := range path.P.LoadedLinks() {
-			fp.Links[l] = true
-		}
+		fp.NCPs = append(fp.NCPs, path.P.LoadedNCPs()...)
+		fp.Links = append(fp.Links, path.P.LoadedLinks()...)
 	}
+	slices.Sort(fp.NCPs)
+	fp.NCPs = slices.Compact(fp.NCPs)
+	slices.Sort(fp.Links)
+	fp.Links = slices.Compact(fp.Links)
 	return fp
 }
 
@@ -39,26 +37,36 @@ func FootprintOf(priority float64, paths []placement.Path) Footprint {
 // capacity scaled by priority / (priority + sum of priorities already
 // placed on that element). Elements nobody uses are offered in full. caps
 // is not mutated.
+//
+// The placed priority of an element is summed in `placed` order — a
+// footprint names an element at most once — so the result depends only on
+// the footprints and their order, never on how the caller arrived at them:
+// a scheduler rebuilt from a snapshot predicts the same bits as the one
+// that wrote it.
 func Predict(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
 	out := caps.Clone()
-	// Accumulate the placed priority per element from the footprints
-	// (O(sum of footprint sizes)) rather than scanning every footprint for
-	// every element of the network.
-	ncpTotal := make(map[network.NCPID]float64)
-	linkTotal := make(map[network.LinkID]float64)
-	for _, fp := range placed {
-		for v := range fp.NCPs {
-			ncpTotal[v] += fp.Priority
+	// One dense total per element (NCPs first, then links): O(sum of
+	// footprint sizes) to fill, no hashing.
+	total := make([]float64, len(out.NCP)+len(out.Link))
+	ncpTotal, linkTotal := total[:len(out.NCP)], total[len(out.NCP):]
+	for i := range placed {
+		p := placed[i].Priority
+		for _, v := range placed[i].NCPs {
+			ncpTotal[v] += p
 		}
-		for l := range fp.Links {
-			linkTotal[l] += fp.Priority
+		for _, l := range placed[i].Links {
+			linkTotal[l] += p
 		}
 	}
-	for v, total := range ncpTotal {
-		scaleVector(out.NCP[v], priority/(priority+total))
+	for v, t := range ncpTotal {
+		if t != 0 {
+			scaleVector(out.NCP[v], priority/(priority+t))
+		}
 	}
-	for l, total := range linkTotal {
-		out.Link[l] *= priority / (priority + total)
+	for l, t := range linkTotal {
+		if t != 0 {
+			out.Link[l] *= priority / (priority + t)
+		}
 	}
 	return out
 }

@@ -1,0 +1,131 @@
+package alloc
+
+import (
+	"math/rand"
+	"testing"
+
+	"sparcle/internal/network"
+	"sparcle/internal/placement"
+)
+
+// predictByMaps is eq. (6) as it was computed before footprints became
+// sorted slices: per-element totals in hash maps, filled footprint by
+// footprint. Kept as the reference Predict is held bit-equal to.
+func predictByMaps(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
+	out := caps.Clone()
+	ncpTotal := make(map[network.NCPID]float64)
+	linkTotal := make(map[network.LinkID]float64)
+	for _, fp := range placed {
+		ncps := map[network.NCPID]bool{}
+		for _, v := range fp.NCPs {
+			ncps[v] = true
+		}
+		for v := range ncps {
+			ncpTotal[v] += fp.Priority
+		}
+		links := map[network.LinkID]bool{}
+		for _, l := range fp.Links {
+			links[l] = true
+		}
+		for l := range links {
+			linkTotal[l] += fp.Priority
+		}
+	}
+	for v, total := range ncpTotal {
+		scaleVector(out.NCP[v], priority/(priority+total))
+	}
+	for l, total := range linkTotal {
+		out.Link[l] *= priority / (priority + total)
+	}
+	return out
+}
+
+// residentFootprints draws k pipelines on mesh16 and returns their eq. (6)
+// footprints, priorities included.
+func residentFootprints(tb testing.TB, rng *rand.Rand, k int) (*network.Network, []Footprint) {
+	net, link := mesh16(tb)
+	fps := make([]Footprint, k)
+	for i := range fps {
+		f := meshPipeline(tb, rng, net, link)
+		fps[i] = FootprintOf(f.Weight, []placement.Path{{P: f.Path}})
+	}
+	return net, fps
+}
+
+func TestFootprintOfSortedAndDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	net, link := mesh16(t)
+	// Two paths of one application overlap on elements; each element must
+	// appear once, or Predict would count the priority twice.
+	a, b := meshPipeline(t, rng, net, link), meshPipeline(t, rng, net, link)
+	fp := FootprintOf(2, []placement.Path{{P: a.Path}, {P: b.Path}, {P: a.Path}})
+	for i := 1; i < len(fp.NCPs); i++ {
+		if fp.NCPs[i-1] >= fp.NCPs[i] {
+			t.Fatalf("NCPs not strictly ascending: %v", fp.NCPs)
+		}
+	}
+	for i := 1; i < len(fp.Links); i++ {
+		if fp.Links[i-1] >= fp.Links[i] {
+			t.Fatalf("links not strictly ascending: %v", fp.Links)
+		}
+	}
+	want := map[network.NCPID]bool{}
+	for _, p := range []*placement.Placement{a.Path, b.Path} {
+		for _, v := range p.LoadedNCPs() {
+			want[v] = true
+		}
+	}
+	if len(fp.NCPs) != len(want) {
+		t.Fatalf("footprint has %d NCPs, the paths load %d", len(fp.NCPs), len(want))
+	}
+}
+
+// TestPredictBitIdenticalToMaps holds the dense Predict to the map
+// implementation with == on every float, over 2000 seeded footprint sets.
+func TestPredictBitIdenticalToMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	net, pool := residentFootprints(t, rng, 300)
+	caps := net.BaseCapacities()
+	for set := 0; set < 2000; set++ {
+		k := rng.Intn(64)
+		placed := make([]Footprint, k)
+		for i := range placed {
+			placed[i] = pool[rng.Intn(len(pool))]
+		}
+		// Uneven pools too: eq. (6) runs on capacities GR apps have eaten into.
+		for l := range caps.Link {
+			caps.Link[l] = 1000 * rng.Float64()
+		}
+		priority := 0.1 + 10*rng.Float64()
+		got, want := Predict(caps, placed, priority), predictByMaps(caps, placed, priority)
+		for v := range want.NCP {
+			for kind, w := range want.NCP[v] {
+				if got.NCP[v][kind] != w {
+					t.Fatalf("set %d: NCP %d %s = %v, maps say %v", set, v, kind, got.NCP[v][kind], w)
+				}
+			}
+		}
+		for l, w := range want.Link {
+			if got.Link[l] != w {
+				t.Fatalf("set %d: link %d = %v, maps say %v", set, l, got.Link[l], w)
+			}
+		}
+	}
+}
+
+var predictSink *network.Capacities
+
+// BenchmarkPredict is the microbench twin of alloc.predict_us: eq. (6)
+// over the footprints of K resident pipelines on mesh16.
+func BenchmarkPredict(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	net, fps := residentFootprints(b, rng, 256)
+	caps := net.BaseCapacities()
+	b.Run("K=256", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			predictSink = Predict(caps, fps, 1.5)
+		}
+	})
+}

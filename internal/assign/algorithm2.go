@@ -394,12 +394,16 @@ func (st *state) gamma(ct taskgraph.CTID, host network.NCPID) (rate float64, fea
 }
 
 // linkTerm is one link contribution to γ for a CT: a placed counterpart
-// (at oHost) and the bits of the lightest TT between them. The terms of a
-// CT are host-independent, so bestHost computes them once and reuses them
+// (at oHost), the bits of the lightest TT between them, and which way
+// that TT flows — toPlaced when the counterpart is downstream of the CT,
+// so the stream runs from the candidate host to oHost. With directed
+// links the two directions see different bottlenecks. The terms of a CT
+// are host-independent, so bestHost computes them once and reuses them
 // across the whole NCP scan.
 type linkTerm struct {
-	oHost network.NCPID
-	bits  float64
+	oHost    network.NCPID
+	bits     float64
+	toPlaced bool
 }
 
 // linkTerms collects the γ link terms of ct against the current view.
@@ -410,7 +414,7 @@ func (st *state) linkTerms(ct taskgraph.CTID) []linkTerm {
 		if !ok {
 			continue
 		}
-		terms = append(terms, linkTerm{oHost: st.view.Host[other], bits: st.g.TT(ttID).Bits})
+		terms = append(terms, linkTerm{oHost: st.view.Host[other], bits: st.g.TT(ttID).Bits, toPlaced: st.g.Precedes(ct, other)})
 	}
 	return terms
 }
@@ -427,14 +431,17 @@ func (st *state) gammaTerms(ct taskgraph.CTID, host network.NCPID, terms []linkT
 			bottleneck float64
 			reachable  bool
 		)
-		if st.noCache {
-			_, bottleneck, reachable = WidestPath(st.net, st.caps, st.view.LoadLink, term.bits, host, term.oHost)
-		} else {
-			// The tree is rooted at the *placed* end: the network is
-			// undirected, so phi is symmetric, and one tree then serves
+		switch {
+		case !st.noCache:
+			// The tree is rooted at the *placed* end, so one tree serves
 			// every candidate host of the scan (and every CT sharing this
-			// frontier term) instead of one tree per candidate.
-			bottleneck, reachable = st.cache.tree(term.oHost, term.bits).bottleneck(host)
+			// frontier term) instead of one tree per candidate; a stream
+			// toward the placed end is searched against the link direction.
+			bottleneck, reachable = st.cache.tree(term.oHost, term.bits, term.toPlaced).bottleneck(host)
+		case term.toPlaced:
+			_, bottleneck, reachable = WidestPath(st.net, st.caps, st.view.LoadLink, term.bits, host, term.oHost)
+		default:
+			_, bottleneck, reachable = WidestPath(st.net, st.caps, st.view.LoadLink, term.bits, term.oHost, host)
 		}
 		if !reachable {
 			return 0, false

@@ -152,7 +152,7 @@ func BenchmarkWidestTree(b *testing.B) {
 	})
 	b.Run("tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			newWidestTree(inst.Net, caps, loads, 10, 0)
+			newWidestTree(inst.Net, caps, loads, 10, 0, false)
 		}
 	})
 }

@@ -18,13 +18,16 @@ import (
 // pair — which is all γ evaluation needs; committed routes still run the
 // route-reconstructing per-pair search.
 //
-// The network is undirected, so phi is symmetric: every path is valid
-// reversed with the same link set, hence the same bottleneck (min over
-// the identical weights — bit-exact, since min neither rounds nor depends
-// on order). γ evaluation exploits this by rooting trees at the *placed*
-// end of each link term: one tree then serves the entire candidate-host
-// scan of an iteration, and every CT sharing that term, instead of one
-// tree per candidate host.
+// γ evaluation roots trees at the *placed* end of each link term: one
+// tree then serves the entire candidate-host scan of an iteration, and
+// every CT sharing that term, instead of one tree per candidate host. A
+// term whose stream runs *toward* the placed end needs the bottleneck
+// from each candidate to the root, which a reversed tree holds: the same
+// search over the links entering each NCP. On a network without directed
+// links the two coincide — every path is valid reversed with the same
+// link set, hence the same bottleneck (min over the identical weights,
+// bit-exact, since min neither rounds nor depends on order) — and one
+// tree serves both directions.
 type widestTree struct {
 	phi []float64
 	// usesLink[l] reports whether link l is a tree edge (the predecessor
@@ -33,11 +36,13 @@ type widestTree struct {
 	usesLink []bool
 }
 
-// newWidestTree runs the full Dijkstra-style search from `from`. The
-// relaxation rule (maximize bottleneck, tie-break toward fewer hops) is
-// identical to widestPathCounted, so for every target the tree's phi
-// equals the per-pair search's bottleneck bit for bit.
-func newWidestTree(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from network.NCPID) *widestTree {
+// newWidestTree runs the full Dijkstra-style search from `from`, along
+// the links leaving each NCP or, reversed, along those entering it (phi[v]
+// is then the bottleneck from v to `from`). The relaxation rule (maximize
+// bottleneck, tie-break toward fewer hops) is identical to
+// widestPathCounted, so for every target the tree's phi equals the
+// per-pair search's bottleneck bit for bit.
+func newWidestTree(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from network.NCPID, reversed bool) *widestTree {
 	n := net.NumNCPs()
 	t := &widestTree{
 		phi:      make([]float64, n),
@@ -61,7 +66,11 @@ func newWidestTree(net *network.Network, caps *network.Capacities, linkLoad []fl
 			continue
 		}
 		done[v] = true
-		for _, l := range net.Incident(v) {
+		links := net.Incident(v)
+		if reversed {
+			links = net.Entering(v)
+		}
+		for _, l := range links {
 			u := net.Other(l, v)
 			if done[u] {
 				continue
@@ -93,10 +102,11 @@ func (t *widestTree) bottleneck(to network.NCPID) (float64, bool) {
 }
 
 // widestKey identifies one memoized tree: all γ evaluations probing host
-// `from` with a TT of `bits` share it.
+// `from` with a TT of `bits` flowing the same way share it.
 type widestKey struct {
-	from network.NCPID
-	bits float64
+	from     network.NCPID
+	bits     float64
+	reversed bool
 }
 
 // widestCache memoizes single-source widest-path trees per (source host,
@@ -139,10 +149,10 @@ func newWidestCache(net *network.Network, caps *network.Capacities, linkLoad []f
 	}
 }
 
-// tree returns the memoized widest-path tree for (from, bits), computing
-// it on first use. Safe for concurrent callers.
-func (c *widestCache) tree(from network.NCPID, bits float64) *widestTree {
-	key := widestKey{from: from, bits: bits}
+// tree returns the memoized widest-path tree for (from, bits, direction),
+// computing it on first use. Safe for concurrent callers.
+func (c *widestCache) tree(from network.NCPID, bits float64, reversed bool) *widestTree {
+	key := widestKey{from: from, bits: bits, reversed: reversed && !c.net.Symmetric()}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -156,7 +166,7 @@ func (c *widestCache) tree(from network.NCPID, bits float64) *widestTree {
 		c.misses.Inc()
 	}
 	e.once.Do(func() {
-		e.tree = newWidestTree(c.net, c.caps, c.linkLoad, bits, from)
+		e.tree = newWidestTree(c.net, c.caps, c.linkLoad, bits, from, key.reversed)
 	})
 	return e.tree
 }

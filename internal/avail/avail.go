@@ -36,8 +36,30 @@ type FailProbs map[int]float64
 // Validate checks that every probability is within [0, 1].
 func (fp FailProbs) Validate() error {
 	for e, p := range fp {
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return fmt.Errorf("avail: element %d has invalid failure probability %v", e, p)
+		if err := checkProb(e, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkProb(e int, p float64) error {
+	if p < 0 || p > 1 || math.IsNaN(p) {
+		return fmt.Errorf("avail: element %d has invalid failure probability %v", e, p)
+	}
+	return nil
+}
+
+// validateOn is Validate restricted to the elements the paths use — the
+// only probabilities an analysis of those paths reads. The network-wide
+// map holds thousands of entries on a large mesh; an admission's paths
+// touch a handful.
+func (fp FailProbs) validateOn(paths []Path) error {
+	for _, path := range paths {
+		for _, e := range path.Elements {
+			if err := checkProb(e, fp[e]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -81,7 +103,7 @@ func seenBefore(xs []int, i int) bool {
 // accounting for arbitrary element overlap via inclusion–exclusion over
 // path subsets: P(∪ A_p) = Σ_{S≠∅} (-1)^{|S|+1} Π_{e ∈ union(S)} (1-pf_e).
 func AtLeastOne(paths []Path, fp FailProbs) (float64, error) {
-	if err := fp.Validate(); err != nil {
+	if err := fp.validateOn(paths); err != nil {
 		return 0, err
 	}
 	if len(paths) == 0 {
@@ -123,7 +145,7 @@ func AtLeastOne(paths []Path, fp FailProbs) (float64, error) {
 // the shared elements (those on more than one path), under which paths are
 // independent, and enumerates the qualifying path subsets.
 func MinRate(paths []Path, fp FailProbs, minRate float64) (float64, error) {
-	if err := fp.Validate(); err != nil {
+	if err := fp.validateOn(paths); err != nil {
 		return 0, err
 	}
 	if minRate <= 0 {

@@ -342,3 +342,34 @@ func TestBirnbaumImportanceValidation(t *testing.T) {
 		t.Fatalf("imp = %v, err = %v", imp, err)
 	}
 }
+
+// TestAnalysesValidateWhatThePathsRead: an invalid probability on a path
+// element is an error; one on an element no path uses is never read and
+// does not cost a scan of the whole map per call.
+func TestAnalysesValidateWhatThePathsRead(t *testing.T) {
+	paths := []Path{{Elements: []int{0, 1}, Rate: 2}, {Elements: []int{2}, Rate: 1}}
+	for _, bad := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := AtLeastOne(paths, FailProbs{1: bad}); err == nil {
+			t.Fatalf("AtLeastOne accepted probability %v on a path element", bad)
+		}
+		if _, err := MinRate(paths, FailProbs{2: bad}, 1); err == nil {
+			t.Fatalf("MinRate accepted probability %v on a path element", bad)
+		}
+	}
+	off := FailProbs{0: 0.1, 2: 0.2, 99: 7}
+	on := FailProbs{0: 0.1, 2: 0.2}
+	a, err := AtLeastOne(paths, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := AtLeastOne(paths, on); a != b {
+		t.Fatalf("an unused element changed AtLeastOne: %v vs %v", a, b)
+	}
+	m, err := MinRate(paths, off, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := MinRate(paths, on, 2); m != b {
+		t.Fatalf("an unused element changed MinRate: %v vs %v", m, b)
+	}
+}

@@ -114,24 +114,7 @@ func (s *Scheduler) rollbackBatch(results []BatchResult) {
 		if pa == nil || results[i].Err != nil {
 			continue
 		}
-		switch pa.App.QoS.Class {
-		case GuaranteedRate:
-			for j := len(s.gr) - 1; j >= 0; j-- {
-				if s.gr[j] == pa {
-					s.gr = append(s.gr[:j], s.gr[j+1:]...)
-					s.releaseGR(pa)
-					break
-				}
-			}
-		case BestEffort:
-			for j := len(s.be) - 1; j >= 0; j-- {
-				if s.be[j] == pa {
-					s.be = append(s.be[:j], s.be[j+1:]...)
-					delete(s.footprints, pa)
-					break
-				}
-			}
-		}
+		s.unlist(pa)
 	}
 	// Best effort: the rollback solve re-rates the survivors. If it fails
 	// the pool is still correct; rates are stale until the next solve.
@@ -147,13 +130,7 @@ func (s *Scheduler) evictZeroRate(results []BatchResult) bool {
 		if pa == nil || results[i].Err != nil || pa.App.QoS.Class != BestEffort || pa.TotalRate() > 0 {
 			continue
 		}
-		for j := len(s.be) - 1; j >= 0; j-- {
-			if s.be[j] == pa {
-				s.be = append(s.be[:j], s.be[j+1:]...)
-				delete(s.footprints, pa)
-				break
-			}
-		}
+		s.unlist(pa)
 		results[i].App = nil
 		results[i].Err = fmt.Errorf("core: BE app %q: %w: allocated rate is zero", pa.App.Name, ErrRejected)
 		evicted = true
@@ -184,6 +161,6 @@ func (s *Scheduler) observeBatch(results []BatchResult) {
 		}
 	}
 	if s.metrics != nil {
-		s.syncAppMetrics()
+		s.publish()
 	}
 }

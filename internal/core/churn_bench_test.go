@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sparcle/internal/obs"
 	"sparcle/internal/workload"
 )
 
@@ -40,6 +41,19 @@ func BenchmarkChurn(b *testing.B) {
 				churnBench(b, n, cfg.opts)
 			})
 		}
+	}
+}
+
+// BenchmarkChurnServed is BenchmarkChurn's default rung with a metrics
+// registry attached — the configuration the server runs — so the cost of
+// publishing per operation has a twin: ns/op, B/op and allocs/op of one
+// remove + admit at K residents must not grow with K beyond the solve.
+func BenchmarkChurnServed(b *testing.B) {
+	for _, k := range []int{16, 256} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			churnBench(b, k, []Option{WithMetrics(obs.NewRegistry())})
+		})
 	}
 }
 

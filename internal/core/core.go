@@ -96,6 +96,13 @@ type PlacedApp struct {
 	// Availability is the achieved QoE probability: at-least-one-path for
 	// BE apps, min-rate availability for GR apps.
 	Availability float64
+
+	// Derived state kept on the resident, so that no operation re-derives
+	// it for the whole resident set: the bound allocated-rate series (nil
+	// until first published) and the eq. (6) footprint (BE apps; built by
+	// the first prediction that reads it — paths never change).
+	rate      *obs.Gauge
+	footprint alloc.Footprint
 }
 
 // TotalRate returns the application's aggregate processing rate across its
@@ -271,9 +278,10 @@ type Scheduler struct {
 	spans   *obs.SpanTracer
 	reqSpan *obs.Span
 	opSpan  *obs.Span
-	// published names the apps currently holding a rate gauge, so
-	// withdrawn apps' series are deleted rather than left stale.
-	published map[string]Class
+	// admitted holds the bound per-class resident-count gauges (GR, BE);
+	// lineage owns the per-app rate series (see lineage()).
+	admitted [2]*obs.Gauge
+	lineage  string
 
 	// noPrediction disables the eq. (6) capacity prediction (ablation).
 	noPrediction bool
@@ -305,7 +313,6 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 	s := &Scheduler{
 		state: state{
 			beAvailable: net.BaseCapacities(),
-			footprints:  map[*PlacedApp]alloc.Footprint{},
 		},
 		net:             net,
 		alg:             assign.Sparcle{},
@@ -313,7 +320,6 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		availSamples:    100000,
 		diversityBias:   1,
 		log:             obs.NopLogger(),
-		published:       map[string]Class{},
 	}
 	s.setRandSeed(1, 0)
 	for _, opt := range opts {
@@ -344,7 +350,10 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		s.metrics.SetHelp(metricAllocCycles, "Dual coordinate-descent cycles per best-effort allocation solve, by start mode.")
 		s.metrics.SetHelp(metricAllocRowEvals, "Total constraint-row demand evaluations made by best-effort allocation solves.")
 		s.metrics.SetHelp(metricFluctuations, "Total capacity fluctuations applied.")
-		s.syncAppMetrics()
+		s.lineage = lineage(net)
+		s.admitted[0] = s.metrics.Gauge(metricAppsAdmitted, obs.L("class", GuaranteedRate.String()))
+		s.admitted[1] = s.metrics.Gauge(metricAppsAdmitted, obs.L("class", BestEffort.String()))
+		s.publish()
 	}
 	return s
 }
@@ -375,27 +384,51 @@ func (s *Scheduler) telemetryOn() bool {
 	return s.metrics != nil || s.tracer.Enabled() || s.log.Enabled(nil, slog.LevelWarn)
 }
 
-// syncAppMetrics reconciles the per-app rate gauges and per-class
-// admitted counts with the scheduler state, deleting series of
-// withdrawn applications.
-func (s *Scheduler) syncAppMetrics() {
+// publish writes the post-operation state to the per-app rate gauges and
+// the per-class resident counts: one atomic store per resident, whatever
+// the size of the resident set. An app's series is bound on its first
+// publish and stays bound until release; a rejected or rolled-back
+// admission leaves before any publish and never has one.
+func (s *Scheduler) publish() {
 	if s.metrics == nil {
 		return
 	}
-	current := map[string]Class{}
-	for _, pa := range append(s.gr, s.be...) {
-		current[pa.App.Name] = pa.App.QoS.Class
-		s.metrics.Gauge(metricAppRate,
-			obs.L("app", pa.App.Name), obs.L("class", pa.App.QoS.Class.String())).Set(pa.TotalRate())
-	}
-	for name, class := range s.published {
-		if _, ok := current[name]; !ok {
-			s.metrics.DeleteSeries(metricAppRate, obs.L("app", name), obs.L("class", class.String()))
+	sp := s.opSpan.Child("core.publish")
+	for _, list := range [2][]*PlacedApp{s.gr, s.be} {
+		for _, pa := range list {
+			if pa.rate == nil {
+				pa.rate = s.metrics.OwnedGauge(s.lineage, metricAppRate, rateLabels(pa)...)
+			}
+			pa.rate.Set(pa.TotalRate())
 		}
 	}
-	s.published = current
-	s.metrics.Gauge(metricAppsAdmitted, obs.L("class", GuaranteedRate.String())).Set(float64(len(s.gr)))
-	s.metrics.Gauge(metricAppsAdmitted, obs.L("class", BestEffort.String())).Set(float64(len(s.be)))
+	s.admitted[0].Set(float64(len(s.gr)))
+	s.admitted[1].Set(float64(len(s.be)))
+	sp.End()
+}
+
+// release deletes a withdrawn resident's rate series; names are unique
+// among residents (the serving layers enforce it). A repaired app needs
+// none: its replacement, or the restored original, carries the same name
+// and class and re-binds the same series.
+func (s *Scheduler) release(pa *PlacedApp) {
+	if pa.rate != nil {
+		s.metrics.DeleteSeries(metricAppRate, rateLabels(pa)...)
+		pa.rate = nil
+	}
+}
+
+func rateLabels(pa *PlacedApp) []obs.Label {
+	return []obs.Label{obs.L("app", pa.App.Name), obs.L("class", pa.App.QoS.Class.String())}
+}
+
+// lineage names a scheduler's place on a registry across rebuilds, as the
+// owner of its rate series: the network's name and first NCP. The region
+// schedulers of a sharded deployment share one registry and one network
+// name but partition the NCPs, so each region is its own lineage, and a
+// rebuilt region retires only its predecessor's series.
+func lineage(net *network.Network) string {
+	return net.Name() + "/" + net.NCP(0).Name
 }
 
 // failProbs collects the fallible elements of the network.
@@ -424,18 +457,19 @@ func (s *Scheduler) BEApps() []*PlacedApp { return append([]*PlacedApp(nil), s.b
 // the name. It is the allocation-free duplicate check the serving path
 // runs before admission; GRApps/BEApps copy their slices and are the
 // wrong tool on a hot path.
-func (s *Scheduler) HasApp(name string) bool {
-	for _, pa := range s.gr {
-		if pa.App.Name == name {
-			return true
+func (s *Scheduler) HasApp(name string) bool { return s.resident(name) != nil }
+
+// resident returns the admitted application (either class) carrying the
+// name, or nil.
+func (s *Scheduler) resident(name string) *PlacedApp {
+	for _, list := range [2][]*PlacedApp{s.gr, s.be} {
+		for _, pa := range list {
+			if pa.App.Name == name {
+				return pa
+			}
 		}
 	}
-	for _, pa := range s.be {
-		if pa.App.Name == name {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // BEAvailableCapacities returns a copy of the capacities available to the
@@ -509,17 +543,11 @@ func (s *Scheduler) submitObserved(app App) (*PlacedApp, error) {
 	elapsed := time.Since(start).Seconds()
 
 	class := app.QoS.Class.String()
-	outcome := "admitted"
-	switch {
-	case errors.Is(err, ErrRejected):
-		outcome = "rejected"
-	case err != nil:
-		outcome = "error"
-	}
+	outcome := submitOutcome(err)
 	if s.metrics != nil {
 		s.metrics.Counter(metricAdmissions, obs.L("class", class), obs.L("outcome", outcome)).Inc()
 		s.metrics.Histogram(metricPlacementSeconds, nil, obs.L("class", class)).Observe(elapsed)
-		s.syncAppMetrics()
+		s.publish()
 	}
 	ev := obs.AdmissionEvent{Class: class, Outcome: outcome, Seconds: elapsed}
 	if err != nil {
@@ -642,17 +670,14 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 			}
 		}
 	} else {
-		// Footprints only depend on an app's paths, which never change
-		// after admission, so they are computed once per app and cached.
-		// The slice itself is scratch: Predict does not retain it.
+		// The slice is scratch (Predict does not retain it); the
+		// footprints themselves live on the residents.
 		footprints := s.fpScratch[:0]
 		for _, pa := range s.be {
-			fp, ok := s.footprints[pa]
-			if !ok {
-				fp = alloc.FootprintOf(pa.App.QoS.Priority, pa.Paths)
-				s.footprints[pa] = fp
+			if pa.footprint.Priority == 0 {
+				pa.footprint = alloc.FootprintOf(pa.App.QoS.Priority, pa.Paths)
 			}
-			footprints = append(footprints, fp)
+			footprints = append(footprints, pa.footprint)
 		}
 		predicted = alloc.Predict(s.beAvailable, footprints, app.QoS.Priority)
 		s.fpScratch = footprints[:0]

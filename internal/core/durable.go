@@ -98,7 +98,7 @@ type BatchRecordEntry struct {
 }
 
 // Snapshot is the full persistent state of a Scheduler. Everything
-// derivable from it (solver warm-start state, footprint caches, metric
+// derivable from it (solver warm-start state, footprints, metric
 // gauges) is deliberately absent: a recovered scheduler re-derives those
 // lazily, at the cost of one cold solve after restart.
 type Snapshot struct {
@@ -401,7 +401,10 @@ func Rebuild(net *network.Network, snap *Snapshot, recs []*Record, opts ...Optio
 			return nil, fmt.Errorf("core: replay record %d (%s %s): %w", i, rec.Op, rec.Name, err)
 		}
 	}
-	s.syncAppMetrics()
+	// Retire the rate series of the scheduler this one succeeds on the
+	// registry, so that exactly the rebuilt residents' are left.
+	s.metrics.DropOwned(s.lineage, metricAppRate)
+	s.publish()
 	return s, nil
 }
 
@@ -446,7 +449,7 @@ func (s *Scheduler) ApplyCommitted(rec *Record) error {
 	if err := s.applyRecord(rec); err != nil {
 		return err
 	}
-	s.syncAppMetrics()
+	s.publish()
 	return nil
 }
 
@@ -471,8 +474,10 @@ func (s *Scheduler) applyRecord(rec *Record) error {
 			}
 		}
 	case OpRemove:
-		if err := s.replayRemove(rec.Name); err != nil {
-			return err
+		// The re-solve of the live path is replaced by the record's
+		// verbatim rates.
+		if !s.withdraw(rec.Name) {
+			return fmt.Errorf("recorded remove of unknown app %q", rec.Name)
 		}
 	case OpRepair:
 		if err := s.replayRepair(rec); err != nil {
@@ -491,9 +496,19 @@ func (s *Scheduler) applyRecord(rec *Record) error {
 	return s.syncRng(rec.RngDraws)
 }
 
-// replayAdmit applies a recorded admission. GR reservations repeat the
-// live arithmetic exactly: clone the pool, subtract each path in order at
-// its recorded rate, swap the pointer.
+// admitReserved appends a recorded GR placement, repeating the live
+// arithmetic exactly: clone the pool, subtract each path in order at its
+// recorded rate, swap the pointer.
+func (s *Scheduler) admitReserved(pa *PlacedApp) {
+	residual := s.beAvailable.Clone()
+	for _, p := range pa.Paths {
+		p.P.Subtract(residual, p.Rate)
+	}
+	s.gr = append(s.gr, pa)
+	s.beAvailable = residual
+}
+
+// replayAdmit applies a recorded admission.
 func (s *Scheduler) replayAdmit(st *AppState) error {
 	pa, err := st.buildPlaced(s.net)
 	if err != nil {
@@ -501,12 +516,7 @@ func (s *Scheduler) replayAdmit(st *AppState) error {
 	}
 	switch pa.App.QoS.Class {
 	case GuaranteedRate:
-		residual := s.beAvailable.Clone()
-		for _, p := range pa.Paths {
-			p.P.Subtract(residual, p.Rate)
-		}
-		s.gr = append(s.gr, pa)
-		s.beAvailable = residual
+		s.admitReserved(pa)
 	case BestEffort:
 		s.be = append(s.be, pa)
 	default:
@@ -515,44 +525,16 @@ func (s *Scheduler) replayAdmit(st *AppState) error {
 	return nil
 }
 
-// replayRemove mirrors remove's structural half (the re-solve is replaced
-// by the record's verbatim rates).
-func (s *Scheduler) replayRemove(name string) error {
-	for i, pa := range s.gr {
-		if pa.App.Name == name {
-			s.gr = append(s.gr[:i], s.gr[i+1:]...)
-			s.releaseGR(pa)
-			return nil
-		}
-	}
-	for i, pa := range s.be {
-		if pa.App.Name == name {
-			s.be = append(s.be[:i], s.be[i+1:]...)
-			delete(s.footprints, pa)
-			return nil
-		}
-	}
-	return fmt.Errorf("recorded remove of unknown app %q", name)
-}
-
 // replayRepair mirrors repair's structural half for both outcomes. A
 // failed repair is state-visible — the app moves to the end of s.gr, the
 // pool round-trips through release/reserve, the solver state is dropped —
 // so it was journaled and must be replayed.
 func (s *Scheduler) replayRepair(rec *Record) error {
-	idx := -1
-	for i, pa := range s.gr {
-		if pa.App.Name == rec.Name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	old := s.resident(rec.Name)
+	if old == nil || old.App.QoS.Class != GuaranteedRate {
 		return fmt.Errorf("recorded repair of unknown app %q", rec.Name)
 	}
-	old := s.gr[idx]
-	s.gr = append(s.gr[:idx], s.gr[idx+1:]...)
-	s.releaseGR(old)
+	s.unlist(old)
 	if rec.Outcome == "repaired" {
 		if rec.App == nil {
 			return fmt.Errorf("repaired record for %q has no placement", rec.Name)
@@ -561,12 +543,7 @@ func (s *Scheduler) replayRepair(rec *Record) error {
 		if err != nil {
 			return err
 		}
-		residual := s.beAvailable.Clone()
-		for _, p := range repaired.Paths {
-			p.P.Subtract(residual, p.Rate)
-		}
-		s.gr = append(s.gr, repaired)
-		s.beAvailable = residual
+		s.admitReserved(repaired)
 		return nil
 	}
 	// Failed repair: the live path restored the old placement at the end

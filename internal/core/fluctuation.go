@@ -98,7 +98,7 @@ func (s *Scheduler) applyFluctuation(scale ElementScale) (*FluctuationReport, er
 	}
 	if s.metrics != nil {
 		s.metrics.Counter(metricFluctuations).Inc()
-		s.syncAppMetrics()
+		s.publish()
 	}
 	s.tracer.Fluctuation(obs.FluctuationEvent{Elements: len(scale), ViolatedGR: report.ViolatedGR})
 	s.log.Info("fluctuation applied", "elements", len(scale), "violatedGR", report.ViolatedGR)

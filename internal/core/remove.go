@@ -23,7 +23,7 @@ func (s *Scheduler) Remove(name string) error {
 	}
 	if err == nil {
 		s.log.Info("application withdrawn", "app", name)
-		s.syncAppMetrics()
+		s.publish()
 	}
 	rec := &Record{Op: OpRemove, Outcome: "ok", Name: name}
 	if err != nil {
@@ -40,19 +40,41 @@ func (s *Scheduler) Remove(name string) error {
 
 // remove is Remove without telemetry or durability.
 func (s *Scheduler) remove(name string) error {
-	for i, pa := range s.gr {
-		if pa.App.Name == name {
-			s.gr = append(s.gr[:i], s.gr[i+1:]...)
-			s.releaseGR(pa)
-			return s.reallocateBE()
+	if !s.withdraw(name) {
+		return fmt.Errorf("core: no admitted application named %q: %w", name, ErrNotFound)
+	}
+	return s.reallocateBE()
+}
+
+// withdraw is the structural half of a removal, shared by the live path
+// and replay: it takes the named resident off its list (returning a GR
+// reservation to the BE pool) and releases its rate series. It reports
+// whether the name was resident.
+func (s *Scheduler) withdraw(name string) bool {
+	pa := s.resident(name)
+	if pa == nil {
+		return false
+	}
+	s.unlist(pa)
+	s.release(pa)
+	return true
+}
+
+// unlist splices pa out of its class's resident list; a GR application's
+// reservation goes back to the BE pool. Rollbacks undo the newest
+// admissions, so the search runs from the end.
+func (s *Scheduler) unlist(pa *PlacedApp) {
+	list := &s.be
+	if pa.App.QoS.Class == GuaranteedRate {
+		list = &s.gr
+	}
+	for i := len(*list) - 1; i >= 0; i-- {
+		if (*list)[i] == pa {
+			*list = append((*list)[:i], (*list)[i+1:]...)
+			if list == &s.gr {
+				s.releaseGR(pa)
+			}
+			return
 		}
 	}
-	for i, pa := range s.be {
-		if pa.App.Name == name {
-			s.be = append(s.be[:i], s.be[i+1:]...)
-			delete(s.footprints, pa)
-			return s.reallocateBE()
-		}
-	}
-	return fmt.Errorf("core: no admitted application named %q: %w", name, ErrNotFound)
 }

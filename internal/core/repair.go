@@ -70,7 +70,7 @@ func (s *Scheduler) repairObserved(name string) (*PlacedApp, error) {
 	}
 	if s.metrics != nil {
 		s.metrics.Counter(metricRepairs, obs.L("outcome", outcome)).Inc()
-		s.syncAppMetrics()
+		s.publish()
 	}
 	ev := obs.RepairEvent{Outcome: outcome, Seconds: elapsed}
 	if err != nil {
@@ -86,20 +86,12 @@ func (s *Scheduler) repairObserved(name string) (*PlacedApp, error) {
 
 // repair is Repair without telemetry.
 func (s *Scheduler) repair(name string) (*PlacedApp, error) {
-	idx := -1
-	for i, pa := range s.gr {
-		if pa.App.Name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	old := s.resident(name)
+	if old == nil || old.App.QoS.Class != GuaranteedRate {
 		return nil, fmt.Errorf("core: no admitted guaranteed-rate application named %q: %w", name, ErrNotFound)
 	}
-	old := s.gr[idx]
 	// Release the old reservation.
-	s.gr = append(s.gr[:idx], s.gr[idx+1:]...)
-	s.releaseGR(old)
+	s.unlist(old)
 
 	repaired, err := s.submitGR(old.App)
 	if err != nil {

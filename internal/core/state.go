@@ -37,10 +37,6 @@ type state struct {
 	beSolver  *alloc.Solver
 	beFlowIDs map[*PlacedApp][]alloc.FlowID
 	beRates   map[alloc.FlowID]float64
-	// footprints caches each BE app's element footprint for the eq. (6)
-	// prediction; paths never change after admission, so entries live
-	// until the app is removed.
-	footprints map[*PlacedApp]alloc.Footprint
 	// poolClamped records that a fluctuation left some element's GR
 	// reservations above its scaled capacity: the zero-clamp in Subtract
 	// then makes the pool lossy, so releasing a GR path by AddBack would

@@ -61,6 +61,10 @@ type Network struct {
 	links []Link
 	// incident[v] lists the links incident to NCP v.
 	incident [][]LinkID
+	// entering[v] lists the links traversable into NCP v. Without
+	// directed links (symmetric) that is incident itself, shared.
+	entering  [][]LinkID
+	symmetric bool
 }
 
 // Builder incrementally constructs a Network.
@@ -141,10 +145,22 @@ func (b *Builder) Build() (*Network, error) {
 		links: append([]Link(nil), b.links...),
 	}
 	net.incident = make([][]LinkID, len(net.ncps))
+	net.symmetric = true
 	for id, l := range net.links {
 		net.incident[l.A] = append(net.incident[l.A], LinkID(id))
 		if !l.Directed {
 			net.incident[l.B] = append(net.incident[l.B], LinkID(id))
+		}
+		net.symmetric = net.symmetric && !l.Directed
+	}
+	net.entering = net.incident
+	if !net.symmetric {
+		net.entering = make([][]LinkID, len(net.ncps))
+		for id, l := range net.links {
+			net.entering[l.B] = append(net.entering[l.B], LinkID(id))
+			if !l.Directed {
+				net.entering[l.A] = append(net.entering[l.A], LinkID(id))
+			}
 		}
 	}
 	return net, nil
@@ -168,6 +184,15 @@ func (n *Network) Link(id LinkID) Link { return n.links[id] }
 // Incident returns the links traversable from NCP v: every undirected
 // link touching v plus the directed links leaving v.
 func (n *Network) Incident(v NCPID) []LinkID { return n.incident[v] }
+
+// Entering returns the links traversable into NCP v: every undirected
+// link touching v plus the directed links arriving at v. Walking them
+// searches the network against the direction of flow.
+func (n *Network) Entering(v NCPID) []LinkID { return n.entering[v] }
+
+// Symmetric reports whether every link can be traversed both ways, so
+// that whatever reaches v from u reaches u from v over the same links.
+func (n *Network) Symmetric() bool { return n.symmetric }
 
 // Other returns the endpoint of link l that is not v.
 func (n *Network) Other(l LinkID, v NCPID) NCPID {

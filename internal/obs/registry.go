@@ -70,6 +70,9 @@ type family struct {
 type series struct {
 	labels []Label
 	key    string
+	// owner tags a series bound through OwnedGauge (nil otherwise);
+	// guarded by the registry lock.
+	owner any
 
 	// bits holds the float64 value of counters and gauges.
 	bits atomic.Uint64
@@ -108,16 +111,21 @@ func (r *Registry) SetHelp(name, help string) {
 // series as needed. It panics when the name is reused with a different
 // metric type — a programming error, not an operational condition.
 func (r *Registry) getSeries(name string, typ metricType, buckets []float64, labels []Label) *series {
-	key := labelKey(labels)
+	// The lookup key is rendered into a stack buffer and converted only
+	// inside the map index, which the compiler does without allocating:
+	// finding an existing series costs no garbage.
+	var buf [128]byte
+	kb := appendLabelKey(buf[:0], labels)
 	r.mu.RLock()
 	f, ok := r.families[name]
 	if ok && f.typ == typ {
-		if s, ok := f.series[key]; ok {
+		if s, ok := f.series[string(kb)]; ok {
 			r.mu.RUnlock()
 			return s
 		}
 	}
 	r.mu.RUnlock()
+	key := string(kb)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -179,6 +187,39 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 		buckets = DefBuckets
 	}
 	return (*Histogram)(r.getSeries(name, typeHistogram, buckets, labels))
+}
+
+// OwnedGauge is Gauge for a series that belongs to owner, any comparable
+// value: DropOwned later deletes the family's series by owner, so a
+// component rebuilt onto a live registry can retire its predecessor's
+// series without knowing their labels, and without touching the series
+// other components keep in the same family.
+func (r *Registry) OwnedGauge(owner any, name string, labels ...Label) *Gauge {
+	if r == nil {
+		return nil
+	}
+	s := r.getSeries(name, typeGauge, nil, labels)
+	r.mu.Lock()
+	s.owner = owner
+	r.mu.Unlock()
+	return (*Gauge)(s)
+}
+
+// DropOwned deletes every series of the family that was last bound
+// through OwnedGauge by owner.
+func (r *Registry) DropOwned(owner any, name string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.families[name]; ok {
+		for key, s := range f.series {
+			if s.owner == owner {
+				delete(f.series, key)
+			}
+		}
+	}
 }
 
 // DeleteSeries removes the series name{labels} if it exists (e.g. the
@@ -292,22 +333,32 @@ func addFloat(bits *atomic.Uint64, delta float64) {
 // both as the map key and in the text exposition. Labels are sorted by
 // key so call-site order does not create duplicate series.
 func labelKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var b strings.Builder
-	for i, l := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
+	return string(appendLabelKey(nil, labels))
+}
+
+// appendLabelKey appends labelKey's rendering to dst. Labels that arrive
+// in key order with nothing to escape — every per-request lookup of the
+// serving path — are rendered as they are: no copy, no sort, no escaped
+// copy of a value.
+func appendLabelKey(dst []byte, labels []Label) []byte {
+	for i := 1; i < len(labels); i++ {
+		if labels[i].Key < labels[i-1].Key {
+			sorted := append([]Label(nil), labels...)
+			sort.Slice(sorted, func(a, b int) bool { return sorted[a].Key < sorted[b].Key })
+			labels = sorted
+			break
 		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
 	}
-	return b.String()
+	for i, l := range labels {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=', '"')
+		dst = append(dst, escapeLabel(l.Value)...)
+		dst = append(dst, '"')
+	}
+	return dst
 }
 
 // escapeLabel escapes a label value per the Prometheus text format.

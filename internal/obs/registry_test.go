@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -245,4 +246,64 @@ func TestNilRegistryAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil-registry telemetry allocates %v per run, want 0", allocs)
 	}
+}
+
+// TestSeriesLookupAllocationFree pins the per-request lookups of the
+// serving path — labels in key order, nothing to escape — at zero
+// allocations once the series exists.
+func TestSeriesLookupAllocationFree(t *testing.T) {
+	r := NewRegistry()
+	lookups := func() {
+		r.Counter("sparcle_http_requests_total", L("method", "POST")).Inc()
+		r.Counter("sparcle_admissions_total", L("class", "best-effort"), L("outcome", "admitted")).Inc()
+		r.Histogram("sparcle_placement_seconds", nil, L("class", "best-effort")).Observe(1e-3)
+		r.Gauge("sparcle_alloc_rows_nnz").Set(42)
+	}
+	lookups() // create the series
+	if allocs := testing.AllocsPerRun(1000, lookups); allocs != 0 {
+		t.Fatalf("series lookups allocate %v per run, want 0", allocs)
+	}
+}
+
+// TestLabelKeyCanonical checks that the fast path and the sorting,
+// escaping path render one key for one label set.
+func TestLabelKeyCanonical(t *testing.T) {
+	if got, want := labelKey([]Label{L("outcome", "x"), L("class", "y")}), `class="y",outcome="x"`; got != want {
+		t.Fatalf("unordered labels: key %q, want %q", got, want)
+	}
+	if got, want := labelKey([]Label{L("app", "a\"b\\c\n")}), `app="a\"b\\c\n"`; got != want {
+		t.Fatalf("escaped label: key %q, want %q", got, want)
+	}
+	r := NewRegistry()
+	r.Counter("c", L("b", "2"), L("a", "1")).Inc()
+	r.Counter("c", L("a", "1"), L("b", "2")).Inc()
+	if series := r.Snapshot()["c"].Series; len(series) != 1 || *series[0].Value != 2 {
+		t.Fatalf("call-site label order split the series: %+v", series)
+	}
+}
+
+func TestDropOwned(t *testing.T) {
+	r := NewRegistry()
+	r.OwnedGauge("east", "rate", L("app", "a")).Set(1)
+	r.OwnedGauge("east", "rate", L("app", "b")).Set(2)
+	r.OwnedGauge("west", "rate", L("app", "c")).Set(3)
+	r.Gauge("rate", L("app", "d")).Set(4) // nobody's
+	r.OwnedGauge("east", "other", L("app", "a")).Set(5)
+	// Re-binding hands a series to its new owner.
+	r.OwnedGauge("west", "rate", L("app", "b"))
+	r.DropOwned("east", "rate")
+	r.DropOwned("east", "missing") // no-op
+	var left []string
+	for _, s := range r.Snapshot()["rate"].Series {
+		left = append(left, s.Labels["app"])
+	}
+	if want := []string{"b", "c", "d"}; !slices.Equal(left, want) {
+		t.Fatalf("rate series after DropOwned = %v, want %v", left, want)
+	}
+	if len(r.Snapshot()["other"].Series) != 1 {
+		t.Fatal("DropOwned reached into another family")
+	}
+	var nilReg *Registry
+	nilReg.OwnedGauge("east", "rate").Set(1)
+	nilReg.DropOwned("east", "rate")
 }

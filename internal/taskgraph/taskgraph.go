@@ -243,6 +243,10 @@ func (g *Graph) Reachable(i, j CTID) bool {
 	return g.desc[i].Has(int(j)) || g.desc[j].Has(int(i))
 }
 
+// Precedes reports whether data flows from i to j: some directed path of
+// TTs leads from i to j.
+func (g *Graph) Precedes(i, j CTID) bool { return g.desc[i].Has(int(j)) }
+
 // MinBitsTTBetween returns the TT with the smallest Bits among the TTs on
 // directed paths between i and j (in whichever direction they are
 // connected), and false if the CTs are not connected. For directly adjacent
