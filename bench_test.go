@@ -206,9 +206,8 @@ func BenchmarkAssignSparcle(b *testing.B) {
 	}
 }
 
-// BenchmarkDynamicRank measures Algorithm 2 on the large random-DAG case
-// of BENCH_assign.json (≈30 CTs over a 24-NCP mesh), serial vs the
-// GOMAXPROCS worker pool. The internal/assign benchmarks cover the rest of
+// BenchmarkDynamicRank measures Algorithm 2 on a large random-DAG case
+// (≈30 CTs over a 24-NCP mesh), serial vs the GOMAXPROCS worker pool. The internal/assign benchmarks cover the rest of
 // the ablation ladder (uncached Dijkstra, map-based rate arithmetic).
 func BenchmarkDynamicRank(b *testing.B) {
 	inst, err := workload.Generate(workload.GenConfig{

@@ -11,15 +11,18 @@
 //
 //	sparcle-load -addr host:port [-rate 50] [-duration 10s] [-seed 1]
 //	             [-keep 32] [-max-inflight 256] [-alpha 1.3] [-max-cts 8]
-//	             [-out BENCH_serve.json] [-append] [-label name]
-//	             [-min-admitted 0] [-check-flight]
+//	             [-out report.json] [-min-admitted 0] [-check-flight]
 //
 // The generator calibrates CT requirements and TT bits from GET /network
 // (a fraction of the median NCP capacity and link bandwidth), keeps at
 // most -keep applications resident by withdrawing the oldest after each
 // admission, and scrapes GET /debug/latency for the server's span-level
-// stage attribution. -min-admitted and -check-flight turn the run into a
-// self-validating smoke test for CI.
+// stage attribution. The report goes to stdout, and to -out when given;
+// its config block records the server's shard count, scraped from GET
+// /healthz. -min-admitted and -check-flight turn the run into a
+// self-validating smoke test for CI (scripts/load_smoke.sh); performance
+// is measured by the repository benchmark (bash benchmark/run.sh), not
+// by this client.
 //
 // Against a replicated cluster (sparcle-server -replicate), mutating
 // requests retry transient faults with jittered exponential backoff —
@@ -27,13 +30,6 @@
 // restarts — and follow a follower's 421 redirect to the leader, so a
 // leader failover mid-run costs a latency blip instead of an error
 // burst.
-//
-// With -append, the report is appended to a {"ladder": [...]} document
-// in -out instead of overwriting it (an existing single report becomes
-// the ladder's first entry), and -label names the entry — this is how
-// scripts/bench_serve.sh builds the multi-configuration serving ladder
-// in BENCH_serve.json. The report's config block records the server's
-// shard count, scraped from GET /healthz.
 package main
 
 import (
@@ -81,10 +77,7 @@ type netInfo struct {
 	} `json:"links"`
 }
 
-// report is one run's benchmark document. BENCH_serve.json holds either
-// a single report (legacy) or, with -append, a ladder document
-// {"ladder": [report, ...]} accumulating runs (e.g. the sharded
-// throughput ladder: the same load offered at -shards 1, 2, 4).
+// report is one run's document.
 type report struct {
 	Config struct {
 		Addr        string  `json:"addr"`
@@ -96,14 +89,9 @@ type report struct {
 		Alpha       float64 `json:"alpha"`
 		MaxCTs      int     `json:"maxCTs"`
 		Network     string  `json:"network"`
-		// Label annotates the run in a ladder ("shards=4").
-		Label string `json:"label,omitempty"`
 		// Shards is the server's region-shard count, read from
 		// /healthz (1 = unsharded).
 		Shards int `json:"shards,omitempty"`
-		// Concurrency is the closed-loop in-flight level of a
-		// -concurrency sweep rung (0 = open-loop Poisson run).
-		Concurrency int `json:"concurrency,omitempty"`
 	} `json:"config"`
 	Client struct {
 		Attempted        int       `json:"attempted"`
@@ -148,12 +136,9 @@ func run(args []string, out io.Writer) error {
 	maxInflight := fs.Int("max-inflight", 256, "max concurrent requests; arrivals beyond it are counted as dropped")
 	alpha := fs.Float64("alpha", 1.3, "bounded-Pareto tail index of application sizes")
 	maxCTs := fs.Int("max-cts", 8, "largest application pipeline length")
-	outFile := fs.String("out", "BENCH_serve.json", "benchmark report file (empty = stdout only)")
-	appendOut := fs.Bool("append", false, "append this run to -out as a ladder document instead of overwriting")
-	label := fs.String("label", "", "annotation stored with the run (e.g. shards=4)")
+	outFile := fs.String("out", "", "also write the report to this file")
 	minAdmitted := fs.Int("min-admitted", 0, "fail unless at least this many admissions succeeded")
 	checkFlight := fs.Bool("check-flight", false, "fail unless GET /debug/flight serves a parseable Chrome trace")
-	concurrency := fs.String("concurrency", "", "comma-separated in-flight levels (e.g. 1,8,64,256): run a closed-loop contention sweep instead of the open-loop Poisson run, one ladder entry per level")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -171,27 +156,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if *concurrency != "" {
-		levels, err := parseLevels(*concurrency)
-		if err != nil {
-			return err
-		}
-		sw := sweepConfig{
-			base: base, gen: gen, levels: levels, duration: *duration,
-			keep: *keep, outFile: *outFile, label: *label,
-			minAdmitted: *minAdmitted,
-		}
-		sw.template.Config.Addr = *addr
-		sw.template.Config.DurationSec = duration.Seconds()
-		sw.template.Config.Seed = *seed
-		sw.template.Config.Keep = *keep
-		sw.template.Config.Alpha = *alpha
-		sw.template.Config.MaxCTs = *maxCTs
-		sw.template.Config.Network = info.Name
-		sw.template.Config.Shards = fetchShards(base)
-		return runSweep(sw, out)
-	}
-
 	var rep report
 	rep.Config.Addr = *addr
 	rep.Config.Rate = *rate
@@ -202,7 +166,6 @@ func run(args []string, out io.Writer) error {
 	rep.Config.Alpha = *alpha
 	rep.Config.MaxCTs = *maxCTs
 	rep.Config.Network = info.Name
-	rep.Config.Label = *label
 	rep.Config.Shards = fetchShards(base)
 
 	lat := obs.NewRegistry().Histogram("load_latency_seconds", obs.SpanBuckets)
@@ -292,11 +255,7 @@ func run(args []string, out io.Writer) error {
 	}
 	data = append(data, '\n')
 	if *outFile != "" {
-		if *appendOut {
-			if err := appendLadder(*outFile, &rep); err != nil {
-				return err
-			}
-		} else if err := os.WriteFile(*outFile, data, 0o644); err != nil {
+		if err := os.WriteFile(*outFile, data, 0o644); err != nil {
 			return err
 		}
 	}
@@ -313,153 +272,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("admitted %d < required %d", admitted, *minAdmitted)
 	}
 	return nil
-}
-
-// sweepConfig parameterizes one -concurrency contention sweep.
-type sweepConfig struct {
-	base        string
-	gen         *generator
-	levels      []int
-	duration    time.Duration
-	keep        int
-	outFile     string
-	label       string
-	minAdmitted int
-	template    report
-}
-
-// parseLevels parses the -concurrency list ("1,8,64,256").
-func parseLevels(s string) ([]int, error) {
-	var levels []int
-	for _, f := range bytes.Split([]byte(s), []byte(",")) {
-		var n int
-		if _, err := fmt.Sscanf(string(bytes.TrimSpace(f)), "%d", &n); err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -concurrency level %q", f)
-		}
-		levels = append(levels, n)
-	}
-	return levels, nil
-}
-
-// runSweep drives the closed-loop contention ladder: for each level, that
-// many workers submit back-to-back for the configured duration, so the
-// in-flight count — not an arrival schedule — is the controlled variable.
-// This is the shape that exercises group commit: at level k, up to k
-// submitters race the commit queue and coalesce into shared groups. Each
-// level appends one ladder entry to -out labeled with the level.
-func runSweep(sw sweepConfig, out io.Writer) error {
-	client := &http.Client{Timeout: 30 * time.Second}
-	tgt := newTarget(sw.base)
-	var (
-		genMu sync.Mutex // generator RNG is not goroutine-safe
-		seq   int        // unique app names across all levels
-	)
-	totalAdmitted := 0
-	for _, level := range sw.levels {
-		rep := sw.template
-		rep.Config.Concurrency = level
-		rep.Config.Label = fmt.Sprintf("conc=%d", level)
-		if sw.label != "" {
-			rep.Config.Label = sw.label + " " + rep.Config.Label
-		}
-		lat := obs.NewRegistry().Histogram("load_latency_seconds", obs.SpanBuckets)
-
-		var (
-			mu                                 sync.Mutex
-			resident                           []string
-			admitted, rejected, errs, attempts int
-		)
-		start := time.Now()
-		deadline := start.Add(sw.duration)
-		var wg sync.WaitGroup
-		for w := 0; w < level; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					genMu.Lock()
-					seq++
-					spec, name := sw.gen.nextApp(seq)
-					genMu.Unlock()
-					t0 := time.Now()
-					status, err := post(client, tgt, "/apps", spec)
-					lat.Observe(time.Since(t0).Seconds())
-					mu.Lock()
-					attempts++
-					switch {
-					case err != nil || status >= 500:
-						errs++
-					case status == http.StatusCreated:
-						admitted++
-						resident = append(resident, name)
-						if len(resident) > sw.keep {
-							oldest := resident[0]
-							resident = resident[1:]
-							mu.Unlock()
-							do(client, tgt, http.MethodDelete, "/apps/"+oldest, nil)
-							continue
-						}
-					default:
-						rejected++
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-
-		rep.Client.Attempted = attempts
-		rep.Client.Admitted = admitted
-		rep.Client.Rejected = rejected
-		rep.Client.Errors = errs
-		rep.Client.AdmissionsPerSec = float64(admitted) / elapsed.Seconds()
-		rep.Client.Latency = histQuantiles(lat)
-		totalAdmitted += admitted
-		// Stage histograms are cumulative since server start; the final
-		// rung's snapshot covers the whole sweep.
-		if body, err := get(sw.base + "/debug/latency"); err == nil {
-			_ = json.Unmarshal(body, &rep.Server)
-		}
-		if sw.outFile != "" {
-			if err := appendLadder(sw.outFile, &rep); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(out, "conc=%-4d %.1fs: %d attempted, %d admitted (%.2f/s), %d rejected, %d errors, p50=%.4fs p99=%.4fs\n",
-			level, elapsed.Seconds(), attempts, admitted, rep.Client.AdmissionsPerSec,
-			rejected, errs, rep.Client.Latency.P50, rep.Client.Latency.P99)
-	}
-	if totalAdmitted < sw.minAdmitted {
-		return fmt.Errorf("sweep admitted %d < required %d", totalAdmitted, sw.minAdmitted)
-	}
-	return nil
-}
-
-// ladderDoc is BENCH_serve.json in ladder form.
-type ladderDoc struct {
-	Ladder []report `json:"ladder"`
-}
-
-// appendLadder adds rep to path's ladder document. A legacy single-report
-// file is wrapped as the ladder's first entry; a missing or unreadable
-// file starts a fresh ladder.
-func appendLadder(path string, rep *report) error {
-	var doc ladderDoc
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &doc); err != nil || len(doc.Ladder) == 0 {
-			var single report
-			if err := json.Unmarshal(prev, &single); err == nil && single.Config.Addr != "" {
-				doc.Ladder = []report{single}
-			}
-		}
-	}
-	doc.Ladder = append(doc.Ladder, *rep)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // fetchShards reads the server's region-shard count from /healthz

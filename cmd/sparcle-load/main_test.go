@@ -46,7 +46,7 @@ func loadTarget(t *testing.T) *httptest.Server {
 func TestLoadRun(t *testing.T) {
 	ts := loadTarget(t)
 	addr := strings.TrimPrefix(ts.URL, "http://")
-	outFile := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	outFile := filepath.Join(t.TempDir(), "report.json")
 
 	var out bytes.Buffer
 	err := run([]string{
@@ -80,7 +80,7 @@ func TestLoadRun(t *testing.T) {
 	if rep.Client.Latency.Count == 0 || rep.Client.Latency.P50 <= 0 || rep.Client.Latency.P999 < rep.Client.Latency.P50 {
 		t.Fatalf("client latency quantiles malformed: %+v", rep.Client.Latency)
 	}
-	sub, ok := rep.Server.Stages["core.submit"]
+	sub, ok := rep.Server.Stages["core.batch"]
 	if !ok || sub.Count == 0 || sub.P99 <= 0 {
 		t.Fatalf("server stage attribution missing: %+v", rep.Server.Stages)
 	}
@@ -99,7 +99,6 @@ func TestLoadMinAdmitted(t *testing.T) {
 		"-addr", addr,
 		"-rate", "20",
 		"-duration", "200ms",
-		"-out", "",
 		"-min-admitted", "1000000",
 	}, &out)
 	if err == nil || !strings.Contains(err.Error(), "admitted") {

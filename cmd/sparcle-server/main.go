@@ -16,6 +16,10 @@
 // lock, and applications spanning two adjacent regions place against a
 // border-link capacity lease (see docs/http-api.md, "Sharded
 // deployments"). -shards 1 is byte-identical to the unsharded scheduler.
+// Every admission goes through a group-commit queue: submits that arrive
+// while a commit is in flight share one solve and one journal record, and
+// a lone submit commits at once as a group of one (-group-commit, which
+// used to select this, is accepted and ignored).
 // With -submit, the scenario's applications are admitted at startup. With
 // -journal, every mutating operation is committed to a write-ahead
 // journal in the given directory before it is acknowledged, and a restart
@@ -174,8 +178,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	verbose := fs.Bool("v", false, "log scheduler activity to stderr")
 	parallel := fs.Int("parallel", 0, "candidate-scoring goroutines per ranking iteration (0 = GOMAXPROCS, 1 = serial)")
 	shards := fs.Int("shards", 1, "region shards: partition the network into N regions, one scheduler each, behind an admission router (1 = single scheduler)")
-	coldAlloc := fs.Bool("cold-alloc", false, "disable warm-started incremental BE solves (ablation; identical results)")
-	noDeltaCaps := fs.Bool("no-delta-caps", false, "disable delta BE capacity accounting (ablation; identical results)")
 	journalDir := fs.String("journal", "", "directory for the write-ahead operation journal (empty = not durable)")
 	journalFsync := fs.String("journal-fsync", "always", "journal fsync policy: always, interval, or never")
 	journalFsyncInterval := fs.Duration("journal-fsync-interval", 100*time.Millisecond, "flush period for -journal-fsync=interval")
@@ -187,9 +189,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	slo := fs.Duration("slo", 0, "root-span latency SLO; breaches dump the flight ring (0 = no SLO)")
 	flightDir := fs.String("flight-dir", "", "directory for flight dumps on SLO breach or handler panic")
 	runtimeMetrics := fs.Duration("runtime-metrics", 10*time.Second, "Go runtime sampling period for /metrics (0 = off)")
-	groupCommit := fs.Bool("group-commit", false, "coalesce concurrent admissions into group commits: one BE solve and one journal fsync per group")
-	groupMaxSize := fs.Int("group-max-size", 64, "max applications committed as one group (with -group-commit)")
-	groupMaxWait := fs.Duration("group-max-wait", 0, "how long a group leader holds the group open for followers (0 = commit immediately; concurrency alone forms groups)")
+	fs.Bool("group-commit", false, "accepted and ignored: every admission goes through the group-commit queue (one BE solve and one journal fsync per group of concurrent submits)")
 	replicate := fs.String("replicate", "", "node ID: run as one member of a replicated cluster (requires -journal and -peers)")
 	peersFlag := fs.String("peers", "", "comma-separated id=url pairs naming every cluster node, this one included (with -replicate)")
 	replHeartbeat := fs.Duration("repl-heartbeat", 100*time.Millisecond, "leader heartbeat period (with -replicate)")
@@ -231,12 +231,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	}
 
 	opts := []core.Option{core.WithRandSeed(*seed), core.WithParallelism(*parallel)}
-	if *coldAlloc {
-		opts = append(opts, core.WithColdAllocation())
-	}
-	if *noDeltaCaps {
-		opts = append(opts, core.WithoutDeltaCapacities())
-	}
 	if *verbose {
 		opts = append(opts, core.WithLogger(obs.NewLogger(os.Stderr, slog.LevelDebug)))
 	}
@@ -320,13 +314,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			fmt.Fprintf(out, "sparcle-server journal at %s (fsync=%s), recovered to seq %d\n",
 				*journalDir, policy, srv.Journal().LastSeq())
 		}
-	}
-	if *groupCommit {
-		// After EnableJournal: recovery rebuilds the scheduler/router and
-		// the committer must wrap the rebuilt instance.
-		srv.EnableGroupCommit(core.GroupOptions{MaxSize: *groupMaxSize, MaxWait: *groupMaxWait})
-		fmt.Fprintf(out, "sparcle-server group commit armed (max-size=%d, max-wait=%s)\n",
-			*groupMaxSize, *groupMaxWait)
 	}
 	if *submit {
 		apps, err := f.BuildApps(netw)

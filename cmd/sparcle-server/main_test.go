@@ -179,3 +179,60 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatal("server still serving after shutdown")
 	}
 }
+
+// TestServerBenchmarkArgvShapes boots the server with the four argument
+// lists benchmark/cluster.go builds (place_bound, solve_bound,
+// durable_repl3, mixed_shard4). All must parse, and -group-commit, which
+// three of them carry, must change nothing: every server reports the
+// same commit queue on /healthz.
+func TestServerBenchmarkArgvShapes(t *testing.T) {
+	const mesh = "../../testdata/mesh16.json"
+	base := []string{"-f", mesh, "-addr", "127.0.0.1:0", "-runtime-metrics", "1s"}
+	journal := func() []string { return []string{"-journal", t.TempDir(), "-journal-fsync", "always"} }
+	peers := "n0=http://127.0.0.1:1,n1=http://127.0.0.1:2,n2=http://127.0.0.1:3"
+	shapes := map[string][]string{
+		"place_bound":   nil,
+		"solve_bound":   {"-group-commit"},
+		"durable_repl3": append(journal(), "-replicate", "n0", "-peers", peers, "-group-commit"),
+		"mixed_shard4":  append(append([]string{"-shards", "4"}, journal()...), "-group-commit"),
+	}
+	var errcs []chan error
+	queues := map[string]string{}
+	for name, extra := range shapes {
+		var out syncBuffer
+		addr, errc := startServer(t, &out, append(append([]string{}, base...), extra...)...)
+		errcs = append(errcs, errc)
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hz struct {
+			GroupCommit json.RawMessage `json:"groupCommit"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&hz)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s healthz: %v", name, err)
+		}
+		queues[name] = string(hz.GroupCommit)
+	}
+	const want = `{"groups":0,"follows":0,"apps":0,"maxSize":64,"maxWaitMs":0}`
+	for name, q := range queues {
+		if q != want {
+			t.Errorf("%s groupCommit = %s, want %s", name, q, want)
+		}
+	}
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	for _, errc := range errcs {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Errorf("shutdown returned %v, want nil", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a server did not drain after SIGINT")
+		}
+	}
+}

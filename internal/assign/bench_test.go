@@ -12,7 +12,7 @@ import (
 )
 
 // benchLarge is the large random-DAG case the evaluation-core speedup is
-// measured on (see BENCH_assign.json): ~30 CTs over a 24-NCP mesh.
+// measured on: ~30 CTs over a 24-NCP mesh.
 func benchLarge(b *testing.B) *workload.Instance {
 	b.Helper()
 	inst, err := workload.Generate(workload.GenConfig{

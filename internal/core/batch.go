@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"sparcle/internal/obs"
 )
@@ -44,7 +45,11 @@ func (s *Scheduler) SubmitBatch(apps []App) ([]BatchResult, error) {
 		asp := sp.Child("batch.submit")
 		asp.SetAttr("app", app.Name)
 		s.opSpan = asp
+		start := time.Now()
 		pa, err := s.submit(app)
+		if s.metrics != nil {
+			s.metrics.Histogram(metricPlacementSeconds, nil, obs.L("class", app.QoS.Class.String())).Observe(time.Since(start).Seconds())
+		}
 		s.opSpan = sp
 		asp.SetAttr("outcome", submitOutcome(err))
 		asp.End()
@@ -67,7 +72,7 @@ func (s *Scheduler) SubmitBatch(apps []App) ([]BatchResult, error) {
 			}
 		}
 	}
-	s.observeBatch(results)
+	s.observeBatch(apps, results)
 
 	rec := &Record{Op: OpBatch, Outcome: "ok"}
 	if batchErr != nil {
@@ -139,22 +144,20 @@ func (s *Scheduler) evictZeroRate(results []BatchResult) bool {
 }
 
 // observeBatch emits per-app admission telemetry for a finished batch,
-// mirroring what sequential Submits would have recorded.
-func (s *Scheduler) observeBatch(results []BatchResult) {
+// mirroring what sequential Submits would have recorded (the placement
+// time was observed as each app was placed).
+func (s *Scheduler) observeBatch(apps []App, results []BatchResult) {
 	if !s.telemetryOn() {
 		return
 	}
 	for i := range results {
-		var class string
-		if results[i].App != nil {
-			class = results[i].App.App.QoS.Class.String()
-		}
+		class := apps[i].QoS.Class.String()
 		outcome := submitOutcome(results[i].Err)
-		if s.metrics != nil && class != "" {
+		if s.metrics != nil {
 			s.metrics.Counter(metricAdmissions, obs.L("class", class), obs.L("outcome", outcome)).Inc()
 		}
 		if results[i].Err != nil {
-			s.log.Warn("admission refused", "app", results[i].Name, "outcome", outcome, "err", results[i].Err)
+			s.log.Warn("admission refused", "app", results[i].Name, "class", class, "outcome", outcome, "err", results[i].Err)
 		} else {
 			s.log.Info("application admitted", "app", results[i].Name, "class", class,
 				"paths", len(results[i].App.Paths), "rate", results[i].App.TotalRate())

@@ -21,9 +21,6 @@ import (
 //	warm        scheduler-owned solver with warm-started duals; full
 //	            BE-pool rebuilds
 //	warm+delta  warm solver plus delta capacity accounting (default)
-//
-// The dense-row seed rung of BENCH_control.json comes from running this
-// file against the seed commit, where the cold path is the only path.
 func BenchmarkChurn(b *testing.B) {
 	for _, n := range []int{32, 128, 512} {
 		if testing.Short() && n > 32 {

@@ -282,7 +282,9 @@ func TestRebuildRetiresPredecessorSeries(t *testing.T) {
 // TestChurnMetricsGolden runs a scripted 200-operation churn — every
 // operation kind, rejections included — and compares /metrics line for
 // line with the text the same script produced before rate gauges were
-// bound to residents (testdata/churn_metrics.golden, written at d207421).
+// bound to residents (testdata/churn_metrics.golden, written at d207421;
+// its two outcome="rejected" lines were rewritten when SubmitBatch began
+// to count the rejections inside a batch, 28 in this script).
 // Families that hold wall-clock time are left out.
 func TestChurnMetricsGolden(t *testing.T) {
 	net := meshNet(t)

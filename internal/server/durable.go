@@ -27,9 +27,6 @@ const metricRecovery = "sparcle_recovery_seconds"
 // While recovery runs, the server answers mutating routes with 503 (see
 // middleware); GETs stay available.
 func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery int) error {
-	if s.rt() != nil {
-		return s.enableShardJournal(dir, opt, snapshotEvery)
-	}
 	s.recovering.Store(true)
 	defer s.recovering.Store(false)
 	start := time.Now()
@@ -46,48 +43,34 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 		j.Close()
 		return fmt.Errorf("recover journal: %w", err)
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if snapBytes == nil && len(recs) == 0 {
-		// Fresh journal: pin the initial state (seed included) before the
-		// first operation can be acknowledged.
-		snap, err := s.sched.ExportSnapshot()
-		if err != nil {
-			j.Close()
-			return fmt.Errorf("export genesis snapshot: %w", err)
-		}
-		if err := j.WriteSnapshot(snap); err != nil {
-			j.Close()
-			return fmt.Errorf("write genesis snapshot: %w", err)
-		}
-	} else {
-		var snap *core.Snapshot
-		if snapBytes != nil {
-			snap = &core.Snapshot{}
-			if err := json.Unmarshal(snapBytes, snap); err != nil {
-				j.Close()
-				return fmt.Errorf("decode snapshot: %w", err)
-			}
-		}
-		coreRecs := make([]*core.Record, len(recs))
-		for i := range recs {
-			coreRecs[i] = &core.Record{}
-			if err := json.Unmarshal(recs[i].Data, coreRecs[i]); err != nil {
-				j.Close()
-				return fmt.Errorf("decode record %d: %w", recs[i].Seq, err)
-			}
-		}
-		rebuilt, err := core.Rebuild(s.net, snap, coreRecs, s.opts...)
-		if err != nil {
-			j.Close()
-			return fmt.Errorf("rebuild scheduler: %w", err)
-		}
-		s.sched = rebuilt
+	entries := make([][]byte, len(recs))
+	for i := range recs {
+		entries[i] = recs[i].Data
 	}
-
+	if s.rt() != nil {
+		err = s.journalRouter(j, snapshotEvery, snapBytes, entries)
+	} else {
+		err = s.journalSched(j, snapshotEvery, snapBytes, entries)
+	}
+	if err != nil {
+		j.Close()
+		return err
+	}
+	s.mu.Lock()
 	s.journal = j
-	s.sched.SetCommitHook(func(rec *core.Record) error {
+	s.mu.Unlock()
+
+	s.metrics.SetHelp(metricRecovery, "Duration of the last journal recovery in seconds.")
+	s.metrics.Gauge(metricRecovery).Set(time.Since(start).Seconds())
+	return nil
+}
+
+// journalSched puts the unsharded scheduler behind j: a non-empty
+// journal is replayed into a rebuilt scheduler, an empty one receives
+// the genesis snapshot, and either way every later operation appends
+// its outcome record through the commit hook.
+func (s *Server) journalSched(j *journal.Journal, snapshotEvery int, snapBytes []byte, entries [][]byte) error {
+	hook := func(rec *core.Record) error {
 		// The hook runs inside a scheduler operation, so its append (and
 		// fsync) spans nest under that operation's span; with spans
 		// disabled OpSpan is nil and AppendSpan behaves exactly as Append.
@@ -106,10 +89,66 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 			}
 		}
 		return nil
-	})
+	}
+	if len(snapBytes) > 0 || len(entries) > 0 {
+		return s.restoreSched(snapBytes, entries, hook)
+	}
+	// Fresh journal: pin the initial state (seed included) before the
+	// first operation can be acknowledged.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sched.SetCommitHook(hook)
+	snap, err := s.sched.ExportSnapshot()
+	if err != nil {
+		return fmt.Errorf("export genesis snapshot: %w", err)
+	}
+	if err := j.WriteSnapshot(snap); err != nil {
+		return fmt.Errorf("write genesis snapshot: %w", err)
+	}
+	return nil
+}
 
-	s.metrics.SetHelp(metricRecovery, "Duration of the last journal recovery in seconds.")
-	s.metrics.Gauge(metricRecovery).Set(time.Since(start).Seconds())
+// decodeLog decodes a state snapshot (nil when snapBytes is empty) and
+// the records committed after it.
+func decodeLog[S, R any](snapBytes []byte, entries [][]byte) (*S, []*R, error) {
+	var snap *S
+	if len(snapBytes) > 0 {
+		snap = new(S)
+		if err := json.Unmarshal(snapBytes, snap); err != nil {
+			return nil, nil, fmt.Errorf("decode snapshot: %w", err)
+		}
+	}
+	recs := make([]*R, len(entries))
+	for i := range entries {
+		recs[i] = new(R)
+		if err := json.Unmarshal(entries[i], recs[i]); err != nil {
+			return nil, nil, fmt.Errorf("decode record %d: %w", i, err)
+		}
+	}
+	return snap, recs, nil
+}
+
+// restoreSched replaces the scheduler with one rebuilt from a snapshot
+// and the records after it, with hook armed on it — journal recovery and
+// a replicated restore are this one operation. The rebuild runs off the
+// lock (it reads only the immutable network and the decoded log); the
+// swap takes it.
+func (s *Server) restoreSched(snapBytes []byte, entries [][]byte, hook core.CommitHook) error {
+	snap, recs, err := decodeLog[core.Snapshot, core.Record](snapBytes, entries)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	opts := s.opts
+	s.mu.Unlock()
+	rebuilt, err := core.Rebuild(s.net, snap, recs, opts...)
+	if err != nil {
+		return fmt.Errorf("rebuild scheduler: %w", err)
+	}
+	rebuilt.SetCommitHook(hook)
+	s.mu.Lock()
+	s.sched = rebuilt
+	s.mu.Unlock()
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"sparcle/internal/core"
@@ -246,5 +247,121 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	defer srv2.Close()
 	if got := getApps(t, ts2.URL); got != want {
 		t.Fatalf("snapshot+tail recovery diverged\nwant: %s\ngot:  %s", want, got)
+	}
+}
+
+// TestServerRecoversAdmitRecords: a journal of per-submit admit records —
+// what core.Scheduler.Submit's commit hook writes, and what a server
+// wrote before every admission went through the commit queue — is
+// recovered by EnableJournal to the scheduler that wrote it. The log also
+// holds an empty batch record, which a retried POST used to leave behind.
+func TestServerRecoversAdmitRecords(t *testing.T) {
+	net := testNet(t)
+	dir := t.TempDir()
+	j, err := journal.Open(dir, journal.Options{Fsync: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := j.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sched := core.New(net, core.WithRandSeed(5))
+	genesis, err := sched.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteSnapshot(genesis); err != nil {
+		t.Fatal(err)
+	}
+	sched.SetCommitHook(func(rec *core.Record) error {
+		_, err := j.Append("op", rec)
+		return err
+	})
+	for i, qos := range []string{
+		`"class": "best-effort", "priority": 1`,
+		`"class": "guaranteed-rate", "minRate": 0.1, "minRateAvailability": 0.5`,
+		`"class": "best-effort", "priority": 2`,
+		`"class": "guaranteed-rate", "minRate": 1e9, "minRateAvailability": 0.9`, // rejected: journaled all the same
+	} {
+		var spec scenario.AppSpec
+		if err := json.Unmarshal([]byte(appJSON(fmt.Sprintf("u-%d", i), "", "")), &spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte("{"+qos+"}"), &spec.QoS); err != nil {
+			t.Fatal(err)
+		}
+		app, err := scenario.BuildApp(spec, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sched.Submit(app); err != nil && i != 3 {
+			t.Fatalf("submit u-%d: %v", i, err)
+		}
+	}
+	if err := sched.Remove("u-0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sched.SubmitBatch(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []appView{}
+	for _, pa := range append(sched.GRApps(), sched.BEApps()...) {
+		want = append(want, appViewOn(net, pa))
+	}
+
+	srv, ts := journaledServer(t, net, dir)
+	defer srv.Close()
+	if seq := srv.Journal().LastSeq(); seq != 6 {
+		t.Fatalf("recovered to seq %d, want the 4 admits + remove + empty batch = 6", seq)
+	}
+	var got []appView
+	if err := json.Unmarshal([]byte(getApps(t, ts.URL)), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != 2 {
+		t.Fatalf("recovered listing differs from the writer's\nwant: %+v\ngot:  %+v", want, got)
+	}
+}
+
+// TestNothingToAdmitCommitsNothing: a retried POST /apps, and a batch in
+// which no spec survives build and name checks, answer as before but cost
+// no solve and no journal record — under -journal-fsync always that was
+// an fsync, under -replicate a quorum round.
+func TestNothingToAdmitCommitsNothing(t *testing.T) {
+	srv, ts := journaledServer(t, testNet(t), t.TempDir())
+	defer srv.Close()
+	spec := appJSON("dup", "best-effort", `, "priority": 1`)
+	if resp, body := do(t, http.MethodPost, ts.URL+"/apps", spec); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	seq := srv.Journal().LastSeq()
+	appends := srv.Metrics().Counter("sparcle_journal_appends_total").Value()
+	solves := srv.Metrics().Counter("sparcle_alloc_solves_total").Value()
+
+	if resp, body := do(t, http.MethodPost, ts.URL+"/apps", spec); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("duplicate submit: %d %s, want 409", resp.StatusCode, body)
+	}
+	batch := fmt.Sprintf(`{"apps": [%s, %s]}`, spec, appJSON("ghost", "best-effort", `, "priority": -1`))
+	resp, body := do(t, http.MethodPost, ts.URL+"/apps/batch", batch)
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(br.Verdicts) != 2 ||
+		br.Verdicts[0].Admitted || br.Verdicts[0].Error == "" || br.Verdicts[1].Admitted || br.Verdicts[1].Error == "" {
+		t.Fatalf("batch of a duplicate and a bad spec: %d %s", resp.StatusCode, body)
+	}
+
+	if got := srv.Journal().LastSeq(); got != seq {
+		t.Fatalf("journal moved %d -> %d for operations that admitted nothing", seq, got)
+	}
+	if got := srv.Metrics().Counter("sparcle_journal_appends_total").Value(); got != appends {
+		t.Fatalf("sparcle_journal_appends_total moved %v -> %v", appends, got)
+	}
+	if got := srv.Metrics().Counter("sparcle_alloc_solves_total").Value(); got != solves {
+		t.Fatalf("sparcle_alloc_solves_total moved %v -> %v", solves, got)
 	}
 }

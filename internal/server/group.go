@@ -7,24 +7,26 @@ import (
 	"sparcle/internal/obs"
 )
 
-// Group-commit wiring for the HTTP front end. With group commit
-// enabled, POST /apps no longer takes the scheduler lock per request:
-// the handler decodes and builds the app off-lock, then hands it to the
-// GroupCommitter, which coalesces every submitter that arrives while a
-// commit is in flight into the next group — one lock acquisition, one
-// warm BE solve, and one journal append+fsync for the whole group.
+// The commit queue. POST /apps never takes the scheduler lock per
+// request: the handler decodes and builds the app off-lock, then hands
+// it to the GroupCommitter, which coalesces every submitter that arrives
+// while a commit is in flight into the next group — one lock
+// acquisition, one warm BE solve, and one journal append+fsync for the
+// whole group. A lone submitter leads its own group of one immediately.
 // POST /apps/batch composes: a client batch enters the queue as one
-// indivisible entry and merges with concurrent single submits.
+// indivisible entry and merges with concurrent single submits. New
+// builds the unsharded server's committer and NewSharded arms one per
+// shard; the server re-arms every router it rebuilds (restoreRouter).
 
-// EnableGroupCommit routes admissions through a group-commit queue.
-// Call it after EnableJournal: journal recovery rebuilds the scheduler
-// (or the sharded router), and the committer must wrap the rebuilt one.
+// EnableGroupCommit replaces the commit queue's bounds (zero fields
+// keep the defaults: groups of at most 64, no hold-open wait). Call it
+// before the server takes traffic.
 func (s *Server) EnableGroupCommit(opt core.GroupOptions) {
 	if opt.Metrics == nil {
 		opt.Metrics = s.metrics
 	}
 	s.mu.Lock()
-	s.groupOpt = &opt
+	s.groupOpt = opt
 	s.mu.Unlock()
 	if rt := s.rt(); rt != nil {
 		rt.EnableGroupCommit(opt)
@@ -35,9 +37,11 @@ func (s *Server) EnableGroupCommit(opt core.GroupOptions) {
 
 // groupCommit is the committer's commit function: it takes the
 // scheduler lock once for the whole group, rejects duplicate names
-// (against admitted apps and within the group — the per-request check
-// cannot run off-lock without racing), and runs the group through
-// SubmitBatch: one solve, one journal record.
+// (against admitted apps and within the group — the check cannot run
+// off-lock without racing), and runs the group through SubmitBatch: one
+// solve, one journal record. It reads s.sched under the lock, so a
+// scheduler swapped in by recovery or a replicated restore is picked up
+// without re-arming.
 func (s *Server) groupCommit(apps []core.App, lead *obs.Span) ([]core.BatchResult, error) {
 	defer s.lockWithSpan(lead)()
 	results := make([]core.BatchResult, len(apps))
@@ -57,6 +61,11 @@ func (s *Server) groupCommit(apps []core.App, lead *obs.Span) ([]core.BatchResul
 		sub = append(sub, app)
 		idx = append(idx, i)
 	}
+	if len(sub) == 0 {
+		// Nothing to admit (a retried POST, a batch whose specs all
+		// failed to build): no solve, no journal record, no quorum round.
+		return results, nil
+	}
 	res, err := s.sched.SubmitBatch(sub)
 	for j := range res {
 		results[idx[j]] = res[j]
@@ -64,19 +73,10 @@ func (s *Server) groupCommit(apps []core.App, lead *obs.Span) ([]core.BatchResul
 	return results, err
 }
 
-// groupStats returns the /healthz view of group-commit activity, nil
-// when the feature is disabled.
-func (s *Server) groupStats() *core.GroupStats {
+// groupStats returns the /healthz view of commit-queue activity.
+func (s *Server) groupStats() core.GroupStats {
 	if rt := s.rt(); rt != nil {
-		if !rt.GroupEnabled() {
-			return nil
-		}
-		st := rt.GroupStats()
-		return &st
+		return rt.GroupStats()
 	}
-	if s.group == nil {
-		return nil
-	}
-	st := s.group.Stats()
-	return &st
+	return s.group.Stats()
 }

@@ -13,21 +13,16 @@ import (
 	"sparcle/internal/journal"
 )
 
-// groupedTestServer is testServer with the group-commit front end armed.
-func groupedTestServer(t *testing.T, opt core.GroupOptions) (*httptest.Server, *Server) {
-	t.Helper()
+// TestGroupCommitHTTP drives concurrent POST /apps through the commit
+// queue every server carries: every submit lands (201 with a real
+// placement), duplicates still 409, /healthz reports the committer's
+// activity, and the one EnableGroupCommit call pins that the bounds are
+// still settable and echoed.
+func TestGroupCommitHTTP(t *testing.T) {
 	srv := New(testNet(t))
-	srv.EnableGroupCommit(opt)
+	srv.EnableGroupCommit(core.GroupOptions{MaxSize: 8})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts, srv
-}
-
-// TestGroupCommitHTTP drives concurrent POST /apps through the grouped
-// front end: every submit lands (201 with a real placement), duplicates
-// still 409, and /healthz reports the committer's activity.
-func TestGroupCommitHTTP(t *testing.T) {
-	ts, _ := groupedTestServer(t, core.GroupOptions{MaxSize: 8})
 
 	const n = 12
 	var wg sync.WaitGroup
@@ -96,7 +91,6 @@ func TestGroupCommitJournalReplay(t *testing.T) {
 	if err := srv.EnableJournal(dir, journal.Options{Fsync: journal.SyncAlways}, 0); err != nil {
 		t.Fatal(err)
 	}
-	srv.EnableGroupCommit(core.GroupOptions{MaxSize: 4})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -134,7 +128,6 @@ func TestGroupCommitSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.EnableGroupCommit(core.GroupOptions{MaxSize: 8})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -156,11 +149,11 @@ func TestGroupCommitSharded(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Cross-region admission stays on the ungrouped two-lock path but
-	// must still work with group commit armed.
+	// Cross-region admission stays on the ungrouped two-lock path beside
+	// the per-shard committers.
 	resp, body := do(t, http.MethodPost, ts.URL+"/apps", shardAppJSON("x", "a0", "b1", shardBEQoS))
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("cross-region with groups armed: %d %s", resp.StatusCode, body)
+		t.Fatalf("cross-region beside the committers: %d %s", resp.StatusCode, body)
 	}
 
 	resp, body = do(t, http.MethodGet, ts.URL+"/healthz", "")
@@ -205,9 +198,9 @@ func TestDecodeStrictPooled(t *testing.T) {
 }
 
 // TestGroupCommitRemoveRepair: DELETE and repair ride the commit queue
-// when group commit is armed — they serialize against concurrent
-// admissions through the same path instead of a separate lock — and
-// their journal records replay to the same state.
+// — they serialize against concurrent admissions through the same path
+// instead of a separate lock — and their journal records replay to the
+// same state.
 func TestGroupCommitRemoveRepair(t *testing.T) {
 	net := testNet(t)
 	dir := t.TempDir()
@@ -215,7 +208,6 @@ func TestGroupCommitRemoveRepair(t *testing.T) {
 	if err := srv.EnableJournal(dir, journal.Options{Fsync: journal.SyncAlways}, 0); err != nil {
 		t.Fatalf("EnableJournal: %v", err)
 	}
-	srv.EnableGroupCommit(core.GroupOptions{MaxSize: 4})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

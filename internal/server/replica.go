@@ -12,7 +12,6 @@ import (
 
 	"sparcle/internal/core"
 	"sparcle/internal/journal"
-	"sparcle/internal/network"
 	"sparcle/internal/replica"
 	"sparcle/internal/shard"
 )
@@ -161,7 +160,7 @@ func (s *Server) EnableReplication(cfg ReplicationConfig) error {
 		// The live (genesis) router never goes through a materialize, so
 		// its envelope hook is armed here; materialized routers re-arm
 		// their own.
-		rt.SetEnvelopeHook(s.proposeEnvelope)
+		rt.SetEnvelopeHook(func(env *shard.Envelope) error { return s.propose(env) })
 	}
 
 	s.metrics.SetHelp(metricRecovery, "Duration of the last journal recovery in seconds.")
@@ -291,31 +290,17 @@ func (s *Server) handleMembersChange(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// proposeRecord is the unsharded scheduler's commit hook under
-// replication: the record is committed by quorum instead of a local
-// fsync alone (the local append inside Propose still honors the fsync
-// policy). On failure the local scheduler has applied an operation the
-// log did not commit, so the state machine is reset to the committed
-// prefix before the error (wrapped in ErrDurability upstream) fails the
-// request.
-func (s *Server) proposeRecord(rec *core.Record) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := s.replica.Propose(data); err != nil {
-		s.replica.ForceRestore()
-		return err
-	}
-	return nil
-}
-
-// proposeEnvelope is the sharded router's envelope hook under
-// replication; failure semantics mirror proposeRecord (the router is
-// rebuilt from the committed stream at the next materialize, which the
-// write gate forces before the next write).
-func (s *Server) proposeEnvelope(env *shard.Envelope) error {
-	data, err := json.Marshal(env)
+// propose is the commit hook of either host under replication — v is
+// the unsharded scheduler's outcome record or the sharded router's
+// envelope: it is committed by quorum instead of a local fsync alone
+// (the local append inside Propose still honors the fsync policy). On
+// failure the local state has applied an operation the log did not
+// commit, so the state machine is reset to the committed prefix before
+// the error (wrapped in ErrDurability upstream) fails the request; the
+// sharded router is rebuilt from the committed stream at the next
+// materialize, which the write gate forces before the next write.
+func (s *Server) propose(v any) error {
+	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
@@ -450,35 +435,7 @@ func (m *schedReplSM) SnapshotWith(write func(state []byte) error) error {
 }
 
 func (m *schedReplSM) Restore(snapBytes []byte, entries [][]byte) error {
-	var snap *core.Snapshot
-	if len(snapBytes) > 0 {
-		snap = &core.Snapshot{}
-		if err := json.Unmarshal(snapBytes, snap); err != nil {
-			return fmt.Errorf("decode replicated snapshot: %w", err)
-		}
-	}
-	recs := make([]*core.Record, len(entries))
-	for i := range entries {
-		recs[i] = &core.Record{}
-		if err := json.Unmarshal(entries[i], recs[i]); err != nil {
-			return fmt.Errorf("decode replicated record %d: %w", i, err)
-		}
-	}
-	s := m.s
-	s.mu.Lock()
-	opts := s.opts
-	s.mu.Unlock()
-	// Rebuild off-lock (it reads only the immutable network and the
-	// decoded log), then swap under it.
-	rebuilt, err := core.Rebuild(s.net, snap, recs, opts...)
-	if err != nil {
-		return fmt.Errorf("rebuild scheduler: %w", err)
-	}
-	s.mu.Lock()
-	rebuilt.SetCommitHook(s.proposeRecord)
-	s.sched = rebuilt
-	s.mu.Unlock()
-	return nil
+	return m.s.restoreSched(snapBytes, entries, func(rec *core.Record) error { return m.s.propose(rec) })
 }
 
 // --- sharded state machine ---
@@ -565,48 +522,15 @@ func (m *shardReplSM) ensureFresh() error {
 }
 
 // materializeLocked rebuilds the router from the buffered snapshot +
-// envelope tail and swaps it in, re-arming spans, the envelope hook and
-// group commit on the rebuilt instance. The buffer is kept (it still
-// mirrors the committed log); only SnapshotWith resets it.
+// envelope tail and swaps it in. The buffer is kept (it still mirrors
+// the committed log); only SnapshotWith resets it.
 func (m *shardReplSM) materializeLocked() error {
 	if !m.dirty {
 		return nil
 	}
-	s := m.s
-	var snap *shard.RouterSnapshot
-	if len(m.snap) > 0 {
-		snap = &shard.RouterSnapshot{}
-		if err := json.Unmarshal(m.snap, snap); err != nil {
-			return fmt.Errorf("decode replicated router snapshot: %w", err)
-		}
+	if err := m.s.restoreRouter(m.snap, m.envs, func(env *shard.Envelope) error { return m.s.propose(env) }); err != nil {
+		return err
 	}
-	envs := make([]*shard.Envelope, len(m.envs))
-	for i := range m.envs {
-		envs[i] = &shard.Envelope{}
-		if err := json.Unmarshal(m.envs[i], envs[i]); err != nil {
-			return fmt.Errorf("decode replicated envelope %d: %w", i, err)
-		}
-	}
-	s.mu.Lock()
-	opts := s.opts
-	spans := s.spans
-	groupOpt := s.groupOpt
-	s.mu.Unlock()
-	rebuilt, err := shard.Rebuild(s.net, s.shards, snap, envs,
-		func(sub *network.Network, region int, ss *core.Snapshot, rs []*core.Record) (core.Control, error) {
-			return core.Rebuild(sub, ss, rs, opts...)
-		})
-	if err != nil {
-		return fmt.Errorf("rebuild sharded scheduler: %w", err)
-	}
-	if spans != nil {
-		rebuilt.SetSpans(spans)
-	}
-	rebuilt.SetEnvelopeHook(s.proposeEnvelope)
-	if groupOpt != nil {
-		rebuilt.EnableGroupCommit(*groupOpt)
-	}
-	s.router.Store(rebuilt)
 	m.dirty = false
 	return nil
 }

@@ -66,13 +66,14 @@ type Server struct {
 	recovering atomic.Bool
 	// spans is non-nil once EnableSpans armed request tracing (spans.go).
 	spans *obs.SpanTracer
-	// group is non-nil once EnableGroupCommit routed POST /apps through
-	// the group-commit queue (group.go). In shard mode it stays nil and
-	// the router carries one committer per shard instead.
+	// group is the commit queue every admission, remove and repair of
+	// the unsharded scheduler goes through (group.go). In shard mode it
+	// is nil and the router carries one committer per shard instead.
 	group *core.GroupCommitter
-	// groupOpt records the group-commit configuration so a replicated
-	// follower that materializes a fresh router can re-arm it (replica.go).
-	groupOpt *core.GroupOptions
+	// groupOpt is the committers' configuration, kept so a rebuilt
+	// router (journal recovery, replicated materialize) is re-armed
+	// with the same bounds.
+	groupOpt core.GroupOptions
 
 	// router is non-nil in shard mode (NewSharded): requests then route
 	// through the region-sharded admission router instead of sched, and
@@ -111,13 +112,16 @@ func (s *Server) rt() *shard.Router { return s.router.Load() }
 func New(net *network.Network, opts ...core.Option) *Server {
 	reg := obs.NewRegistry()
 	opts = append([]core.Option{core.WithMetrics(reg)}, opts...)
-	return &Server{
-		net:     net,
-		sched:   core.New(net, opts...),
-		metrics: reg,
-		start:   time.Now(),
-		opts:    opts,
+	s := &Server{
+		net:      net,
+		sched:    core.New(net, opts...),
+		metrics:  reg,
+		start:    time.Now(),
+		opts:     opts,
+		groupOpt: core.GroupOptions{Metrics: reg},
 	}
+	s.group = core.NewGroupCommitter(s.groupCommit, s.groupOpt)
+	return s
 }
 
 // Metrics returns the server's metrics registry, for callers that want to
@@ -206,9 +210,9 @@ type healthzResponse struct {
 	// Sharding is present in shard mode: per-shard admissions, lease
 	// count and border-link occupancy.
 	Sharding *shard.Stats `json:"sharding,omitempty"`
-	// GroupCommit is present when -group-commit is enabled: groups
-	// committed, followers coalesced, apps admitted through the queue.
-	GroupCommit *core.GroupStats `json:"groupCommit,omitempty"`
+	// GroupCommit reports the commit queue: groups committed, followers
+	// coalesced, apps admitted through it.
+	GroupCommit core.GroupStats `json:"groupCommit"`
 	// Replication is present when -replicate is enabled: this node's
 	// role, term, commit index and the current leader.
 	Replication *replicationHealth `json:"replication,omitempty"`
@@ -396,13 +400,22 @@ func appViewOn(netw *network.Network, pa *core.PlacedApp) appView {
 	return view
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.rt() != nil {
-		s.shardSubmit(w, r)
-		return
+// errStatus maps a scheduler or router error to its HTTP status.
+func errStatus(err error) int {
+	switch {
+	case errors.Is(err, core.ErrRejected):
+		return http.StatusConflict
+	case errors.Is(err, core.ErrNotFound):
+		return http.StatusNotFound
+	default:
+		return http.StatusInternalServerError
 	}
-	root := s.spans.Start("http.submit")
-	defer root.End()
+}
+
+// decodeApp is the front half of POST /apps: decode the spec and build
+// it against the parent network, both off every scheduler lock. On
+// failure it has answered 400 and returns false.
+func (s *Server) decodeApp(w http.ResponseWriter, r *http.Request, root *obs.Span) (core.App, bool) {
 	dsp := root.Child("http.decode")
 	var spec scenario.AppSpec
 	err := decodeStrict(r.Body, &spec)
@@ -410,66 +423,57 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		root.SetAttr("outcome", "bad-request")
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decode app spec: %v", err)})
-		return
+		return core.App{}, false
 	}
 	root.SetAttr("app", spec.Name)
-	if s.group != nil {
-		// Group path: build off-lock, then join the commit queue. The
-		// committer's commit function takes the lock once per group and
-		// runs the duplicate-name check there.
-		bsp := root.Child("http.build")
-		app, err := scenario.BuildApp(spec, s.net)
-		bsp.End()
-		if err != nil {
-			root.SetAttr("outcome", "bad-request")
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		res, gerr := s.group.Submit(app, root)
-		if err := res.Err; err != nil || gerr != nil {
-			if err == nil {
-				err = gerr
-			}
-			status := http.StatusInternalServerError
-			if errors.Is(err, core.ErrRejected) {
-				status = http.StatusConflict
-			}
-			root.SetAttr("outcome", "rejected")
-			writeJSON(w, status, errorResponse{Error: err.Error()})
-			return
-		}
-		root.SetAttr("outcome", "admitted")
-		s.mu.Lock()
-		view := s.appView(res.App)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusCreated, view)
-		return
-	}
-	defer s.lockWithSpan(root)()
 	bsp := root.Child("http.build")
 	app, err := scenario.BuildApp(spec, s.net)
 	bsp.End()
 	if err != nil {
 		root.SetAttr("outcome", "bad-request")
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return core.App{}, false
+	}
+	return app, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	root := s.spans.Start("http.submit")
+	defer root.End()
+	app, ok := s.decodeApp(w, r, root)
+	if !ok {
 		return
 	}
-	if s.sched.HasApp(app.Name) {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("application %q already admitted", app.Name)})
-		return
-	}
-	pa, err := s.sched.Submit(app)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, core.ErrRejected) {
-			status = http.StatusConflict
+	var view any
+	var err error
+	if rt := s.rt(); rt != nil {
+		// No global lock: the router claims the name and locks only the
+		// shards the app touches. Duplicate names come back as ErrRejected.
+		var res *shard.Result
+		if res, err = rt.Submit(app, root); err == nil {
+			root.SetInt("shard", int64(res.Shard))
+			view = s.shardView(rt, res)
 		}
+	} else {
+		// The commit function takes the lock once per group and runs the
+		// duplicate-name check there.
+		res, gerr := s.group.Submit(app, root)
+		if err = res.Err; err == nil {
+			err = gerr
+		}
+		if err == nil {
+			s.mu.Lock()
+			view = s.appView(res.App)
+			s.mu.Unlock()
+		}
+	}
+	if err != nil {
 		root.SetAttr("outcome", "rejected")
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		writeJSON(w, errStatus(err), errorResponse{Error: err.Error()})
 		return
 	}
 	root.SetAttr("outcome", "admitted")
-	writeJSON(w, http.StatusCreated, s.appView(pa))
+	writeJSON(w, http.StatusCreated, view)
 }
 
 // batchRequest is the body of POST /apps/batch.
@@ -492,15 +496,15 @@ type batchResponse struct {
 
 // handleSubmitBatch admits K applications as one atomic operation: a
 // single allocation solve and a single journal record cover the whole
-// batch. Per-app failures (bad spec, duplicate name, rejection) are
-// verdicts, not HTTP errors; the call answers 200 with one verdict per
-// input. Only a durability failure (journal append lost) or a whole-batch
-// allocation failure changes the status.
+// batch, which enters the commit queue as one indivisible entry and may
+// share its group with concurrent single submits. Per-app failures (bad
+// spec, duplicate name, rejection) are verdicts, not HTTP errors; the
+// call answers 200 with one verdict per input. Only a durability failure
+// (journal append lost) or a whole-batch allocation failure changes the
+// status. In shard mode atomicity is per shard (docs/http-api.md): each
+// shard's intra-region members form that shard's atomic sub-batch and
+// cross-region members are admitted individually.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	if s.rt() != nil {
-		s.shardSubmitBatch(w, r)
-		return
-	}
 	root := s.spans.Start("http.batch")
 	defer root.End()
 	dsp := root.Child("http.decode")
@@ -516,51 +520,34 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	verdicts := make([]batchVerdict, len(req.Apps))
 	var apps []core.App
 	var appIdx []int
-	var results []core.BatchResult
-	if s.group != nil {
-		// Group path: build off-lock and enter the commit queue as one
-		// indivisible entry; the commit function dedups names under the
-		// lock (against admitted apps and within the group).
-		for i, spec := range req.Apps {
-			verdicts[i].Name = spec.Name
-			app, berr := scenario.BuildApp(spec, s.net)
-			if berr != nil {
-				verdicts[i].Error = berr.Error()
-				continue
-			}
-			apps = append(apps, app)
-			appIdx = append(appIdx, i)
+	for i, spec := range req.Apps {
+		verdicts[i].Name = spec.Name
+		app, berr := scenario.BuildApp(spec, s.net)
+		if berr != nil {
+			verdicts[i].Error = berr.Error()
+			continue
 		}
+		apps = append(apps, app)
+		appIdx = append(appIdx, i)
+	}
+	var results []core.BatchResult
+	view := s.appView
+	if rt := s.rt(); rt != nil {
+		results, err = rt.SubmitBatch(apps, root)
+		view = func(pa *core.PlacedApp) appView { return s.batchAppView(rt, pa) }
+	} else {
 		results, err = s.group.SubmitMany(apps, root)
 		defer s.lockWithSpan(root)() // appView below reads live placements
-	} else {
-		defer s.lockWithSpan(root)()
-		taken := map[string]bool{}
-		for i, spec := range req.Apps {
-			verdicts[i].Name = spec.Name
-			app, berr := scenario.BuildApp(spec, s.net)
-			switch {
-			case berr != nil:
-				verdicts[i].Error = berr.Error()
-			case taken[app.Name] || s.sched.HasApp(app.Name):
-				verdicts[i].Error = fmt.Sprintf("application %q already admitted", app.Name)
-			default:
-				taken[app.Name] = true
-				apps = append(apps, app)
-				appIdx = append(appIdx, i)
-			}
-		}
-		results, err = s.sched.SubmitBatch(apps)
 	}
 	for j, res := range results {
 		v := &verdicts[appIdx[j]]
 		if res.Err != nil {
 			v.Error = res.Err.Error()
-		} else {
-			v.Admitted = true
-			view := s.appView(res.App)
-			v.App = &view
+			continue
 		}
+		v.Admitted = true
+		av := view(res.App)
+		v.App = &av
 	}
 	resp := batchResponse{Verdicts: verdicts}
 	status := http.StatusOK
@@ -575,55 +562,44 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
+// handleRemove and handleRepair ride the same commit queue as
+// admissions: the operation serializes behind in-flight groups and takes
+// the scheduler lock exactly once, through the same path (the router
+// does the equivalent under its shard locks).
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
-	if s.rt() != nil {
-		s.shardRemove(w, r)
-		return
-	}
 	name := r.PathValue("name")
 	root := s.spans.Start("http.remove")
 	defer root.End()
 	root.SetAttr("app", name)
 	var err error
-	if s.group != nil {
-		// With group commit on, removes ride the same queue as
-		// admissions: the operation serializes behind in-flight groups
-		// and takes the scheduler lock exactly once, through the same
-		// path — no second lock discipline on the side.
+	if rt := s.rt(); rt != nil {
+		err = rt.Remove(name, root)
+	} else {
 		_, err = s.group.Exec(func(sp *obs.Span) ([]core.BatchResult, error) {
 			defer s.lockWithSpan(sp)()
 			return nil, s.sched.Remove(name)
 		}, root)
-	} else {
-		unlock := s.lockWithSpan(root)
-		err = s.sched.Remove(name)
-		unlock()
 	}
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, core.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		writeJSON(w, errStatus(err), errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"removed": name})
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	if s.rt() != nil {
-		s.shardRepair(w, r)
-		return
-	}
 	name := r.PathValue("name")
 	root := s.spans.Start("http.repair")
 	defer root.End()
 	root.SetAttr("app", name)
-	var pa *core.PlacedApp
+	var view any
 	var err error
-	if s.group != nil {
-		// Same uniform lock path as removes: one queue entry, one lock
-		// acquisition, ordered against concurrent admission groups.
+	if rt := s.rt(); rt != nil {
+		var res *shard.Result
+		if res, err = rt.Repair(name, root); err == nil {
+			view = s.shardView(rt, res)
+		}
+	} else {
 		var results []core.BatchResult
 		results, err = s.group.Exec(func(sp *obs.Span) ([]core.BatchResult, error) {
 			defer s.lockWithSpan(sp)()
@@ -633,30 +609,16 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			}
 			return []core.BatchResult{{Name: name, App: re}}, nil
 		}, root)
-		if err == nil && len(results) == 1 {
-			pa = results[0].App
+		if err == nil {
+			s.mu.Lock()
+			view = s.appView(results[0].App)
+			s.mu.Unlock()
 		}
-	} else {
-		unlock := s.lockWithSpan(root)
-		pa, err = s.sched.Repair(name)
-		unlock()
 	}
 	if err != nil {
-		var status int
-		switch {
-		case errors.Is(err, core.ErrRejected):
-			status = http.StatusConflict
-		case errors.Is(err, core.ErrNotFound):
-			status = http.StatusNotFound
-		default:
-			status = http.StatusInternalServerError
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		writeJSON(w, errStatus(err), errorResponse{Error: err.Error()})
 		return
 	}
-	s.mu.Lock()
-	view := s.appView(pa)
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, view)
 }
 
@@ -672,10 +634,6 @@ type fluctuationResponse struct {
 }
 
 func (s *Server) handleFluctuation(w http.ResponseWriter, r *http.Request) {
-	if s.rt() != nil {
-		s.shardFluctuation(w, r)
-		return
-	}
 	root := s.spans.Start("http.fluctuation")
 	defer root.End()
 	dsp := root.Child("http.decode")
@@ -686,7 +644,8 @@ func (s *Server) handleFluctuation(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decode fluctuation: %v", err)})
 		return
 	}
-	defer s.lockWithSpan(root)()
+	// Elements are named against the parent network; in shard mode the
+	// router splits the scale into per-region and border-link shares.
 	scale := core.ElementScale{}
 	for key, factor := range req.Scale {
 		elem, err := s.parseElement(key)
@@ -696,7 +655,14 @@ func (s *Server) handleFluctuation(w http.ResponseWriter, r *http.Request) {
 		}
 		scale[elem] = factor
 	}
-	rep, err := s.sched.ApplyFluctuation(scale)
+	var rep *core.FluctuationReport
+	if rt := s.rt(); rt != nil {
+		rep, err = rt.ApplyFluctuation(scale, root)
+	} else {
+		unlock := s.lockWithSpan(root)
+		rep, err = s.sched.ApplyFluctuation(scale)
+		unlock()
+	}
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, core.ErrDurability) {
@@ -772,9 +738,7 @@ func (s *Server) SubmitAll(apps []core.App, out io.Writer) error {
 	if rt := s.rt(); rt != nil {
 		results, err = rt.SubmitBatch(apps, nil)
 	} else {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		results, err = s.sched.SubmitBatch(apps)
+		results, err = s.group.SubmitMany(apps, nil)
 	}
 	for _, res := range results {
 		switch {

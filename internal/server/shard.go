@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 	"sparcle/internal/core"
 	"sparcle/internal/network"
 	"sparcle/internal/obs"
-	"sparcle/internal/scenario"
 	"sparcle/internal/shard"
 )
 
@@ -40,11 +38,13 @@ func NewSharded(netw *network.Network, shards int, opts ...core.Option) (*Server
 		return nil, err
 	}
 	s := &Server{
-		net:     netw,
-		metrics: reg,
-		opts:    opts,
-		shards:  shards,
+		net:      netw,
+		metrics:  reg,
+		opts:     opts,
+		shards:   shards,
+		groupOpt: core.GroupOptions{Metrics: reg},
 	}
+	router.EnableGroupCommit(s.groupOpt)
 	s.router.Store(router)
 	s.start = time.Now()
 	s.metricsHelp()
@@ -130,17 +130,6 @@ func (s *Server) shardView(rt *shard.Router, res *shard.Result) shardAppView {
 	}
 }
 
-func shardErrStatus(err error) int {
-	switch {
-	case errors.Is(err, core.ErrRejected):
-		return http.StatusConflict
-	case errors.Is(err, core.ErrNotFound):
-		return http.StatusNotFound
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 func (s *Server) shardListApps(w http.ResponseWriter, r *http.Request) {
 	apps := []shardAppView{}
 	rt := s.rt()
@@ -151,96 +140,6 @@ func (s *Server) shardListApps(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, apps)
-}
-
-func (s *Server) shardSubmit(w http.ResponseWriter, r *http.Request) {
-	root := s.spans.Start("http.submit")
-	defer root.End()
-	dsp := root.Child("http.decode")
-	var spec scenario.AppSpec
-	err := decodeStrict(r.Body, &spec)
-	dsp.End()
-	if err != nil {
-		root.SetAttr("outcome", "bad-request")
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decode app spec: %v", err)})
-		return
-	}
-	root.SetAttr("app", spec.Name)
-	bsp := root.Child("http.build")
-	app, err := scenario.BuildApp(spec, s.net)
-	bsp.End()
-	if err != nil {
-		root.SetAttr("outcome", "bad-request")
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	// No global lock: the router claims the name and locks only the
-	// shards the app touches. Duplicate names come back as ErrRejected.
-	rt := s.rt()
-	res, err := rt.Submit(app, root)
-	if err != nil {
-		root.SetAttr("outcome", "rejected")
-		writeJSON(w, shardErrStatus(err), errorResponse{Error: err.Error()})
-		return
-	}
-	root.SetAttr("outcome", "admitted")
-	root.SetInt("shard", int64(res.Shard))
-	writeJSON(w, http.StatusCreated, s.shardView(rt, res))
-}
-
-// shardSubmitBatch mirrors handleSubmitBatch with one semantic
-// difference, documented in docs/http-api.md: atomicity is per shard.
-// Each shard's intra-region members form that shard's atomic sub-batch;
-// cross-region members are admitted individually.
-func (s *Server) shardSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	root := s.spans.Start("http.batch")
-	defer root.End()
-	dsp := root.Child("http.decode")
-	var req batchRequest
-	err := decodeStrict(r.Body, &req)
-	dsp.End()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decode batch: %v", err)})
-		return
-	}
-	root.SetInt("apps", int64(len(req.Apps)))
-
-	verdicts := make([]batchVerdict, len(req.Apps))
-	var apps []core.App
-	var appIdx []int
-	for i, spec := range req.Apps {
-		verdicts[i].Name = spec.Name
-		app, err := scenario.BuildApp(spec, s.net)
-		if err != nil {
-			verdicts[i].Error = err.Error()
-			continue
-		}
-		apps = append(apps, app)
-		appIdx = append(appIdx, i)
-	}
-	rt := s.rt()
-	results, err := rt.SubmitBatch(apps, root)
-	for j, res := range results {
-		v := &verdicts[appIdx[j]]
-		if res.Err != nil {
-			v.Error = res.Err.Error()
-			continue
-		}
-		v.Admitted = true
-		view := s.batchAppView(rt, res.App)
-		v.App = &view
-	}
-	resp := batchResponse{Verdicts: verdicts}
-	status := http.StatusOK
-	if err != nil {
-		resp.Error = err.Error()
-		if errors.Is(err, core.ErrDurability) {
-			status = http.StatusInternalServerError
-		} else {
-			status = http.StatusConflict
-		}
-	}
-	writeJSON(w, status, resp)
 }
 
 // batchAppView renders a batch result's placement. The batch path
@@ -262,68 +161,4 @@ func (s *Server) batchAppView(rt *shard.Router, pa *core.PlacedApp) appView {
 		netw = rt.Region(i).View.Net
 	}
 	return appViewOn(netw, pa)
-}
-
-func (s *Server) shardRemove(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	root := s.spans.Start("http.remove")
-	defer root.End()
-	root.SetAttr("app", name)
-	if err := s.rt().Remove(name, root); err != nil {
-		writeJSON(w, shardErrStatus(err), errorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"removed": name})
-}
-
-func (s *Server) shardRepair(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	root := s.spans.Start("http.repair")
-	defer root.End()
-	root.SetAttr("app", name)
-	rt := s.rt()
-	res, err := rt.Repair(name, root)
-	if err != nil {
-		writeJSON(w, shardErrStatus(err), errorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.shardView(rt, res))
-}
-
-func (s *Server) shardFluctuation(w http.ResponseWriter, r *http.Request) {
-	root := s.spans.Start("http.fluctuation")
-	defer root.End()
-	dsp := root.Child("http.decode")
-	var req fluctuationRequest
-	err := decodeStrict(r.Body, &req)
-	dsp.End()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decode fluctuation: %v", err)})
-		return
-	}
-	// Elements are named against the parent network; the router splits
-	// the scale into per-region and border-link shares.
-	scale := core.ElementScale{}
-	for key, factor := range req.Scale {
-		elem, err := s.parseElement(key)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		scale[elem] = factor
-	}
-	rep, err := s.rt().ApplyFluctuation(scale, root)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, core.ErrDurability) {
-			status = http.StatusInternalServerError
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
-		return
-	}
-	resp := fluctuationResponse{ViolatedGR: rep.ViolatedGR, BERates: rep.BERates}
-	if resp.ViolatedGR == nil {
-		resp.ViolatedGR = []string{}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"sparcle/internal/core"
 	"sparcle/internal/journal"
@@ -19,68 +17,8 @@ import (
 // demultiplexes the envelope stream through shard.Rebuild, which also
 // reconciles cross-region operations a crash tore mid-way.
 
-// enableShardJournal is EnableJournal for a NewSharded server.
-func (s *Server) enableShardJournal(dir string, opt journal.Options, snapshotEvery int) error {
-	s.recovering.Store(true)
-	defer s.recovering.Store(false)
-	start := time.Now()
-
-	if opt.Metrics == nil {
-		opt.Metrics = s.metrics
-	}
-	j, err := journal.Open(dir, opt)
-	if err != nil {
-		return fmt.Errorf("open journal: %w", err)
-	}
-	snapBytes, recs, err := j.Recover()
-	if err != nil {
-		j.Close()
-		return fmt.Errorf("recover journal: %w", err)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if snapBytes == nil && len(recs) == 0 {
-		// Fresh journal: pin the initial state of every shard (seeds
-		// included) before the first operation can be acknowledged.
-		if err := s.rt().SnapshotWith(func(snap *shard.RouterSnapshot) error {
-			return j.WriteSnapshot(snap)
-		}); err != nil {
-			j.Close()
-			return fmt.Errorf("write genesis snapshot: %w", err)
-		}
-	} else {
-		var snap *shard.RouterSnapshot
-		if snapBytes != nil {
-			snap = &shard.RouterSnapshot{}
-			if err := json.Unmarshal(snapBytes, snap); err != nil {
-				j.Close()
-				return fmt.Errorf("decode snapshot: %w", err)
-			}
-		}
-		envs := make([]*shard.Envelope, len(recs))
-		for i := range recs {
-			envs[i] = &shard.Envelope{}
-			if err := json.Unmarshal(recs[i].Data, envs[i]); err != nil {
-				j.Close()
-				return fmt.Errorf("decode record %d: %w", recs[i].Seq, err)
-			}
-		}
-		rebuilt, err := shard.Rebuild(s.net, s.shards, snap, envs,
-			func(sub *network.Network, region int, ss *core.Snapshot, rs []*core.Record) (core.Control, error) {
-				return core.Rebuild(sub, ss, rs, s.opts...)
-			})
-		if err != nil {
-			j.Close()
-			return fmt.Errorf("rebuild sharded scheduler: %w", err)
-		}
-		if s.spans != nil {
-			rebuilt.SetSpans(s.spans)
-		}
-		s.router.Store(rebuilt)
-	}
-
-	s.journal = j
+// journalRouter is journalSched for a NewSharded server.
+func (s *Server) journalRouter(j *journal.Journal, snapshotEvery int, snapBytes []byte, entries [][]byte) error {
 	// The hook runs under the committing shard's lock (or the border
 	// mutex for lease envelopes); the journal serializes concurrent
 	// appends internally. Snapshots cannot be cut here — the router's
@@ -89,7 +27,7 @@ func (s *Server) enableShardJournal(dir string, opt journal.Options, snapshotEve
 	// and a background goroutine writes the snapshot via SnapshotWith,
 	// which holds all locks across export AND write so no record can
 	// land in between and be skipped by a later replay.
-	s.rt().SetEnvelopeHook(func(env *shard.Envelope) error {
+	hook := func(env *shard.Envelope) error {
 		if _, err := j.Append("op", env); err != nil {
 			return err
 		}
@@ -98,10 +36,47 @@ func (s *Server) enableShardJournal(dir string, opt journal.Options, snapshotEve
 			go s.writeShardSnapshot(j)
 		}
 		return nil
-	})
+	}
+	if len(snapBytes) > 0 || len(entries) > 0 {
+		return s.restoreRouter(snapBytes, entries, hook)
+	}
+	// Fresh journal: pin the initial state of every shard (seeds
+	// included) before the first operation can be acknowledged.
+	rt := s.rt()
+	rt.SetEnvelopeHook(hook)
+	if err := rt.SnapshotWith(func(snap *shard.RouterSnapshot) error {
+		return j.WriteSnapshot(snap)
+	}); err != nil {
+		return fmt.Errorf("write genesis snapshot: %w", err)
+	}
+	return nil
+}
 
-	s.metrics.SetHelp(metricRecovery, "Duration of the last journal recovery in seconds.")
-	s.metrics.Gauge(metricRecovery).Set(time.Since(start).Seconds())
+// restoreRouter replaces the router with one rebuilt from a snapshot
+// and the envelopes after it — journal recovery and a replicated
+// follower's materialize are this one operation — re-arming spans, hook
+// and the per-shard committers on the rebuilt instance.
+func (s *Server) restoreRouter(snapBytes []byte, entries [][]byte, hook shard.EnvelopeHook) error {
+	snap, envs, err := decodeLog[shard.RouterSnapshot, shard.Envelope](snapBytes, entries)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	opts, spans, groupOpt := s.opts, s.spans, s.groupOpt
+	s.mu.Unlock()
+	rebuilt, err := shard.Rebuild(s.net, s.shards, snap, envs,
+		func(sub *network.Network, region int, ss *core.Snapshot, rs []*core.Record) (core.Control, error) {
+			return core.Rebuild(sub, ss, rs, opts...)
+		})
+	if err != nil {
+		return fmt.Errorf("rebuild sharded scheduler: %w", err)
+	}
+	if spans != nil {
+		rebuilt.SetSpans(spans)
+	}
+	rebuilt.SetEnvelopeHook(hook)
+	rebuilt.EnableGroupCommit(groupOpt)
+	s.router.Store(rebuilt)
 	return nil
 }
 

@@ -45,8 +45,9 @@ func spanServer(t *testing.T) (*httptest.Server, *obs.SpanTracer, *bytes.Buffer)
 
 // TestSubmitSpanTree is the acceptance check of the span layer: one
 // admission through the HTTP API produces a single trace whose tree runs
-// decode -> lock wait -> scheduler submit -> placement -> allocation
-// solve -> journal append -> journal fsync, all correctly parented.
+// decode -> build -> group lead -> lock wait -> batch of one -> placement
+// -> allocation solve -> journal append -> journal fsync, all correctly
+// parented.
 func TestSubmitSpanTree(t *testing.T) {
 	ts, st, jsonl := spanServer(t)
 	resp, body := do(t, http.MethodPost, ts.URL+"/apps", appJSON("pipe", "best-effort", `, "priority": 1`))
@@ -78,16 +79,18 @@ func TestSubmitSpanTree(t *testing.T) {
 	// parented under the stage that invoked it.
 	for child, parent := range map[string]string{
 		"http.decode":    "http.submit",
-		"lock.wait":      "http.submit",
 		"http.build":     "http.submit",
-		"core.submit":    "http.submit",
-		"alloc.predict":  "core.submit",
-		"assign.path":    "core.submit",
+		"group.lead":     "http.submit",
+		"lock.wait":      "group.lead",
+		"core.batch":     "group.lead",
+		"batch.submit":   "core.batch",
+		"alloc.predict":  "batch.submit",
+		"assign.path":    "batch.submit",
 		"assign.rank":    "assign.path",
 		"assign.place":   "assign.path",
-		"avail.analyze":  "core.submit",
-		"alloc.solve":    "core.submit",
-		"journal.append": "core.submit",
+		"avail.analyze":  "batch.submit",
+		"alloc.solve":    "core.batch",
+		"journal.append": "core.batch",
 		"journal.fsync":  "journal.append",
 	} {
 		c, ok := byName[child]
@@ -144,7 +147,7 @@ func TestDebugFlightAndLatency(t *testing.T) {
 	if err := json.Unmarshal(body, &lat); err != nil {
 		t.Fatal(err)
 	}
-	sub, ok := lat.Stages["core.submit"]
+	sub, ok := lat.Stages["core.batch"]
 	if !ok || sub.Count != 1 || sub.P50 <= 0 {
 		t.Fatalf("latency stages = %+v", lat.Stages)
 	}

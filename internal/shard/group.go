@@ -45,8 +45,3 @@ func (r *Router) GroupStats() core.GroupStats {
 	}
 	return total
 }
-
-// GroupEnabled reports whether EnableGroupCommit has run.
-func (r *Router) GroupEnabled() bool {
-	return len(r.slots) > 0 && r.slots[0].group != nil
-}

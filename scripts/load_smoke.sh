@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
-# Black-box load smoke test: boot a span-instrumented sparcle-server on
-# the example scenario, fire a short open-loop Poisson run at it with
-# sparcle-load, and require (a) a nonzero number of admissions, (b) a
-# parseable non-empty Chrome trace from GET /debug/flight, and (c) a
-# BENCH_serve.json report carrying per-stage latency quantiles. A second
-# pass reboots the server region-sharded (-shards 4) and appends a
-# labelled ladder entry to the same report, so the sharded admission
-# path gets the same black-box treatment as the single-lock one. A third
-# pass reboots with -group-commit over a write-ahead journal and drives
-# the closed-loop -concurrency sweep, asserting /healthz reports real
-# group-commit activity.
+# Black-box load smoke test: boot a span-instrumented, journaled
+# sparcle-server on the example scenario, fire a short open-loop Poisson
+# run at it with sparcle-load, and require (a) a nonzero number of
+# admissions, (b) a parseable non-empty Chrome trace from GET
+# /debug/flight, (c) a report carrying per-stage latency quantiles, and
+# (d) commit-queue activity on /healthz. A second pass reboots the server
+# region-sharded (-shards 4) and writes its own report, so the sharded
+# admission path gets the same black-box treatment as the single-lock
+# one.
 set -euo pipefail
 
 rate=${RATE:-100}
@@ -24,125 +22,94 @@ go build -o "$work/sparcle-server" ./cmd/sparcle-server
 go build -o "$work/sparcle-load" ./cmd/sparcle-load
 "$work/sparcle" -example > "$work/scenario.json"
 
-echo "== boot with span tracing armed"
-"$work/sparcle-server" -f "$work/scenario.json" -addr 127.0.0.1:0 \
-    -spans -spans-chrome "$work/trace.json" -flight 256 \
-    > "$work/server.log" 2>&1 &
-pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^sparcle-server listening on \([^ ]*\).*/\1/p' "$work/server.log")
-    [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "server died:"; cat "$work/server.log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "server never became ready:"; cat "$work/server.log"; exit 1; }
+# boot LOG FLAGS... starts a server on the example scenario and sets pid
+# and addr once it listens.
+boot() {
+    local log=$1
+    shift
+    "$work/sparcle-server" -f "$work/scenario.json" -addr 127.0.0.1:0 "$@" > "$log" 2>&1 &
+    pid=$!
+    addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's/^sparcle-server listening on \([^ ]*\).*/\1/p' "$log")
+        [ -n "$addr" ] && return
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    echo "server never became ready:"
+    cat "$log"
+    exit 1
+}
+
+echo "== boot with span tracing armed over a journal"
+boot "$work/server.log" -journal "$work/journal" \
+    -spans -spans-chrome "$work/trace.json" -flight 256
 
 echo "== open-loop run: rate=$rate for $duration (floor: $min_admitted admissions)"
 "$work/sparcle-load" -addr "$addr" -rate "$rate" -duration "$duration" \
-    -keep 16 -out "$work/BENCH_serve.json" \
+    -keep 16 -out "$work/report.json" \
     -min-admitted "$min_admitted" -check-flight
 
 echo "== report sanity"
-grep -q '"admissionsPerSec"' "$work/BENCH_serve.json"
-grep -q '"core.submit"' "$work/BENCH_serve.json"
+grep -q '"admissionsPerSec"' "$work/report.json"
+grep -q '"core.batch"' "$work/report.json"
+
+echo "== commit-queue activity visible on /healthz"
+python3 - "$addr" <<'PY'
+import json, sys, urllib.request
+hz = json.load(urllib.request.urlopen(f"http://{sys.argv[1]}/healthz"))
+gc = hz.get("groupCommit")
+# Removes ride the queue as single-op groups, so groups can
+# legitimately exceed apps under keep-eviction churn.
+assert gc and gc["groups"] > 0 and gc["apps"] > 0, f"no group activity: {gc}"
+print(f"group commit ok: {gc['groups']} groups, {gc['apps']} apps, {gc['follows']} follows")
+PY
 
 echo "== server-side Chrome trace parses after shutdown"
 kill "$pid"
 wait "$pid" 2>/dev/null || true
-python3 - "$work/trace.json" <<'EOF'
+python3 - "$work/trace.json" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))
 assert isinstance(events, list) and events, "trace empty"
 assert all(e.get("ph") == "X" for e in events), "unexpected event phase"
 names = {e["name"] for e in events}
-for stage in ("http.submit", "core.submit", "assign.rank"):
+for stage in ("http.submit", "group.lead", "core.batch", "batch.submit", "assign.rank",
+              "journal.append", "journal.fsync"):
     assert stage in names, f"stage {stage} missing from trace: {sorted(names)}"
 print(f"trace ok: {len(events)} events, {len(names)} distinct stages")
-EOF
+PY
 
 echo "== sharded pass: boot with -shards 4"
-"$work/sparcle-server" -f "$work/scenario.json" -addr 127.0.0.1:0 -shards 4 \
-    -spans -spans-chrome "$work/trace-shards.json" -flight 256 \
-    > "$work/server-shards.log" 2>&1 &
-pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^sparcle-server listening on \([^ ]*\).*/\1/p' "$work/server-shards.log")
-    [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "sharded server died:"; cat "$work/server-shards.log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "sharded server never became ready:"; cat "$work/server-shards.log"; exit 1; }
+boot "$work/server-shards.log" -shards 4 \
+    -spans -spans-chrome "$work/trace-shards.json" -flight 256
 grep -q 'sparcle-server sharded: 4 regions' "$work/server-shards.log"
 
-echo "== sharded open-loop run: rate=$rate for $duration (appended to the ladder)"
+echo "== sharded open-loop run: rate=$rate for $duration"
 "$work/sparcle-load" -addr "$addr" -rate "$rate" -duration "$duration" \
-    -keep 16 -out "$work/BENCH_serve.json" -append -label "shards=4" \
+    -keep 16 -out "$work/report-shards.json" \
     -min-admitted "$min_admitted" -check-flight
 
-echo "== ladder sanity"
-python3 - "$work/BENCH_serve.json" <<'EOF'
+echo "== sharded report sanity"
+python3 - "$work/report-shards.json" <<'PY'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-ladder = doc["ladder"]
-assert len(ladder) == 2, f"want 2 ladder entries, got {len(ladder)}"
-assert ladder[1]["config"].get("shards") == 4, ladder[1]["config"]
-assert "core.submit" in ladder[1]["server"]["stages"], "sharded run lost stage spans"
-print("ladder ok:", [f'{e["config"].get("label") or "single"}: '
-                     f'{e["client"]["admitted"]} admitted' for e in ladder])
-EOF
+rep = json.load(open(sys.argv[1]))
+assert rep["config"].get("shards") == 4, rep["config"]
+assert "core.batch" in rep["server"]["stages"], "sharded run lost stage spans"
+print(f'sharded report ok: {rep["client"]["admitted"]} admitted')
+PY
 
 echo "== sharded trace parses after shutdown"
 kill "$pid"
 wait "$pid" 2>/dev/null || true
-python3 - "$work/trace-shards.json" <<'EOF'
+python3 - "$work/trace-shards.json" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))
 assert isinstance(events, list) and events, "sharded trace empty"
 names = {e["name"] for e in events}
-for stage in ("http.submit", "core.submit", "lock.wait"):
+for stage in ("http.submit", "core.batch", "batch.submit", "lock.wait"):
     assert stage in names, f"stage {stage} missing from sharded trace: {sorted(names)}"
 print(f"sharded trace ok: {len(events)} events, {len(names)} distinct stages")
-EOF
-
-echo "== grouped pass: boot with -group-commit over a journal"
-"$work/sparcle-server" -f "$work/scenario.json" -addr 127.0.0.1:0 \
-    -spans -journal "$work/journal" -group-commit \
-    > "$work/server-group.log" 2>&1 &
-pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^sparcle-server listening on \([^ ]*\).*/\1/p' "$work/server-group.log")
-    [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "grouped server died:"; cat "$work/server-group.log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "grouped server never became ready:"; cat "$work/server-group.log"; exit 1; }
-grep -q 'group commit armed' "$work/server-group.log"
-
-echo "== closed-loop contention sweep against the grouped server"
-"$work/sparcle-load" -addr "$addr" -concurrency 1,8 -duration "$duration" \
-    -keep 16 -out "$work/BENCH_serve.json" -label "group-commit" \
-    -min-admitted "$min_admitted"
-
-echo "== group-commit activity visible on /healthz"
-python3 - "$addr" "$work/BENCH_serve.json" <<'EOF'
-import json, sys, urllib.request
-hz = json.load(urllib.request.urlopen(f"http://{sys.argv[1]}/healthz"))
-gc = hz.get("groupCommit")
-# Removes/repairs ride the queue as single-op groups, so groups can
-# legitimately exceed apps under keep-eviction churn.
-assert gc and gc["groups"] > 0 and gc["apps"] > 0, f"no group activity: {gc}"
-doc = json.load(open(sys.argv[2]))
-ladder = doc["ladder"]
-assert len(ladder) == 4, f"want 4 ladder entries (2 open-loop + 2 sweep), got {len(ladder)}"
-sweep = [e for e in ladder if e["config"].get("concurrency")]
-assert [e["config"]["concurrency"] for e in sweep] == [1, 8], sweep
-assert all(e["client"]["admitted"] > 0 for e in sweep), "sweep admitted nothing"
-print(f"group commit ok: {gc['groups']} groups, {gc['apps']} apps, {gc['follows']} follows")
-EOF
-kill "$pid"
-wait "$pid" 2>/dev/null || true
+PY
 
 echo "PASS: load smoke complete"
