@@ -10,7 +10,6 @@
 package sparcle_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -206,46 +205,6 @@ func BenchmarkAssignSparcle(b *testing.B) {
 	}
 }
 
-// BenchmarkDynamicRank measures Algorithm 2 on a large random-DAG case
-// (≈30 CTs over a 24-NCP mesh), serial vs the GOMAXPROCS worker pool. The internal/assign benchmarks cover the rest of
-// the ablation ladder (uncached Dijkstra, map-based rate arithmetic).
-func BenchmarkDynamicRank(b *testing.B) {
-	inst, err := workload.Generate(workload.GenConfig{
-		Shape:    workload.ShapeRandom,
-		Topology: workload.TopoMesh,
-		Regime:   workload.Balanced,
-		NumNCPs:  24,
-		NumCTs:   12,
-	}, rand.New(rand.NewSource(7)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	caps := inst.Net.BaseCapacities()
-	run := func(b *testing.B, alg assign.Sparcle) {
-		b.ReportMetric(float64(inst.Graph.NumCTs()), "cts")
-		for i := 0; i < b.N; i++ {
-			if _, err := alg.Assign(inst.Graph, inst.Pins, inst.Net, caps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, assign.Sparcle{Parallel: 1}) })
-	b.Run("parallel", func(b *testing.B) { run(b, assign.Sparcle{}) })
-}
-
-// BenchmarkWidestPath measures Algorithm 1 on a 32-NCP mesh.
-func BenchmarkWidestPath(b *testing.B) {
-	inst := benchInstance(b, workload.ShapeLinear, workload.TopoMesh, 32)
-	caps := inst.Net.BaseCapacities()
-	loads := make([]float64, inst.Net.NumLinks())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := assign.WidestPath(inst.Net, caps, loads, 10, 0, network.NCPID(inst.Net.NumNCPs()-1)); !ok {
-			b.Fatal("unreachable")
-		}
-	}
-}
-
 // BenchmarkAllocSolve measures the proportional-fair solver with 24 flows
 // on a 16-NCP star.
 func BenchmarkAllocSolve(b *testing.B) {
@@ -408,47 +367,6 @@ func BenchmarkAblationTieBreak(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(float64(links), "links-used")
 		b.ReportMetric(p.Rate(caps), "rate")
-	}
-}
-
-// BenchmarkAblationFairnessPolicy compares the paper's proportional-fair
-// allocation against weighted max-min fairness on random multi-flow
-// instances: PF wins total log-utility, max-min wins the worst normalized
-// rate. Quantifies the policy trade the WithMaxMinFairness option offers.
-func BenchmarkAblationFairnessPolicy(b *testing.B) {
-	rng := rand.New(rand.NewSource(31))
-	inst := benchInstance(b, workload.ShapeLinear, workload.TopoStar, 10)
-	caps := inst.Net.BaseCapacities()
-	var flows []alloc.Flow
-	for len(flows) < 12 {
-		pins := workload.PinRandomEnds(inst.Graph, inst.Net, rng)
-		p, err := (assign.Sparcle{}).Assign(inst.Graph, pins, inst.Net, caps)
-		if err != nil {
-			continue
-		}
-		flows = append(flows, alloc.Flow{Weight: 0.5 + rng.Float64()*2, Path: p})
-	}
-	pf, err := alloc.Solve(caps, flows, alloc.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mm, err := alloc.SolveMaxMin(caps, flows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	minNorm := func(x []float64) float64 {
-		m := math.Inf(1)
-		for f := range flows {
-			if v := x[f] / flows[f].Weight; v < m {
-				m = v
-			}
-		}
-		return m
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(alloc.Utility(flows, pf)-alloc.Utility(flows, mm), "pf-utility-gain")
-		b.ReportMetric(minNorm(mm)/math.Max(minNorm(pf), 1e-12), "maxmin-minrate-gain")
 	}
 }
 

@@ -37,7 +37,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sparcle-bench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "which experiment to run (all, table1, table2, fig6, fig8, fig9, fig10a, fig10b, fig11, fig12, fig13, fig14, failure, latency, scaling, fairness, backpressure, churn, chaos, shard)")
+	experiment := fs.String("experiment", "all", "which experiment to run (all, table1, table2, fig6, fig8, fig9, fig10a, fig10b, fig11, fig12, fig13, fig14, failure, latency, scaling, fairness, backpressure, chaos)")
 	trials := fs.Int("trials", 0, "trials per cell (0 = experiment default)")
 	seed := fs.Int64("seed", 1, "random seed")
 	asJSON := fs.Bool("json", false, "emit raw experiment results as JSON instead of text tables")
@@ -69,9 +69,7 @@ func run(args []string, out io.Writer) error {
 		{"scaling", func(c expt.Config) (tabler, error) { return expt.Scaling(c) }},
 		{"fairness", func(c expt.Config) (tabler, error) { return expt.OrderFairness(c) }},
 		{"backpressure", func(c expt.Config) (tabler, error) { return expt.Backpressure(c) }},
-		{"churn", func(c expt.Config) (tabler, error) { return expt.Churn(c) }},
 		{"chaos", func(c expt.Config) (tabler, error) { return expt.Chaos(c) }},
-		{"shard", func(c expt.Config) (tabler, error) { return expt.ShardScaling(c) }},
 	}
 
 	var selected []int

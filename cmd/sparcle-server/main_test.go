@@ -216,7 +216,7 @@ func TestServerBenchmarkArgvShapes(t *testing.T) {
 		}
 		queues[name] = string(hz.GroupCommit)
 	}
-	const want = `{"groups":0,"follows":0,"apps":0,"maxSize":64,"maxWaitMs":0}`
+	const want = `{"groups":0,"follows":0,"apps":0,"maxSize":64}`
 	for name, q := range queues {
 		if q != want {
 			t.Errorf("%s groupCommit = %s, want %s", name, q, want)

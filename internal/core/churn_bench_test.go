@@ -13,35 +13,18 @@ import (
 // BenchmarkChurn measures the cost of one churn event — withdraw the
 // oldest application, admit a fresh one — against a scheduler holding a
 // steady-state population of N applications (3 BE : 1 GR) on a mesh.
-// Rungs ablate the incremental control plane:
-//
-//	cold        from-scratch proportional-fair solve and full BE-pool
-//	            rebuild on every event (the pre-incremental behaviour,
-//	            now on sparse constraint rows)
-//	warm        scheduler-owned solver with warm-started duals; full
-//	            BE-pool rebuilds
-//	warm+delta  warm solver plus delta capacity accounting (default)
 func BenchmarkChurn(b *testing.B) {
 	for _, n := range []int{32, 128, 512} {
 		if testing.Short() && n > 32 {
 			continue
 		}
-		for _, cfg := range []struct {
-			name string
-			opts []Option
-		}{
-			{"cold", []Option{WithColdAllocation(), WithoutDeltaCapacities()}},
-			{"warm", []Option{WithoutDeltaCapacities()}},
-			{"warm+delta", nil},
-		} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, cfg.name), func(b *testing.B) {
-				churnBench(b, n, cfg.opts)
-			})
-		}
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			churnBench(b, n, nil)
+		})
 	}
 }
 
-// BenchmarkChurnServed is BenchmarkChurn's default rung with a metrics
+// BenchmarkChurnServed is BenchmarkChurn with a metrics
 // registry attached — the configuration the server runs — so the cost of
 // publishing per operation has a twin: ns/op, B/op and allocs/op of one
 // remove + admit at K residents must not grow with K beyond the solve.

@@ -143,17 +143,6 @@ func WithRandSeed(seed int64) Option {
 	return func(s *Scheduler) { s.setRandSeed(seed, 0) }
 }
 
-// WithAllocOptions overrides the proportional-fair solver options.
-func WithAllocOptions(opt alloc.Options) Option {
-	return func(s *Scheduler) { s.allocOpt = opt }
-}
-
-// WithAvailabilitySamples sets the Monte-Carlo sample budget used when the
-// exact availability analysis is too large (default 100000).
-func WithAvailabilitySamples(n int) Option {
-	return func(s *Scheduler) { s.availSamples = n }
-}
-
 // WithDiverseMultiPath biases every task assignment path after an
 // application's first away from elements its earlier paths already use:
 // during assignment the residual capacity of used elements is scaled by
@@ -162,15 +151,6 @@ func WithAvailabilitySamples(n int) Option {
 // rate cost. Extension; the paper's plain iteration is the default.
 func WithDiverseMultiPath(bias float64) Option {
 	return func(s *Scheduler) { s.diversityBias = bias }
-}
-
-// WithMaxMinFairness switches the Best-Effort rate allocation from the
-// paper's weighted proportional fairness (problem (4)) to weighted
-// max-min fairness (progressive filling): the worst normalized rate is
-// maximized at the cost of total utility. An extension for deployments
-// that prefer strict egalitarianism over efficiency.
-func WithMaxMinFairness() Option {
-	return func(s *Scheduler) { s.maxMin = true }
 }
 
 // WithMetrics attaches a metrics registry: the scheduler then maintains
@@ -209,24 +189,6 @@ func WithParallelism(n int) Option {
 	return func(s *Scheduler) { s.parallel = n }
 }
 
-// WithColdAllocation disables the warm-started incremental
-// proportional-fair solver: every Best-Effort re-allocation then builds
-// its constraint rows and dual prices from scratch, exactly as a
-// standalone alloc.Solve would. This is the ablation mode for measuring
-// what incrementality buys on churn-heavy workloads; the results agree
-// with the warm path within the solver tolerance either way.
-func WithColdAllocation() Option {
-	return func(s *Scheduler) { s.coldAlloc = true }
-}
-
-// WithoutDeltaCapacities disables the incremental maintenance of the
-// Best-Effort capacity pool: every Guaranteed-Rate admission, removal and
-// repair then rebuilds the pool from base capacities instead of applying
-// the changed paths' delta. Ablation/debug switch.
-func WithoutDeltaCapacities() Option {
-	return func(s *Scheduler) { s.noDeltaCaps = true }
-}
-
 // WithoutPrediction disables the eq. (6) capacity prediction: new BE
 // applications are placed against the raw residual capacities instead of
 // their priority share. This is the ablation mode for quantifying how much
@@ -250,8 +212,6 @@ type Scheduler struct {
 	alg placement.Algorithm
 
 	defaultMaxPaths int
-	allocOpt        alloc.Options
-	availSamples    int
 	rng             *rand.Rand
 	// rngSrc counts source-level draws and rngSeed remembers the seed, so
 	// the RNG position is persistable as (seed, draws); see durable.go.
@@ -259,13 +219,6 @@ type Scheduler struct {
 	rngSeed int64
 
 	failProbs avail.FailProbs
-
-	// coldAlloc disables the warm-started incremental allocation
-	// (WithColdAllocation): every re-solve builds rows and prices from
-	// scratch. noDeltaCaps likewise disables the delta maintenance of
-	// beAvailable. Both are ablation/debug switches.
-	coldAlloc   bool
-	noDeltaCaps bool
 
 	// Telemetry sinks; all default to no-ops (see internal/obs).
 	metrics *obs.Registry
@@ -285,8 +238,6 @@ type Scheduler struct {
 
 	// noPrediction disables the eq. (6) capacity prediction (ablation).
 	noPrediction bool
-	// maxMin switches BE allocation to weighted max-min fairness.
-	maxMin bool
 	// diversityBias < 1 steers later paths away from used elements.
 	diversityBias float64
 	// parallel bounds SPARCLE's candidate-scoring workers (0 = GOMAXPROCS).
@@ -317,7 +268,6 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		net:             net,
 		alg:             assign.Sparcle{},
 		defaultMaxPaths: 4,
-		availSamples:    100000,
 		diversityBias:   1,
 		log:             obs.NopLogger(),
 	}
@@ -373,6 +323,10 @@ const (
 	metricAllocRowEvals    = "sparcle_alloc_row_evals_total"
 	metricFluctuations     = "sparcle_fluctuations_total"
 )
+
+// availSamples is the Monte-Carlo sample budget used when the exact
+// availability analysis is too large.
+const availSamples = 100000
 
 // allocCycleBuckets tiles the warm (1-3 cycles) through cold (tens to
 // hundreds) convergence regimes of the dual descent.
@@ -590,8 +544,11 @@ func (s *Scheduler) maxPaths(app App) int {
 // (each at the bottleneck rate the residual network supports), reserving
 // their resources, until the min-rate availability target is reached.
 func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
-	if app.QoS.MinRate <= 0 {
+	if r := app.QoS.MinRate; !(r > 0) || math.IsInf(r, 1) {
 		return nil, fmt.Errorf("core: GR app %q needs MinRate > 0", app.Name)
+	}
+	if math.IsNaN(app.QoS.MinRateAvailability) {
+		return nil, fmt.Errorf("core: GR app %q has a NaN MinRateAvailability", app.Name)
 	}
 	residual := s.beAvailable.Clone()
 	var paths []placement.Path
@@ -617,7 +574,7 @@ func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 
 		avsp := s.opSpan.Child("avail.analyze")
 		avsp.SetInt("paths", int64(len(paths)))
-		a, err := avail.MinRateAuto(availPaths(paths), s.failProbs, app.QoS.MinRate, s.availSamples, s.rng)
+		a, err := avail.MinRateAuto(availPaths(paths), s.failProbs, app.QoS.MinRate, availSamples, s.rng)
 		avsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: GR app %q availability analysis: %w", app.Name, err)
@@ -654,8 +611,11 @@ func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 // app's capacity share from priorities (eq. (6)), assign paths until the
 // availability target holds, then re-solve problem (4) across all BE apps.
 func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
-	if app.QoS.Priority <= 0 {
+	if w := app.QoS.Priority; !(w > 0) || math.IsInf(w, 1) {
 		return nil, fmt.Errorf("core: BE app %q needs Priority > 0", app.Name)
+	}
+	if math.IsNaN(app.QoS.Availability) {
+		return nil, fmt.Errorf("core: BE app %q has a NaN Availability", app.Name)
 	}
 	psp := s.opSpan.Child("alloc.predict")
 	var predicted *network.Capacities
@@ -704,7 +664,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 
 		avsp := s.opSpan.Child("avail.analyze")
 		avsp.SetInt("paths", int64(len(paths)))
-		a, err := avail.AtLeastOneAuto(availPaths(paths), s.failProbs, s.availSamples, s.rng)
+		a, err := avail.AtLeastOneAuto(availPaths(paths), s.failProbs, availSamples, s.rng)
 		avsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: BE app %q availability analysis: %w", app.Name, err)
@@ -750,9 +710,8 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 // The default path is incremental: the scheduler-owned alloc.Solver keeps
 // the sparse constraint rows and dual prices of the previous solve, the
 // admitted-app set is reconciled against it by delta, and the descent
-// warm-starts from the previous prices. Max-min fairness,
-// WithColdAllocation, and any incremental-solve failure take the cold
-// path, which rebuilds everything from scratch exactly as before.
+// warm-starts from the previous prices. An incremental-solve failure
+// falls back to the cold path, which rebuilds everything from scratch.
 func (s *Scheduler) reallocateBE() error {
 	if len(s.be) == 0 {
 		// Keep the solver honest when the last BE app departs, so a later
@@ -765,38 +724,19 @@ func (s *Scheduler) reallocateBE() error {
 		}
 		return nil
 	}
-	solver := "proportional-fair"
+	const solver = "proportional-fair"
 	instrumented := s.metrics != nil || s.tracer.Enabled()
 	var start time.Time
 	if instrumented {
 		start = time.Now()
 	}
 	ssp := s.opSpan.Child("alloc.solve")
-	var (
-		stats alloc.Stats
-		err   error
-	)
-	switch {
-	case s.maxMin:
-		solver = "max-min"
-		flows, owners := s.beFlows()
-		var x []float64
-		x, err = alloc.SolveMaxMin(s.beAvailable, flows)
-		stats = alloc.Stats{Flows: len(flows), Converged: err == nil}
-		for i := range x {
-			owners[i].Rate = x[i]
-		}
-	case s.coldAlloc:
+	stats, err := s.incrementalSolve()
+	if err != nil {
+		// The incremental state may be unusable (e.g. a divergence from
+		// pathological prices); discard it and retry cold before giving up.
+		s.dropSolver()
 		stats, err = s.coldSolve()
-	default:
-		stats, err = s.incrementalSolve()
-		if err != nil {
-			// The incremental state may be unusable (e.g. a divergence
-			// from pathological prices); discard it and retry cold before
-			// giving up, matching the pre-incremental behaviour.
-			s.dropSolver()
-			stats, err = s.coldSolve()
-		}
 	}
 	ssp.SetAttr("solver", solver)
 	if stats.Warm {
@@ -851,7 +791,7 @@ func (s *Scheduler) beFlows() ([]alloc.Flow, []*placement.Path) {
 // rates back. Path rates are only updated on success.
 func (s *Scheduler) coldSolve() (alloc.Stats, error) {
 	flows, owners := s.beFlows()
-	x, stats, err := alloc.SolveStats(s.beAvailable, flows, s.allocOpt)
+	x, stats, err := alloc.SolveStats(s.beAvailable, flows, alloc.Options{})
 	if err != nil {
 		return stats, err
 	}
@@ -866,7 +806,7 @@ func (s *Scheduler) coldSolve() (alloc.Stats, error) {
 // back.
 func (s *Scheduler) incrementalSolve() (alloc.Stats, error) {
 	if s.beSolver == nil {
-		s.beSolver = alloc.NewSolver(s.beAvailable, s.allocOpt)
+		s.beSolver = alloc.NewSolver(s.beAvailable, alloc.Options{})
 		s.beFlowIDs = map[*PlacedApp][]alloc.FlowID{}
 	}
 	// The pool pointer changes on GR admission and fluctuation rebuilds;

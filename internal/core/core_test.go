@@ -362,32 +362,56 @@ func TestArrivalOrderFairness(t *testing.T) {
 	}
 }
 
-func TestMaxMinFairnessOption(t *testing.T) {
-	// Two apps share one NCP with different per-unit demands. PF splits
-	// capacity by priority share of *capacity*; max-min equalizes the
-	// weight-normalized *rates*.
+// TestSubmitRejectsNonFiniteQoS: a priority, min rate or availability
+// target that is not a positive finite number never reaches the solver or
+// the reservation arithmetic, and the refusal leaves the scheduler as it
+// was.
+func TestSubmitRejectsNonFiniteQoS(t *testing.T) {
+	net := twoBranchNet(t, 100, 50, 1e6, 0.01)
+	s := New(net)
+	if _, err := s.Submit(simpleApp(t, "be", net, 10, QoS{Class: BestEffort, Priority: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(simpleApp(t, "gr", net, 10, QoS{Class: GuaranteedRate, MinRate: 1, MinRateAvailability: 0.9})); err != nil {
+		t.Fatal(err)
+	}
+	before := stateJSON(t, s)
+	nan := math.NaN()
+	var cases []QoS
+	for _, v := range []float64{nan, math.Inf(1), math.Inf(-1), 0, -1} {
+		cases = append(cases,
+			QoS{Class: BestEffort, Priority: v},
+			QoS{Class: GuaranteedRate, MinRate: v, MinRateAvailability: 0.9})
+	}
+	cases = append(cases,
+		QoS{Class: BestEffort, Priority: 1, Availability: nan},
+		QoS{Class: GuaranteedRate, MinRate: 1, MinRateAvailability: nan})
+	for _, qos := range cases {
+		if pa, err := s.Submit(simpleApp(t, "bad", net, 10, qos)); err == nil {
+			t.Fatalf("QoS %+v admitted: %+v", qos, pa)
+		}
+		if after := stateJSON(t, s); after != before {
+			t.Fatalf("QoS %+v changed the scheduler:\n before %s\n after  %s", qos, before, after)
+		}
+	}
+}
+
+func TestProportionalFairSharesCapacityNotRate(t *testing.T) {
+	// Two equal-priority apps share one NCP with different per-unit
+	// demands: problem (4) splits the *capacity* by priority share, so
+	// x_i = (w_i/sum w) * C/a_i — light 9, heavy 4.5.
 	net := twoBranchNet(t, 90, 0, 1e9, 0)
-	submitBoth := func(opts ...Option) (float64, float64) {
-		s := New(net, opts...)
-		a, err := s.Submit(simpleApp(t, "light", net, 5, QoS{Class: BestEffort, Priority: 1}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s.Submit(simpleApp(t, "heavy", net, 10, QoS{Class: BestEffort, Priority: 1}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a.TotalRate(), b.TotalRate()
+	s := New(net)
+	light, err := s.Submit(simpleApp(t, "light", net, 5, QoS{Class: BestEffort, Priority: 1}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// PF: x_i = (w_i/sum w) * C/a_i: light 9, heavy 4.5.
-	pfLight, pfHeavy := submitBoth()
-	if math.Abs(pfLight-9) > 0.1 || math.Abs(pfHeavy-4.5) > 0.1 {
-		t.Fatalf("PF rates = %v, %v; want ~9, ~4.5", pfLight, pfHeavy)
+	heavy, err := s.Submit(simpleApp(t, "heavy", net, 10, QoS{Class: BestEffort, Priority: 1}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Max-min: equal rates r with 5r + 10r = 90: r = 6.
-	mmLight, mmHeavy := submitBoth(WithMaxMinFairness())
-	if math.Abs(mmLight-6) > 0.1 || math.Abs(mmHeavy-6) > 0.1 {
-		t.Fatalf("max-min rates = %v, %v; want ~6, ~6", mmLight, mmHeavy)
+	if l, h := light.TotalRate(), heavy.TotalRate(); math.Abs(l-9) > 0.1 || math.Abs(h-4.5) > 0.1 {
+		t.Fatalf("PF rates = %v, %v; want ~9, ~4.5", l, h)
 	}
 }
 

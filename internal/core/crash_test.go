@@ -288,11 +288,12 @@ func TestCrashGroupCommit(t *testing.T) {
 	// Gate the first leader inside its commit so every other submitter
 	// queues behind it; releasing the gate then forms real multi-app
 	// groups (MaxSize caps them at 8: group shapes 1, 8, 3).
-	gate := make(chan struct{})
+	gate, leading := make(chan struct{}), make(chan struct{})
 	first := true // commit functions run serially; no extra locking needed
 	gc := NewGroupCommitter(func(batch []App, lead *obs.Span) ([]BatchResult, error) {
 		if first {
 			first = false
+			close(leading)
 			<-gate
 		}
 		mu.Lock()
@@ -305,13 +306,18 @@ func TestCrashGroupCommit(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errc := make(chan error, len(apps))
-	for _, app := range apps {
+	for i, app := range apps {
 		wg.Add(1)
 		go func(a App) {
 			defer wg.Done()
 			_, err := gc.Submit(a, nil)
 			errc <- err
 		}(app)
+		if i == 0 {
+			// The first leader must have drained its group of one before
+			// anyone else enqueues.
+			<-leading
+		}
 	}
 	for {
 		gc.mu.Lock()

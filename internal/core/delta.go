@@ -17,18 +17,15 @@ var deltaCapsCheck = false
 // only the elements the app's paths actually load. The caller must have
 // already dropped the app from s.gr.
 //
-// Two cases fall back to a full rebuild: the WithoutDeltaCapacities
-// ablation, and a pool clamped by fluctuation (some element's GR
-// reservations exceed its scaled capacity, so Subtract's zero-clamp
-// discarded the shortfall and an AddBack would over-credit it). The
-// rebuild also refreshes the clamp state, since the departing app may
-// have been the oversubscriber.
+// A pool clamped by fluctuation falls back to a full rebuild (some
+// element's GR reservations exceed its scaled capacity, so Subtract's
+// zero-clamp discarded the shortfall and an AddBack would over-credit
+// it). The rebuild also refreshes the clamp state, since the departing
+// app may have been the oversubscriber.
 func (s *Scheduler) releaseGR(pa *PlacedApp) {
-	if s.noDeltaCaps || s.poolClamped {
+	if s.poolClamped {
 		s.beAvailable = s.recomputeBEAvailable()
-		if s.poolClamped {
-			s.poolClamped = len(s.oversubscribedByGR()) > 0
-		}
+		s.poolClamped = len(s.oversubscribedByGR()) > 0
 		return
 	}
 	for _, p := range pa.Paths {
@@ -41,7 +38,7 @@ func (s *Scheduler) releaseGR(pa *PlacedApp) {
 // pool in place (repair rollback; fresh admissions work on a residual
 // clone instead). The caller must have already put the app back in s.gr.
 func (s *Scheduler) reserveGR(pa *PlacedApp) {
-	if s.noDeltaCaps || s.poolClamped {
+	if s.poolClamped {
 		s.beAvailable = s.recomputeBEAvailable()
 		s.poolClamped = len(s.oversubscribedByGR()) > 0
 		return

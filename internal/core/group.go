@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sparcle/internal/obs"
 )
@@ -30,8 +29,8 @@ import (
 // to lead the next group. Natural batching follows from arrival
 // pressure alone — while one group is inside the commit function, every
 // new submitter queues behind it and the next leader drains them all —
-// so the default MaxWait of zero adds no latency at low offered rates
-// (a lone submitter leads its own group of one immediately).
+// so grouping adds no latency at low offered rates (a lone submitter
+// leads its own group of one immediately).
 
 // Metric names for the group-commit series.
 const (
@@ -59,11 +58,6 @@ type GroupOptions struct {
 	// never split). Defaults to 64. The first entry always commits,
 	// even when it alone exceeds the cap.
 	MaxSize int
-	// MaxWait is how long a leader holds the group open for followers
-	// before committing. Zero (the default) commits immediately:
-	// concurrency alone forms groups, because every submitter that
-	// arrives during a commit queues for the next group.
-	MaxWait time.Duration
 	// Metrics, when non-nil, receives the group-commit series:
 	// sparcle_group_commit_size, _leads_total, _follows_total.
 	Metrics *obs.Registry
@@ -80,9 +74,8 @@ type GroupStats struct {
 	Follows uint64 `json:"follows"`
 	// Apps is the total applications committed through the group path.
 	Apps uint64 `json:"apps"`
-	// MaxSize and MaxWaitMS echo the configuration.
-	MaxSize   int     `json:"maxSize"`
-	MaxWaitMS float64 `json:"maxWaitMs"`
+	// MaxSize echoes the configuration.
+	MaxSize int `json:"maxSize"`
 }
 
 // groupOutcome is what a leader delivers to each parked waiter: the
@@ -117,14 +110,9 @@ type GroupCommitter struct {
 	commit GroupCommitFunc
 	opt    GroupOptions
 
-	mu         sync.Mutex
-	queue      []*groupWaiter
-	queuedApps int
-	leading    bool
-
-	// fullc wakes a MaxWait leader early when the queue reaches
-	// MaxSize apps.
-	fullc chan struct{}
+	mu      sync.Mutex
+	queue   []*groupWaiter
+	leading bool
 
 	waiters sync.Pool // *groupWaiter
 	appsBuf sync.Pool // *[]App
@@ -150,11 +138,7 @@ func NewGroupCommitter(commit GroupCommitFunc, opt GroupOptions) *GroupCommitter
 		reg.Counter(metricGroupLeads)
 		reg.Counter(metricGroupFollows)
 	}
-	return &GroupCommitter{
-		commit: commit,
-		opt:    opt,
-		fullc:  make(chan struct{}, 1),
-	}
+	return &GroupCommitter{commit: commit, opt: opt}
 }
 
 // Stats returns cumulative group-commit counters.
@@ -163,11 +147,10 @@ func (g *GroupCommitter) Stats() GroupStats {
 		return GroupStats{}
 	}
 	return GroupStats{
-		Groups:    g.groups.Load(),
-		Follows:   g.follows.Load(),
-		Apps:      g.apps.Load(),
-		MaxSize:   g.opt.MaxSize,
-		MaxWaitMS: float64(g.opt.MaxWait) / float64(time.Millisecond),
+		Groups:  g.groups.Load(),
+		Follows: g.follows.Load(),
+		Apps:    g.apps.Load(),
+		MaxSize: g.opt.MaxSize,
 	}
 }
 
@@ -217,21 +200,13 @@ func (g *GroupCommitter) Exec(fn ExecFunc, sp *obs.Span) ([]BatchResult, error) 
 func (g *GroupCommitter) run(w *groupWaiter, sp *obs.Span) ([]BatchResult, error) {
 	g.mu.Lock()
 	g.queue = append(g.queue, w)
-	g.queuedApps += w.weight()
 	isLeader := !g.leading
 	if isLeader {
 		g.leading = true
 	}
-	full := g.queuedApps >= g.opt.MaxSize
 	g.mu.Unlock()
 
 	if !isLeader {
-		if full {
-			select {
-			case g.fullc <- struct{}{}:
-			default:
-			}
-		}
 		wsp := sp.Child("group.wait")
 		select {
 		case out := <-w.outc:
@@ -255,9 +230,6 @@ func (g *GroupCommitter) run(w *groupWaiter, sp *obs.Span) ([]BatchResult, error
 // results, and hands leadership to the next queued waiter (if any).
 func (g *GroupCommitter) lead(self *groupWaiter, sp *obs.Span) ([]BatchResult, error) {
 	lsp := sp.Child("group.lead")
-	if g.opt.MaxWait > 0 {
-		g.holdOpen()
-	}
 
 	// Drain whole waiters from the queue head up to MaxSize apps. The
 	// leader is always queue[0] (a promoted waiter is promoted *as* the
@@ -283,7 +255,6 @@ func (g *GroupCommitter) lead(self *groupWaiter, sp *obs.Span) ([]BatchResult, e
 		g.queue[i] = nil
 	}
 	g.queue = g.queue[:rem]
-	g.queuedApps -= total
 	g.mu.Unlock()
 
 	appsp := g.getApps()
@@ -362,35 +333,6 @@ func (g *GroupCommitter) lead(self *groupWaiter, sp *obs.Span) ([]BatchResult, e
 		next.leadc <- struct{}{}
 	}
 	return selfOut.results, selfOut.err
-}
-
-// holdOpen blocks the leader for up to MaxWait, returning early when
-// the queue fills to MaxSize apps.
-func (g *GroupCommitter) holdOpen() {
-	g.mu.Lock()
-	full := g.queuedApps >= g.opt.MaxSize
-	g.mu.Unlock()
-	if full {
-		return
-	}
-	// Clear a stale fill signal left over from an earlier group, then
-	// re-check so a signal raised in between is not lost.
-	select {
-	case <-g.fullc:
-	default:
-	}
-	g.mu.Lock()
-	full = g.queuedApps >= g.opt.MaxSize
-	g.mu.Unlock()
-	if full {
-		return
-	}
-	t := time.NewTimer(g.opt.MaxWait)
-	defer t.Stop()
-	select {
-	case <-g.fullc:
-	case <-t.C:
-	}
 }
 
 func (g *GroupCommitter) getWaiter() *groupWaiter {

@@ -248,48 +248,6 @@ func TestGroupLeaderFollower(t *testing.T) {
 	}
 }
 
-// TestGroupMaxWait covers the hold-open path: a lone submitter's group
-// commits on the deadline, and a filling queue releases the leader
-// before it.
-func TestGroupMaxWait(t *testing.T) {
-	net := batchMeshNet(t)
-	apps := batchApps(t, rand.New(rand.NewSource(61)), net, 3, false)
-	s := New(net, WithRandSeed(1))
-	var mu sync.Mutex
-	gc := NewGroupCommitter(func(batch []App, lead *obs.Span) ([]BatchResult, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return s.SubmitBatch(batch)
-	}, GroupOptions{MaxSize: 2, MaxWait: 20 * time.Millisecond})
-
-	// Deadline path: one app, nobody else arrives.
-	if res, err := gc.Submit(apps[0], nil); err != nil || res.Err != nil {
-		t.Fatalf("lone submit: %v / %v", err, res.Err)
-	}
-	// Fill path: two submitters reach MaxSize and commit without
-	// waiting out a fresh deadline each.
-	var wg sync.WaitGroup
-	errc := make(chan error, 2)
-	for _, app := range apps[1:] {
-		wg.Add(1)
-		go func(a App) {
-			defer wg.Done()
-			_, err := gc.Submit(a, nil)
-			errc <- err
-		}(app)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		if err != nil {
-			t.Fatalf("filled submit: %v", err)
-		}
-	}
-	if st := gc.Stats(); st.Apps != 3 {
-		t.Fatalf("stats = %+v, want 3 apps committed", st)
-	}
-}
-
 // TestGroupHammer mixes grouped submits with removes, repairs and
 // fluctuations (each taking the same scheduler mutex the commit
 // function uses), then proves the interleaved journal replays to the

@@ -77,6 +77,32 @@ func rateOf(t *testing.T, reg *obs.Registry, app string) (float64, bool) {
 	return 0, false
 }
 
+// TestRejectedBERollbackPublishes covers a rejection after the app joined
+// the resident list. The smallest positive priority split over two
+// availability paths underflows to a zero flow weight, which the
+// incremental solve and then the cold fallback both refuse, so submitBE
+// rolls back and re-solves for the incumbents.
+func TestRejectedBERollbackPublishes(t *testing.T) {
+	net := twoBranchNet(t, 100, 50, 1e6, 0.1)
+	reg := obs.NewRegistry()
+	s := New(net, WithMetrics(reg))
+	if _, err := s.Submit(simpleApp(t, "be1", net, 10, QoS{Class: BestEffort, Priority: 1})); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := rateOf(t, reg, "be1")
+
+	_, err := s.Submit(simpleApp(t, "tiny", net, 10, QoS{
+		Class: BestEffort, Priority: math.SmallestNonzeroFloat64, Availability: 0.9, MaxPaths: 2,
+	}))
+	if !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), "invalid weight") {
+		t.Fatalf("underflowing BE: err = %v, want ErrRejected from the solver", err)
+	}
+	assertPublished(t, "rejected BE rollback", s, reg)
+	if after, ok := rateOf(t, reg, "be1"); !ok || after != before || len(s.BEApps()) != 1 {
+		t.Fatalf("rollback left be1 at %v (was %v) among %d residents", after, before, len(s.BEApps()))
+	}
+}
+
 // TestRateGaugeLifecycle walks one scheduler through every route by which
 // an application joins or leaves the resident set and holds /metrics to
 // the resident set after each.
@@ -116,12 +142,11 @@ func TestRateGaugeLifecycle(t *testing.T) {
 		t.Fatal("be2 series survived its removal")
 	}
 
-	// Rejected after joining the resident list: a NaN priority passes the
-	// sign check, places, and fails the solve, so submitBE rolls back.
-	if _, err := s.Submit(be("nan", math.NaN())); !errors.Is(err, ErrRejected) {
-		t.Fatalf("NaN-priority BE: err = %v, want ErrRejected", err)
+	// Refused at the door: a NaN priority never joins the resident list.
+	if _, err := s.Submit(be("nan", math.NaN())); err == nil {
+		t.Fatal("NaN-priority BE admitted")
 	}
-	assertPublished(t, "rejected BE rollback", s, reg)
+	assertPublished(t, "refused BE", s, reg)
 
 	// A batch with one rejection publishes the admitted ones only.
 	batch := []App{

@@ -96,7 +96,7 @@ var (
 
 // SolverRows reports the live flow and constraint-nonzero counts of the
 // incremental BE solver; both are 0 while no warm solver exists (before
-// the first solve, after dropSolver, or in cold/max-min modes).
+// the first solve or after dropSolver).
 func (s *Scheduler) SolverRows() (flows, nnz int) {
 	if s.beSolver == nil {
 		return 0, 0

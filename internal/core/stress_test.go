@@ -24,7 +24,6 @@ func TestSchedulerStress(t *testing.T) {
 		opts []Option
 	}{
 		{"default", nil},
-		{"max-min", []Option{WithMaxMinFairness()}},
 		{"diverse-paths", []Option{WithDiverseMultiPath(0.3)}},
 		{"no-prediction", []Option{WithoutPrediction()}},
 	}

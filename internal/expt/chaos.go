@@ -135,8 +135,7 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 	return res, nil
 }
 
-// admitPopulation fills the scheduler with a steady 3 BE : 1 GR mix, the
-// same population shape the churn experiment uses.
+// admitPopulation fills the scheduler with a steady 3 BE : 1 GR mix.
 func admitPopulation(s *core.Scheduler, net *network.Network, rng *rand.Rand, target int) error {
 	var templates []core.App
 	for i := 0; i < 8; i++ {

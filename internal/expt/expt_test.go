@@ -515,27 +515,6 @@ func TestBackpressureConverges(t *testing.T) {
 	mustRenderTable(t, res.Table(), "backpressure")
 }
 
-func TestChurnShapes(t *testing.T) {
-	res, err := Churn(Config{Trials: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 9 {
-		t.Fatalf("got %d rows, want 9 (3 sizes x 3 modes)", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.MeanEvent <= 0 {
-			t.Fatalf("%d/%s: non-positive mean event time %v", row.Apps, row.Mode, row.MeanEvent)
-		}
-	}
-	// The incremental control plane must not be slower than cold solves at
-	// the largest population (generous slack: this is a timing test).
-	if sp := res.Speedup("warm+delta"); sp < 0.8 {
-		t.Fatalf("warm+delta speedup %v at largest size, want >= 0.8", sp)
-	}
-	mustRenderTable(t, res.Table(), "churn")
-}
-
 func TestChaosShapes(t *testing.T) {
 	cfg := Config{Trials: 2, Seed: 1}
 	res, err := Chaos(cfg)
@@ -584,42 +563,4 @@ func TestChaosShapes(t *testing.T) {
 		t.Fatal("chaos report is not reproducible at a fixed seed")
 	}
 	mustRenderTable(t, res.Table(), "Chaos")
-}
-
-func TestShardScalingShapes(t *testing.T) {
-	res, err := ShardScaling(Config{Trials: 40, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3 (shards 1, 2, 4)", len(res.Rows))
-	}
-	wantShards := []int{1, 2, 4}
-	for i, row := range res.Rows {
-		if row.Shards != wantShards[i] {
-			t.Fatalf("row %d: shards %d, want %d", i, row.Shards, wantShards[i])
-		}
-		if row.Submitted != 40 {
-			t.Fatalf("row %d: submitted %d, want 40", i, row.Submitted)
-		}
-		if row.Admitted+row.Rejected != row.Submitted {
-			t.Fatalf("row %d: admitted %d + rejected %d != submitted %d",
-				i, row.Admitted, row.Rejected, row.Submitted)
-		}
-		if row.Admitted == 0 {
-			t.Fatalf("row %d: nothing admitted", i)
-		}
-		if row.OpsPerSec <= 0 || row.MeanSubmit <= 0 {
-			t.Fatalf("row %d: degenerate timing %+v", i, row)
-		}
-	}
-	// One region means no edge cut and no leases.
-	if res.Rows[0].BorderLinks != 0 || res.Rows[0].Cross != 0 {
-		t.Fatalf("single-shard row has border state: %+v", res.Rows[0])
-	}
-	// More regions cut at least as many edges.
-	if res.Rows[1].BorderLinks == 0 || res.Rows[2].BorderLinks < res.Rows[1].BorderLinks {
-		t.Fatalf("edge cut not growing: %d then %d", res.Rows[1].BorderLinks, res.Rows[2].BorderLinks)
-	}
-	mustRenderTable(t, res.Table(), "Sharded admission")
 }

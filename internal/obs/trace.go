@@ -222,11 +222,11 @@ func (t *Tracer) Repair(e RepairEvent) {
 	t.emit(&e)
 }
 
-// AllocEvent records one proportional-fair (or max-min) solve across
+// AllocEvent records one proportional-fair solve across
 // the admitted best-effort applications.
 type AllocEvent struct {
 	Header
-	Solver    string  `json:"solver"` // "proportional-fair" or "max-min"
+	Solver    string  `json:"solver"` // "proportional-fair"
 	Flows     int     `json:"flows"`
 	Rows      int     `json:"rows,omitempty"`
 	NNZ       int     `json:"nnz,omitempty"`

@@ -687,12 +687,18 @@ func (n *Node) drainApply() {
 			n.restoreBase = false
 			snap := n.snapData
 			base := n.snapBase
-			n.lastApplied = base
+			// No log position is applied while the machine is rebuilt:
+			// Status must not report one, and a promotion must not pass its
+			// applied-to-the-end wait, while reads still see the old state.
+			n.lastApplied = 0
 			n.mu.Unlock()
 			if err := n.cfg.SM.Restore(snap, nil); err != nil {
 				n.cfg.Logger.Error("replica: state machine restore failed; applies halted", "err", err)
 				return
 			}
+			n.mu.Lock()
+			n.lastApplied = base
+			n.mu.Unlock()
 			continue
 		}
 		limit := n.commitIndex

@@ -302,8 +302,7 @@ func (n *Node) HandleInstallSnapshot(req *InstallSnapshotRequest) (*InstallSnaps
 		last = e.Seq
 	}
 	n.commitIndex = max(req.SnapSeq, min(req.LeaderCommit, last))
-	n.lastApplied = req.SnapSeq
-	n.restoreBase = true
+	n.restoreBase = true // the apply loop moves lastApplied once the restore ran
 	n.recomputeConfLocked()
 	n.observeStateLocked()
 	resp := &InstallSnapshotResponse{Term: n.term, Success: true, LastSeq: last}

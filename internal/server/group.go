@@ -19,8 +19,8 @@ import (
 // shard; the server re-arms every router it rebuilds (restoreRouter).
 
 // EnableGroupCommit replaces the commit queue's bounds (zero fields
-// keep the defaults: groups of at most 64, no hold-open wait). Call it
-// before the server takes traffic.
+// keep the defaults: groups of at most 64). Call it before the server
+// takes traffic.
 func (s *Server) EnableGroupCommit(opt core.GroupOptions) {
 	if opt.Metrics == nil {
 		opt.Metrics = s.metrics

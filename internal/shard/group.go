@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"sparcle/internal/core"
-	"sparcle/internal/obs"
-)
+import "sparcle/internal/core"
 
 // Group commit in the sharded router: one GroupCommitter per shard, so
 // concurrent intra-region submits that land on the same region coalesce
@@ -19,12 +16,7 @@ import (
 // installed before that are discarded with the pre-recovery slots.
 func (r *Router) EnableGroupCommit(opt core.GroupOptions) {
 	for _, s := range r.slots {
-		s := s
-		s.group = core.NewGroupCommitter(func(apps []core.App, lead *obs.Span) ([]core.BatchResult, error) {
-			s.lock(lead)
-			defer s.mu.Unlock()
-			return s.ctl.SubmitBatch(apps)
-		}, opt)
+		s.group = core.NewGroupCommitter(s.submitBatch, opt)
 	}
 }
 
@@ -41,7 +33,6 @@ func (r *Router) GroupStats() core.GroupStats {
 		total.Follows += st.Follows
 		total.Apps += st.Apps
 		total.MaxSize = st.MaxSize
-		total.MaxWaitMS = st.MaxWaitMS
 	}
 	return total
 }

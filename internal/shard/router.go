@@ -135,13 +135,48 @@ func (s *slot) lock(sp *obs.Span) {
 	w.End()
 }
 
+// detach copies a shard's placement, path rates included, while the shard
+// lock is still held. A result is rendered after the lock is released,
+// when the next group's re-solve is already writing the resident's rates;
+// the placements behind the paths never change and stay shared.
+func detach(pa *core.PlacedApp) *core.PlacedApp {
+	if pa == nil {
+		return nil
+	}
+	cp := *pa
+	cp.Paths = append([]placement.Path(nil), pa.Paths...)
+	return &cp
+}
+
+// submitBatch runs one atomic batch on the shard's scheduler under its
+// lock and detaches the placements before releasing it.
+func (s *slot) submitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult, error) {
+	s.lock(sp)
+	defer s.mu.Unlock()
+	res, err := s.ctl.SubmitBatch(apps)
+	for i := range res {
+		res[i].App = detach(res[i].App)
+	}
+	return res, err
+}
+
+// repair repairs one shard-local app under the shard's lock.
+func (s *slot) repair(name string, sp *obs.Span) (*core.PlacedApp, error) {
+	s.lock(sp)
+	defer s.mu.Unlock()
+	pa, err := s.ctl.Repair(name)
+	return detach(pa), err
+}
+
 // Result is one admission's outcome.
 type Result struct {
 	// Shard is the owning region (for cross apps, the lower region).
 	Shard int
-	// App is the placed application: the shard's own placement for
-	// intra-region apps, or a synthesized logical view (no paths — they
-	// live region-locally in the halves) for cross-region apps.
+	// App is the placed application as the operation left it (a detached
+	// copy: later re-solves do not move its rates): the shard's own
+	// placement for intra-region apps, or a synthesized logical view (no
+	// paths — they live region-locally in the halves) for cross-region
+	// apps.
 	App *core.PlacedApp
 	// Cross is set for cross-region admissions.
 	Cross *CrossInfo
@@ -204,8 +239,9 @@ func (r *Router) Submit(app core.App, sp *obs.Span) (*Result, error) {
 		return nil, err
 	}
 	if len(r.slots) == 1 {
-		// Single shard: drive the seed scheduler with zero interposition
-		// (no registry, no translation) — bit-for-bit the unsharded path.
+		// Single shard: drive the seed scheduler with no registry and no
+		// translation — the unsharded path's decisions bit for bit; the
+		// result is still a detached copy, as on every shard.
 		return r.submitIntra(app, 0, sp, false)
 	}
 	if len(regions) == 2 {
@@ -246,6 +282,7 @@ func (r *Router) submitIntra(app core.App, shard int, sp *obs.Span, register boo
 	} else {
 		s.lock(sp)
 		pa, err = s.ctl.Submit(local)
+		pa = detach(pa)
 		s.mu.Unlock()
 	}
 	if err != nil {
@@ -440,8 +477,8 @@ func (r *Router) admitCross(app core.App, a, b int, sp *obs.Span) (*Result, *cro
 		Cross: &CrossInfo{
 			A:            a,
 			B:            b,
-			HalfA:        paA,
-			HalfB:        paB,
+			HalfA:        detach(paA),
+			HalfB:        detach(paB),
 			Border:       border,
 			BorderLink:   r.part.Parent.Link(r.part.Border[border].Link).Name,
 			Bits:         plan.bits,
@@ -462,9 +499,7 @@ func (r *Router) SubmitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult,
 		if s.group != nil {
 			return s.group.SubmitMany(apps, sp)
 		}
-		s.lock(sp)
-		defer s.mu.Unlock()
-		return s.ctl.SubmitBatch(apps)
+		return s.submitBatch(apps, sp)
 	}
 	results := make([]core.BatchResult, len(apps))
 	byShard := map[int][]int{} // shard -> indices into apps
@@ -532,9 +567,7 @@ func (r *Router) SubmitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult,
 			// it stays atomic while merging with concurrent single submits.
 			res, err = s.group.SubmitMany(sub, sp)
 		} else {
-			s.lock(sp)
-			res, err = s.ctl.SubmitBatch(sub)
-			s.mu.Unlock()
+			res, err = s.submitBatch(sub, sp)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -627,10 +660,7 @@ func (r *Router) removeCross(name string, c *crossApp, sp *obs.Span) error {
 // two-shard placement cannot be restored atomically once one side moved).
 func (r *Router) Repair(name string, sp *obs.Span) (*Result, error) {
 	if len(r.slots) == 1 {
-		s := r.slots[0]
-		s.lock(sp)
-		defer s.mu.Unlock()
-		pa, err := s.ctl.Repair(name)
+		pa, err := r.slots[0].repair(name, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -644,10 +674,7 @@ func (r *Router) Repair(name string, sp *obs.Span) (*Result, error) {
 	}
 	r.regMu.Unlock()
 	if e.cross == nil {
-		s := r.slots[e.shard]
-		s.lock(sp)
-		pa, err := s.ctl.Repair(name)
-		s.mu.Unlock()
+		pa, err := r.slots[e.shard].repair(name, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -766,7 +793,7 @@ func (r *Router) repairCross(name string, e *appEntry, sp *obs.Span) (*Result, e
 			Availability: avail,
 		},
 		Cross: &CrossInfo{
-			A: c.a, B: c.b, HalfA: paA, HalfB: paB,
+			A: c.a, B: c.b, HalfA: detach(paA), HalfB: detach(paB),
 			Border:       c.border,
 			BorderLink:   r.part.Parent.Link(r.part.Border[c.border].Link).Name,
 			Bits:         c.bits,

@@ -8,13 +8,12 @@ import (
 )
 
 // This file generates arrival processes and size distributions for
-// open-loop load experiments: Poisson arrivals (optionally modulated by a
-// diurnal rate profile) and bounded-Pareto heavy-tailed application
-// sizes. Open-loop means the generator never waits for the system — the
-// next arrival is scheduled from the process alone, so an overloaded
-// admission path accumulates queueing delay instead of silently
-// throttling the offered load (the coordinated-omission trap of
-// closed-loop harnesses).
+// open-loop load experiments: Poisson arrivals and bounded-Pareto
+// heavy-tailed application sizes. Open-loop means the generator never
+// waits for the system — the next arrival is scheduled from the process
+// alone, so an overloaded admission path accumulates queueing delay
+// instead of silently throttling the offered load (the
+// coordinated-omission trap of closed-loop harnesses).
 
 // Poisson is a homogeneous Poisson arrival process of the given rate
 // (arrivals per second). All randomness flows through the explicit rng,
@@ -35,57 +34,6 @@ func NewPoisson(rate float64, rng *rand.Rand) (*Poisson, error) {
 // Next draws the inter-arrival gap to the next event: Exp(rate).
 func (p *Poisson) Next() time.Duration {
 	return time.Duration(p.rng.ExpFloat64() / p.rate * float64(time.Second))
-}
-
-// Diurnal is a non-homogeneous Poisson process whose instantaneous rate
-// follows a sinusoidal day profile around a base rate:
-//
-//	rate(t) = base * (1 + amplitude*sin(2*pi*t/period))
-//
-// implemented by thinning: candidate events are drawn at the peak rate
-// and accepted with probability rate(t)/peak, which is exact for any
-// bounded rate function. Amplitude must lie in [0, 1) so the rate stays
-// positive.
-type Diurnal struct {
-	base, amplitude float64
-	period          float64 // seconds
-	elapsed         float64 // seconds since process start
-	rng             *rand.Rand
-}
-
-// NewDiurnal returns a diurnal-modulated Poisson process.
-func NewDiurnal(base, amplitude float64, period time.Duration, rng *rand.Rand) (*Diurnal, error) {
-	if base <= 0 || math.IsInf(base, 0) || math.IsNaN(base) {
-		return nil, fmt.Errorf("workload: invalid base rate %v", base)
-	}
-	if amplitude < 0 || amplitude >= 1 || math.IsNaN(amplitude) {
-		return nil, fmt.Errorf("workload: diurnal amplitude %v outside [0, 1)", amplitude)
-	}
-	if period <= 0 {
-		return nil, fmt.Errorf("workload: diurnal period %v must be positive", period)
-	}
-	return &Diurnal{base: base, amplitude: amplitude, period: period.Seconds(), rng: rng}, nil
-}
-
-// Next draws the gap to the next accepted arrival by thinning at the
-// peak rate base*(1+amplitude).
-func (d *Diurnal) Next() time.Duration {
-	peak := d.base * (1 + d.amplitude)
-	for {
-		d.elapsed += d.rng.ExpFloat64() / peak
-		rate := d.base * (1 + d.amplitude*math.Sin(2*math.Pi*d.elapsed/d.period))
-		if d.rng.Float64()*peak <= rate {
-			return time.Duration(d.elapsed * float64(time.Second))
-		}
-	}
-}
-
-// Elapsed returns the process time of the last accepted arrival,
-// measured from the start of the process. Next returns absolute offsets
-// for Diurnal (unlike Poisson's gaps) because the thinning clock is
-// inherently absolute; callers sleep until the offset.
-func (d *Diurnal) Elapsed() time.Duration {
-	return time.Duration(d.elapsed * float64(time.Second))
 }
 
 // BoundedPareto draws from the bounded Pareto distribution on [lo, hi]

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // TestPoissonMean: the empirical mean inter-arrival time of a Poisson
@@ -42,61 +41,6 @@ func TestPoissonValidation(t *testing.T) {
 		if _, err := NewPoisson(rate, rng); err == nil {
 			t.Errorf("rate %v accepted", rate)
 		}
-	}
-}
-
-// TestDiurnalModulation: over whole periods the accepted-event rate must
-// average the base rate, and the half-period with the sinusoidal peak
-// must hold more events than the trough half.
-func TestDiurnalModulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	period := 10 * time.Second
-	d, err := NewDiurnal(100, 0.8, period, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const periods = 50
-	horizon := time.Duration(periods) * period
-	peakHalf, troughHalf := 0, 0
-	n := 0
-	for {
-		at := d.Next()
-		if at > horizon {
-			break
-		}
-		n++
-		// sin > 0 on the first half of each period.
-		if math.Mod(at.Seconds(), period.Seconds()) < period.Seconds()/2 {
-			peakHalf++
-		} else {
-			troughHalf++
-		}
-	}
-	want := 100 * horizon.Seconds()
-	if math.Abs(float64(n)-want) > want*0.05 {
-		t.Errorf("diurnal events = %d, want ~%v", n, want)
-	}
-	if float64(peakHalf) < 1.5*float64(troughHalf) {
-		t.Errorf("modulation missing: peak half %d vs trough half %d", peakHalf, troughHalf)
-	}
-	if d.Elapsed() <= 0 {
-		t.Error("elapsed not advancing")
-	}
-}
-
-func TestDiurnalValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := NewDiurnal(0, 0.5, time.Second, rng); err == nil {
-		t.Error("zero base accepted")
-	}
-	if _, err := NewDiurnal(1, 1, time.Second, rng); err == nil {
-		t.Error("amplitude 1 accepted")
-	}
-	if _, err := NewDiurnal(1, -0.1, time.Second, rng); err == nil {
-		t.Error("negative amplitude accepted")
-	}
-	if _, err := NewDiurnal(1, 0.5, 0, rng); err == nil {
-		t.Error("zero period accepted")
 	}
 }
 

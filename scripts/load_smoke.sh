@@ -1,25 +1,25 @@
 #!/usr/bin/env bash
 # Black-box load smoke test: boot a span-instrumented, journaled
-# sparcle-server on the example scenario, fire a short open-loop Poisson
-# run at it with sparcle-load, and require (a) a nonzero number of
-# admissions, (b) a parseable non-empty Chrome trace from GET
-# /debug/flight, (c) a report carrying per-stage latency quantiles, and
-# (d) commit-queue activity on /healthz. A second pass reboots the server
-# region-sharded (-shards 4) and writes its own report, so the sharded
-# admission path gets the same black-box treatment as the single-lock
-# one.
+# sparcle-server on the example scenario, POST a few dozen applications
+# at it (a few at a time, so commit groups form) and evict some, and
+# require (a) a floor of admissions, (b) a parseable non-empty Chrome
+# trace from GET /debug/flight, (c) per-stage latency quantiles on GET
+# /debug/latency, and (d) commit-queue activity on /healthz. A second pass
+# reboots the server region-sharded (-shards 4) and repeats the run, so
+# the sharded admission path gets the same black-box treatment as the
+# single-lock one. Sustained load and its numbers are benchmark/run.sh's
+# job; this script only checks that the surfaces answer under traffic.
 set -euo pipefail
 
-rate=${RATE:-100}
-duration=${DURATION:-3s}
-min_admitted=${MIN_ADMITTED:-10}
+apps=48
+parallel=4
+min_admitted=10
 
 work=$(mktemp -d)
 trap 'kill "${pid:-}" 2>/dev/null || true; rm -rf "$work"' EXIT
 
 go build -o "$work/sparcle" ./cmd/sparcle
 go build -o "$work/sparcle-server" ./cmd/sparcle-server
-go build -o "$work/sparcle-load" ./cmd/sparcle-load
 "$work/sparcle" -example > "$work/scenario.json"
 
 # boot LOG FLAGS... starts a server on the example scenario and sets pid
@@ -41,29 +41,70 @@ boot() {
     exit 1
 }
 
+# submit I posts best-effort pipeline load-I (source -> one free worker ->
+# sink) and prints the HTTP status. The pin pairs stay inside one region
+# of the -shards 4 partition except the last, which crosses a border.
+submit() {
+    local pins=("ncp1 ncp1" "ncp1 ncp5" "ncp3 ncp4" "ncp4 ncp6" "cloud cloud" "ncp5 ncp6")
+    set -- "$1" ${pins[$(( $1 % ${#pins[@]} ))]}
+    curl -s -o /dev/null -w '%{http_code}\n' -X POST "http://$addr/apps" -d '{
+        "name": "load-'"$1"'",
+        "cts": [{"name": "s", "host": "'"$2"'"},
+                {"name": "w", "req": {"cpu": '"$(( 100 + $1 % 7 * 50 ))"'}},
+                {"name": "t", "host": "'"$3"'"}],
+        "tts": [{"from": "s", "to": "w", "bits": 2}, {"from": "w", "to": "t", "bits": 1}],
+        "qos": {"class": "best-effort", "priority": '"$(( 1 + $1 % 3 ))"', "maxPaths": 2}
+    }'
+}
+export -f submit
+
+# run_load SHARDS posts $apps applications, $parallel at a time, evicts
+# every fourth, and checks the admission floor, the two debug surfaces and
+# /healthz (commit-queue activity; SHARDS regions when SHARDS > 0).
+run_load() {
+    export addr
+    seq 1 "$apps" | xargs -P "$parallel" -I{} bash -c 'submit {}' > "$work/codes.txt"
+    local admitted
+    admitted=$(grep -c '^201$' "$work/codes.txt" || true)
+    echo "admitted $admitted of $apps"
+    if [ "$admitted" -lt "$min_admitted" ]; then
+        echo "FAIL: fewer than $min_admitted admissions:"
+        sort "$work/codes.txt" | uniq -c
+        exit 1
+    fi
+    for i in $(seq 4 4 "$apps"); do
+        curl -s -o /dev/null -X DELETE "http://$addr/apps/load-$i"
+    done
+    python3 - "$addr" "$1" <<'PY'
+import json, sys, urllib.request
+get = lambda path: json.load(urllib.request.urlopen(f"http://{sys.argv[1]}{path}"))
+flight = get("/debug/flight")
+assert isinstance(flight, list) and flight, "flight recorder empty"
+assert all("name" in e and "ts" in e for e in flight), "flight events malformed"
+stages = get("/debug/latency")["stages"]
+assert "core.batch" in stages, f"core.batch missing from /debug/latency: {sorted(stages)}"
+assert stages["core.batch"]["count"] > 0 and stages["core.batch"]["p99"] > 0, stages["core.batch"]
+print(f"debug surfaces ok: {len(flight)} flight events, {len(stages)} stages")
+hz = get("/healthz")
+gc = hz.get("groupCommit")
+# Removes ride the queue as single-op groups, so groups can
+# legitimately exceed apps under eviction churn.
+assert gc and gc["groups"] > 0 and gc["apps"] > 0, f"no group activity: {gc}"
+print(f"group commit ok: {gc['groups']} groups, {gc['apps']} apps, {gc['follows']} follows")
+if shards := int(sys.argv[2]):
+    sh = hz.get("sharding")
+    assert sh and len(sh["shards"]) == shards, f"no sharding section: {sh}"
+    assert sum(s["admitted"] for s in sh["shards"]) > 0, f"shards empty: {sh}"
+    print(f'sharding ok: {[s["admitted"] for s in sh["shards"]]} apps per shard')
+PY
+}
+
 echo "== boot with span tracing armed over a journal"
 boot "$work/server.log" -journal "$work/journal" \
     -spans -spans-chrome "$work/trace.json" -flight 256
 
-echo "== open-loop run: rate=$rate for $duration (floor: $min_admitted admissions)"
-"$work/sparcle-load" -addr "$addr" -rate "$rate" -duration "$duration" \
-    -keep 16 -out "$work/report.json" \
-    -min-admitted "$min_admitted" -check-flight
-
-echo "== report sanity"
-grep -q '"admissionsPerSec"' "$work/report.json"
-grep -q '"core.batch"' "$work/report.json"
-
-echo "== commit-queue activity visible on /healthz"
-python3 - "$addr" <<'PY'
-import json, sys, urllib.request
-hz = json.load(urllib.request.urlopen(f"http://{sys.argv[1]}/healthz"))
-gc = hz.get("groupCommit")
-# Removes ride the queue as single-op groups, so groups can
-# legitimately exceed apps under keep-eviction churn.
-assert gc and gc["groups"] > 0 and gc["apps"] > 0, f"no group activity: {gc}"
-print(f"group commit ok: {gc['groups']} groups, {gc['apps']} apps, {gc['follows']} follows")
-PY
+echo "== load: $apps apps, $parallel at a time (floor: $min_admitted admissions)"
+run_load 0
 
 echo "== server-side Chrome trace parses after shutdown"
 kill "$pid"
@@ -85,19 +126,8 @@ boot "$work/server-shards.log" -shards 4 \
     -spans -spans-chrome "$work/trace-shards.json" -flight 256
 grep -q 'sparcle-server sharded: 4 regions' "$work/server-shards.log"
 
-echo "== sharded open-loop run: rate=$rate for $duration"
-"$work/sparcle-load" -addr "$addr" -rate "$rate" -duration "$duration" \
-    -keep 16 -out "$work/report-shards.json" \
-    -min-admitted "$min_admitted" -check-flight
-
-echo "== sharded report sanity"
-python3 - "$work/report-shards.json" <<'PY'
-import json, sys
-rep = json.load(open(sys.argv[1]))
-assert rep["config"].get("shards") == 4, rep["config"]
-assert "core.batch" in rep["server"]["stages"], "sharded run lost stage spans"
-print(f'sharded report ok: {rep["client"]["admitted"]} admitted')
-PY
+echo "== sharded load: $apps apps, $parallel at a time"
+run_load 4
 
 echo "== sharded trace parses after shutdown"
 kill "$pid"

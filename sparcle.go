@@ -137,26 +137,10 @@ func WithDefaultMaxPaths(n int) SchedulerOption { return core.WithDefaultMaxPath
 // WithRandSeed seeds the scheduler's internal randomness.
 func WithRandSeed(seed int64) SchedulerOption { return core.WithRandSeed(seed) }
 
-// WithMaxMinFairness switches Best-Effort allocation to weighted max-min
-// fairness instead of the paper's proportional fairness.
-func WithMaxMinFairness() SchedulerOption { return core.WithMaxMinFairness() }
-
 // WithDiverseMultiPath biases later task assignment paths away from
 // elements earlier paths use (bias in (0,1)), raising availability per
 // path at some rate cost.
 func WithDiverseMultiPath(bias float64) SchedulerOption { return core.WithDiverseMultiPath(bias) }
-
-// WithColdAllocation disables the incremental Best-Effort solver: every
-// re-allocation solves problem (4) from scratch instead of warm-starting
-// from the previous solve's constraint rows and dual prices. An ablation
-// switch; results are identical either way.
-func WithColdAllocation() SchedulerOption { return core.WithColdAllocation() }
-
-// WithoutDeltaCapacities disables delta maintenance of the Best-Effort
-// capacity pool: every Guaranteed-Rate admission or release rebuilds the
-// pool from base capacities instead of applying the reservation's sparse
-// delta. An ablation switch; results are identical either way.
-func WithoutDeltaCapacities() SchedulerOption { return core.WithoutDeltaCapacities() }
 
 // Observability (see internal/obs): a dependency-free metrics registry,
 // a JSONL decision tracer and structured logging, all optional and free
