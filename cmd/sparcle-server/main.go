@@ -10,16 +10,17 @@
 //	               [-journal dir] [-spans] [-spans-chrome trace.json]
 //	               [-slo 50ms] [-pprof] [-v]
 //
-// With -shards N (default 1), the network is partitioned into N regions,
-// each running its own scheduler behind an admission router:
-// applications pinned inside one region admit under only that region's
-// lock, and applications spanning two adjacent regions place against a
-// border-link capacity lease (see docs/http-api.md, "Sharded
-// deployments"). -shards 1 is byte-identical to the unsharded scheduler.
-// Every admission goes through a group-commit queue: submits that arrive
-// while a commit is in flight share one solve and one journal record, and
-// a lone submit commits at once as a group of one (-group-commit, which
-// used to select this, is accepted and ignored).
+// The network is partitioned into -shards N regions (default 1), each
+// running its own scheduler behind one admission router: applications
+// pinned inside one region admit under only that region's lock, and
+// applications spanning two adjacent regions place against a border-link
+// capacity lease (see docs/http-api.md, "Sharded deployments"). With
+// -shards 1 the one region is the whole network, and its placements are
+// byte-identical to a lone scheduler's.
+// Every admission goes through a region's group-commit queue: submits
+// that arrive while a commit is in flight share one solve and one
+// journal record, and a lone submit commits at once as a group of one
+// (-group-commit, which used to select this, is accepted and ignored).
 // With -submit, the scenario's applications are admitted at startup. With
 // -journal, every mutating operation is committed to a write-ahead
 // journal in the given directory before it is acknowledged, and a restart
@@ -234,17 +235,14 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if *verbose {
 		opts = append(opts, core.WithLogger(obs.NewLogger(os.Stderr, slog.LevelDebug)))
 	}
-	var srv *server.Server
+	srv, err := server.NewSharded(netw, *shards, opts...)
+	if err != nil {
+		return err
+	}
 	if *shards > 1 {
-		srv, err = server.NewSharded(netw, *shards, opts...)
-		if err != nil {
-			return err
-		}
 		part := srv.Router().Partitioning()
 		fmt.Fprintf(out, "sparcle-server sharded: %d regions, %d border links\n",
 			len(part.Regions), len(part.Border))
-	} else {
-		srv = server.New(netw, opts...)
 	}
 	if *spansChrome != "" || *spansJSONL != "" || *flightDir != "" || *slo > 0 {
 		*spans = true

@@ -407,12 +407,6 @@ func (s *Scheduler) GRApps() []*PlacedApp { return append([]*PlacedApp(nil), s.g
 // BEApps returns the admitted Best-Effort applications.
 func (s *Scheduler) BEApps() []*PlacedApp { return append([]*PlacedApp(nil), s.be...) }
 
-// HasApp reports whether an admitted application (either class) carries
-// the name. It is the allocation-free duplicate check the serving path
-// runs before admission; GRApps/BEApps copy their slices and are the
-// wrong tool on a hot path.
-func (s *Scheduler) HasApp(name string) bool { return s.resident(name) != nil }
-
 // resident returns the admitted application (either class) carrying the
 // name, or nil.
 func (s *Scheduler) resident(name string) *PlacedApp {

@@ -18,7 +18,7 @@ import (
 //
 // The committer sits *above* the scheduler lock. It owns no scheduler
 // state; the caller supplies a commit function that takes whatever lock
-// serializes the scheduler (Server.mu, a shard slot's mutex), runs
+// serializes the scheduler (a shard slot's mutex), runs
 // SubmitBatch for the assembled group, and releases it. Everything that
 // is not the commit itself — HTTP decode, app build, queueing — happens
 // off that lock, so the lock is held exactly once per group rather than
@@ -86,23 +86,13 @@ type groupOutcome struct {
 }
 
 // groupWaiter is one queue entry: one submitter's apps (a single app or
-// a whole client batch) — or, for Exec, a single non-admission
-// operation — and the channels its goroutine parks on. Both channels
-// have capacity 1 and each is used at most once per cycle, so waiters
-// recycle through a pool without reallocating channels.
+// a whole client batch) and the channels its goroutine parks on. Both
+// channels have capacity 1 and each is used at most once per cycle, so
+// waiters recycle through a pool without reallocating channels.
 type groupWaiter struct {
 	apps  []App
-	exec  ExecFunc
 	outc  chan groupOutcome
 	leadc chan struct{}
-}
-
-// weight is the entry's size against MaxSize (an exec op counts as 1).
-func (w *groupWaiter) weight() int {
-	if w.exec != nil {
-		return 1
-	}
-	return len(w.apps)
 }
 
 // GroupCommitter coalesces concurrent submissions into group commits.
@@ -178,23 +168,6 @@ func (g *GroupCommitter) SubmitMany(apps []App, sp *obs.Span) ([]BatchResult, er
 	return g.run(w, sp)
 }
 
-// ExecFunc runs one non-admission operation (a remove, a repair) under
-// the same lock the commit function uses; like GroupCommitFunc it is
-// responsible for taking that lock itself.
-type ExecFunc func(sp *obs.Span) ([]BatchResult, error)
-
-// Exec routes a non-admission operation through the same queue as
-// admissions, so every scheduler mutation shares one lock path and one
-// FIFO order. The operation always commits as a group of its own —
-// removes and repairs cannot merge into a SubmitBatch solve — but it
-// still serializes behind in-flight groups and hands leadership on like
-// any other entry.
-func (g *GroupCommitter) Exec(fn ExecFunc, sp *obs.Span) ([]BatchResult, error) {
-	w := g.getWaiter()
-	w.exec = fn
-	return g.run(w, sp)
-}
-
 // run enqueues the waiter and either leads the next group or parks
 // until a leader delivers this waiter's outcome (or promotes it).
 func (g *GroupCommitter) run(w *groupWaiter, sp *obs.Span) ([]BatchResult, error) {
@@ -234,19 +207,15 @@ func (g *GroupCommitter) lead(self *groupWaiter, sp *obs.Span) ([]BatchResult, e
 	// Drain whole waiters from the queue head up to MaxSize apps. The
 	// leader is always queue[0] (a promoted waiter is promoted *as* the
 	// head; a fresh leader found the queue empty), so it is always in
-	// its own group. An exec entry (remove, repair) always forms a group
-	// of exactly one: it cannot merge into a batch solve.
+	// its own group.
 	g.mu.Lock()
 	n, total := 0, 0
 	for _, w := range g.queue {
-		if n > 0 && (w.exec != nil || total+len(w.apps) > g.opt.MaxSize) {
+		if n > 0 && total+len(w.apps) > g.opt.MaxSize {
 			break
 		}
-		total += w.weight()
+		total += len(w.apps)
 		n++
-		if w.exec != nil {
-			break
-		}
 	}
 	drainedp := g.getDrained()
 	drained := append((*drainedp)[:0], g.queue[:n]...)
@@ -265,52 +234,38 @@ func (g *GroupCommitter) lead(self *groupWaiter, sp *obs.Span) ([]BatchResult, e
 	lsp.SetInt("apps", int64(len(apps)))
 	lsp.SetInt("waiters", int64(len(drained)))
 
-	var results []BatchResult
-	var err error
-	if self.exec != nil {
-		// Exec groups hold exactly the leader (drain stops at an exec
-		// entry), so the whole result set is the leader's own.
-		results, err = self.exec(lsp)
-	} else {
-		results, err = g.commit(apps, lsp)
-		if len(results) < len(apps) {
-			// Defensive: a commit function that returned short (it should
-			// not) still owes every member a result.
-			padded := make([]BatchResult, len(apps))
-			copy(padded, results)
-			for i := len(results); i < len(apps); i++ {
-				padded[i] = BatchResult{Name: apps[i].Name, Err: err}
-			}
-			results = padded
+	results, err := g.commit(apps, lsp)
+	if len(results) < len(apps) {
+		// Defensive: a commit function that returned short (it should
+		// not) still owes every member a result.
+		padded := make([]BatchResult, len(apps))
+		copy(padded, results)
+		for i := len(results); i < len(apps); i++ {
+			padded[i] = BatchResult{Name: apps[i].Name, Err: err}
 		}
+		results = padded
 	}
 
 	g.groups.Add(1)
 	g.apps.Add(uint64(len(apps)))
 	if reg := g.opt.Metrics; reg != nil {
 		reg.Counter(metricGroupLeads).Inc()
-		if self.exec == nil {
-			reg.Histogram(metricGroupSize, groupSizeBuckets).Observe(float64(len(apps)))
-		}
+		reg.Histogram(metricGroupSize, groupSizeBuckets).Observe(float64(len(apps)))
 	}
 
 	// Distribute: each waiter receives its own subslice of the group's
 	// results (capacity-clipped so no waiter can append into another's).
 	var selfOut groupOutcome
-	if self.exec != nil {
-		selfOut = groupOutcome{results: results, err: err}
-	} else {
-		off := 0
-		for _, w := range drained {
-			k := len(w.apps)
-			out := groupOutcome{results: results[off : off+k : off+k], err: err}
-			off += k
-			if w == self {
-				selfOut = out
-				continue
-			}
-			w.outc <- out
+	off := 0
+	for _, w := range drained {
+		k := len(w.apps)
+		out := groupOutcome{results: results[off : off+k : off+k], err: err}
+		off += k
+		if w == self {
+			selfOut = out
+			continue
 		}
+		w.outc <- out
 	}
 	*appsp = apps
 	g.putApps(appsp)
@@ -350,7 +305,6 @@ func (g *GroupCommitter) putWaiter(w *groupWaiter) {
 		w.apps[i] = App{}
 	}
 	w.apps = w.apps[:0]
-	w.exec = nil
 	g.waiters.Put(w)
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -360,70 +359,5 @@ func TestGroupSpansDisabledZeroAlloc(t *testing.T) {
 		l.End()
 	}); allocs != 0 {
 		t.Fatalf("disabled group spans allocate %v per op, want 0", allocs)
-	}
-}
-
-// TestGroupExec routes single operations (the remove/repair shape)
-// through the commit queue: each exec entry forms its own group of one,
-// exec callbacks are mutually exclusive with app commits (the queue is
-// the lock path), and results and errors reach the caller unchanged.
-func TestGroupExec(t *testing.T) {
-	net := batchMeshNet(t)
-	s := New(net, WithRandSeed(1))
-	var inCritical atomic.Int32
-	enter := func() {
-		if inCritical.Add(1) != 1 {
-			t.Error("exec overlapped another commit; the queue must serialize them")
-		}
-	}
-	exit := func() { inCritical.Add(-1) }
-	gc := NewGroupCommitter(func(batch []App, lead *obs.Span) ([]BatchResult, error) {
-		enter()
-		defer exit()
-		return s.SubmitBatch(batch)
-	}, GroupOptions{MaxSize: 8})
-
-	apps := batchApps(t, rand.New(rand.NewSource(7)), net, 12, true)
-	var execRuns atomic.Int32
-	var wg sync.WaitGroup
-	for i := range apps {
-		wg.Add(1)
-		go func(app App) {
-			defer wg.Done()
-			if _, err := gc.Submit(app, nil); err != nil {
-				t.Errorf("submit %s: %v", app.Name, err)
-			}
-		}(apps[i])
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			want := BatchResult{Name: "exec"}
-			res, err := gc.Exec(func(sp *obs.Span) ([]BatchResult, error) {
-				enter()
-				defer exit()
-				execRuns.Add(1)
-				return []BatchResult{want}, nil
-			}, nil)
-			if err != nil || len(res) != 1 || res[0].Name != want.Name {
-				t.Errorf("exec %d: res=%v err=%v", i, res, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := execRuns.Load(); got != int32(len(apps)) {
-		t.Fatalf("ran %d execs, want %d", got, len(apps))
-	}
-
-	// Errors surface to the caller that enqueued the exec.
-	wantErr := errors.New("boom")
-	if _, err := gc.Exec(func(sp *obs.Span) ([]BatchResult, error) {
-		return nil, wantErr
-	}, nil); !errors.Is(err, wantErr) {
-		t.Fatalf("exec error = %v, want %v", err, wantErr)
-	}
-
-	// Exec groups carry zero apps; app accounting is untouched by them.
-	if st := gc.Stats(); st.Apps != 12 {
-		t.Fatalf("stats counted %d apps, want 12 (execs excluded)", st.Apps)
 	}
 }

@@ -36,8 +36,9 @@ func (s *Scheduler) SetSpans(st *obs.SpanTracer) { s.spans = st }
 func (s *Scheduler) SetRequestSpan(sp *obs.Span) { s.reqSpan = sp }
 
 // OpSpan returns the span of the scheduler operation currently executing,
-// or nil outside one. The server's journal commit hook uses it to parent
-// the journal append/fsync spans under the operation that triggered them.
+// or nil outside one. The shard router tags each committed record with
+// it, so the journal append/fsync spans nest under the operation that
+// triggered them.
 func (s *Scheduler) OpSpan() *obs.Span { return s.opSpan }
 
 // startOpSpan opens the top-level span of one scheduler operation: a

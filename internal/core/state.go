@@ -3,6 +3,7 @@ package core
 import (
 	"sparcle/internal/alloc"
 	"sparcle/internal/network"
+	"sparcle/internal/obs"
 )
 
 // This file is the scheduler-state extraction that lets schedulers
@@ -74,10 +75,11 @@ type State interface {
 }
 
 // Control is the full mutating surface of one scheduler: admission,
-// withdrawal, repair, fluctuation, batching, and durable export, plus the
-// State view. It is the seam along which schedulers compose — a
-// region-sharded control plane runs one Control per region and routes
-// operations to them.
+// withdrawal, repair, fluctuation, batching, durable export and
+// committed-record replay, and the request-span bracket, plus the State
+// view. It is the seam along which schedulers compose — a region-sharded
+// control plane runs one Control per region and routes operations to
+// them.
 type Control interface {
 	State
 	Submit(App) (*PlacedApp, error)
@@ -86,7 +88,11 @@ type Control interface {
 	Repair(string) (*PlacedApp, error)
 	ApplyFluctuation(ElementScale) (*FluctuationReport, error)
 	ExportSnapshot() (*Snapshot, error)
+	ApplyCommitted(*Record) error
 	RngDraws() uint64
+	SetSpans(*obs.SpanTracer)
+	SetRequestSpan(*obs.Span)
+	OpSpan() *obs.Span
 }
 
 var (

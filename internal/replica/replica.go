@@ -97,9 +97,8 @@ type snapPayload struct {
 	State json.RawMessage `json:"state"`
 }
 
-// StateMachine is the replicated state the log drives. The unsharded
-// server wires a live scheduler here (core.ApplyCommitted per record);
-// the shard server wires the envelope stream.
+// StateMachine is the replicated state the log drives. The server wires
+// its admission router here (shard.Router.Apply per entry).
 //
 // Lock discipline: Apply, SnapshotWith and Restore are only ever called
 // from one node goroutine at a time, but they run concurrently with the

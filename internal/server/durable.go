@@ -1,28 +1,30 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"sparcle/internal/core"
 	"sparcle/internal/journal"
+	"sparcle/internal/network"
+	"sparcle/internal/shard"
 )
 
 // metricRecovery reports how long the last journal recovery took.
 const metricRecovery = "sparcle_recovery_seconds"
 
-// EnableJournal makes every mutating scheduler operation durable: the
-// journal at dir is opened and recovered, a scheduler byte-equal to the
-// pre-crash one is rebuilt from snapshot + bounded replay, and from then
-// on each operation appends its outcome record before the HTTP response
-// acks it. Every snapshotEvery records a snapshot bounds future replay
-// (0 disables periodic snapshots).
+// EnableJournal makes every mutating operation durable: the journal at
+// dir is opened and recovered, a router byte-equal to the pre-crash one
+// is rebuilt from snapshot + bounded replay, and from then on each
+// operation appends its records before the HTTP response acks it. Every
+// snapshotEvery records a snapshot bounds future replay (0 disables
+// periodic snapshots). The journal's format is shard's codec: with one
+// region, bare core records and snapshots.
 //
-// On an empty journal a genesis snapshot of the current (fresh) scheduler
-// is written first: it pins the RNG seed, so a later restart with a
-// different -seed flag recovers the original stream instead of silently
-// diverging.
+// On an empty journal a genesis snapshot of the current (fresh) router
+// is written first: it pins every region's RNG seed, so a later restart
+// with a different -seed flag recovers the original stream instead of
+// silently diverging.
 //
 // While recovery runs, the server answers mutating routes with 503 (see
 // middleware); GETs stay available.
@@ -43,14 +45,43 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 		j.Close()
 		return fmt.Errorf("recover journal: %w", err)
 	}
-	entries := make([][]byte, len(recs))
-	for i := range recs {
-		entries[i] = recs[i].Data
+	k := s.rt().NumShards()
+	// The hook runs under the committing shard's lock (or the border
+	// mutex for lease envelopes); the journal serializes concurrent
+	// appends internally. Snapshots cannot be cut here — the router's
+	// consistent export takes every shard lock, including the one the
+	// committing operation holds — so the hook only flags the cadence
+	// and a background goroutine writes the snapshot via SnapshotWith,
+	// which holds all locks across export AND write so no record can
+	// land in between and be skipped by a later replay.
+	hook := func(env *shard.Envelope) error {
+		if _, err := j.AppendSpan(env.Span, "op", shard.EncodeEnvelope(k, env)); err != nil {
+			return err
+		}
+		if snapshotEvery > 0 && j.SinceSnapshot() >= snapshotEvery &&
+			s.snapshotting.CompareAndSwap(false, true) {
+			go s.writeSnapshot(j)
+		}
+		return nil
 	}
-	if s.rt() != nil {
-		err = s.journalRouter(j, snapshotEvery, snapBytes, entries)
+	if len(snapBytes) > 0 || len(recs) > 0 {
+		entries := make([][]byte, len(recs))
+		for i := range recs {
+			entries[i] = recs[i].Data
+		}
+		err = s.restore(snapBytes, entries, hook)
+		if err == nil {
+			// Withdraw what a crash tore through the armed hook, so the
+			// journal records the withdrawals and replays to this state.
+			err = s.rt().Reconcile()
+		}
 	} else {
-		err = s.journalSched(j, snapshotEvery, snapBytes, entries)
+		// Fresh journal: pin the initial state of every shard (seeds
+		// included) before the first operation can be acknowledged.
+		s.rt().SetEnvelopeHook(hook)
+		if err = s.snapshotTo(j); err != nil {
+			err = fmt.Errorf("write genesis snapshot: %w", err)
+		}
 	}
 	if err != nil {
 		j.Close()
@@ -65,91 +96,51 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 	return nil
 }
 
-// journalSched puts the unsharded scheduler behind j: a non-empty
-// journal is replayed into a rebuilt scheduler, an empty one receives
-// the genesis snapshot, and either way every later operation appends
-// its outcome record through the commit hook.
-func (s *Server) journalSched(j *journal.Journal, snapshotEvery int, snapBytes []byte, entries [][]byte) error {
-	hook := func(rec *core.Record) error {
-		// The hook runs inside a scheduler operation, so its append (and
-		// fsync) spans nest under that operation's span; with spans
-		// disabled OpSpan is nil and AppendSpan behaves exactly as Append.
-		if _, err := j.AppendSpan(s.sched.OpSpan(), "op", rec); err != nil {
-			return err
-		}
-		if snapshotEvery > 0 && j.SinceSnapshot() >= snapshotEvery {
-			ssp := s.sched.OpSpan().Child("journal.snapshot")
-			defer ssp.End()
-			snap, err := s.sched.ExportSnapshot()
-			if err != nil {
-				return fmt.Errorf("export snapshot: %w", err)
-			}
-			if err := j.WriteSnapshot(snap); err != nil {
-				return fmt.Errorf("write snapshot: %w", err)
-			}
-		}
-		return nil
-	}
-	if len(snapBytes) > 0 || len(entries) > 0 {
-		return s.restoreSched(snapBytes, entries, hook)
-	}
-	// Fresh journal: pin the initial state (seed included) before the
-	// first operation can be acknowledged.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sched.SetCommitHook(hook)
-	snap, err := s.sched.ExportSnapshot()
-	if err != nil {
-		return fmt.Errorf("export genesis snapshot: %w", err)
-	}
-	if err := j.WriteSnapshot(snap); err != nil {
-		return fmt.Errorf("write genesis snapshot: %w", err)
-	}
-	return nil
-}
-
-// decodeLog decodes a state snapshot (nil when snapBytes is empty) and
-// the records committed after it.
-func decodeLog[S, R any](snapBytes []byte, entries [][]byte) (*S, []*R, error) {
-	var snap *S
-	if len(snapBytes) > 0 {
-		snap = new(S)
-		if err := json.Unmarshal(snapBytes, snap); err != nil {
-			return nil, nil, fmt.Errorf("decode snapshot: %w", err)
-		}
-	}
-	recs := make([]*R, len(entries))
-	for i := range entries {
-		recs[i] = new(R)
-		if err := json.Unmarshal(entries[i], recs[i]); err != nil {
-			return nil, nil, fmt.Errorf("decode record %d: %w", i, err)
-		}
-	}
-	return snap, recs, nil
-}
-
-// restoreSched replaces the scheduler with one rebuilt from a snapshot
-// and the records after it, with hook armed on it — journal recovery and
-// a replicated restore are this one operation. The rebuild runs off the
-// lock (it reads only the immutable network and the decoded log); the
-// swap takes it.
-func (s *Server) restoreSched(snapBytes []byte, entries [][]byte, hook core.CommitHook) error {
-	snap, recs, err := decodeLog[core.Snapshot, core.Record](snapBytes, entries)
+// restore replaces the router with one replayed from a journal snapshot
+// and the entries after it — journal recovery and a replicated restore
+// are this one operation — re-arming spans, hook and the per-shard
+// committers on the replayed instance; it does not reconcile (see
+// shard.Replay). The replay reads only the immutable network and the
+// decoded log; the swap is one store.
+func (s *Server) restore(snapBytes []byte, entries [][]byte, hook shard.EnvelopeHook) error {
+	k := s.rt().NumShards()
+	snap, envs, err := shard.DecodeLog(k, snapBytes, entries)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	opts := s.opts
+	opts, spans, groupOpt := s.opts, s.spans, s.groupOpt
 	s.mu.Unlock()
-	rebuilt, err := core.Rebuild(s.net, snap, recs, opts...)
+	rebuilt, err := shard.Replay(s.net, k, snap, envs,
+		func(sub *network.Network, region int, ss *core.Snapshot, rs []*core.Record) (core.Control, error) {
+			return core.Rebuild(sub, ss, rs, opts...)
+		})
 	if err != nil {
-		return fmt.Errorf("rebuild scheduler: %w", err)
+		return fmt.Errorf("rebuild router: %w", err)
 	}
-	rebuilt.SetCommitHook(hook)
-	s.mu.Lock()
-	s.sched = rebuilt
-	s.mu.Unlock()
+	rebuilt.SetSpans(spans)
+	rebuilt.SetEnvelopeHook(hook)
+	rebuilt.EnableGroupCommit(groupOpt)
+	s.router.Store(rebuilt)
 	return nil
+}
+
+// snapshotTo writes one consistent router snapshot into j.
+func (s *Server) snapshotTo(j *journal.Journal) error {
+	rt := s.rt()
+	return rt.SnapshotWith(func(snap *shard.RouterSnapshot) error {
+		return j.WriteSnapshot(shard.EncodeSnapshot(rt.NumShards(), snap))
+	})
+}
+
+// writeSnapshot is the journal hook's background snapshot. Failures are
+// counted, not fatal: the journal still holds every record, so recovery
+// just replays a longer tail.
+func (s *Server) writeSnapshot(j *journal.Journal) {
+	defer s.snapshotting.Store(false)
+	if err := s.snapshotTo(j); err != nil {
+		s.metrics.Counter("sparcle_snapshot_errors_total").Inc()
+	}
 }
 
 // Close stops the replication node (if any) and releases the server's

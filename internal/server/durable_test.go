@@ -213,9 +213,7 @@ func TestSubmitAllSharesBatchPath(t *testing.T) {
 	if srv.Journal().LastSeq() != 1 {
 		t.Fatalf("SubmitAll journaled %d records, want exactly 1", srv.Journal().LastSeq())
 	}
-	srv.mu.Lock()
-	n := len(srv.sched.BEApps())
-	srv.mu.Unlock()
+	n := len(srv.Router().Shard(0).BEApps())
 	if n != 3 {
 		t.Fatalf("SubmitAll admitted %d apps, want 3", n)
 	}

@@ -8,9 +8,9 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"sparcle/internal/core"
 	"sparcle/internal/journal"
 	"sparcle/internal/replica"
 	"sparcle/internal/shard"
@@ -18,15 +18,11 @@ import (
 
 // Replication wiring. EnableReplication turns the server into one member
 // of a 3-node replicated control plane (internal/replica): every
-// mutating operation's journal record is proposed through the replica
+// mutating operation's journal entry is proposed through the replica
 // node and acknowledged only after a quorum holds it, followers keep a
-// hot scheduler by applying committed records continuously, and the
+// hot router by applying committed entries continuously, and the
 // middleware redirects writes to the leader (421 with a Location
-// header). The unsharded scheduler replicates its outcome records
-// directly; the sharded router replicates the same tagged envelopes it
-// journals, with followers buffering the envelope stream and
-// materializing a router on demand (shard.Rebuild is a batch operation —
-// its torn-operation reconcile pass must not run per record).
+// header). The log holds exactly what the journal would (shard's codec).
 
 // ReplicationConfig assembles EnableReplication.
 type ReplicationConfig struct {
@@ -60,10 +56,9 @@ type ReplicationConfig struct {
 // EnableReplication opens the node's journal and starts the replica.
 // It replaces EnableJournal — the replica node owns journal recovery —
 // and must run before the server takes traffic. The state machine
-// restore that Start performs rebuilds the scheduler (or buffers the
-// sharded envelope stream) exactly like journal recovery would, so a
-// restarted node resumes from its local log and then heals any
-// divergence against the current leader.
+// restore that Start performs rebuilds the router exactly like journal
+// recovery would, so a restarted node resumes from its local log and
+// then heals any divergence against the current leader.
 func (s *Server) EnableReplication(cfg ReplicationConfig) error {
 	s.mu.Lock()
 	armed := s.journal != nil || s.replica != nil
@@ -87,15 +82,7 @@ func (s *Server) EnableReplication(cfg ReplicationConfig) error {
 		return fmt.Errorf("open journal: %w", err)
 	}
 
-	var sm replica.StateMachine
-	if s.rt() != nil {
-		ssm := &shardReplSM{s: s}
-		s.replShard = ssm
-		sm = ssm
-	} else {
-		sm = &schedReplSM{s: s}
-	}
-
+	sm := &replSM{s: s}
 	peers := make(map[string]replica.Transport, len(cfg.Peers)-1)
 	if !cfg.Join {
 		// A joiner has no static peers: its membership (and so its
@@ -137,13 +124,14 @@ func (s *Server) EnableReplication(cfg ReplicationConfig) error {
 		return err
 	}
 
-	// Publish before Start: the commit hooks armed during the state
-	// machine restore propose through s.replica.
+	// Publish before Start: the restore Start performs arms the propose
+	// hook, which proposes through s.replica.
 	s.mu.Lock()
 	s.journal = j
 	s.replica = node
 	s.replH = node.Handler()
 	s.replPeers = cfg.Peers
+	s.repl = sm
 	s.mu.Unlock()
 
 	if err := node.Start(); err != nil {
@@ -151,16 +139,10 @@ func (s *Server) EnableReplication(cfg ReplicationConfig) error {
 		s.journal = nil
 		s.replica = nil
 		s.replH = nil
-		s.replShard = nil
+		s.repl = nil
 		s.mu.Unlock()
 		j.Close()
 		return fmt.Errorf("start replica: %w", err)
-	}
-	if rt := s.rt(); rt != nil {
-		// The live (genesis) router never goes through a materialize, so
-		// its envelope hook is armed here; materialized routers re-arm
-		// their own.
-		rt.SetEnvelopeHook(func(env *shard.Envelope) error { return s.propose(env) })
 	}
 
 	s.metrics.SetHelp(metricRecovery, "Duration of the last journal recovery in seconds.")
@@ -290,17 +272,14 @@ func (s *Server) handleMembersChange(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// propose is the commit hook of either host under replication — v is
-// the unsharded scheduler's outcome record or the sharded router's
-// envelope: it is committed by quorum instead of a local fsync alone
-// (the local append inside Propose still honors the fsync policy). On
-// failure the local state has applied an operation the log did not
-// commit, so the state machine is reset to the committed prefix before
-// the error (wrapped in ErrDurability upstream) fails the request; the
-// sharded router is rebuilt from the committed stream at the next
-// materialize, which the write gate forces before the next write.
-func (s *Server) propose(v any) error {
-	data, err := json.Marshal(v)
+// propose is the router's envelope hook under replication: the envelope
+// is committed by quorum instead of a local fsync alone (the local
+// append inside Propose still honors the fsync policy). On failure the
+// local state has applied an operation the log did not commit, so the
+// state machine is reset to the committed prefix before the error
+// (wrapped in ErrDurability upstream) fails the request.
+func (s *Server) propose(env *shard.Envelope) error {
+	data, err := json.Marshal(shard.EncodeEnvelope(s.rt().NumShards(), env))
 	if err != nil {
 		return err
 	}
@@ -324,14 +303,13 @@ func (s *Server) replicaWriteGate(w http.ResponseWriter, r *http.Request) bool {
 	st := n.Status()
 	switch {
 	case st.Role == "leader" && st.Ready && st.LastApplied == st.LastSeq:
-		if s.replShard != nil {
-			// A freshly promoted shard leader materializes its buffered
-			// envelope stream into a live router before the first write.
-			if err := s.replShard.ensureFresh(); err != nil {
-				writeJSON(w, http.StatusInternalServerError,
-					errorResponse{Error: fmt.Sprintf("materialize replicated state: %v", err)})
-				return false
-			}
+		if err := s.repl.settle(); err != nil {
+			// A withdrawal's propose failed and reset the state machine;
+			// the next write reconciles again.
+			w.Header().Set("Retry-After", "1")
+			writeJSON(w, http.StatusServiceUnavailable,
+				errorResponse{Error: fmt.Sprintf("reconcile replicated state: %v", err)})
+			return false
 		}
 		return true
 	case st.Role == "leader":
@@ -401,136 +379,74 @@ func (s *Server) replicationHealth() *replicationHealth {
 	return &replicationHealth{Status: st, LeaderURL: url}
 }
 
-// --- unsharded state machine ---
+// --- replicated state machine ---
 
-// schedReplSM replicates the unsharded scheduler: committed records
-// apply through core.ApplyCommitted under the server lock, snapshots are
-// core.Snapshot exports, and a restore rebuilds the scheduler exactly
-// like journal recovery (then re-arms the propose hook on the rebuilt
-// instance).
-type schedReplSM struct{ s *Server }
-
-func (m *schedReplSM) Apply(data []byte) error {
-	rec := &core.Record{}
-	if err := json.Unmarshal(data, rec); err != nil {
-		return fmt.Errorf("decode replicated record: %w", err)
-	}
-	m.s.mu.Lock()
-	defer m.s.mu.Unlock()
-	return m.s.sched.ApplyCommitted(rec)
-}
-
-func (m *schedReplSM) SnapshotWith(write func(state []byte) error) error {
-	m.s.mu.Lock()
-	defer m.s.mu.Unlock()
-	snap, err := m.s.sched.ExportSnapshot()
-	if err != nil {
-		return err
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	return write(data)
-}
-
-func (m *schedReplSM) Restore(snapBytes []byte, entries [][]byte) error {
-	return m.s.restoreSched(snapBytes, entries, func(rec *core.Record) error { return m.s.propose(rec) })
-}
-
-// --- sharded state machine ---
-
-// shardReplSM replicates the sharded router as its envelope stream.
-// shard.Rebuild reconciles torn cross-region operations as a final
-// batch pass, so committed envelopes cannot be folded into a live
-// router one at a time; instead the follower buffers (snapshot, tail)
-// and materializes a router from the buffer when one is needed — at
-// snapshot cadence, and before a freshly promoted leader's first write.
-// On the steady-state leader the live router is the source of truth
-// (proposals mutate it directly before they are proposed) and the
-// buffer stays clean.
-type shardReplSM struct {
+// replSM replicates the router through the same envelope stream it
+// journals. Followers stay hot: each committed envelope applies through
+// Router.Apply as it arrives. A snapshot is the router's consistent
+// export, and a restore swaps in the router replayed from a snapshot and
+// the entries after it, with the propose hook armed; only settle
+// withdraws a torn half. On a steady leader
+// the live router is the source of truth: operations mutate it before
+// they are proposed, and nothing is applied twice.
+type replSM struct {
 	s *Server
 
+	// mu orders Restore against SnapshotWith, so that a snapshot of the
+	// router it loaded is never stamped after a restore replaced that
+	// router, and serializes settle.
 	mu sync.Mutex
-	// snap and envs are the committed state as bytes: the newest
-	// state-machine snapshot and every applied envelope after it.
-	snap []byte
-	envs [][]byte
-	// dirty marks buffered state the live router does not reflect yet.
-	dirty bool
+	// settled is cleared whenever the log, not this node's own writes,
+	// moves the router: by Apply and by Restore.
+	settled atomic.Bool
 }
 
-func (m *shardReplSM) Apply(data []byte) error {
-	m.mu.Lock()
-	m.envs = append(m.envs, append([]byte(nil), data...))
-	m.dirty = true
-	m.mu.Unlock()
-	return nil
+func (m *replSM) Apply(data []byte) error {
+	m.settled.Store(false)
+	rt := m.s.rt()
+	env, err := shard.DecodeEnvelope(rt.NumShards(), data)
+	if err != nil {
+		return fmt.Errorf("decode replicated envelope: %w", err)
+	}
+	return rt.Apply(env)
 }
 
-func (m *shardReplSM) SnapshotWith(write func(state []byte) error) error {
+func (m *replSM) SnapshotWith(write func(state []byte) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Holding m.mu blocks Apply, freezing the node's applied index for
-	// the duration; materializing first makes the live router cover the
-	// whole buffer, and the router's own SnapshotWith holds every shard
-	// lock across export and write.
-	if err := m.materializeLocked(); err != nil {
-		return err
-	}
-	var data []byte
-	err := m.s.rt().SnapshotWith(func(snap *shard.RouterSnapshot) error {
-		d, err := json.Marshal(snap)
+	rt := m.s.rt()
+	return rt.SnapshotWith(func(snap *shard.RouterSnapshot) error {
+		data, err := json.Marshal(shard.EncodeSnapshot(rt.NumShards(), snap))
 		if err != nil {
 			return err
 		}
-		data = d
-		return write(d)
+		return write(data)
 	})
-	if err != nil {
-		return err
-	}
-	m.snap = data
-	m.envs = m.envs[:0]
-	return nil
 }
 
-func (m *shardReplSM) Restore(snap []byte, entries [][]byte) error {
+func (m *replSM) Restore(snap []byte, entries [][]byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(snap) == 0 && len(entries) == 0 {
-		// Genesis: the live router already is the initial state.
-		m.snap, m.envs, m.dirty = nil, nil, false
-		return nil
-	}
-	m.snap = append([]byte(nil), snap...)
-	m.envs = m.envs[:0]
-	for _, e := range entries {
-		m.envs = append(m.envs, append([]byte(nil), e...))
-	}
-	m.dirty = true
-	return nil
+	m.settled.Store(false)
+	return m.s.restore(snap, entries, m.s.propose)
 }
 
-// ensureFresh materializes the buffered committed state into the live
-// router if anything changed since the last materialize.
-func (m *shardReplSM) ensureFresh() error {
+// settle reconciles the router once after the log moved it, before the
+// node's first write as leader: a cross-region operation the previous
+// leader left torn is withdrawn, and each withdrawal is proposed like
+// any other remove, so the followers apply it too.
+func (m *replSM) settle() error {
+	if m.settled.Load() {
+		return nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.materializeLocked()
-}
-
-// materializeLocked rebuilds the router from the buffered snapshot +
-// envelope tail and swaps it in. The buffer is kept (it still mirrors
-// the committed log); only SnapshotWith resets it.
-func (m *shardReplSM) materializeLocked() error {
-	if !m.dirty {
+	if m.settled.Load() {
 		return nil
 	}
-	if err := m.s.restoreRouter(m.snap, m.envs, func(env *shard.Envelope) error { return m.s.propose(env) }); err != nil {
+	if err := m.s.rt().Reconcile(); err != nil {
 		return err
 	}
-	m.dirty = false
+	m.settled.Store(true)
 	return nil
 }

@@ -44,83 +44,68 @@ import (
 	"sparcle/internal/taskgraph"
 )
 
-// Server wraps a scheduler with a JSON HTTP API. All scheduler operations
-// are serialized under mu; the scheduler itself is not concurrency safe.
-// The metrics registry has its own synchronization, so /metrics and
-// /debug/vars are served without blocking the scheduler.
+// Server serves a region-sharded admission router (internal/shard) with a
+// JSON HTTP API; one region is the whole network under one scheduler.
+// The router carries a lock and a group-commit queue per region, so the
+// server itself serializes no scheduler work: mu only guards the
+// configuration the Enable* calls write. The metrics registry has its
+// own synchronization, so /metrics and /debug/vars never block
+// admissions.
 type Server struct {
 	mu       sync.Mutex
 	net      *network.Network
-	sched    *core.Scheduler
 	metrics  *obs.Registry
 	start    time.Time
 	requests atomic.Uint64
 
-	// opts are the scheduler options New resolved, kept so EnableJournal
-	// can rebuild a recovered scheduler under identical configuration.
+	// opts are the scheduler options NewSharded resolved, kept so a
+	// rebuilt router (journal recovery, replicated restore) runs its
+	// schedulers under identical configuration.
 	opts []core.Option
 	// journal is non-nil once EnableJournal succeeds.
 	journal *journal.Journal
 	// recovering gates mutating routes behind 503 while journal recovery
-	// rebuilds the scheduler.
+	// rebuilds the router.
 	recovering atomic.Bool
 	// spans is non-nil once EnableSpans armed request tracing (spans.go).
 	spans *obs.SpanTracer
-	// group is the commit queue every admission, remove and repair of
-	// the unsharded scheduler goes through (group.go). In shard mode it
-	// is nil and the router carries one committer per shard instead.
-	group *core.GroupCommitter
 	// groupOpt is the committers' configuration, kept so a rebuilt
-	// router (journal recovery, replicated materialize) is re-armed
-	// with the same bounds.
+	// router is re-armed with the same bounds.
 	groupOpt core.GroupOptions
 
-	// router is non-nil in shard mode (NewSharded): requests then route
-	// through the region-sharded admission router instead of sched, and
-	// mu no longer serializes scheduler work — each shard carries its own
-	// lock (shard.go). It is an atomic pointer because a replicated
-	// follower rebuilds and swaps the router at runtime when it
-	// materializes buffered envelopes (replica.go); read it through rt().
+	// router is an atomic pointer because journal recovery and a
+	// replicated restore swap in a rebuilt router at runtime; read it
+	// through rt().
 	router atomic.Pointer[shard.Router]
-	// shards is the region count the router was built with.
-	shards int
-	// snapshotting dedups the asynchronous shard-mode journal snapshots.
+	// snapshotting dedups the asynchronous journal snapshots.
 	snapshotting atomic.Bool
 
 	// replica is non-nil once EnableReplication armed the 3-node
 	// replicated control plane; replH serves its peer RPCs, replPeers
 	// maps node IDs to base URLs for the follower-redirect Location
-	// header, and replShard buffers the envelope stream in shard mode
-	// (replica.go). All are written once under mu before the recovering
-	// gate drops, so the write gate's unlocked reads are ordered after
-	// them.
+	// header, and repl is the replicated state machine (replica.go). All
+	// are written once under mu before the recovering gate drops, so the
+	// write gate's unlocked reads are ordered after them.
 	replica   *replica.Node
 	replH     http.Handler
 	replPeers map[string]string
-	replShard *shardReplSM
+	repl      *replSM
 }
 
-// rt returns the admission router, nil outside shard mode. Handlers load
-// it once per request: a replicated follower may swap in a freshly
-// materialized router at any moment, and mixing two routers inside one
-// request would cross state generations.
+// rt returns the admission router. Handlers load it once per request: a
+// replicated node may swap in a restored router at any moment, and
+// mixing two routers inside one request would cross state generations.
 func (s *Server) rt() *shard.Router { return s.router.Load() }
 
-// New returns a Server scheduling onto net. The server always carries a
-// metrics registry (exposed on /metrics and via Metrics); the scheduler is
-// wired to it before any caller-supplied options are applied.
+// New returns a Server scheduling onto the whole of net: NewSharded with
+// one region.
 func New(net *network.Network, opts ...core.Option) *Server {
-	reg := obs.NewRegistry()
-	opts = append([]core.Option{core.WithMetrics(reg)}, opts...)
-	s := &Server{
-		net:      net,
-		sched:    core.New(net, opts...),
-		metrics:  reg,
-		start:    time.Now(),
-		opts:     opts,
-		groupOpt: core.GroupOptions{Metrics: reg},
+	s, err := NewSharded(net, 1, opts...)
+	if err != nil {
+		// One region fails to partition only a network without NCPs,
+		// which network.Builder does not build.
+		panic(err)
 	}
-	s.group = core.NewGroupCommitter(s.groupCommit, s.groupOpt)
 	return s
 }
 
@@ -207,9 +192,9 @@ type healthzResponse struct {
 	Apps          map[string]int `json:"apps"`
 	Requests      uint64         `json:"requests"`
 	Journal       journalHealth  `json:"journal"`
-	// Sharding is present in shard mode: per-shard admissions, lease
-	// count and border-link occupancy.
-	Sharding *shard.Stats `json:"sharding,omitempty"`
+	// Sharding reports per-shard admissions, lease count and border-link
+	// occupancy.
+	Sharding shard.Stats `json:"sharding"`
 	// GroupCommit reports the commit queue: groups committed, followers
 	// coalesced, apps admitted through it.
 	GroupCommit core.GroupStats `json:"groupCommit"`
@@ -237,30 +222,15 @@ type journalHealth struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	var apps map[string]int
-	var sharding *shard.Stats
 	s.mu.Lock()
 	j := s.journal
 	s.mu.Unlock()
-	if rt := s.rt(); rt != nil {
-		st := rt.Stats()
-		sharding = &st
-		gr, be := 0, 0
-		for _, sh := range st.Shards {
-			gr += sh.GRApps
-			be += sh.BEApps
-		}
-		apps = map[string]int{
-			core.GuaranteedRate.String(): gr,
-			core.BestEffort.String():     be,
-		}
-	} else {
-		s.mu.Lock()
-		apps = map[string]int{
-			core.GuaranteedRate.String(): len(s.sched.GRApps()),
-			core.BestEffort.String():     len(s.sched.BEApps()),
-		}
-		s.mu.Unlock()
+	rt := s.rt()
+	st := rt.Stats()
+	gr, be := 0, 0
+	for _, sh := range st.Shards {
+		gr += sh.GRApps
+		be += sh.BEApps
 	}
 	jh := journalHealth{Recovering: s.recovering.Load()}
 	if j != nil {
@@ -273,20 +243,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Apps:          apps,
-		Requests:      s.requests.Load(),
-		Journal:       jh,
-		Sharding:      sharding,
-		GroupCommit:   s.groupStats(),
-		Replication:   s.replicationHealth(),
+		Apps: map[string]int{
+			core.GuaranteedRate.String(): gr,
+			core.BestEffort.String():     be,
+		},
+		Requests:    s.requests.Load(),
+		Journal:     jh,
+		Sharding:    st,
+		GroupCommit: rt.GroupStats(),
+		Replication: s.replicationHealth(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// The registry is concurrency safe on its own: no mu here.
-	if s.rt() != nil {
-		s.updateShardMetrics()
-	}
+	s.updateShardMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w)
 }
@@ -336,8 +307,6 @@ type appView struct {
 }
 
 func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	view := networkView{Name: s.net.Name()}
 	for v := 0; v < s.net.NumNCPs(); v++ {
 		ncp := s.net.NCP(network.NCPID(v))
@@ -362,26 +331,19 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListApps(w http.ResponseWriter, r *http.Request) {
-	if s.rt() != nil {
-		s.shardListApps(w, r)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	apps := []appView{}
-	for _, pa := range append(s.sched.GRApps(), s.sched.BEApps()...) {
-		apps = append(apps, s.appView(pa))
+	apps := []shardAppView{}
+	rt := s.rt()
+	for i, shardApps := range rt.AppsByShard(nil) {
+		netw := rt.Region(i).View.Net
+		for _, pa := range shardApps {
+			apps = append(apps, shardAppView{appView: appViewOn(netw, pa), Shard: i})
+		}
 	}
 	writeJSON(w, http.StatusOK, apps)
 }
 
-func (s *Server) appView(pa *core.PlacedApp) appView {
-	return appViewOn(s.net, pa)
-}
-
-// appViewOn renders a placement against the network it was made on —
-// the parent network for the unsharded scheduler, a region sub-network
-// for a shard's placement (path hosts are region-local NCP ids there).
+// appViewOn renders a placement against the network it was made on: its
+// shard's region sub-network, where path hosts are region-local NCP ids.
 func appViewOn(netw *network.Network, pa *core.PlacedApp) appView {
 	view := appView{
 		Name:         pa.App.Name,
@@ -444,36 +406,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var view any
-	var err error
-	if rt := s.rt(); rt != nil {
-		// No global lock: the router claims the name and locks only the
-		// shards the app touches. Duplicate names come back as ErrRejected.
-		var res *shard.Result
-		if res, err = rt.Submit(app, root); err == nil {
-			root.SetInt("shard", int64(res.Shard))
-			view = s.shardView(rt, res)
-		}
-	} else {
-		// The commit function takes the lock once per group and runs the
-		// duplicate-name check there.
-		res, gerr := s.group.Submit(app, root)
-		if err = res.Err; err == nil {
-			err = gerr
-		}
-		if err == nil {
-			s.mu.Lock()
-			view = s.appView(res.App)
-			s.mu.Unlock()
-		}
-	}
+	// The router claims the name (a duplicate comes back as ErrRejected)
+	// and locks only the shards the app touches.
+	rt := s.rt()
+	res, err := rt.Submit(app, root)
 	if err != nil {
 		root.SetAttr("outcome", "rejected")
 		writeJSON(w, errStatus(err), errorResponse{Error: err.Error()})
 		return
 	}
+	root.SetInt("shard", int64(res.Shard))
 	root.SetAttr("outcome", "admitted")
-	writeJSON(w, http.StatusCreated, view)
+	writeJSON(w, http.StatusCreated, s.shardView(rt, res))
 }
 
 // batchRequest is the body of POST /apps/batch.
@@ -501,8 +445,8 @@ type batchResponse struct {
 // spec, duplicate name, rejection) are verdicts, not HTTP errors; the
 // call answers 200 with one verdict per input. Only a durability failure
 // (journal append lost) or a whole-batch allocation failure changes the
-// status. In shard mode atomicity is per shard (docs/http-api.md): each
-// shard's intra-region members form that shard's atomic sub-batch and
+// status. Atomicity is per shard (docs/http-api.md): each shard's
+// intra-region members form that shard's atomic sub-batch and
 // cross-region members are admitted individually.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	root := s.spans.Start("http.batch")
@@ -530,15 +474,8 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		apps = append(apps, app)
 		appIdx = append(appIdx, i)
 	}
-	var results []core.BatchResult
-	view := s.appView
-	if rt := s.rt(); rt != nil {
-		results, err = rt.SubmitBatch(apps, root)
-		view = func(pa *core.PlacedApp) appView { return s.batchAppView(rt, pa) }
-	} else {
-		results, err = s.group.SubmitMany(apps, root)
-		defer s.lockWithSpan(root)() // appView below reads live placements
-	}
+	rt := s.rt()
+	results, err := rt.SubmitBatch(apps, root)
 	for j, res := range results {
 		v := &verdicts[appIdx[j]]
 		if res.Err != nil {
@@ -546,7 +483,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		v.Admitted = true
-		av := view(res.App)
+		av := s.batchAppView(rt, res.App)
 		v.App = &av
 	}
 	resp := batchResponse{Verdicts: verdicts}
@@ -562,25 +499,12 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// handleRemove and handleRepair ride the same commit queue as
-// admissions: the operation serializes behind in-flight groups and takes
-// the scheduler lock exactly once, through the same path (the router
-// does the equivalent under its shard locks).
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	root := s.spans.Start("http.remove")
 	defer root.End()
 	root.SetAttr("app", name)
-	var err error
-	if rt := s.rt(); rt != nil {
-		err = rt.Remove(name, root)
-	} else {
-		_, err = s.group.Exec(func(sp *obs.Span) ([]core.BatchResult, error) {
-			defer s.lockWithSpan(sp)()
-			return nil, s.sched.Remove(name)
-		}, root)
-	}
-	if err != nil {
+	if err := s.rt().Remove(name, root); err != nil {
 		writeJSON(w, errStatus(err), errorResponse{Error: err.Error()})
 		return
 	}
@@ -592,34 +516,13 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	root := s.spans.Start("http.repair")
 	defer root.End()
 	root.SetAttr("app", name)
-	var view any
-	var err error
-	if rt := s.rt(); rt != nil {
-		var res *shard.Result
-		if res, err = rt.Repair(name, root); err == nil {
-			view = s.shardView(rt, res)
-		}
-	} else {
-		var results []core.BatchResult
-		results, err = s.group.Exec(func(sp *obs.Span) ([]core.BatchResult, error) {
-			defer s.lockWithSpan(sp)()
-			re, rerr := s.sched.Repair(name)
-			if rerr != nil {
-				return nil, rerr
-			}
-			return []core.BatchResult{{Name: name, App: re}}, nil
-		}, root)
-		if err == nil {
-			s.mu.Lock()
-			view = s.appView(results[0].App)
-			s.mu.Unlock()
-		}
-	}
+	rt := s.rt()
+	res, err := rt.Repair(name, root)
 	if err != nil {
 		writeJSON(w, errStatus(err), errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeJSON(w, http.StatusOK, s.shardView(rt, res))
 }
 
 // fluctuationRequest scales element capacities; keys are "ncp:<name>" or
@@ -644,8 +547,8 @@ func (s *Server) handleFluctuation(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decode fluctuation: %v", err)})
 		return
 	}
-	// Elements are named against the parent network; in shard mode the
-	// router splits the scale into per-region and border-link shares.
+	// Elements are named against the parent network; the router splits
+	// the scale into per-region and border-link shares.
 	scale := core.ElementScale{}
 	for key, factor := range req.Scale {
 		elem, err := s.parseElement(key)
@@ -655,14 +558,7 @@ func (s *Server) handleFluctuation(w http.ResponseWriter, r *http.Request) {
 		}
 		scale[elem] = factor
 	}
-	var rep *core.FluctuationReport
-	if rt := s.rt(); rt != nil {
-		rep, err = rt.ApplyFluctuation(scale, root)
-	} else {
-		unlock := s.lockWithSpan(root)
-		rep, err = s.sched.ApplyFluctuation(scale)
-		unlock()
-	}
+	rep, err := s.rt().ApplyFluctuation(scale, root)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, core.ErrDurability) {
@@ -733,13 +629,7 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // logging each outcome to out. Rejections are reported but do not fail the
 // batch; a batch-level error (allocation or durability failure) aborts.
 func (s *Server) SubmitAll(apps []core.App, out io.Writer) error {
-	var results []core.BatchResult
-	var err error
-	if rt := s.rt(); rt != nil {
-		results, err = rt.SubmitBatch(apps, nil)
-	} else {
-		results, err = s.group.SubmitMany(apps, nil)
-	}
+	results, err := s.rt().SubmitBatch(apps, nil)
 	for _, res := range results {
 		switch {
 		case errors.Is(res.Err, core.ErrRejected):

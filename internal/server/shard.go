@@ -1,8 +1,6 @@
 package server
 
 import (
-	"fmt"
-	"net/http"
 	"strconv"
 	"time"
 
@@ -12,23 +10,18 @@ import (
 	"sparcle/internal/shard"
 )
 
-// Shard mode. NewSharded fronts the HTTP API with a region-sharded
-// admission router (internal/shard) instead of one scheduler: the
-// network is edge-cut into regions, each region runs its own scheduler
-// and warm allocation solver behind its own lock, and cross-region
-// applications are admitted against border-link capacity leases. The
-// server's global mu no longer serializes admissions — intra-region
-// requests to different shards run concurrently, so the lock.wait spans
-// an open-loop load harness induces shrink with the shard count.
+// The admission router. NewSharded edge-cuts the network into regions;
+// each region runs its own scheduler and warm allocation solver behind
+// its own lock and group-commit queue, and cross-region applications are
+// admitted against border-link capacity leases. Intra-region requests to
+// different shards run concurrently, so the lock.wait spans an open-loop
+// load harness induces shrink with the shard count.
 
-// NewSharded returns a Server routing through a region-sharded
-// admission router over shards regions. shards must be at least 2: a
-// single-shard deployment is exactly New (the router's one-shard path
-// is the seed scheduler verbatim, so there is nothing to gain).
+// NewSharded returns a Server routing through an admission router over
+// shards regions (at least 1). The server always carries a metrics
+// registry (exposed on /metrics and via Metrics); every region's
+// scheduler is wired to it before the caller-supplied options apply.
 func NewSharded(netw *network.Network, shards int, opts ...core.Option) (*Server, error) {
-	if shards < 2 {
-		return nil, fmt.Errorf("server: NewSharded needs at least 2 shards, got %d (use New)", shards)
-	}
 	reg := obs.NewRegistry()
 	opts = append([]core.Option{core.WithMetrics(reg)}, opts...)
 	router, err := shard.New(netw, shards, func(sub *network.Network, region int) core.Control {
@@ -40,20 +33,32 @@ func NewSharded(netw *network.Network, shards int, opts ...core.Option) (*Server
 	s := &Server{
 		net:      netw,
 		metrics:  reg,
+		start:    time.Now(),
 		opts:     opts,
-		shards:   shards,
 		groupOpt: core.GroupOptions{Metrics: reg},
 	}
 	router.EnableGroupCommit(s.groupOpt)
 	s.router.Store(router)
-	s.start = time.Now()
 	s.metricsHelp()
 	return s, nil
 }
 
-// Router returns the admission router, nil unless the server was built
-// with NewSharded. Tests use it to reach individual shards.
+// Router returns the admission router. Tests use it to reach individual
+// shards.
 func (s *Server) Router() *shard.Router { return s.rt() }
+
+// EnableGroupCommit replaces the per-shard commit queues' bounds (zero
+// fields keep the defaults: groups of at most 64). Call it before the
+// server takes traffic.
+func (s *Server) EnableGroupCommit(opt core.GroupOptions) {
+	if opt.Metrics == nil {
+		opt.Metrics = s.metrics
+	}
+	s.mu.Lock()
+	s.groupOpt = opt
+	s.mu.Unlock()
+	s.rt().EnableGroupCommit(opt)
+}
 
 func (s *Server) metricsHelp() {
 	s.metrics.SetHelp("sparcle_shard_apps", "Admitted applications per shard and class.")
@@ -83,7 +88,8 @@ func (s *Server) updateShardMetrics() {
 	}
 }
 
-// shardAppView is appView plus shard-mode placement detail.
+// shardAppView is appView plus the owning shard and, for a cross-region
+// app, its lease and halves.
 type shardAppView struct {
 	appView
 	Shard int        `json:"shard"`
@@ -128,18 +134,6 @@ func (s *Server) shardView(rt *shard.Router, res *shard.Result) shardAppView {
 			},
 		},
 	}
-}
-
-func (s *Server) shardListApps(w http.ResponseWriter, r *http.Request) {
-	apps := []shardAppView{}
-	rt := s.rt()
-	for i, shardApps := range rt.AppsByShard(nil) {
-		netw := rt.Region(i).View.Net
-		for _, pa := range shardApps {
-			apps = append(apps, shardAppView{appView: appViewOn(netw, pa), Shard: i})
-		}
-	}
-	writeJSON(w, http.StatusOK, apps)
 }
 
 // batchAppView renders a batch result's placement. The batch path

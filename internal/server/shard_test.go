@@ -5,12 +5,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"sparcle/internal/journal"
 	"sparcle/internal/network"
 	"sparcle/internal/resource"
+	"sparcle/internal/scenario"
+	"sparcle/internal/shard"
 )
 
 // shardTestNet is a dumbbell: region {a0,a1} and region {b0,b1} joined
@@ -298,5 +303,177 @@ func TestShardServerJournalRecovery(t *testing.T) {
 	resp, _ = do(t, http.MethodDelete, ts2.URL+"/apps/xr", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("remove after recovery: %d", resp.StatusCode)
+	}
+}
+
+// TestShardServerJournalTornRecovery: a crash between the envelopes of a
+// cross-region admission leaves its first half in the journal without
+// sibling or lease. Recovery withdraws the half and journals the
+// withdrawal, so the next recovery replays to the same state and has
+// nothing left to withdraw.
+func TestShardServerJournalTornRecovery(t *testing.T) {
+	net := shardTestNet(t)
+	dir := t.TempDir()
+	opt := journal.Options{Fsync: journal.SyncAlways}
+	boot := func() *Server {
+		t.Helper()
+		srv, err := NewSharded(net, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.EnableJournal(dir, opt, 0); err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		return srv
+	}
+	state := func(srv *Server) string {
+		t.Helper()
+		snap, err := srv.Router().ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(snap)
+		return string(b)
+	}
+
+	srv := boot()
+	ts := httptest.NewServer(srv.Handler())
+	for _, body := range []string{
+		shardAppJSON("inB", "b0", "b1", shardBEQoS),
+		shardAppJSON("xr", "a0", "b1", shardGRQoS),
+	} {
+		if resp, b := do(t, http.MethodPost, ts.URL+"/apps", body); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit: %d %s", resp.StatusCode, b)
+		}
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cut the journal after xr's first half: its sibling and lease are lost.
+	j, err := journal.Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := j.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut uint64
+	for _, r := range recs {
+		var env shard.Envelope
+		if err := json.Unmarshal(r.Data, &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Cross == "xr" {
+			cut = r.Seq
+			break
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no cross-region half in the journal")
+	}
+	if err := j.TruncateTo(cut); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv = boot()
+	if got := srv.Journal().LastSeq(); got != cut+1 {
+		t.Fatalf("journal after torn recovery ends at %d, want %d (one withdrawal)", got, cut+1)
+	}
+	if n := len(srv.Router().Shard(0).GRApps()); n != 0 {
+		t.Fatalf("torn half survived recovery: %d GR apps in region 0", n)
+	}
+	recovered := state(srv)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv = boot()
+	defer srv.Close()
+	if got := srv.Journal().LastSeq(); got != cut+1 {
+		t.Fatalf("second recovery journaled %d more records", got-cut-1)
+	}
+	if got := state(srv); got != recovered {
+		t.Fatalf("second recovery differs\nfirst:  %s\nsecond: %s", recovered, got)
+	}
+}
+
+// TestJournalFixturesRecover recovers journals the PR 24 server wrote —
+// one unsharded, one with -shards 2, each with snapshots and a record
+// tail (testdata/*/journal) — and checks GET /apps against the listing
+// that server served before it stopped.
+func TestJournalFixturesRecover(t *testing.T) {
+	type listing []struct {
+		Name      string  `json:"name"`
+		Class     string  `json:"class"`
+		TotalRate float64 `json:"totalRate"`
+		Paths     []struct {
+			Rate  float64           `json:"rate"`
+			Hosts map[string]string `json:"hosts"`
+		} `json:"paths"`
+	}
+	for _, fx := range []struct {
+		dir    string
+		shards int
+	}{{"journal-unsharded", 1}, {"journal-shards2", 2}} {
+		t.Run(fx.dir, func(t *testing.T) {
+			base := filepath.Join("testdata", fx.dir)
+			data, err := os.ReadFile(filepath.Join(base, "scenario.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := scenario.Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			netw, err := f.BuildNetwork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Recovery writes to the journal, so it runs on a copy.
+			dir := t.TempDir()
+			files, err := os.ReadDir(filepath.Join(base, "journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range files {
+				b, err := os.ReadFile(filepath.Join(base, "journal", e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := NewSharded(netw, fx.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.EnableJournal(dir, journal.Options{Fsync: journal.SyncNever}, 0); err != nil {
+				t.Fatalf("recover fixture: %v", err)
+			}
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			var got, want listing
+			if err := json.Unmarshal([]byte(getApps(t, ts.URL)), &got); err != nil {
+				t.Fatal(err)
+			}
+			golden, err := os.ReadFile(filepath.Join(base, "apps.golden.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(golden, &want); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered listing differs from the writer's\nwant: %+v\ngot:  %+v", want, got)
+			}
+		})
 	}
 }

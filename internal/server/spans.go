@@ -3,15 +3,14 @@ package server
 import (
 	"net/http"
 
-	"sparcle/internal/core"
 	"sparcle/internal/obs"
 )
 
 // This file wires end-to-end span tracing through the HTTP layer: each
 // mutating request gets one root span covering JSON decode, app build,
-// scheduler-lock wait and the scheduler operation itself (whose pipeline
-// stages arrive as child spans via core's request-span bracket), two
-// debug routes expose the flight ring and the per-stage latency
+// shard-lock wait and the scheduler operation itself (whose pipeline
+// stages arrive as child spans via the router's request-span bracket),
+// two debug routes expose the flight ring and the per-stage latency
 // quantiles, and handler panics dump the flight ring to disk before the
 // 500 goes out.
 
@@ -19,22 +18,13 @@ import (
 // then emit one span tree each, GET /debug/flight serves the recent
 // traces as a Chrome trace, and GET /debug/latency serves per-stage
 // p50/p99/p999 quantiles. Safe to call before or after EnableJournal —
-// the option is appended to the recorded scheduler options, so the
-// scheduler rebuild that journal recovery performs keeps spans armed. A
-// nil tracer disables everything at zero cost.
+// a rebuilt router is re-armed with the recorded tracer. A nil tracer
+// disables everything at zero cost.
 func (s *Server) EnableSpans(st *obs.SpanTracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.spans = st
-	s.opts = append(s.opts, core.WithSpans(st))
-	if rt := s.rt(); rt != nil {
-		// Shard mode: the router parents per-shard lock.wait spans under
-		// the request root and arms every shard scheduler's operation
-		// spans; a journal rebuild re-arms through the recorded options.
-		rt.SetSpans(st)
-		return
-	}
-	s.sched.SetSpans(st)
+	s.rt().SetSpans(st)
 }
 
 // handleFlight serves the flight recorder's recent traces as one Chrome
@@ -63,21 +53,4 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 		SLOBreaches: s.spans.Breaches(),
 		Stages:      s.spans.Stages(),
 	})
-}
-
-// lockWithSpan acquires the scheduler lock under a "lock.wait" child of
-// root — the queueing delay an open-loop load harness induces shows up
-// here — and installs root as the scheduler's request span so operation
-// spans nest under it. The caller must run the returned unlock (usually
-// deferred), which clears the bracket before releasing the lock. With
-// spans disabled (nil root) this is exactly Lock/Unlock.
-func (s *Server) lockWithSpan(root *obs.Span) (unlock func()) {
-	lsp := root.Child("lock.wait")
-	s.mu.Lock()
-	lsp.End()
-	s.sched.SetRequestSpan(root)
-	return func() {
-		s.sched.SetRequestSpan(nil)
-		s.mu.Unlock()
-	}
 }

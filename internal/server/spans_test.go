@@ -8,29 +8,13 @@ import (
 	"testing"
 
 	"sparcle/internal/journal"
-	"sparcle/internal/network"
 	"sparcle/internal/obs"
-	"sparcle/internal/resource"
 )
 
-// spanServer builds a journaled server with span tracing armed, returning
-// the test server, the tracer and the JSONL sink.
-func spanServer(t *testing.T) (*httptest.Server, *obs.SpanTracer, *bytes.Buffer) {
+// spanServer journals srv with span tracing armed, returning the test
+// server, the tracer and the JSONL sink.
+func spanServer(t *testing.T, srv *Server) (*httptest.Server, *obs.SpanTracer, *bytes.Buffer) {
 	t.Helper()
-	b := network.NewBuilder("test")
-	src := b.AddNCP("src", nil, 0)
-	m1 := b.AddNCP("m1", resource.Vector{resource.CPU: 100}, 0)
-	m2 := b.AddNCP("m2", resource.Vector{resource.CPU: 80}, 0)
-	snk := b.AddNCP("snk", nil, 0)
-	b.AddLink("s1", src, m1, 1e6, 0)
-	b.AddLink("s2", src, m2, 1e6, 0)
-	b.AddLink("k1", m1, snk, 1e6, 0)
-	b.AddLink("k2", m2, snk, 1e6, 0)
-	net, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(net)
 	var jsonl bytes.Buffer
 	st := obs.NewSpanTracer(obs.SpanOptions{JSONL: &jsonl, Metrics: srv.Metrics()})
 	srv.EnableSpans(st)
@@ -47,10 +31,27 @@ func spanServer(t *testing.T) (*httptest.Server, *obs.SpanTracer, *bytes.Buffer)
 // admission through the HTTP API produces a single trace whose tree runs
 // decode -> build -> group lead -> lock wait -> batch of one -> placement
 // -> allocation solve -> journal append -> journal fsync, all correctly
-// parented.
+// parented — on one region and, for an intra-region app, on two.
 func TestSubmitSpanTree(t *testing.T) {
-	ts, st, jsonl := spanServer(t)
-	resp, body := do(t, http.MethodPost, ts.URL+"/apps", appJSON("pipe", "best-effort", `, "priority": 1`))
+	sharded, err := NewSharded(shardTestNet(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		srv  *Server
+		app  string
+	}{
+		{"one-region", New(testNet(t)), appJSON("pipe", "best-effort", `, "priority": 1`)},
+		{"two-regions", sharded, shardAppJSON("pipe", "a0", "a1", shardBEQoS)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkSubmitSpanTree(t, tc.srv, tc.app) })
+	}
+}
+
+func checkSubmitSpanTree(t *testing.T, srv *Server, app string) {
+	ts, st, jsonl := spanServer(t, srv)
+	resp, body := do(t, http.MethodPost, ts.URL+"/apps", app)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
@@ -119,7 +120,7 @@ func TestSubmitSpanTree(t *testing.T) {
 // parseable Chrome trace and the latency route serves per-stage
 // quantiles after traffic.
 func TestDebugFlightAndLatency(t *testing.T) {
-	ts, _, _ := spanServer(t)
+	ts, _, _ := spanServer(t, New(testNet(t)))
 	if resp, body := do(t, http.MethodPost, ts.URL+"/apps", appJSON("a", "best-effort", `, "priority": 1`)); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
@@ -169,7 +170,7 @@ func TestFlightDisabled(t *testing.T) {
 // TestHealthzJournal checks the durability section of /healthz in both
 // the journaled and plain configurations.
 func TestHealthzJournal(t *testing.T) {
-	ts, _, _ := spanServer(t)
+	ts, _, _ := spanServer(t, New(testNet(t)))
 	if resp, body := do(t, http.MethodPost, ts.URL+"/apps", appJSON("a", "best-effort", `, "priority": 1`)); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}

@@ -73,8 +73,8 @@ func (p *Partitioning) classify(app core.App) (regions []int, err error) {
 
 // localizeApp translates an intra-region app's pins from parent NCP ids
 // to the region view's local ids. For an identity view the app is
-// returned untouched (same struct, same maps), keeping the single-shard
-// path bit-for-bit the unsharded one.
+// returned untouched (same struct, same maps), keeping a one-region
+// router bit-for-bit a lone scheduler.
 func localizeApp(app core.App, view *network.RegionView) (core.App, error) {
 	if view.Identity() || len(app.Pins) == 0 {
 		return app, nil

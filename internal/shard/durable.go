@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
 	"sparcle/internal/core"
 	"sparcle/internal/network"
+	"sparcle/internal/obs"
 )
 
 // Durability of the sharded control plane. Every shard scheduler's
@@ -13,12 +15,11 @@ import (
 // cross-region halves, the logical application), and the router's own
 // border mutations — lease acquire/release/renew and border-link
 // fluctuation scales — are journaled as lease/border envelopes in the
-// same stream. Rebuild demultiplexes the stream: each shard's records
-// replay through core.Rebuild against its region sub-network, the border
-// envelopes replay into the lease table and the cross-app registry, and
-// a final reconciliation pass withdraws cross-region halves that a crash
-// left without their sibling or lease (the sharded analogue of a torn
-// multi-record operation).
+// same stream. Apply applies one committed envelope to a live router,
+// which keeps a replication follower hot; Replay folds Apply over a
+// journal; Reconcile withdraws cross-region halves that a crash left
+// without their sibling or lease (the sharded analogue of a torn
+// multi-record operation), and Rebuild is Replay then Reconcile.
 
 // EnvelopeHook persists one Envelope; it must be safe for concurrent
 // calls (shards commit under their own locks).
@@ -42,6 +43,9 @@ type Envelope struct {
 	// IsBorderScale distinguishes an empty scale map (restore all
 	// borders to nominal) from a non-scale envelope.
 	IsBorderScale bool `json:"isBorderScale,omitempty"`
+	// Span is the span of the shard operation that committed Rec, so a
+	// hook can parent its journal append under it. It is not journaled.
+	Span *obs.Span `json:"-"`
 }
 
 // Lease operation names.
@@ -78,6 +82,73 @@ type RouterSnapshot struct {
 	BorderScale map[int]float64 `json:"borderScale,omitempty"`
 }
 
+// The journal codec. A one-region deployment journals each envelope as
+// its bare core.Record and each snapshot as its bare core.Snapshot: that
+// is the format the unsharded server wrote before the router became the
+// only host, so its journals recover unchanged. One region has no border
+// links, so every envelope it commits is a shard-0 record. More regions
+// journal the Envelope and the RouterSnapshot whole.
+
+// EncodeEnvelope returns what a k-region journal holds for env.
+func EncodeEnvelope(k int, env *Envelope) any {
+	if k == 1 {
+		return env.Rec
+	}
+	return env
+}
+
+// EncodeSnapshot returns what a k-region journal holds for snap.
+func EncodeSnapshot(k int, snap *RouterSnapshot) any {
+	if k == 1 {
+		return snap.Shards[0]
+	}
+	return snap
+}
+
+// DecodeEnvelope decodes one entry of a k-region journal.
+func DecodeEnvelope(k int, data []byte) (*Envelope, error) {
+	env := &Envelope{}
+	var err error
+	if k == 1 {
+		env.Rec = &core.Record{}
+		err = json.Unmarshal(data, env.Rec)
+	} else {
+		err = json.Unmarshal(data, env)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+// DecodeLog decodes a k-region journal: its snapshot (nil when snapBytes
+// is empty) and the entries after it.
+func DecodeLog(k int, snapBytes []byte, entries [][]byte) (*RouterSnapshot, []*Envelope, error) {
+	var snap *RouterSnapshot
+	if len(snapBytes) > 0 {
+		snap = &RouterSnapshot{}
+		var err error
+		if k == 1 {
+			snap.Shards = []*core.Snapshot{{}}
+			err = json.Unmarshal(snapBytes, snap.Shards[0])
+		} else {
+			err = json.Unmarshal(snapBytes, snap)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("decode snapshot: %w", err)
+		}
+	}
+	envs := make([]*Envelope, len(entries))
+	for i, data := range entries {
+		env, err := DecodeEnvelope(k, data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("decode record %d: %w", i, err)
+		}
+		envs[i] = env
+	}
+	return snap, envs, nil
+}
+
 // SetEnvelopeHook installs (or clears, with nil) the durability hook:
 // each shard scheduler's commit hook is wrapped to emit tagged
 // envelopes, and the router's own border mutations are journaled
@@ -89,9 +160,8 @@ func (r *Router) SetEnvelopeHook(h EnvelopeHook) {
 			s.ctl.SetCommitHook(nil)
 			continue
 		}
-		i, s := i, s
 		s.ctl.SetCommitHook(func(rec *core.Record) error {
-			return h(&Envelope{Shard: i, Cross: s.cross, Rec: rec})
+			return h(&Envelope{Shard: i, Cross: s.cross, Rec: rec, Span: s.ctl.OpSpan()})
 		})
 	}
 }
@@ -123,9 +193,10 @@ func (r *Router) commitLease(op string, c *crossApp) error {
 	return nil
 }
 
-// commitBorderScale journals the border-link fluctuation scales.
+// commitBorderScale journals the border-link fluctuation scales. A
+// deployment without border links has no border state to journal.
 func (r *Router) commitBorderScale(border map[int]float64) error {
-	if r.commit == nil {
+	if r.commit == nil || len(r.part.Border) == 0 {
 		return nil
 	}
 	env := &Envelope{Shard: -1, BorderScale: border, IsBorderScale: true}
@@ -189,179 +260,215 @@ func (r *Router) SnapshotWith(write func(*RouterSnapshot) error) error {
 	return write(snap)
 }
 
+// Apply applies one committed envelope: a shard record through that
+// shard's ApplyCommitted under its lock, a lease or border-scale
+// envelope into the lease table and registry. A replication follower
+// stays hot through it and Rebuild folds it over a journal. It commits
+// nothing and does not reconcile: a cross-region operation spans
+// several envelopes, so a prefix of the stream may hold a torn one.
+func (r *Router) Apply(env *Envelope) error {
+	switch {
+	case env.Rec != nil:
+		if env.Shard < 0 || env.Shard >= len(r.slots) {
+			return fmt.Errorf("shard: envelope for unknown shard %d", env.Shard)
+		}
+		s := r.slots[env.Shard]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.ctl.ApplyCommitted(env.Rec)
+	case env.Lease != nil:
+		r.borderMu.Lock()
+		defer r.borderMu.Unlock()
+		r.regMu.Lock()
+		defer r.regMu.Unlock()
+		r.applyLeaseLocked(env.Lease)
+	case env.IsBorderScale:
+		r.borderMu.Lock()
+		defer r.borderMu.Unlock()
+		r.applyScaleLocked(env.BorderScale)
+	}
+	return nil
+}
+
+// applyLeaseLocked applies one lease mutation, or a snapshot's lease (Op
+// empty), to the lease table and the registry. It applies recorded
+// facts and does not re-validate capacity: a lease granted before a
+// degrading fluctuation stays granted, exactly like the live table. The
+// caller holds borderMu and regMu.
+func (r *Router) applyLeaseLocked(lr *LeaseRecord) {
+	// A renewal replaces the app's lease; an error only says it held none.
+	_, _ = r.leases.Release(lr.App)
+	if lr.Op == leaseRelease {
+		delete(r.apps, lr.App)
+		return
+	}
+	r.leases.restore(&Lease{App: lr.App, Border: lr.Border, Bits: lr.Bits, Rate: lr.Rate})
+	r.apps[lr.App] = &appEntry{shard: lr.A, cross: &crossApp{
+		logical:      lr.App,
+		class:        lr.Class,
+		a:            lr.A,
+		b:            lr.B,
+		border:       lr.Border,
+		bits:         lr.Bits,
+		rate:         lr.Rate,
+		avail:        lr.Avail,
+		target:       lr.Target,
+		linkFailProb: lr.LinkFailProb,
+	}}
+}
+
+// applyScaleLocked replaces the border-link scales; links absent from
+// border return to nominal, and indices outside the partition are
+// ignored. The caller holds borderMu.
+func (r *Router) applyScaleLocked(border map[int]float64) {
+	for i := range r.part.Border {
+		r.leases.SetScale(i, 1)
+	}
+	r.borderScale = map[int]float64{}
+	for i, f := range border {
+		if i >= 0 && i < len(r.part.Border) {
+			r.leases.SetScale(i, f)
+			r.borderScale[i] = f
+		}
+	}
+}
+
 // ShardRebuilder reconstructs one region's scheduler from its snapshot
 // and replayed records (typically a closure over core.Rebuild with the
 // deployment's options).
 type ShardRebuilder func(sub *network.Network, region int, snap *core.Snapshot, recs []*core.Record) (core.Control, error)
 
-// Rebuild reconstructs a Router from a snapshot and the envelopes
-// journaled after it. The partition is recomputed (Partition is
-// deterministic), each shard replays through rebuildShard, the border
-// envelopes replay into the lease table and registry, and halves torn
-// by a crash mid-cross-operation are withdrawn.
-func Rebuild(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope, rebuildShard ShardRebuilder) (*Router, error) {
-	part, err := Partition(net, k)
+// Replay reconstructs a Router from a snapshot and the envelopes
+// journaled after it: rebuildShard restores each region's scheduler
+// from its snapshot, the snapshot's border state applies, and every
+// envelope applies in order. It does not reconcile: a replicated node
+// restores through it and must still hold a torn half when the leader's
+// withdrawal arrives through the log. The partition is recomputed.
+func Replay(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope, rebuildShard ShardRebuilder) (*Router, error) {
+	if snap == nil {
+		snap = &RouterSnapshot{Shards: make([]*core.Snapshot, k)}
+	}
+	if len(snap.Shards) != k {
+		return nil, fmt.Errorf("shard: snapshot has %d shards, deployment has %d", len(snap.Shards), k)
+	}
+	r, err := build(net, k, func(reg *Region) (core.Control, error) {
+		return rebuildShard(reg.View.Net, reg.Index, snap.Shards[reg.Index], nil)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if snap != nil && len(snap.Shards) != k {
-		return nil, fmt.Errorf("shard: snapshot has %d shards, deployment has %d", len(snap.Shards), k)
+	// r is not shared yet: the snapshot's border state applies unlocked.
+	for i := range snap.Leases {
+		r.applyLeaseLocked(&snap.Leases[i])
 	}
-	r := &Router{
-		part:        part,
-		leases:      NewLeaseTable(part),
-		borderScale: map[int]float64{},
-		apps:        map[string]*appEntry{},
+	if snap.BorderScale != nil {
+		r.applyScaleLocked(snap.BorderScale)
 	}
-
-	// Demultiplex the envelope stream.
-	shardRecs := make([][]*core.Record, k)
-	var borderEnvs []*Envelope
-	for _, env := range envs {
-		switch {
-		case env.Rec != nil:
-			if env.Shard < 0 || env.Shard >= k {
-				return nil, fmt.Errorf("shard: envelope for unknown shard %d", env.Shard)
-			}
-			shardRecs[env.Shard] = append(shardRecs[env.Shard], env.Rec)
-		case env.Lease != nil || env.IsBorderScale:
-			borderEnvs = append(borderEnvs, env)
+	for i, env := range envs {
+		if err := r.Apply(env); err != nil {
+			return nil, fmt.Errorf("shard: replay envelope %d: %w", i, err)
 		}
 	}
-
-	for _, reg := range part.Regions {
-		var ss *core.Snapshot
-		if snap != nil {
-			ss = snap.Shards[reg.Index]
-		}
-		ctl, err := rebuildShard(reg.View.Net, reg.Index, ss, shardRecs[reg.Index])
-		if err != nil {
-			return nil, fmt.Errorf("shard: rebuild region %d: %w", reg.Index, err)
-		}
-		r.slots = append(r.slots, &slot{region: reg, ctl: ctl})
-	}
-
-	// Border state: snapshot first, then the journaled mutations in
-	// order. Replay applies recorded facts — it does not re-validate
-	// capacity (a lease granted before a degrading fluctuation stays
-	// granted, exactly like the live table).
-	applyLease := func(lr *LeaseRecord) {
-		switch lr.Op {
-		case leaseRelease:
-			if r.leases.Lookup(lr.App) != nil {
-				_, _ = r.leases.Release(lr.App)
-			}
-			delete(r.apps, lr.App)
-		default: // acquire, renew, or snapshot state
-			if r.leases.Lookup(lr.App) != nil {
-				_, _ = r.leases.Release(lr.App)
-			}
-			r.leases.restore(&Lease{App: lr.App, Border: lr.Border, Bits: lr.Bits, Rate: lr.Rate})
-			r.apps[lr.App] = &appEntry{shard: lr.A, cross: &crossApp{
-				logical:      lr.App,
-				class:        lr.Class,
-				a:            lr.A,
-				b:            lr.B,
-				border:       lr.Border,
-				bits:         lr.Bits,
-				rate:         lr.Rate,
-				avail:        lr.Avail,
-				target:       lr.Target,
-				linkFailProb: lr.LinkFailProb,
-			}}
-		}
-	}
-	applyScale := func(border map[int]float64) {
-		for i := range part.Border {
-			r.leases.SetScale(i, 1)
-		}
-		r.borderScale = map[int]float64{}
-		for i, f := range border {
-			if i >= 0 && i < len(part.Border) {
-				r.leases.SetScale(i, f)
-				r.borderScale[i] = f
-			}
-		}
-	}
-	if snap != nil {
-		for i := range snap.Leases {
-			applyLease(&snap.Leases[i])
-		}
-		if snap.BorderScale != nil {
-			applyScale(snap.BorderScale)
-		}
-	}
-	for _, env := range borderEnvs {
-		if env.Lease != nil {
-			applyLease(env.Lease)
-		} else {
-			applyScale(env.BorderScale)
-		}
-	}
-
-	r.reconcile()
 	return r, nil
 }
 
-// reconcile withdraws the debris a crash can leave between the multiple
-// journal records of one cross-region operation: a half admitted without
-// its lease (crash before the sibling/lease committed), a lease whose
-// half is missing (crash mid-removal), and registers every intact
-// intra-region app in the routing table.
-func (r *Router) reconcile() {
-	k := len(r.slots)
-	present := make([]map[string]bool, k)
+// Rebuild is Replay, then Reconcile with no hook armed.
+func Rebuild(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope, rebuildShard ShardRebuilder) (*Router, error) {
+	r, err := Replay(net, k, snap, envs, rebuildShard)
+	if err != nil {
+		return nil, err
+	}
+	// With no hook armed, Reconcile commits nothing and cannot fail.
+	_ = r.Reconcile()
+	return r, nil
+}
+
+// Reconcile withdraws the debris a crash can leave between the journal
+// records of one cross-region operation — a half admitted without its
+// sibling or lease, a lease whose half is missing — and rebuilds the
+// registry's intra-region entries from the shards' residents. It holds
+// every lock throughout. Journal recovery and a replicated node that
+// becomes leader run it with their hook armed, so each withdrawal
+// commits like any other remove and replaying the log reaches the
+// reconciled state. Withdrawals run in name order, so every run over
+// the same state commits the same stream.
+func (r *Router) Reconcile() error {
+	for _, s := range r.slots {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	r.borderMu.Lock()
+	defer r.borderMu.Unlock()
+	r.regMu.Lock()
+	defer r.regMu.Unlock()
+
+	present := make([]map[string]bool, len(r.slots))
 	for i, s := range r.slots {
 		present[i] = map[string]bool{}
-		for _, pa := range s.ctl.GRApps() {
-			present[i][pa.App.Name] = true
-		}
-		for _, pa := range s.ctl.BEApps() {
+		for _, pa := range append(s.ctl.GRApps(), s.ctl.BEApps()...) {
 			present[i][pa.App.Name] = true
 		}
 	}
-	// Torn cross apps: lease present, a half missing → withdraw the rest.
-	var drop []string
-	for name, e := range r.apps {
-		c := e.cross
-		if c == nil {
-			continue
+	var firstErr error
+	withdraw := func(logical string, region int) {
+		s, half := r.slots[region], halfName(logical, region)
+		s.cross = logical
+		if err := s.ctl.Remove(half); err != nil && firstErr == nil {
+			firstErr = err
 		}
+		s.cross = ""
+		present[region][half] = false
+	}
+	// Torn cross apps: lease present, a half missing → withdraw the rest.
+	var cross []string
+	for name, e := range r.apps {
+		switch {
+		case e.cross != nil:
+			cross = append(cross, name)
+		case !e.claimed:
+			delete(r.apps, name) // re-registered from the residents below
+		}
+	}
+	sort.Strings(cross)
+	for _, name := range cross {
+		c := r.apps[name].cross
 		okA := present[c.a][halfName(name, c.a)]
 		okB := present[c.b][halfName(name, c.b)]
 		if okA && okB {
 			continue
 		}
 		if okA {
-			_ = r.slots[c.a].ctl.Remove(halfName(name, c.a))
-			present[c.a][halfName(name, c.a)] = false
+			withdraw(name, c.a)
 		}
 		if okB {
-			_ = r.slots[c.b].ctl.Remove(halfName(name, c.b))
-			present[c.b][halfName(name, c.b)] = false
+			withdraw(name, c.b)
 		}
-		_, _ = r.leases.Release(name)
-		drop = append(drop, name)
-	}
-	for _, name := range drop {
+		_, _ = r.leases.Release(name) // cannot fail: a registered cross app holds a lease
+		if err := r.commitLease(leaseRelease, c); err != nil && firstErr == nil {
+			firstErr = err
+		}
 		delete(r.apps, name)
 	}
-	// Orphan halves (admitted, no lease record survived) and intact
-	// intra apps.
-	for i, s := range r.slots {
+	// Orphan halves (admitted, no lease record survived) go; every other
+	// resident is an intra-region app.
+	for i := range r.slots {
+		var names []string
 		for name, ok := range present[i] {
-			if !ok {
-				continue
+			if ok {
+				names = append(names, name)
 			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
 			logical, region, isHalf := logicalOfHalf(name)
-			if k > 1 && isHalf && region == i {
-				if e, ok := r.apps[logical]; ok && e.cross != nil {
-					continue // intact half of a registered cross app
+			if len(r.slots) > 1 && isHalf && region == i {
+				if e, ok := r.apps[logical]; !ok || e.cross == nil {
+					withdraw(logical, i)
 				}
-				_ = s.ctl.Remove(name)
 				continue
 			}
 			r.apps[name] = &appEntry{shard: i}
 		}
 	}
+	return firstErr
 }

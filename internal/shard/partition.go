@@ -13,10 +13,10 @@
 // the two shards at admission and released on removal, like a GR release
 // inside one scheduler.
 //
-// With one shard the partition is the identity and the router drives the
-// seed scheduler with zero interposition — placements, availabilities,
-// rates, and journal bytes stay byte-identical to an unsharded
-// deployment (property-tested in router_test.go).
+// With one shard the partition is the identity: the router drives one
+// scheduler over the whole network, and its placements, availabilities
+// and rates stay byte-identical to that scheduler's own
+// (property-tested in router_test.go).
 package shard
 
 import (
@@ -69,7 +69,7 @@ func (p *Partitioning) RegionOf(v network.NCPID) int { return p.regionOf[v] }
 // region index), with NCPs unreachable from every seed assigned, in
 // ascending id order, to the then-smallest region. k = 1 returns the
 // identity partition whose single view IS the parent network pointer,
-// so a one-shard deployment is bit-for-bit the unsharded scheduler.
+// so a one-region router is bit-for-bit a lone scheduler.
 func Partition(net *network.Network, k int) (*Partitioning, error) {
 	n := net.NumNCPs()
 	if k < 1 {

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -20,19 +21,18 @@ import (
 // concurrently; cross-region operations take the two shard locks (in
 // region order, so they cannot deadlock) and the border mutex.
 type Router struct {
-	part   *Partitioning
-	slots  []*slot
-	spans  *obs.SpanTracer
-	newCtl func(sub *network.Network, region int) core.Control
+	part  *Partitioning
+	slots []*slot
+	spans *obs.SpanTracer
 
 	// borderMu guards the lease table and border scales.
 	borderMu    sync.Mutex
 	leases      *LeaseTable
 	borderScale map[int]float64
 
-	// regMu guards the logical-name registry (apps). Registry claims are
-	// taken before shard locks and released without them, so the lock
-	// order regMu < slot.mu < borderMu is never violated.
+	// regMu guards the logical-name registry (apps). Registry claims take
+	// it alone; whoever holds more locks takes them in the order
+	// slot.mu (ascending region) < borderMu < regMu.
 	regMu sync.Mutex
 	apps  map[string]*appEntry
 
@@ -59,7 +59,8 @@ type slot struct {
 
 // appEntry routes a logical application name.
 type appEntry struct {
-	// shard owns an intra-region app; unused (0) when cross is set.
+	// shard owns an intra-region app; for a cross-region app it is the
+	// lower region.
 	shard int
 	cross *crossApp
 	// claimed marks an in-flight admission holding the name.
@@ -80,22 +81,32 @@ type crossApp struct {
 
 // New partitions net into k regions and builds a Router running one
 // scheduler per region. newCtl constructs each region's scheduler over
-// its sub-network (for k = 1 the sub-network IS net); it is also reused
-// by Rebuild during journal recovery.
+// its sub-network (for k = 1 the sub-network IS net).
 func New(net *network.Network, k int, newCtl func(sub *network.Network, region int) core.Control) (*Router, error) {
+	return build(net, k, func(reg *Region) (core.Control, error) {
+		return newCtl(reg.View.Net, reg.Index), nil
+	})
+}
+
+// build partitions net into k regions and gives each the scheduler ctl
+// makes for it.
+func build(net *network.Network, k int, ctl func(*Region) (core.Control, error)) (*Router, error) {
 	part, err := Partition(net, k)
 	if err != nil {
 		return nil, err
 	}
 	r := &Router{
 		part:        part,
-		newCtl:      newCtl,
 		leases:      NewLeaseTable(part),
 		borderScale: map[int]float64{},
 		apps:        map[string]*appEntry{},
 	}
 	for _, reg := range part.Regions {
-		r.slots = append(r.slots, &slot{region: reg, ctl: newCtl(reg.View.Net, reg.Index)})
+		c, err := ctl(reg)
+		if err != nil {
+			return nil, fmt.Errorf("shard: region %d: %w", reg.Index, err)
+		}
+		r.slots = append(r.slots, &slot{region: reg, ctl: c})
 	}
 	return r, nil
 }
@@ -108,31 +119,36 @@ func (r *Router) NumShards() int { return len(r.slots) }
 
 // Shard returns region i's scheduler. The caller must not mutate
 // through it while the router is serving (the router owns the locks);
-// tests use it to compare single-shard state against an unsharded
+// tests use it to compare one-region state against a lone
 // scheduler.
 func (r *Router) Shard(i int) core.Control { return r.slots[i].ctl }
 
 // SetSpans attaches a span tracer for router-level spans (the per-shard
-// lock.wait children) and propagates it to every shard scheduler that
-// supports span tracing, so the shards' own operation spans (core.submit
-// and its pipeline stages) keep flowing in a sharded deployment.
+// lock.wait children) and propagates it to every shard scheduler, so the
+// shards' own operation spans (core.submit and its pipeline stages) keep
+// flowing.
 func (r *Router) SetSpans(st *obs.SpanTracer) {
 	r.spans = st
 	for _, s := range r.slots {
-		if ss, ok := s.ctl.(interface{ SetSpans(*obs.SpanTracer) }); ok {
-			ss.SetSpans(st)
-		}
+		s.ctl.SetSpans(st)
 	}
 }
 
 // lock acquires the slot's mutex, attributing the wait to a lock.wait
-// child span (mirroring the single-lock server's span, so sharded
-// lock.wait spans visibly shrink).
+// child of sp, and installs sp as the shard scheduler's request span so
+// its operation spans nest under the request. unlock clears the bracket
+// before releasing the mutex.
 func (s *slot) lock(sp *obs.Span) {
 	w := sp.Child("lock.wait")
 	w.SetInt("shard", int64(s.region.Index))
 	s.mu.Lock()
 	w.End()
+	s.ctl.SetRequestSpan(sp)
+}
+
+func (s *slot) unlock() {
+	s.ctl.SetRequestSpan(nil)
+	s.mu.Unlock()
 }
 
 // detach copies a shard's placement, path rates included, while the shard
@@ -152,7 +168,7 @@ func detach(pa *core.PlacedApp) *core.PlacedApp {
 // lock and detaches the placements before releasing it.
 func (s *slot) submitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult, error) {
 	s.lock(sp)
-	defer s.mu.Unlock()
+	defer s.unlock()
 	res, err := s.ctl.SubmitBatch(apps)
 	for i := range res {
 		res[i].App = detach(res[i].App)
@@ -163,7 +179,7 @@ func (s *slot) submitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult, e
 // repair repairs one shard-local app under the shard's lock.
 func (s *slot) repair(name string, sp *obs.Span) (*core.PlacedApp, error) {
 	s.lock(sp)
-	defer s.mu.Unlock()
+	defer s.unlock()
 	pa, err := s.ctl.Repair(name)
 	return detach(pa), err
 }
@@ -193,7 +209,7 @@ type CrossInfo struct {
 	Availability float64
 }
 
-// errShardName rejects logical names that could collide with half names.
+// checkName rejects logical names that could collide with half names.
 func (r *Router) checkName(name string) error {
 	if len(r.slots) > 1 && strings.Contains(name, halfSep) {
 		return fmt.Errorf("shard: app name %q may not contain %q in a sharded deployment: %w",
@@ -226,6 +242,17 @@ func (r *Router) settle(name string, e *appEntry) {
 	r.regMu.Unlock()
 }
 
+// lookup returns the registry entry of an admitted (settled) name.
+func (r *Router) lookup(name string) (*appEntry, error) {
+	r.regMu.Lock()
+	defer r.regMu.Unlock()
+	e, ok := r.apps[name]
+	if !ok || e.claimed {
+		return nil, fmt.Errorf("shard: no admitted application named %q: %w", name, core.ErrNotFound)
+	}
+	return e, nil
+}
+
 // Submit classifies app and admits it: intra-region apps route, under
 // only their shard's lock, to their region's scheduler; cross-region
 // apps run the two-phase border-lease admission. sp (nil-safe) parents
@@ -238,12 +265,6 @@ func (r *Router) Submit(app core.App, sp *obs.Span) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(r.slots) == 1 {
-		// Single shard: drive the seed scheduler with no registry and no
-		// translation — the unsharded path's decisions bit for bit; the
-		// result is still a detached copy, as on every shard.
-		return r.submitIntra(app, 0, sp, false)
-	}
 	if len(regions) == 2 {
 		return r.submitCross(app, regions[0], regions[1], sp)
 	}
@@ -253,21 +274,17 @@ func (r *Router) Submit(app core.App, sp *obs.Span) (*Result, error) {
 	} else {
 		shard = r.leastLoadedShard(sp)
 	}
-	return r.submitIntra(app, shard, sp, true)
+	return r.submitIntra(app, shard, sp)
 }
 
-func (r *Router) submitIntra(app core.App, shard int, sp *obs.Span, register bool) (*Result, error) {
-	if register {
-		if err := r.claim(app.Name); err != nil {
-			return nil, err
-		}
+func (r *Router) submitIntra(app core.App, shard int, sp *obs.Span) (*Result, error) {
+	if err := r.claim(app.Name); err != nil {
+		return nil, err
 	}
 	s := r.slots[shard]
 	local, err := localizeApp(app, s.region.View)
 	if err != nil {
-		if register {
-			r.unclaim(app.Name)
-		}
+		r.unclaim(app.Name)
 		return nil, err
 	}
 	var pa *core.PlacedApp
@@ -283,28 +300,27 @@ func (r *Router) submitIntra(app core.App, shard int, sp *obs.Span, register boo
 		s.lock(sp)
 		pa, err = s.ctl.Submit(local)
 		pa = detach(pa)
-		s.mu.Unlock()
+		s.unlock()
 	}
 	if err != nil {
-		if register {
-			r.unclaim(app.Name)
-		}
+		r.unclaim(app.Name)
 		return nil, err
 	}
-	if register {
-		r.settle(app.Name, &appEntry{shard: shard})
-	}
+	r.settle(app.Name, &appEntry{shard: shard})
 	return &Result{Shard: shard, App: pa}, nil
 }
 
 // leastLoadedShard picks the shard with the fewest admitted apps (ties
 // to the lowest region index) for apps with no pins.
 func (r *Router) leastLoadedShard(sp *obs.Span) int {
+	if len(r.slots) < 2 {
+		return 0
+	}
 	best, bestN := 0, -1
 	for i, s := range r.slots {
 		s.lock(sp)
 		n := len(s.ctl.GRApps()) + len(s.ctl.BEApps())
-		s.mu.Unlock()
+		s.unlock()
 		if bestN < 0 || n < bestN {
 			best, bestN = i, n
 		}
@@ -335,19 +351,12 @@ func (r *Router) submitCross(app core.App, a, b int, sp *obs.Span) (*Result, err
 	return res, nil
 }
 
-func crossTarget(q core.QoS) float64 {
-	if q.Class == core.GuaranteedRate {
-		return q.MinRateAvailability
-	}
-	return q.Availability
-}
-
 func (r *Router) admitCross(app core.App, a, b int, sp *obs.Span) (*Result, *crossApp, error) {
 	sa, sb := r.slots[a], r.slots[b]
 	sa.lock(sp)
-	defer sa.mu.Unlock()
+	defer sa.unlock()
 	sb.lock(sp)
-	defer sb.mu.Unlock()
+	defer sb.unlock()
 
 	r.borderMu.Lock()
 	border, ok := chooseBorder(r.part, r.leases, a, b)
@@ -488,19 +497,11 @@ func (r *Router) admitCross(app core.App, a, b int, sp *obs.Span) (*Result, *cro
 	}, cross, nil
 }
 
-// SubmitBatch admits a batch. With one shard it is the seed scheduler's
-// atomic batch verbatim. Across shards, the batch is split: each
-// shard's intra-region members run as that shard's atomic sub-batch
-// (one solve, one record), and cross-region members are admitted
-// individually; atomicity is per shard, not global.
+// SubmitBatch admits a batch. It is split by shard: each shard's
+// intra-region members run as that shard's atomic sub-batch (one solve,
+// one record), and cross-region members are admitted individually;
+// atomicity is per shard, not global.
 func (r *Router) SubmitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult, error) {
-	if len(r.slots) == 1 {
-		s := r.slots[0]
-		if s.group != nil {
-			return s.group.SubmitMany(apps, sp)
-		}
-		return s.submitBatch(apps, sp)
-	}
 	results := make([]core.BatchResult, len(apps))
 	byShard := map[int][]int{} // shard -> indices into apps
 	var shards []int
@@ -593,24 +594,15 @@ func (r *Router) SubmitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult,
 // their shard; cross-region apps release both halves and return the
 // lease to the border link (the sharded analogue of a GR release).
 func (r *Router) Remove(name string, sp *obs.Span) error {
-	if len(r.slots) == 1 {
-		s := r.slots[0]
-		s.lock(sp)
-		defer s.mu.Unlock()
-		return s.ctl.Remove(name)
+	e, err := r.lookup(name)
+	if err != nil {
+		return err
 	}
-	r.regMu.Lock()
-	e, ok := r.apps[name]
-	if !ok || e.claimed {
-		r.regMu.Unlock()
-		return fmt.Errorf("shard: no admitted application named %q: %w", name, core.ErrNotFound)
-	}
-	r.regMu.Unlock()
 	if e.cross == nil {
 		s := r.slots[e.shard]
 		s.lock(sp)
 		err := s.ctl.Remove(name)
-		s.mu.Unlock()
+		s.unlock()
 		if err != nil && errors.Is(err, core.ErrNotFound) {
 			return err
 		}
@@ -623,9 +615,9 @@ func (r *Router) Remove(name string, sp *obs.Span) error {
 func (r *Router) removeCross(name string, c *crossApp, sp *obs.Span) error {
 	sa, sb := r.slots[c.a], r.slots[c.b]
 	sa.lock(sp)
-	defer sa.mu.Unlock()
+	defer sa.unlock()
 	sb.lock(sp)
-	defer sb.mu.Unlock()
+	defer sb.unlock()
 
 	var firstErr error
 	sa.cross = name
@@ -659,20 +651,10 @@ func (r *Router) removeCross(name string, c *crossApp, sp *obs.Span) error {
 // (unlike an intra repair, which restores the old placement — the old
 // two-shard placement cannot be restored atomically once one side moved).
 func (r *Router) Repair(name string, sp *obs.Span) (*Result, error) {
-	if len(r.slots) == 1 {
-		pa, err := r.slots[0].repair(name, sp)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Shard: 0, App: pa}, nil
+	e, err := r.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	r.regMu.Lock()
-	e, ok := r.apps[name]
-	if !ok || e.claimed {
-		r.regMu.Unlock()
-		return nil, fmt.Errorf("shard: no admitted application named %q: %w", name, core.ErrNotFound)
-	}
-	r.regMu.Unlock()
 	if e.cross == nil {
 		pa, err := r.slots[e.shard].repair(name, sp)
 		if err != nil {
@@ -687,9 +669,9 @@ func (r *Router) repairCross(name string, e *appEntry, sp *obs.Span) (*Result, e
 	c := e.cross
 	sa, sb := r.slots[c.a], r.slots[c.b]
 	sa.lock(sp)
-	defer sa.mu.Unlock()
+	defer sa.unlock()
 	sb.lock(sp)
-	defer sb.mu.Unlock()
+	defer sb.unlock()
 
 	fail := func(err error) (*Result, error) {
 		// Full withdrawal: remove whatever halves remain and the lease.
@@ -808,18 +790,14 @@ func (r *Router) repairCross(name string, e *appEntry, sp *obs.Span) (*Result, e
 // border-link scales; each shard re-evaluates its own population, and
 // the lease table reports cross-region apps whose leases no longer fit.
 // Like core.ApplyFluctuation, the scale REPLACES the previous one —
-// elements absent from the map return to nominal capacity.
+// elements absent from the map return to nominal capacity. The whole
+// map is validated, by core's rule, before any shard or the border
+// table sees a share of it.
 func (r *Router) ApplyFluctuation(scale core.ElementScale, sp *obs.Span) (*core.FluctuationReport, error) {
-	if len(r.slots) == 1 {
-		s := r.slots[0]
-		s.lock(sp)
-		defer s.mu.Unlock()
-		return s.ctl.ApplyFluctuation(scale)
-	}
 	parent := r.part.Parent
 	nNCP, nLink := parent.NumNCPs(), parent.NumLinks()
 	for e, f := range scale {
-		if f < 0 {
+		if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 			return nil, fmt.Errorf("shard: invalid capacity scale %v for element %d", f, e)
 		}
 		if int(e) < 0 || int(e) >= nNCP+nLink {
@@ -865,7 +843,7 @@ func (r *Router) ApplyFluctuation(scale core.ElementScale, sp *obs.Span) (*core.
 
 	for _, s := range r.slots {
 		s.lock(sp)
-		defer s.mu.Unlock()
+		defer s.unlock()
 	}
 	report := &core.FluctuationReport{BERates: map[string]float64{}}
 	var firstErr error
@@ -885,13 +863,7 @@ func (r *Router) ApplyFluctuation(scale core.ElementScale, sp *obs.Span) (*core.
 		}
 	}
 	r.borderMu.Lock()
-	for i := range r.part.Border {
-		r.leases.SetScale(i, 1)
-	}
-	r.borderScale = border
-	for i, f := range border {
-		r.leases.SetScale(i, f)
-	}
+	r.applyScaleLocked(border)
 	violated := r.leases.Violated()
 	r.borderMu.Unlock()
 	sort.Strings(violated)
@@ -939,7 +911,7 @@ func (r *Router) AppsByShard(sp *obs.Span) [][]*core.PlacedApp {
 	for i, s := range r.slots {
 		s.lock(sp)
 		out[i] = append(s.ctl.GRApps(), s.ctl.BEApps()...)
-		s.mu.Unlock()
+		s.unlock()
 	}
 	return out
 }
@@ -949,20 +921,11 @@ func (r *Router) Region(i int) *Region { return r.part.Regions[i] }
 
 // ShardOf returns the shard owning the logical application name (for
 // cross-region apps, the lower region). The second result is false when
-// the name is unknown or its admission has not settled. Single-shard
-// routers keep no registry; everything lives in shard 0.
+// the name is unknown or its admission has not settled.
 func (r *Router) ShardOf(name string) (int, bool) {
-	if len(r.slots) == 1 {
-		return 0, true
-	}
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-	e, ok := r.apps[name]
-	if !ok || e.claimed {
+	e, err := r.lookup(name)
+	if err != nil {
 		return 0, false
-	}
-	if e.cross != nil {
-		return e.cross.a, true
 	}
 	return e.shard, true
 }

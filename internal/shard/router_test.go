@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -508,5 +509,120 @@ func TestCrossRepairRenegotiatesDegradedBorder(t *testing.T) {
 	}
 	if _, err := r.Repair("c1", nil); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("app should be withdrawn after failed cross repair: %v", err)
+	}
+}
+
+// TestDuplicateNameRejected: at every shard count, with and without
+// per-shard committers, a second admission of a resident name — through
+// Submit or SubmitBatch — is refused by the registry and leaves every
+// shard's state untouched.
+func TestDuplicateNameRejected(t *testing.T) {
+	net := dumbbellNet(t, 1000)
+	qos := core.QoS{Class: core.BestEffort, Priority: 1, MaxPaths: 1}
+	for _, k := range []int{1, 2} {
+		for _, grouped := range []bool{false, true} {
+			for _, batch := range []bool{false, true} {
+				t.Run(fmt.Sprintf("k%d/grouped=%v/batch=%v", k, grouped, batch), func(t *testing.T) {
+					r, err := New(net, k, newCtlFactory(core.WithRandSeed(1)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if grouped {
+						r.EnableGroupCommit(core.GroupOptions{})
+					}
+					app := pipelineApp(t, "dup", net, "a0", "a1", 5, qos)
+					if _, err := r.Submit(app, nil); err != nil {
+						t.Fatalf("first admission: %v", err)
+					}
+					before := make([]string, k)
+					for i := range before {
+						before[i] = shardStateJSON(t, r.Shard(i))
+					}
+					if batch {
+						res, err := r.SubmitBatch([]core.App{app}, nil)
+						if err != nil || len(res) != 1 || !errors.Is(res[0].Err, core.ErrRejected) {
+							t.Fatalf("duplicate in a batch: results %+v, err %v (want ErrRejected)", res, err)
+						}
+					} else if _, err := r.Submit(app, nil); !errors.Is(err, core.ErrRejected) {
+						t.Fatalf("duplicate submit: %v (want ErrRejected)", err)
+					}
+					for i := range before {
+						if got := shardStateJSON(t, r.Shard(i)); got != before[i] {
+							t.Fatalf("shard %d changed under a refused duplicate\nbefore: %s\nafter:  %s", i, before[i], got)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+func shardStateJSON(t *testing.T, c core.Control) string {
+	t.Helper()
+	snap, err := c.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestFluctuationValidatedWhole: a scale that core would refuse (negative,
+// NaN or infinite), on a border link or on one region's NCP, fails the
+// whole fluctuation before any shard, the border table or the journal
+// sees a share of it — even when the rest of the map is valid.
+func TestFluctuationValidatedWhole(t *testing.T) {
+	net := dumbbellNet(t, 1000)
+	elem := func(kind, name string) placement.Element {
+		if kind == "ncp" {
+			id, _ := net.NCPIDByName(name)
+			return placement.NCPElement(id)
+		}
+		for l := 0; l < net.NumLinks(); l++ {
+			if net.Link(network.LinkID(l)).Name == name {
+				return placement.LinkElement(net, network.LinkID(l))
+			}
+		}
+		t.Fatalf("no link %q", name)
+		return 0
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, target := range []string{"border", "intra"} {
+			t.Run(fmt.Sprintf("%v/%s", bad, target), func(t *testing.T) {
+				r := twoShardRouter(t, net)
+				gr := core.QoS{Class: core.GuaranteedRate, MinRate: 1, MinRateAvailability: 0.5, MaxPaths: 1}
+				if _, err := r.Submit(pipelineApp(t, "cross", net, "a0", "b1", 10, gr), nil); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.Submit(pipelineApp(t, "inB", net, "b0", "b1", 5, gr), nil); err != nil {
+					t.Fatal(err)
+				}
+				tape := &journalTape{}
+				r.SetEnvelopeHook(tape.hook)
+				before := routerStateJSON(t, r)
+
+				// Region 0 gets a valid share either way; the bad value sits
+				// on the bridge or on region 1's NCP.
+				scale := core.ElementScale{elem("ncp", "a0"): 0.5}
+				if target == "border" {
+					scale[elem("link", "bridge")] = bad
+				} else {
+					scale[elem("link", "bridge")] = 0.9
+					scale[elem("ncp", "b1")] = bad
+				}
+				if _, err := r.ApplyFluctuation(scale, nil); err == nil {
+					t.Fatal("invalid scale accepted")
+				}
+				if got := routerStateJSON(t, r); got != before {
+					t.Fatalf("refused fluctuation changed the router\nbefore: %s\nafter:  %s", before, got)
+				}
+				if len(tape.envs) != 0 {
+					t.Fatalf("refused fluctuation journaled %d envelopes", len(tape.envs))
+				}
+			})
+		}
 	}
 }
