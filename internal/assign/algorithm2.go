@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,10 +131,10 @@ func (a Sparcle) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 			})
 		}
 	}
-	for len(st.unplaced) > 0 {
+	for st.unplaced > 0 {
 		rsp := a.Span.Child("assign.rank")
 		rsp.SetInt("step", int64(len(st.placed)))
-		rsp.SetInt("candidates", int64(len(st.unplaced)))
+		rsp.SetInt("candidates", int64(st.unplaced))
 		ct, host, gamma, candidates, err := st.dynamicRankNext()
 		rsp.End()
 		if err != nil {
@@ -193,6 +194,7 @@ func (o Ordered) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 	if len(order) != g.NumCTs() {
 		return nil, fmt.Errorf("assign: %s order covers %d of %d CTs", o.AlgName, len(order), g.NumCTs())
 	}
+	var walk frontierWalk
 	for _, ct := range order {
 		if st.p.Host(ct) >= 0 {
 			continue
@@ -202,7 +204,7 @@ func (o Ordered) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 			feasible bool
 		)
 		if o.FullGamma {
-			host, _, feasible = st.bestHost(ct)
+			host, _, feasible = st.bestHost(ct, st.linkTerms(ct, nil, &walk), &st.scratch[0])
 		} else {
 			host, feasible = st.bestHostNCPOnly(ct)
 		}
@@ -239,16 +241,27 @@ type state struct {
 	caps *network.Capacities
 	p    *placement.Placement
 
-	unplaced map[taskgraph.CTID]bool
+	unplaced int              // CTs not yet placed
 	placed   []taskgraph.CTID // in placement order
 
 	// view is the dense evaluation snapshot (residual capacities, loads,
 	// hosts); cache memoizes single-source widest-path trees against it.
 	view  *placement.EvalView
 	cache *widestCache
-	// changedLinks is scratch for collecting the links a place() loads,
-	// reused across placements.
+	// scratch[w] is scoring worker w's search memory; place() and the
+	// serial scorer use scratch[0].
+	scratch []widestScratch
+	// changedLinks and route are scratch for the links a place() loads and
+	// the route it is committing, reused across placements.
 	changedLinks []network.LinkID
+	route        []network.LinkID
+	// Scratch of the ranking iterations, reused across them: the unplaced
+	// CTs in id order, their scores, the link terms of each CT by id, and
+	// the frontier walk that collects those terms.
+	cts     []taskgraph.CTID
+	results []scored
+	terms   [][]linkTerm
+	walk    frontierWalk
 
 	// parallel is the resolved scoring-worker bound (>= 1).
 	parallel int
@@ -288,25 +301,26 @@ func newStateCfg(g *taskgraph.Graph, pins placement.Pins, net *network.Network, 
 		parallel = runtime.GOMAXPROCS(0)
 	}
 	st := &state{
-		g:         g,
-		net:       net,
-		caps:      caps,
-		p:         placement.New(g, net),
-		unplaced:  make(map[taskgraph.CTID]bool, g.NumCTs()),
-		view:      view,
-		cache:     newWidestCache(net, caps, view.LoadLink),
+		g:        g,
+		net:      net,
+		caps:     caps,
+		p:        placement.New(g, net),
+		unplaced: g.NumCTs(),
+		view:     view,
+		cache:    newWidestCache(g, net, caps, view.LoadLink),
+		// No iteration scores more CTs than the graph has.
+		scratch:   make([]widestScratch, max(1, min(parallel, g.NumCTs()))),
 		parallel:  parallel,
 		noCache:   cfg.noCache,
 		literalNu: cfg.literalNu,
 		tracer:    cfg.tracer,
+		results:   make([]scored, g.NumCTs()),
+		terms:     make([][]linkTerm, g.NumCTs()),
 		mGamma:    cfg.metrics.Counter(metricGammaEvals),
 		mPar:      cfg.metrics.Gauge(metricParallelism),
 	}
 	st.cache.hits = cfg.metrics.Counter(metricWidestHits)
 	st.cache.misses = cfg.metrics.Counter(metricWidestMisses)
-	for ct := 0; ct < g.NumCTs(); ct++ {
-		st.unplaced[taskgraph.CTID(ct)] = true
-	}
 	// Place pinned CTs first (Algorithm 2 lines 3-5), in id order for
 	// determinism, routing TTs between pinned pairs as they close.
 	pinned := make([]taskgraph.CTID, 0, len(pins))
@@ -330,7 +344,7 @@ func (st *state) place(ct taskgraph.CTID, host network.NCPID) error {
 	if err := st.p.PlaceCT(ct, host); err != nil {
 		return err
 	}
-	delete(st.unplaced, ct)
+	st.unplaced--
 	st.placed = append(st.placed, ct)
 	st.view.ApplyCT(ct, host)
 	st.changedLinks = st.changedLinks[:0]
@@ -344,11 +358,12 @@ func (st *state) place(ct taskgraph.CTID, host network.NCPID) error {
 		if oHost < 0 {
 			continue
 		}
-		route, bottleneck, relaxations, ok := widestPathCounted(st.net, st.caps, st.view.LoadLink, tt.Bits, st.p.Host(tt.From), st.p.Host(tt.To))
+		route, bottleneck, relaxations, ok := st.scratch[0].path(st.net, st.caps, st.view.LoadLink, tt.Bits, st.p.Host(tt.From), st.p.Host(tt.To), st.route)
 		if !ok {
 			return fmt.Errorf("assign: no route for TT %q between NCPs %d and %d: %w",
 				tt.Name, st.p.Host(tt.From), st.p.Host(tt.To), placement.ErrInfeasible)
 		}
+		st.route = route
 		if st.tracer.Enabled() {
 			st.tracer.Route(obs.RouteEvent{
 				TT:   tt.Name,
@@ -387,40 +402,41 @@ func (st *state) place(ct taskgraph.CTID, host network.NCPID) error {
 // placed intermediary the paper's justification ("at least one TT of
 // G(i,i′) will be placed on the path between j and j′") no longer holds.
 //
-// gamma only reads the evaluation view and the tree cache, so any number
-// of scorers may run it concurrently between mutations.
+// gamma only reads the view and the tree cache, and walks and searches on
+// memory of its own, so any number of scorers may run it concurrently.
 func (st *state) gamma(ct taskgraph.CTID, host network.NCPID) (rate float64, feasible bool) {
-	return st.gammaTerms(ct, host, st.linkTerms(ct))
+	return st.gammaTerms(ct, host, st.linkTerms(ct, nil, new(frontierWalk)), new(widestScratch))
 }
 
 // linkTerm is one link contribution to γ for a CT: a placed counterpart
-// (at oHost), the bits of the lightest TT between them, and which way
-// that TT flows — toPlaced when the counterpart is downstream of the CT,
-// so the stream runs from the candidate host to oHost. With directed
-// links the two directions see different bottlenecks. The terms of a CT
-// are host-independent, so bestHost computes them once and reuses them
-// across the whole NCP scan.
+// (at oHost), the bits of the lightest TT between them (an index into the
+// tree cache's sizes), and which way that TT flows — toPlaced when the
+// counterpart is downstream of the CT, so the stream runs from the
+// candidate host to oHost. With directed links the two directions see
+// different bottlenecks. The terms of a CT are host-independent, so they
+// are computed once per iteration and reused across the NCP scan.
 type linkTerm struct {
 	oHost    network.NCPID
-	bits     float64
+	bits     int
 	toPlaced bool
 }
 
-// linkTerms collects the γ link terms of ct against the current view.
-func (st *state) linkTerms(ct taskgraph.CTID) []linkTerm {
-	var terms []linkTerm
-	for _, other := range st.nu(ct) {
+// linkTerms appends the γ link terms of ct against the current view to
+// dst, walking the frontier on w.
+func (st *state) linkTerms(ct taskgraph.CTID, dst []linkTerm, w *frontierWalk) []linkTerm {
+	for _, other := range st.nu(ct, w) {
 		ttID, ok := st.g.MinBitsTTBetween(ct, other)
 		if !ok {
 			continue
 		}
-		terms = append(terms, linkTerm{oHost: st.view.Host[other], bits: st.g.TT(ttID).Bits, toPlaced: st.g.Precedes(ct, other)})
+		dst = append(dst, linkTerm{oHost: st.view.Host[other], bits: st.cache.ttBits[ttID], toPlaced: st.g.Precedes(ct, other)})
 	}
-	return terms
+	return dst
 }
 
-// gammaTerms is gamma with the host-independent link terms precomputed.
-func (st *state) gammaTerms(ct taskgraph.CTID, host network.NCPID, terms []linkTerm) (rate float64, feasible bool) {
+// gammaTerms is gamma with the host-independent link terms precomputed,
+// building any missing tree on s.
+func (st *state) gammaTerms(ct taskgraph.CTID, host network.NCPID, terms []linkTerm, s *widestScratch) (rate float64, feasible bool) {
 	st.mGamma.Inc()
 	rate = st.view.RateWith(host, st.view.Req[ct])
 	for _, term := range terms {
@@ -437,11 +453,11 @@ func (st *state) gammaTerms(ct taskgraph.CTID, host network.NCPID, terms []linkT
 			// every candidate host of the scan (and every CT sharing this
 			// frontier term) instead of one tree per candidate; a stream
 			// toward the placed end is searched against the link direction.
-			bottleneck, reachable = st.cache.tree(term.oHost, term.bits, term.toPlaced).bottleneck(host)
+			bottleneck, reachable = st.cache.tree(term.oHost, term.bits, term.toPlaced, s).bottleneck(host)
 		case term.toPlaced:
-			_, bottleneck, reachable = WidestPath(st.net, st.caps, st.view.LoadLink, term.bits, host, term.oHost)
+			_, bottleneck, _, reachable = s.path(st.net, st.caps, st.view.LoadLink, st.cache.bits[term.bits], host, term.oHost, nil)
 		default:
-			_, bottleneck, reachable = WidestPath(st.net, st.caps, st.view.LoadLink, term.bits, term.oHost, host)
+			_, bottleneck, _, reachable = s.path(st.net, st.caps, st.view.LoadLink, st.cache.bits[term.bits], term.oHost, host, nil)
 		}
 		if !reachable {
 			return 0, false
@@ -454,10 +470,10 @@ func (st *state) gammaTerms(ct taskgraph.CTID, host network.NCPID, terms []linkT
 }
 
 // nu returns the placed CTs whose link terms enter γ for ct: the frontier
-// set by default, or every placed reachable CT in literal-ν mode.
-func (st *state) nu(ct taskgraph.CTID) []taskgraph.CTID {
+// set (walked on w) by default, or every placed reachable CT in literal-ν mode.
+func (st *state) nu(ct taskgraph.CTID, w *frontierWalk) []taskgraph.CTID {
 	if !st.literalNu {
-		return st.frontierPlaced(ct)
+		return st.frontierPlaced(ct, w)
 	}
 	var out []taskgraph.CTID
 	for _, other := range st.placed {
@@ -471,51 +487,60 @@ func (st *state) nu(ct taskgraph.CTID) []taskgraph.CTID {
 // frontierPlaced returns the placed CTs reachable from ct along task-graph
 // paths whose interior vertices are all unplaced, walking descendants and
 // ancestors separately and stopping at the first placed CT on each branch.
-func (st *state) frontierPlaced(ct taskgraph.CTID) []taskgraph.CTID {
-	var out []taskgraph.CTID
-	seen := make([]bool, st.g.NumCTs())
-	var walk func(cur taskgraph.CTID, down bool)
-	walk = func(cur taskgraph.CTID, down bool) {
-		tts := st.g.OutTTs(cur)
-		if !down {
-			tts = st.g.InTTs(cur)
-		}
-		for _, ttID := range tts {
-			tt := st.g.TT(ttID)
-			next := tt.To
-			if !down {
-				next = tt.From
-			}
-			if seen[next] {
-				continue
-			}
-			seen[next] = true
-			if st.view.Host[next] >= 0 {
-				out = append(out, next)
-				continue
-			}
-			walk(next, down)
-		}
+// The result is w's, overwritten by the next walk on w.
+func (st *state) frontierPlaced(ct taskgraph.CTID, w *frontierWalk) []taskgraph.CTID {
+	w.out = w.out[:0]
+	for _, down := range [2]bool{true, false} {
+		// Reset the visited set before each direction: in a DAG the
+		// descendant and ancestor cones are disjoint apart from ct itself,
+		// but TT-level revisits within a cone are possible.
+		w.seen = slices.Grow(w.seen[:0], st.g.NumCTs())[:st.g.NumCTs()]
+		clear(w.seen)
+		st.walkFrontier(w, ct, down)
 	}
-	walk(ct, true)
-	// Reset the visited set between directions: in a DAG the descendant
-	// and ancestor cones are disjoint apart from ct itself, but TT-level
-	// revisits within a cone are possible.
-	for i := range seen {
-		seen[i] = false
-	}
-	walk(ct, false)
-	return out
+	return w.out
 }
 
-// bestHost returns j*_i = argmax_j γ_{i,j} for CT i, the γ value achieved,
-// and whether any feasible host exists. Ties break toward the lower NCP id.
-func (st *state) bestHost(ct taskgraph.CTID) (network.NCPID, float64, bool) {
-	terms := st.linkTerms(ct)
+// frontierWalk is frontierPlaced's memory: the visited set and the result,
+// reused by one walker at a time.
+type frontierWalk struct {
+	seen []bool
+	out  []taskgraph.CTID
+}
+
+// walkFrontier appends to w.out the first placed CT on every branch below
+// (down) or above cur that w.seen has not visited.
+func (st *state) walkFrontier(w *frontierWalk, cur taskgraph.CTID, down bool) {
+	tts := st.g.OutTTs(cur)
+	if !down {
+		tts = st.g.InTTs(cur)
+	}
+	for _, ttID := range tts {
+		tt := st.g.TT(ttID)
+		next := tt.To
+		if !down {
+			next = tt.From
+		}
+		if w.seen[next] {
+			continue
+		}
+		w.seen[next] = true
+		if st.view.Host[next] >= 0 {
+			w.out = append(w.out, next)
+			continue
+		}
+		st.walkFrontier(w, next, down)
+	}
+}
+
+// bestHost returns j*_i = argmax_j γ_{i,j} for CT i with link terms terms,
+// the γ value achieved, and whether any feasible host exists. Ties break
+// toward the lower NCP id. Missing trees are built on s.
+func (st *state) bestHost(ct taskgraph.CTID, terms []linkTerm, s *widestScratch) (network.NCPID, float64, bool) {
 	best := network.NCPID(-1)
 	bestRate := math.Inf(-1)
 	for j := 0; j < st.net.NumNCPs(); j++ {
-		rate, ok := st.gammaTerms(ct, network.NCPID(j), terms)
+		rate, ok := st.gammaTerms(ct, network.NCPID(j), terms, s)
 		if !ok {
 			continue
 		}
@@ -554,20 +579,23 @@ type scored struct {
 	feasible bool
 }
 
-// scoreAll fills results[i] with bestHost(cts[i]) using up to st.parallel
-// workers pulling indices from a shared counter. Workers only read the
-// evaluation view and share the synchronized tree cache; results are
-// index-addressed, so the fill order cannot influence anything
-// downstream. It returns the worker count used (for the gauge).
-func (st *state) scoreAll(cts []taskgraph.CTID, results []scored) int {
-	workers := st.parallel
-	if workers > len(cts) {
-		workers = len(cts)
-	}
+// score fills st.results[i] with the best host of st.cts[i], searching on s.
+func (st *state) score(i int, s *widestScratch) {
+	host, rate, feasible := st.bestHost(st.cts[i], st.terms[st.cts[i]], s)
+	st.results[i] = scored{host: host, rate: rate, feasible: feasible}
+}
+
+// scoreAll scores every CT of st.cts using up to st.parallel workers
+// pulling indices from a shared counter. Workers only read the evaluation
+// view and the precomputed link terms, share the synchronized tree cache
+// and search on their own scratch; results are index-addressed, so the
+// fill order cannot influence anything downstream. It returns the worker
+// count used (for the gauge).
+func (st *state) scoreAll() int {
+	workers := min(st.parallel, len(st.cts))
 	if workers <= 1 {
-		for i, ct := range cts {
-			host, rate, feasible := st.bestHost(ct)
-			results[i] = scored{host: host, rate: rate, feasible: feasible}
+		for i := range st.cts {
+			st.score(i, &st.scratch[0])
 		}
 		return 1
 	}
@@ -575,17 +603,16 @@ func (st *state) scoreAll(cts []taskgraph.CTID, results []scored) int {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(s *widestScratch) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(cts) {
+				if i >= len(st.cts) {
 					return
 				}
-				host, rate, feasible := st.bestHost(cts[i])
-				results[i] = scored{host: host, rate: rate, feasible: feasible}
+				st.score(i, s)
 			}
-		}()
+		}(&st.scratch[w])
 	}
 	wg.Wait()
 	return workers
@@ -601,14 +628,17 @@ func (st *state) scoreAll(cts []taskgraph.CTID, results []scored) int {
 // its γ, plus — only when the tracer is enabled, so the hot path allocates
 // nothing — the best-host score of every candidate CT in the iteration.
 func (st *state) dynamicRankNext() (taskgraph.CTID, network.NCPID, float64, []obs.RankingCandidate, error) {
-	cts := make([]taskgraph.CTID, 0, len(st.unplaced))
-	for ct := range st.unplaced {
-		cts = append(cts, ct)
+	// The unplaced CTs in id order, and their link terms, collected
+	// serially before the fan-out.
+	st.cts = st.cts[:0]
+	for ct, host := range st.view.Host {
+		if host < 0 {
+			st.cts = append(st.cts, taskgraph.CTID(ct))
+			st.terms[ct] = st.linkTerms(taskgraph.CTID(ct), st.terms[ct][:0], &st.walk)
+		}
 	}
-	sort.Slice(cts, func(i, j int) bool { return cts[i] < cts[j] })
-
-	results := make([]scored, len(cts))
-	st.mPar.Set(float64(st.scoreAll(cts, results)))
+	cts, results := st.cts, st.results
+	st.mPar.Set(float64(st.scoreAll()))
 
 	bestCT := taskgraph.CTID(-1)
 	bestHost := network.NCPID(-1)

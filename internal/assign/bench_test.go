@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sparcle/internal/network"
+	"sparcle/internal/placement"
 	"sparcle/internal/resource"
 	"sparcle/internal/taskgraph"
 	"sparcle/internal/workload"
@@ -28,33 +29,57 @@ func benchLarge(b *testing.B) *workload.Instance {
 	return inst
 }
 
-// BenchmarkDynamicRank measures the full Algorithm 2 assignment on the
-// large case across the evaluation-core ablation ladder: the memo-less
-// per-pair Dijkstra (uncached), the cached serial path, and the cached
-// path with the worker pool at GOMAXPROCS.
+// BenchmarkDynamicRank measures the full Algorithm 2 assignment across the
+// evaluation-core ablation ladder: the memo-less per-pair Dijkstra
+// (uncached), the cached serial path, and the cached path with the worker
+// pool at GOMAXPROCS. "large" is the random-DAG case; "mesh64" is shaped
+// like the place_bound benchmark workload, one op assigning one of 16
+// seeded 2–8-CT linear pipelines on the homogeneous 64-NCP full mesh.
 func BenchmarkDynamicRank(b *testing.B) {
-	inst := benchLarge(b)
-	caps := inst.Net.BaseCapacities()
-	run := func(b *testing.B, cfg stateConfig) {
-		for i := 0; i < b.N; i++ {
-			st, err := newStateCfg(inst.Graph, inst.Pins, inst.Net, caps, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for len(st.unplaced) > 0 {
-				ct, host, _, _, err := st.dynamicRankNext()
+	type app struct {
+		g    *taskgraph.Graph
+		pins placement.Pins
+	}
+	large := benchLarge(b)
+	mesh := goldenMesh64(b)
+	rng := rand.New(rand.NewSource(1))
+	var meshApps []app
+	for a := 0; a < 16; a++ {
+		g, src, snk := linearApp(b, rng, mesh, a)
+		meshApps = append(meshApps, app{g, pinEnds(g, src, snk)})
+	}
+	for _, c := range []struct {
+		name string
+		net  *network.Network
+		apps []app
+	}{
+		{"large", large.Net, []app{{large.Graph, large.Pins}}},
+		{"mesh64", mesh, meshApps},
+	} {
+		caps := c.net.BaseCapacities()
+		run := func(b *testing.B, cfg stateConfig) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a := c.apps[i%len(c.apps)]
+				st, err := newStateCfg(a.g, a.pins, c.net, caps, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := st.place(ct, host); err != nil {
-					b.Fatal(err)
+				for st.unplaced > 0 {
+					ct, host, _, _, err := st.dynamicRankNext()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := st.place(ct, host); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		}
+		b.Run(c.name+"/uncached", func(b *testing.B) { run(b, stateConfig{parallel: 1, noCache: true}) })
+		b.Run(c.name+"/serial", func(b *testing.B) { run(b, stateConfig{parallel: 1}) })
+		b.Run(c.name+"/parallel", func(b *testing.B) { run(b, stateConfig{}) })
 	}
-	b.Run("uncached", func(b *testing.B) { run(b, stateConfig{parallel: 1, noCache: true}) })
-	b.Run("serial", func(b *testing.B) { run(b, stateConfig{parallel: 1}) })
-	b.Run("parallel", func(b *testing.B) { run(b, stateConfig{}) })
 }
 
 // BenchmarkGamma measures one ranking iteration's worth of γ evaluations
@@ -68,9 +93,11 @@ func BenchmarkGamma(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cts := make([]taskgraph.CTID, 0, len(st.unplaced))
-		for ct := range st.unplaced {
-			cts = append(cts, ct)
+		var cts []taskgraph.CTID
+		for ct, host := range st.view.Host {
+			if host < 0 {
+				cts = append(cts, taskgraph.CTID(ct))
+			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -136,23 +163,34 @@ func BenchmarkRateWith(b *testing.B) {
 }
 
 // BenchmarkWidestTree compares one full single-source tree build against
-// the per-pair searches it amortizes (source to every other NCP).
+// the per-pair searches it amortizes (source to every other NCP), on the
+// large random-DAG case's network and on the 64-NCP full mesh.
 func BenchmarkWidestTree(b *testing.B) {
-	inst := benchLarge(b)
-	caps := inst.Net.BaseCapacities()
-	loads := make([]float64, inst.Net.NumLinks())
-	b.Run("per-pair-all-targets", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for v := 1; v < inst.Net.NumNCPs(); v++ {
-				if _, _, ok := WidestPath(inst.Net, caps, loads, 10, 0, network.NCPID(v)); !ok {
-					b.Fatal("unreachable")
+	for _, c := range []struct {
+		name string
+		net  *network.Network
+	}{
+		{"large", benchLarge(b).Net},
+		{"mesh64", goldenMesh64(b)},
+	} {
+		caps := c.net.BaseCapacities()
+		loads := make([]float64, c.net.NumLinks())
+		b.Run(c.name+"/per-pair-all-targets", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for v := 1; v < c.net.NumNCPs(); v++ {
+					if _, _, ok := WidestPath(c.net, caps, loads, 10, 0, network.NCPID(v)); !ok {
+						b.Fatal("unreachable")
+					}
 				}
 			}
-		}
-	})
-	b.Run("tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			newWidestTree(inst.Net, caps, loads, 10, 0, false)
-		}
-	})
+		})
+		b.Run(c.name+"/tree", func(b *testing.B) {
+			b.ReportAllocs()
+			var s widestScratch
+			for i := 0; i < b.N; i++ {
+				s.tree(c.net, caps, loads, 10, 0, false)
+			}
+		})
+	}
 }

@@ -112,7 +112,7 @@ func TestPropertyCacheIdenticalDirected(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out []Decision
-			for len(st.unplaced) > 0 {
+			for st.unplaced > 0 {
 				ct, host, gamma, _, err := st.dynamicRankNext()
 				if err != nil {
 					t.Fatal(err)

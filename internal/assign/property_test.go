@@ -168,8 +168,12 @@ func TestPropertyFrontierSubsetOfReachable(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Inspect the state right after the pinned CTs are placed.
-		for ct := range st.unplaced {
-			frontier := st.frontierPlaced(ct)
+		for ct, host := range st.view.Host {
+			if host >= 0 {
+				continue
+			}
+			ct := taskgraph.CTID(ct)
+			frontier := st.frontierPlaced(ct, new(frontierWalk))
 			for _, other := range frontier {
 				if st.p.Host(other) < 0 {
 					t.Fatalf("frontier contains unplaced CT %d", other)
@@ -179,7 +183,7 @@ func TestPropertyFrontierSubsetOfReachable(t *testing.T) {
 				}
 			}
 			st.literalNu = true
-			literal := st.nu(ct)
+			literal := st.nu(ct, new(frontierWalk))
 			st.literalNu = false
 			if len(frontier) > len(literal) {
 				t.Fatalf("frontier (%d) larger than literal ν (%d)", len(frontier), len(literal))
@@ -288,7 +292,7 @@ func TestPropertyCacheIdentical(t *testing.T) {
 		for i, ct := range st.placed {
 			fresh = append(fresh, Decision{Step: i, CT: ct, Host: st.p.Host(ct), Pinned: true})
 		}
-		for len(st.unplaced) > 0 {
+		for st.unplaced > 0 {
 			ct, host, gamma, _, err := st.dynamicRankNext()
 			if err != nil {
 				t.Fatal(err)

@@ -6,8 +6,8 @@
 package assign
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 
 	"sparcle/internal/network"
 )
@@ -24,71 +24,90 @@ import (
 // It returns the route, the bottleneck value (the minimum link weight along
 // the route, +Inf when from == to), and ok=false when to is unreachable.
 func WidestPath(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from, to network.NCPID) (route []network.LinkID, bottleneck float64, ok bool) {
-	route, bottleneck, _, ok = widestPathCounted(net, caps, linkLoad, bits, from, to)
+	route, bottleneck, _, ok = new(widestScratch).path(net, caps, linkLoad, bits, from, to, nil)
 	return route, bottleneck, ok
 }
 
-// widestPathCounted is WidestPath plus the number of successful edge
-// relaxations the search performed — the telemetry layer's measure of
-// routing effort, counted unconditionally (one integer increment per
-// relaxation) and discarded by the exported wrapper.
-func widestPathCounted(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from, to network.NCPID) (route []network.LinkID, bottleneck float64, relaxations int, ok bool) {
+// path is WidestPath on s, appending the route to dst[:0], plus the number
+// of successful relaxations — the telemetry layer's measure of routing
+// effort, one increment each, which the exported wrapper discards.
+func (s *widestScratch) path(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from, to network.NCPID, dst []network.LinkID) (route []network.LinkID, bottleneck float64, relaxations int, ok bool) {
 	if from == to {
-		return nil, math.Inf(1), 0, true
+		return dst[:0], math.Inf(1), 0, true
 	}
-	n := net.NumNCPs()
-	phi := make([]float64, n) // best bottleneck from `from` to each NCP
-	hops := make([]int, n)    // hop count of the best-known path
-	prevLink := make([]network.LinkID, n)
-	done := make([]bool, n)
-	for i := range phi {
-		phi[i] = math.Inf(-1)
-		prevLink[i] = -1
-	}
-	phi[from] = math.Inf(1)
-
-	pq := &widestQueue{}
-	heap.Push(pq, widestItem{ncp: from, phi: phi[from]})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(widestItem)
-		v := it.ncp
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		if v == to {
-			break
-		}
-		for _, l := range net.Incident(v) {
-			u := net.Other(l, v)
-			if done[u] {
-				continue
-			}
-			w := linkWeight(caps.Link[l], linkLoad[l], bits)
-			b := math.Min(phi[v], w)
-			if b > phi[u] || (b == phi[u] && hops[v]+1 < hops[u]) {
-				phi[u] = b
-				hops[u] = hops[v] + 1
-				prevLink[u] = l
-				relaxations++
-				heap.Push(pq, widestItem{ncp: u, phi: b, hops: hops[u]})
-			}
-		}
-	}
-	if !done[to] && math.IsInf(phi[to], -1) {
+	relaxations = s.search(net, caps, linkLoad, bits, from, to, false)
+	if math.IsInf(s.nodes[to].phi, -1) {
 		return nil, 0, relaxations, false
 	}
 	// Reconstruct the route by walking predecessor links from `to`.
+	route = dst[:0]
 	for v := to; v != from; {
-		l := prevLink[v]
-		if l < 0 {
-			return nil, 0, relaxations, false
-		}
+		l := s.nodes[v].prevLink
 		route = append(route, l)
 		v = net.Other(l, v)
 	}
-	reverseLinks(route)
-	return route, phi[to], relaxations, true
+	slices.Reverse(route)
+	return route, s.nodes[to].phi, relaxations, true
+}
+
+// widestNode is one NCP's state in a search.
+type widestNode struct {
+	phi      float64        // best bottleneck from the source
+	prevLink network.LinkID // last link of the best-known path, -1 if none
+	hops     int32          // hop count of the best-known path
+	done     bool
+}
+
+// widestScratch is a search's working memory, reused by one searcher at a
+// time: the assignment state holds one per scoring worker.
+type widestScratch struct {
+	nodes []widestNode
+	pq    widestQueue
+}
+
+// search runs Algorithm 1's relaxation from `from` on fresh nodes, along
+// the arcs leaving each NCP or, reversed, entering it (phi is then the
+// bottleneck to `from`): maximize the bottleneck, tie-break toward fewer
+// hops. It stops once `to` is settled (-1: never, as for a tree) and
+// returns the number of successful relaxations. Which of several equally
+// wide, equally short paths a route takes is decided by the pop order of
+// equal keys, so widestQueue sifts exactly as container/heap does.
+func (s *widestScratch) search(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from, to network.NCPID, reversed bool) (relaxations int) {
+	nodes := slices.Grow(s.nodes[:0], net.NumNCPs())[:net.NumNCPs()]
+	for i := range nodes {
+		nodes[i] = widestNode{phi: math.Inf(-1), prevLink: -1}
+	}
+	s.nodes, s.pq = nodes, s.pq[:0]
+	nodes[from].phi = math.Inf(1)
+	s.pq.push(widestItem{ncp: int32(from), phi: math.Inf(1)})
+	for len(s.pq) > 0 {
+		v := network.NCPID(s.pq.pop().ncp)
+		if nodes[v].done {
+			continue
+		}
+		nodes[v].done = true
+		if v == to {
+			break
+		}
+		arcs := net.OutArcs(v)
+		if reversed {
+			arcs = net.InArcs(v)
+		}
+		pv, hv := nodes[v].phi, nodes[v].hops+1
+		for _, a := range arcs {
+			u := &nodes[a.To]
+			if u.done {
+				continue
+			}
+			b := min(pv, linkWeight(caps.Link[a.Link], linkLoad[a.Link], bits))
+			if b > u.phi || (b == u.phi && hv < u.hops) {
+				*u = widestNode{phi: b, prevLink: a.Link, hops: hv}
+				relaxations++
+				s.pq.push(widestItem{ncp: int32(a.To), phi: b, hops: hv})
+			}
+		}
+	}
+	return relaxations
 }
 
 // linkWeight is the per-link bottleneck a TT of `bits` would see on a link
@@ -102,33 +121,47 @@ func linkWeight(cap, load, bits float64) float64 {
 	return cap / demand
 }
 
-func reverseLinks(route []network.LinkID) {
-	for i, j := 0, len(route)-1; i < j; i, j = i+1, j-1 {
-		route[i], route[j] = route[j], route[i]
-	}
-}
-
 type widestItem struct {
-	ncp  network.NCPID
 	phi  float64
-	hops int
+	ncp  int32
+	hops int32
 }
 
+// widestQueue is a binary max-heap on phi, then min on hops, hand-rolled
+// like simnet's eventHeap so that a push does not box its item. push and
+// pop sift exactly as container/heap's Push and Pop do.
 type widestQueue []widestItem
 
-func (q widestQueue) Len() int { return len(q) }
-func (q widestQueue) Less(i, j int) bool {
+func (q widestQueue) less(i, j int) bool {
 	if q[i].phi != q[j].phi {
 		return q[i].phi > q[j].phi
 	}
 	return q[i].hops < q[j].hops
 }
-func (q widestQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *widestQueue) Push(x interface{}) { *q = append(*q, x.(widestItem)) }
-func (q *widestQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+func (q *widestQueue) push(it widestItem) {
+	*q = append(*q, it)
+	s := *q
+	for i := len(s) - 1; i > 0 && s.less(i, (i-1)/2); i = (i - 1) / 2 {
+		s[i], s[(i-1)/2] = s[(i-1)/2], s[i]
+	}
+}
+
+func (q *widestQueue) pop() widestItem {
+	s := *q
+	top, n := s[0], len(s)-1
+	s[0], s = s[n], s[:n]
+	*q = s
+	for i := 0; 2*i+1 < n; {
+		child := 2*i + 1
+		if child+1 < n && s.less(child+1, child) {
+			child++
+		}
+		if !s.less(child, i) {
+			break
+		}
+		s[i], s[child] = s[child], s[i]
+		i = child
+	}
+	return top
 }

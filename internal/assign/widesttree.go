@@ -1,12 +1,14 @@
 package assign
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"sparcle/internal/network"
 	"sparcle/internal/obs"
+	"sparcle/internal/taskgraph"
 )
 
 // widestTree is the single-source widest-path tree from one NCP for one
@@ -30,64 +32,27 @@ import (
 // tree serves both directions.
 type widestTree struct {
 	phi []float64
-	// usesLink[l] reports whether link l is a tree edge (the predecessor
-	// link of some reached NCP). The phi values depend on the weights of
+	// edges is the set of tree edges (the predecessor link of some reached
+	// NCP), one bit per link. The phi values depend on the weights of
 	// exactly these links — see widestCache.invalidate.
-	usesLink []bool
+	edges []uint64
 }
 
-// newWidestTree runs the full Dijkstra-style search from `from`, along
-// the links leaving each NCP or, reversed, along those entering it (phi[v]
-// is then the bottleneck from v to `from`). The relaxation rule (maximize
-// bottleneck, tie-break toward fewer hops) is identical to
-// widestPathCounted, so for every target the tree's phi equals the
-// per-pair search's bottleneck bit for bit.
-func newWidestTree(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from network.NCPID, reversed bool) *widestTree {
-	n := net.NumNCPs()
-	t := &widestTree{
-		phi:      make([]float64, n),
-		usesLink: make([]bool, net.NumLinks()),
+// tree runs the search from `from` to exhaustion on s, along the links
+// leaving each NCP or, reversed, along those entering it (phi[v] is then
+// the bottleneck from v to `from`). It is the same search a route runs, so
+// for every target the tree's phi equals the per-pair search's bottleneck
+// bit for bit.
+func (s *widestScratch) tree(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from network.NCPID, reversed bool) widestTree {
+	s.search(net, caps, linkLoad, bits, from, -1, reversed)
+	t := widestTree{
+		phi:   make([]float64, len(s.nodes)),
+		edges: make([]uint64, (net.NumLinks()+63)/64),
 	}
-	hops := make([]int, n)
-	prevLink := make([]network.LinkID, n)
-	done := make([]bool, n)
-	for i := range t.phi {
-		t.phi[i] = math.Inf(-1)
-		prevLink[i] = -1
-	}
-	t.phi[from] = math.Inf(1)
-
-	pq := &widestQueue{}
-	heap.Push(pq, widestItem{ncp: from, phi: t.phi[from]})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(widestItem)
-		v := it.ncp
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		links := net.Incident(v)
-		if reversed {
-			links = net.Entering(v)
-		}
-		for _, l := range links {
-			u := net.Other(l, v)
-			if done[u] {
-				continue
-			}
-			w := linkWeight(caps.Link[l], linkLoad[l], bits)
-			b := math.Min(t.phi[v], w)
-			if b > t.phi[u] || (b == t.phi[u] && hops[v]+1 < hops[u]) {
-				t.phi[u] = b
-				hops[u] = hops[v] + 1
-				prevLink[u] = l
-				heap.Push(pq, widestItem{ncp: u, phi: b, hops: hops[u]})
-			}
-		}
-	}
-	for _, l := range prevLink {
-		if l >= 0 {
-			t.usesLink[l] = true
+	for v, nd := range s.nodes {
+		t.phi[v] = nd.phi
+		if l := nd.prevLink; l >= 0 {
+			t.edges[l/64] |= 1 << (l % 64)
 		}
 	}
 	return t
@@ -101,19 +66,15 @@ func (t *widestTree) bottleneck(to network.NCPID) (float64, bool) {
 	return b, !math.IsInf(b, -1)
 }
 
-// widestKey identifies one memoized tree: all γ evaluations probing host
-// `from` with a TT of `bits` flowing the same way share it.
-type widestKey struct {
-	from     network.NCPID
-	bits     float64
-	reversed bool
-}
-
 // widestCache memoizes single-source widest-path trees per (source host,
-// bits) for the current state of the link loads. Lookups are safe from
-// concurrent scorers: the entry map is guarded by a mutex and each tree is
-// computed exactly once (sync.Once), so racing scorers block on the first
-// computation instead of duplicating it.
+// TT size, direction) for the current state of the link loads. Lookups
+// are safe from concurrent scorers: each slot is an atomic pointer and
+// each tree is computed exactly once (sync.Once), so racing scorers block
+// on the first computation instead of duplicating it.
+//
+// The slots are a dense array: the application's distinct TT sizes are
+// interned when the cache is built, so a key is (size index, direction,
+// root) and a lookup hashes nothing.
 //
 // Invalidation (mutation layer only, between scoring phases): committing a
 // placement only *increases* link loads, which only *decreases* link
@@ -128,8 +89,14 @@ type widestCache struct {
 	// linkLoad aliases the evaluation view's live link loads.
 	linkLoad []float64
 
-	mu      sync.Mutex
-	entries map[widestKey]*widestEntry
+	// bits holds the application's distinct TT sizes and ttBits[tt] the
+	// index of TT tt's size in it.
+	bits   []float64
+	ttBits []int
+	// entries[bits index*NumNCPs + root] are the forward trees; the
+	// reversed ones follow, only on a network with directed links. nil is
+	// absent.
+	entries []atomic.Pointer[widestEntry]
 
 	// hits/misses are the obs counters (nil-safe no-ops by default).
 	hits, misses *obs.Counter
@@ -137,38 +104,53 @@ type widestCache struct {
 
 type widestEntry struct {
 	once sync.Once
-	tree *widestTree
+	tree widestTree
 }
 
-func newWidestCache(net *network.Network, caps *network.Capacities, linkLoad []float64) *widestCache {
-	return &widestCache{
-		net:      net,
-		caps:     caps,
-		linkLoad: linkLoad,
-		entries:  map[widestKey]*widestEntry{},
+func newWidestCache(g *taskgraph.Graph, net *network.Network, caps *network.Capacities, linkLoad []float64) *widestCache {
+	c := &widestCache{net: net, caps: caps, linkLoad: linkLoad}
+	for tt := 0; tt < g.NumTTs(); tt++ {
+		b := g.TT(taskgraph.TTID(tt)).Bits
+		i := slices.Index(c.bits, b)
+		if i < 0 {
+			i = len(c.bits)
+			c.bits = append(c.bits, b)
+		}
+		c.ttBits = append(c.ttBits, i)
 	}
+	n := len(c.bits) * net.NumNCPs()
+	if !net.Symmetric() {
+		n *= 2
+	}
+	c.entries = make([]atomic.Pointer[widestEntry], n)
+	return c
 }
 
-// tree returns the memoized widest-path tree for (from, bits, direction),
-// computing it on first use. Safe for concurrent callers.
-func (c *widestCache) tree(from network.NCPID, bits float64, reversed bool) *widestTree {
-	key := widestKey{from: from, bits: bits, reversed: reversed && !c.net.Symmetric()}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &widestEntry{}
-		c.entries[key] = e
+// tree returns the memoized widest-path tree for (from, c.bits[bits],
+// direction), computing it on s on first use. Safe for concurrent callers,
+// each with its own scratch.
+func (c *widestCache) tree(from network.NCPID, bits int, reversed bool, s *widestScratch) *widestTree {
+	// Without directed links one tree serves both directions.
+	reversed = reversed && !c.net.Symmetric()
+	i := bits*c.net.NumNCPs() + int(from)
+	if reversed {
+		i += len(c.bits) * c.net.NumNCPs()
 	}
-	c.mu.Unlock()
-	if ok {
+	slot := &c.entries[i]
+	e := slot.Load()
+	if e != nil {
 		c.hits.Inc()
-	} else {
+	} else if fresh := new(widestEntry); slot.CompareAndSwap(nil, fresh) {
 		c.misses.Inc()
+		e = fresh
+	} else {
+		c.hits.Inc()
+		e = slot.Load()
 	}
 	e.once.Do(func() {
-		e.tree = newWidestTree(c.net, c.caps, c.linkLoad, bits, from, key.reversed)
+		e.tree = s.tree(c.net, c.caps, c.linkLoad, c.bits[bits], from, reversed)
 	})
-	return e.tree
+	return &e.tree
 }
 
 // invalidate drops every entry whose tree uses one of the changed links.
@@ -178,12 +160,14 @@ func (c *widestCache) invalidate(changed []network.LinkID) {
 	if len(changed) == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, e := range c.entries {
+	for i := range c.entries {
+		e := c.entries[i].Load()
+		if e == nil {
+			continue
+		}
 		for _, l := range changed {
-			if e.tree.usesLink[l] {
-				delete(c.entries, key)
+			if e.tree.edges[l/64]&(1<<(l%64)) != 0 {
+				c.entries[i].Store(nil)
 				break
 			}
 		}

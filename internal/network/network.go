@@ -54,6 +54,13 @@ type Link struct {
 	Directed bool
 }
 
+// Arc is one link resolved from the NCP whose arc list holds it: To is the
+// link's other end, so a search walking arcs never reads the Link itself.
+type Arc struct {
+	Link LinkID
+	To   NCPID
+}
+
 // Network is an immutable dispersed computing network topology.
 type Network struct {
 	name  string
@@ -61,10 +68,10 @@ type Network struct {
 	links []Link
 	// incident[v] lists the links incident to NCP v.
 	incident [][]LinkID
-	// entering[v] lists the links traversable into NCP v. Without
-	// directed links (symmetric) that is incident itself, shared.
-	entering  [][]LinkID
-	symmetric bool
+	// outArcs[v] and inArcs[v] resolve the links traversable from and into
+	// NCP v. Without directed links (symmetric) inArcs is outArcs, shared.
+	outArcs, inArcs [][]Arc
+	symmetric       bool
 }
 
 // Builder incrementally constructs a Network.
@@ -145,21 +152,24 @@ func (b *Builder) Build() (*Network, error) {
 		links: append([]Link(nil), b.links...),
 	}
 	net.incident = make([][]LinkID, len(net.ncps))
+	net.outArcs = make([][]Arc, len(net.ncps))
 	net.symmetric = true
 	for id, l := range net.links {
 		net.incident[l.A] = append(net.incident[l.A], LinkID(id))
+		net.outArcs[l.A] = append(net.outArcs[l.A], Arc{LinkID(id), l.B})
 		if !l.Directed {
 			net.incident[l.B] = append(net.incident[l.B], LinkID(id))
+			net.outArcs[l.B] = append(net.outArcs[l.B], Arc{LinkID(id), l.A})
 		}
 		net.symmetric = net.symmetric && !l.Directed
 	}
-	net.entering = net.incident
+	net.inArcs = net.outArcs
 	if !net.symmetric {
-		net.entering = make([][]LinkID, len(net.ncps))
+		net.inArcs = make([][]Arc, len(net.ncps))
 		for id, l := range net.links {
-			net.entering[l.B] = append(net.entering[l.B], LinkID(id))
+			net.inArcs[l.B] = append(net.inArcs[l.B], Arc{LinkID(id), l.A})
 			if !l.Directed {
-				net.entering[l.A] = append(net.entering[l.A], LinkID(id))
+				net.inArcs[l.A] = append(net.inArcs[l.A], Arc{LinkID(id), l.B})
 			}
 		}
 	}
@@ -185,10 +195,13 @@ func (n *Network) Link(id LinkID) Link { return n.links[id] }
 // link touching v plus the directed links leaving v.
 func (n *Network) Incident(v NCPID) []LinkID { return n.incident[v] }
 
-// Entering returns the links traversable into NCP v: every undirected
-// link touching v plus the directed links arriving at v. Walking them
-// searches the network against the direction of flow.
-func (n *Network) Entering(v NCPID) []LinkID { return n.entering[v] }
+// OutArcs returns Incident(v) resolved into arcs: each link traversable
+// from v with the NCP it leads to.
+func (n *Network) OutArcs(v NCPID) []Arc { return n.outArcs[v] }
+
+// InArcs returns the links traversable into NCP v, each with the NCP it
+// comes from: walking them searches against the direction of flow.
+func (n *Network) InArcs(v NCPID) []Arc { return n.inArcs[v] }
 
 // Symmetric reports whether every link can be traversed both ways, so
 // that whatever reaches v from u reaches u from v over the same links.

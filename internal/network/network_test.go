@@ -243,6 +243,16 @@ func TestDirectedLinks(t *testing.T) {
 	if net.Other(fwd, a) != c {
 		t.Fatal("Other wrong")
 	}
+	// Arcs resolve the far end: out of a to c, into c from a.
+	if got := net.OutArcs(a); len(got) != 1 || got[0] != (Arc{Link: fwd, To: c}) {
+		t.Fatalf("OutArcs(a) = %v", got)
+	}
+	if got := net.InArcs(c); len(got) != 1 || got[0] != (Arc{Link: fwd, To: a}) {
+		t.Fatalf("InArcs(c) = %v", got)
+	}
+	if len(net.OutArcs(c)) != 0 || len(net.InArcs(a)) != 0 {
+		t.Fatal("a directed link must not be walkable against its direction")
+	}
 	// Reachability from NCP 0 holds; the reverse direction does not exist.
 	if !net.Connected() {
 		t.Fatal("a should reach c")
