@@ -147,7 +147,7 @@ type Journal struct {
 	recovered bool
 	closed    bool
 
-	dirty  bool          // unsynced bytes under SyncInterval
+	dirty  bool          // unsynced bytes (SyncInterval, or a deferred append)
 	stopc  chan struct{} // interval flusher shutdown
 	stopwg sync.WaitGroup
 }
@@ -215,7 +215,17 @@ func (j *Journal) Append(typ string, data any) (uint64, error) {
 // a stale quorum after a crash, so these records never ride the
 // interval flusher.
 func (j *Journal) AppendSync(typ string, data any) (uint64, error) {
-	return j.appendSpan(nil, typ, data, true)
+	return j.appendSpan(nil, typ, data, flushForce)
+}
+
+// AppendDeferred is Append without the per-record flush of SyncAlways:
+// the record is written to the active segment but is durable only once a
+// later Sync returns (or anything else fsyncs the segment — a synced
+// append, a snapshot rotation, a truncation). Under the other policies
+// it is Append. A replication leader uses it to fsync beside the
+// follower round instead of before it.
+func (j *Journal) AppendDeferred(typ string, data any) (uint64, error) {
+	return j.appendSpan(nil, typ, data, flushDefer)
 }
 
 // AppendSpan is Append with latency attribution: the whole append is
@@ -224,10 +234,19 @@ func (j *Journal) AppendSync(typ string, data any) (uint64, error) {
 // "journal.fsync" span — in an admission trace, that child is where a
 // slow disk shows up. A nil parent costs nothing.
 func (j *Journal) AppendSpan(parent *obs.Span, typ string, data any) (uint64, error) {
-	return j.appendSpan(parent, typ, data, false)
+	return j.appendSpan(parent, typ, data, flushPolicy)
 }
 
-func (j *Journal) appendSpan(parent *obs.Span, typ string, data any, force bool) (uint64, error) {
+// flushMode says when an append forces its record to stable storage.
+type flushMode int
+
+const (
+	flushPolicy flushMode = iota // as the journal's Policy says
+	flushForce                   // always, whatever the policy
+	flushDefer                   // never here; the caller Syncs later
+)
+
+func (j *Journal) appendSpan(parent *obs.Span, typ string, data any, mode flushMode) (uint64, error) {
 	asp := parent.Child("journal.append")
 	defer asp.End()
 	asp.SetAttr("type", typ)
@@ -262,14 +281,16 @@ func (j *Journal) appendSpan(parent *obs.Span, typ string, data any, force bool)
 		return 0, fmt.Errorf("journal: append seq %d: %w", rec.Seq, err)
 	}
 	switch {
-	case j.opt.Fsync == SyncAlways || force:
+	case mode == flushForce || (j.opt.Fsync == SyncAlways && mode == flushPolicy):
 		fsp := asp.Child("journal.fsync")
 		err := j.fsyncLocked()
 		fsp.End()
 		if err != nil {
 			return 0, err
 		}
-	case j.opt.Fsync == SyncInterval:
+	case j.opt.Fsync != SyncNever:
+		// SyncInterval, or a deferred SyncAlways append: unsynced bytes
+		// that the next fsync covers.
 		j.dirty = true
 	}
 	j.seq = rec.Seq

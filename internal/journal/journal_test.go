@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sparcle/internal/obs"
 )
 
 type testOp struct {
@@ -418,6 +420,71 @@ func TestAppendSyncForcesFsync(t *testing.T) {
 			j.mu.Unlock()
 			if dirty {
 				t.Fatal("journal still dirty after AppendSync")
+			}
+		})
+	}
+}
+
+// TestAppendDeferredLeavesTheFsyncToSync: under SyncAlways a deferred
+// append writes its record without flushing it, the next Sync flushes it,
+// and a truncation flushes what it keeps (appends after the cut go to a
+// fresh segment whose fsyncs would never cover it). Under the other
+// policies a deferred append is an ordinary one.
+func TestAppendDeferredLeavesTheFsyncToSync(t *testing.T) {
+	open := func(t *testing.T, policy Policy) (*Journal, *obs.Registry) {
+		reg := obs.NewRegistry()
+		j, err := Open(t.TempDir(), Options{Fsync: policy, FsyncInterval: time.Hour, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { j.Close() })
+		if _, _, err := j.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		return j, reg
+	}
+	state := func(j *Journal, reg *obs.Registry) (bool, uint64) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.dirty, reg.Histogram(metricFsync, fsyncBuckets).Count()
+	}
+	t.Run("always", func(t *testing.T) {
+		j, reg := open(t, SyncAlways)
+		for i := 1; i <= 2; i++ {
+			if seq, err := j.AppendDeferred("op", testOp{Op: "deferred"}); err != nil || seq != uint64(i) {
+				t.Fatalf("AppendDeferred = %d, %v; want %d", seq, err, i)
+			}
+		}
+		if dirty, fsyncs := state(j, reg); !dirty || fsyncs != 0 {
+			t.Fatalf("after deferred appends: dirty %v, %d fsyncs; want dirty and none", dirty, fsyncs)
+		}
+		if err := j.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if dirty, fsyncs := state(j, reg); dirty || fsyncs != 1 {
+			t.Fatalf("after Sync: dirty %v, %d fsyncs; want clean after one", dirty, fsyncs)
+		}
+		if _, err := j.AppendDeferred("op", testOp{Op: "cut"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.AppendDeferred("op", testOp{Op: "kept"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.TruncateTo(3); err != nil {
+			t.Fatal(err)
+		}
+		if dirty, fsyncs := state(j, reg); dirty || fsyncs != 2 {
+			t.Fatalf("after TruncateTo: dirty %v, %d fsyncs; want the kept prefix flushed", dirty, fsyncs)
+		}
+	})
+	for _, policy := range []Policy{SyncInterval, SyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			j, reg := open(t, policy)
+			if _, err := j.AppendDeferred("op", testOp{Op: "x"}); err != nil {
+				t.Fatal(err)
+			}
+			if dirty, fsyncs := state(j, reg); dirty != (policy == SyncInterval) || fsyncs != 0 {
+				t.Fatalf("dirty %v, %d fsyncs; want what Append leaves", dirty, fsyncs)
 			}
 		})
 	}

@@ -50,6 +50,13 @@ func (j *Journal) TruncateTo(seq uint64) error {
 		return fmt.Errorf("journal: truncate to %d below snapshot %d", seq, j.snapSeq)
 	}
 	if j.f != nil {
+		// The kept prefix may hold unsynced records; appends after the cut
+		// go to a fresh segment, so their fsyncs would never cover these.
+		if j.dirty {
+			if err := j.fsyncLocked(); err != nil {
+				return err
+			}
+		}
 		if err := j.f.Close(); err != nil {
 			return fmt.Errorf("journal: close segment: %w", err)
 		}

@@ -3,7 +3,7 @@ package replica
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -356,14 +356,14 @@ func (n *Node) promote(term uint64) {
 	}
 	// Barrier entry: a no-op stamped with the new term.
 	e := Entry{Seq: n.lastSeqLocked() + 1, Term: term, Nop: true}
-	if err := n.appendEntryLocked(e); err != nil {
+	if err := n.appendEntryLocked(e, false); err != nil {
 		n.cfg.Logger.Error("replica: barrier append failed", "err", err)
 		n.becomeFollowerLocked()
 		n.mu.Unlock()
 		return
 	}
 	n.barrier = e.Seq
-	n.lastApplied = e.Seq // no-op: the state machine is unaffected
+	n.lastApplied = e.Seq   // no-op: the state machine is unaffected
 	n.advanceCommitLocked() // self-count (commits immediately at quorum 1)
 	n.mu.Unlock()
 	n.broadcastHeartbeat() // carries the barrier via per-peer delta send
@@ -452,23 +452,25 @@ func (n *Node) handleAppendResponse(id string, tr Transport, resp *AppendRespons
 }
 
 // advanceCommitLocked recomputes the commit index as the quorum median
-// of VOTER match indices (self counts as the log end; learners are
-// replicated to but never counted). Only an entry of the CURRENT term
-// may advance it (Raft §5.4.2): committing a prior-term entry by
-// counting replicas can be undone by a later leader. When the advance
-// commits a configuration entry the new membership is folded in and the
-// computation repeats under the new quorum (a shrink can unblock
-// further commits immediately).
+// of VOTER match indices (self counts at its synced index — an entry
+// whose fsync is still running beside the follower round is not yet
+// ours to count; learners are replicated to but never counted). Only an
+// entry of the CURRENT term may advance it (Raft §5.4.2): committing a
+// prior-term entry by counting replicas can be undone by a later leader.
+// When the advance commits a configuration entry the new membership is
+// folded in and the computation repeats under the new quorum (a shrink
+// can unblock further commits immediately).
 func (n *Node) advanceCommitLocked() {
+	var buf [8]uint64 // voters; more spill to the heap
 	for {
 		quorum := n.quorumLocked()
-		arr := make([]uint64, 0, len(n.conf.Members))
+		arr := buf[:0]
 		for _, m := range n.conf.Members {
 			if !m.Voter {
 				continue
 			}
 			if m.ID == n.cfg.ID {
-				arr = append(arr, n.lastSeqLocked())
+				arr = append(arr, n.synced)
 			} else {
 				arr = append(arr, n.match[m.ID]) // zero for peers not heard from
 			}
@@ -476,8 +478,8 @@ func (n *Node) advanceCommitLocked() {
 		if len(arr) < quorum {
 			return
 		}
-		sort.Slice(arr, func(i, j int) bool { return arr[i] > arr[j] })
-		cand := arr[quorum-1]
+		slices.Sort(arr)
+		cand := arr[len(arr)-quorum] // the highest index a quorum holds
 		if cand <= n.commitIndex {
 			return
 		}

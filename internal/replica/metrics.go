@@ -15,6 +15,7 @@ const (
 	metricCommitIndex  = "sparcle_repl_commit_index"
 	metricQuorumAcks   = "sparcle_repl_quorum_acks_total"
 	metricCatchupSnaps = "sparcle_repl_catchup_snapshots_total"
+	metricSnapshots    = "sparcle_repl_snapshots_total"
 	metricMembers      = "sparcle_repl_members"
 	metricConfChanges  = "sparcle_repl_conf_changes_total"
 	metricPreVotes     = "sparcle_repl_prevote_rounds_total"
@@ -33,6 +34,7 @@ func (n *Node) registerMetrics() {
 	reg.SetHelp(metricCommitIndex, "Highest quorum-committed journal sequence number.")
 	reg.SetHelp(metricQuorumAcks, "Proposals acknowledged after reaching quorum on this leader.")
 	reg.SetHelp(metricCatchupSnaps, "Snapshot installs accepted from a leader to catch this node up.")
+	reg.SetHelp(metricSnapshots, "Local journal snapshots by result: cut, or skipped after the export because the log moved past the applied state.")
 	reg.SetHelp(metricMembers, "Members of the committed cluster configuration, by role (voter/learner).")
 	reg.SetHelp(metricConfChanges, "Committed membership changes applied by this node (including rollbacks).")
 	reg.SetHelp(metricPreVotes, "Pre-vote canvass rounds started by this node.")
@@ -41,6 +43,8 @@ func (n *Node) registerMetrics() {
 	reg.SetHelp(metricPeerContact, "Seconds since this peer last answered the leader an RPC (leader's view).")
 	reg.Counter(metricQuorumAcks)
 	reg.Counter(metricCatchupSnaps)
+	reg.Counter(metricSnapshots, obs.L("result", "cut"))
+	reg.Counter(metricSnapshots, obs.L("result", "skipped"))
 	reg.Counter(metricConfChanges)
 	reg.Counter(metricPreVotes)
 	reg.Counter(metricCheckQuorum)
@@ -100,6 +104,14 @@ func (n *Node) countQuorumAck() {
 func (n *Node) countCatchupSnapshot() {
 	if reg := n.cfg.Metrics; reg != nil {
 		reg.Counter(metricCatchupSnaps).Inc()
+	}
+}
+
+// countSnapshot counts one local snapshot attempt that exported the
+// state machine; result is "cut" or "skipped".
+func (n *Node) countSnapshot(result string) {
+	if reg := n.cfg.Metrics; reg != nil {
+		reg.Counter(metricSnapshots, obs.L("result", result)).Inc()
 	}
 }
 

@@ -72,7 +72,10 @@ func (n *Node) proposeLocked(data json.RawMessage, conf *Membership, confBase ui
 		e.Conf = conf
 		e.Data = nil
 	}
-	if err := n.appendEntryLocked(e); err != nil {
+	// Under SyncAlways a data entry is written unsynced and flushed below,
+	// while the followers append it: the leader's fsync overlaps the
+	// follower round instead of preceding it (Raft thesis §10.2.1).
+	if err := n.appendEntryLocked(e, true); err != nil {
 		// The local journal refused the entry. The scheduler already
 		// holds the op in memory; surfacing the error fails the request
 		// with ErrDurability upstream and the durability contract (treat
@@ -80,12 +83,13 @@ func (n *Node) proposeLocked(data json.RawMessage, conf *Membership, confBase ui
 		unlock()
 		return err
 	}
+	deferred := n.synced < e.Seq
 	if conf == nil {
 		n.lastApplied = e.Seq // the caller applied this op before proposing
 	}
 	w := &commitWaiter{seq: e.Seq, term: term, c: make(chan error, 1)}
 	n.waiters = append(n.waiters, w)
-	n.advanceCommitLocked() // self-count (completes the waiter at quorum 1)
+	n.advanceCommitLocked() // self-count (completes the waiter at quorum 1 once synced)
 	req := &AppendRequest{
 		Term:         term,
 		LeaderID:     n.cfg.ID,
@@ -103,6 +107,12 @@ func (n *Node) proposeLocked(data json.RawMessage, conf *Membership, confBase ui
 
 	for id, tr := range peers {
 		go n.sendAppend(id, tr, req, term)
+	}
+	if deferred {
+		if err := n.syncAppended(term, e.Seq); err != nil {
+			n.removeWaiter(w)
+			return err // as an append failure: the node is failed
+		}
 	}
 
 	t := time.NewTimer(n.cfg.ProposeTimeout)
@@ -130,6 +140,23 @@ func (n *Node) proposeLocked(data json.RawMessage, conf *Membership, confBase ui
 		n.removeWaiter(w)
 		return ErrStopped
 	}
+}
+
+// syncAppended flushes the leader's deferred append of seq and then
+// counts its own copy toward the quorum — only while it still leads the
+// term that appended it: within one term a leader's log only grows, so
+// seq is still the entry it wrote.
+func (n *Node) syncAppended(term, seq uint64) error {
+	if err := n.cfg.Journal.Sync(); err != nil {
+		return err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.role == Leader && n.term == term && seq > n.synced {
+		n.synced = seq
+		n.advanceCommitLocked()
+	}
+	return nil
 }
 
 func (n *Node) removeWaiter(w *commitWaiter) {

@@ -28,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sparcle/internal/journal"
@@ -247,6 +246,13 @@ type Node struct {
 	snapData []byte
 	tail     []Entry
 
+	// synced is the highest log index this node holds on stable storage
+	// under the journal's policy. It trails the log end only while a
+	// leader's deferred append awaits its fsync (see proposeLocked); the
+	// leader counts itself toward the quorum at synced, and no node
+	// reports a log end above it to a leader.
+	synced uint64
+
 	commitIndex uint64
 	lastApplied uint64
 	// restoreBase asks the apply loop to reset the state machine to the
@@ -273,7 +279,11 @@ type Node struct {
 	started bool
 	stopped bool
 
-	snapshotting atomic.Bool
+	// snapshotting dedups local snapshot cuts. cutHold is non-nil while a
+	// follower's cut is exporting: the follower's log changes wait for it
+	// (see maybeSnapshot).
+	snapshotting bool
+	cutHold      chan struct{}
 }
 
 // New validates the configuration and returns an unstarted node.
@@ -367,7 +377,7 @@ func (n *Node) Start() error {
 		return fmt.Errorf("replica: restore state machine: %w", err)
 	}
 	last := n.snapBase + uint64(len(n.tail))
-	n.commitIndex, n.lastApplied = last, last
+	n.commitIndex, n.lastApplied, n.synced = last, last, last
 
 	if snapBytes == nil && len(recs) == 0 {
 		// Genesis: pin the initial state so every later recovery — and
@@ -574,16 +584,23 @@ func (n *Node) termAtLocked(seq uint64) (uint64, bool) {
 // tail. The journal assigns sequence numbers itself; the invariant that
 // the replica log and the journal agree is asserted here. Configuration
 // entries use their own record type and are forced to stable storage
-// immediately, whatever the journal's fsync policy.
-func (n *Node) appendEntryLocked(e Entry) error {
+// immediately, whatever the journal's fsync policy. deferSync leaves a
+// data entry's SyncAlways fsync to the caller, which must Sync and then
+// advance synced itself; every other append is durable under the policy
+// on return, and its fsync covers every earlier record too.
+func (n *Node) appendEntryLocked(e Entry, deferSync bool) error {
 	if want := n.lastSeqLocked() + 1; e.Seq != want {
 		return fmt.Errorf("replica: append seq %d, log expects %d", e.Seq, want)
 	}
+	deferSync = deferSync && e.Conf == nil && n.cfg.Journal.FsyncPolicy() == journal.SyncAlways
 	var seq uint64
 	var err error
-	if e.Conf != nil {
+	switch {
+	case e.Conf != nil:
 		seq, err = n.cfg.Journal.AppendSync(confRecordType, e)
-	} else {
+	case deferSync:
+		seq, err = n.cfg.Journal.AppendDeferred(recordType, e)
+	default:
 		seq, err = n.cfg.Journal.Append(recordType, e)
 	}
 	if err != nil {
@@ -593,6 +610,9 @@ func (n *Node) appendEntryLocked(e Entry) error {
 		return fmt.Errorf("replica: journal assigned seq %d to entry %d", seq, e.Seq)
 	}
 	n.tail = append(n.tail, e)
+	if !deferSync {
+		n.synced = e.Seq
+	}
 	if e.Conf != nil && n.nextConfSeq == 0 {
 		n.nextConfSeq = e.Seq
 	}
@@ -724,38 +744,80 @@ func (n *Node) drainApply() {
 }
 
 // maybeSnapshot starts an asynchronous journal snapshot when the cadence
-// is due and the state machine has applied the whole log.
+// is due and a cut could land now — checked before the export, since a
+// follower learns an entry's commit only with the next append and under
+// a steady stream can rarely cut. A follower then holds its log still
+// until the cut lands (an append during the export would void it); the
+// leader commits meanwhile through its own copy and the other follower.
+// A leader takes no hold: the owner proposes under the state-machine
+// lock the export holds, and must not wait on an export waiting on it.
 func (n *Node) maybeSnapshot() {
-	if n.cfg.SnapshotEvery <= 0 || n.cfg.Journal.SinceSnapshot() < n.cfg.SnapshotEvery {
+	if n.cfg.SnapshotEvery <= 0 {
 		return
 	}
-	if !n.snapshotting.CompareAndSwap(false, true) {
+	n.mu.Lock()
+	if n.snapshotting || len(n.tail) < n.cfg.SnapshotEvery || !n.cutReadyLocked() {
+		n.mu.Unlock()
 		return
 	}
+	n.snapshotting = true
+	var hold chan struct{}
+	if n.role == Follower {
+		hold = make(chan struct{})
+		n.cutHold = hold
+	}
+	n.mu.Unlock()
 	go func() {
-		defer n.snapshotting.Store(false)
-		if err := n.snapshotNow(); err != nil {
+		err := n.snapshotNow()
+		n.mu.Lock()
+		n.snapshotting = false
+		if hold != nil {
+			close(hold)
+			n.cutHold = nil
+		}
+		n.mu.Unlock()
+		if err != nil {
 			n.cfg.Logger.Error("replica: snapshot failed", "err", err)
 		}
 	}()
+}
+
+// awaitCutLocked parks a follower's log change while its snapshot cut
+// exports. Called and returns with n.mu held.
+func (n *Node) awaitCutLocked() {
+	for n.cutHold != nil {
+		hold := n.cutHold
+		n.mu.Unlock()
+		<-hold
+		n.mu.Lock()
+	}
+}
+
+// cutReadyLocked reports whether a snapshot stamped at the log end would
+// cover exactly the applied state: the whole log is applied and
+// committed. The commit check keeps snapConf exact — the committed
+// configuration covers every entry the snapshot would.
+func (n *Node) cutReadyLocked() bool {
+	last := n.lastSeqLocked()
+	return n.lastApplied == last && n.commitIndex == last
 }
 
 // snapshotNow cuts a snapshot at the current log end. The SnapshotWith
 // callback holds the state-machine lock (freezing lastApplied) and takes
 // the node lock (freezing the journal sequence — every append happens
 // under it), so the exported state provably covers exactly the stamped
-// sequence number; if the log ran ahead of the applied index the cut is
-// skipped and retried at the next cadence check.
+// sequence number; if the log moved during the export anyway (a leader's
+// membership change, a role change) the cut is skipped, counted, and
+// retried at the next chance.
 func (n *Node) snapshotNow() error {
 	return n.cfg.SM.SnapshotWith(func(state []byte) error {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		last := n.lastSeqLocked()
-		if n.lastApplied != last || n.commitIndex != last {
-			// The commit check keeps snapConf exact: the committed
-			// configuration covers every entry the snapshot would.
+		if !n.cutReadyLocked() {
+			n.countSnapshot("skipped")
 			return nil
 		}
+		last := n.lastSeqLocked()
 		term, _ := n.termAtLocked(last)
 		if err := n.cfg.Journal.WriteSnapshot(snapPayload{Term: term, Conf: n.conf, State: state}); err != nil {
 			return err
@@ -765,6 +827,7 @@ func (n *Node) snapshotNow() error {
 		n.snapData = append([]byte(nil), state...)
 		n.tail = nil
 		n.nextConfSeq = 0
+		n.countSnapshot("cut")
 		return nil
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,10 +93,13 @@ func (lt *localTransport) InstallSnapshot(_ context.Context, req *InstallSnapsho
 	return n.HandleInstallSnapshot(req)
 }
 
-// fakeSM is an order-sensitive log of applied payloads.
+// fakeSM is an order-sensitive log of applied payloads. exports counts
+// SnapshotWith calls: each is a full state export, whether or not the
+// node then cuts a snapshot from it.
 type fakeSM struct {
 	mu      sync.Mutex
 	applied []string
+	exports atomic.Int64
 }
 
 func (s *fakeSM) Apply(data []byte) error {
@@ -106,6 +110,7 @@ func (s *fakeSM) Apply(data []byte) error {
 }
 
 func (s *fakeSM) SnapshotWith(write func(state []byte) error) error {
+	s.exports.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	state, err := json.Marshal(s.applied)
@@ -113,6 +118,16 @@ func (s *fakeSM) SnapshotWith(write func(state []byte) error) error {
 		return err
 	}
 	return write(state)
+}
+
+// applyAndPropose is what the server's commit hook does with one write:
+// apply it and propose it under the state machine's lock, so a snapshot
+// export never captures an operation the log does not hold yet.
+func (s *fakeSM) applyAndPropose(data []byte, propose func() error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.applied = append(s.applied, string(data))
+	return propose()
 }
 
 func (s *fakeSM) Restore(snap []byte, entries [][]byte) error {
@@ -137,7 +152,7 @@ func (s *fakeSM) state() []string {
 }
 
 type cluster struct {
-	t    *testing.T
+	t    testing.TB
 	ids  []string
 	net  *testNet
 	dirs map[string]string
@@ -146,11 +161,13 @@ type cluster struct {
 	nodes    map[string]*Node
 	sms      map[string]*fakeSM
 	journals map[string]*journal.Journal
+	// regs holds each node's metrics registry, by ID (created on boot).
+	regs map[string]*obs.Registry
 
 	snapshotEvery int
 }
 
-func newCluster(t *testing.T, snapshotEvery int) *cluster {
+func newCluster(t testing.TB, snapshotEvery int) *cluster {
 	t.Helper()
 	c := &cluster{
 		t:             t,
@@ -218,6 +235,7 @@ func (c *cluster) bootNode(id string, seed int64, peers map[string]Transport, jo
 		c.t.Fatalf("open journal %s: %v", id, err)
 	}
 	sm := &fakeSM{}
+	reg := obs.NewRegistry()
 	n, err := New(Config{
 		ID:    id,
 		Peers: peers,
@@ -233,6 +251,7 @@ func (c *cluster) bootNode(id string, seed int64, peers map[string]Transport, jo
 		ElectionTimeout: 60 * time.Millisecond,
 		RPCTimeout:      80 * time.Millisecond,
 		ProposeTimeout:  700 * time.Millisecond,
+		Metrics:         reg,
 		Seed:            seed,
 	})
 	if err != nil {
@@ -245,6 +264,10 @@ func (c *cluster) bootNode(id string, seed int64, peers map[string]Transport, jo
 	c.nodes[id] = n
 	c.sms[id] = sm
 	c.journals[id] = j
+	if c.regs == nil {
+		c.regs = make(map[string]*obs.Registry)
+	}
+	c.regs[id] = reg
 	c.mu.Unlock()
 	return n
 }
@@ -344,9 +367,9 @@ func (c *cluster) waitConverged(want []string) {
 }
 
 // propose emulates what the server does with one write: find the ready
-// leader, apply the op to ITS state machine (the leader's scheduler runs
-// the op before the commit hook proposes), then Propose and wait for
-// quorum. Retried across failovers like an HTTP client following
+// leader, apply the op to ITS state machine and Propose it under that
+// machine's lock (the leader's scheduler runs the op before the commit
+// hook proposes), waiting for quorum. Retried across failovers like an HTTP client following
 // redirects. A leader that applied locally but failed to commit is left
 // to the truncate+restore heal, exactly as in production.
 func (c *cluster) propose(payload string) error {
@@ -368,8 +391,7 @@ func (c *cluster) propose(payload string) error {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		c.sm(target.ID()).Apply(data)
-		err := target.Propose(data)
+		err := c.sm(target.ID()).applyAndPropose(data, func() error { return target.Propose(data) })
 		var nl *NotLeaderError
 		switch {
 		case err == nil:
@@ -650,5 +672,83 @@ func TestMetricsOffIsAllocationFree(t *testing.T) {
 		n.countCatchupSnapshot()
 	}); avg != 0 {
 		t.Fatalf("metrics-off path allocates %v per call", avg)
+	}
+}
+
+// TestFollowersExportOnlyWhenACutCanLand: a follower learns an entry's
+// commit only with the next append, so under back-to-back proposals its
+// log end is almost always one past its commit index and a snapshot cut
+// cannot land. The cadence check must see that before exporting the state
+// machine, not after: each follower's exports stay within its cuts (plus
+// the genesis export and one spare), where checking after the export cost
+// one export per applied entry once the cadence was due. Its in-memory
+// tail still ends bounded.
+func TestFollowersExportOnlyWhenACutCanLand(t *testing.T) {
+	const every, ops = 32, 3000
+	c := newCluster(t, every)
+	lead := c.waitLeader()
+	for i := 0; i < ops; i++ {
+		if err := c.propose(fmt.Sprintf("s-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range c.ids {
+		if id == lead.ID() {
+			continue
+		}
+		n, reg := c.node(id), c.regs[id]
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			st := n.Status()
+			if st.LastSeq-st.SnapshotSeq <= 4*every {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("follower %s: in-memory tail %d entries, want <= %d", id, st.LastSeq-st.SnapshotSeq, 4*every)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		exports := c.sm(id).exports.Load()
+		cuts := reg.Counter(metricSnapshots, obs.L("result", "cut")).Value()
+		skipped := reg.Counter(metricSnapshots, obs.L("result", "skipped")).Value()
+		t.Logf("follower %s: %d exports, %v cuts, %v skipped", id, exports, cuts, skipped)
+		if float64(exports) > cuts+2 {
+			t.Fatalf("follower %s exported its state %d times for %v cuts", id, exports, cuts)
+		}
+	}
+}
+
+// TestLeaderCountsItselfOnlyWhenSynced: a leader writes its own copy of
+// an entry beside the follower round and fsyncs it there, so until that
+// fsync returns its copy is not durable and must not count toward the
+// quorum. With entry 5 unsynced on the leader and held by one follower,
+// only entry 4 has a durable quorum.
+func TestLeaderCountsItselfOnlyWhenSynced(t *testing.T) {
+	n := &Node{
+		cfg:   Config{ID: "a"},
+		role:  Leader,
+		term:  2,
+		ready: true,
+		conf:  Membership{Members: []Member{{ID: "a", Voter: true}, {ID: "b", Voter: true}, {ID: "c", Voter: true}}},
+		match: map[string]uint64{"b": 5},
+	}
+	for seq := uint64(1); seq <= 5; seq++ {
+		n.tail = append(n.tail, Entry{Seq: seq, Term: 2})
+	}
+	n.synced = 4
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.advanceCommitLocked()
+	if n.commitIndex != 4 {
+		t.Fatalf("commit index %d with the leader synced to 4, want 4", n.commitIndex)
+	}
+	// Every append response runs this; it must not allocate.
+	if avg := testing.AllocsPerRun(100, n.advanceCommitLocked); avg != 0 {
+		t.Fatalf("advanceCommitLocked allocates %v per call", avg)
+	}
+	n.synced = 5
+	n.advanceCommitLocked()
+	if n.commitIndex != 5 {
+		t.Fatalf("commit index %d once the leader synced 5, want 5", n.commitIndex)
 	}
 }

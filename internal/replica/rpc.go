@@ -94,6 +94,7 @@ func (n *Node) observeTermLocked(term uint64) error {
 // entries are on stable storage under the journal's fsync policy.
 func (n *Node) HandleAppendEntries(req *AppendRequest) (*AppendResponse, error) {
 	n.mu.Lock()
+	n.awaitCutLocked()
 	if n.stopped {
 		n.mu.Unlock()
 		return nil, ErrStopped
@@ -159,6 +160,7 @@ func (n *Node) acceptEntriesLocked(prevSeq, prevTerm uint64, entries []Entry, le
 			}
 			n.tail = n.tail[:e.Seq-1-n.snapBase]
 			last = e.Seq - 1
+			n.synced = last // TruncateTo flushed the kept prefix
 			if n.commitIndex > last {
 				// Only possible when a restart optimistically treated the
 				// whole local log as committed; the cut proves the excess
@@ -176,10 +178,18 @@ func (n *Node) acceptEntriesLocked(prevSeq, prevTerm uint64, entries []Entry, le
 			t, _ := n.termAtLocked(last)
 			return &AppendResponse{Term: n.term, HintSeq: last, HintTerm: t}, false, nil
 		}
-		if err := n.appendEntryLocked(e); err != nil {
+		if err := n.appendEntryLocked(e, false); err != nil {
 			return nil, false, err
 		}
 		last = e.Seq
+	}
+	if n.synced < last {
+		// A deposed leader's deferred appends whose fsync has not run yet:
+		// the leader counts the log end reported here toward its quorum.
+		if err := n.cfg.Journal.Sync(); err != nil {
+			return nil, false, err
+		}
+		n.synced = last
 	}
 
 	if leaderCommit > n.commitIndex {
@@ -241,6 +251,7 @@ func (n *Node) HandleRequestVote(req *VoteRequest) (*VoteResponse, error) {
 // leader's snapshot plus tail.
 func (n *Node) HandleInstallSnapshot(req *InstallSnapshotRequest) (*InstallSnapshotResponse, error) {
 	n.mu.Lock()
+	n.awaitCutLocked()
 	if n.stopped {
 		n.mu.Unlock()
 		return nil, ErrStopped
@@ -290,12 +301,13 @@ func (n *Node) HandleInstallSnapshot(req *InstallSnapshotRequest) (*InstallSnaps
 	n.snapData = append([]byte(nil), req.State...)
 	n.tail = nil
 	n.nextConfSeq = 0
+	n.synced = req.SnapSeq
 	last := req.SnapSeq
 	for _, e := range req.Entries {
 		if e.Seq != last+1 {
 			break // leader shipped a gap; keep the consistent prefix
 		}
-		if err := n.appendEntryLocked(e); err != nil {
+		if err := n.appendEntryLocked(e, false); err != nil {
 			n.mu.Unlock()
 			return nil, err
 		}

@@ -9,7 +9,7 @@
 # without saying why in DESIGN.md.
 set -euo pipefail
 
-max_lines=23198
+max_lines=23342
 max_host_lines=3717
 max_flags=25
 max_options=11
