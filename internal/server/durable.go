@@ -16,7 +16,7 @@ const metricRecovery = "sparcle_recovery_seconds"
 // EnableJournal makes every mutating operation durable: the journal at
 // dir is opened and recovered, a router byte-equal to the pre-crash one
 // is rebuilt from snapshot + bounded replay, and from then on each
-// operation appends its records before the HTTP response acks it. Every
+// operation appends its one record before the HTTP response acks it. Every
 // snapshotEvery records a snapshot bounds future replay (0 disables
 // periodic snapshots). The journal's format is shard's codec: with one
 // region, bare core records and snapshots.
@@ -46,14 +46,14 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 		return fmt.Errorf("recover journal: %w", err)
 	}
 	k := s.rt().NumShards()
-	// The hook runs under the committing shard's lock (or the border
-	// mutex for lease envelopes); the journal serializes concurrent
-	// appends internally. Snapshots cannot be cut here — the router's
-	// consistent export takes every shard lock, including the one the
-	// committing operation holds — so the hook only flags the cadence
-	// and a background goroutine writes the snapshot via SnapshotWith,
-	// which holds all locks across export AND write so no record can
-	// land in between and be skipped by a later replay.
+	// The hook runs under the committing operation's shard locks; the
+	// journal serializes concurrent appends internally. Snapshots cannot
+	// be cut here — the router's consistent export takes every shard
+	// lock, including the ones the committing operation holds — so the
+	// hook only flags the cadence and a background goroutine writes the
+	// snapshot via SnapshotWith, which holds all locks across export AND
+	// write so no record can land in between and be skipped by a later
+	// replay.
 	hook := func(env *shard.Envelope) error {
 		if _, err := j.AppendSpan(env.Span, "op", shard.EncodeEnvelope(k, env)); err != nil {
 			return err
@@ -70,11 +70,6 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 			entries[i] = recs[i].Data
 		}
 		err = s.restore(snapBytes, entries, hook)
-		if err == nil {
-			// Withdraw what a crash tore through the armed hook, so the
-			// journal records the withdrawals and replays to this state.
-			err = s.rt().Reconcile()
-		}
 	} else {
 		// Fresh journal: pin the initial state of every shard (seeds
 		// included) before the first operation can be acknowledged.
@@ -99,9 +94,10 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 // restore replaces the router with one replayed from a journal snapshot
 // and the entries after it — journal recovery and a replicated restore
 // are this one operation — re-arming spans, hook and the per-shard
-// committers on the replayed instance; it does not reconcile (see
-// shard.Replay). The replay reads only the immutable network and the
-// decoded log; the swap is one store.
+// committers on the replayed instance. It writes nothing: every entry is
+// a whole router operation, so the replayed state needs no repair. The
+// replay reads only the immutable network and the decoded log; the swap
+// is one store.
 func (s *Server) restore(snapBytes []byte, entries [][]byte, hook shard.EnvelopeHook) error {
 	k := s.rt().NumShards()
 	snap, envs, err := shard.DecodeLog(k, snapBytes, entries)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sparcle/internal/journal"
@@ -131,7 +130,6 @@ func (s *Server) EnableReplication(cfg ReplicationConfig) error {
 	s.replica = node
 	s.replH = node.Handler()
 	s.replPeers = cfg.Peers
-	s.repl = sm
 	s.mu.Unlock()
 
 	if err := node.Start(); err != nil {
@@ -139,7 +137,6 @@ func (s *Server) EnableReplication(cfg ReplicationConfig) error {
 		s.journal = nil
 		s.replica = nil
 		s.replH = nil
-		s.repl = nil
 		s.mu.Unlock()
 		j.Close()
 		return fmt.Errorf("start replica: %w", err)
@@ -293,7 +290,7 @@ func (s *Server) propose(env *shard.Envelope) error {
 // replicaWriteGate admits a mutating request only on a ready leader
 // whose state machine has caught up with its log; otherwise it answers
 // 421 (follower, leader known — with a Location header pointing at the
-// leader) or 503 (no leader yet / leader still settling). Returns true
+// leader) or 503 (no leader yet / leader still catching up). Returns true
 // when the request may proceed.
 func (s *Server) replicaWriteGate(w http.ResponseWriter, r *http.Request) bool {
 	n := s.replica
@@ -303,14 +300,6 @@ func (s *Server) replicaWriteGate(w http.ResponseWriter, r *http.Request) bool {
 	st := n.Status()
 	switch {
 	case st.Role == "leader" && st.Ready && st.LastApplied == st.LastSeq:
-		if err := s.repl.settle(); err != nil {
-			// A withdrawal's propose failed and reset the state machine;
-			// the next write reconciles again.
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorResponse{Error: fmt.Sprintf("reconcile replicated state: %v", err)})
-			return false
-		}
 		return true
 	case st.Role == "leader":
 		// Term barrier still committing, or a failed propose reset the
@@ -382,27 +371,24 @@ func (s *Server) replicationHealth() *replicationHealth {
 // --- replicated state machine ---
 
 // replSM replicates the router through the same envelope stream it
-// journals. Followers stay hot: each committed envelope applies through
-// Router.Apply as it arrives. A snapshot is the router's consistent
-// export, and a restore swaps in the router replayed from a snapshot and
-// the entries after it, with the propose hook armed; only settle
-// withdraws a torn half. On a steady leader
-// the live router is the source of truth: operations mutate it before
-// they are proposed, and nothing is applied twice.
+// journals. Followers stay hot: each committed envelope, one whole router
+// operation, applies through Router.Apply as it arrives, so a follower
+// promoted at any point holds whole operations and routes every resident
+// by name. A snapshot is the router's consistent export, and a restore
+// swaps in the router replayed from a snapshot and the entries after it,
+// with the propose hook armed. On a steady leader the live router is the
+// source of truth: operations mutate it before they are proposed, and
+// nothing is applied twice.
 type replSM struct {
 	s *Server
 
 	// mu orders Restore against SnapshotWith, so that a snapshot of the
 	// router it loaded is never stamped after a restore replaced that
-	// router, and serializes settle.
+	// router.
 	mu sync.Mutex
-	// settled is cleared whenever the log, not this node's own writes,
-	// moves the router: by Apply and by Restore.
-	settled atomic.Bool
 }
 
 func (m *replSM) Apply(data []byte) error {
-	m.settled.Store(false)
 	rt := m.s.rt()
 	env, err := shard.DecodeEnvelope(rt.NumShards(), data)
 	if err != nil {
@@ -427,26 +413,5 @@ func (m *replSM) SnapshotWith(write func(state []byte) error) error {
 func (m *replSM) Restore(snap []byte, entries [][]byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.settled.Store(false)
 	return m.s.restore(snap, entries, m.s.propose)
-}
-
-// settle reconciles the router once after the log moved it, before the
-// node's first write as leader: a cross-region operation the previous
-// leader left torn is withdrawn, and each withdrawal is proposed like
-// any other remove, so the followers apply it too.
-func (m *replSM) settle() error {
-	if m.settled.Load() {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.settled.Load() {
-		return nil
-	}
-	if err := m.s.rt().Reconcile(); err != nil {
-		return err
-	}
-	m.settled.Store(true)
-	return nil
 }

@@ -197,10 +197,16 @@ func (c *replTestCluster) waitConverged(t *testing.T) {
 // between waitLeader and the request must not flake the test.
 func (c *replTestCluster) postLeader(t *testing.T, n *replTestNode, path, body string) (*http.Response, []byte) {
 	t.Helper()
+	return c.leaderDo(t, n, http.MethodPost, path, body)
+}
+
+// leaderDo is postLeader for any method.
+func (c *replTestCluster) leaderDo(t *testing.T, n *replTestNode, method, path, body string) (*http.Response, []byte) {
+	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	url := n.ts.URL
 	for {
-		resp, b := do(t, http.MethodPost, url+path, body)
+		resp, b := do(t, method, url+path, body)
 		if resp.StatusCode == http.StatusMisdirectedRequest {
 			var redir struct {
 				URL string `json:"leaderUrl"`
@@ -437,9 +443,11 @@ func TestReplicatedDeposedLeaderTruncates(t *testing.T) {
 	}
 }
 
-// TestReplicatedShardFailover replicates the sharded router: envelopes
-// stream to followers, and a freshly promoted leader materializes the
-// buffered stream into a live router before its first write.
+// TestReplicatedShardFailover replicates the sharded router: each
+// operation is one envelope, followers apply every envelope hot, and a
+// promoted leader routes every name the log admitted — intra-region and
+// cross-region — with no pass of its own before its first write. A
+// follower restarted from its own log serves the leader's listing.
 func TestReplicatedShardFailover(t *testing.T) {
 	c := startReplCluster(t, true, 0)
 	leader := c.waitLeader(t)
@@ -458,8 +466,11 @@ func TestReplicatedShardFailover(t *testing.T) {
 
 	c.crash(leader.id)
 	next := c.waitLeader(t)
-
-	// First write on the new leader forces the materialize.
+	for _, name := range []string{"inA", "crossAB"} {
+		if resp, b := c.leaderDo(t, next, http.MethodDelete, "/apps/"+name, ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("DELETE %s on the promoted leader: %d %s", name, resp.StatusCode, b)
+		}
+	}
 	resp, b := c.postLeader(t, next, "/apps", shardAppJSON("after", "a0", "a1", shardBEQoS))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("post-failover submit: %d %s", resp.StatusCode, b)
@@ -467,10 +478,30 @@ func TestReplicatedShardFailover(t *testing.T) {
 	got := getApps(t, next.ts.URL)
 	// A cross-region app lists as its two per-shard halves (name@0 and
 	// name@1), so match names as substrings.
-	for _, name := range []string{"inA", "inB", "crossAB", "after"} {
+	for _, name := range []string{"inB", "after"} {
 		if !strings.Contains(got, name) {
 			t.Fatalf("app %q missing after shard failover: %s", name, got)
 		}
+	}
+	for _, name := range []string{"inA", "crossAB"} {
+		if strings.Contains(got, name) {
+			t.Fatalf("deleted app %q still listed: %s", name, got)
+		}
+	}
+
+	c.waitConverged(t)
+	var follower string
+	for _, id := range c.ids {
+		if id != leader.id && id != next.id {
+			follower = id
+		}
+	}
+	c.crash(follower)
+	c.boot(follower)
+	c.waitConverged(t)
+	want := getApps(t, c.waitLeader(t).ts.URL)
+	if got := getApps(t, c.nodes[follower].ts.URL); got != want {
+		t.Fatalf("follower restarted from its log diverged\nleader:   %s\nfollower: %s", want, got)
 	}
 }
 

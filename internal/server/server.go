@@ -81,15 +81,13 @@ type Server struct {
 	snapshotting atomic.Bool
 
 	// replica is non-nil once EnableReplication armed the 3-node
-	// replicated control plane; replH serves its peer RPCs, replPeers
+	// replicated control plane; replH serves its peer RPCs and replPeers
 	// maps node IDs to base URLs for the follower-redirect Location
-	// header, and repl is the replicated state machine (replica.go). All
-	// are written once under mu before the recovering gate drops, so the
-	// write gate's unlocked reads are ordered after them.
+	// header. All are written once under mu before the recovering gate
+	// drops, so the write gate's unlocked reads are ordered after them.
 	replica   *replica.Node
 	replH     http.Handler
 	replPeers map[string]string
-	repl      *replSM
 }
 
 // rt returns the admission router. Handlers load it once per request: a

@@ -4,48 +4,59 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"sparcle/internal/core"
 	"sparcle/internal/network"
 	"sparcle/internal/obs"
 )
 
-// Durability of the sharded control plane. Every shard scheduler's
-// journal record is wrapped in an Envelope tagging its shard (and, for
-// cross-region halves, the logical application), and the router's own
-// border mutations — lease acquire/release/renew and border-link
-// fluctuation scales — are journaled as lease/border envelopes in the
-// same stream. Apply applies one committed envelope to a live router,
-// which keeps a replication follower hot; Replay folds Apply over a
-// journal; Reconcile withdraws cross-region halves that a crash left
-// without their sibling or lease (the sharded analogue of a torn
-// multi-record operation), and Rebuild is Replay then Reconcile.
+// Durability of the sharded control plane: one router operation, one
+// journal entry. An intra-region operation journals its shard's record
+// in an Envelope tagging the shard. An operation that touches two shards
+// or the border — a cross-region submit, remove or repair, a fluctuation
+// over several regions — commits every record its shards produce, with
+// its lease or border-scale mutation, as one Envelope before it releases
+// its locks. Apply applies one envelope whole, keeping a replication
+// follower hot, and Replay folds it over a journal. No prefix of the log
+// holds part of an operation, so recovery never withdraws anything.
 
 // EnvelopeHook persists one Envelope; it must be safe for concurrent
 // calls (shards commit under their own locks).
 type EnvelopeHook func(*Envelope) error
 
-// Envelope is one journal entry of a sharded deployment.
+// Envelope is one journal entry of a sharded deployment: one router
+// operation.
 type Envelope struct {
-	// Shard is the region of a scheduler record; -1 for router-level
-	// (lease / border-scale) envelopes.
+	// Shard is the region of a single-shard operation's record; -1 for an
+	// operation that touches several shards or the border.
 	Shard int `json:"shard"`
-	// Cross is the logical application name when Rec belongs to a
-	// cross-region half.
+	// Cross tags a half's record in journals written before a
+	// cross-region operation was one envelope; DecodeLog folds those
+	// records (legacy.go). Nothing sets it any more.
 	Cross string `json:"cross,omitempty"`
-	// Rec is the wrapped scheduler record (shard envelopes).
+	// Rec is the record of a single-shard operation.
 	Rec *core.Record `json:"rec,omitempty"`
-	// Lease is a border-lease mutation (router envelopes).
+	// Steps are the records of a multi-shard operation, in commit order
+	// (rollbacks and trims included, so replay repeats them).
+	Steps []Step `json:"steps,omitempty"`
+	// Lease is the operation's border-lease mutation.
 	Lease *LeaseRecord `json:"lease,omitempty"`
 	// BorderScale, when non-nil, replaces the border-link fluctuation
 	// scales (absent links return to nominal).
 	BorderScale map[int]float64 `json:"borderScale,omitempty"`
 	// IsBorderScale distinguishes an empty scale map (restore all
-	// borders to nominal) from a non-scale envelope.
+	// borders to nominal) from an envelope without one.
 	IsBorderScale bool `json:"isBorderScale,omitempty"`
-	// Span is the span of the shard operation that committed Rec, so a
+	// Span is the span of the operation that committed the envelope, so a
 	// hook can parent its journal append under it. It is not journaled.
 	Span *obs.Span `json:"-"`
+}
+
+// Step is one shard scheduler record of a multi-shard operation.
+type Step struct {
+	Shard int          `json:"shard"`
+	Rec   *core.Record `json:"rec"`
 }
 
 // Lease operation names.
@@ -122,7 +133,8 @@ func DecodeEnvelope(k int, data []byte) (*Envelope, error) {
 }
 
 // DecodeLog decodes a k-region journal: its snapshot (nil when snapBytes
-// is empty) and the entries after it.
+// is empty) and the entries after it, with the records of older journals'
+// cross-region operations folded into one envelope each.
 func DecodeLog(k int, snapBytes []byte, entries [][]byte) (*RouterSnapshot, []*Envelope, error) {
 	var snap *RouterSnapshot
 	if len(snapBytes) > 0 {
@@ -146,13 +158,14 @@ func DecodeLog(k int, snapBytes []byte, entries [][]byte) (*RouterSnapshot, []*E
 		}
 		envs[i] = env
 	}
-	return snap, envs, nil
+	return snap, foldLegacy(snap, envs), nil
 }
 
 // SetEnvelopeHook installs (or clears, with nil) the durability hook:
-// each shard scheduler's commit hook is wrapped to emit tagged
-// envelopes, and the router's own border mutations are journaled
-// through the same hook. Install before serving traffic.
+// each shard scheduler's commit hook is wrapped to emit a single-shard
+// envelope, or, while a multi-shard operation holds the shard, to append
+// its record to that operation's envelope. Install before serving
+// traffic.
 func (r *Router) SetEnvelopeHook(h EnvelopeHook) {
 	r.commit = h
 	for i, s := range r.slots {
@@ -161,49 +174,48 @@ func (r *Router) SetEnvelopeHook(h EnvelopeHook) {
 			continue
 		}
 		s.ctl.SetCommitHook(func(rec *core.Record) error {
-			return h(&Envelope{Shard: i, Cross: s.cross, Rec: rec, Span: s.ctl.OpSpan()})
+			if s.op != nil {
+				s.op.Steps = append(s.op.Steps, Step{Shard: i, Rec: rec})
+				return nil
+			}
+			return h(&Envelope{Shard: i, Rec: rec, Span: s.ctl.OpSpan()})
 		})
 	}
 }
 
-func leaseRecordOf(op string, c *crossApp) *LeaseRecord {
-	return &LeaseRecord{
-		Op:           op,
-		App:          c.logical,
-		Class:        c.class,
-		A:            c.a,
-		B:            c.b,
-		Border:       c.border,
-		Bits:         c.bits,
-		Rate:         c.rate,
-		Avail:        c.avail,
-		Target:       c.target,
-		LinkFailProb: c.linkFailProb,
+// atomically runs op with slots (ascending regions) locked and, when it
+// spans several, their records buffered into one envelope, to which op
+// adds its lease or border-scale mutation. The envelope commits before
+// the locks are released, so no reader and no prefix of the log sees
+// part of op. A commit failure is the operation's error, wrapped in
+// ErrDurability; an operation that recorded nothing commits nothing. A
+// lone slot (a one-region fluctuation) needs no buffer: its record is
+// the operation's envelope.
+func (r *Router) atomically(sp *obs.Span, slots []*slot, op func(env *Envelope) error) error {
+	env := &Envelope{Shard: -1, Span: sp}
+	for _, s := range slots {
+		s.lock(sp)
+		defer s.unlock()
+		if len(slots) > 1 {
+			s.op = env
+		}
 	}
+	err := op(env)
+	for _, s := range slots {
+		s.op = nil
+	}
+	if r.commit != nil && (len(env.Steps) > 0 || env.Lease != nil || env.IsBorderScale) {
+		if cerr := r.commit(env); cerr != nil {
+			return fmt.Errorf("%w: %v", core.ErrDurability, cerr)
+		}
+	}
+	return err
 }
 
-// commitLease journals one lease mutation; a nil hook is free.
-func (r *Router) commitLease(op string, c *crossApp) error {
-	if r.commit == nil {
-		return nil
-	}
-	if err := r.commit(&Envelope{Shard: -1, Lease: leaseRecordOf(op, c)}); err != nil {
-		return fmt.Errorf("%w: %v", core.ErrDurability, err)
-	}
-	return nil
-}
-
-// commitBorderScale journals the border-link fluctuation scales. A
-// deployment without border links has no border state to journal.
-func (r *Router) commitBorderScale(border map[int]float64) error {
-	if r.commit == nil || len(r.part.Border) == 0 {
-		return nil
-	}
-	env := &Envelope{Shard: -1, BorderScale: border, IsBorderScale: true}
-	if err := r.commit(env); err != nil {
-		return fmt.Errorf("%w: %v", core.ErrDurability, err)
-	}
-	return nil
+// with returns a copy of lr that journals op.
+func (lr LeaseRecord) with(op string) *LeaseRecord {
+	lr.Op = op
+	return &lr
 }
 
 // ExportSnapshot captures a consistent snapshot of every shard and the
@@ -249,7 +261,7 @@ func (r *Router) SnapshotWith(write func(*RouterSnapshot) error) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		snap.Leases = append(snap.Leases, *leaseRecordOf("", r.apps[name].cross))
+		snap.Leases = append(snap.Leases, *r.apps[name].cross)
 	}
 	if len(r.borderScale) > 0 {
 		snap.BorderScale = make(map[int]float64, len(r.borderScale))
@@ -260,34 +272,66 @@ func (r *Router) SnapshotWith(write func(*RouterSnapshot) error) error {
 	return write(snap)
 }
 
-// Apply applies one committed envelope: a shard record through that
-// shard's ApplyCommitted under its lock, a lease or border-scale
-// envelope into the lease table and registry. A replication follower
-// stays hot through it and Rebuild folds it over a journal. It commits
-// nothing and does not reconcile: a cross-region operation spans
-// several envelopes, so a prefix of the stream may hold a torn one.
+// Apply applies one committed envelope whole: every shard record through
+// its shard's ApplyCommitted, then the lease or border-scale mutation,
+// holding the locks the live operation held (shards in ascending region
+// order, then the border and the registry). A single-shard record also
+// folds into the name registry, so the registry is a fold of the log
+// like everything else. A replication follower stays hot through Apply
+// and Replay folds it over a journal. It commits nothing.
 func (r *Router) Apply(env *Envelope) error {
-	switch {
-	case env.Rec != nil:
-		if env.Shard < 0 || env.Shard >= len(r.slots) {
-			return fmt.Errorf("shard: envelope for unknown shard %d", env.Shard)
+	steps := env.Steps
+	if env.Rec != nil {
+		steps = []Step{{Shard: env.Shard, Rec: env.Rec}}
+	}
+	held := make([]bool, len(r.slots))
+	for _, st := range steps {
+		if st.Shard < 0 || st.Shard >= len(r.slots) {
+			return fmt.Errorf("shard: envelope for unknown shard %d", st.Shard)
 		}
-		s := r.slots[env.Shard]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.ctl.ApplyCommitted(env.Rec)
+		held[st.Shard] = true
+	}
+	for i, s := range r.slots {
+		if held[i] {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+		}
+	}
+	for _, st := range steps {
+		if err := r.slots[st.Shard].ctl.ApplyCommitted(st.Rec); err != nil {
+			return err
+		}
+	}
+	r.borderMu.Lock()
+	defer r.borderMu.Unlock()
+	r.regMu.Lock()
+	defer r.regMu.Unlock()
+	switch {
+	case env.Rec != nil && env.Cross == "":
+		r.registerLocked(env.Shard, env.Rec)
 	case env.Lease != nil:
-		r.borderMu.Lock()
-		defer r.borderMu.Unlock()
-		r.regMu.Lock()
-		defer r.regMu.Unlock()
 		r.applyLeaseLocked(env.Lease)
-	case env.IsBorderScale:
-		r.borderMu.Lock()
-		defer r.borderMu.Unlock()
+	}
+	if env.IsBorderScale {
 		r.applyScaleLocked(env.BorderScale)
 	}
 	return nil
+}
+
+// registerLocked folds one intra-region record into the name registry,
+// as the live path's settle and unclaim leave it. The caller holds regMu.
+func (r *Router) registerLocked(shard int, rec *core.Record) {
+	switch {
+	case rec.Op == core.OpRemove:
+		delete(r.apps, rec.Name)
+	case rec.Op == core.OpAdmit && rec.App != nil:
+		r.apps[rec.Name] = &appEntry{shard: shard}
+	}
+	for _, e := range rec.Batch {
+		if e.App != nil {
+			r.apps[e.Name] = &appEntry{shard: shard}
+		}
+	}
 }
 
 // applyLeaseLocked applies one lease mutation, or a snapshot's lease (Op
@@ -303,18 +347,7 @@ func (r *Router) applyLeaseLocked(lr *LeaseRecord) {
 		return
 	}
 	r.leases.restore(&Lease{App: lr.App, Border: lr.Border, Bits: lr.Bits, Rate: lr.Rate})
-	r.apps[lr.App] = &appEntry{shard: lr.A, cross: &crossApp{
-		logical:      lr.App,
-		class:        lr.Class,
-		a:            lr.A,
-		b:            lr.B,
-		border:       lr.Border,
-		bits:         lr.Bits,
-		rate:         lr.Rate,
-		avail:        lr.Avail,
-		target:       lr.Target,
-		linkFailProb: lr.LinkFailProb,
-	}}
+	r.apps[lr.App] = &appEntry{shard: lr.A, cross: lr.with("")}
 }
 
 // applyScaleLocked replaces the border-link scales; links absent from
@@ -340,10 +373,9 @@ type ShardRebuilder func(sub *network.Network, region int, snap *core.Snapshot, 
 
 // Replay reconstructs a Router from a snapshot and the envelopes
 // journaled after it: rebuildShard restores each region's scheduler
-// from its snapshot, the snapshot's border state applies, and every
-// envelope applies in order. It does not reconcile: a replicated node
-// restores through it and must still hold a torn half when the leader's
-// withdrawal arrives through the log. The partition is recomputed.
+// from its snapshot, the registry is seeded from the snapshot's
+// residents and leases, its border state applies, and every envelope
+// applies in order. The partition is recomputed.
 func Replay(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope, rebuildShard ShardRebuilder) (*Router, error) {
 	if snap == nil {
 		snap = &RouterSnapshot{Shards: make([]*core.Snapshot, k)}
@@ -357,7 +389,16 @@ func Replay(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope,
 	if err != nil {
 		return nil, err
 	}
-	// r is not shared yet: the snapshot's border state applies unlocked.
+	// r is not shared yet: the snapshot's registry and border state apply
+	// unlocked. Every resident is an intra-region app except the halves,
+	// which only a sharded deployment names (it refuses halfSep in names).
+	for i, s := range r.slots {
+		for _, pa := range append(s.ctl.GRApps(), s.ctl.BEApps()...) {
+			if k == 1 || !strings.Contains(pa.App.Name, halfSep) {
+				r.apps[pa.App.Name] = &appEntry{shard: i}
+			}
+		}
+	}
 	for i := range snap.Leases {
 		r.applyLeaseLocked(&snap.Leases[i])
 	}
@@ -372,103 +413,7 @@ func Replay(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope,
 	return r, nil
 }
 
-// Rebuild is Replay, then Reconcile with no hook armed.
+// Rebuild is Replay, kept for benchmark/probe.go.
 func Rebuild(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope, rebuildShard ShardRebuilder) (*Router, error) {
-	r, err := Replay(net, k, snap, envs, rebuildShard)
-	if err != nil {
-		return nil, err
-	}
-	// With no hook armed, Reconcile commits nothing and cannot fail.
-	_ = r.Reconcile()
-	return r, nil
-}
-
-// Reconcile withdraws the debris a crash can leave between the journal
-// records of one cross-region operation — a half admitted without its
-// sibling or lease, a lease whose half is missing — and rebuilds the
-// registry's intra-region entries from the shards' residents. It holds
-// every lock throughout. Journal recovery and a replicated node that
-// becomes leader run it with their hook armed, so each withdrawal
-// commits like any other remove and replaying the log reaches the
-// reconciled state. Withdrawals run in name order, so every run over
-// the same state commits the same stream.
-func (r *Router) Reconcile() error {
-	for _, s := range r.slots {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	r.borderMu.Lock()
-	defer r.borderMu.Unlock()
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-
-	present := make([]map[string]bool, len(r.slots))
-	for i, s := range r.slots {
-		present[i] = map[string]bool{}
-		for _, pa := range append(s.ctl.GRApps(), s.ctl.BEApps()...) {
-			present[i][pa.App.Name] = true
-		}
-	}
-	var firstErr error
-	withdraw := func(logical string, region int) {
-		s, half := r.slots[region], halfName(logical, region)
-		s.cross = logical
-		if err := s.ctl.Remove(half); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		s.cross = ""
-		present[region][half] = false
-	}
-	// Torn cross apps: lease present, a half missing → withdraw the rest.
-	var cross []string
-	for name, e := range r.apps {
-		switch {
-		case e.cross != nil:
-			cross = append(cross, name)
-		case !e.claimed:
-			delete(r.apps, name) // re-registered from the residents below
-		}
-	}
-	sort.Strings(cross)
-	for _, name := range cross {
-		c := r.apps[name].cross
-		okA := present[c.a][halfName(name, c.a)]
-		okB := present[c.b][halfName(name, c.b)]
-		if okA && okB {
-			continue
-		}
-		if okA {
-			withdraw(name, c.a)
-		}
-		if okB {
-			withdraw(name, c.b)
-		}
-		_, _ = r.leases.Release(name) // cannot fail: a registered cross app holds a lease
-		if err := r.commitLease(leaseRelease, c); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		delete(r.apps, name)
-	}
-	// Orphan halves (admitted, no lease record survived) go; every other
-	// resident is an intra-region app.
-	for i := range r.slots {
-		var names []string
-		for name, ok := range present[i] {
-			if ok {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			logical, region, isHalf := logicalOfHalf(name)
-			if len(r.slots) > 1 && isHalf && region == i {
-				if e, ok := r.apps[logical]; !ok || e.cross == nil {
-					withdraw(logical, i)
-				}
-				continue
-			}
-			r.apps[name] = &appEntry{shard: i}
-		}
-	}
-	return firstErr
+	return Replay(net, k, snap, envs, rebuildShard)
 }

@@ -82,9 +82,9 @@ func TestRebuildRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := Rebuild(net, 2, nil, tape.envs, shardRebuilder(core.WithRandSeed(1)))
+	r2, err := Replay(net, 2, nil, tape.envs, shardRebuilder(core.WithRandSeed(1)))
 	if err != nil {
-		t.Fatalf("rebuild: %v", err)
+		t.Fatalf("replay: %v", err)
 	}
 	if got, want := routerStateJSON(t, r2), routerStateJSON(t, r); got != want {
 		t.Fatalf("rebuilt state differs\nlive:    %s\nrebuilt: %s", want, got)
@@ -134,7 +134,7 @@ func TestRebuildFromSnapshotAndTail(t *testing.T) {
 	if err := json.Unmarshal(sb, &snap2); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Rebuild(net, 2, &snap2, tape.envs[cut:], shardRebuilder(core.WithRandSeed(1)))
+	r2, err := Replay(net, 2, &snap2, tape.envs[cut:], shardRebuilder(core.WithRandSeed(1)))
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
@@ -143,58 +143,60 @@ func TestRebuildFromSnapshotAndTail(t *testing.T) {
 	}
 }
 
-// TestRebuildReconcilesTornCross: if the crash loses the lease envelope
-// (committed halves, no lease), the rebuilt router withdraws the orphan
-// halves; if it loses a half, the lease and sibling go too.
-func TestRebuildReconcilesTornCross(t *testing.T) {
+// TestSnapshotFromHookSeesWholeOperations: a journal hook cuts its
+// periodic snapshot on a goroutine that waits for the committing
+// operation's locks. That snapshot must hold each cross-region app whole —
+// halves, lease and registry entry — or not at all, at admission and at
+// removal alike, so that replay from it has nothing to withdraw. So the
+// registry must already show the operation when its envelope commits.
+func TestSnapshotFromHookSeesWholeOperations(t *testing.T) {
 	net := dumbbellNet(t, 1000)
 	r := twoShardRouter(t, net)
-	tape := &journalTape{}
-	r.SetEnvelopeHook(tape.hook)
-	grQoS := core.QoS{Class: core.GuaranteedRate, MinRate: 1, MinRateAvailability: 0.5, MaxPaths: 1}
-	if _, err := r.Submit(pipelineApp(t, "cross", net, "a0", "b1", 10, grQoS), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Case 1: drop the lease envelope — the halves are orphans.
-	var noLease []*Envelope
-	for _, env := range tape.envs {
-		if env.Lease != nil {
-			continue
+	var wg sync.WaitGroup
+	snaps := make(chan *RouterSnapshot, 64)
+	r.SetEnvelopeHook(func(env *Envelope) error {
+		if env.Lease == nil {
+			return nil
 		}
-		noLease = append(noLease, env)
-	}
-	r2, err := Rebuild(net, 2, nil, noLease, shardRebuilder(core.WithRandSeed(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(r2.Shard(0).GRApps()) + len(r2.Shard(1).GRApps()); n != 0 {
-		t.Fatalf("orphan halves survived reconcile: %d", n)
-	}
-	if r2.Stats().Leases != 0 {
-		t.Fatal("lease without envelope")
-	}
-	if err := r2.Remove("cross", nil); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("torn app still routable: %v", err)
-	}
-
-	// Case 2: drop one half's admit record — lease + sibling withdrawn.
-	var noHalfB []*Envelope
-	for _, env := range tape.envs {
-		if env.Rec != nil && env.Shard == 1 && env.Cross == "cross" {
-			continue
+		if _, err := r.lookup(env.Lease.App); (err == nil) != (env.Lease.Op != leaseRelease) {
+			t.Errorf("%s of %q commits before the registry shows it", env.Lease.Op, env.Lease.App)
 		}
-		noHalfB = append(noHalfB, env)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snap, err := r.ExportSnapshot()
+			if err != nil {
+				t.Error(err)
+			}
+			snaps <- snap
+		}()
+		return nil
+	})
+	be := core.QoS{Class: core.BestEffort, Priority: 1, Availability: 0.5, MaxPaths: 1}
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("x%d", i)
+		if _, err := r.Submit(pipelineApp(t, name, net, "a0", "b1", 2, be), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Remove(name, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r3, err := Rebuild(net, 2, nil, noHalfB, shardRebuilder(core.WithRandSeed(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(r3.Shard(0).GRApps()) + len(r3.Shard(1).GRApps()); n != 0 {
-		t.Fatalf("sibling of a lost half survived: %d", n)
-	}
-	if r3.Stats().Leases != 0 {
-		t.Fatal("lease for a torn cross app survived")
+	wg.Wait()
+	close(snaps)
+	for snap := range snaps {
+		var cp RouterSnapshot
+		if err := json.Unmarshal([]byte(mustJSON(t, snap)), &cp); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Replay(net, 2, &cp, nil, shardRebuilder(core.WithRandSeed(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWhole(t, restored, "snapshot cut from the hook")
+		if got, want := len(cp.Leases), len(cp.Shards[0].BE)+len(cp.Shards[0].GR); got != want {
+			t.Fatalf("snapshot holds %d leases for %d halves in region 0", got, want)
+		}
 	}
 }
 
@@ -267,7 +269,7 @@ func TestConcurrentShardSubmits(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("no apps survived the hammer")
 	}
-	r2, err := Rebuild(net, 2, nil, tape.envs, shardRebuilder(core.WithRandSeed(1)))
+	r2, err := Replay(net, 2, nil, tape.envs, shardRebuilder(core.WithRandSeed(1)))
 	if err != nil {
 		t.Fatalf("rebuild after hammer: %v", err)
 	}
@@ -303,7 +305,7 @@ func TestRebuildOntoSharedRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Rebuild(net, 2, nil, tape.envs[:committed], shardRebuilder(core.WithRandSeed(1), core.WithMetrics(reg))); err != nil {
+	if _, err := Replay(net, 2, nil, tape.envs[:committed], shardRebuilder(core.WithRandSeed(1), core.WithMetrics(reg))); err != nil {
 		t.Fatal(err)
 	}
 	var apps []string

@@ -106,9 +106,6 @@ func (t *LeaseTable) Release(app string) (*Lease, error) {
 	return l, nil
 }
 
-// Lookup returns app's lease, or nil.
-func (t *LeaseTable) Lookup(app string) *Lease { return t.byApp[app] }
-
 // restore inserts a lease without capacity checks: journal replay
 // applies recorded facts, it does not re-validate them.
 func (t *LeaseTable) restore(l *Lease) {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -36,9 +37,9 @@ type Router struct {
 	regMu sync.Mutex
 	apps  map[string]*appEntry
 
-	// commit, when set, persists an Envelope for every mutating
-	// operation (see durable.go). The hook must be safe for concurrent
-	// calls: shards commit under their own locks.
+	// commit, when set, persists one Envelope per mutating operation
+	// (see durable.go). The hook must be safe for concurrent calls:
+	// shards commit under their own locks.
 	commit EnvelopeHook
 }
 
@@ -51,10 +52,9 @@ type slot struct {
 	// intra-region submits into group commits; its commit closure takes
 	// mu once per group.
 	group *core.GroupCommitter
-	// cross names the logical cross-region app currently operating on
-	// this shard (set under mu); the commit wrapper tags the shard's
-	// records with it.
-	cross string
+	// op is the envelope of the multi-shard operation holding mu, if any;
+	// the commit wrapper appends the shard's records to it (durable.go).
+	op *Envelope
 }
 
 // appEntry routes a logical application name.
@@ -62,21 +62,11 @@ type appEntry struct {
 	// shard owns an intra-region app; for a cross-region app it is the
 	// lower region.
 	shard int
-	cross *crossApp
+	// cross describes an admitted cross-region app: its lease with the
+	// metadata recovery needs (Op is empty).
+	cross *LeaseRecord
 	// claimed marks an in-flight admission holding the name.
 	claimed bool
-}
-
-// crossApp is the router-level record of an admitted cross-region app.
-type crossApp struct {
-	logical      string
-	class        core.Class
-	a, b, border int
-	bits         float64
-	rate         float64
-	avail        float64
-	target       float64
-	linkFailProb float64
 }
 
 // New partitions net into k regions and builds a Router running one
@@ -337,27 +327,35 @@ const rateTol = 1e-9
 // by the lease headroom, side B capped by side A's achieved rate, trim
 // side A down if B got less, then lease bits*rate on the border link.
 // Any failure rolls back both halves; the combined availability
-// aA*aB*(1-p_link) must clear the app's target.
+// aA*aB*(1-p_link) must clear the app's target. The whole admission,
+// rollbacks included, commits as one envelope. A cross-region app's
+// registry entry changes under its shard locks, like its halves and
+// lease, so a snapshot never holds one without the others.
 func (r *Router) submitCross(app core.App, a, b int, sp *obs.Span) (*Result, error) {
 	if err := r.claim(app.Name); err != nil {
 		return nil, err
 	}
-	res, cross, err := r.admitCross(app, a, b, sp)
+	var res *Result
+	err := r.atomically(sp, []*slot{r.slots[a], r.slots[b]}, func(env *Envelope) error {
+		var cross *LeaseRecord
+		var err error
+		if res, cross, err = r.admitCross(app, a, b); err != nil {
+			return err
+		}
+		env.Lease = cross.with(leaseAcquire)
+		r.settle(app.Name, &appEntry{shard: a, cross: cross})
+		return nil
+	})
 	if err != nil {
 		r.unclaim(app.Name)
 		return nil, err
 	}
-	r.settle(app.Name, &appEntry{shard: a, cross: cross})
 	return res, nil
 }
 
-func (r *Router) admitCross(app core.App, a, b int, sp *obs.Span) (*Result, *crossApp, error) {
+// admitCross is the two-phase admission; the caller holds both shards.
+func (r *Router) admitCross(app core.App, a, b int) (*Result, *LeaseRecord, error) {
 	sa, sb := r.slots[a], r.slots[b]
-	sa.lock(sp)
-	defer sa.unlock()
-	sb.lock(sp)
-	defer sb.unlock()
-
 	r.borderMu.Lock()
 	border, ok := chooseBorder(r.part, r.leases, a, b)
 	var headroom float64
@@ -394,31 +392,22 @@ func (r *Router) admitCross(app core.App, a, b int, sp *obs.Span) (*Result, *cro
 
 	submitHalf := func(s *slot, half core.App, cap float64) (*core.PlacedApp, error) {
 		half.QoS.RateCap = cap
-		s.cross = app.Name
-		pa, err := s.ctl.Submit(half)
-		s.cross = ""
-		return pa, err
+		return s.ctl.Submit(half)
 	}
 	paA, err := submitHalf(sa, plan.halfA, r0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("shard: app %q region %d half: %w", app.Name, a, err)
 	}
-	rollbackA := func() {
-		sa.cross = app.Name
-		_ = sa.ctl.Remove(plan.halfA.Name)
-		sa.cross = ""
-	}
+	// A rollback's record joins the envelope; a remove that fails to
+	// re-solve leaves the state its record describes.
+	rollbackA := func() { _ = sa.ctl.Remove(plan.halfA.Name) }
 	rateA := paA.TotalRate()
 	paB, err := submitHalf(sb, plan.halfB, rateA)
 	if err != nil {
 		rollbackA()
 		return nil, nil, fmt.Errorf("shard: app %q region %d half: %w", app.Name, b, err)
 	}
-	rollbackB := func() {
-		sb.cross = app.Name
-		_ = sb.ctl.Remove(plan.halfB.Name)
-		sb.cross = ""
-	}
+	rollbackB := func() { _ = sb.ctl.Remove(plan.halfB.Name) }
 	rate := paB.TotalRate()
 	if rate < rateA*(1-rateTol) {
 		// Side B is the bottleneck: trim side A's reservation down to
@@ -461,22 +450,18 @@ func (r *Router) admitCross(app core.App, a, b int, sp *obs.Span) (*Result, *cro
 		rollbackB()
 		return nil, nil, fmt.Errorf("shard: app %q: %w: %v", app.Name, core.ErrRejected, err)
 	}
-	cross := &crossApp{
-		logical:      app.Name,
-		class:        app.QoS.Class,
-		a:            a,
-		b:            b,
-		border:       border,
-		bits:         plan.bits,
-		rate:         rate,
-		avail:        avail,
-		target:       plan.target,
-		linkFailProb: plan.linkFailProb,
+	cross := &LeaseRecord{
+		App:          app.Name,
+		Class:        app.QoS.Class,
+		A:            a,
+		B:            b,
+		Border:       border,
+		Bits:         plan.bits,
+		Rate:         rate,
+		Avail:        avail,
+		Target:       plan.target,
+		LinkFailProb: plan.linkFailProb,
 	}
-	if cerr := r.commitLease(leaseAcquire, cross); cerr != nil {
-		return nil, nil, cerr
-	}
-
 	return &Result{
 		Shard: a,
 		App: &core.PlacedApp{
@@ -612,36 +597,23 @@ func (r *Router) Remove(name string, sp *obs.Span) error {
 	return r.removeCross(name, e.cross, sp)
 }
 
-func (r *Router) removeCross(name string, c *crossApp, sp *obs.Span) error {
-	sa, sb := r.slots[c.a], r.slots[c.b]
-	sa.lock(sp)
-	defer sa.unlock()
-	sb.lock(sp)
-	defer sb.unlock()
+func (r *Router) removeCross(name string, c *LeaseRecord, sp *obs.Span) error {
+	sa, sb := r.slots[c.A], r.slots[c.B]
+	return r.atomically(sp, []*slot{sa, sb}, func(env *Envelope) error {
+		errA := sa.ctl.Remove(halfName(name, c.A))
+		errB := sb.ctl.Remove(halfName(name, c.B))
+		env.Lease = c.with(leaseRelease)
+		r.unclaim(name)
+		return cmp.Or(errA, errB, r.releaseLease(name))
+	})
+}
 
-	var firstErr error
-	sa.cross = name
-	if err := sa.ctl.Remove(halfName(name, c.a)); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	sa.cross = ""
-	sb.cross = name
-	if err := sb.ctl.Remove(halfName(name, c.b)); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	sb.cross = ""
+// releaseLease returns a cross-region app's lease to its border link.
+func (r *Router) releaseLease(name string) error {
 	r.borderMu.Lock()
-	_, lerr := r.leases.Release(name)
-	r.borderMu.Unlock()
-	if lerr == nil {
-		if cerr := r.commitLease(leaseRelease, c); cerr != nil && firstErr == nil {
-			firstErr = cerr
-		}
-	} else if firstErr == nil {
-		firstErr = lerr
-	}
-	r.unclaim(name)
-	return firstErr
+	defer r.borderMu.Unlock()
+	_, err := r.leases.Release(name)
+	return err
 }
 
 // Repair re-places an application after element failures. Intra-region
@@ -667,43 +639,41 @@ func (r *Router) Repair(name string, sp *obs.Span) (*Result, error) {
 
 func (r *Router) repairCross(name string, e *appEntry, sp *obs.Span) (*Result, error) {
 	c := e.cross
-	sa, sb := r.slots[c.a], r.slots[c.b]
-	sa.lock(sp)
-	defer sa.unlock()
-	sb.lock(sp)
-	defer sb.unlock()
-
-	fail := func(err error) (*Result, error) {
-		// Full withdrawal: remove whatever halves remain and the lease.
-		sa.cross = name
-		_ = sa.ctl.Remove(halfName(name, c.a))
-		sa.cross = ""
-		sb.cross = name
-		_ = sb.ctl.Remove(halfName(name, c.b))
-		sb.cross = ""
-		r.borderMu.Lock()
-		_, lerr := r.leases.Release(name)
-		r.borderMu.Unlock()
-		if lerr == nil {
-			_ = r.commitLease(leaseRelease, c)
+	sa, sb := r.slots[c.A], r.slots[c.B]
+	var res *Result
+	err := r.atomically(sp, []*slot{sa, sb}, func(env *Envelope) error {
+		var err error
+		if res, err = r.renewCross(c, sa, sb); err == nil {
+			env.Lease = c.with(leaseRenew)
+			return nil
 		}
+		// Full withdrawal: remove whatever halves remain and the lease,
+		// which renewCross may already have released.
+		_ = sa.ctl.Remove(halfName(name, c.A))
+		_ = sb.ctl.Remove(halfName(name, c.B))
+		_ = r.releaseLease(name)
+		env.Lease = c.with(leaseRelease)
 		r.unclaim(name)
-		return nil, fmt.Errorf("shard: cross-region repair of %q failed, app withdrawn: %w", name, err)
+		return fmt.Errorf("shard: cross-region repair of %q failed, app withdrawn: %w", name, err)
+	})
+	if err != nil {
+		return nil, err
 	}
+	return res, nil
+}
 
-	repairHalf := func(s *slot, region int) (*core.PlacedApp, error) {
-		s.cross = name
-		pa, err := s.ctl.Repair(halfName(name, region))
-		s.cross = ""
-		return pa, err
-	}
-	paA, err := repairHalf(sa, c.a)
+// renewCross repairs both halves of c, trims them to one rate the border
+// link's current headroom carries, and re-leases that rate. The caller
+// holds both shards and withdraws the app on error.
+func (r *Router) renewCross(c *LeaseRecord, sa, sb *slot) (*Result, error) {
+	name := c.App
+	paA, err := sa.ctl.Repair(halfName(name, c.A))
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	paB, err := repairHalf(sb, c.b)
+	paB, err := sb.ctl.Repair(halfName(name, c.B))
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	rateA, rateB := paA.TotalRate(), paB.TotalRate()
 	rate := rateA
@@ -717,68 +687,63 @@ func (r *Router) repairCross(name string, e *appEntry, sp *obs.Span) (*Result, e
 	// clamps at zero and would overstate headroom once capacity falls
 	// below the old lease.) BE apps keep their geometric share.
 	r.borderMu.Lock()
-	headroom := r.leases.Capacity(c.border) - (r.leases.Leased(c.border) - c.bits*c.rate)
+	headroom := r.leases.Capacity(c.Border) - (r.leases.Leased(c.Border) - c.Bits*c.Rate)
 	r.borderMu.Unlock()
-	if c.class == core.BestEffort {
+	if c.Class == core.BestEffort {
 		headroom /= beShareDiv
 	}
 	if headroom <= 0 {
-		return fail(fmt.Errorf("shard: border link %q has no lease headroom: %w",
-			r.part.Parent.Link(r.part.Border[c.border].Link).Name, core.ErrRejected))
+		return nil, fmt.Errorf("shard: border link %q has no lease headroom: %w",
+			r.part.Parent.Link(r.part.Border[c.Border].Link).Name, core.ErrRejected)
 	}
-	if cap := headroom / c.bits; cap < rate {
+	if cap := headroom / c.Bits; cap < rate {
 		rate = cap
 	}
-	trim := func(s *slot, region int, pa *core.PlacedApp) (*core.PlacedApp, error) {
+	trim := func(s *slot, pa *core.PlacedApp) (*core.PlacedApp, error) {
 		app := pa.App
 		app.QoS.RateCap = rate
-		s.cross = name
-		defer func() { s.cross = "" }()
 		if err := s.ctl.Remove(pa.App.Name); err != nil {
 			return nil, err
 		}
 		return s.ctl.Submit(app)
 	}
 	if rateA > rate*(1+rateTol) {
-		if paA, err = trim(sa, c.a, paA); err != nil {
-			return fail(err)
+		if paA, err = trim(sa, paA); err != nil {
+			return nil, err
 		}
 	}
 	if rateB > rate*(1+rateTol) {
-		if paB, err = trim(sb, c.b, paB); err != nil {
-			return fail(err)
+		if paB, err = trim(sb, paB); err != nil {
+			return nil, err
 		}
 	}
-	avail := paA.Availability * paB.Availability * (1 - c.linkFailProb)
-	if c.target > 0 && avail < c.target {
-		return fail(fmt.Errorf("shard: repaired availability %.4f < requested %.4f: %w",
-			avail, c.target, core.ErrRejected))
+	avail := paA.Availability * paB.Availability * (1 - c.LinkFailProb)
+	if c.Target > 0 && avail < c.Target {
+		return nil, fmt.Errorf("shard: repaired availability %.4f < requested %.4f: %w",
+			avail, c.Target, core.ErrRejected)
 	}
 	r.borderMu.Lock()
 	_, lerr := r.leases.Release(name)
 	if lerr == nil {
-		_, lerr = r.leases.Acquire(name, c.border, c.bits, rate)
+		_, lerr = r.leases.Acquire(name, c.Border, c.Bits, rate)
 	}
 	r.borderMu.Unlock()
 	if lerr != nil {
-		return fail(lerr)
+		return nil, lerr
 	}
-	c.rate = rate
-	c.avail = avail
-	if cerr := r.commitLease(leaseRenew, c); cerr != nil {
-		return nil, cerr
-	}
+	c.Rate = rate
+	c.Avail = avail
 	return &Result{
-		Shard: c.a,
+		Shard: c.A,
 		App: &core.PlacedApp{
-			App:          core.App{Name: name, QoS: core.QoS{Class: c.class}},
+			App:          core.App{Name: name, QoS: core.QoS{Class: c.Class}},
 			Availability: avail,
 		},
 		Cross: &CrossInfo{
-			A: c.a, B: c.b, HalfA: detach(paA), HalfB: detach(paB),
-			Border:       c.border,
-			BorderLink:   r.part.Parent.Link(r.part.Border[c.border].Link).Name,
-			Bits:         c.bits,
+			A: c.A, B: c.B, HalfA: detach(paA), HalfB: detach(paB),
+			Border:       c.Border,
+			BorderLink:   r.part.Parent.Link(r.part.Border[c.Border].Link).Name,
+			Bits:         c.Bits,
 			Rate:         rate,
 			Availability: avail,
 		},
@@ -841,39 +806,40 @@ func (r *Router) ApplyFluctuation(scale core.ElementScale, sp *obs.Span) (*core.
 		sub[reg][placement.LinkElement(view.Net, local)] = f
 	}
 
-	for _, s := range r.slots {
-		s.lock(sp)
-		defer s.unlock()
-	}
 	report := &core.FluctuationReport{BERates: map[string]float64{}}
-	var firstErr error
-	for i, s := range r.slots {
-		rep, err := s.ctl.ApplyFluctuation(sub[i])
-		if err != nil && firstErr == nil {
-			firstErr = err
+	var violated []string
+	err := r.atomically(sp, r.slots, func(env *Envelope) error {
+		var firstErr error
+		for i, s := range r.slots {
+			rep, err := s.ctl.ApplyFluctuation(sub[i])
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			if rep == nil {
+				continue
+			}
+			for _, v := range rep.ViolatedGR {
+				report.ViolatedGR = append(report.ViolatedGR, r.logicalName(v))
+			}
+			for n, rate := range rep.BERates {
+				report.BERates[n] = rate
+			}
 		}
-		if rep == nil {
-			continue
+		r.borderMu.Lock()
+		r.applyScaleLocked(border)
+		violated = r.leases.Violated()
+		r.borderMu.Unlock()
+		// A deployment without border links has no border state to journal.
+		if len(r.part.Border) > 0 {
+			env.BorderScale, env.IsBorderScale = border, true
 		}
-		for _, v := range rep.ViolatedGR {
-			report.ViolatedGR = append(report.ViolatedGR, r.logicalName(v))
-		}
-		for n, rate := range rep.BERates {
-			report.BERates[n] = rate
-		}
-	}
-	r.borderMu.Lock()
-	r.applyScaleLocked(border)
-	violated := r.leases.Violated()
-	r.borderMu.Unlock()
+		return firstErr
+	})
 	sort.Strings(violated)
 	report.ViolatedGR = append(report.ViolatedGR, violated...)
 	sort.Strings(report.ViolatedGR)
 	report.ViolatedGR = dedupe(report.ViolatedGR)
-	if cerr := r.commitBorderScale(border); cerr != nil && firstErr == nil {
-		firstErr = cerr
-	}
-	return report, firstErr
+	return report, err
 }
 
 // logicalName maps a shard-local app name back to its logical name
@@ -905,12 +871,17 @@ func dedupe(sorted []string) []string {
 }
 
 // AppsByShard returns each shard's admitted apps (GR then BE, admission
-// order), locking one shard at a time.
+// order), locking one shard at a time and detaching each placement while
+// its lock is held: the caller renders them after a later re-solve may
+// already be writing the residents' rates.
 func (r *Router) AppsByShard(sp *obs.Span) [][]*core.PlacedApp {
 	out := make([][]*core.PlacedApp, len(r.slots))
 	for i, s := range r.slots {
 		s.lock(sp)
 		out[i] = append(s.ctl.GRApps(), s.ctl.BEApps()...)
+		for j, pa := range out[i] {
+			out[i][j] = detach(pa)
+		}
 		s.unlock()
 	}
 	return out

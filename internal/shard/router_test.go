@@ -557,6 +557,30 @@ func TestDuplicateNameRejected(t *testing.T) {
 	}
 }
 
+// TestAppsByShardDetached: GET /apps renders AppsByShard's result after
+// the shard locks are released, so the result must not share rates with
+// the residents: a later admission's re-solve on the same shard leaves
+// an earlier listing's rates unchanged.
+func TestAppsByShardDetached(t *testing.T) {
+	net := dumbbellNet(t, 1000)
+	r := twoShardRouter(t, net)
+	be := core.QoS{Class: core.BestEffort, Priority: 1, MaxPaths: 1}
+	if _, err := r.Submit(pipelineApp(t, "first", net, "a0", "a1", 5000, be), nil); err != nil {
+		t.Fatal(err)
+	}
+	listed := r.AppsByShard(nil)[0]
+	before := listed[0].Paths[0].Rate
+	if _, err := r.Submit(pipelineApp(t, "second", net, "a0", "a1", 5000, be), nil); err != nil {
+		t.Fatal(err)
+	}
+	if live := r.Shard(0).BEApps()[0].Paths[0].Rate; live == before {
+		t.Fatalf("the second admission did not move the first app's rate (%v): the test shows nothing", live)
+	}
+	if got := listed[0].Paths[0].Rate; got != before {
+		t.Fatalf("an earlier listing's rate moved from %v to %v", before, got)
+	}
+}
+
 func shardStateJSON(t *testing.T, c core.Control) string {
 	t.Helper()
 	snap, err := c.ExportSnapshot()
