@@ -275,11 +275,6 @@ func exportAppDef(app App) AppDef {
 	return def
 }
 
-// ExportAppDef captures an App as its serializable definition, suitable
-// for re-building with BuildApp. The shard router records cross-region
-// apps this way so recovery can re-admit them.
-func ExportAppDef(app App) AppDef { return exportAppDef(app) }
-
 // BuildApp reconstructs the App (including its task graph) from a
 // definition.
 func (d AppDef) BuildApp() (App, error) { return d.build() }

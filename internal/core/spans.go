@@ -15,16 +15,11 @@ import (
 // tracer keeps all of it free: the nil-safe span methods are no-ops and
 // allocate nothing.
 
-// WithSpans attaches a span tracer at construction: every scheduler
-// operation then emits a span tree attributing its latency to the
-// pipeline stages it ran. The default (no tracer) costs nothing.
-func WithSpans(st *obs.SpanTracer) Option {
-	return func(s *Scheduler) { s.spans = st }
-}
-
 // SetSpans attaches (or clears, with nil) the span tracer on a live
-// scheduler. The server uses this to keep spans armed across the
-// scheduler rebuild that journal recovery performs.
+// scheduler: every scheduler operation then emits a span tree
+// attributing its latency to the pipeline stages it ran. The server uses
+// this to keep spans armed across the scheduler rebuild that journal
+// recovery performs. The default (no tracer) costs nothing.
 func (s *Scheduler) SetSpans(st *obs.SpanTracer) { s.spans = st }
 
 // SetRequestSpan brackets the next scheduler operations under an

@@ -58,7 +58,10 @@ func (n *Node) becomeFollowerLocked() {
 	n.role = Follower
 	n.ready = false
 	n.barrier = 0
-	n.promoteApply = false
+	if n.promoteApply != nil {
+		close(n.promoteApply) // wakes promote, which finds the role gone
+		n.promoteApply = nil
+	}
 	n.notifyWaitersLocked()
 	n.observeStateLocked()
 }
@@ -74,6 +77,18 @@ func (n *Node) stepDownLocked(term uint64) error {
 	}
 	n.becomeFollowerLocked()
 	return nil
+}
+
+// outrankedLocked steps down when a peer's reply carries a higher term
+// than ours, and reports whether it did.
+func (n *Node) outrankedLocked(term uint64) bool {
+	if term <= n.term {
+		return false
+	}
+	if err := n.stepDownLocked(term); err != nil {
+		n.cfg.Logger.Error("replica: persist step-down failed", "err", err)
+	}
+	return true
 }
 
 // notifyWaitersLocked completes parked proposals: committed ones succeed,
@@ -121,28 +136,22 @@ func (n *Node) tickLoop() {
 func (n *Node) tick() {
 	now := time.Now()
 	n.mu.Lock()
-	switch n.role {
-	case Leader:
-		if n.checkQuorumLocked(now) {
-			n.mu.Unlock() // stepped down; no heartbeat to send
-			return
+	switch {
+	case n.role == Leader:
+		if !n.checkQuorumLocked(now) { // a leader that stepped down sends no heartbeat
+			n.replicateAllLocked()
+			n.observePeerHealthLocked()
 		}
-		n.mu.Unlock()
-		n.broadcastHeartbeat()
+	case !now.After(n.electionDeadline):
+	case !n.isVoterLocked(n.cfg.ID):
+		// Learners and un-admitted joiners never elect; just re-arm the
+		// timer so a later promotion starts fresh.
+		n.rearmElectionLocked(now)
 	default:
-		if now.After(n.electionDeadline) {
-			if !n.isVoterLocked(n.cfg.ID) {
-				// Learners and un-admitted joiners never elect; just
-				// re-arm the timer so a later promotion starts fresh.
-				n.rearmElectionLocked(now)
-				n.mu.Unlock()
-				return
-			}
-			n.startPreVoteLocked() // unlocks
-		} else {
-			n.mu.Unlock()
-		}
+		n.startPreVoteLocked() // unlocks
+		return
 	}
+	n.mu.Unlock()
 }
 
 // checkQuorumLocked is the leader's liveness self-test: if a quorum of
@@ -184,54 +193,14 @@ func (n *Node) checkQuorumLocked(now time.Time) bool {
 // rejoin. Called with n.mu held; releases it.
 func (n *Node) startPreVoteLocked() {
 	n.rearmElectionLocked(time.Now())
-	term := n.term
-	last := n.lastSeqLocked()
-	lastTerm, _ := n.termAtLocked(last)
-	quorum := n.quorumLocked()
 	n.countPreVoteRound()
-	if quorum == 1 {
-		n.startElectionLocked() // single-voter cluster: elect immediately (unlocks)
-		return
-	}
-	voters := n.voterPeersLocked()
-	n.mu.Unlock()
-
-	req := &VoteRequest{Term: term + 1, CandidateID: n.cfg.ID, LastSeq: last, LastTerm: lastTerm, PreVote: true}
-	var granted atomic.Int32
-	granted.Store(1) // self
-	for id, tr := range voters {
-		go func(id string, tr Transport) {
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RPCTimeout)
-			defer cancel()
-			resp, err := tr.RequestVote(ctx, req)
-			if err != nil {
-				return
-			}
-			n.mu.Lock()
-			if resp.Term > n.term {
-				if err := n.stepDownLocked(resp.Term); err != nil {
-					n.cfg.Logger.Error("replica: persist step-down failed", "err", err)
-				}
-				n.mu.Unlock()
-				return
-			}
-			if !resp.Granted || n.term != term || n.role == Leader || !n.isVoterLocked(n.cfg.ID) {
-				n.mu.Unlock()
-				return
-			}
-			if n.leaderID != "" && time.Since(n.lastHeard) < n.cfg.ElectionTimeout {
-				// A leader surfaced while the canvass was in flight;
-				// starting the real election now would disrupt it.
-				n.mu.Unlock()
-				return
-			}
-			if int(granted.Add(1)) == quorum {
-				n.startElectionLocked() // unlocks
-				return
-			}
-			n.mu.Unlock()
-		}(id, tr)
-	}
+	term := n.term
+	n.canvassLocked(term+1, true, func() bool {
+		// A leader that surfaced while the canvass was in flight must not
+		// be disrupted by starting the real election now.
+		return n.term == term && n.role != Leader && n.isVoterLocked(n.cfg.ID) &&
+			!(n.leaderID != "" && time.Since(n.lastHeard) < n.cfg.ElectionTimeout)
+	}, n.startElectionLocked)
 }
 
 // startElectionLocked moves to candidate in term+1 and solicits votes.
@@ -256,24 +225,35 @@ func (n *Node) startElectionLocked() {
 	n.resetElectionLocked(time.Now())
 	n.observeStateLocked()
 	term := n.term
-	last := n.lastSeqLocked()
-	lastTerm, _ := n.termAtLocked(last)
-	quorum := n.quorumLocked()
-	voters := n.voterPeersLocked()
 	n.cfg.Logger.Info("replica election", "id", n.cfg.ID, "term", term)
-
-	if quorum == 1 {
+	n.canvassLocked(term, false, func() bool { return n.role == Candidate && n.term == term }, func() {
 		n.becomeLeaderLocked(term)
 		n.mu.Unlock()
+	})
+}
+
+// canvassLocked asks every other voter for its vote in term on this
+// node's log (a non-binding one when preVote) and calls won once a
+// quorum, counting this node, has granted while valid still holds — at
+// once when this node is the only voter. A reply from a higher term
+// steps the node down instead. Called with n.mu held; releases it (won
+// runs with it held and releases it).
+func (n *Node) canvassLocked(term uint64, preVote bool, valid func() bool, won func()) {
+	quorum := n.quorumLocked()
+	if quorum == 1 {
+		won()
 		return
 	}
+	last := n.lastSeqLocked()
+	lastTerm, _ := n.termAtLocked(last)
+	req := &VoteRequest{Term: term, CandidateID: n.cfg.ID, LastSeq: last, LastTerm: lastTerm, PreVote: preVote}
+	voters := n.voterPeersLocked()
 	n.mu.Unlock()
 
-	req := &VoteRequest{Term: term, CandidateID: n.cfg.ID, LastSeq: last, LastTerm: lastTerm}
 	var granted atomic.Int32
-	granted.Store(1) // self-vote
-	for id, tr := range voters {
-		go func(id string, tr Transport) {
+	granted.Store(1) // self
+	for _, tr := range voters {
+		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RPCTimeout)
 			defer cancel()
 			resp, err := tr.RequestVote(ctx, req)
@@ -281,44 +261,33 @@ func (n *Node) startElectionLocked() {
 				return
 			}
 			n.mu.Lock()
-			defer n.mu.Unlock()
-			if resp.Term > n.term {
-				if err := n.stepDownLocked(resp.Term); err != nil {
-					n.cfg.Logger.Error("replica: persist step-down failed", "err", err)
-				}
+			if !n.outrankedLocked(resp.Term) && resp.Granted && valid() && int(granted.Add(1)) == quorum {
+				won()
 				return
 			}
-			if n.role != Candidate || n.term != term || !resp.Granted {
-				return
-			}
-			if int(granted.Add(1)) >= quorum {
-				n.becomeLeaderLocked(term)
-			}
-		}(id, tr)
+			n.mu.Unlock()
+		}()
 	}
 }
 
-// becomeLeaderLocked wins term and starts promotion: the new leader must
-// first commit a no-op barrier in its own term before acknowledging any
-// proposal (a prior-term entry is only provably durable once an entry of
-// the current term commits on top of it).
+// becomeLeaderLocked wins the candidate's term and starts promotion: the
+// new leader must first commit a no-op barrier in its own term before
+// acknowledging any proposal (a prior-term entry is only provably
+// durable once an entry of the current term commits on top of it).
 func (n *Node) becomeLeaderLocked(term uint64) {
-	if n.role == Candidate && n.term == term {
-		n.role = Leader
-		n.leaderID = n.cfg.ID
-		n.ready = false
-		for id := range n.match {
-			delete(n.match, id)
-		}
-		now := time.Now()
-		n.leaseStart = now
-		for id := range n.trans {
-			n.lastContact[id] = now
-		}
-		n.observeStateLocked()
-		n.cfg.Logger.Info("replica leader elected", "id", n.cfg.ID, "term", term)
-		go n.promote(term)
+	n.role = Leader
+	n.leaderID = n.cfg.ID
+	n.ready = false
+	clear(n.match)
+	now := time.Now()
+	n.leaseStart = now
+	for id := range n.trans {
+		n.lastContact[id] = now
+		n.prog[id] = &progress{next: n.lastSeqLocked() + 1} // the barrier comes next
 	}
+	n.observeStateLocked()
+	n.cfg.Logger.Info("replica leader elected", "id", n.cfg.ID, "term", term)
+	go n.promote(term)
 }
 
 // promote finishes a leadership transition off the lock: bring the local
@@ -327,128 +296,167 @@ func (n *Node) becomeLeaderLocked(term uint64) {
 // the quorum — they become committed once the barrier does), then append
 // and replicate the term barrier.
 func (n *Node) promote(term uint64) {
-	// Let the apply loop (the only SM writer) run past commitIndex.
+	// Let the apply loop (the only SM writer) run past commitIndex; it
+	// closes applied once it reaches the log end.
 	n.mu.Lock()
 	if n.role != Leader || n.term != term {
 		n.mu.Unlock()
 		return
 	}
-	n.promoteApply = true
-	target := n.lastSeqLocked()
+	applied := make(chan struct{})
+	n.promoteApply, n.promoteTo = applied, n.lastSeqLocked()
 	n.mu.Unlock()
 	n.kickApply()
-	for {
-		n.mu.Lock()
-		if n.role != Leader || n.term != term {
-			n.mu.Unlock()
-			return
-		}
-		if n.lastApplied >= target {
-			n.promoteApply = false
-			break // keep the lock
-		}
-		n.mu.Unlock()
-		select {
-		case <-n.stopc:
-			return
-		case <-time.After(time.Millisecond):
-		}
+	select {
+	case <-n.stopc:
+		return
+	case <-applied:
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.role != Leader || n.term != term {
+		return
 	}
 	// Barrier entry: a no-op stamped with the new term.
 	e := Entry{Seq: n.lastSeqLocked() + 1, Term: term, Nop: true}
 	if err := n.appendEntryLocked(e, false); err != nil {
 		n.cfg.Logger.Error("replica: barrier append failed", "err", err)
 		n.becomeFollowerLocked()
-		n.mu.Unlock()
 		return
 	}
 	n.barrier = e.Seq
 	n.lastApplied = e.Seq   // no-op: the state machine is unaffected
 	n.advanceCommitLocked() // self-count (commits immediately at quorum 1)
-	n.mu.Unlock()
-	n.broadcastHeartbeat() // carries the barrier via per-peer delta send
+	n.replicateAllLocked()
 }
 
-// broadcastHeartbeat sends each peer what it is missing: a full delta
-// when the match index is known, otherwise an empty probe whose
-// rejection hint reveals where the peer's log stands.
-func (n *Node) broadcastHeartbeat() {
-	n.mu.Lock()
-	if n.role != Leader {
-		n.mu.Unlock()
+// replicateAllLocked sends every peer what it lacks: on a caught-up peer
+// the newest entry, or nothing at all — the heartbeat.
+func (n *Node) replicateAllLocked() {
+	for id := range n.trans {
+		n.replicateLocked(id)
+	}
+}
+
+// progress is the leader's view of one peer's send path in its term.
+type progress struct {
+	next       uint64 // the cursor: the first entry not yet sent
+	inflight   int    // sends awaiting their reply
+	installing bool   // one of them is a snapshot install
+}
+
+// replicateLocked is the leader's one send path to peer id: every entry
+// from the peer's cursor to the log end, anchored at the entry before
+// the cursor — on a caught-up peer just the entry being proposed, and
+// with nothing to carry, the lease probe. The cursor then moves to the
+// log end, so back-to-back proposals each send their own entry without
+// waiting for replies; a rejection moves it back (onReplyLocked). A
+// probe is skipped while a send is in flight: its reply is coming, and
+// a probe could overtake it and be refused. A cursor at or below the
+// snapshot base points at a compacted entry: the peer gets the snapshot
+// and the whole tail in one install instead, and nothing else until that
+// install returns.
+func (n *Node) replicateLocked(id string) {
+	tr := n.trans[id]
+	if tr == nil {
 		return
 	}
-	term := n.term
 	last := n.lastSeqLocked()
-	type sendJob struct {
-		id  string
-		tr  Transport
-		req *AppendRequest
+	p := n.prog[id]
+	if p == nil { // a member added this term: probe at the log end
+		p = &progress{next: last + 1}
+		n.prog[id] = p
 	}
-	jobs := make([]sendJob, 0, len(n.trans))
-	for id, tr := range n.trans {
-		m, known := n.match[id]
-		req := &AppendRequest{Term: term, LeaderID: n.cfg.ID, LeaderCommit: n.commitIndex}
-		if known && m < last && m >= n.snapBase {
-			req.PrevSeq = m
-			req.PrevTerm, _ = n.termAtLocked(m)
-			req.Entries = append([]Entry(nil), n.tail[m-n.snapBase:]...)
-		} else {
-			req.PrevSeq = last
-			req.PrevTerm, _ = n.termAtLocked(last)
-		}
-		jobs = append(jobs, sendJob{id, tr, req})
+	if p.installing || (p.next > last && p.inflight > 0) {
+		return
 	}
-	n.observePeerHealthLocked()
-	n.mu.Unlock()
-	for _, job := range jobs {
-		go n.sendAppend(job.id, job.tr, job.req, term)
+	next := p.next
+	p.next = last + 1
+	p.inflight++
+	if next <= n.snapBase {
+		p.installing = true
+		go n.send(id, tr, p, n.term, nil, &InstallSnapshotRequest{
+			Term:         n.term,
+			LeaderID:     n.cfg.ID,
+			SnapSeq:      n.snapBase,
+			SnapTerm:     n.snapTerm,
+			SnapConf:     n.snapConf,
+			State:        n.snapData,
+			Entries:      slices.Clone(n.tail),
+			LeaderCommit: n.commitIndex,
+		})
+		return
 	}
+	req := &AppendRequest{
+		Term:         n.term,
+		LeaderID:     n.cfg.ID,
+		PrevSeq:      next - 1,
+		Entries:      slices.Clone(n.tail[next-1-n.snapBase:]),
+		LeaderCommit: n.commitIndex,
+	}
+	req.PrevTerm, _ = n.termAtLocked(req.PrevSeq)
+	go n.send(id, tr, p, n.term, req, nil)
 }
 
-// sendAppend delivers one AppendEntries and feeds the response back into
-// match/commit bookkeeping.
-func (n *Node) sendAppend(id string, tr Transport, req *AppendRequest, term uint64) {
+// send delivers one append (app) or snapshot install (inst) on peer
+// id's send path p in term and feeds the reply to onReplyLocked.
+func (n *Node) send(id string, tr Transport, p *progress, term uint64, app *AppendRequest, inst *InstallSnapshotRequest) {
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RPCTimeout)
 	defer cancel()
-	resp, err := tr.AppendEntries(ctx, req)
-	if err != nil {
-		return
+	var resp *AppendResponse
+	var err error
+	var prev uint64 // an install has no anchor
+	if inst == nil {
+		prev = app.PrevSeq
+		resp, err = tr.AppendEntries(ctx, app)
+	} else {
+		var r *InstallSnapshotResponse
+		if r, err = tr.InstallSnapshot(ctx, inst); err == nil {
+			resp = &AppendResponse{Term: r.Term, Success: r.Success, LastSeq: r.LastSeq}
+		}
 	}
-	n.handleAppendResponse(id, tr, resp, term)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p.inflight--
+	if inst != nil {
+		p.installing = false
+	}
+	if err == nil && n.prog[id] == p { // else the peer was removed since
+		n.onReplyLocked(id, p, term, prev, resp)
+	}
 }
 
-func (n *Node) handleAppendResponse(id string, tr Transport, resp *AppendResponse, term uint64) {
-	n.mu.Lock()
-	if resp.Term > n.term {
-		if err := n.stepDownLocked(resp.Term); err != nil {
-			n.cfg.Logger.Error("replica: persist step-down failed", "err", err)
-		}
-		n.mu.Unlock()
+// onReplyLocked is the leader's one handler for append and install
+// replies from peer id to a request sent in term and anchored at prev.
+func (n *Node) onReplyLocked(id string, p *progress, term, prev uint64, resp *AppendResponse) {
+	if n.outrankedLocked(resp.Term) || n.role != Leader || n.term != term {
 		return
 	}
-	if n.role != Leader || n.term != term {
-		n.mu.Unlock()
-		return
-	}
-	// Any response — even a rejection — proves the peer is alive for
+	// Any reply — even a rejection — proves the peer is alive for
 	// check-quorum purposes.
 	n.lastContact[id] = time.Now()
 	if resp.Success {
 		// Clamp: a follower may momentarily hold a longer (stale-term)
 		// log than ours; its surplus must not count toward our commit.
-		m := min(resp.LastSeq, n.lastSeqLocked())
-		if m > n.match[id] {
+		if m := min(resp.LastSeq, n.lastSeqLocked()); m > n.match[id] {
 			n.match[id] = m
+			p.next = max(p.next, m+1)
 			n.advanceCommitLocked()
 			n.maybePromoteLocked(id)
 		}
-		n.mu.Unlock()
 		return
 	}
-	hint, hintTerm := resp.HintSeq, resp.HintTerm
-	n.mu.Unlock()
-	n.catchUp(id, tr, hint, hintTerm, term)
+	if n.match[id] >= prev {
+		return // stale: the peer has since acknowledged the anchor
+	}
+	// The hint is a point of the peer's log: stream from just past it
+	// when our log holds the same entry there, else install.
+	if t, ok := n.termAtLocked(resp.HintSeq); ok && t == resp.HintTerm {
+		p.next = resp.HintSeq + 1
+	} else {
+		p.next = n.snapBase
+	}
+	n.replicateLocked(id)
 }
 
 // advanceCommitLocked recomputes the commit index as the quorum median
@@ -505,122 +513,5 @@ func (n *Node) advanceCommitLocked() {
 		if n.role != Leader {
 			return // the fold removed us; nothing further to commit here
 		}
-	}
-}
-
-// catchUp repairs one lagging peer, streaming tail entries when the
-// hint still falls inside our in-memory log and terms agree, otherwise
-// installing a snapshot. One repair per peer runs at a time; heartbeat
-// rejections re-trigger it until the peer converges.
-func (n *Node) catchUp(id string, tr Transport, hint, hintTerm, term uint64) {
-	n.mu.Lock()
-	if n.catching[id] {
-		n.mu.Unlock()
-		return
-	}
-	n.catching[id] = true
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.catching, id)
-		n.mu.Unlock()
-	}()
-
-	for attempt := 0; attempt < 4; attempt++ {
-		n.mu.Lock()
-		if n.role != Leader || n.term != term || n.stopped {
-			n.mu.Unlock()
-			return
-		}
-		last := n.lastSeqLocked()
-		streamable := hint >= n.snapBase && hint <= last
-		if streamable {
-			if t, ok := n.termAtLocked(hint); !ok || t != hintTerm {
-				streamable = false // peer's log conflicts below our tail
-			}
-		}
-		if streamable {
-			req := &AppendRequest{
-				Term:         term,
-				LeaderID:     n.cfg.ID,
-				PrevSeq:      hint,
-				LeaderCommit: n.commitIndex,
-				Entries:      append([]Entry(nil), n.tail[hint-n.snapBase:]...),
-			}
-			req.PrevTerm, _ = n.termAtLocked(hint)
-			n.mu.Unlock()
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RPCTimeout)
-			resp, err := tr.AppendEntries(ctx, req)
-			cancel()
-			if err != nil {
-				return
-			}
-			n.mu.Lock()
-			if resp.Term > n.term {
-				if err := n.stepDownLocked(resp.Term); err != nil {
-					n.cfg.Logger.Error("replica: persist step-down failed", "err", err)
-				}
-				n.mu.Unlock()
-				return
-			}
-			if n.role != Leader || n.term != term {
-				n.mu.Unlock()
-				return
-			}
-			n.lastContact[id] = time.Now()
-			if resp.Success {
-				m := min(resp.LastSeq, n.lastSeqLocked())
-				if m > n.match[id] {
-					n.match[id] = m
-					n.advanceCommitLocked()
-					n.maybePromoteLocked(id)
-				}
-				n.mu.Unlock()
-				return
-			}
-			hint, hintTerm = resp.HintSeq, resp.HintTerm
-			n.mu.Unlock()
-			continue
-		}
-		// Stream cannot repair (hint below our snapshot or conflicting):
-		// one-shot snapshot install brings the peer to our exact log.
-		req := &InstallSnapshotRequest{
-			Term:         term,
-			LeaderID:     n.cfg.ID,
-			SnapSeq:      n.snapBase,
-			SnapTerm:     n.snapTerm,
-			SnapConf:     n.snapConf,
-			State:        n.snapData,
-			Entries:      append([]Entry(nil), n.tail...),
-			LeaderCommit: n.commitIndex,
-		}
-		n.mu.Unlock()
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RPCTimeout)
-		resp, err := tr.InstallSnapshot(ctx, req)
-		cancel()
-		if err != nil {
-			return
-		}
-		n.mu.Lock()
-		if resp.Term > n.term {
-			if err := n.stepDownLocked(resp.Term); err != nil {
-				n.cfg.Logger.Error("replica: persist step-down failed", "err", err)
-			}
-			n.mu.Unlock()
-			return
-		}
-		if n.role == Leader && n.term == term {
-			n.lastContact[id] = time.Now()
-			if resp.Success {
-				m := min(resp.LastSeq, n.lastSeqLocked())
-				if m > n.match[id] {
-					n.match[id] = m
-					n.advanceCommitLocked()
-					n.maybePromoteLocked(id)
-				}
-			}
-		}
-		n.mu.Unlock()
-		return
 	}
 }

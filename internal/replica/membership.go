@@ -180,6 +180,7 @@ func (n *Node) applyConfLocked(conf Membership) {
 		if _, ok := conf.member(id); !ok {
 			delete(n.trans, id)
 			delete(n.match, id)
+			delete(n.prog, id)
 			delete(n.lastContact, id)
 			delete(n.promoting, id)
 			n.dropPeerMetrics(id)

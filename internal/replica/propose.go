@@ -64,9 +64,7 @@ func (n *Node) proposeLocked(data json.RawMessage, conf *Membership, confBase ui
 		return ErrConfChangeInFlight
 	}
 	term := n.term
-	prev := n.lastSeqLocked()
-	prevTerm, _ := n.termAtLocked(prev)
-	e := Entry{Seq: prev + 1, Term: term, Data: data}
+	e := Entry{Seq: n.lastSeqLocked() + 1, Term: term, Data: data}
 	if conf != nil {
 		conf.Seq = e.Seq
 		e.Conf = conf
@@ -90,24 +88,10 @@ func (n *Node) proposeLocked(data json.RawMessage, conf *Membership, confBase ui
 	w := &commitWaiter{seq: e.Seq, term: term, c: make(chan error, 1)}
 	n.waiters = append(n.waiters, w)
 	n.advanceCommitLocked() // self-count (completes the waiter at quorum 1 once synced)
-	req := &AppendRequest{
-		Term:         term,
-		LeaderID:     n.cfg.ID,
-		PrevSeq:      prev,
-		PrevTerm:     prevTerm,
-		Entries:      []Entry{e},
-		LeaderCommit: n.commitIndex,
-	}
-	peers := make(map[string]Transport, len(n.trans))
-	for id, tr := range n.trans {
-		peers[id] = tr
-	}
+	n.replicateAllLocked()  // a caught-up peer gets e alone, beside the fsync below
 	n.mu.Unlock()
 	n.proposeMu.Unlock()
 
-	for id, tr := range peers {
-		go n.sendAppend(id, tr, req, term)
-	}
 	if deferred {
 		if err := n.syncAppended(term, e.Seq); err != nil {
 			n.removeWaiter(w)

@@ -10,11 +10,13 @@
 // record of type "repl" whose journal sequence number is its log index,
 // and the journal's existing atomic-snapshot machinery doubles as the
 // snapshot-catch-up transport for lagging or freshly joined followers.
-// The protocol is a deliberately small Raft subset — single-entry
-// AppendEntries on the propose hot path, hint-based catch-up streaming,
-// one-shot snapshot installs, and a no-op barrier entry per new term so
-// a leader only acknowledges once its term can commit — sized for a
-// fixed 3-node control plane rather than a general consensus library.
+// The protocol is a deliberately small Raft subset — one send path per
+// peer that streams from a cursor (a single entry on the propose hot
+// path, nothing as the heartbeat, the gap after a hinted rejection) or
+// falls back to a one-shot snapshot install, and a no-op barrier entry
+// per new term so a leader only acknowledges once its term can commit —
+// sized for a fixed 3-node control plane rather than a general consensus
+// library.
 // See docs/replication.md for the protocol walk-through and the failure
 // matrix.
 package replica
@@ -259,13 +261,17 @@ type Node struct {
 	// local snapshot before applying (set after a divergent-suffix
 	// truncation or a snapshot install).
 	restoreBase bool
-	// promoteApply lets the apply loop run past commitIndex up to the
-	// log end during leader promotion.
-	promoteApply bool
+	// promoteApply, non-nil during leader promotion, lets the apply loop
+	// run past commitIndex to the log end; the loop closes it once
+	// everything through promoteTo is applied.
+	promoteApply chan struct{}
+	promoteTo    uint64
 
-	match    map[string]uint64
-	catching map[string]bool
-	waiters  []*commitWaiter
+	// The leader's view of each peer: match is the highest entry known
+	// replicated to it, prog the state of its send path.
+	match   map[string]uint64
+	prog    map[string]*progress
+	waiters []*commitWaiter
 
 	lastHeard        time.Time
 	electionDeadline time.Time
@@ -312,7 +318,7 @@ func New(cfg Config) (*Node, error) {
 		promoting:   make(map[string]bool),
 		lastContact: make(map[string]time.Time, len(cfg.Peers)),
 		match:       make(map[string]uint64, len(cfg.Peers)),
-		catching:    make(map[string]bool, len(cfg.Peers)),
+		prog:        make(map[string]*progress, len(cfg.Peers)),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		applyc:      make(chan struct{}, 1),
 		stopc:       make(chan struct{}),
@@ -553,16 +559,6 @@ func (n *Node) IsLeader() bool {
 	return n.role == Leader
 }
 
-// Leader returns the current leader's ID, "" while unknown.
-func (n *Node) Leader() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role == Leader {
-		return n.cfg.ID
-	}
-	return n.leaderID
-}
-
 // --- log helpers (mu held) ---
 
 func (n *Node) lastSeqLocked() uint64 { return n.snapBase + uint64(len(n.tail)) }
@@ -720,8 +716,12 @@ func (n *Node) drainApply() {
 			n.mu.Unlock()
 			continue
 		}
+		if n.promoteApply != nil && n.lastApplied >= n.promoteTo {
+			close(n.promoteApply) // promote may append its barrier
+			n.promoteApply = nil
+		}
 		limit := n.commitIndex
-		if n.promoteApply && n.role == Leader {
+		if n.promoteApply != nil {
 			limit = n.lastSeqLocked()
 		}
 		if n.lastApplied >= limit || n.lastApplied < n.snapBase {

@@ -491,13 +491,120 @@ func TestLaggerBeyondSnapshotGetsInstall(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if c.node(lead.ID()).Status().SnapshotSeq <= 1 {
-		t.Skip("leader never compacted; snapshot cadence not reached")
+	if base := c.node(lead.ID()).Status().SnapshotSeq; base <= 1 {
+		t.Fatalf("leader snapshot base %d after %d proposals at a cadence of 3, want > 1", base, len(want))
 	}
+	lead.mu.Lock()
+	slow := &slowInstall{Transport: lead.trans[lag]}
+	lead.trans[lag] = slow
+	lead.mu.Unlock()
 	c.net.isolate(c.ids, lag, false)
 	c.waitConverged(want)
 	if base := c.node(lag).Status().SnapshotSeq; base <= 1 {
 		t.Fatalf("lagging follower snapshot base %d, want > 1 (installed)", base)
+	}
+	// Exactly one install: heartbeats fired while it was in flight, or
+	// answered after it landed, must not start another.
+	time.Sleep(100 * time.Millisecond) // 40 heartbeat ticks
+	if got := c.regs[lag].Counter(metricCatchupSnaps).Value(); got != 1 {
+		t.Fatalf("lagging follower took %v snapshot installs, want 1", got)
+	}
+	if got := slow.sent.Load(); got != 1 {
+		t.Fatalf("leader sent %d snapshot installs, want 1", got)
+	}
+}
+
+// slowInstall counts the snapshot installs sent through it and holds
+// each before delivering it, so the leader's heartbeats keep firing at
+// the peer while the install is in flight.
+type slowInstall struct {
+	Transport
+	sent atomic.Int32
+}
+
+func (s *slowInstall) InstallSnapshot(ctx context.Context, req *InstallSnapshotRequest) (*InstallSnapshotResponse, error) {
+	s.sent.Add(1)
+	time.Sleep(50 * time.Millisecond) // 20 heartbeat ticks
+	return s.Transport.InstallSnapshot(ctx, req)
+}
+
+// countingTransport records every entry-carrying AppendEntries sent
+// through it, and how many appends of any kind the peer rejected.
+type countingTransport struct {
+	Transport
+	mu       sync.Mutex
+	sent     []*AppendRequest
+	rejected int
+}
+
+func (ct *countingTransport) AppendEntries(ctx context.Context, req *AppendRequest) (*AppendResponse, error) {
+	resp, err := ct.Transport.AppendEntries(ctx, req)
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	if len(req.Entries) > 0 {
+		ct.sent = append(ct.sent, req)
+	}
+	if err == nil && !resp.Success {
+		ct.rejected++
+	}
+	return resp, err
+}
+
+// TestProposeSendsEachFollowerItsEntryOnce pins the propose hot path:
+// on a healthy cluster each proposal reaches each caught-up follower as
+// one AppendEntries carrying exactly its own entry, anchored at the entry
+// before it. Heartbeats carry no entries; any further entry-carrying
+// send is a repair answering a rejection (an append that overtook an
+// earlier one still in flight).
+func TestProposeSendsEachFollowerItsEntryOnce(t *testing.T) {
+	const ops = 200
+	c := newCluster(t, -1)
+	lead := c.waitLeader()
+	if err := c.propose("warm"); err != nil {
+		t.Fatal(err)
+	}
+	want := quoted("warm")
+	c.waitConverged(want)
+
+	counters := make(map[string]*countingTransport)
+	lead.mu.Lock()
+	for id, tr := range lead.trans {
+		ct := &countingTransport{Transport: tr}
+		lead.trans[id], counters[id] = ct, ct
+	}
+	first := lead.lastSeqLocked() + 1
+	lead.mu.Unlock()
+
+	sm := c.sm(lead.ID())
+	for i := 0; i < ops; i++ {
+		p := fmt.Sprintf("hot-%d", i)
+		data := []byte(fmt.Sprintf("%q", p))
+		if err := sm.applyAndPropose(data, func() error { return lead.Propose(data) }); err != nil {
+			t.Fatalf("propose %d: %v", i, err)
+		}
+		want = append(want, string(data))
+	}
+	c.waitConverged(want)
+
+	for id, ct := range counters {
+		ct.mu.Lock()
+		own := make(map[uint64]bool)
+		for _, req := range ct.sent {
+			if len(req.Entries) == 1 && req.Entries[0].Seq == req.PrevSeq+1 {
+				own[req.Entries[0].Seq] = true
+			}
+		}
+		for seq := first; seq < first+ops; seq++ {
+			if !own[seq] {
+				t.Errorf("follower %s never received entry %d alone, anchored at %d", id, seq, seq-1)
+			}
+		}
+		if extra := len(ct.sent) - ops; extra > ct.rejected {
+			t.Errorf("follower %s: %d entry-carrying appends for %d proposals, only %d rejections to repair",
+				id, len(ct.sent), ops, ct.rejected)
+		}
+		t.Logf("follower %s: %d entry-carrying appends, %d rejections", id, len(ct.sent), ct.rejected)
+		ct.mu.Unlock()
 	}
 }
 

@@ -88,41 +88,50 @@ func (n *Node) observeTermLocked(term uint64) error {
 	return n.stepDownLocked(term)
 }
 
+// followLeader is the prologue of every message from a leader: it takes
+// n.mu (waiting out a follower's snapshot cut), refuses on a stopped
+// node, and otherwise adopts the sender's term and leadership and renews
+// the election lease. It returns this node's term; one above term means
+// the message is stale and must be refused. On a refusal or an error
+// n.mu is released, otherwise the caller holds it.
+func (n *Node) followLeader(term uint64, leader string) (uint64, error) {
+	n.mu.Lock()
+	n.awaitCutLocked()
+	err := ErrStopped
+	if !n.stopped {
+		err = n.observeTermLocked(term)
+	}
+	cur := n.term
+	if err != nil || cur > term {
+		n.mu.Unlock()
+		return cur, err
+	}
+	if n.role != Follower {
+		n.becomeFollowerLocked()
+	}
+	n.leaderID = leader
+	n.resetElectionLocked(time.Now())
+	return cur, nil
+}
+
 // HandleAppendEntries is the follower half of replication and lease
 // renewal. It runs synchronously under the node lock; journal writes
 // (append, truncate) happen inline so a success response means the
 // entries are on stable storage under the journal's fsync policy.
 func (n *Node) HandleAppendEntries(req *AppendRequest) (*AppendResponse, error) {
-	n.mu.Lock()
-	n.awaitCutLocked()
-	if n.stopped {
-		n.mu.Unlock()
-		return nil, ErrStopped
-	}
-	if req.Term < n.term {
-		resp := &AppendResponse{Term: n.term}
-		n.mu.Unlock()
-		return resp, nil
-	}
-	if err := n.observeTermLocked(req.Term); err != nil {
-		n.mu.Unlock()
-		return nil, err
-	}
-	if n.role != Follower {
-		n.becomeFollowerLocked()
-	}
-	n.leaderID = req.LeaderID
-	n.resetElectionLocked(time.Now())
-
-	resp, kick, err := n.acceptEntriesLocked(req.PrevSeq, req.PrevTerm, req.Entries, req.LeaderCommit)
-	n.mu.Unlock()
+	term, err := n.followLeader(req.Term, req.LeaderID)
 	if err != nil {
 		return nil, err
 	}
+	if term > req.Term {
+		return &AppendResponse{Term: term}, nil
+	}
+	resp, kick, err := n.acceptEntriesLocked(req.PrevSeq, req.PrevTerm, req.Entries, req.LeaderCommit)
+	n.mu.Unlock()
 	if kick {
 		n.kickApply()
 	}
-	return resp, nil
+	return resp, err
 }
 
 // acceptEntriesLocked is the shared follower-side append core: verify
@@ -250,27 +259,13 @@ func (n *Node) HandleRequestVote(req *VoteRequest) (*VoteResponse, error) {
 // HandleInstallSnapshot replaces the follower's journal and log with the
 // leader's snapshot plus tail.
 func (n *Node) HandleInstallSnapshot(req *InstallSnapshotRequest) (*InstallSnapshotResponse, error) {
-	n.mu.Lock()
-	n.awaitCutLocked()
-	if n.stopped {
-		n.mu.Unlock()
-		return nil, ErrStopped
-	}
-	if req.Term < n.term {
-		resp := &InstallSnapshotResponse{Term: n.term}
-		n.mu.Unlock()
-		return resp, nil
-	}
-	if err := n.observeTermLocked(req.Term); err != nil {
-		n.mu.Unlock()
+	term, err := n.followLeader(req.Term, req.LeaderID)
+	if err != nil {
 		return nil, err
 	}
-	if n.role != Follower {
-		n.becomeFollowerLocked()
+	if term > req.Term {
+		return &InstallSnapshotResponse{Term: term}, nil
 	}
-	n.leaderID = req.LeaderID
-	n.resetElectionLocked(time.Now())
-
 	if req.SnapSeq <= n.snapBase {
 		// Our own snapshot already covers the shipped base, so the
 		// committed prefix through our base is known-identical to the
