@@ -7,8 +7,8 @@
 // Usage:
 //
 //	sparcle-server -f scenario.json [-addr :8080] [-shards N] [-submit]
-//	               [-journal dir] [-spans] [-spans-chrome trace.json]
-//	               [-slo 50ms] [-pprof] [-v]
+//	               [-journal dir] [-trace spans.jsonl] [-flight 256]
+//	               [-pprof] [-v]
 //
 // The network is partitioned into -shards N regions (default 1), each
 // running its own scheduler behind one admission router: applications
@@ -37,11 +37,13 @@
 // leader admits it as a non-voting learner, catches it up — via snapshot
 // install when it is far behind — and promotes it to voter; POST
 // /repl/members also adds, promotes and removes members directly. With
-// -spans (implied by any -spans-* flag), every
-// admission-path stage is timed as a hierarchical span: -spans-chrome
-// streams a Perfetto-loadable trace, -spans-jsonl streams raw records,
-// and the in-memory flight recorder serves GET /debug/flight and dumps to
-// -flight-dir when a root span breaches -slo (see docs/observability.md).
+// -trace FILE or -flight N, every mutating request is traced as a
+// hierarchical span tree that times each admission-path stage and
+// carries the scheduler's decisions — the admission verdict and reason,
+// Algorithm 2's γ ranking, the routes, the solve: -trace streams every
+// finished span to FILE as JSON Lines, and the in-memory flight recorder
+// keeps the last N traces (64 with -trace alone) for GET /debug/flight
+// (see docs/observability.md). Tracing is off, and free, by default.
 // With -pprof, the net/http/pprof profiling handlers are mounted under
 // /debug/pprof/. With -v, scheduler activity is logged to stderr.
 //
@@ -50,7 +52,7 @@
 //	GET    /healthz               liveness, uptime, admission and journal status
 //	GET    /metrics               Prometheus text exposition
 //	GET    /debug/vars            JSON metrics snapshot
-//	GET    /debug/flight          flight-recorder ring as a Chrome trace (-spans)
+//	GET    /debug/flight          flight-recorder ring as a Chrome trace (-trace/-flight)
 //	GET    /debug/latency         per-stage latency quantiles from spans
 //	GET    /network
 //	GET    /apps
@@ -183,12 +185,8 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	journalFsync := fs.String("journal-fsync", "always", "journal fsync policy: always, interval, or never")
 	journalFsyncInterval := fs.Duration("journal-fsync-interval", 100*time.Millisecond, "flush period for -journal-fsync=interval")
 	snapshotEvery := fs.Int("snapshot-every", 256, "journal records between snapshots (0 = only the genesis snapshot)")
-	spans := fs.Bool("spans", false, "arm span tracing (flight recorder, /debug/flight, /debug/latency) with no trace files")
-	spansChrome := fs.String("spans-chrome", "", "stream spans to this Chrome trace-event file (implies -spans; load in Perfetto)")
-	spansJSONL := fs.String("spans-jsonl", "", "stream spans to this JSONL file, one record per line (implies -spans)")
-	flightSize := fs.Int("flight", 64, "flight-recorder ring capacity in spans")
-	slo := fs.Duration("slo", 0, "root-span latency SLO; breaches dump the flight ring (0 = no SLO)")
-	flightDir := fs.String("flight-dir", "", "directory for flight dumps on SLO breach or handler panic")
+	trace := fs.String("trace", "", "arm span tracing and stream every finished span, decisions included, to this JSONL file")
+	flightSize := fs.Int("flight", 0, "arm span tracing and keep the last N traces for /debug/flight (0 = off, or 64 with -trace)")
 	runtimeMetrics := fs.Duration("runtime-metrics", 10*time.Second, "Go runtime sampling period for /metrics (0 = off)")
 	fs.Bool("group-commit", false, "accepted and ignored: every admission goes through the group-commit queue (one BE solve and one journal fsync per group of concurrent submits)")
 	replicate := fs.String("replicate", "", "node ID: run as one member of a replicated cluster (requires -journal and -peers)")
@@ -244,38 +242,25 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		fmt.Fprintf(out, "sparcle-server sharded: %d regions, %d border links\n",
 			len(part.Regions), len(part.Border))
 	}
-	if *spansChrome != "" || *spansJSONL != "" || *flightDir != "" || *slo > 0 {
-		*spans = true
-	}
-	if *spans {
-		sopt := obs.SpanOptions{
-			Metrics:    srv.Metrics(),
-			FlightSize: *flightSize,
-			SLO:        *slo,
-			DumpDir:    *flightDir,
+	if *trace != "" || *flightSize > 0 {
+		if *flightSize <= 0 {
+			*flightSize = 64
 		}
-		if *spansChrome != "" {
-			f, err := os.Create(*spansChrome)
+		sopt := obs.SpanOptions{Metrics: srv.Metrics(), FlightSize: *flightSize}
+		if *trace != "" {
+			f, err := os.Create(*trace)
 			if err != nil {
-				return fmt.Errorf("spans-chrome: %w", err)
-			}
-			defer f.Close()
-			sopt.Chrome = f
-		}
-		if *spansJSONL != "" {
-			f, err := os.Create(*spansJSONL)
-			if err != nil {
-				return fmt.Errorf("spans-jsonl: %w", err)
+				return fmt.Errorf("trace: %w", err)
 			}
 			defer f.Close()
 			sopt.JSONL = f
 		}
 		st := obs.NewSpanTracer(sopt)
-		// Close finishes the Chrome JSON array, so it must run before the
-		// deferred file closes above (LIFO order guarantees that).
+		// Close flushes the JSONL stream, so it must run before the
+		// deferred file close above (LIFO order guarantees that).
 		defer st.Close()
 		srv.EnableSpans(st)
-		fmt.Fprintf(out, "sparcle-server span tracing armed (flight=%d, slo=%s)\n", *flightSize, *slo)
+		fmt.Fprintf(out, "sparcle-server span tracing armed (flight=%d)\n", *flightSize)
 	}
 	if *runtimeMetrics > 0 {
 		stop := obs.StartRuntimeSampler(srv.Metrics(), *runtimeMetrics)

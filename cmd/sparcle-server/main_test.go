@@ -68,6 +68,16 @@ func TestServerServesScenario(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp2.StatusCode)
 	}
+
+	// Tracing is off by default.
+	resp3, err := http.Get("http://" + addr + "/debug/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/flight without -trace or -flight: %d", resp3.StatusCode)
+	}
 }
 
 func TestServerValidation(t *testing.T) {
@@ -90,14 +100,15 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
-// TestServerObservabilityEndpoints starts the server with -pprof and
-// checks /metrics, /debug/vars and /debug/pprof/ all respond.
+// TestServerObservabilityEndpoints starts the server with -pprof and a
+// flight ring but no trace file, and checks /metrics, /debug/vars,
+// /debug/pprof/ and /debug/flight all respond.
 func TestServerObservabilityEndpoints(t *testing.T) {
 	var out bytes.Buffer
 	ready := make(chan string, 1)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run([]string{"-f", writeExample(t), "-addr", "127.0.0.1:0", "-submit", "-pprof"}, &out, ready)
+		errc <- run([]string{"-f", writeExample(t), "-addr", "127.0.0.1:0", "-submit", "-pprof", "-flight", "8"}, &out, ready)
 	}()
 
 	var addr string
@@ -130,6 +141,11 @@ func TestServerObservabilityEndpoints(t *testing.T) {
 	}
 	if code, body := get("/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/cmdline: %d\n%s", code, body)
+	}
+	// The startup admission is in the ring, verdict included.
+	if code, body := get("/debug/flight"); code != http.StatusOK ||
+		!strings.Contains(body, `"outcome":"admitted"`) {
+		t.Fatalf("/debug/flight: %d\n%s", code, body)
 	}
 }
 

@@ -7,8 +7,10 @@
 //
 //	sparcle-sim -f scenario.json [-duration 2000] [-warmup 200] [-load 0.9] [-trace out.jsonl] [-v]
 //
-// -trace writes scheduler decision traces as JSON Lines to the given
-// file; -v logs scheduler activity to stderr.
+// -trace writes the span tree of every scheduler operation, decisions
+// included, as JSON Lines to the given file (the obs.SpanRecord schema
+// sparcle and sparcle-server write); -v logs scheduler activity to
+// stderr.
 package main
 
 import (
@@ -38,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	duration := fs.Float64("duration", 2000, "simulated seconds")
 	warmup := fs.Float64("warmup", 200, "warmup seconds excluded from statistics")
 	load := fs.Float64("load", 0.95, "input rate as a fraction of each path's allocated rate")
-	trace := fs.String("trace", "", "write scheduler decision traces as JSON Lines to this file")
+	trace := fs.String("trace", "", "write the span tree of every scheduler operation, decisions included, as JSON Lines to this file")
 	verbose := fs.Bool("v", false, "log scheduler activity to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,22 +69,20 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var opts []core.Option
+	if *verbose {
+		opts = append(opts, core.WithLogger(obs.NewLogger(os.Stderr, slog.LevelDebug)))
+	}
+	sched := core.New(net, opts...)
 	if *trace != "" {
 		tf, err := os.Create(*trace)
 		if err != nil {
 			return err
 		}
-		tr := obs.NewTracer(tf)
-		defer func() {
-			tr.Close()
-			tf.Close()
-		}()
-		opts = append(opts, core.WithTracer(tr))
+		defer tf.Close()
+		spans := obs.NewSpanTracer(obs.SpanOptions{JSONL: tf, FlightSize: 1})
+		defer spans.Close() // flushes before the deferred file close
+		sched.SetSpans(spans)
 	}
-	if *verbose {
-		opts = append(opts, core.WithLogger(obs.NewLogger(os.Stderr, slog.LevelDebug)))
-	}
-	sched := core.New(net, opts...)
 	type placed struct {
 		name  string
 		first int // index of the app's first path in the simulator

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"sparcle/internal/obs"
 	"sparcle/internal/scenario"
 )
 
@@ -91,5 +93,30 @@ func TestRunAllAppsRejected(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-f", path}, &out); err == nil {
 		t.Fatal("no admitted apps must error")
+	}
+}
+
+// TestRunTrace checks -trace writes the span records sparcle and
+// sparcle-server write: the admission verdict on core.submit.
+func TestRunTrace(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+	var out bytes.Buffer
+	if err := run([]string{"-f", writeExample(t), "-duration", "200", "-warmup", "20", "-trace", tracePath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := false
+	for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
+		var r obs.SpanRecord
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		admitted = admitted || (r.Name == "core.submit" && r.Attrs["outcome"] == "admitted")
+	}
+	if !admitted {
+		t.Fatalf("no admission verdict in the span trace:\n%s", data)
 	}
 }

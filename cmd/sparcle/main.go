@@ -8,12 +8,16 @@
 //	sparcle -f scenario.json [-json] [-seed S] [-trace out.jsonl] [-v]
 //	sparcle -example > scenario.json
 //
-// -trace writes every scheduler decision (dynamic-ranking iterations,
-// widest-path routing, admissions) as JSON Lines to the given file; -v
-// logs scheduler activity to stderr.
+// -trace writes the span tree of every scheduler operation as JSON Lines
+// to the given file, one obs.SpanRecord per line, with its decisions
+// (pinned placements, dynamic-ranking picks, widest-path routes,
+// admission verdicts) as span attributes and events; -explain prints the
+// placement decisions from the same records; -v logs scheduler activity
+// to stderr.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -21,14 +25,13 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
-	"sparcle/internal/assign"
 	"sparcle/internal/core"
 	"sparcle/internal/network"
 	"sparcle/internal/obs"
-	"sparcle/internal/placement"
 	"sparcle/internal/scenario"
 	"sparcle/internal/taskgraph"
 )
@@ -63,7 +66,7 @@ func run(args []string, out io.Writer) error {
 	example := fs.Bool("example", false, "print an example scenario and exit")
 	explain := fs.Bool("explain", false, "print each dynamic-ranking placement decision")
 	dot := fs.String("dot", "", "write the first path of each admitted app as Graphviz DOT to this file")
-	trace := fs.String("trace", "", "write scheduler decision traces as JSON Lines to this file")
+	trace := fs.String("trace", "", "write the span tree of every scheduler operation, decisions included, as JSON Lines to this file")
 	verbose := fs.Bool("v", false, "log scheduler activity to stderr")
 	parallel := fs.Int("parallel", 0, "candidate-scoring goroutines per ranking iteration (0 = GOMAXPROCS, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
@@ -98,31 +101,36 @@ func run(args []string, out io.Writer) error {
 	}
 
 	opts := []core.Option{core.WithRandSeed(*seed), core.WithParallelism(*parallel)}
-	if *explain {
-		opts = append(opts, core.WithAlgorithm(explainingAlgorithm(out)))
-	}
-	if *trace != "" {
-		tf, err := os.Create(*trace)
-		if err != nil {
-			return err
-		}
-		tr := obs.NewTracer(tf)
-		defer func() {
-			tr.Close()
-			tf.Close()
-		}()
-		opts = append(opts, core.WithTracer(tr))
-	}
 	if *verbose {
 		opts = append(opts, core.WithLogger(obs.NewLogger(os.Stderr, slog.LevelDebug)))
 	}
 	sched := core.New(net, opts...)
+	// Each Submit is one trace: -explain reads it back from a one-trace
+	// flight ring, -trace streams it.
+	var spans *obs.SpanTracer
+	if *explain || *trace != "" {
+		sopt := obs.SpanOptions{FlightSize: 1}
+		if *trace != "" {
+			tf, err := os.Create(*trace)
+			if err != nil {
+				return err
+			}
+			defer tf.Close()
+			sopt.JSONL = tf
+		}
+		spans = obs.NewSpanTracer(sopt)
+		defer spans.Close() // flushes before the deferred file close
+		sched.SetSpans(spans)
+	}
 	results := make([]appResult, 0, len(apps))
 	for _, app := range apps {
 		if *explain {
 			fmt.Fprintf(out, "-- placing %q --\n", app.Name)
 		}
 		pa, err := sched.Submit(app)
+		if *explain {
+			explainTrace(out, spans.Flight())
+		}
 		if err != nil {
 			if errors.Is(err, core.ErrRejected) {
 				results = append(results, appResult{Name: app.Name, Admitted: false, Reason: err.Error()})
@@ -187,16 +195,31 @@ func describe(pa *core.PlacedApp, net *network.Network) appResult {
 	return r
 }
 
-// explainingAlgorithm wraps SPARCLE's dynamic ranking with an observer
-// that prints every placement decision.
-func explainingAlgorithm(out io.Writer) placement.Algorithm {
-	return assign.Sparcle{Observer: func(d assign.Decision) {
-		if d.Pinned {
-			fmt.Fprintf(out, "  step %d: %s pinned to %s\n", d.Step, d.CTName, d.HostName)
-			return
+// explainTrace prints the placement decisions of the last finished trace
+// in the order they were made: each assign.path span's pinned placements
+// ("pin" events), then the picks of its assign.rank children. Span ids
+// grow in creation order, so sorting by id restores that order.
+func explainTrace(out io.Writer, traces [][]obs.SpanRecord) {
+	if len(traces) == 0 {
+		return
+	}
+	recs := slices.Clone(traces[len(traces)-1])
+	slices.SortFunc(recs, func(a, b obs.SpanRecord) int { return cmp.Compare(a.Span, b.Span) })
+	for _, r := range recs {
+		switch r.Name {
+		case "assign.path":
+			for _, ev := range r.Events {
+				if ev.Name == "pin" {
+					fmt.Fprintf(out, "  step %d: %s pinned to %s\n", ev.Attrs["step"], ev.Attrs["ct"], ev.Attrs["host"])
+				}
+			}
+		case "assign.rank":
+			// An iteration that found no feasible host picked nothing.
+			if ct, ok := r.Attrs["ct"]; ok {
+				fmt.Fprintf(out, "  step %d: %s -> %s (gamma %.4f)\n", r.Attrs["step"], ct, r.Attrs["host"], float64(r.Attrs["gamma"].(obs.Float)))
+			}
 		}
-		fmt.Fprintf(out, "  step %d: %s -> %s (gamma %.4f)\n", d.Step, d.CTName, d.HostName, d.Gamma)
-	}}
+	}
 }
 
 // writeDOT renders the first path of every admitted application into one

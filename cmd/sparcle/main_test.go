@@ -106,15 +106,57 @@ func TestRejectedAppReported(t *testing.T) {
 	}
 }
 
-func TestExplainFlag(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-f", writeExample(t), "-explain"}, &out); err != nil {
+// writeGRMultipath writes the example network with failure-prone field
+// NCPs and two guaranteed-rate apps: one admitted on two paths, one
+// rejected for an impossible minimum rate.
+func writeGRMultipath(t *testing.T) string {
+	t.Helper()
+	f := scenario.Example()
+	for i := range f.Network.NCPs {
+		if f.Network.NCPs[i].Name != "ncp1" {
+			f.Network.NCPs[i].FailProb = 0.05
+		}
+	}
+	gr, impossible := f.Apps[0], f.Apps[0]
+	gr.Name = "face-gr"
+	gr.QoS = scenario.QoSSpec{Class: "guaranteed-rate", MinRate: 0.1, MinRateAvailability: 0.98, MaxPaths: 3}
+	impossible.Name = "face-impossible"
+	impossible.QoS = scenario.QoSSpec{Class: "guaranteed-rate", MinRate: 1e9, MinRateAvailability: 0.99}
+	f.Apps = []scenario.AppSpec{gr, impossible}
+	data, err := f.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.String()
-	for _, want := range []string{"placing", "pinned to", "gamma"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("explain output missing %q:\n%s", want, got)
+	path := filepath.Join(t.TempDir(), "gr-multipath.json")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestExplainFlag compares -explain output byte for byte with the
+// committed goldens, serial and parallel ranking alike.
+func TestExplainFlag(t *testing.T) {
+	for _, tc := range []struct {
+		golden   string
+		scenario func(*testing.T) string
+	}{
+		{"explain-example.golden", writeExample},
+		{"explain-gr-multipath.golden", writeGRMultipath},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := tc.scenario(t)
+		for _, parallel := range []string{"1", "0"} {
+			var out bytes.Buffer
+			if err := run([]string{"-f", path, "-explain", "-parallel", parallel}, &out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("%s at -parallel %s differs:\n got:\n%s\nwant:\n%s", tc.golden, parallel, out.Bytes(), want)
+			}
 		}
 	}
 }
@@ -135,39 +177,45 @@ func TestDOTFlag(t *testing.T) {
 }
 
 // TestRunTrace runs the example scenario with -trace and checks the
-// produced JSON Lines decode into the expected decision events.
+// produced JSON Lines decode into span records carrying the decisions:
+// the admission verdict, the ranked picks and the committed routes.
 func TestRunTrace(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 	var out bytes.Buffer
 	if err := run([]string{"-f", writeExample(t), "-trace", tracePath}, &out); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(tracePath)
+	data, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	events, err := obs.ReadEvents(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("trace file is empty")
-	}
-	types := map[string]int{}
-	for i, ev := range events {
-		typ, _ := ev["type"].(string)
-		if typ == "" {
-			t.Fatalf("event %d has no type: %v", i, ev)
+	var recs []obs.SpanRecord
+	for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
+		var r obs.SpanRecord
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
 		}
-		types[typ]++
-		if seq, ok := ev["seq"].(float64); !ok || int(seq) != i+1 {
-			t.Fatalf("event %d has seq %v, want %d", i, ev["seq"], i+1)
+		recs = append(recs, r)
+	}
+	found := map[string]int{}
+	for _, r := range recs {
+		switch r.Name {
+		case "core.submit":
+			if r.Attrs["app"] == "face-detection" && r.Attrs["outcome"] == "admitted" && r.Attrs["paths"] != nil {
+				found["admission"]++
+			}
+		case "assign.rank":
+			if r.Attrs["ct"] != nil && r.Attrs["gamma"] != nil {
+				found["ranking"]++
+			}
+		}
+		for _, ev := range r.Events {
+			found[ev.Name]++
 		}
 	}
-	for _, want := range []string{"ranking", "route", "admission"} {
-		if types[want] == 0 {
-			t.Fatalf("no %q events; got %v", want, types)
+	for _, want := range []string{"admission", "ranking", "pin", "route"} {
+		if found[want] == 0 {
+			t.Fatalf("no %q decisions in the span trace; got %v", want, found)
 		}
 	}
 }

@@ -25,9 +25,8 @@ import (
 // dense slices once per assignment (placement.EvalView), widest-path
 // bottlenecks are answered from memoized single-source trees, and the
 // candidates of each ranking iteration are scored on a bounded worker
-// pool. An ordered reduction keeps every placement, γ value, Observer
-// callback and trace event byte-identical to the serial path regardless
-// of Parallel.
+// pool. An ordered reduction keeps every placement, γ value and recorded
+// decision identical to the serial path regardless of Parallel.
 type Sparcle struct {
 	// LiteralNu makes γ consider every placed reachable CT, exactly as
 	// the paper's ν_i is written, instead of only the frontier placed CTs
@@ -39,44 +38,22 @@ type Sparcle struct {
 	// iteration: 0 uses GOMAXPROCS, 1 forces the serial path, N > 1 uses
 	// at most N workers. Every setting produces identical output.
 	Parallel int
-	// Observer, when set, receives every placement decision as it is
-	// made, in order: pinned placements first, then the dynamic-ranking
-	// picks with their γ values. Useful for explaining why a task landed
-	// where it did.
-	Observer func(Decision)
-	// Tracer, when enabled, records every ranking iteration (with the
-	// per-CT candidate scores) and every committed widest-path route as
-	// JSONL decision-trace events. A nil tracer is free: no event
-	// payloads are built and the hot loop performs no extra allocations.
-	Tracer *obs.Tracer
 	// Metrics, when set, maintains the evaluation-core counters (γ
 	// evaluations, widest-path cache hits/misses) and the per-iteration
 	// parallelism gauge. A nil registry is free: the hot loop increments
 	// nil no-op metrics and allocates nothing extra.
 	Metrics *obs.Registry
-	// Span, when set, parents one "assign.rank" child span per
-	// dynamic-ranking iteration (the candidate scoring and selection of
-	// Algorithm 2) and one "assign.place" span per committed placement
-	// (the widest-path routing). The scheduler binds a per-call span
-	// here; a nil span is free.
+	// Span, when set, records every placement decision, which explains
+	// why each task landed where it did. It gets one "pin" event per
+	// pinned placement (step, ct, host) and parents one "assign.rank"
+	// span per dynamic-ranking iteration, carrying the pick (step, ct,
+	// host, its γ and the best-host score of every candidate CT), and one
+	// "assign.place" span per committed placement. Every widest-path
+	// route committed is a "route" event (tt, from, to, hops, bottleneck,
+	// relaxations) on the placement's span, or on Span for routes between
+	// pinned CTs. The scheduler binds a per-call span here; a nil span is
+	// free: no decision payload is built.
 	Span *obs.Span
-}
-
-// Decision is one step of the dynamic-ranking placement, reported through
-// Sparcle.Observer.
-type Decision struct {
-	// Step is the 0-based placement order.
-	Step int
-	CT   taskgraph.CTID
-	Host network.NCPID
-	// CTName and HostName are resolved for convenience.
-	CTName, HostName string
-	// Pinned marks data sources, consumers and operator-pinned CTs.
-	Pinned bool
-	// Gamma is γ_{i,j*} for ranked placements: the bottleneck processing
-	// rate this CT imposes at its chosen host (+Inf when unconstrained,
-	// 0 for pinned placements, where no ranking happens).
-	Gamma float64
 }
 
 var _ placement.Algorithm = Sparcle{}
@@ -109,7 +86,7 @@ func DescribeMetrics(reg *obs.Registry) {
 // Assign implements placement.Algorithm.
 func (a Sparcle) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Network, caps *network.Capacities) (*placement.Placement, error) {
 	st, err := newStateCfg(g, pins, net, caps, stateConfig{
-		tracer:    a.Tracer,
+		span:      a.Span,
 		metrics:   a.Metrics,
 		parallel:  a.Parallel,
 		literalNu: a.LiteralNu,
@@ -117,42 +94,27 @@ func (a Sparcle) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 	if err != nil {
 		return nil, err
 	}
-	for i, ct := range st.placed {
-		host := st.p.Host(ct)
-		if a.Observer != nil {
-			a.Observer(Decision{
-				Step: i, CT: ct, Host: host, Pinned: true,
-				CTName: g.CT(ct).Name, HostName: net.NCP(host).Name,
-			})
-		}
-		if st.tracer.Enabled() {
-			st.tracer.Ranking(obs.RankingEvent{
-				Step: i, CT: g.CT(ct).Name, Host: net.NCP(host).Name, Pinned: true,
-			})
+	if a.Span != nil {
+		for i, ct := range st.placed {
+			a.Span.Event("pin", map[string]any{"step": int64(i), "ct": g.CT(ct).Name, "host": net.NCP(st.p.Host(ct)).Name})
 		}
 	}
 	for st.unplaced > 0 {
 		rsp := a.Span.Child("assign.rank")
 		rsp.SetInt("step", int64(len(st.placed)))
-		rsp.SetInt("candidates", int64(st.unplaced))
-		ct, host, gamma, candidates, err := st.dynamicRankNext()
+		ct, host, gamma, err := st.dynamicRankNext()
+		if err == nil && rsp != nil {
+			rsp.SetAttr("ct", g.CT(ct).Name)
+			rsp.SetAttr("host", net.NCP(host).Name)
+			rsp.SetFloat("gamma", gamma)
+			rsp.SetAny("candidates", st.candidates())
+		}
 		rsp.End()
 		if err != nil {
 			return nil, err
 		}
-		if a.Observer != nil {
-			a.Observer(Decision{
-				Step: len(st.placed), CT: ct, Host: host, Gamma: gamma,
-				CTName: g.CT(ct).Name, HostName: net.NCP(host).Name,
-			})
-		}
-		if st.tracer.Enabled() {
-			st.tracer.Ranking(obs.RankingEvent{
-				Step: len(st.placed), CT: g.CT(ct).Name, Host: net.NCP(host).Name,
-				Gamma: obs.Float(gamma), Candidates: candidates,
-			})
-		}
 		psp := a.Span.Child("assign.place")
+		st.span = psp
 		err = st.place(ct, host)
 		psp.End()
 		if err != nil {
@@ -220,7 +182,7 @@ func (o Ordered) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 
 // stateConfig bundles the optional knobs of the greedy state.
 type stateConfig struct {
-	tracer    *obs.Tracer
+	span      *obs.Span
 	metrics   *obs.Registry
 	parallel  int
 	literalNu bool
@@ -271,9 +233,9 @@ type state struct {
 	// literalNu switches gamma to the paper-literal ν_i (every placed
 	// reachable CT) instead of the frontier restriction.
 	literalNu bool
-	// tracer records ranking iterations and committed routes; nil (the
-	// common case) disables all event construction.
-	tracer *obs.Tracer
+	// span receives a "route" event per committed route; nil (the common
+	// case) disables all event construction.
+	span *obs.Span
 
 	// Evaluation-core metrics; nil no-ops when no registry is attached.
 	mGamma *obs.Counter
@@ -313,7 +275,7 @@ func newStateCfg(g *taskgraph.Graph, pins placement.Pins, net *network.Network, 
 		parallel:  parallel,
 		noCache:   cfg.noCache,
 		literalNu: cfg.literalNu,
-		tracer:    cfg.tracer,
+		span:      cfg.span,
 		results:   make([]scored, g.NumCTs()),
 		terms:     make([][]linkTerm, g.NumCTs()),
 		mGamma:    cfg.metrics.Counter(metricGammaEvals),
@@ -364,12 +326,14 @@ func (st *state) place(ct taskgraph.CTID, host network.NCPID) error {
 				tt.Name, st.p.Host(tt.From), st.p.Host(tt.To), placement.ErrInfeasible)
 		}
 		st.route = route
-		if st.tracer.Enabled() {
-			st.tracer.Route(obs.RouteEvent{
-				TT:   tt.Name,
-				From: st.net.NCP(st.p.Host(tt.From)).Name,
-				To:   st.net.NCP(st.p.Host(tt.To)).Name,
-				Hops: len(route), Bottleneck: obs.Float(bottleneck), Relaxations: relaxations,
+		if st.span != nil {
+			st.span.Event("route", map[string]any{
+				"tt":          tt.Name,
+				"from":        st.net.NCP(st.p.Host(tt.From)).Name,
+				"to":          st.net.NCP(st.p.Host(tt.To)).Name,
+				"hops":        int64(len(route)),
+				"bottleneck":  obs.Float(bottleneck),
+				"relaxations": int64(relaxations),
 			})
 		}
 		if err := st.p.PlaceTT(ttID, route); err != nil {
@@ -623,11 +587,10 @@ func (st *state) scoreAll() int {
 // with the smallest such bottleneck — the most constrained one — is placed
 // first at that host. Scoring fans out over the worker pool; the reduction
 // then walks the results in ascending CT id, which reproduces the serial
-// loop's tie-breaking (and therefore its placements, γ values, Observer
-// order and trace events) exactly. It returns the chosen CT, its host and
-// its γ, plus — only when the tracer is enabled, so the hot path allocates
-// nothing — the best-host score of every candidate CT in the iteration.
-func (st *state) dynamicRankNext() (taskgraph.CTID, network.NCPID, float64, []obs.RankingCandidate, error) {
+// loop's tie-breaking (and therefore its placements, γ values and
+// recorded decisions) exactly. It returns the chosen CT, its host and its
+// γ; the scores stay in st.cts/st.results until the next iteration.
+func (st *state) dynamicRankNext() (taskgraph.CTID, network.NCPID, float64, error) {
 	// The unplaced CTs in id order, and their link terms, collected
 	// serially before the fan-out.
 	st.cts = st.cts[:0]
@@ -643,19 +606,10 @@ func (st *state) dynamicRankNext() (taskgraph.CTID, network.NCPID, float64, []ob
 	bestCT := taskgraph.CTID(-1)
 	bestHost := network.NCPID(-1)
 	bestRate := math.Inf(1)
-	var candidates []obs.RankingCandidate
-	if st.tracer.Enabled() {
-		candidates = make([]obs.RankingCandidate, 0, len(cts))
-	}
 	for i, ct := range cts {
 		r := results[i]
 		if !r.feasible {
-			return -1, -1, 0, nil, fmt.Errorf("assign: CT %q (%d): %w", st.g.CT(ct).Name, ct, placement.ErrInfeasible)
-		}
-		if candidates != nil {
-			candidates = append(candidates, obs.RankingCandidate{
-				CT: st.g.CT(ct).Name, Host: st.net.NCP(r.host).Name, Gamma: obs.Float(r.rate),
-			})
+			return -1, -1, 0, fmt.Errorf("assign: CT %q (%d): %w", st.g.CT(ct).Name, ct, placement.ErrInfeasible)
 		}
 		if r.rate < bestRate {
 			bestRate = r.rate
@@ -670,5 +624,17 @@ func (st *state) dynamicRankNext() (taskgraph.CTID, network.NCPID, float64, []ob
 		bestCT = cts[0]
 		bestHost = results[0].host
 	}
-	return bestCT, bestHost, bestRate, candidates, nil
+	return bestCT, bestHost, bestRate, nil
+}
+
+// candidates renders the scores of the last ranking iteration: the best
+// host and γ of every unplaced CT, in CT id order (the chosen CT is the
+// minimum).
+func (st *state) candidates() []map[string]any {
+	out := make([]map[string]any, len(st.cts))
+	for i, ct := range st.cts {
+		r := st.results[i]
+		out[i] = map[string]any{"ct": st.g.CT(ct).Name, "host": st.net.NCP(r.host).Name, "gamma": obs.Float(r.rate)}
+	}
+	return out
 }

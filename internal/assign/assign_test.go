@@ -538,29 +538,27 @@ func TestAssignOverDirectedNetwork(t *testing.T) {
 	}
 }
 
-func TestObserverSeesEveryDecision(t *testing.T) {
+// TestSpanRecordsEveryDecision: the span bound to an assignment records
+// one decision per CT, pinned placements first, each agreeing with the
+// placement and every ranked pick carrying its γ.
+func TestSpanRecordsEveryDecision(t *testing.T) {
 	g := mustLinear(t, []float64{10, 20}, []float64{1, 1, 1})
 	net := lineNet(t, []float64{0, 100, 100, 0}, []float64{1e3, 1e3, 1e3})
 	pins := pinEnds(g, 0, 3)
-	var decisions []Decision
-	alg := Sparcle{Observer: func(d Decision) { decisions = append(decisions, d) }}
-	p, err := alg.Assign(g, pins, net, net.BaseCapacities())
+	p, decisions, _, err := tracedAssign(t, Sparcle{}, g, pins, net, net.BaseCapacities())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(decisions) != g.NumCTs() {
-		t.Fatalf("observed %d decisions, want %d", len(decisions), g.NumCTs())
+		t.Fatalf("recorded %d decisions, want %d", len(decisions), g.NumCTs())
 	}
 	pinned, ranked := 0, 0
 	for i, d := range decisions {
-		if d.Step != i {
+		if d.Step != int64(i) {
 			t.Fatalf("decision %d has step %d", i, d.Step)
 		}
-		if d.Host != p.Host(d.CT) {
-			t.Fatalf("decision host %v disagrees with placement %v", d.Host, p.Host(d.CT))
-		}
-		if d.CTName == "" || d.HostName == "" {
-			t.Fatalf("decision %d missing names: %+v", i, d)
+		if d.Host != net.NCP(p.Host(ctIDByName(g, d.CT))).Name {
+			t.Fatalf("decision %+v disagrees with placement", d)
 		}
 		if d.Pinned {
 			pinned++

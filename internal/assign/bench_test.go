@@ -66,7 +66,7 @@ func BenchmarkDynamicRank(b *testing.B) {
 					b.Fatal(err)
 				}
 				for st.unplaced > 0 {
-					ct, host, _, _, err := st.dynamicRankNext()
+					ct, host, _, err := st.dynamicRankNext()
 					if err != nil {
 						b.Fatal(err)
 					}

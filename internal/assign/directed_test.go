@@ -43,8 +43,7 @@ func TestGammaFollowsTTDirection(t *testing.T) {
 		}
 	}
 
-	var decisions []Decision
-	p, err := Sparcle{Observer: func(d Decision) { decisions = append(decisions, d) }}.Assign(g, pins, net, net.BaseCapacities())
+	p, decisions, _, err := tracedAssign(t, Sparcle{}, g, pins, net, net.BaseCapacities())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestGammaFollowsTTDirection(t *testing.T) {
 		t.Fatalf("placement rate = %v, want 10", got)
 	}
 	// Algorithm 2's reported γ is the rate the placement achieves.
-	if last := decisions[len(decisions)-1]; last.CT != worker || last.Gamma != got {
+	if last := decisions[len(decisions)-1]; last.CT != g.CT(worker).Name || last.Gamma != got {
 		t.Fatalf("ranked decision %+v, placement rate %v", last, got)
 	}
 }
@@ -106,18 +105,23 @@ func TestPropertyCacheIdenticalDirected(t *testing.T) {
 		pins := placement.Pins{g.Sources()[0]: ids[rng.Intn(n)], g.Sinks()[0]: ids[rng.Intn(n)]}
 		caps := net.BaseCapacities()
 
-		run := func(noCache bool) []Decision {
+		type pick struct {
+			ct    taskgraph.CTID
+			host  network.NCPID
+			gamma float64
+		}
+		run := func(noCache bool) []pick {
 			st, err := newStateCfg(g, pins, net, caps, stateConfig{noCache: noCache})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var out []Decision
+			var out []pick
 			for st.unplaced > 0 {
-				ct, host, gamma, _, err := st.dynamicRankNext()
+				ct, host, gamma, err := st.dynamicRankNext()
 				if err != nil {
 					t.Fatal(err)
 				}
-				out = append(out, Decision{Step: len(st.placed), CT: ct, Host: host, Gamma: gamma})
+				out = append(out, pick{ct, host, gamma})
 				if err := st.place(ct, host); err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +133,7 @@ func TestPropertyCacheIdenticalDirected(t *testing.T) {
 			t.Fatalf("trial %d: %d cached decisions != %d fresh", trial, len(cached), len(fresh))
 		}
 		for i, d := range fresh {
-			if cd := cached[i]; cd.CT != d.CT || cd.Host != d.Host || math.Float64bits(cd.Gamma) != math.Float64bits(d.Gamma) {
+			if cd := cached[i]; cd.ct != d.ct || cd.host != d.host || math.Float64bits(cd.gamma) != math.Float64bits(d.gamma) {
 				t.Fatalf("trial %d: decision %d cached %+v != fresh %+v", trial, i, cd, d)
 			}
 		}

@@ -125,10 +125,11 @@ func goldenStream(t testing.TB, net *network.Network, seed int64, apps int) []by
 		for _, r := range residents {
 			r.p.Subtract(residual, r.rate)
 		}
-		alg := Sparcle{Observer: func(d Decision) {
-			fmt.Fprintf(&out, "  step %d ct %d host %d gamma %016x\n", d.Step, d.CT, d.Host, math.Float64bits(d.Gamma))
-		}}
-		p, err := alg.Assign(g, pinEnds(g, src, snk), net, residual)
+		p, decisions, _, err := tracedAssign(t, Sparcle{}, g, pinEnds(g, src, snk), net, residual)
+		for _, d := range decisions {
+			host, _ := net.NCPIDByName(d.Host)
+			fmt.Fprintf(&out, "  step %d ct %d host %d gamma %016x\n", d.Step, ctIDByName(g, d.CT), host, math.Float64bits(d.Gamma))
+		}
 		if err != nil {
 			fmt.Fprintf(&out, "  error %v\n", err)
 			continue
@@ -145,6 +146,16 @@ func goldenStream(t testing.TB, net *network.Network, seed int64, apps int) []by
 		}
 	}
 	return out.Bytes()
+}
+
+// ctIDByName resolves a CT name recorded in a span back to its id.
+func ctIDByName(g *taskgraph.Graph, name string) taskgraph.CTID {
+	for ct := 0; ct < g.NumCTs(); ct++ {
+		if g.CT(taskgraph.CTID(ct)).Name == name {
+			return taskgraph.CTID(ct)
+		}
+	}
+	return -1
 }
 
 // linearApp draws the a-th application of a seeded stream shaped like the

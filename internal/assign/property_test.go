@@ -1,9 +1,11 @@
 package assign
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sparcle/internal/network"
@@ -21,7 +23,7 @@ func randomInstance(t *testing.T, rng *rand.Rand) (*taskgraph.Graph, placement.P
 	nb := network.NewBuilder("prop")
 	ids := make([]network.NCPID, n)
 	for i := range ids {
-		ids[i] = nb.AddNCP("n", resource.Vector{resource.CPU: 20 + rng.Float64()*100}, 0)
+		ids[i] = nb.AddNCP(fmt.Sprintf("n%d", i), resource.Vector{resource.CPU: 20 + rng.Float64()*100}, 0)
 	}
 	// Ring for connectivity plus random chords.
 	for i := 0; i < n; i++ {
@@ -194,36 +196,34 @@ func TestPropertyFrontierSubsetOfReachable(t *testing.T) {
 
 // TestPropertyParallelIdentical: the parallel candidate scorer is an
 // implementation detail — for every worker bound the placements, γ
-// sequences, Observer decisions and decision-trace bytes are identical to
-// the serial path. This is the determinism contract of the ordered
-// reduction (and of the widest-path cache, which serial and parallel runs
-// exercise very differently).
+// sequences and recorded span trees (names, attributes and events, with
+// timestamps stripped) are identical to the serial path. This is the
+// determinism contract of the ordered reduction (and of the widest-path
+// cache, which serial and parallel runs exercise very differently).
 func TestPropertyParallelIdentical(t *testing.T) {
 	type run struct {
 		hosts     []network.NCPID
 		routes    [][]network.LinkID
-		decisions []Decision
-		trace     []byte
+		decisions []decision
+		spans     []obs.SpanRecord
 	}
 	runOnce := func(t *testing.T, g *taskgraph.Graph, pins placement.Pins, net *network.Network, parallel int) run {
 		t.Helper()
 		var r run
-		var buf bytes.Buffer
-		tr := obs.NewTracer(&buf)
-		alg := Sparcle{
-			Parallel: parallel,
-			Tracer:   tr,
-			Metrics:  obs.NewRegistry(),
-			Observer: func(d Decision) { r.decisions = append(r.decisions, d) },
-		}
-		p, err := alg.Assign(g, pins, net, net.BaseCapacities())
+		alg := Sparcle{Parallel: parallel, Metrics: obs.NewRegistry()}
+		p, decisions, recs, err := tracedAssign(t, alg, g, pins, net, net.BaseCapacities())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
+		r.decisions = decisions
+		for _, rec := range recs {
+			rec.Start, rec.Dur = 0, 0
+			rec.Events = slices.Clone(rec.Events)
+			for i := range rec.Events {
+				rec.Events[i].TS = 0
+			}
+			r.spans = append(r.spans, rec)
 		}
-		r.trace = buf.Bytes()
 		for ct := 0; ct < g.NumCTs(); ct++ {
 			r.hosts = append(r.hosts, p.Host(taskgraph.CTID(ct)))
 		}
@@ -261,13 +261,13 @@ func TestPropertyParallelIdentical(t *testing.T) {
 				pd := par.decisions[i]
 				// γ equality is bit-exact, not approximate: the parallel
 				// scorer must perform the identical float operations.
-				if pd.CT != d.CT || pd.Host != d.Host || pd.Pinned != d.Pinned ||
+				if pd.Step != d.Step || pd.CT != d.CT || pd.Host != d.Host || pd.Pinned != d.Pinned ||
 					math.Float64bits(pd.Gamma) != math.Float64bits(d.Gamma) {
 					t.Fatalf("trial %d, parallel=%d: decision %d = %+v != serial %+v", trial, n, i, pd, d)
 				}
 			}
-			if !bytes.Equal(par.trace, serial.trace) {
-				t.Fatalf("trial %d, parallel=%d: trace bytes differ\nserial:\n%s\nparallel:\n%s", trial, n, serial.trace, par.trace)
+			if !reflect.DeepEqual(par.spans, serial.spans) {
+				t.Fatalf("trial %d, parallel=%d: span records differ\nserial:\n%+v\nparallel:\n%+v", trial, n, serial.spans, par.spans)
 			}
 		}
 	}
@@ -281,23 +281,24 @@ func TestPropertyCacheIdentical(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g, pins, net := randomInstance(t, rng)
 		caps := net.BaseCapacities()
-		var cached, fresh []Decision
-		if _, err := (Sparcle{Observer: func(d Decision) { cached = append(cached, d) }}).Assign(g, pins, net, caps); err != nil {
+		_, cached, _, err := tracedAssign(t, Sparcle{}, g, pins, net, caps)
+		if err != nil {
 			t.Fatal(err)
 		}
 		st, err := newStateCfg(g, pins, net, caps, stateConfig{noCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var fresh []decision
 		for i, ct := range st.placed {
-			fresh = append(fresh, Decision{Step: i, CT: ct, Host: st.p.Host(ct), Pinned: true})
+			fresh = append(fresh, decision{Step: int64(i), CT: g.CT(ct).Name, Host: net.NCP(st.p.Host(ct)).Name, Pinned: true})
 		}
 		for st.unplaced > 0 {
-			ct, host, gamma, _, err := st.dynamicRankNext()
+			ct, host, gamma, err := st.dynamicRankNext()
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh = append(fresh, Decision{Step: len(st.placed), CT: ct, Host: host, Gamma: gamma})
+			fresh = append(fresh, decision{Step: int64(len(st.placed)), CT: g.CT(ct).Name, Host: net.NCP(host).Name, Gamma: gamma})
 			if err := st.place(ct, host); err != nil {
 				t.Fatal(err)
 			}

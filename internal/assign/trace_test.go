@@ -1,8 +1,8 @@
 package assign
 
 import (
-	"bytes"
-	"io"
+	"cmp"
+	"slices"
 	"testing"
 
 	"sparcle/internal/network"
@@ -33,62 +33,93 @@ func traceInstance(t *testing.T) (*taskgraph.Graph, placement.Pins, *network.Net
 	return g, pinEnds(g, src, snk), net
 }
 
+// decision is one placement step as an assignment's span records carry
+// it: a "pin" event on the bound span, or the pick of an assign.rank span.
+type decision struct {
+	Step     int64
+	CT, Host string
+	Pinned   bool
+	Gamma    float64
+}
+
+// tracedAssign runs a with a span bound and returns the placement, the
+// decisions read back from the finished trace, and its span records.
+func tracedAssign(t testing.TB, a Sparcle, g *taskgraph.Graph, pins placement.Pins, net *network.Network, caps *network.Capacities) (*placement.Placement, []decision, []obs.SpanRecord, error) {
+	t.Helper()
+	st := obs.NewSpanTracer(obs.SpanOptions{FlightSize: 1})
+	a.Span = st.Start("assign.path")
+	p, err := a.Assign(g, pins, net, caps)
+	a.Span.End()
+	recs := st.Flight()[0]
+	return p, decisionsOf(recs), recs, err
+}
+
+// decisionsOf lists the decisions of one assignment's records in
+// placement order: span ids grow in creation order, so the bound span's
+// pins come before the ranked picks of its assign.rank children.
+func decisionsOf(recs []obs.SpanRecord) []decision {
+	recs = slices.Clone(recs)
+	slices.SortFunc(recs, func(a, b obs.SpanRecord) int { return cmp.Compare(a.Span, b.Span) })
+	var out []decision
+	for _, r := range recs {
+		switch r.Name {
+		case "assign.path":
+			for _, ev := range r.Events {
+				if ev.Name == "pin" {
+					out = append(out, decision{Step: ev.Attrs["step"].(int64), CT: ev.Attrs["ct"].(string), Host: ev.Attrs["host"].(string), Pinned: true})
+				}
+			}
+		case "assign.rank":
+			if ct, ok := r.Attrs["ct"].(string); ok {
+				out = append(out, decision{Step: r.Attrs["step"].(int64), CT: ct, Host: r.Attrs["host"].(string), Gamma: float64(r.Attrs["gamma"].(obs.Float))})
+			}
+		}
+	}
+	return out
+}
+
 func TestAssignTraceEvents(t *testing.T) {
 	g, pins, net := traceInstance(t)
-	var buf bytes.Buffer
-	tr := obs.NewTracer(&buf)
-	if _, err := (Sparcle{Tracer: tr}).Assign(g, pins, net, net.BaseCapacities()); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadEvents(&buf)
+	_, decisions, recs, err := tracedAssign(t, Sparcle{}, g, pins, net, net.BaseCapacities())
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	for _, e := range events {
-		counts[e["type"].(string)]++
+	// 2 pinned + 1 ranked placement.
+	if len(decisions) != 3 || !decisions[0].Pinned || !decisions[1].Pinned {
+		t.Fatalf("decisions = %+v", decisions)
 	}
-	// 2 pinned + 1 ranked placement; 2 TTs routed.
-	if counts["ranking"] != 3 {
-		t.Fatalf("ranking events = %d (events %v)", counts["ranking"], events)
+	// The lone unplaced CT picks the bigger middle NCP.
+	if ranked := decisions[2]; ranked.CT != "ct1" || ranked.Host != "m1" || ranked.Pinned {
+		t.Fatalf("ranked = %+v", ranked)
 	}
-	if counts["route"] != 2 {
-		t.Fatalf("route events = %d", counts["route"])
-	}
-	var ranked map[string]any
-	for _, e := range events {
-		if e["type"] == "ranking" && e["pinned"] == nil {
-			ranked = e
-		}
-	}
-	if ranked == nil {
-		t.Fatal("no ranked placement event")
-	}
-	// The lone unplaced CT picks the bigger middle NCP; its candidate
-	// scores are recorded.
-	if ranked["ct"] != "ct1" || ranked["host"] != "m1" {
-		t.Fatalf("ranked = %v", ranked)
-	}
-	cands, ok := ranked["candidates"].([]any)
-	if !ok || len(cands) != 1 {
-		t.Fatalf("candidates = %v", ranked["candidates"])
-	}
-	for _, e := range events {
-		if e["type"] == "route" {
-			if e["relaxations"].(float64) <= 0 || e["hops"].(float64) < 1 {
-				t.Fatalf("route event = %v", e)
+	routes := 0
+	for _, r := range recs {
+		switch r.Name {
+		case "assign.rank":
+			// The candidate scores of the iteration are recorded.
+			cands, ok := r.Attrs["candidates"].([]map[string]any)
+			if !ok || len(cands) != 1 || cands[0]["ct"] != "ct1" {
+				t.Fatalf("candidates = %v", r.Attrs["candidates"])
+			}
+		case "assign.place":
+			for _, ev := range r.Events {
+				routes++
+				if ev.Name != "route" || ev.Attrs["relaxations"].(int64) <= 0 || ev.Attrs["hops"].(int64) < 1 {
+					t.Fatalf("route event = %+v", ev)
+				}
 			}
 		}
+	}
+	// Both TTs are routed when the worker CT lands.
+	if routes != 2 {
+		t.Fatalf("route events = %d", routes)
 	}
 }
 
 // TestAssignNoAllocsWhenUntraced pins the telemetry-off contract of the
-// hot loop: an explicit nil Tracer and a nil Metrics registry must follow
+// hot loop: an explicit nil Span and a nil Metrics registry must follow
 // exactly the same allocation profile as the plain zero-value algorithm
-// (no candidate slices, no event payloads, no metric series). Parallel is
+// (no candidate lists, no event payloads, no metric series). Parallel is
 // pinned to 1 so worker-goroutine bookkeeping does not blur the
 // comparison on multi-core machines.
 func TestAssignNoAllocsWhenUntraced(t *testing.T) {
@@ -103,15 +134,15 @@ func TestAssignNoAllocsWhenUntraced(t *testing.T) {
 		})
 	}
 	plain := measure(Sparcle{})
-	untraced := measure(Sparcle{Tracer: nil})
+	untraced := measure(Sparcle{Span: nil})
 	if plain != untraced {
-		t.Fatalf("nil tracer changes allocations: %v != %v", untraced, plain)
+		t.Fatalf("nil span changes allocations: %v != %v", untraced, plain)
 	}
 	unmetered := measure(Sparcle{Metrics: nil})
 	if plain != unmetered {
 		t.Fatalf("nil metrics registry changes allocations: %v != %v", unmetered, plain)
 	}
-	traced := measure(Sparcle{Tracer: obs.NewTracer(io.Discard)})
+	traced := measure(Sparcle{Span: obs.NewSpanTracer(obs.SpanOptions{}).Start("assign.path")})
 	if traced <= plain {
 		t.Fatalf("tracing did not record anything? traced=%v plain=%v", traced, plain)
 	}

@@ -160,12 +160,6 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(d *Driver) { d.metrics = reg }
 }
 
-// WithTracer attaches a decision tracer: every injection, recovery,
-// repair attempt, give-up and heal is emitted as one chaos event.
-func WithTracer(tr *obs.Tracer) Option {
-	return func(d *Driver) { d.tracer = tr }
-}
-
 // WithLogger attaches a structured logger for chaos events.
 func WithLogger(l *slog.Logger) Option {
 	return func(d *Driver) {
@@ -179,11 +173,17 @@ func WithLogger(l *slog.Logger) Option {
 // self-healing loop. The timeline is virtual: trace events and backoff
 // timers share one deterministic clock, so runs are exactly reproducible
 // and the backoff discipline is testable without sleeping.
+//
+// When the scheduler has a span tracer (core.Scheduler.SetSpans), every
+// step of the timeline is a root span on it — chaos.inject,
+// chaos.recover, chaos.repair, chaos.give-up, chaos.requeue and
+// chaos.heal, with the virtual time in an "at" attribute — and the
+// scheduler operation a step runs (core.fluctuation, core.repair) nests
+// under it.
 type Driver struct {
 	sched   *core.Scheduler
 	policy  Policy
 	metrics *obs.Registry
-	tracer  *obs.Tracer
 	log     *slog.Logger
 	rng     *rand.Rand
 }
@@ -397,12 +397,10 @@ func (d *Driver) Run(tr *Trace) (*Result, error) {
 			d.metrics.Counter(metricGiveUps).Inc()
 			d.metrics.Gauge(metricDegradedApps).Add(1)
 		}
-		if d.tracer.Enabled() {
-			d.tracer.Chaos(obs.ChaosEvent{
-				Header: obs.Header{App: st.name}, Kind: "give-up", At: t,
-				Attempt: st.attempts,
-				Reason:  fmt.Sprintf("exhausted %d repair attempts", d.policy.MaxAttempts),
-			})
+		if sp := d.span("chaos.give-up", t, st.name); sp != nil {
+			sp.SetInt("attempt", int64(st.attempts))
+			sp.SetAttr("reason", fmt.Sprintf("exhausted %d repair attempts", d.policy.MaxAttempts))
+			sp.End()
 		}
 		d.log.Warn("chaos: repair given up, app degraded", "app", st.name, "t", t, "attempts", st.attempts)
 	}
@@ -431,9 +429,7 @@ func (d *Driver) Run(tr *Trace) (*Result, error) {
 			if d.metrics != nil {
 				d.metrics.Counter(metricRepairs, obs.L("outcome", "healed")).Inc()
 			}
-			if d.tracer.Enabled() {
-				d.tracer.Chaos(obs.ChaosEvent{Header: obs.Header{App: st.name}, Kind: "heal", At: t})
-			}
+			d.span("chaos.heal", t, st.name).End()
 			st.attempts = 0
 			clearDegraded(st, t)
 			return
@@ -446,8 +442,20 @@ func (d *Driver) Run(tr *Trace) (*Result, error) {
 			}
 		}
 		res.RepairAttempts++
+		sp := d.span("chaos.repair", t, st.name)
+		sp.SetInt("attempt", int64(st.attempts))
+		d.sched.SetRequestSpan(sp)
 		pa, err := d.sched.Repair(st.name)
+		d.sched.SetRequestSpan(nil)
 		rec := AttemptRecord{App: st.name, At: t, Attempt: st.attempts}
+		defer func() {
+			sp.SetAttr("outcome", rec.Outcome)
+			if sp != nil && err != nil {
+				sp.SetFloat("backoff", rec.Backoff)
+				sp.SetAttr("reason", err.Error())
+			}
+			sp.End()
+		}()
 		if err == nil {
 			st.pa = pa
 			st.refreshPaths()
@@ -458,9 +466,6 @@ func (d *Driver) Run(tr *Trace) (*Result, error) {
 			clearDegraded(st, t)
 			if d.metrics != nil {
 				d.metrics.Counter(metricRepairs, obs.L("outcome", "repaired")).Inc()
-			}
-			if d.tracer.Enabled() {
-				d.tracer.Chaos(obs.ChaosEvent{Header: obs.Header{App: st.name}, Kind: "repair", At: t, Attempt: rec.Attempt, Outcome: "repaired"})
 			}
 		} else {
 			st.failures++
@@ -477,12 +482,6 @@ func (d *Driver) Run(tr *Trace) (*Result, error) {
 			rec.Outcome = "failed"
 			rec.Backoff = d.policy.Backoff(st.attempts, d.rng)
 			st.pendingAt = t + rec.Backoff
-			if d.tracer.Enabled() {
-				d.tracer.Chaos(obs.ChaosEvent{
-					Header: obs.Header{App: st.name}, Kind: "repair", At: t,
-					Attempt: rec.Attempt, Outcome: "failed", Backoff: rec.Backoff, Reason: err.Error(),
-				})
-			}
 		}
 		res.Attempts = append(res.Attempts, rec)
 	}
@@ -519,8 +518,12 @@ func (d *Driver) Run(tr *Trace) (*Result, error) {
 			res.Injections += len(ev.Down)
 			res.Recoveries += len(ev.Up)
 			recovered = len(ev.Up) > 0
-			d.recordTransitions(ev)
-			if err := applyDown(t); err != nil {
+			sp := d.recordTransitions(ev)
+			d.sched.SetRequestSpan(sp)
+			err := applyDown(t)
+			d.sched.SetRequestSpan(nil)
+			sp.End()
+			if err != nil {
 				return nil, err
 			}
 			// A recovery event grants every degraded app a fresh episode
@@ -531,9 +534,7 @@ func (d *Driver) Run(tr *Trace) (*Result, error) {
 					if st.degraded && math.IsNaN(st.pendingAt) {
 						st.attempts = 0
 						st.pendingAt = t
-						if d.tracer.Enabled() {
-							d.tracer.Chaos(obs.ChaosEvent{Header: obs.Header{App: st.name}, Kind: "requeue", At: t})
-						}
+						d.span("chaos.requeue", t, st.name).End()
 					}
 				}
 			}
@@ -598,8 +599,11 @@ func (d *Driver) Run(tr *Trace) (*Result, error) {
 	return res, nil
 }
 
-// recordTransitions emits the telemetry for one trace event.
-func (d *Driver) recordTransitions(ev Event) {
+// recordTransitions emits the telemetry for one trace event and returns
+// the span its fluctuation nests under: chaos.recover when elements come
+// back, chaos.inject otherwise (an injection at the same instant as a
+// recovery is a span of its own, ended here).
+func (d *Driver) recordTransitions(ev Event) *obs.Span {
 	if d.metrics != nil {
 		if len(ev.Down) > 0 {
 			d.metrics.Counter(metricInjections).Add(float64(len(ev.Down)))
@@ -608,18 +612,29 @@ func (d *Driver) recordTransitions(ev Event) {
 			d.metrics.Counter(metricRecoveries).Add(float64(len(ev.Up)))
 		}
 	}
-	if d.tracer.Enabled() {
-		if len(ev.Down) > 0 {
-			d.tracer.Chaos(obs.ChaosEvent{Kind: "inject", At: ev.At, Elements: len(ev.Down)})
-		}
-		if len(ev.Up) > 0 {
-			d.tracer.Chaos(obs.ChaosEvent{Kind: "recover", At: ev.At, Elements: len(ev.Up)})
-		}
-	}
+	var sp *obs.Span
 	if len(ev.Down) > 0 {
+		sp = d.span("chaos.inject", ev.At, "")
+		sp.SetInt("elements", int64(len(ev.Down)))
 		d.log.Info("chaos: elements failed", "t", ev.At, "elements", len(ev.Down))
 	}
 	if len(ev.Up) > 0 {
+		sp.End()
+		sp = d.span("chaos.recover", ev.At, "")
+		sp.SetInt("elements", int64(len(ev.Up)))
 		d.log.Info("chaos: elements recovered", "t", ev.At, "elements", len(ev.Up))
 	}
+	return sp
+}
+
+// span opens the root span of one timeline step on the scheduler's span
+// tracer, at virtual time t, for app (empty for element transitions). It
+// returns nil when the scheduler is untraced.
+func (d *Driver) span(name string, t float64, app string) *obs.Span {
+	sp := d.sched.Spans().Start(name)
+	sp.SetFloat("at", t)
+	if app != "" {
+		sp.SetAttr("app", app)
+	}
+	return sp
 }

@@ -1,8 +1,8 @@
 package chaos
 
 import (
-	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"sparcle/internal/core"
@@ -269,8 +269,9 @@ func mustGenerate(t *testing.T, net *network.Network, cfg TraceConfig) *Trace {
 	return tr
 }
 
-// TestDriverTelemetry checks the metric families and chaos trace events a
-// run leaves behind, and that the nil-registry path stays allocation-free.
+// TestDriverTelemetry checks the metric families and chaos timeline spans
+// a run leaves behind on the scheduler's span tracer, with the
+// scheduler's own operations nested under the steps that ran them.
 func TestDriverTelemetry(t *testing.T) {
 	net := twoBranchNet(t, 100, 100, 1e6, 0.05, 0)
 	s := core.New(net)
@@ -280,8 +281,8 @@ func TestDriverTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	var buf bytes.Buffer
-	tc := obs.NewTracer(&buf)
+	spans := obs.NewSpanTracer(obs.SpanOptions{FlightSize: 1024})
+	s.SetSpans(spans)
 	m1 := ncpElem(t, net, "m1")
 	m2 := ncpElem(t, net, "m2")
 	tr, err := FromOutages(100, []Outage{
@@ -291,12 +292,9 @@ func TestDriverTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDriver(s, Policy{MaxAttempts: 2}, WithMetrics(reg), WithTracer(tc))
+	d := NewDriver(s, Policy{MaxAttempts: 2}, WithMetrics(reg))
 	res, err := d.Run(tr)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -321,20 +319,38 @@ func TestDriverTelemetry(t *testing.T) {
 		t.Errorf("degraded seconds = %v, want > 0 (both hosts were down)", g)
 	}
 
-	events, err := obs.ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	kinds := map[string]int{}
-	for _, e := range events {
-		if e["type"] == "chaos" {
-			kinds[e["kind"].(string)]++
+	for _, trace := range spans.Flight() {
+		root := trace[len(trace)-1]
+		if !strings.HasPrefix(root.Name, "chaos.") {
+			continue // the end-of-run restore to nominal capacities
+		}
+		if _, ok := root.Attrs["at"].(obs.Float); !ok || root.Parent != 0 {
+			t.Errorf("timeline span %q has no virtual time or is not a root: %+v", root.Name, root)
+		}
+		kinds[root.Name]++
+		for _, r := range trace[:len(trace)-1] {
+			if r.Parent != root.Span {
+				continue
+			}
+			switch {
+			case root.Name == "chaos.repair" && r.Name == "core.repair":
+				if r.Attrs["outcome"] != root.Attrs["outcome"] && root.Attrs["outcome"] != "gave-up" {
+					t.Errorf("core.repair outcome %v under chaos.repair %v", r.Attrs["outcome"], root.Attrs["outcome"])
+				}
+				kinds["nested repair"]++
+			case (root.Name == "chaos.inject" || root.Name == "chaos.recover") && r.Name == "core.fluctuation":
+				kinds["nested fluctuation"]++
+			}
 		}
 	}
-	for _, k := range []string{"inject", "recover", "repair", "give-up", "requeue", "heal"} {
+	for _, k := range []string{"chaos.inject", "chaos.recover", "chaos.repair", "chaos.give-up", "chaos.requeue", "chaos.heal", "nested repair", "nested fluctuation"} {
 		if kinds[k] == 0 {
-			t.Errorf("no %q chaos event in the decision trace: %v", k, kinds)
+			t.Errorf("no %q in the span trace: %v", k, kinds)
 		}
+	}
+	if kinds["nested repair"] != res.RepairAttempts {
+		t.Errorf("%d core.repair spans under chaos.repair, want %d", kinds["nested repair"], res.RepairAttempts)
 	}
 }
 

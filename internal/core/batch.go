@@ -51,7 +51,7 @@ func (s *Scheduler) SubmitBatch(apps []App) ([]BatchResult, error) {
 			s.metrics.Histogram(metricPlacementSeconds, nil, obs.L("class", app.QoS.Class.String())).Observe(time.Since(start).Seconds())
 		}
 		s.opSpan = sp
-		asp.SetAttr("outcome", submitOutcome(err))
+		recordVerdict(asp, app, pa, err)
 		asp.End()
 		results[i] = BatchResult{Name: app.Name, App: pa, Err: err}
 	}
@@ -106,9 +106,18 @@ func (s *Scheduler) failBatch(results []BatchResult, cause error) error {
 		if results[i].Err == nil {
 			results[i].App = nil
 			results[i].Err = fmt.Errorf("core: %w: batch allocation failed", ErrRejected)
+			s.recordOverturn(results[i])
 		}
 	}
 	return fmt.Errorf("core: batch allocation failed, batch rolled back: %w", cause)
+}
+
+// recordOverturn records, on the batch span, a verdict the batch's end
+// reversed after the app's batch.submit span recorded it admitted.
+func (s *Scheduler) recordOverturn(r BatchResult) {
+	if s.opSpan != nil {
+		s.opSpan.Event("admission", map[string]any{"app": r.Name, "outcome": submitOutcome(r.Err), "reason": r.Err.Error()})
+	}
 }
 
 // rollbackBatch structurally withdraws every admitted app of the batch,
@@ -138,6 +147,7 @@ func (s *Scheduler) evictZeroRate(results []BatchResult) bool {
 		s.unlist(pa)
 		results[i].App = nil
 		results[i].Err = fmt.Errorf("core: BE app %q: %w: allocated rate is zero", pa.App.Name, ErrRejected)
+		s.recordOverturn(results[i])
 		evicted = true
 	}
 	return evicted

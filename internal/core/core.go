@@ -161,14 +161,6 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Scheduler) { s.metrics = reg }
 }
 
-// WithTracer attaches a decision-trace recorder: every ranking
-// iteration, committed route, admission verdict, repair attempt and
-// allocation solve is emitted as one JSONL event. The default (no
-// tracer) is free — hot paths are guarded by a single enabled check.
-func WithTracer(tr *obs.Tracer) Option {
-	return func(s *Scheduler) { s.tracer = tr }
-}
-
 // WithLogger attaches a structured logger for operational events
 // (admissions, rejections, repairs, fluctuations). The default logger
 // discards everything, keeping library use silent.
@@ -183,7 +175,7 @@ func WithLogger(l *slog.Logger) Option {
 // WithParallelism bounds the candidate-scoring workers of SPARCLE's
 // dynamic-ranking iterations: 0 (the default) uses GOMAXPROCS, 1 forces
 // the serial path, n > 1 uses at most n goroutines. Placements, γ values
-// and trace output are identical at every setting; only wall-clock
+// and recorded decisions are identical at every setting; only wall-clock
 // changes. Ignored when WithAlgorithm selects a non-SPARCLE algorithm.
 func WithParallelism(n int) Option {
 	return func(s *Scheduler) { s.parallel = n }
@@ -222,12 +214,11 @@ type Scheduler struct {
 
 	// Telemetry sinks; all default to no-ops (see internal/obs).
 	metrics *obs.Registry
-	tracer  *obs.Tracer
 	log     *slog.Logger
-	// spans, when set, emits hierarchical latency-attribution spans for
-	// every operation (see spans.go). reqSpan is the server-installed
-	// parent of the current request; opSpan is the span of the operation
-	// currently executing, exposed to the journal commit hook via OpSpan.
+	// spans, when set, emits hierarchical spans, decisions included, for
+	// every operation (see spans.go). reqSpan is the server-installed parent
+	// of the current request; opSpan is the span of the operation currently
+	// executing, exposed to the journal commit hook via OpSpan.
 	spans   *obs.SpanTracer
 	reqSpan *obs.Span
 	opSpan  *obs.Span
@@ -279,9 +270,6 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 	// Route telemetry and the parallelism bound into the assignment
 	// algorithm when it is SPARCLE's own (baselines have no such hooks).
 	if sp, ok := s.alg.(assign.Sparcle); ok {
-		if s.tracer.Enabled() {
-			sp.Tracer = s.tracer
-		}
 		sp.Metrics = s.metrics
 		sp.Parallel = s.parallel
 		s.alg = sp
@@ -335,7 +323,7 @@ var allocCycleBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 100, 200, 300}
 // telemetryOn reports whether any sink beyond the no-op logger is
 // attached; Submit takes the zero-overhead path when it is false.
 func (s *Scheduler) telemetryOn() bool {
-	return s.metrics != nil || s.tracer.Enabled() || s.log.Enabled(nil, slog.LevelWarn)
+	return s.metrics != nil || s.log.Enabled(nil, slog.LevelWarn)
 }
 
 // publish writes the post-operation state to the per-app rate gauges and
@@ -459,7 +447,7 @@ func (s *Scheduler) Submit(app App) (*PlacedApp, error) {
 	s.opSpan = sp
 	defer func() { s.opSpan = nil; sp.End() }()
 	pa, err := s.submitObserved(app)
-	sp.SetAttr("outcome", submitOutcome(err))
+	recordVerdict(sp, app, pa, err)
 	rec := &Record{Op: OpAdmit, Outcome: submitOutcome(err), Name: app.Name}
 	if err != nil {
 		rec.Reason = err.Error()
@@ -483,10 +471,6 @@ func (s *Scheduler) submitObserved(app App) (*PlacedApp, error) {
 		return s.submit(app)
 	}
 	start := time.Now()
-	if s.tracer.Enabled() {
-		s.tracer.SetApp(app.Name)
-		defer s.tracer.SetApp("")
-	}
 	pa, err := s.submit(app)
 	elapsed := time.Since(start).Seconds()
 
@@ -497,19 +481,32 @@ func (s *Scheduler) submitObserved(app App) (*PlacedApp, error) {
 		s.metrics.Histogram(metricPlacementSeconds, nil, obs.L("class", class)).Observe(elapsed)
 		s.publish()
 	}
-	ev := obs.AdmissionEvent{Class: class, Outcome: outcome, Seconds: elapsed}
 	if err != nil {
-		ev.Reason = err.Error()
 		s.log.Warn("admission refused", "app", app.Name, "class", class, "outcome", outcome, "err", err)
 	} else {
-		ev.Paths = len(pa.Paths)
-		ev.Rate = pa.TotalRate()
-		ev.Availability = pa.Availability
 		s.log.Info("application admitted", "app", app.Name, "class", class,
-			"paths", ev.Paths, "rate", ev.Rate, "availability", ev.Availability, "seconds", elapsed)
+			"paths", len(pa.Paths), "rate", pa.TotalRate(), "availability", pa.Availability, "seconds", elapsed)
 	}
-	s.tracer.Admission(ev)
 	return pa, err
+}
+
+// recordVerdict sets the admission verdict of app on its operation span:
+// class and outcome, then the reason of a refusal or the paths, rate and
+// availability of an admission. Inside a batch a best-effort rate is the
+// eq. (6) prediction it was placed at; the batch's one solve re-rates it.
+func recordVerdict(sp *obs.Span, app App, pa *PlacedApp, err error) {
+	if sp == nil {
+		return
+	}
+	sp.SetAttr("class", app.QoS.Class.String())
+	sp.SetAttr("outcome", submitOutcome(err))
+	if err != nil {
+		sp.SetAttr("reason", err.Error())
+		return
+	}
+	sp.SetInt("paths", int64(len(pa.Paths)))
+	sp.SetFloat("rate", pa.TotalRate())
+	sp.SetFloat("availability", pa.Availability)
 }
 
 // submit is Submit without telemetry.
@@ -719,9 +716,8 @@ func (s *Scheduler) reallocateBE() error {
 		return nil
 	}
 	const solver = "proportional-fair"
-	instrumented := s.metrics != nil || s.tracer.Enabled()
 	var start time.Time
-	if instrumented {
+	if s.metrics != nil {
 		start = time.Now()
 	}
 	ssp := s.opSpan.Child("alloc.solve")
@@ -739,26 +735,25 @@ func (s *Scheduler) reallocateBE() error {
 		ssp.SetAttr("mode", "cold")
 	}
 	ssp.SetInt("flows", int64(stats.Flows))
+	ssp.SetInt("rows", int64(stats.Rows))
+	ssp.SetInt("nnz", int64(stats.NNZ))
 	ssp.SetInt("cycles", int64(stats.Cycles))
+	ssp.SetInt("rowEvals", int64(stats.RowEvals))
+	if ssp != nil {
+		ssp.SetAny("converged", stats.Converged)
+	}
 	ssp.End()
-	if instrumented {
-		elapsed := time.Since(start).Seconds()
-		if s.metrics != nil {
-			s.metrics.Counter(metricAllocSolves, obs.L("solver", solver)).Inc()
-			s.metrics.Histogram(metricAllocSeconds, nil).Observe(elapsed)
-			mode := "cold"
-			if stats.Warm {
-				mode = "warm"
-				s.metrics.Counter(metricWarmSolves).Inc()
-			}
-			s.metrics.Gauge(metricAllocNNZ).Set(float64(stats.NNZ))
-			s.metrics.Histogram(metricAllocCycles, allocCycleBuckets, obs.L("mode", mode)).Observe(float64(stats.Cycles))
-			s.metrics.Counter(metricAllocRowEvals).Add(float64(stats.RowEvals))
+	if s.metrics != nil {
+		s.metrics.Counter(metricAllocSolves, obs.L("solver", solver)).Inc()
+		s.metrics.Histogram(metricAllocSeconds, nil).Observe(time.Since(start).Seconds())
+		mode := "cold"
+		if stats.Warm {
+			mode = "warm"
+			s.metrics.Counter(metricWarmSolves).Inc()
 		}
-		s.tracer.Alloc(obs.AllocEvent{
-			Solver: solver, Flows: stats.Flows, Rows: stats.Rows, NNZ: stats.NNZ,
-			Cycles: stats.Cycles, RowEvals: stats.RowEvals, Converged: stats.Converged, Warm: stats.Warm, Seconds: elapsed,
-		})
+		s.metrics.Gauge(metricAllocNNZ).Set(float64(stats.NNZ))
+		s.metrics.Histogram(metricAllocCycles, allocCycleBuckets, obs.L("mode", mode)).Observe(float64(stats.Cycles))
+		s.metrics.Counter(metricAllocRowEvals).Add(float64(stats.RowEvals))
 	}
 	if err != nil {
 		return fmt.Errorf("core: best-effort rate allocation: %w", err)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"sparcle/internal/network"
-	"sparcle/internal/obs"
 	"sparcle/internal/placement"
 	"sparcle/internal/resource"
 )
@@ -100,7 +99,9 @@ func (s *Scheduler) applyFluctuation(scale ElementScale) (*FluctuationReport, er
 		s.metrics.Counter(metricFluctuations).Inc()
 		s.publish()
 	}
-	s.tracer.Fluctuation(obs.FluctuationEvent{Elements: len(scale), ViolatedGR: report.ViolatedGR})
+	if s.opSpan != nil && len(report.ViolatedGR) > 0 {
+		s.opSpan.SetAny("violatedGR", report.ViolatedGR)
+	}
 	s.log.Info("fluctuation applied", "elements", len(scale), "violatedGR", report.ViolatedGR)
 	return report, nil
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"sparcle/internal/obs"
@@ -29,9 +30,9 @@ func findSeries(fam obs.FamilySnapshot, want map[string]string) *obs.SeriesSnaps
 func TestSchedulerTelemetry(t *testing.T) {
 	net := twoBranchNet(t, 100, 50, 1e6, 0)
 	reg := obs.NewRegistry()
-	var buf bytes.Buffer
-	tr := obs.NewTracer(&buf)
-	s := New(net, WithMetrics(reg), WithTracer(tr))
+	s := New(net, WithMetrics(reg))
+	st := obs.NewSpanTracer(obs.SpanOptions{})
+	s.SetSpans(st)
 
 	if _, err := s.Submit(simpleApp(t, "gr", net, 10, QoS{Class: GuaranteedRate, MinRate: 5, MinRateAvailability: 0.9})); err != nil {
 		t.Fatal(err)
@@ -96,29 +97,58 @@ func TestSchedulerTelemetry(t *testing.T) {
 		t.Fatalf("fluctuation counter = %+v, want 1", got)
 	}
 
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	types := map[string]int{}
-	apps := map[string]bool{}
-	for _, ev := range events {
-		typ, _ := ev["type"].(string)
-		types[typ]++
-		if app, _ := ev["app"].(string); app != "" {
-			apps[app] = true
+	// Every decision rides its operation's span: the verdicts, the
+	// ranked picks with their routes, the repair, the violated
+	// reservation and the solver statistics.
+	ops := map[string][]obs.SpanRecord{}
+	ranked, routes := 0, 0
+	for _, trace := range st.Flight() {
+		for _, r := range trace {
+			switch r.Name {
+			case "core.submit", "core.repair", "core.fluctuation", "alloc.solve":
+				ops[r.Name] = append(ops[r.Name], r)
+			case "assign.rank":
+				if r.Attrs["ct"] != nil && len(r.Attrs["candidates"].([]map[string]any)) > 0 {
+					ranked++
+				}
+			case "assign.place":
+				for _, ev := range r.Events {
+					if ev.Name == "route" {
+						routes++
+					}
+				}
+			}
 		}
 	}
-	for _, want := range []string{"ranking", "route", "admission", "repair", "fluctuation", "alloc"} {
-		if types[want] == 0 {
-			t.Fatalf("no %q events in trace; got %v", want, types)
+	if ranked == 0 || routes == 0 {
+		t.Fatalf("ranked picks %d, route events %d", ranked, routes)
+	}
+	verdicts := map[string]map[string]any{}
+	for _, r := range ops["core.submit"] {
+		verdicts[r.Attrs["app"].(string)] = r.Attrs
+	}
+	if v := verdicts["gr"]; v["outcome"] != "admitted" || v["class"] != "guaranteed-rate" || v["paths"] != int64(1) || !(v["rate"].(obs.Float) > 0) {
+		t.Fatalf("gr verdict = %v", v)
+	}
+	if v := verdicts["be"]; v["outcome"] != "admitted" || !(v["availability"].(obs.Float) > 0) {
+		t.Fatalf("be verdict = %v", v)
+	}
+	if v := verdicts["big"]; v["outcome"] != "rejected" || !strings.Contains(v["reason"].(string), "min-rate availability") {
+		t.Fatalf("big verdict = %v", v)
+	}
+	if r := ops["core.repair"]; len(r) != 1 || r[0].Attrs["outcome"] != "repaired" || r[0].Attrs["rate"] == nil {
+		t.Fatalf("repair spans = %+v", r)
+	}
+	if f := ops["core.fluctuation"]; len(f) != 1 || f[0].Attrs["elements"] != int64(1) || !slices.Equal(f[0].Attrs["violatedGR"].([]string), []string{"gr"}) {
+		t.Fatalf("fluctuation spans = %+v", f)
+	}
+	for _, r := range ops["alloc.solve"] {
+		if r.Attrs["converged"] != true || r.Attrs["rows"] == nil || r.Attrs["nnz"] == nil || r.Attrs["rowEvals"] == nil {
+			t.Fatalf("solve attrs = %v", r.Attrs)
 		}
 	}
-	if !apps["gr"] || !apps["be"] {
-		t.Fatalf("trace missing app context: %v", apps)
+	if len(ops["alloc.solve"]) == 0 {
+		t.Fatal("no alloc.solve span")
 	}
 }
 

@@ -38,7 +38,16 @@ func (s *Scheduler) Repair(name string) (*PlacedApp, error) {
 	if err != nil {
 		rec.Outcome = "failed"
 		rec.Reason = err.Error()
-	} else {
+	}
+	if sp != nil {
+		sp.SetAttr("outcome", rec.Outcome)
+		if err != nil {
+			sp.SetAttr("reason", rec.Reason)
+		} else {
+			sp.SetFloat("rate", pa.TotalRate())
+		}
+	}
+	if err == nil {
 		st, exportErr := exportApp(pa)
 		if exportErr != nil {
 			return pa, fmt.Errorf("%w: %v", ErrDurability, exportErr)
@@ -58,10 +67,6 @@ func (s *Scheduler) repairObserved(name string) (*PlacedApp, error) {
 		return s.repair(name)
 	}
 	start := time.Now()
-	if s.tracer.Enabled() {
-		s.tracer.SetApp(name)
-		defer s.tracer.SetApp("")
-	}
 	pa, err := s.repair(name)
 	elapsed := time.Since(start).Seconds()
 	outcome := "repaired"
@@ -72,15 +77,11 @@ func (s *Scheduler) repairObserved(name string) (*PlacedApp, error) {
 		s.metrics.Counter(metricRepairs, obs.L("outcome", outcome)).Inc()
 		s.publish()
 	}
-	ev := obs.RepairEvent{Outcome: outcome, Seconds: elapsed}
 	if err != nil {
-		ev.Reason = err.Error()
 		s.log.Warn("repair failed", "app", name, "err", err)
 	} else {
-		ev.Rate = pa.TotalRate()
-		s.log.Info("application repaired", "app", name, "rate", ev.Rate, "seconds", elapsed)
+		s.log.Info("application repaired", "app", name, "rate", pa.TotalRate(), "seconds", elapsed)
 	}
-	s.tracer.Repair(ev)
 	return pa, err
 }
 

@@ -11,9 +11,13 @@ import (
 // batch, remove, repair, fluctuation) opens one operation span; the
 // stages inside it — assignment, availability analysis, capacity
 // prediction, the best-effort allocation solve, and (via the server's
-// commit hook) the journal append and fsync — become child spans. A nil
-// tracer keeps all of it free: the nil-safe span methods are no-ops and
-// allocate nothing.
+// commit hook) the journal append and fsync — become child spans. The
+// spans also carry the scheduler's decisions: the admission verdict on
+// core.submit and batch.submit, the repair outcome on core.repair, the
+// violated reservations on core.fluctuation, the solver statistics on
+// alloc.solve, and Algorithm 2's pins, ranked picks and routes under
+// assign.path (see assign.Sparcle.Span). A nil tracer keeps all of it
+// free: the nil-safe span methods are no-ops and allocate nothing.
 
 // SetSpans attaches (or clears, with nil) the span tracer on a live
 // scheduler: every scheduler operation then emits a span tree
@@ -22,11 +26,16 @@ import (
 // recovery performs. The default (no tracer) costs nothing.
 func (s *Scheduler) SetSpans(st *obs.SpanTracer) { s.spans = st }
 
+// Spans returns the attached span tracer (nil when tracing is off), so a
+// driver of the scheduler can open the request spans its operations nest
+// under.
+func (s *Scheduler) Spans() *obs.SpanTracer { return s.spans }
+
 // SetRequestSpan brackets the next scheduler operations under an
 // externally owned request span: operation spans become children of sp
 // instead of fresh roots, so an HTTP request's decode time and its
 // scheduler work land in one trace. Callers must clear it (nil) when the
-// request ends, exactly like Tracer.SetApp; the scheduler is not
+// request ends; the scheduler is not
 // concurrency-safe, so the bracket rides the caller's serialization.
 func (s *Scheduler) SetRequestSpan(sp *obs.Span) { s.reqSpan = sp }
 

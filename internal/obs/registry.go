@@ -2,13 +2,13 @@
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
 // histograms) exposable in Prometheus text-exposition format and as a
 // JSON snapshot, a structured leveled logger with a silent default, and
-// a decision-trace recorder emitting JSONL events for the scheduler's
-// key choices (task rankings, transport routes, admissions, repairs and
-// rate allocations).
+// hierarchical spans that time the admission pipeline and carry the
+// scheduler's key choices (task rankings, transport routes, admissions,
+// repairs and rate allocations) as attributes and events.
 //
 // Everything is optional and nil-safe: a nil *Registry hands out nil
-// metrics whose methods are no-ops, a nil *Tracer reports
-// Enabled() == false, and NopLogger discards all records. Library code
+// metrics whose methods are no-ops, a nil *SpanTracer hands out nil
+// spans, and NopLogger discards all records. Library code
 // therefore instruments unconditionally and stays silent — and
 // allocation-free on hot paths — unless a sink is attached.
 package obs

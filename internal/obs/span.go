@@ -2,11 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,15 +16,63 @@ import (
 // This file is the span half of the telemetry layer: hierarchical
 // wall-clock spans over the admission pipeline (HTTP decode, scheduler
 // lock wait, Algorithm 2 placement, BE solve, journal fsync), emitted as
-// JSONL and as Chrome trace-event JSON (loadable in chrome://tracing and
-// Perfetto), fed into per-stage latency histograms, and retained in a
-// bounded flight-recorder ring that can be dumped on SLO breach, panic,
-// or operator request.
+// JSONL, fed into per-stage latency histograms, and retained in a bounded
+// flight-recorder ring served as Chrome trace-event JSON (loadable in
+// chrome://tracing and Perfetto).
 //
-// The same nil-safety discipline as Tracer applies: a nil *SpanTracer
-// hands out nil *Spans whose methods are no-ops and allocate nothing, so
-// instrumented code creates and ends spans unconditionally and the hot
-// path stays allocation-free unless a tracer is attached.
+// Spans are also the scheduler's decision record: a span's single verdict
+// (the ranked pick of an assign.rank, the admission verdict of a
+// core.submit) is a set of attributes on it, and decisions repeated inside
+// one span (pinned placements, committed routes) are events on it.
+//
+// A nil *SpanTracer hands out nil *Spans whose methods are no-ops and
+// allocate nothing, so instrumented code creates and ends spans
+// unconditionally and the hot path stays allocation-free unless a tracer
+// is attached. Payloads that cost something to build (decision events,
+// list attributes) are guarded with sp != nil.
+
+// Float is a float64 that survives JSON encoding when non-finite:
+// ±Inf and NaN are emitted as the strings "+Inf", "-Inf" and "NaN"
+// (γ is +Inf for unconstrained placements, and a same-host route's
+// bottleneck is +Inf). Finite values encode as plain JSON numbers.
+type Float float64
+
+// MarshalJSON implements json.Marshaler.
+func (f Float) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return json.Marshal(formatFloat(v))
+	}
+	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler, accepting both encodings.
+func (f *Float) UnmarshalJSON(data []byte) error {
+	data = bytes.TrimSpace(data)
+	if len(data) > 0 && data[0] == '"' {
+		var s string
+		if err := json.Unmarshal(data, &s); err != nil {
+			return err
+		}
+		switch s {
+		case "+Inf", "Inf":
+			*f = Float(math.Inf(1))
+		case "-Inf":
+			*f = Float(math.Inf(-1))
+		case "NaN":
+			*f = Float(math.NaN())
+		default:
+			return fmt.Errorf("obs: invalid float string %q", s)
+		}
+		return nil
+	}
+	var v float64
+	if err := json.Unmarshal(data, &v); err != nil {
+		return err
+	}
+	*f = Float(v)
+	return nil
+}
 
 // SpanBuckets are the high-resolution latency buckets (seconds) used for
 // the per-stage span histograms: six per decade from 1µs to 10s, so
@@ -54,8 +103,18 @@ type SpanRecord struct {
 	Name   string `json:"name"`
 	Start  int64  `json:"ts"`
 	Dur    int64  `json:"dur"`
-	// Attrs carries the span's attributes; string, integer and float
-	// values as set.
+	// Attrs carries the span's attributes as set: strings, int64s,
+	// Floats, and whatever SetAny attached (lists, booleans).
+	Attrs map[string]any `json:"attrs,omitempty"`
+	// Events are the decisions recorded inside the span, in order.
+	Events []SpanEvent `json:"events,omitempty"`
+}
+
+// SpanEvent is one decision recorded inside a span: TS is microseconds
+// since the tracer's epoch, like SpanRecord.Start.
+type SpanEvent struct {
+	Name  string         `json:"name"`
+	TS    int64          `json:"ts"`
 	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
@@ -64,10 +123,6 @@ type SpanRecord struct {
 type SpanOptions struct {
 	// JSONL, when non-nil, receives one JSON object per finished span.
 	JSONL io.Writer
-	// Chrome, when non-nil, receives a streaming Chrome trace-event array
-	// (one complete-event per span); Close finishes the array. The file
-	// loads directly in chrome://tracing and Perfetto.
-	Chrome io.Writer
 	// Metrics, when non-nil, receives a per-stage latency histogram
 	// sparcle_span_seconds{span="<name>"} (SpanBuckets resolution), which
 	// also backs Stages.
@@ -75,13 +130,6 @@ type SpanOptions struct {
 	// FlightSize bounds the flight-recorder ring: the most recent
 	// FlightSize root span trees are retained (default 64).
 	FlightSize int
-	// SLO, when > 0, marks a root span slower than it as a breach: the
-	// flight ring is dumped to DumpDir (at most once per second).
-	SLO time.Duration
-	// DumpDir is where SLO/panic flight dumps are written as Chrome trace
-	// files; empty disables dumping to disk (the ring is still served by
-	// Flight).
-	DumpDir string
 }
 
 // SpanTracer records hierarchical spans. A nil *SpanTracer is the
@@ -94,18 +142,13 @@ type SpanTracer struct {
 	nextTrace atomic.Uint64
 	nextSpan  atomic.Uint64
 
-	mu         sync.Mutex
-	jsonl      *bufio.Writer
-	jsonlEnc   *json.Encoder
-	chrome     *bufio.Writer
-	chromeOpen bool // "[" written
-	ring       [][]SpanRecord
-	ringNext   int
-	ringFull   bool
-	stageHist  map[string]*Histogram
-	breaches   uint64
-	dumpSeq    uint64
-	lastDump   time.Time
+	mu        sync.Mutex
+	jsonl     *bufio.Writer
+	jsonlEnc  *json.Encoder
+	ring      [][]SpanRecord
+	ringNext  int
+	ringFull  bool
+	stageHist map[string]*Histogram
 }
 
 // NewSpanTracer returns a span tracer with the given sinks.
@@ -123,14 +166,10 @@ func NewSpanTracer(opt SpanOptions) *SpanTracer {
 		t.jsonl = bufio.NewWriter(opt.JSONL)
 		t.jsonlEnc = json.NewEncoder(t.jsonl)
 	}
-	if opt.Chrome != nil {
-		t.chrome = bufio.NewWriter(opt.Chrome)
-	}
 	return t
 }
 
-// Enabled reports whether spans will be recorded; it is the hot-path
-// guard equivalent of Tracer.Enabled.
+// Enabled reports whether spans will be recorded.
 func (t *SpanTracer) Enabled() bool { return t != nil }
 
 // Start opens a root span: a new trace is allocated and every descendant
@@ -152,10 +191,10 @@ func (t *SpanTracer) Start(name string) *Span {
 }
 
 // Span is one timed stage of a trace. A span is created by
-// SpanTracer.Start or Span.Child, annotated with SetAttr/SetInt/SetFloat,
-// and finished exactly once with End. All methods are no-ops on a nil
-// receiver. A single span must not be shared across goroutines;
-// concurrent sibling spans of one trace are safe.
+// SpanTracer.Start or Span.Child, annotated with SetAttr/SetInt/SetFloat/
+// SetAny and Event, and finished exactly once with End. All methods are
+// no-ops on a nil receiver. A single span must not be shared across
+// goroutines; concurrent sibling spans of one trace are safe.
 type Span struct {
 	tracer *SpanTracer
 	buf    *traceBuf
@@ -165,6 +204,7 @@ type Span struct {
 	name   string
 	start  time.Time
 	attrs  map[string]any
+	events []SpanEvent
 	ended  bool
 }
 
@@ -198,10 +238,7 @@ func (sp *Span) SetAttr(key, value string) {
 	if sp == nil {
 		return
 	}
-	if sp.attrs == nil {
-		sp.attrs = map[string]any{}
-	}
-	sp.attrs[key] = value
+	sp.SetAny(key, value)
 }
 
 // SetInt attaches an integer attribute.
@@ -209,10 +246,7 @@ func (sp *Span) SetInt(key string, value int64) {
 	if sp == nil {
 		return
 	}
-	if sp.attrs == nil {
-		sp.attrs = map[string]any{}
-	}
-	sp.attrs[key] = value
+	sp.SetAny(key, value)
 }
 
 // SetFloat attaches a float attribute (±Inf/NaN-safe via Float).
@@ -220,10 +254,28 @@ func (sp *Span) SetFloat(key string, value float64) {
 	if sp == nil {
 		return
 	}
+	sp.SetAny(key, Float(value))
+}
+
+// SetAny attaches an attribute of any JSON-encodable value (a list, a
+// record). The caller boxes the value, so guard it with sp != nil.
+func (sp *Span) SetAny(key string, value any) {
+	if sp == nil {
+		return
+	}
 	if sp.attrs == nil {
 		sp.attrs = map[string]any{}
 	}
-	sp.attrs[key] = Float(value)
+	sp.attrs[key] = value
+}
+
+// Event records one decision inside sp, stamped with the current time.
+// The caller builds attrs, so guard the call with sp != nil.
+func (sp *Span) Event(name string, attrs map[string]any) {
+	if sp == nil {
+		return
+	}
+	sp.events = append(sp.events, SpanEvent{Name: name, TS: time.Since(sp.tracer.epoch).Microseconds(), Attrs: attrs})
 }
 
 // Duration returns the time elapsed since the span started (0 on nil).
@@ -252,6 +304,7 @@ func (sp *Span) End() {
 		Start:  sp.start.Sub(sp.tracer.epoch).Microseconds(),
 		Dur:    end.Sub(sp.start).Microseconds(),
 		Attrs:  sp.attrs,
+		Events: sp.events,
 	}
 	sp.buf.mu.Lock()
 	if sp.buf.done {
@@ -266,13 +319,13 @@ func (sp *Span) End() {
 	}
 	sp.buf.mu.Unlock()
 	if recs != nil {
-		sp.tracer.flushTrace(recs, end.Sub(sp.start))
+		sp.tracer.flushTrace(recs)
 	}
 }
 
-// flushTrace records one finished trace: per-stage histograms, JSONL and
-// Chrome events, the flight ring, and the SLO breach check.
-func (t *SpanTracer) flushTrace(recs []SpanRecord, rootDur time.Duration) {
+// flushTrace records one finished trace: per-stage histograms, JSONL
+// and the flight ring.
+func (t *SpanTracer) flushTrace(recs []SpanRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.opt.Metrics != nil {
@@ -291,49 +344,32 @@ func (t *SpanTracer) flushTrace(recs []SpanRecord, rootDur time.Duration) {
 			_ = t.jsonlEnc.Encode(&recs[i])
 		}
 	}
-	if t.chrome != nil {
-		for i := range recs {
-			t.writeChromeEventLocked(&recs[i])
-		}
-	}
 	t.ring[t.ringNext] = recs
 	t.ringNext++
 	if t.ringNext == len(t.ring) {
 		t.ringNext = 0
 		t.ringFull = true
 	}
-	if t.opt.SLO > 0 && rootDur > t.opt.SLO {
-		t.breaches++
-		t.dumpLocked("slo")
-	}
-}
-
-// writeChromeEventLocked appends one complete-event to the streaming
-// Chrome array.
-func (t *SpanTracer) writeChromeEventLocked(rec *SpanRecord) {
-	if !t.chromeOpen {
-		t.chrome.WriteString("[\n")
-		t.chromeOpen = true
-	} else {
-		t.chrome.WriteString(",\n")
-	}
-	writeChromeEvent(t.chrome, rec)
 }
 
 // chromeEvent is the trace-event JSON shape: one complete event ("X")
-// per span, with the trace id as the thread so each admission renders as
-// its own row.
+// per span and one thread-scoped instant event ("i") per span event,
+// with the trace id as the thread so each admission renders as its own
+// row.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur"`
-	PID  int            `json:"pid"`
-	TID  uint64         `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat"`
+	Ph    string         `json:"ph"`
+	TS    int64          `json:"ts"`
+	Dur   int64          `json:"dur"`
+	Scope string         `json:"s,omitempty"`
+	PID   int            `json:"pid"`
+	TID   uint64         `json:"tid"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
+// writeChromeEvent writes rec's complete event followed by one instant
+// event per span event, comma-separated.
 func writeChromeEvent(w io.Writer, rec *SpanRecord) {
 	args := map[string]any{"span": rec.Span}
 	if rec.Parent != 0 {
@@ -350,6 +386,17 @@ func writeChromeEvent(w io.Writer, rec *SpanRecord) {
 		return
 	}
 	w.Write(b)
+	for _, ev := range rec.Events {
+		b, err := json.Marshal(chromeEvent{
+			Name: ev.Name, Cat: rec.Name, Ph: "i", Scope: "t",
+			TS: ev.TS, PID: 1, TID: rec.Trace, Args: ev.Attrs,
+		})
+		if err != nil {
+			continue
+		}
+		io.WriteString(w, ",\n")
+		w.Write(b)
+	}
 }
 
 // WriteChromeTrace renders traces (e.g. the Flight ring) as one Chrome
@@ -379,73 +426,11 @@ func (t *SpanTracer) Flight() [][]SpanRecord {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.flightLocked()
-}
-
-func (t *SpanTracer) flightLocked() [][]SpanRecord {
 	var out [][]SpanRecord
 	if t.ringFull {
 		out = append(out, t.ring[t.ringNext:]...)
 	}
-	out = append(out, t.ring[:t.ringNext]...)
-	return out
-}
-
-// Breaches returns the number of root spans that exceeded the SLO.
-func (t *SpanTracer) Breaches() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.breaches
-}
-
-// DumpFlight writes the flight ring to DumpDir as a Chrome trace file
-// named flight-<reason>-<n>.json and returns its path. Used on panic and
-// on demand; SLO breaches dump automatically. Without a DumpDir it
-// returns "" and no error.
-func (t *SpanTracer) DumpFlight(reason string) (string, error) {
-	if t == nil {
-		return "", nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dumpFileLocked(reason, false)
-}
-
-// dumpLocked is the SLO-breach dump: best effort and throttled to one
-// file per second so a latency storm cannot flood the disk.
-func (t *SpanTracer) dumpLocked(reason string) {
-	_, _ = t.dumpFileLocked(reason, true)
-}
-
-func (t *SpanTracer) dumpFileLocked(reason string, throttle bool) (string, error) {
-	if t.opt.DumpDir == "" {
-		return "", nil
-	}
-	now := time.Now()
-	if throttle && now.Sub(t.lastDump) < time.Second {
-		return "", nil
-	}
-	t.lastDump = now
-	t.dumpSeq++
-	if err := os.MkdirAll(t.opt.DumpDir, 0o755); err != nil {
-		return "", fmt.Errorf("obs: flight dump: %w", err)
-	}
-	path := filepath.Join(t.opt.DumpDir, fmt.Sprintf("flight-%s-%06d.json", reason, t.dumpSeq))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", fmt.Errorf("obs: flight dump: %w", err)
-	}
-	werr := WriteChromeTrace(f, t.flightLocked())
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return "", fmt.Errorf("obs: flight dump: %w", werr)
-	}
-	return path, nil
+	return append(out, t.ring[:t.ringNext]...)
 }
 
 // StageStats summarizes one pipeline stage's latency distribution, with
@@ -480,27 +465,16 @@ func (t *SpanTracer) Stages() map[string]StageStats {
 	return out
 }
 
-// Close flushes the JSONL stream and finishes the Chrome array. It does
-// not close the underlying writers (the caller owns the files).
+// Close flushes the JSONL stream. It does not close the underlying
+// writer (the caller owns the file).
 func (t *SpanTracer) Close() error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var err error
 	if t.jsonl != nil {
-		err = t.jsonl.Flush()
+		return t.jsonl.Flush()
 	}
-	if t.chrome != nil {
-		if t.chromeOpen {
-			t.chrome.WriteString("\n]\n")
-		} else {
-			t.chrome.WriteString("[]\n")
-		}
-		if ferr := t.chrome.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return err
+	return nil
 }

@@ -158,9 +158,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				panic(rec)
 			}
 			s.metrics.Counter("sparcle_http_panics_total").Inc()
-			// Preserve the evidence: the flight ring holds the traces
-			// leading up to the panic (nil-safe, no-op without a dump dir).
-			_, _ = s.spans.DumpFlight("panic")
 			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "internal server error"})
 		}()
 		s.requests.Add(1)

@@ -9,10 +9,11 @@ import (
 // This file wires end-to-end span tracing through the HTTP layer: each
 // mutating request gets one root span covering JSON decode, app build,
 // shard-lock wait and the scheduler operation itself (whose pipeline
-// stages arrive as child spans via the router's request-span bracket),
-// two debug routes expose the flight ring and the per-stage latency
-// quantiles, and handler panics dump the flight ring to disk before the
-// 500 goes out.
+// stages, and the decisions they made, arrive as child spans via the
+// router's request-span bracket), and two debug routes expose the flight
+// ring and the per-stage latency quantiles. A rejected admission is
+// explained by its trace alone: the verdict and reason on its
+// batch.submit span, the γ ranking on its assign.rank spans.
 
 // EnableSpans attaches a span tracer to the server: mutating requests
 // then emit one span tree each, GET /debug/flight serves the recent
@@ -42,15 +43,13 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLatency serves per-stage latency statistics (count, total
-// seconds, p50/p99/p999) keyed by span name, plus the SLO breach count.
-// With spans disabled the stage map is empty, not an error: load
-// harnesses may scrape it unconditionally.
+// seconds, p50/p99/p999) keyed by span name. With spans disabled the
+// stage map is empty, not an error: load harnesses may scrape it
+// unconditionally.
 func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
-		SLOBreaches uint64                    `json:"sloBreaches"`
-		Stages      map[string]obs.StageStats `json:"stages"`
+		Stages map[string]obs.StageStats `json:"stages"`
 	}{
-		SLOBreaches: s.spans.Breaches(),
-		Stages:      s.spans.Stages(),
+		Stages: s.spans.Stages(),
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"sparcle/internal/journal"
@@ -31,7 +32,9 @@ func spanServer(t *testing.T, srv *Server) (*httptest.Server, *obs.SpanTracer, *
 // admission through the HTTP API produces a single trace whose tree runs
 // decode -> build -> group lead -> lock wait -> batch of one -> placement
 // -> allocation solve -> journal append -> journal fsync, all correctly
-// parented — on one region and, for an intra-region app, on two.
+// parented, with the admission verdict, the ranked picks and the
+// committed routes recorded on it — on one region and, for an
+// intra-region app, on two.
 func TestSubmitSpanTree(t *testing.T) {
 	sharded, err := NewSharded(shardTestNet(t), 2)
 	if err != nil {
@@ -61,6 +64,7 @@ func checkSubmitSpanTree(t *testing.T, srv *Server, app string) {
 
 	byName := map[string]obs.SpanRecord{}
 	var trace uint64
+	ranked, pins, routes := 0, 0, 0
 	decoder := json.NewDecoder(jsonl)
 	for decoder.More() {
 		var r obs.SpanRecord
@@ -74,6 +78,17 @@ func checkSubmitSpanTree(t *testing.T, srv *Server, app string) {
 			t.Fatalf("span %q escaped into trace %d (want %d)", r.Name, r.Trace, trace)
 		}
 		byName[r.Name] = r
+		if r.Name == "assign.rank" && r.Attrs["ct"] == "work" && r.Attrs["gamma"] != nil {
+			ranked++
+		}
+		for _, ev := range r.Events {
+			switch {
+			case r.Name == "assign.path" && ev.Name == "pin":
+				pins++
+			case r.Name == "assign.place" && ev.Name == "route" && ev.Attrs["hops"] != nil:
+				routes++
+			}
+		}
 	}
 
 	// The admission path, bottom-up: every stage must be present and
@@ -114,6 +129,93 @@ func checkSubmitSpanTree(t *testing.T, srv *Server, app string) {
 	if got := byName["http.submit"].Attrs["outcome"]; got != "admitted" {
 		t.Errorf("root outcome attr = %v", got)
 	}
+
+	// The decisions: the verdict on the operation span, the two pinned
+	// ends, the ranked worker and its two routes.
+	verdict := byName["batch.submit"].Attrs
+	if verdict["outcome"] != "admitted" || verdict["class"] != "best-effort" || verdict["paths"] != float64(1) ||
+		verdict["rate"] == nil || verdict["availability"] == nil || verdict["reason"] != nil {
+		t.Errorf("batch.submit verdict = %v", verdict)
+	}
+	if pins != 2 || ranked != 1 || routes != 2 {
+		t.Errorf("pins %d, ranked picks %d, routes %d; want 2, 1, 2", pins, ranked, routes)
+	}
+	if solve := byName["alloc.solve"].Attrs; solve["converged"] != true || solve["rows"] == nil {
+		t.Errorf("alloc.solve attrs = %v", solve)
+	}
+}
+
+// TestRejectionExplainedByFlight is the explainability acceptance check:
+// a server armed with a flight ring and no trace file rejects an
+// admission, and GET /debug/flight alone, like the span records behind
+// it, holds that request's trace with the verdict and its reason on the
+// operation span and the γ ranking that preceded it.
+func TestRejectionExplainedByFlight(t *testing.T) {
+	srv := New(testNet(t))
+	st := obs.NewSpanTracer(obs.SpanOptions{FlightSize: 4})
+	srv.EnableSpans(st)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	app := appJSON("greedy", "guaranteed-rate", `, "minRate": 1e9, "minRateAvailability": 0.9, "maxPaths": 2`)
+	if resp, body := do(t, http.MethodPost, ts.URL+"/apps", app); resp.StatusCode == http.StatusCreated {
+		t.Fatalf("impossible app admitted: %s", body)
+	}
+
+	// The span records: one trace, the verdict on batch.submit, and the
+	// last ranking iteration's pick with its candidate scores.
+	flight := st.Flight()
+	if len(flight) != 1 {
+		t.Fatalf("flight holds %d traces, want 1", len(flight))
+	}
+	var verdict, lastRank obs.SpanRecord
+	for _, r := range flight[0] {
+		switch {
+		case r.Name == "batch.submit":
+			verdict = r
+		case r.Name == "assign.rank" && r.Span > lastRank.Span:
+			lastRank = r
+		}
+	}
+	reason, _ := verdict.Attrs["reason"].(string)
+	if verdict.Attrs["outcome"] != "rejected" || verdict.Attrs["app"] != "greedy" || !strings.Contains(reason, "min-rate availability") {
+		t.Fatalf("batch.submit verdict = %v", verdict.Attrs)
+	}
+	gamma, ok := lastRank.Attrs["gamma"].(obs.Float)
+	cands, _ := lastRank.Attrs["candidates"].([]map[string]any)
+	if !ok || !(gamma > 0) || len(cands) != 1 || cands[0]["ct"] != "work" || cands[0]["gamma"] != gamma {
+		t.Fatalf("last assign.rank = %v", lastRank.Attrs)
+	}
+
+	// GET /debug/flight serves the same explanation.
+	resp, body := do(t, http.MethodGet, ts.URL+"/debug/flight", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("flight: %d", resp.StatusCode)
+	}
+	var events []struct {
+		Name string         `json:"name"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(body, &events); err != nil {
+		t.Fatalf("flight not a chrome trace: %v\n%s", err, body)
+	}
+	var served, servedRank map[string]any
+	for _, e := range events {
+		switch e.Name {
+		case "batch.submit":
+			served = e.Args
+		case "assign.rank":
+			if servedRank == nil || e.Args["span"].(float64) > servedRank["span"].(float64) {
+				servedRank = e.Args
+			}
+		}
+	}
+	if served["outcome"] != "rejected" || served["reason"] != reason {
+		t.Fatalf("served verdict = %v", served)
+	}
+	if servedRank["gamma"] != float64(gamma) || len(servedRank["candidates"].([]any)) != 1 {
+		t.Fatalf("served last assign.rank = %v", servedRank)
+	}
 }
 
 // TestDebugFlightAndLatency checks the flight-recorder route serves a
@@ -142,8 +244,7 @@ func TestDebugFlightAndLatency(t *testing.T) {
 		t.Fatalf("latency: %d", resp.StatusCode)
 	}
 	var lat struct {
-		SLOBreaches uint64                    `json:"sloBreaches"`
-		Stages      map[string]obs.StageStats `json:"stages"`
+		Stages map[string]obs.StageStats `json:"stages"`
 	}
 	if err := json.Unmarshal(body, &lat); err != nil {
 		t.Fatal(err)

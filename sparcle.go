@@ -143,35 +143,31 @@ func WithRandSeed(seed int64) SchedulerOption { return core.WithRandSeed(seed) }
 func WithDiverseMultiPath(bias float64) SchedulerOption { return core.WithDiverseMultiPath(bias) }
 
 // Observability (see internal/obs): a dependency-free metrics registry,
-// a JSONL decision tracer and structured logging, all optional and free
-// when unset.
+// span tracing that times every scheduler operation and records its
+// decisions, and structured logging, all optional and free when unset.
 type (
 	// MetricsRegistry holds counters, gauges and histograms and exposes
 	// them as Prometheus text or a JSON snapshot.
 	MetricsRegistry = obs.Registry
 	// MetricLabel is one name/value label on a metric series.
 	MetricLabel = obs.Label
-	// DecisionTracer streams scheduler decision events as JSON Lines.
-	DecisionTracer = obs.Tracer
 )
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewDecisionTracer returns a tracer writing JSON Lines to w; Close it to
-// flush.
-func NewDecisionTracer(w io.Writer) *DecisionTracer { return obs.NewTracer(w) }
-
-// ReadTraceEvents decodes a JSONL decision trace into generic maps.
-func ReadTraceEvents(r io.Reader) ([]map[string]any, error) { return obs.ReadEvents(r) }
+// NewSpanTracer returns a span tracer writing one JSON line per finished
+// span to w; attach it with Scheduler.SetSpans and Close it to flush.
+// Every operation's span tree carries its decisions: Algorithm 2's pinned
+// placements, ranked picks (γ and candidate scores) and routes, and the
+// admission, repair and allocation verdicts (see docs/observability.md).
+func NewSpanTracer(w io.Writer) *obs.SpanTracer {
+	return obs.NewSpanTracer(obs.SpanOptions{JSONL: w})
+}
 
 // WithMetrics publishes scheduler metrics (admissions, placement latency,
 // repairs, per-app rates, allocation solves) into reg.
 func WithMetrics(reg *MetricsRegistry) SchedulerOption { return core.WithMetrics(reg) }
-
-// WithTracer streams scheduler decisions (ranking iterations, routing,
-// admissions, repairs, allocation solves) to tr.
-func WithTracer(tr *DecisionTracer) SchedulerOption { return core.WithTracer(tr) }
 
 // WithLogger attaches a structured logger to the scheduler; see
 // NewObsLogger for a ready-made stderr logger.
@@ -184,16 +180,6 @@ func NewObsLogger(w io.Writer, level slog.Level) *slog.Logger { return obs.NewLo
 // for direct use outside a Scheduler.
 func DynamicRanking() Algorithm { return assign.Sparcle{} }
 
-// Decision is one step of the dynamic-ranking placement, delivered to the
-// observer of DynamicRankingObserved.
-type Decision = assign.Decision
-
-// DynamicRankingObserved returns Algorithm 2 with an observer that
-// receives every placement decision — useful for explaining placements.
-func DynamicRankingObserved(observer func(Decision)) Algorithm {
-	return assign.Sparcle{Observer: observer}
-}
-
 // DynamicRankingParallel returns Algorithm 2 scoring candidates on up to n
 // goroutines per ranking iteration (0 uses GOMAXPROCS, 1 is serial).
 // Output is identical at every setting; only wall-clock changes.
@@ -203,7 +189,7 @@ func DynamicRankingParallel(n int) Algorithm {
 
 // WithParallelism bounds the candidate-scoring workers of the scheduler's
 // dynamic-ranking placement (0 = GOMAXPROCS, 1 = serial). Placements and
-// traces are identical at every setting.
+// recorded decisions are identical at every setting.
 func WithParallelism(n int) SchedulerOption { return core.WithParallelism(n) }
 
 // Capacity fluctuation (resource dynamics beyond the paper; see
@@ -305,10 +291,6 @@ func NewChaosDriver(sched *Scheduler, policy ChaosPolicy, opts ...ChaosOption) *
 // WithChaosMetrics publishes the driver's failure/repair/availability
 // metrics into reg.
 func WithChaosMetrics(reg *MetricsRegistry) ChaosOption { return chaos.WithMetrics(reg) }
-
-// WithChaosTracer streams every injection, recovery and repair attempt to
-// tr as chaos decision events.
-func WithChaosTracer(tr *DecisionTracer) ChaosOption { return chaos.WithTracer(tr) }
 
 // WithChaosLogger attaches a structured logger to the chaos driver.
 func WithChaosLogger(l *slog.Logger) ChaosOption { return chaos.WithLogger(l) }

@@ -1,6 +1,7 @@
 package sparcle_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -126,17 +127,21 @@ func TestPublicAPIFluctuationAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var steps int
-	alg := sparcle.DynamicRankingObserved(func(sparcle.Decision) { steps++ })
-	sched := sparcle.NewScheduler(net, sparcle.WithAlgorithm(alg))
+	var trace bytes.Buffer
+	spans := sparcle.NewSpanTracer(&trace)
+	sched := sparcle.NewScheduler(net)
+	sched.SetSpans(spans)
 	if _, err := sched.Submit(sparcle.App{
 		Name: "g", Graph: g, Pins: sparcle.Pins{s: src, k: snk},
 		QoS: sparcle.QoS{Class: sparcle.GuaranteedRate, MinRate: 5, MinRateAvailability: 0.9, MaxPaths: 1},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if steps == 0 {
-		t.Fatal("observer saw no decisions")
+	if err := spans.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(trace.Bytes(), []byte(`"name":"assign.rank"`)) || !bytes.Contains(trace.Bytes(), []byte(`"gamma":`)) {
+		t.Fatalf("span trace holds no ranked decision:\n%s", trace.String())
 	}
 	rep, err := sched.ApplyFluctuation(sparcle.ElementScale{sparcle.NCPElementOf(w1): 0})
 	if err != nil {
