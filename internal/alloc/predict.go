@@ -32,23 +32,35 @@ func FootprintOf(priority float64, paths []placement.Path) Footprint {
 	return fp
 }
 
-// Predict implements eq. (6): the capacity of every element as seen by a
-// new BE application with the given priority is the element's BE-class
-// capacity scaled by priority / (priority + sum of priorities already
-// placed on that element). Elements nobody uses are offered in full. caps
-// is not mutated.
+// Prediction is a reusable destination for eq. (6): the predicted
+// capacities, whose maps and link array are reused, and the per-element
+// totals, zero between predictions. A prediction lives until the next one
+// into the same Prediction; the Scheduler owns one per region.
+type Prediction struct {
+	caps  network.Capacities
+	total []float64
+}
+
+// Predict implements eq. (6) into d: the capacity of every element as seen
+// by a new BE application with the given priority is the element's
+// BE-class capacity scaled by priority / (priority + sum of priorities
+// already placed on that element). Elements nobody uses are offered in
+// full. caps is not mutated.
 //
 // The placed priority of an element is summed in `placed` order — a
 // footprint names an element at most once — so the result depends only on
 // the footprints and their order, never on how the caller arrived at them:
 // a scheduler rebuilt from a snapshot predicts the same bits as the one
 // that wrote it.
-func Predict(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
-	out := caps.Clone()
+func (d *Prediction) Predict(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
+	out := &d.caps
+	out.CopyFrom(caps)
 	// One dense total per element (NCPs first, then links): O(sum of
 	// footprint sizes) to fill, no hashing.
-	total := make([]float64, len(out.NCP)+len(out.Link))
-	ncpTotal, linkTotal := total[:len(out.NCP)], total[len(out.NCP):]
+	if n := len(out.NCP) + len(out.Link); len(d.total) != n {
+		d.total = make([]float64, n)
+	}
+	ncpTotal, linkTotal := d.total[:len(out.NCP)], d.total[len(out.NCP):]
 	for i := range placed {
 		p := placed[i].Priority
 		for _, v := range placed[i].NCPs {
@@ -61,14 +73,21 @@ func Predict(caps *network.Capacities, placed []Footprint, priority float64) *ne
 	for v, t := range ncpTotal {
 		if t != 0 {
 			scaleVector(out.NCP[v], priority/(priority+t))
+			ncpTotal[v] = 0
 		}
 	}
 	for l, t := range linkTotal {
 		if t != 0 {
 			out.Link[l] *= priority / (priority + t)
+			linkTotal[l] = 0
 		}
 	}
 	return out
+}
+
+// Predict is eq. (6) into a fresh Prediction.
+func Predict(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
+	return new(Prediction).Predict(caps, placed, priority)
 }
 
 func scaleVector(v resource.Vector, s float64) {

@@ -6,6 +6,7 @@ import (
 
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
+	"sparcle/internal/resource"
 )
 
 // predictByMaps is eq. (6) as it was computed before footprints became
@@ -80,12 +81,16 @@ func TestFootprintOfSortedAndDistinct(t *testing.T) {
 	}
 }
 
-// TestPredictBitIdenticalToMaps holds the dense Predict to the map
-// implementation with == on every float, over 2000 seeded footprint sets.
+// TestPredictBitIdenticalToMaps holds Predict to the map implementation
+// with == on every float, over 2000 seeded footprint sets. Every set is
+// predicted twice: into a fresh Prediction, and into one Prediction reused
+// across all sets and dirtied after each use the way an admission dirties
+// it (paths subtracted, kinds added), so reuse must leave no trace.
 func TestPredictBitIdenticalToMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	net, pool := residentFootprints(t, rng, 300)
 	caps := net.BaseCapacities()
+	var reused Prediction
 	for set := 0; set < 2000; set++ {
 		k := rng.Intn(64)
 		placed := make([]Footprint, k)
@@ -97,35 +102,66 @@ func TestPredictBitIdenticalToMaps(t *testing.T) {
 			caps.Link[l] = 1000 * rng.Float64()
 		}
 		priority := 0.1 + 10*rng.Float64()
-		got, want := Predict(caps, placed, priority), predictByMaps(caps, placed, priority)
-		for v := range want.NCP {
-			for kind, w := range want.NCP[v] {
-				if got.NCP[v][kind] != w {
-					t.Fatalf("set %d: NCP %d %s = %v, maps say %v", set, v, kind, got.NCP[v][kind], w)
+		want := predictByMaps(caps, placed, priority)
+		for name, got := range map[string]*network.Capacities{
+			"fresh":  new(Prediction).Predict(caps, placed, priority),
+			"reused": reused.Predict(caps, placed, priority),
+		} {
+			for v := range want.NCP {
+				if len(got.NCP[v]) != len(want.NCP[v]) {
+					t.Fatalf("set %d, %s: NCP %d = %v, maps say %v", set, name, v, got.NCP[v], want.NCP[v])
+				}
+				for kind, w := range want.NCP[v] {
+					if got.NCP[v][kind] != w {
+						t.Fatalf("set %d, %s: NCP %d %s = %v, maps say %v", set, name, v, kind, got.NCP[v][kind], w)
+					}
+				}
+			}
+			for l, w := range want.Link {
+				if got.Link[l] != w {
+					t.Fatalf("set %d, %s: link %d = %v, maps say %v", set, name, l, got.Link[l], w)
 				}
 			}
 		}
-		for l, w := range want.Link {
-			if got.Link[l] != w {
-				t.Fatalf("set %d: link %d = %v, maps say %v", set, l, got.Link[l], w)
-			}
+		dirty := reused.Predict(caps, placed, priority)
+		for v := range dirty.NCP {
+			dirty.NCP[v][resource.CPU] *= rng.Float64()
+			dirty.NCP[v]["scribble"] = 1
 		}
+		for l := range dirty.Link {
+			dirty.Link[l] = -1
+		}
+	}
+}
+
+// TestPredictReusedAllocatesNothing pins eq. (6) into a warm Prediction at
+// zero allocations: the destination's maps and the totals are reused.
+func TestPredictReusedAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	net, fps := residentFootprints(t, rng, 64)
+	caps := net.BaseCapacities()
+	var d Prediction
+	d.Predict(caps, fps, 1.5)
+	if allocs := testing.AllocsPerRun(100, func() { d.Predict(caps, fps, 1.5) }); allocs != 0 {
+		t.Fatalf("Predict into a warm Prediction allocates %v times, want 0", allocs)
 	}
 }
 
 var predictSink *network.Capacities
 
 // BenchmarkPredict is the microbench twin of alloc.predict_us: eq. (6)
-// over the footprints of K resident pipelines on mesh16.
+// over the footprints of K resident pipelines on mesh16, into a warm
+// Prediction as the Scheduler runs it.
 func BenchmarkPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	net, fps := residentFootprints(b, rng, 256)
 	caps := net.BaseCapacities()
 	b.Run("K=256", func(b *testing.B) {
+		var d Prediction
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			predictSink = Predict(caps, fps, 1.5)
+			predictSink = d.Predict(caps, fps, 1.5)
 		}
 	})
 }

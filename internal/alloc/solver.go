@@ -152,8 +152,8 @@ func (s *Solver) AddFlows(flows []Flow) ([]FlowID, error) {
 }
 
 func (s *Solver) hasDemand(p *placement.Placement) bool {
-	for _, v := range p.LoadedNCPs() {
-		for _, a := range p.NCPLoad(v) {
+	for _, load := range p.NCPLoads() {
+		for _, a := range load {
 			if a > 0 {
 				return true
 			}
@@ -177,8 +177,8 @@ func (s *Solver) insert(f Flow) FlowID {
 	s.byID[id] = slot
 	s.live++
 	p := f.Path
-	for _, v := range p.LoadedNCPs() {
-		load := p.NCPLoad(v)
+	for i, v := range p.LoadedNCPs() {
+		load := p.NCPLoads()[i]
 		s.kindBuf = s.kindBuf[:0]
 		for k, a := range load {
 			if a > 0 {
@@ -190,8 +190,8 @@ func (s *Solver) insert(f Flow) FlowID {
 			s.addEntry(rowKey{elem: int(v), kind: k}, slot, load[k])
 		}
 	}
-	for _, l := range p.LoadedLinks() {
-		s.addEntry(rowKey{elem: s.numNCPs + int(l)}, slot, p.LinkLoad(l))
+	for i, l := range p.LoadedLinks() {
+		s.addEntry(rowKey{elem: s.numNCPs + int(l)}, slot, p.LinkLoads()[i])
 	}
 	return id
 }

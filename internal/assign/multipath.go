@@ -52,27 +52,9 @@ func multiPath(alg placement.Algorithm, g *taskgraph.Graph, pins placement.Pins,
 		return nil, nil, fmt.Errorf("assign: maxPaths must be >= 1, got %d", maxPaths)
 	}
 	residual := caps.Clone()
-	usedNCP := make([]bool, net.NumNCPs())
-	usedLink := make([]bool, net.NumLinks())
 	var paths []placement.Path
 	for len(paths) < maxPaths {
-		view := residual
-		if bias < 1 && len(paths) > 0 {
-			view = residual.Clone()
-			for v, used := range usedNCP {
-				if used {
-					for k := range view.NCP[v] {
-						view.NCP[v][k] *= bias
-					}
-				}
-			}
-			for l, used := range usedLink {
-				if used {
-					view.Link[l] *= bias
-				}
-			}
-		}
-		p, err := alg.Assign(g, pins, net, view)
+		p, err := alg.Assign(g, pins, net, DiverseView(residual, paths, bias))
 		if err != nil {
 			if len(paths) > 0 {
 				break
@@ -87,17 +69,41 @@ func multiPath(alg placement.Algorithm, g *taskgraph.Graph, pins placement.Pins,
 			return nil, nil, fmt.Errorf("%w (rate %v)", ErrNoMorePaths, rate)
 		}
 		p.Subtract(residual, rate)
-		for v := 0; v < net.NumNCPs(); v++ {
-			if !p.NCPLoad(network.NCPID(v)).IsZero() {
-				usedNCP[v] = true
-			}
-		}
-		for l := 0; l < net.NumLinks(); l++ {
-			if p.LinkLoad(network.LinkID(l)) > 0 {
-				usedLink[l] = true
-			}
-		}
 		paths = append(paths, placement.Path{P: p, Rate: rate})
 	}
 	return paths, residual, nil
+}
+
+// DiverseView returns the capacities the assignment algorithm should see
+// for the next path: residual itself at bias 1 or before the first path,
+// else a copy with the elements earlier paths load scaled by bias, to steer
+// the greedy toward untouched elements.
+func DiverseView(residual *network.Capacities, paths []placement.Path, bias float64) *network.Capacities {
+	if bias >= 1 || len(paths) == 0 {
+		return residual
+	}
+	view := residual.Clone()
+	usedNCP := make([]bool, len(view.NCP))
+	usedLink := make([]bool, len(view.Link))
+	for _, path := range paths {
+		for _, v := range path.P.LoadedNCPs() {
+			usedNCP[v] = true
+		}
+		for _, l := range path.P.LoadedLinks() {
+			usedLink[l] = true
+		}
+	}
+	for v, used := range usedNCP {
+		if used {
+			for k := range view.NCP[v] {
+				view.NCP[v][k] *= bias
+			}
+		}
+	}
+	for l, used := range usedLink {
+		if used {
+			view.Link[l] *= bias
+		}
+	}
+	return view
 }

@@ -58,8 +58,8 @@ func sortTTsByBits(g *taskgraph.Graph, tts []taskgraph.TTID, desc bool) {
 // widest paths.
 func routeWidestOrdered(p *placement.Placement, net *network.Network, caps *network.Capacities, order []taskgraph.TTID) error {
 	loads := make([]float64, net.NumLinks())
-	for l := 0; l < net.NumLinks(); l++ {
-		loads[l] = p.LinkLoad(network.LinkID(l))
+	for i, l := range p.LoadedLinks() {
+		loads[l] = p.LinkLoads()[i]
 	}
 	for _, ttID := range order {
 		if _, ok := p.Route(ttID); ok {

@@ -239,12 +239,13 @@ type Scheduler struct {
 	batching bool
 
 	// Reused per-operation scratch (never part of durable state): the
-	// eq. (6) footprint slice built on every BE admission, and the
-	// liveness map plus new-flow slices the incremental solver
-	// reconciliation rebuilds on every solve. Pooling these takes the
-	// steady-churn allocation count down without changing behaviour —
-	// all three are fully overwritten before each use.
+	// eq. (6) footprint slice and prediction buffer of every BE
+	// admission, and the liveness map plus new-flow slices the
+	// incremental solver reconciliation rebuilds on every solve. Pooling
+	// these takes the steady-churn allocation count down without changing
+	// behaviour — all are fully overwritten before each use.
 	fpScratch      []alloc.Footprint
+	prediction     alloc.Prediction
 	liveScratch    map[*PlacedApp]bool
 	newAppsScratch []*PlacedApp
 	newFlowScratch []alloc.Flow
@@ -548,7 +549,7 @@ func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 	for len(paths) < maxPaths {
 		asp := s.opSpan.Child("assign.path")
 		asp.SetInt("path", int64(len(paths)))
-		p, err := s.spanAlg(asp).Assign(app.Graph, app.Pins, s.net, s.assignmentView(residual, paths))
+		p, err := s.spanAlg(asp).Assign(app.Graph, app.Pins, s.net, assign.DiverseView(residual, paths, s.diversityBias))
 		asp.End()
 		if err != nil {
 			break
@@ -608,13 +609,15 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 	if math.IsNaN(app.QoS.Availability) {
 		return nil, fmt.Errorf("core: BE app %q has a NaN Availability", app.Name)
 	}
+	// predicted is s.prediction's buffer: it lives for this admission only,
+	// and the paths below keep no reference to it.
 	psp := s.opSpan.Child("alloc.predict")
 	var predicted *network.Capacities
 	if s.noPrediction {
 		// Ablation mode: the newcomer sees whatever is left after the
 		// incumbents' current allocations — the arrival-order-dependent
 		// behaviour eq. (6) exists to avoid.
-		predicted = s.beAvailable.Clone()
+		predicted = s.prediction.Predict(s.beAvailable, nil, app.QoS.Priority)
 		for _, pa := range s.be {
 			for _, path := range pa.Paths {
 				path.P.Subtract(predicted, path.Rate)
@@ -630,7 +633,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 			}
 			footprints = append(footprints, pa.footprint)
 		}
-		predicted = alloc.Predict(s.beAvailable, footprints, app.QoS.Priority)
+		predicted = s.prediction.Predict(s.beAvailable, footprints, app.QoS.Priority)
 		s.fpScratch = footprints[:0]
 	}
 	psp.End()
@@ -641,7 +644,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 	for len(paths) < maxPaths {
 		asp := s.opSpan.Child("assign.path")
 		asp.SetInt("path", int64(len(paths)))
-		p, err := s.spanAlg(asp).Assign(app.Graph, app.Pins, s.net, s.assignmentView(predicted, paths))
+		p, err := s.spanAlg(asp).Assign(app.Graph, app.Pins, s.net, assign.DiverseView(predicted, paths, s.diversityBias))
 		asp.End()
 		if err != nil {
 			break
@@ -877,44 +880,6 @@ func (s *Scheduler) recomputeBEAvailable() *network.Capacities {
 		}
 	}
 	return caps
-}
-
-// assignmentView returns the capacities the assignment algorithm should
-// see for the next path: the residual itself at the default bias 1, or a
-// copy with the elements used by earlier paths scaled down to steer the
-// greedy toward untouched elements (WithDiverseMultiPath).
-func (s *Scheduler) assignmentView(residual *network.Capacities, paths []placement.Path) *network.Capacities {
-	if s.diversityBias >= 1 || len(paths) == 0 {
-		return residual
-	}
-	view := residual.Clone()
-	usedNCP := make([]bool, s.net.NumNCPs())
-	usedLink := make([]bool, s.net.NumLinks())
-	for _, path := range paths {
-		for v := 0; v < s.net.NumNCPs(); v++ {
-			if !path.P.NCPLoad(network.NCPID(v)).IsZero() {
-				usedNCP[v] = true
-			}
-		}
-		for l := 0; l < s.net.NumLinks(); l++ {
-			if path.P.LinkLoad(network.LinkID(l)) > 0 {
-				usedLink[l] = true
-			}
-		}
-	}
-	for v, used := range usedNCP {
-		if used {
-			for k := range view.NCP[v] {
-				view.NCP[v][k] *= s.diversityBias
-			}
-		}
-	}
-	for l, used := range usedLink {
-		if used {
-			view.Link[l] *= s.diversityBias
-		}
-	}
-	return view
 }
 
 // availPaths converts placement paths to availability paths.

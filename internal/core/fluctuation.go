@@ -131,17 +131,17 @@ func scaleVec(v resource.Vector, f float64) {
 func (s *Scheduler) oversubscribedByGR() map[placement.Element]bool {
 	caps := s.scaledBaseCapacities()
 	ncpDemand := make([]resource.Vector, s.net.NumNCPs())
-	for v := range ncpDemand {
-		ncpDemand[v] = resource.Vector{}
-	}
 	linkDemand := make([]float64, s.net.NumLinks())
 	for _, pa := range s.gr {
 		for _, path := range pa.Paths {
-			for v := 0; v < s.net.NumNCPs(); v++ {
-				ncpDemand[v].AddScaled(path.P.NCPLoad(network.NCPID(v)), path.Rate)
+			for i, v := range path.P.LoadedNCPs() {
+				if ncpDemand[v] == nil {
+					ncpDemand[v] = resource.Vector{}
+				}
+				ncpDemand[v].AddScaled(path.P.NCPLoads()[i], path.Rate)
 			}
-			for l := 0; l < s.net.NumLinks(); l++ {
-				linkDemand[l] += path.P.LinkLoad(network.LinkID(l)) * path.Rate
+			for i, l := range path.P.LoadedLinks() {
+				linkDemand[l] += path.P.LinkLoads()[i] * path.Rate
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"math"
+	"slices"
 
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
@@ -26,14 +27,14 @@ func EnergyEfficiency(p *placement.Placement, caps *network.Capacities, rate flo
 	if rate <= 0 {
 		return 0
 	}
+	// Sum in element id order, as a scan of the whole network would.
+	ncps, links := slices.Clone(p.LoadedNCPs()), slices.Clone(p.LoadedLinks())
+	slices.Sort(ncps)
+	slices.Sort(links)
 	power := 0.0
-	for v := 0; v < p.Net.NumNCPs(); v++ {
-		load := p.NCPLoad(network.NCPID(v))
-		if load.IsZero() {
-			continue
-		}
+	for _, v := range ncps {
 		util := 0.0
-		for k, a := range load {
+		for k, a := range p.NCPLoad(v) {
 			c := caps.NCP[v][k]
 			if c <= 0 {
 				return 0 // placed on a dead element: no useful work
@@ -44,12 +45,8 @@ func EnergyEfficiency(p *placement.Placement, caps *network.Capacities, rate flo
 		}
 		power += cpuPowerW * math.Min(util, 1)
 	}
-	for l := 0; l < p.Net.NumLinks(); l++ {
-		bits := p.LinkLoad(network.LinkID(l))
-		if bits <= 0 {
-			continue
-		}
-		power += radioPowerWPerMb * rate * bits
+	for _, l := range links {
+		power += radioPowerWPerMb * rate * p.LinkLoad(l)
 	}
 	if power <= 0 {
 		return 0

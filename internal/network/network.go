@@ -13,6 +13,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 
 	"sparcle/internal/graph"
@@ -72,6 +73,9 @@ type Network struct {
 	// NCP v. Without directed links (symmetric) inArcs is outArcs, shared.
 	outArcs, inArcs [][]Arc
 	symmetric       bool
+	// kinds holds the NCP capacity kinds in the order InternKinds
+	// interns them, resolved once at Build.
+	kinds *resource.Interner
 }
 
 // Builder incrementally constructs a Network.
@@ -151,6 +155,10 @@ func (b *Builder) Build() (*Network, error) {
 		ncps:  append([]NCP(nil), b.ncps...),
 		links: append([]Link(nil), b.links...),
 	}
+	net.kinds = resource.NewInterner()
+	for _, n := range net.ncps {
+		net.kinds.InternVector(n.Capacity)
+	}
 	net.incident = make([][]LinkID, len(net.ncps))
 	net.outArcs = make([][]Arc, len(net.ncps))
 	net.symmetric = true
@@ -174,6 +182,17 @@ func (b *Builder) Build() (*Network, error) {
 		}
 	}
 	return net, nil
+}
+
+// InternKinds interns every capacity kind of the network's NCPs, in NCP id
+// order with each NCP's kinds sorted — the order resolved once at Build —
+// so identical networks always produce identical dense indices.
+// Evaluation cores call this at snapshot build time, before densifying
+// capacities and requirements.
+func (n *Network) InternKinds(in *resource.Interner) {
+	for i := 0; i < n.kinds.Len(); i++ {
+		in.Intern(n.kinds.KindAt(i))
+	}
 }
 
 // Name returns the network name.
@@ -272,14 +291,26 @@ func (n *Network) BaseCapacities() *Capacities {
 
 // Clone returns an independent copy of c.
 func (c *Capacities) Clone() *Capacities {
-	out := &Capacities{
-		NCP:  make([]resource.Vector, len(c.NCP)),
-		Link: append([]float64(nil), c.Link...),
-	}
-	for i, v := range c.NCP {
-		out.NCP[i] = v.Clone()
-	}
+	out := &Capacities{}
+	out.CopyFrom(c)
 	return out
+}
+
+// CopyFrom makes c an independent copy of src, reusing c's NCP maps and
+// link array: once c has src's shape, copying allocates nothing.
+func (c *Capacities) CopyFrom(src *Capacities) {
+	c.Link = append(c.Link[:0], src.Link...)
+	if len(c.NCP) != len(src.NCP) {
+		c.NCP = make([]resource.Vector, len(src.NCP))
+	}
+	for i, v := range src.NCP {
+		if v == nil || c.NCP[i] == nil {
+			c.NCP[i] = v.Clone()
+			continue
+		}
+		clear(c.NCP[i])
+		maps.Copy(c.NCP[i], v)
+	}
 }
 
 // SubtractNCP removes s*req from NCP v's residual capacity, clamping at

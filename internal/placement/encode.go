@@ -50,13 +50,13 @@ func (p *Placement) Encode() (Encoded, error) {
 		}
 		enc.TTRoutes[i] = r
 	}
-	for _, v := range p.loadedNCPs {
+	for i, v := range p.loadedNCPs {
 		enc.LoadedNCPs = append(enc.LoadedNCPs, int(v))
-		enc.NCPLoads = append(enc.NCPLoads, p.ncpLoad[v].Clone())
+		enc.NCPLoads = append(enc.NCPLoads, p.ncpLoads[i].Clone())
 	}
-	for _, l := range p.loadedLinks {
+	for i, l := range p.loadedLinks {
 		enc.LoadedLinks = append(enc.LoadedLinks, int(l))
-		enc.LinkLoads = append(enc.LinkLoads, p.linkLoad[l])
+		enc.LinkLoads = append(enc.LinkLoads, p.linkLoads[i])
 	}
 	return enc, nil
 }
@@ -100,14 +100,14 @@ func Decode(enc Encoded, g *taskgraph.Graph, net *network.Network) (*Placement, 
 			return nil, fmt.Errorf("placement: decode: loaded NCP %d out of range", v)
 		}
 		p.loadedNCPs = append(p.loadedNCPs, network.NCPID(v))
-		p.ncpLoad[v] = enc.NCPLoads[i].Clone()
+		p.ncpLoads = append(p.ncpLoads, enc.NCPLoads[i].Clone())
 	}
 	for i, l := range enc.LoadedLinks {
 		if l < 0 || l >= net.NumLinks() {
 			return nil, fmt.Errorf("placement: decode: loaded link %d out of range", l)
 		}
 		p.loadedLinks = append(p.loadedLinks, network.LinkID(l))
-		p.linkLoad[l] = enc.LinkLoads[i]
+		p.linkLoads = append(p.linkLoads, enc.LinkLoads[i])
 	}
 	return p, nil
 }

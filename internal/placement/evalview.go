@@ -43,7 +43,8 @@ type EvalView struct {
 // NewEvalView builds the evaluation snapshot for one assignment of g on
 // net against residual capacities caps: it interns the kind universe
 // (capacity kinds first, then requirement kinds), densifies capacities and
-// requirements once, and starts with empty loads and no hosts.
+// requirements once, and starts with empty loads and no hosts. Every dense
+// row is carved from one backing array.
 func NewEvalView(g *taskgraph.Graph, net *network.Network, caps *network.Capacities) *EvalView {
 	in := resource.NewInterner()
 	net.InternKinds(in)
@@ -53,17 +54,27 @@ func NewEvalView(g *taskgraph.Graph, net *network.Network, caps *network.Capacit
 	v := &EvalView{
 		In:       in,
 		Req:      make([]resource.Dense, g.NumCTs()),
-		CapNCP:   caps.DenseNCP(in),
+		CapNCP:   make([]resource.Dense, len(caps.NCP)),
 		LoadNCP:  make([]resource.Dense, net.NumNCPs()),
 		CapLink:  caps.Link,
 		LoadLink: make([]float64, net.NumLinks()),
 		Host:     make([]network.NCPID, g.NumCTs()),
 	}
+	k := in.Len()
+	buf := make([]float64, (len(v.Req)+len(v.CapNCP)+len(v.LoadNCP))*k)
+	row := func() resource.Dense {
+		r := resource.Dense(buf[:k:k])
+		buf = buf[k:]
+		return r
+	}
 	for ct := range v.Req {
-		v.Req[ct] = in.Dense(g.CT(taskgraph.CTID(ct)).Req)
+		v.Req[ct] = in.DenseInto(row(), g.CT(taskgraph.CTID(ct)).Req)
+	}
+	for n, vec := range caps.NCP {
+		v.CapNCP[n] = in.DenseInto(row(), vec)
 	}
 	for n := range v.LoadNCP {
-		v.LoadNCP[n] = make(resource.Dense, in.Len())
+		v.LoadNCP[n] = row()
 	}
 	for ct := range v.Host {
 		v.Host[ct] = -1

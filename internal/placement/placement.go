@@ -9,6 +9,7 @@ package placement
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sparcle/internal/network"
 	"sparcle/internal/resource"
@@ -53,15 +54,16 @@ type Placement struct {
 	ttRoute  [][]network.LinkID
 	ttPlaced []bool
 
-	ncpLoad  []resource.Vector // per-data-unit load on each NCP
-	linkLoad []float64         // per-data-unit bits on each link
-
 	// loadedNCPs and loadedLinks list the elements with nonzero load, in
-	// first-loaded order, so consumers (constraint-row builders, capacity
-	// deltas, footprints) can visit a placement's footprint in O(nnz)
-	// instead of scanning every element of the network.
+	// first-loaded order; ncpLoads and linkLoads hold the per-data-unit
+	// load on each, parallel to them — the shape Encoded stores. A
+	// placement costs its footprint, not the network: consumers
+	// (constraint-row builders, capacity deltas, footprints) visit it in
+	// O(nnz).
 	loadedNCPs  []network.NCPID
+	ncpLoads    []resource.Vector
 	loadedLinks []network.LinkID
+	linkLoads   []float64
 }
 
 // New returns an empty placement of g on net.
@@ -72,14 +74,9 @@ func New(g *taskgraph.Graph, net *network.Network) *Placement {
 		ctHost:   make([]network.NCPID, g.NumCTs()),
 		ttRoute:  make([][]network.LinkID, g.NumTTs()),
 		ttPlaced: make([]bool, g.NumTTs()),
-		ncpLoad:  make([]resource.Vector, net.NumNCPs()),
-		linkLoad: make([]float64, net.NumLinks()),
 	}
 	for i := range p.ctHost {
 		p.ctHost[i] = -1
-	}
-	for i := range p.ncpLoad {
-		p.ncpLoad[i] = resource.Vector{}
 	}
 	return p
 }
@@ -92,17 +89,17 @@ func (p *Placement) Clone() *Placement {
 		ctHost:   append([]network.NCPID(nil), p.ctHost...),
 		ttRoute:  make([][]network.LinkID, len(p.ttRoute)),
 		ttPlaced: append([]bool(nil), p.ttPlaced...),
-		ncpLoad:  make([]resource.Vector, len(p.ncpLoad)),
-		linkLoad: append([]float64(nil), p.linkLoad...),
 
-		loadedNCPs:  append([]network.NCPID(nil), p.loadedNCPs...),
-		loadedLinks: append([]network.LinkID(nil), p.loadedLinks...),
+		loadedNCPs:  slices.Clone(p.loadedNCPs),
+		ncpLoads:    slices.Clone(p.ncpLoads),
+		loadedLinks: slices.Clone(p.loadedLinks),
+		linkLoads:   slices.Clone(p.linkLoads),
 	}
 	for i, r := range p.ttRoute {
 		out.ttRoute[i] = append([]network.LinkID(nil), r...)
 	}
-	for i, v := range p.ncpLoad {
-		out.ncpLoad[i] = v.Clone()
+	for i, v := range out.ncpLoads {
+		out.ncpLoads[i] = v.Clone()
 	}
 	return out
 }
@@ -117,11 +114,24 @@ func (p *Placement) PlaceCT(ct taskgraph.CTID, host network.NCPID) error {
 		return fmt.Errorf("placement: invalid host %d for CT %d", host, ct)
 	}
 	p.ctHost[ct] = host
-	wasZero := p.ncpLoad[host].IsZero()
-	p.ncpLoad[host].Add(p.Graph.CT(ct).Req)
-	if wasZero && !p.ncpLoad[host].IsZero() {
-		p.loadedNCPs = append(p.loadedNCPs, host)
+	req := p.Graph.CT(ct).Req
+	if i := slices.Index(p.loadedNCPs, host); i >= 0 {
+		p.ncpLoads[i].Add(req)
+		return nil
 	}
+	if req.IsZero() {
+		return nil
+	}
+	// host's first load also carries the zero-valued kinds of the
+	// zero-requirement CTs it already hosts, as a per-NCP sum would.
+	load := resource.Vector{}
+	for c, h := range p.ctHost {
+		if h == host {
+			load.Add(p.Graph.CT(taskgraph.CTID(c)).Req)
+		}
+	}
+	p.loadedNCPs = append(p.loadedNCPs, host)
+	p.ncpLoads = append(p.ncpLoads, load)
 	return nil
 }
 
@@ -143,10 +153,12 @@ func (p *Placement) PlaceTT(tt taskgraph.TTID, route []network.LinkID) error {
 	p.ttRoute[tt] = append([]network.LinkID(nil), route...)
 	p.ttPlaced[tt] = true
 	for _, l := range route {
-		if p.linkLoad[l] == 0 && t.Bits > 0 {
+		if i := slices.Index(p.loadedLinks, l); i >= 0 {
+			p.linkLoads[i] += t.Bits
+		} else if t.Bits > 0 {
 			p.loadedLinks = append(p.loadedLinks, l)
+			p.linkLoads = append(p.linkLoads, t.Bits)
 		}
-		p.linkLoad[l] += t.Bits
 	}
 	return nil
 }
@@ -199,12 +211,23 @@ func (p *Placement) Complete() bool {
 }
 
 // NCPLoad returns the per-data-unit load vector this placement puts on NCP
-// v (the sum of requirements of CTs hosted there). The returned vector is
-// shared; callers must not mutate it.
-func (p *Placement) NCPLoad(v network.NCPID) resource.Vector { return p.ncpLoad[v] }
+// v (the sum of requirements of CTs hosted there), nil if it is zero, by
+// searching the footprint. The vector is shared; do not mutate it.
+func (p *Placement) NCPLoad(v network.NCPID) resource.Vector {
+	if i := slices.Index(p.loadedNCPs, v); i >= 0 {
+		return p.ncpLoads[i]
+	}
+	return nil
+}
 
-// LinkLoad returns the per-data-unit bits this placement puts on link l.
-func (p *Placement) LinkLoad(l network.LinkID) float64 { return p.linkLoad[l] }
+// LinkLoad returns the per-data-unit bits this placement puts on link l,
+// by searching the footprint.
+func (p *Placement) LinkLoad(l network.LinkID) float64 {
+	if i := slices.Index(p.loadedLinks, l); i >= 0 {
+		return p.linkLoads[i]
+	}
+	return 0
+}
 
 // LoadedNCPs returns the NCPs on which this placement induces a nonzero
 // load, in first-loaded order. The slice is shared; callers must not
@@ -216,6 +239,14 @@ func (p *Placement) LoadedNCPs() []network.NCPID { return p.loadedNCPs }
 // mutate it.
 func (p *Placement) LoadedLinks() []network.LinkID { return p.loadedLinks }
 
+// NCPLoads returns the loads on LoadedNCPs, parallel to it. Shared; callers
+// must not mutate it or its vectors.
+func (p *Placement) NCPLoads() []resource.Vector { return p.ncpLoads }
+
+// LinkLoads returns the loads on LoadedLinks, parallel to it. Shared;
+// callers must not mutate it.
+func (p *Placement) LinkLoads() []float64 { return p.linkLoads }
+
 // Rate returns the maximum stable processing rate of this placement under
 // the given residual capacities: min over elements of capacity / load
 // (§IV.A). An incomplete placement has rate 0.
@@ -224,20 +255,20 @@ func (p *Placement) Rate(caps *network.Capacities) float64 {
 		return 0
 	}
 	rate := -1.0
-	for v, load := range p.ncpLoad {
+	for i, load := range p.ncpLoads {
 		if load.IsZero() {
 			continue
 		}
-		r := resource.DivMin(caps.NCP[v], load)
+		r := resource.DivMin(caps.NCP[p.loadedNCPs[i]], load)
 		if rate < 0 || r < rate {
 			rate = r
 		}
 	}
-	for l, bits := range p.linkLoad {
+	for i, bits := range p.linkLoads {
 		if bits <= 0 {
 			continue
 		}
-		r := caps.Link[network.LinkID(l)] / bits
+		r := caps.Link[p.loadedLinks[i]] / bits
 		if rate < 0 || r < rate {
 			rate = r
 		}
@@ -253,11 +284,11 @@ func (p *Placement) Rate(caps *network.Capacities) float64 {
 // Subtract reserves this placement's resources at the given rate in caps:
 // every element loses rate * its per-unit load.
 func (p *Placement) Subtract(caps *network.Capacities, rate float64) {
-	for _, v := range p.loadedNCPs {
-		caps.SubtractNCP(v, p.ncpLoad[v], rate)
+	for i, v := range p.loadedNCPs {
+		caps.SubtractNCP(v, p.ncpLoads[i], rate)
 	}
-	for _, l := range p.loadedLinks {
-		caps.SubtractLink(l, p.linkLoad[l], rate)
+	for i, l := range p.loadedLinks {
+		caps.SubtractLink(l, p.linkLoads[i], rate)
 	}
 }
 
@@ -267,14 +298,14 @@ func (p *Placement) Subtract(caps *network.Capacities, rate float64) {
 // floating-point residue only; callers that need exactness rebuild from
 // base capacities instead.
 func (p *Placement) AddBack(caps *network.Capacities, rate float64) {
-	for _, v := range p.loadedNCPs {
+	for i, v := range p.loadedNCPs {
 		if caps.NCP[v] == nil {
 			caps.NCP[v] = resource.Vector{}
 		}
-		caps.NCP[v].AddScaled(p.ncpLoad[v], rate)
+		caps.NCP[v].AddScaled(p.ncpLoads[i], rate)
 	}
-	for _, l := range p.loadedLinks {
-		caps.Link[l] += p.linkLoad[l] * rate
+	for i, l := range p.loadedLinks {
+		caps.Link[l] += p.linkLoads[i] * rate
 	}
 }
 

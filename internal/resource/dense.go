@@ -60,7 +60,12 @@ func (in *Interner) Len() int { return len(in.kinds) }
 // dropped — by construction the universe covers every kind any demand can
 // reference, so dropped capacity kinds can never enter a rate computation.
 func (in *Interner) Dense(v Vector) Dense {
-	out := make(Dense, len(in.kinds))
+	return in.DenseInto(make(Dense, len(in.kinds)), v)
+}
+
+// DenseInto is Dense writing into out, which must be zero and Len() long:
+// callers that densify many vectors carve them from one backing array.
+func (in *Interner) DenseInto(out Dense, v Vector) Dense {
 	for k, a := range v {
 		if i, ok := in.index[k]; ok {
 			out[i] = a
