@@ -41,12 +41,11 @@ func run(args []string, out io.Writer) error {
 	trials := fs.Int("trials", 0, "trials per cell (0 = experiment default)")
 	seed := fs.Int64("seed", 1, "random seed")
 	asJSON := fs.Bool("json", false, "emit raw experiment results as JSON instead of text tables")
-	parallel := fs.Int("parallel", 0, "candidate-scoring goroutines per ranking iteration (0 = GOMAXPROCS, 1 = serial)")
 	cells := fs.Int("cells", 0, "experiment cells run concurrently (0 = GOMAXPROCS, 1 = serial); output order is unchanged")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := expt.Config{Trials: *trials, Seed: *seed, Parallel: *parallel}
+	cfg := expt.Config{Trials: *trials, Seed: *seed}
 
 	experiments := []struct {
 		name string

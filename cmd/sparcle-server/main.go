@@ -179,7 +179,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	seed := fs.Int64("seed", 1, "scheduler random seed")
 	withPprof := fs.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	verbose := fs.Bool("v", false, "log scheduler activity to stderr")
-	parallel := fs.Int("parallel", 0, "candidate-scoring goroutines per ranking iteration (0 = GOMAXPROCS, 1 = serial)")
 	shards := fs.Int("shards", 1, "region shards: partition the network into N regions, one scheduler each, behind an admission router (1 = single scheduler)")
 	journalDir := fs.String("journal", "", "directory for the write-ahead operation journal (empty = not durable)")
 	journalFsync := fs.String("journal-fsync", "always", "journal fsync policy: always, interval, or never")
@@ -229,7 +228,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		return err
 	}
 
-	opts := []core.Option{core.WithRandSeed(*seed), core.WithParallelism(*parallel)}
+	opts := []core.Option{core.WithRandSeed(*seed)}
 	if *verbose {
 		opts = append(opts, core.WithLogger(obs.NewLogger(os.Stderr, slog.LevelDebug)))
 	}

@@ -68,7 +68,6 @@ func run(args []string, out io.Writer) error {
 	dot := fs.String("dot", "", "write the first path of each admitted app as Graphviz DOT to this file")
 	trace := fs.String("trace", "", "write the span tree of every scheduler operation, decisions included, as JSON Lines to this file")
 	verbose := fs.Bool("v", false, "log scheduler activity to stderr")
-	parallel := fs.Int("parallel", 0, "candidate-scoring goroutines per ranking iteration (0 = GOMAXPROCS, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -100,7 +99,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	opts := []core.Option{core.WithRandSeed(*seed), core.WithParallelism(*parallel)}
+	opts := []core.Option{core.WithRandSeed(*seed)}
 	if *verbose {
 		opts = append(opts, core.WithLogger(obs.NewLogger(os.Stderr, slog.LevelDebug)))
 	}

@@ -135,7 +135,7 @@ func writeGRMultipath(t *testing.T) string {
 }
 
 // TestExplainFlag compares -explain output byte for byte with the
-// committed goldens, serial and parallel ranking alike.
+// committed goldens.
 func TestExplainFlag(t *testing.T) {
 	for _, tc := range []struct {
 		golden   string
@@ -148,15 +148,12 @@ func TestExplainFlag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := tc.scenario(t)
-		for _, parallel := range []string{"1", "0"} {
-			var out bytes.Buffer
-			if err := run([]string{"-f", path, "-explain", "-parallel", parallel}, &out); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Fatalf("%s at -parallel %s differs:\n got:\n%s\nwant:\n%s", tc.golden, parallel, out.Bytes(), want)
-			}
+		var out bytes.Buffer
+		if err := run([]string{"-f", tc.scenario(t), "-explain"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("%s differs:\n got:\n%s\nwant:\n%s", tc.golden, out.Bytes(), want)
 		}
 	}
 }

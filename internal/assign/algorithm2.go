@@ -3,11 +3,8 @@ package assign
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sparcle/internal/network"
 	"sparcle/internal/obs"
@@ -22,11 +19,8 @@ import (
 // the most constrained CT — so the ranking adapts as placement proceeds.
 //
 // Evaluation runs on a snapshot core: resource kinds are interned into
-// dense slices once per assignment (placement.EvalView), widest-path
-// bottlenecks are answered from memoized single-source trees, and the
-// candidates of each ranking iteration are scored on a bounded worker
-// pool. An ordered reduction keeps every placement, γ value and recorded
-// decision identical to the serial path regardless of Parallel.
+// dense slices once per assignment (placement.EvalView), and widest-path
+// bottlenecks are answered from memoized single-source trees.
 type Sparcle struct {
 	// LiteralNu makes γ consider every placed reachable CT, exactly as
 	// the paper's ν_i is written, instead of only the frontier placed CTs
@@ -34,14 +28,10 @@ type Sparcle struct {
 	// intermediate CT is placed and measurably misses optimal placements
 	// (the ablation benchmarks quantify this); it exists for comparison.
 	LiteralNu bool
-	// Parallel bounds the candidate-scoring goroutines per ranking
-	// iteration: 0 uses GOMAXPROCS, 1 forces the serial path, N > 1 uses
-	// at most N workers. Every setting produces identical output.
-	Parallel int
 	// Metrics, when set, maintains the evaluation-core counters (γ
-	// evaluations, widest-path cache hits/misses) and the per-iteration
-	// parallelism gauge. A nil registry is free: the hot loop increments
-	// nil no-op metrics and allocates nothing extra.
+	// evaluations, widest-path cache hits/misses). A nil registry is
+	// free: the hot loop increments nil no-op metrics and allocates
+	// nothing extra.
 	Metrics *obs.Registry
 	// Span, when set, records every placement decision, which explains
 	// why each task landed where it did. It gets one "pin" event per
@@ -69,9 +59,6 @@ const (
 	// lookups served from memory vs computed.
 	metricWidestHits   = "sparcle_assign_widest_cache_hits_total"
 	metricWidestMisses = "sparcle_assign_widest_cache_misses_total"
-	// metricParallelism reports the scoring workers of the most recent
-	// ranking iteration.
-	metricParallelism = "sparcle_assign_parallelism"
 )
 
 // DescribeMetrics sets the help texts of the evaluation-core metrics on
@@ -80,7 +67,6 @@ func DescribeMetrics(reg *obs.Registry) {
 	reg.SetHelp(metricGammaEvals, "Total gamma (eq. 2) candidate evaluations performed by the assignment engine.")
 	reg.SetHelp(metricWidestHits, "Total widest-path tree cache lookups served from the per-iteration memo.")
 	reg.SetHelp(metricWidestMisses, "Total widest-path tree cache lookups that computed a new single-source tree.")
-	reg.SetHelp(metricParallelism, "Candidate-scoring workers used by the most recent ranking iteration.")
 }
 
 // Assign implements placement.Algorithm.
@@ -88,7 +74,6 @@ func (a Sparcle) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 	st, err := newStateCfg(g, pins, net, caps, stateConfig{
 		span:      a.Span,
 		metrics:   a.Metrics,
-		parallel:  a.Parallel,
 		literalNu: a.LiteralNu,
 	})
 	if err != nil {
@@ -156,7 +141,6 @@ func (o Ordered) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 	if len(order) != g.NumCTs() {
 		return nil, fmt.Errorf("assign: %s order covers %d of %d CTs", o.AlgName, len(order), g.NumCTs())
 	}
-	var walk frontierWalk
 	for _, ct := range order {
 		if st.p.Host(ct) >= 0 {
 			continue
@@ -166,7 +150,7 @@ func (o Ordered) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 			feasible bool
 		)
 		if o.FullGamma {
-			host, _, feasible = st.bestHost(ct, st.linkTerms(ct, nil, &walk), &st.scratch[0])
+			host, _, feasible = st.bestHost(ct, st.linkTerms(ct, nil, &st.walk))
 		} else {
 			host, feasible = st.bestHostNCPOnly(ct)
 		}
@@ -184,7 +168,6 @@ func (o Ordered) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 type stateConfig struct {
 	span      *obs.Span
 	metrics   *obs.Registry
-	parallel  int
 	literalNu bool
 	// noCache disables the widest-path tree memo (ablation benchmarks
 	// only; production always caches).
@@ -210,23 +193,20 @@ type state struct {
 	// hosts); cache memoizes single-source widest-path trees against it.
 	view  *placement.EvalView
 	cache *widestCache
-	// scratch[w] is scoring worker w's search memory; place() and the
-	// serial scorer use scratch[0].
-	scratch []widestScratch
+	// scratch is the search memory of every route and tree.
+	scratch widestScratch
 	// changedLinks and route are scratch for the links a place() loads and
 	// the route it is committing, reused across placements.
 	changedLinks []network.LinkID
 	route        []network.LinkID
 	// Scratch of the ranking iterations, reused across them: the unplaced
-	// CTs in id order, their scores, the link terms of each CT by id, and
-	// the frontier walk that collects those terms.
+	// CTs in id order, their scores, the link terms of the CT being
+	// scored, and the frontier walk that collects those terms.
 	cts     []taskgraph.CTID
 	results []scored
-	terms   [][]linkTerm
+	terms   []linkTerm
 	walk    frontierWalk
 
-	// parallel is the resolved scoring-worker bound (>= 1).
-	parallel int
 	// noCache bypasses the tree memo (ablation benchmarks).
 	noCache bool
 
@@ -239,7 +219,6 @@ type state struct {
 
 	// Evaluation-core metrics; nil no-ops when no registry is attached.
 	mGamma *obs.Counter
-	mPar   *obs.Gauge
 }
 
 func newState(g *taskgraph.Graph, pins placement.Pins, net *network.Network, caps *network.Capacities) (*state, error) {
@@ -258,28 +237,19 @@ func newStateCfg(g *taskgraph.Graph, pins placement.Pins, net *network.Network, 
 		}
 	}
 	view := placement.NewEvalView(g, net, caps)
-	parallel := cfg.parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
 	st := &state{
-		g:        g,
-		net:      net,
-		caps:     caps,
-		p:        placement.New(g, net),
-		unplaced: g.NumCTs(),
-		view:     view,
-		cache:    newWidestCache(g, net, caps, view.LoadLink),
-		// No iteration scores more CTs than the graph has.
-		scratch:   make([]widestScratch, max(1, min(parallel, g.NumCTs()))),
-		parallel:  parallel,
+		g:         g,
+		net:       net,
+		caps:      caps,
+		p:         placement.New(g, net),
+		unplaced:  g.NumCTs(),
+		view:      view,
+		cache:     newWidestCache(g, net, caps, view.LoadLink),
 		noCache:   cfg.noCache,
 		literalNu: cfg.literalNu,
 		span:      cfg.span,
-		results:   make([]scored, g.NumCTs()),
-		terms:     make([][]linkTerm, g.NumCTs()),
+		results:   make([]scored, 0, g.NumCTs()),
 		mGamma:    cfg.metrics.Counter(metricGammaEvals),
-		mPar:      cfg.metrics.Gauge(metricParallelism),
 	}
 	st.cache.hits = cfg.metrics.Counter(metricWidestHits)
 	st.cache.misses = cfg.metrics.Counter(metricWidestMisses)
@@ -320,7 +290,7 @@ func (st *state) place(ct taskgraph.CTID, host network.NCPID) error {
 		if oHost < 0 {
 			continue
 		}
-		route, bottleneck, relaxations, ok := st.scratch[0].path(st.net, st.caps, st.view.LoadLink, tt.Bits, st.p.Host(tt.From), st.p.Host(tt.To), st.route)
+		route, bottleneck, relaxations, ok := st.scratch.path(st.net, st.caps, st.view.LoadLink, tt.Bits, st.p.Host(tt.From), st.p.Host(tt.To), st.route)
 		if !ok {
 			return fmt.Errorf("assign: no route for TT %q between NCPs %d and %d: %w",
 				tt.Name, st.p.Host(tt.From), st.p.Host(tt.To), placement.ErrInfeasible)
@@ -365,11 +335,8 @@ func (st *state) place(ct taskgraph.CTID, host network.NCPID) error {
 // denoise, between them, is already placed elsewhere). For pairs with a
 // placed intermediary the paper's justification ("at least one TT of
 // G(i,i′) will be placed on the path between j and j′") no longer holds.
-//
-// gamma only reads the view and the tree cache, and walks and searches on
-// memory of its own, so any number of scorers may run it concurrently.
 func (st *state) gamma(ct taskgraph.CTID, host network.NCPID) (rate float64, feasible bool) {
-	return st.gammaTerms(ct, host, st.linkTerms(ct, nil, new(frontierWalk)), new(widestScratch))
+	return st.gammaTerms(ct, host, st.linkTerms(ct, nil, &st.walk))
 }
 
 // linkTerm is one link contribution to γ for a CT: a placed counterpart
@@ -398,9 +365,8 @@ func (st *state) linkTerms(ct taskgraph.CTID, dst []linkTerm, w *frontierWalk) [
 	return dst
 }
 
-// gammaTerms is gamma with the host-independent link terms precomputed,
-// building any missing tree on s.
-func (st *state) gammaTerms(ct taskgraph.CTID, host network.NCPID, terms []linkTerm, s *widestScratch) (rate float64, feasible bool) {
+// gammaTerms is gamma with the host-independent link terms precomputed.
+func (st *state) gammaTerms(ct taskgraph.CTID, host network.NCPID, terms []linkTerm) (rate float64, feasible bool) {
 	st.mGamma.Inc()
 	rate = st.view.RateWith(host, st.view.Req[ct])
 	for _, term := range terms {
@@ -417,11 +383,11 @@ func (st *state) gammaTerms(ct taskgraph.CTID, host network.NCPID, terms []linkT
 			// every candidate host of the scan (and every CT sharing this
 			// frontier term) instead of one tree per candidate; a stream
 			// toward the placed end is searched against the link direction.
-			bottleneck, reachable = st.cache.tree(term.oHost, term.bits, term.toPlaced, s).bottleneck(host)
+			bottleneck, reachable = st.cache.tree(term.oHost, term.bits, term.toPlaced, &st.scratch).bottleneck(host)
 		case term.toPlaced:
-			_, bottleneck, _, reachable = s.path(st.net, st.caps, st.view.LoadLink, st.cache.bits[term.bits], host, term.oHost, nil)
+			_, bottleneck, _, reachable = st.scratch.path(st.net, st.caps, st.view.LoadLink, st.cache.bits[term.bits], host, term.oHost, nil)
 		default:
-			_, bottleneck, _, reachable = s.path(st.net, st.caps, st.view.LoadLink, st.cache.bits[term.bits], term.oHost, host, nil)
+			_, bottleneck, _, reachable = st.scratch.path(st.net, st.caps, st.view.LoadLink, st.cache.bits[term.bits], term.oHost, host, nil)
 		}
 		if !reachable {
 			return 0, false
@@ -499,12 +465,12 @@ func (st *state) walkFrontier(w *frontierWalk, cur taskgraph.CTID, down bool) {
 
 // bestHost returns j*_i = argmax_j γ_{i,j} for CT i with link terms terms,
 // the γ value achieved, and whether any feasible host exists. Ties break
-// toward the lower NCP id. Missing trees are built on s.
-func (st *state) bestHost(ct taskgraph.CTID, terms []linkTerm, s *widestScratch) (network.NCPID, float64, bool) {
+// toward the lower NCP id.
+func (st *state) bestHost(ct taskgraph.CTID, terms []linkTerm) (network.NCPID, float64, bool) {
 	best := network.NCPID(-1)
 	bestRate := math.Inf(-1)
 	for j := 0; j < st.net.NumNCPs(); j++ {
-		rate, ok := st.gammaTerms(ct, network.NCPID(j), terms, s)
+		rate, ok := st.gammaTerms(ct, network.NCPID(j), terms)
 		if !ok {
 			continue
 		}
@@ -543,65 +509,24 @@ type scored struct {
 	feasible bool
 }
 
-// score fills st.results[i] with the best host of st.cts[i], searching on s.
-func (st *state) score(i int, s *widestScratch) {
-	host, rate, feasible := st.bestHost(st.cts[i], st.terms[st.cts[i]], s)
-	st.results[i] = scored{host: host, rate: rate, feasible: feasible}
-}
-
-// scoreAll scores every CT of st.cts using up to st.parallel workers
-// pulling indices from a shared counter. Workers only read the evaluation
-// view and the precomputed link terms, share the synchronized tree cache
-// and search on their own scratch; results are index-addressed, so the
-// fill order cannot influence anything downstream. It returns the worker
-// count used (for the gauge).
-func (st *state) scoreAll() int {
-	workers := min(st.parallel, len(st.cts))
-	if workers <= 1 {
-		for i := range st.cts {
-			st.score(i, &st.scratch[0])
-		}
-		return 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(s *widestScratch) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(st.cts) {
-					return
-				}
-				st.score(i, s)
-			}
-		}(&st.scratch[w])
-	}
-	wg.Wait()
-	return workers
-}
-
 // dynamicRankNext implements Algorithm 2 lines 6-16: every unplaced CT is
 // scored by the bottleneck it would impose at its best host, and the CT
 // with the smallest such bottleneck — the most constrained one — is placed
-// first at that host. Scoring fans out over the worker pool; the reduction
-// then walks the results in ascending CT id, which reproduces the serial
-// loop's tie-breaking (and therefore its placements, γ values and
-// recorded decisions) exactly. It returns the chosen CT, its host and its
-// γ; the scores stay in st.cts/st.results until the next iteration.
+// first at that host; ties go to the lowest CT id. It returns the chosen
+// CT, its host and its γ; the scores stay in st.cts/st.results until the
+// next iteration.
 func (st *state) dynamicRankNext() (taskgraph.CTID, network.NCPID, float64, error) {
-	// The unplaced CTs in id order, and their link terms, collected
-	// serially before the fan-out.
-	st.cts = st.cts[:0]
+	// Score the unplaced CTs in id order.
+	st.cts, st.results = st.cts[:0], st.results[:0]
 	for ct, host := range st.view.Host {
 		if host < 0 {
+			st.terms = st.linkTerms(taskgraph.CTID(ct), st.terms[:0], &st.walk)
+			h, rate, feasible := st.bestHost(taskgraph.CTID(ct), st.terms)
 			st.cts = append(st.cts, taskgraph.CTID(ct))
-			st.terms[ct] = st.linkTerms(taskgraph.CTID(ct), st.terms[ct][:0], &st.walk)
+			st.results = append(st.results, scored{host: h, rate: rate, feasible: feasible})
 		}
 	}
 	cts, results := st.cts, st.results
-	st.mPar.Set(float64(st.scoreAll()))
 
 	bestCT := taskgraph.CTID(-1)
 	bestHost := network.NCPID(-1)

@@ -29,10 +29,9 @@ func benchLarge(b *testing.B) *workload.Instance {
 	return inst
 }
 
-// BenchmarkDynamicRank measures the full Algorithm 2 assignment across the
-// evaluation-core ablation ladder: the memo-less per-pair Dijkstra
-// (uncached), the cached serial path, and the cached path with the worker
-// pool at GOMAXPROCS. "large" is the random-DAG case; "mesh64" is shaped
+// BenchmarkDynamicRank measures the full Algorithm 2 assignment with the
+// memo-less per-pair Dijkstra (uncached) and with the widest-path tree
+// memo (serial). "large" is the random-DAG case; "mesh64" is shaped
 // like the place_bound benchmark workload, one op assigning one of 16
 // seeded 2–8-CT linear pipelines on the homogeneous 64-NCP full mesh.
 func BenchmarkDynamicRank(b *testing.B) {
@@ -76,9 +75,8 @@ func BenchmarkDynamicRank(b *testing.B) {
 				}
 			}
 		}
-		b.Run(c.name+"/uncached", func(b *testing.B) { run(b, stateConfig{parallel: 1, noCache: true}) })
-		b.Run(c.name+"/serial", func(b *testing.B) { run(b, stateConfig{parallel: 1}) })
-		b.Run(c.name+"/parallel", func(b *testing.B) { run(b, stateConfig{}) })
+		b.Run(c.name+"/uncached", func(b *testing.B) { run(b, stateConfig{noCache: true}) })
+		b.Run(c.name+"/serial", func(b *testing.B) { run(b, stateConfig{}) })
 	}
 }
 
@@ -188,8 +186,9 @@ func BenchmarkWidestTree(b *testing.B) {
 		b.Run(c.name+"/tree", func(b *testing.B) {
 			b.ReportAllocs()
 			var s widestScratch
+			var t widestTree
 			for i := 0; i < b.N; i++ {
-				s.tree(c.net, caps, loads, 10, 0, false)
+				s.tree(c.net, caps, loads, 10, 0, false, &t)
 			}
 		})
 	}

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 
 	"sparcle/internal/network"
-	"sparcle/internal/obs"
 	"sparcle/internal/placement"
 	"sparcle/internal/resource"
 	"sparcle/internal/taskgraph"
@@ -189,85 +186,6 @@ func TestPropertyFrontierSubsetOfReachable(t *testing.T) {
 			st.literalNu = false
 			if len(frontier) > len(literal) {
 				t.Fatalf("frontier (%d) larger than literal ν (%d)", len(frontier), len(literal))
-			}
-		}
-	}
-}
-
-// TestPropertyParallelIdentical: the parallel candidate scorer is an
-// implementation detail — for every worker bound the placements, γ
-// sequences and recorded span trees (names, attributes and events, with
-// timestamps stripped) are identical to the serial path. This is the
-// determinism contract of the ordered reduction (and of the widest-path
-// cache, which serial and parallel runs exercise very differently).
-func TestPropertyParallelIdentical(t *testing.T) {
-	type run struct {
-		hosts     []network.NCPID
-		routes    [][]network.LinkID
-		decisions []decision
-		spans     []obs.SpanRecord
-	}
-	runOnce := func(t *testing.T, g *taskgraph.Graph, pins placement.Pins, net *network.Network, parallel int) run {
-		t.Helper()
-		var r run
-		alg := Sparcle{Parallel: parallel, Metrics: obs.NewRegistry()}
-		p, decisions, recs, err := tracedAssign(t, alg, g, pins, net, net.BaseCapacities())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.decisions = decisions
-		for _, rec := range recs {
-			rec.Start, rec.Dur = 0, 0
-			rec.Events = slices.Clone(rec.Events)
-			for i := range rec.Events {
-				rec.Events[i].TS = 0
-			}
-			r.spans = append(r.spans, rec)
-		}
-		for ct := 0; ct < g.NumCTs(); ct++ {
-			r.hosts = append(r.hosts, p.Host(taskgraph.CTID(ct)))
-		}
-		for tt := 0; tt < g.NumTTs(); tt++ {
-			route, _ := p.Route(taskgraph.TTID(tt))
-			r.routes = append(r.routes, route)
-		}
-		return r
-	}
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 25; trial++ {
-		g, pins, net := randomInstance(t, rng)
-		serial := runOnce(t, g, pins, net, 1)
-		for _, n := range []int{2, 8} {
-			par := runOnce(t, g, pins, net, n)
-			for ct, h := range serial.hosts {
-				if par.hosts[ct] != h {
-					t.Fatalf("trial %d, parallel=%d: CT %d host %d != serial %d", trial, n, ct, par.hosts[ct], h)
-				}
-			}
-			for tt, route := range serial.routes {
-				if len(par.routes[tt]) != len(route) {
-					t.Fatalf("trial %d, parallel=%d: TT %d route differs", trial, n, tt)
-				}
-				for i := range route {
-					if par.routes[tt][i] != route[i] {
-						t.Fatalf("trial %d, parallel=%d: TT %d route differs at hop %d", trial, n, tt, i)
-					}
-				}
-			}
-			if len(par.decisions) != len(serial.decisions) {
-				t.Fatalf("trial %d, parallel=%d: %d decisions != serial %d", trial, n, len(par.decisions), len(serial.decisions))
-			}
-			for i, d := range serial.decisions {
-				pd := par.decisions[i]
-				// γ equality is bit-exact, not approximate: the parallel
-				// scorer must perform the identical float operations.
-				if pd.Step != d.Step || pd.CT != d.CT || pd.Host != d.Host || pd.Pinned != d.Pinned ||
-					math.Float64bits(pd.Gamma) != math.Float64bits(d.Gamma) {
-					t.Fatalf("trial %d, parallel=%d: decision %d = %+v != serial %+v", trial, n, i, pd, d)
-				}
-			}
-			if !reflect.DeepEqual(par.spans, serial.spans) {
-				t.Fatalf("trial %d, parallel=%d: span records differ\nserial:\n%+v\nparallel:\n%+v", trial, n, serial.spans, par.spans)
 			}
 		}
 	}

@@ -119,14 +119,11 @@ func TestAssignTraceEvents(t *testing.T) {
 // TestAssignNoAllocsWhenUntraced pins the telemetry-off contract of the
 // hot loop: an explicit nil Span and a nil Metrics registry must follow
 // exactly the same allocation profile as the plain zero-value algorithm
-// (no candidate lists, no event payloads, no metric series). Parallel is
-// pinned to 1 so worker-goroutine bookkeeping does not blur the
-// comparison on multi-core machines.
+// (no candidate lists, no event payloads, no metric series).
 func TestAssignNoAllocsWhenUntraced(t *testing.T) {
 	g, pins, net := traceInstance(t)
 	caps := net.BaseCapacities()
 	measure := func(a Sparcle) float64 {
-		a.Parallel = 1
 		return testing.AllocsPerRun(50, func() {
 			if _, err := a.Assign(g, pins, net, caps); err != nil {
 				t.Fatal(err)
@@ -149,12 +146,12 @@ func TestAssignNoAllocsWhenUntraced(t *testing.T) {
 }
 
 // TestAssignMetrics checks the evaluation-core series: γ evaluations,
-// widest-path cache hit/miss counts and the parallelism gauge all appear
-// with plausible values when a registry is attached.
+// and widest-path cache hit/miss counts appear with plausible values when
+// a registry is attached.
 func TestAssignMetrics(t *testing.T) {
 	g, pins, net := traceInstance(t)
 	reg := obs.NewRegistry()
-	if _, err := (Sparcle{Metrics: reg, Parallel: 1}).Assign(g, pins, net, net.BaseCapacities()); err != nil {
+	if _, err := (Sparcle{Metrics: reg}).Assign(g, pins, net, net.BaseCapacities()); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -170,8 +167,5 @@ func TestAssignMetrics(t *testing.T) {
 	}
 	if v := value(metricWidestMisses); v <= 0 {
 		t.Fatalf("widest cache misses = %v", v)
-	}
-	if v := value(metricParallelism); v != 1 {
-		t.Fatalf("parallelism gauge = %v", v)
 	}
 }

@@ -36,10 +36,17 @@ func (s *widestScratch) path(net *network.Network, caps *network.Capacities, lin
 		return dst[:0], math.Inf(1), 0, true
 	}
 	relaxations = s.search(net, caps, linkLoad, bits, from, to, false)
+	route, bottleneck, ok = s.route(net, from, to, dst)
+	return route, bottleneck, relaxations, ok
+}
+
+// route reconstructs the path from `from` to `to` that the last search on
+// s found, by walking predecessor links back from `to`, appending it to
+// dst[:0]. ok=false when `to` was not reached.
+func (s *widestScratch) route(net *network.Network, from, to network.NCPID, dst []network.LinkID) (route []network.LinkID, bottleneck float64, ok bool) {
 	if math.IsInf(s.nodes[to].phi, -1) {
-		return nil, 0, relaxations, false
+		return nil, 0, false
 	}
-	// Reconstruct the route by walking predecessor links from `to`.
 	route = dst[:0]
 	for v := to; v != from; {
 		l := s.nodes[v].prevLink
@@ -47,7 +54,7 @@ func (s *widestScratch) path(net *network.Network, caps *network.Capacities, lin
 		v = net.Other(l, v)
 	}
 	slices.Reverse(route)
-	return route, s.nodes[to].phi, relaxations, true
+	return route, s.nodes[to].phi, true
 }
 
 // widestNode is one NCP's state in a search.
@@ -58,8 +65,8 @@ type widestNode struct {
 	done     bool
 }
 
-// widestScratch is a search's working memory, reused by one searcher at a
-// time: the assignment state holds one per scoring worker.
+// widestScratch is a search's working memory, reused by one search at a
+// time: the assignment state holds one.
 type widestScratch struct {
 	nodes []widestNode
 	pq    widestQueue
@@ -72,6 +79,13 @@ type widestScratch struct {
 // returns the number of successful relaxations. Which of several equally
 // wide, equally short paths a route takes is decided by the pop order of
 // equal keys, so widestQueue sifts exactly as container/heap does.
+//
+// An arc whose head already holds v's bottleneck at no more hops is
+// skipped before its link is read. The relaxed value min(pv, w) never
+// exceeds pv, so such a head could improve only on a strictly shorter hop
+// count: the skipped arcs are exactly those the relax test would reject,
+// and pushes, pop order, routes and relaxations are unchanged. On a
+// uniform mesh that is almost every arc.
 func (s *widestScratch) search(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from, to network.NCPID, reversed bool) (relaxations int) {
 	nodes := slices.Grow(s.nodes[:0], net.NumNCPs())[:net.NumNCPs()]
 	for i := range nodes {
@@ -96,7 +110,7 @@ func (s *widestScratch) search(net *network.Network, caps *network.Capacities, l
 		pv, hv := nodes[v].phi, nodes[v].hops+1
 		for _, a := range arcs {
 			u := &nodes[a.To]
-			if u.done {
+			if u.done || (u.phi == pv && u.hops <= hv) {
 				continue
 			}
 			b := min(pv, linkWeight(caps.Link[a.Link], linkLoad[a.Link], bits))

@@ -3,8 +3,6 @@ package assign
 import (
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"sparcle/internal/network"
 	"sparcle/internal/obs"
@@ -40,22 +38,26 @@ type widestTree struct {
 
 // tree runs the search from `from` to exhaustion on s, along the links
 // leaving each NCP or, reversed, along those entering it (phi[v] is then
-// the bottleneck from v to `from`). It is the same search a route runs, so
-// for every target the tree's phi equals the per-pair search's bottleneck
-// bit for bit.
-func (s *widestScratch) tree(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from network.NCPID, reversed bool) widestTree {
+// the bottleneck from v to `from`), and records the result in t, reusing
+// t's arrays. It is the same search a route runs, so for every target the
+// tree's phi equals the per-pair search's bottleneck bit for bit.
+func (s *widestScratch) tree(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from network.NCPID, reversed bool, t *widestTree) {
 	s.search(net, caps, linkLoad, bits, from, -1, reversed)
-	t := widestTree{
-		phi:   make([]float64, len(s.nodes)),
-		edges: make([]uint64, (net.NumLinks()+63)/64),
-	}
-	for v, nd := range s.nodes {
+	t.fill(s.nodes, net.NumLinks())
+}
+
+// fill records the bottlenecks and predecessor links of a finished search
+// in t, reusing t's arrays.
+func (t *widestTree) fill(nodes []widestNode, numLinks int) {
+	t.phi = slices.Grow(t.phi[:0], len(nodes))[:len(nodes)]
+	t.edges = slices.Grow(t.edges[:0], (numLinks+63)/64)[:(numLinks+63)/64]
+	clear(t.edges)
+	for v, nd := range nodes {
 		t.phi[v] = nd.phi
 		if l := nd.prevLink; l >= 0 {
 			t.edges[l/64] |= 1 << (l % 64)
 		}
 	}
-	return t
 }
 
 // bottleneck returns the widest-path bottleneck from the tree's source to
@@ -67,10 +69,7 @@ func (t *widestTree) bottleneck(to network.NCPID) (float64, bool) {
 }
 
 // widestCache memoizes single-source widest-path trees per (source host,
-// TT size, direction) for the current state of the link loads. Lookups
-// are safe from concurrent scorers: each slot is an atomic pointer and
-// each tree is computed exactly once (sync.Once), so racing scorers block
-// on the first computation instead of duplicating it.
+// TT size, direction) for the current state of the link loads.
 //
 // The slots are a dense array: the application's distinct TT sizes are
 // interned when the cache is built, so a key is (size index, direction,
@@ -95,16 +94,18 @@ type widestCache struct {
 	ttBits []int
 	// entries[bits index*NumNCPs + root] are the forward trees; the
 	// reversed ones follow, only on a network with directed links. nil is
-	// absent.
-	entries []atomic.Pointer[widestEntry]
+	// never built.
+	entries []*widestEntry
 
 	// hits/misses are the obs counters (nil-safe no-ops by default).
 	hits, misses *obs.Counter
 }
 
+// widestEntry is one cache slot's tree. An invalidated tree is stale and
+// is rebuilt in its own arrays on its next lookup.
 type widestEntry struct {
-	once sync.Once
-	tree widestTree
+	tree  widestTree
+	stale bool
 }
 
 func newWidestCache(g *taskgraph.Graph, net *network.Network, caps *network.Capacities, linkLoad []float64) *widestCache {
@@ -122,13 +123,13 @@ func newWidestCache(g *taskgraph.Graph, net *network.Network, caps *network.Capa
 	if !net.Symmetric() {
 		n *= 2
 	}
-	c.entries = make([]atomic.Pointer[widestEntry], n)
+	c.entries = make([]*widestEntry, n)
 	return c
 }
 
 // tree returns the memoized widest-path tree for (from, c.bits[bits],
-// direction), computing it on s on first use. Safe for concurrent callers,
-// each with its own scratch.
+// direction), building it on s on first use or after an invalidation.
+// The tree is the cache's, current until the next invalidate.
 func (c *widestCache) tree(from network.NCPID, bits int, reversed bool, s *widestScratch) *widestTree {
 	// Without directed links one tree serves both directions.
 	reversed = reversed && !c.net.Symmetric()
@@ -136,38 +137,34 @@ func (c *widestCache) tree(from network.NCPID, bits int, reversed bool, s *wides
 	if reversed {
 		i += len(c.bits) * c.net.NumNCPs()
 	}
-	slot := &c.entries[i]
-	e := slot.Load()
-	if e != nil {
+	e := c.entries[i]
+	switch {
+	case e == nil:
+		e = new(widestEntry)
+		c.entries[i] = e
+	case !e.stale:
 		c.hits.Inc()
-	} else if fresh := new(widestEntry); slot.CompareAndSwap(nil, fresh) {
-		c.misses.Inc()
-		e = fresh
-	} else {
-		c.hits.Inc()
-		e = slot.Load()
+		return &e.tree
 	}
-	e.once.Do(func() {
-		e.tree = s.tree(c.net, c.caps, c.linkLoad, c.bits[bits], from, reversed)
-	})
+	c.misses.Inc()
+	s.tree(c.net, c.caps, c.linkLoad, c.bits[bits], from, reversed, &e.tree)
+	e.stale = false
 	return &e.tree
 }
 
-// invalidate drops every entry whose tree uses one of the changed links.
-// Called by the mutation layer after routes are committed, never
-// concurrently with tree().
+// invalidate marks stale every tree that uses one of the changed links.
+// Called by the mutation layer after routes are committed.
 func (c *widestCache) invalidate(changed []network.LinkID) {
 	if len(changed) == 0 {
 		return
 	}
-	for i := range c.entries {
-		e := c.entries[i].Load()
-		if e == nil {
+	for _, e := range c.entries {
+		if e == nil || e.stale {
 			continue
 		}
 		for _, l := range changed {
 			if e.tree.edges[l/64]&(1<<(l%64)) != 0 {
-				c.entries[i].Store(nil)
+				e.stale = true
 				break
 			}
 		}

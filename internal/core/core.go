@@ -172,15 +172,6 @@ func WithLogger(l *slog.Logger) Option {
 	}
 }
 
-// WithParallelism bounds the candidate-scoring workers of SPARCLE's
-// dynamic-ranking iterations: 0 (the default) uses GOMAXPROCS, 1 forces
-// the serial path, n > 1 uses at most n goroutines. Placements, γ values
-// and recorded decisions are identical at every setting; only wall-clock
-// changes. Ignored when WithAlgorithm selects a non-SPARCLE algorithm.
-func WithParallelism(n int) Option {
-	return func(s *Scheduler) { s.parallel = n }
-}
-
 // WithoutPrediction disables the eq. (6) capacity prediction: new BE
 // applications are placed against the raw residual capacities instead of
 // their priority share. This is the ablation mode for quantifying how much
@@ -231,8 +222,6 @@ type Scheduler struct {
 	noPrediction bool
 	// diversityBias < 1 steers later paths away from used elements.
 	diversityBias float64
-	// parallel bounds SPARCLE's candidate-scoring workers (0 = GOMAXPROCS).
-	parallel int
 
 	// batching defers best-effort re-allocation during SubmitBatch so a
 	// K-app batch reconciles the solver once.
@@ -268,11 +257,10 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		opt(s)
 	}
 	s.failProbs = failProbs(net)
-	// Route telemetry and the parallelism bound into the assignment
-	// algorithm when it is SPARCLE's own (baselines have no such hooks).
+	// Route telemetry into the assignment algorithm when it is SPARCLE's
+	// own (baselines have no such hooks).
 	if sp, ok := s.alg.(assign.Sparcle); ok {
 		sp.Metrics = s.metrics
-		sp.Parallel = s.parallel
 		s.alg = sp
 	}
 	if s.metrics != nil {

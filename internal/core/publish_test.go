@@ -309,13 +309,14 @@ func TestRebuildRetiresPredecessorSeries(t *testing.T) {
 // line with the text the same script produced before rate gauges were
 // bound to residents (testdata/churn_metrics.golden, written at d207421;
 // its two outcome="rejected" lines were rewritten when SubmitBatch began
-// to count the rejections inside a batch, 28 in this script).
-// Families that hold wall-clock time are left out.
+// to count the rejections inside a batch, 28 in this script, and its
+// sparcle_assign_parallelism family was dropped with the scoring worker
+// pool). Families that hold wall-clock time are left out.
 func TestChurnMetricsGolden(t *testing.T) {
 	net := meshNet(t)
 	script := churnScript(t, rand.New(rand.NewSource(2024)), net, 200)
 	reg := obs.NewRegistry()
-	s := New(net, WithRandSeed(1), WithParallelism(1), WithMetrics(reg))
+	s := New(net, WithRandSeed(1), WithMetrics(reg))
 	for _, op := range script {
 		applyOp(t, s, op)
 	}
@@ -380,7 +381,7 @@ func TestServedChurnAllocsIndependentOfK(t *testing.T) {
 	app := App{Graph: tmpl.Graph, Pins: workload.PinRandomEnds(tmpl.Graph, net, rng),
 		QoS: QoS{Class: BestEffort, Priority: 1, MaxPaths: 1}}
 	perCycle := func(k int) float64 {
-		s := New(net, WithRandSeed(1), WithParallelism(1), WithMetrics(obs.NewRegistry()))
+		s := New(net, WithRandSeed(1), WithMetrics(obs.NewRegistry()))
 		seq := 0
 		admit := func() {
 			a := app

@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"sparcle/internal/assign"
 	"sparcle/internal/simnet"
 	"sparcle/internal/workload"
 )
@@ -44,7 +45,7 @@ func Backpressure(cfg Config) (*BackpressureResult, error) {
 			return nil, err
 		}
 		caps := net.BaseCapacities()
-		p, err := cfg.sparcle().Assign(g, pins, net, caps)
+		p, err := assign.Sparcle{}.Assign(g, pins, net, caps)
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"sparcle/internal/assign"
 	"sparcle/internal/baselines"
 	"sparcle/internal/placement"
 )
@@ -26,9 +25,6 @@ type Config struct {
 	Trials int
 	// Seed drives all randomness.
 	Seed int64
-	// Parallel bounds SPARCLE's candidate-scoring workers (0 = GOMAXPROCS,
-	// 1 = serial). Results are identical at every setting.
-	Parallel int
 }
 
 func (c Config) trials(def int) int {
@@ -36,11 +32,6 @@ func (c Config) trials(def int) int {
 		return c.Trials
 	}
 	return def
-}
-
-// sparcle returns the SPARCLE algorithm configured per c.
-func (c Config) sparcle() assign.Sparcle {
-	return assign.Sparcle{Parallel: c.Parallel}
 }
 
 // Table is a printable result table.

@@ -53,7 +53,7 @@ func FailureReplay(cfg Config) (*FailureReplayResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		paths, _, err := assign.MultiPath(cfg.sparcle(), inst.Graph, inst.Pins, inst.Net, inst.Net.BaseCapacities(), 2)
+		paths, _, err := assign.MultiPath(assign.Sparcle{}, inst.Graph, inst.Pins, inst.Net, inst.Net.BaseCapacities(), 2)
 		if err != nil {
 			continue
 		}
@@ -158,7 +158,7 @@ func Latency(cfg Config) (*LatencyResult, error) {
 		return nil, err
 	}
 	caps := net.BaseCapacities()
-	p, err := cfg.sparcle().Assign(g, pins, net, caps)
+	p, err := assign.Sparcle{}.Assign(g, pins, net, caps)
 	if err != nil {
 		return nil, err
 	}

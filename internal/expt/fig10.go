@@ -187,7 +187,7 @@ func fig10Paths(cfg Config, rng *rand.Rand, accept func([]placement.Path, avail.
 		if err != nil {
 			return nil, err
 		}
-		paths, _, err := assign.MultiPath(cfg.sparcle(), inst.Graph, inst.Pins, inst.Net, inst.Net.BaseCapacities(), 3)
+		paths, _, err := assign.MultiPath(assign.Sparcle{}, inst.Graph, inst.Pins, inst.Net, inst.Net.BaseCapacities(), 3)
 		if err != nil {
 			continue
 		}

@@ -61,7 +61,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		// SPARCLE with aggregated multi-path placement, plus its first
 		// path alone for a like-for-like comparison with the single-path
 		// baselines.
-		paths, _, err := assign.MultiPath(cfg.sparcle(), g, pins, net, caps, 3)
+		paths, _, err := assign.MultiPath(assign.Sparcle{}, g, pins, net, caps, 3)
 		if err != nil {
 			return nil, fmt.Errorf("expt: fig6 SPARCLE at %v Mbps: %w", bw, err)
 		}

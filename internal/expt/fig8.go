@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"sparcle/internal/assign"
 	"sparcle/internal/baselines"
 	"sparcle/internal/stats"
 	"sparcle/internal/workload"
@@ -59,7 +60,7 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 				if opt <= 0 {
 					continue
 				}
-				got := baselines.RateOf(cfg.sparcle(), inst.Graph, inst.Pins, inst.Net, caps)
+				got := baselines.RateOf(assign.Sparcle{}, inst.Graph, inst.Pins, inst.Net, caps)
 				ratio := got / opt
 				// The exhaustive reference fixes CT assignments but routes
 				// TTs heuristically (joint routing is NP-hard), so SPARCLE

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"sparcle/internal/assign"
 	"sparcle/internal/workload"
 )
 
@@ -48,7 +49,7 @@ func Scaling(cfg Config) (*ScalingResult, error) {
 			}
 			caps := inst.Net.BaseCapacities()
 			start := time.Now()
-			if _, err := cfg.sparcle().Assign(inst.Graph, inst.Pins, inst.Net, caps); err != nil {
+			if _, err := (assign.Sparcle{}).Assign(inst.Graph, inst.Pins, inst.Net, caps); err != nil {
 				return nil, err
 			}
 			total += time.Since(start)

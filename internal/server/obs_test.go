@@ -62,7 +62,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`sparcle_assign_gamma_evals_total`,
 		`sparcle_assign_widest_cache_hits_total`,
 		`sparcle_assign_widest_cache_misses_total`,
-		`sparcle_assign_parallelism`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

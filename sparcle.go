@@ -180,18 +180,6 @@ func NewObsLogger(w io.Writer, level slog.Level) *slog.Logger { return obs.NewLo
 // for direct use outside a Scheduler.
 func DynamicRanking() Algorithm { return assign.Sparcle{} }
 
-// DynamicRankingParallel returns Algorithm 2 scoring candidates on up to n
-// goroutines per ranking iteration (0 uses GOMAXPROCS, 1 is serial).
-// Output is identical at every setting; only wall-clock changes.
-func DynamicRankingParallel(n int) Algorithm {
-	return assign.Sparcle{Parallel: n}
-}
-
-// WithParallelism bounds the candidate-scoring workers of the scheduler's
-// dynamic-ranking placement (0 = GOMAXPROCS, 1 = serial). Placements and
-// recorded decisions are identical at every setting.
-func WithParallelism(n int) SchedulerOption { return core.WithParallelism(n) }
-
 // Capacity fluctuation (resource dynamics beyond the paper; see
 // Scheduler.ApplyFluctuation and Scheduler.Repair).
 type (
