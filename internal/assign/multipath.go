@@ -54,7 +54,7 @@ func multiPath(alg placement.Algorithm, g *taskgraph.Graph, pins placement.Pins,
 	residual := caps.Clone()
 	var paths []placement.Path
 	for len(paths) < maxPaths {
-		p, err := alg.Assign(g, pins, net, DiverseView(residual, paths, bias))
+		p, err := alg.Assign(g, pins, net, diverseView(residual, paths, bias))
 		if err != nil {
 			if len(paths) > 0 {
 				break
@@ -74,11 +74,11 @@ func multiPath(alg placement.Algorithm, g *taskgraph.Graph, pins placement.Pins,
 	return paths, residual, nil
 }
 
-// DiverseView returns the capacities the assignment algorithm should see
+// diverseView returns the capacities the assignment algorithm should see
 // for the next path: residual itself at bias 1 or before the first path,
 // else a copy with the elements earlier paths load scaled by bias, to steer
 // the greedy toward untouched elements.
-func DiverseView(residual *network.Capacities, paths []placement.Path, bias float64) *network.Capacities {
+func diverseView(residual *network.Capacities, paths []placement.Path, bias float64) *network.Capacities {
 	if bias >= 1 || len(paths) == 0 {
 		return residual
 	}

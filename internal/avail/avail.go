@@ -74,31 +74,6 @@ const (
 	maxExactShared = 16
 )
 
-// PathUpProb returns the probability a single path works: the product of
-// (1 - pf) over its distinct fallible elements. Paths carry a handful of
-// elements, so duplicates are skipped with a quadratic scan over the
-// earlier entries rather than a per-call set allocation.
-func PathUpProb(p Path, fp FailProbs) float64 {
-	prob := 1.0
-	for i, e := range p.Elements {
-		if seenBefore(p.Elements, i) {
-			continue
-		}
-		prob *= 1 - fp[e]
-	}
-	return prob
-}
-
-// seenBefore reports whether xs[i] already occurs in xs[:i].
-func seenBefore(xs []int, i int) bool {
-	for _, x := range xs[:i] {
-		if x == xs[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // AtLeastOne returns the exact probability that at least one path works,
 // accounting for arbitrary element overlap via inclusion–exclusion over
 // path subsets: P(∪ A_p) = Σ_{S≠∅} (-1)^{|S|+1} Π_{e ∈ union(S)} (1-pf_e).

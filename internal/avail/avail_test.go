@@ -7,15 +7,6 @@ import (
 	"testing"
 )
 
-func TestPathUpProb(t *testing.T) {
-	p := Path{Elements: []int{1, 2, 2, 3}, Rate: 1}
-	fp := FailProbs{1: 0.1, 2: 0.2, 3: 0}
-	// Duplicates must count once: 0.9 * 0.8 * 1.
-	if got, want := PathUpProb(p, fp), 0.72; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("PathUpProb = %v, want %v", got, want)
-	}
-}
-
 func TestAtLeastOneSinglePath(t *testing.T) {
 	paths := []Path{{Elements: []int{1, 2}, Rate: 1}}
 	fp := FailProbs{1: 0.1, 2: 0.2}

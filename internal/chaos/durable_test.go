@@ -15,7 +15,8 @@ import (
 func TestChaosHealsAreJournaled(t *testing.T) {
 	net := twoBranchNet(t, 100, 100, 1e6, 0.05, 0)
 	var recs []*core.Record
-	s := core.New(net, core.WithCommitHook(func(rec *core.Record) error {
+	s := core.New(net)
+	s.SetCommitHook(func(rec *core.Record) error {
 		b, err := json.Marshal(rec)
 		if err != nil {
 			return err
@@ -26,7 +27,7 @@ func TestChaosHealsAreJournaled(t *testing.T) {
 		}
 		recs = append(recs, cp)
 		return nil
-	}))
+	})
 	pa, err := s.Submit(grApp(t, "g", net, 10, core.QoS{
 		Class: core.GuaranteedRate, MinRate: 5, MinRateAvailability: 0.9, MaxPaths: 1,
 	}))

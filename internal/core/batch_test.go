@@ -70,10 +70,11 @@ func TestBatchSingleSolveSingleRecord(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	var recs []*Record
-	s := New(net, WithRandSeed(1), WithMetrics(reg), WithCommitHook(func(rec *Record) error {
+	s := New(net, WithRandSeed(1), WithMetrics(reg))
+	s.SetCommitHook(func(rec *Record) error {
 		recs = append(recs, roundTrip(t, rec))
 		return nil
-	}))
+	})
 
 	solves := func() float64 {
 		return reg.Counter(metricAllocSolves, obs.L("solver", "proportional-fair")).Value()
@@ -149,10 +150,11 @@ func TestBatchPerAppRejection(t *testing.T) {
 	apps[1].QoS = QoS{Class: GuaranteedRate, MinRate: 1e12, MinRateAvailability: 0.5, MaxPaths: 2}
 
 	var recs []*Record
-	s := New(net, WithRandSeed(1), WithCommitHook(func(rec *Record) error {
+	s := New(net, WithRandSeed(1))
+	s.SetCommitHook(func(rec *Record) error {
 		recs = append(recs, roundTrip(t, rec))
 		return nil
-	}))
+	})
 	results, err := s.SubmitBatch(apps)
 	if err != nil {
 		t.Fatalf("SubmitBatch: %v", err)
@@ -195,10 +197,11 @@ func TestBatchNestedRejected(t *testing.T) {
 func TestBatchEmpty(t *testing.T) {
 	net := batchMeshNet(t)
 	var recs []*Record
-	s := New(net, WithRandSeed(1), WithCommitHook(func(rec *Record) error {
+	s := New(net, WithRandSeed(1))
+	s.SetCommitHook(func(rec *Record) error {
 		recs = append(recs, roundTrip(t, rec))
 		return nil
-	}))
+	})
 	results, err := s.SubmitBatch(nil)
 	if err != nil {
 		t.Fatalf("SubmitBatch(nil): %v", err)

@@ -71,7 +71,7 @@ type QoS struct {
 	RateCap float64
 
 	// MaxPaths bounds the task assignment paths tried for this
-	// application; 0 uses the scheduler default.
+	// application; 0 uses the default, 4.
 	MaxPaths int
 }
 
@@ -129,28 +129,12 @@ func WithAlgorithm(alg placement.Algorithm) Option {
 	return func(s *Scheduler) { s.alg = alg }
 }
 
-// WithDefaultMaxPaths sets the per-app path bound used when QoS.MaxPaths
-// is zero (default 4).
-func WithDefaultMaxPaths(n int) Option {
-	return func(s *Scheduler) { s.defaultMaxPaths = n }
-}
-
 // WithRandSeed seeds the scheduler's internal randomness (Monte-Carlo
 // availability fallback). The default seed is 1. The seed is part of the
 // scheduler's durable state: recovery re-seeds from it and fast-forwards
 // to the journaled draw count.
 func WithRandSeed(seed int64) Option {
 	return func(s *Scheduler) { s.setRandSeed(seed, 0) }
-}
-
-// WithDiverseMultiPath biases every task assignment path after an
-// application's first away from elements its earlier paths already use:
-// during assignment the residual capacity of used elements is scaled by
-// bias in (0, 1). Element-disjoint paths fail independently, so the
-// availability targets of §IV.C-D are reached with fewer paths, at some
-// rate cost. Extension; the paper's plain iteration is the default.
-func WithDiverseMultiPath(bias float64) Option {
-	return func(s *Scheduler) { s.diversityBias = bias }
 }
 
 // WithMetrics attaches a metrics registry: the scheduler then maintains
@@ -184,8 +168,7 @@ func WithoutPrediction() Option {
 // Scheduler is the SPARCLE system: it owns the network's capacity
 // bookkeeping and the set of admitted applications. Everything it
 // mutates lives in the embedded state (see state.go); *Scheduler
-// implements the State and Control interfaces along which schedulers
-// compose.
+// implements Control, the interface along which schedulers compose.
 type Scheduler struct {
 	// state is the mutable scheduler state: placement view, BE capacity
 	// pool, alloc solver rows, and the journal commit hook.
@@ -194,8 +177,7 @@ type Scheduler struct {
 	net *network.Network
 	alg placement.Algorithm
 
-	defaultMaxPaths int
-	rng             *rand.Rand
+	rng *rand.Rand
 	// rngSrc counts source-level draws and rngSeed remembers the seed, so
 	// the RNG position is persistable as (seed, draws); see durable.go.
 	rngSrc  *countedSource
@@ -220,8 +202,6 @@ type Scheduler struct {
 
 	// noPrediction disables the eq. (6) capacity prediction (ablation).
 	noPrediction bool
-	// diversityBias < 1 steers later paths away from used elements.
-	diversityBias float64
 
 	// batching defers best-effort re-allocation during SubmitBatch so a
 	// K-app batch reconciles the solver once.
@@ -246,11 +226,9 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		state: state{
 			beAvailable: net.BaseCapacities(),
 		},
-		net:             net,
-		alg:             assign.Sparcle{},
-		defaultMaxPaths: 4,
-		diversityBias:   1,
-		log:             obs.NopLogger(),
+		net: net,
+		alg: assign.Sparcle{},
+		log: obs.NopLogger(),
 	}
 	s.setRandSeed(1, 0)
 	for _, opt := range opts {
@@ -513,11 +491,15 @@ func (s *Scheduler) submit(app App) (*PlacedApp, error) {
 	}
 }
 
+// defaultMaxPaths bounds an application's task assignment paths when its
+// QoS.MaxPaths is zero.
+const defaultMaxPaths = 4
+
 func (s *Scheduler) maxPaths(app App) int {
 	if app.QoS.MaxPaths > 0 {
 		return app.QoS.MaxPaths
 	}
-	return s.defaultMaxPaths
+	return defaultMaxPaths
 }
 
 // submitGR implements the GR algorithm of §IV.D: add paths one at a time
@@ -537,7 +519,7 @@ func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 	for len(paths) < maxPaths {
 		asp := s.opSpan.Child("assign.path")
 		asp.SetInt("path", int64(len(paths)))
-		p, err := s.spanAlg(asp).Assign(app.Graph, app.Pins, s.net, assign.DiverseView(residual, paths, s.diversityBias))
+		p, err := s.spanAlg(asp).Assign(app.Graph, app.Pins, s.net, residual)
 		asp.End()
 		if err != nil {
 			break
@@ -632,7 +614,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 	for len(paths) < maxPaths {
 		asp := s.opSpan.Child("assign.path")
 		asp.SetInt("path", int64(len(paths)))
-		p, err := s.spanAlg(asp).Assign(app.Graph, app.Pins, s.net, assign.DiverseView(predicted, paths, s.diversityBias))
+		p, err := s.spanAlg(asp).Assign(app.Graph, app.Pins, s.net, predicted)
 		asp.End()
 		if err != nil {
 			break

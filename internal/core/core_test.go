@@ -298,10 +298,11 @@ func TestRemoveGRRestoresCapacityPool(t *testing.T) {
 func TestRemoveLeavesOnlyZeroedBE(t *testing.T) {
 	net := twoBranchNet(t, 100, 60, 10, 0)
 	var recs []*Record
-	s := New(net, WithCommitHook(func(r *Record) error {
+	s := New(net)
+	s.SetCommitHook(func(r *Record) error {
 		recs = append(recs, r)
 		return nil
-	}))
+	})
 	a, err := s.Submit(simpleApp(t, "a", net, 10, QoS{Class: BestEffort, Priority: 1}))
 	if err != nil {
 		t.Fatal(err)
@@ -412,44 +413,5 @@ func TestProportionalFairSharesCapacityNotRate(t *testing.T) {
 	}
 	if l, h := light.TotalRate(), heavy.TotalRate(); math.Abs(l-9) > 0.1 || math.Abs(h-4.5) > 0.1 {
 		t.Fatalf("PF rates = %v, %v; want ~9, ~4.5", l, h)
-	}
-}
-
-func TestDiverseMultiPathRaisesAvailability(t *testing.T) {
-	// A wide and a narrow uplink share the route to two workers: plain
-	// multi-path rides the wide uplink twice (availability capped by that
-	// one link), the diverse scheduler splits across uplinks.
-	b := network.NewBuilder("div")
-	src := b.AddNCP("src", nil, 0)
-	hub := b.AddNCP("hub", nil, 0)
-	m1 := b.AddNCP("m1", resource.Vector{resource.CPU: 100}, 0)
-	m2 := b.AddNCP("m2", resource.Vector{resource.CPU: 100}, 0)
-	snk := b.AddNCP("snk", nil, 0)
-	b.AddLink("wide", src, hub, 100, 0.05)
-	b.AddLink("narrow", src, hub, 20, 0.05)
-	b.AddLink("h1", hub, m1, 1e6, 0.05)
-	b.AddLink("h2", hub, m2, 1e6, 0.05)
-	b.AddLink("k1", m1, snk, 1e6, 0.05)
-	b.AddLink("k2", m2, snk, 1e6, 0.05)
-	net, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := simpleApp(t, "a", net, 10, QoS{Class: BestEffort, Priority: 1, MaxPaths: 2, Availability: 0.0001})
-	// Force two paths by demanding availability above one path's.
-	app.QoS.Availability = 0.9
-
-	plainSched := New(net)
-	plain, err := plainSched.Submit(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	divSched := New(net, WithDiverseMultiPath(0.1))
-	diverse, err := divSched.Submit(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diverse.Availability <= plain.Availability {
-		t.Fatalf("diverse availability %v not above plain %v", diverse.Availability, plain.Availability)
 	}
 }

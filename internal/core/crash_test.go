@@ -31,10 +31,11 @@ func journaledRun(t *testing.T, net *network.Network, dir string, script []scrip
 	if _, _, err := j.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	s := New(net, WithRandSeed(1), WithCommitHook(func(rec *Record) error {
+	s := New(net, WithRandSeed(1))
+	s.SetCommitHook(func(rec *Record) error {
 		_, err := j.Append("op", rec)
 		return err
-	}))
+	})
 	states := []string{stateJSON(t, s)}
 	for _, op := range script {
 		before := j.LastSeq()
@@ -278,10 +279,11 @@ func TestCrashGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	s := New(net, WithRandSeed(1), WithCommitHook(func(rec *Record) error {
+	s := New(net, WithRandSeed(1))
+	s.SetCommitHook(func(rec *Record) error {
 		_, err := j.Append("op", rec)
 		return err
-	}))
+	})
 	states := []string{stateJSON(t, s)}
 	var sizes []int
 

@@ -42,11 +42,6 @@ var ErrDurability = errors.New("core: durability commit failed")
 // ErrDurability.
 type CommitHook func(*Record) error
 
-// WithCommitHook installs a durability commit hook at construction.
-func WithCommitHook(h CommitHook) Option {
-	return func(s *Scheduler) { s.commit = h }
-}
-
 // SetCommitHook installs (or clears, with nil) the durability commit
 // hook on a live scheduler. The server uses this to arm journaling after
 // recovery, which must itself run without a hook.

@@ -169,10 +169,11 @@ func TestRebuildByteEqual(t *testing.T) {
 	script := churnScript(t, rng, net, 40)
 
 	var records []*Record
-	live := New(net, WithRandSeed(1), WithCommitHook(func(rec *Record) error {
+	live := New(net, WithRandSeed(1))
+	live.SetCommitHook(func(rec *Record) error {
 		records = append(records, roundTrip(t, rec))
 		return nil
-	}))
+	})
 
 	for i, op := range script {
 		applyOp(t, live, op)
@@ -198,10 +199,11 @@ func TestRebuildFromSnapshotPlusTail(t *testing.T) {
 	script := churnScript(t, rng, net, 30)
 
 	var records []*Record
-	live := New(net, WithRandSeed(1), WithCommitHook(func(rec *Record) error {
+	live := New(net, WithRandSeed(1))
+	live.SetCommitHook(func(rec *Record) error {
 		records = append(records, roundTrip(t, rec))
 		return nil
-	}))
+	})
 
 	var snapAt *Snapshot
 	var tailFrom int
@@ -243,10 +245,11 @@ func TestRecoveryEquivalenceUnderChurn(t *testing.T) {
 
 	for _, cut := range []int{7, 19, 33} {
 		var records []*Record
-		orig := New(net, WithRandSeed(1), WithCommitHook(func(rec *Record) error {
+		orig := New(net, WithRandSeed(1))
+		orig.SetCommitHook(func(rec *Record) error {
 			records = append(records, roundTrip(t, rec))
 			return nil
-		}))
+		})
 		for _, op := range script[:cut] {
 			applyOp(t, orig, op)
 		}
@@ -325,7 +328,8 @@ func TestDurabilityCommitFailureSurfaces(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	script := churnScript(t, rng, net, 8)
 	boom := errors.New("disk full")
-	s := New(net, WithRandSeed(1), WithCommitHook(func(*Record) error { return boom }))
+	s := New(net, WithRandSeed(1))
+	s.SetCommitHook(func(*Record) error { return boom })
 	var submitted *App
 	for _, op := range script {
 		if op.kind == "submit" {

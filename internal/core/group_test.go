@@ -257,10 +257,11 @@ func TestGroupHammer(t *testing.T) {
 	apps := batchApps(t, rand.New(rand.NewSource(71)), net, 30, true)
 	var mu sync.Mutex
 	var recs []*Record
-	s := New(net, WithRandSeed(1), WithCommitHook(func(rec *Record) error {
+	s := New(net, WithRandSeed(1))
+	s.SetCommitHook(func(rec *Record) error {
 		recs = append(recs, roundTrip(t, rec))
 		return nil
-	}))
+	})
 	gc := NewGroupCommitter(func(batch []App, lead *obs.Span) ([]BatchResult, error) {
 		mu.Lock()
 		defer mu.Unlock()

@@ -110,10 +110,11 @@ func TestRateGaugeLifecycle(t *testing.T) {
 	net := twoBranchNet(t, 100, 50, 1e6, 0)
 	reg := obs.NewRegistry()
 	var records []*Record
-	s := New(net, WithMetrics(reg), WithCommitHook(func(rec *Record) error {
+	s := New(net, WithMetrics(reg))
+	s.SetCommitHook(func(rec *Record) error {
 		records = append(records, roundTrip(t, rec))
 		return nil
-	}))
+	})
 	assertPublished(t, "empty", s, reg)
 
 	be := func(name string, prio float64) App {
@@ -239,10 +240,11 @@ func TestRebuildRetiresPredecessorSeries(t *testing.T) {
 	reg := obs.NewRegistry()
 	be := func(name string) App { return simpleApp(t, name, net, 10, QoS{Class: BestEffort, Priority: 1}) }
 	var records []*Record
-	a := New(net, WithMetrics(reg), WithCommitHook(func(rec *Record) error {
+	a := New(net, WithMetrics(reg))
+	a.SetCommitHook(func(rec *Record) error {
 		records = append(records, roundTrip(t, rec))
 		return nil
-	}))
+	})
 	if _, err := a.Submit(be("kept")); err != nil {
 		t.Fatal(err)
 	}

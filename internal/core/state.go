@@ -9,8 +9,8 @@ import (
 // This file is the scheduler-state extraction that lets schedulers
 // compose: everything a Scheduler MUTATES — the placement view (admitted
 // apps), the BE capacity pool, the incremental alloc solver rows, and the
-// journal commit hook — lives in one embedded state struct, and the State
-// and Control interfaces expose it uniformly. A region-sharded deployment
+// journal commit hook — lives in one embedded state struct, and the
+// Control interface exposes it uniformly. A region-sharded deployment
 // (internal/shard) holds one Control per region and coordinates them at
 // the borders; a single-scheduler deployment keeps using *Scheduler
 // directly. Embedding (rather than an indirection) keeps the single-shard
@@ -53,12 +53,15 @@ type state struct {
 	commit CommitHook
 }
 
-// State is read access to the mutable scheduler state: the placement
-// view, the BE capacity pool, the alloc solver rows, and the journal
-// commit hook. *Scheduler implements it; composite schedulers (the shard
-// router) use it to observe their members without reaching into
-// concrete fields.
-type State interface {
+// Control is the full surface of one scheduler: the read view of its
+// mutable state (placement view, BE capacity pool, alloc solver rows,
+// journal commit hook) plus admission, withdrawal, repair, fluctuation,
+// batching, durable export and committed-record replay, and the
+// request-span bracket. *Scheduler implements it. It is the seam along
+// which schedulers compose — a region-sharded control plane runs one
+// Control per region, routes operations to them, and observes its
+// members through it without reaching into concrete fields.
+type Control interface {
 	// GRApps and BEApps are the placement view: the admitted applications
 	// of each class, in admission order.
 	GRApps() []*PlacedApp
@@ -72,16 +75,7 @@ type State interface {
 	// SetCommitHook installs (or clears, with nil) the durability commit
 	// hook.
 	SetCommitHook(CommitHook)
-}
 
-// Control is the full mutating surface of one scheduler: admission,
-// withdrawal, repair, fluctuation, batching, durable export and
-// committed-record replay, and the request-span bracket, plus the State
-// view. It is the seam along which schedulers compose — a region-sharded
-// control plane runs one Control per region and routes operations to
-// them.
-type Control interface {
-	State
 	Submit(App) (*PlacedApp, error)
 	SubmitBatch([]App) ([]BatchResult, error)
 	Remove(string) error
@@ -95,10 +89,7 @@ type Control interface {
 	OpSpan() *obs.Span
 }
 
-var (
-	_ State   = (*Scheduler)(nil)
-	_ Control = (*Scheduler)(nil)
-)
+var _ Control = (*Scheduler)(nil)
 
 // SolverRows reports the live flow and constraint-nonzero counts of the
 // incremental BE solver; both are 0 while no warm solver exists (before

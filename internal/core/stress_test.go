@@ -24,7 +24,6 @@ func TestSchedulerStress(t *testing.T) {
 		opts []Option
 	}{
 		{"default", nil},
-		{"diverse-paths", []Option{WithDiverseMultiPath(0.3)}},
 		{"no-prediction", []Option{WithoutPrediction()}},
 	}
 	for _, cfg := range configs {

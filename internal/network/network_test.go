@@ -112,18 +112,6 @@ func TestTopologies(t *testing.T) {
 			t.Fatal("hub degree wrong")
 		}
 	})
-	t.Run("line", func(t *testing.T) {
-		net, err := Line(5, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if net.NumNCPs() != 5 || net.NumLinks() != 4 {
-			t.Fatalf("line sizes %d/%d", net.NumNCPs(), net.NumLinks())
-		}
-		if !net.Connected() {
-			t.Fatal("line must be connected")
-		}
-	})
 	t.Run("mesh", func(t *testing.T) {
 		net, err := FullMesh(6, p)
 		if err != nil {
@@ -135,9 +123,6 @@ func TestTopologies(t *testing.T) {
 	})
 	t.Run("too small", func(t *testing.T) {
 		if _, err := Star(1, p); err == nil {
-			t.Fatal("want error")
-		}
-		if _, err := Line(1, p); err == nil {
 			t.Fatal("want error")
 		}
 		if _, err := FullMesh(1, p); err == nil {
@@ -177,7 +162,7 @@ func TestCloudField(t *testing.T) {
 }
 
 func TestCapacities(t *testing.T) {
-	net, err := Line(3, params())
+	net, err := Star(3, params())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,21 +35,6 @@ func Star(n int, p ElementParams) (*Network, error) {
 	return b.Build()
 }
 
-// Line builds a linear (chain) network of n NCPs with n-1 links.
-func Line(n int, p ElementParams) (*Network, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("network: line needs at least 2 NCPs, got %d", n)
-	}
-	b := NewBuilder(fmt.Sprintf("line-%d", n))
-	prev := b.AddNCP("ncp0", p.NCPCapacity, p.NCPFailProb)
-	for i := 1; i < n; i++ {
-		cur := b.AddNCP(fmt.Sprintf("ncp%d", i), p.NCPCapacity, p.NCPFailProb)
-		b.AddLink(fmt.Sprintf("l%d", i), prev, cur, p.LinkBandwidth, p.LinkFailProb)
-		prev = cur
-	}
-	return b.Build()
-}
-
 // FullMesh builds a fully connected network of n NCPs with n(n-1)/2 links.
 func FullMesh(n int, p ElementParams) (*Network, error) {
 	if n < 2 {

@@ -55,12 +55,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return math.NaN()
 }
-
-// Quantiles evaluates Quantile at each q, in order.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	return out
-}

@@ -63,20 +63,6 @@ func CDF(xs []float64) []CDFPoint {
 	return out
 }
 
-// CDFAt returns the empirical probability P(X <= v).
-func CDFAt(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // Summary bundles the headline statistics of a sample.
 type Summary struct {
 	N             int

@@ -55,19 +55,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := CDFAt(xs, 2.5); got != 0.5 {
-		t.Fatalf("CDFAt = %v", got)
-	}
-	if got := CDFAt(xs, 0); got != 0 {
-		t.Fatalf("CDFAt = %v", got)
-	}
-	if !math.IsNaN(CDFAt(nil, 1)) {
-		t.Fatal("empty CDFAt must be NaN")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{4, 1, 3, 2})
 	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 || s.P50 != 2.5 {

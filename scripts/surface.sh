@@ -11,12 +11,12 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22796
+max_lines=22417
 max_host_lines=3707
 max_replica_lines=2407
-max_obs_lines=1210
+max_obs_lines=1201
 max_flags=20
-max_options=8
+max_options=5
 
 cd "$(dirname "$0")/.."
 
