@@ -15,9 +15,14 @@
 // equals capacity, or to zero if it is slack even there — converges to the
 // optimum. A constraint's demand is convex and decreasing in its own
 // price, so that root is found by a safeguarded Newton iteration that
-// climbs to it monotonically (see solveRow). The final rates are scaled
-// into the feasible region to absorb the last floating-point slack, so the
-// returned rates always satisfy R X <= C.
+// climbs to it monotonically (see solveRow). Most constraints sit at price
+// zero, slack; a sweep skips one whose slack is certified — its demand at
+// its last evaluation, times the most every congestion price could have
+// fallen since, still below capacity — because its row update would leave
+// it at zero. The skip changes no price, so the descent is bit-identical
+// to one that visits every constraint. The final rates are scaled into the
+// feasible region to absorb the last floating-point slack, so the returned
+// rates always satisfy R X <= C.
 //
 // The package also implements the Theorem 3 capacity prediction (eq. (6)):
 // before placing a new BE application, every element's capacity is scaled
@@ -28,7 +33,6 @@ package alloc
 
 import (
 	"errors"
-	"math"
 
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
@@ -44,9 +48,10 @@ type Flow struct {
 // Options tunes the dual coordinate-descent solver. The zero value selects
 // defaults suitable for the experiment scales in this repository.
 type Options struct {
-	// Cycles bounds the number of full passes over the constraints
-	// (default 300); each pass moves every price to the root of its own
-	// constraint, located to a hundredth of Tolerance.
+	// Cycles bounds the number of sweeps over the constraints (default
+	// 300); each sweep moves every price to the root of its own
+	// constraint, located to a hundredth of Tolerance. A constraint
+	// certified slack at price zero is skipped: it would stay there.
 	Cycles int
 	// Tolerance is the relative price-change threshold that ends the
 	// descent early (default 1e-12); a constraint whose demand is within
@@ -75,11 +80,12 @@ type Stats struct {
 	// NNZ is the number of live constraint-matrix entries visited per
 	// descent sweep (the sparse solve cost).
 	NNZ int
-	// Cycles is the number of full coordinate-descent passes performed.
+	// Cycles is the number of coordinate-descent sweeps performed.
 	Cycles int
 	// RowEvals is the number of row passes those cycles made to evaluate a
 	// row's demand and slope: one for a row still at its root, a few for
-	// a row whose price had to move.
+	// a row whose price had to move, none for a row skipped as certified
+	// slack.
 	RowEvals int
 	// Converged reports whether the descent met the tolerance before
 	// exhausting its cycle budget.
@@ -89,20 +95,15 @@ type Stats struct {
 	Warm bool
 }
 
-// Solve returns the weighted proportional-fair rates of the flows under
-// the given capacities. A flow whose path crosses a zero-capacity element
-// receives rate 0; a flow with no load anywhere is rejected as unbounded.
-func Solve(caps *network.Capacities, flows []Flow, opt Options) ([]float64, error) {
-	x, _, err := SolveStats(caps, flows, opt)
-	return x, err
-}
-
-// SolveStats is Solve plus solver statistics (problem size, descent
-// cycles, convergence) for instrumentation; the stats cost nothing to
-// collect. It is a thin cold wrapper over a throwaway Solver: the
-// constraint rows are built sparse (CSR) from each flow's loaded elements
-// and discarded after one dual descent. Callers on a churn path should
-// hold a Solver instead and reuse its rows and prices across calls.
+// SolveStats returns the weighted proportional-fair rates of the flows
+// under the given capacities, with solver statistics (problem size,
+// descent cycles, convergence) that cost nothing to collect. A flow whose
+// path crosses a zero-capacity element receives rate 0; a flow with no
+// load anywhere is rejected as unbounded. It is a thin cold wrapper over a
+// throwaway Solver: the constraint rows are built sparse (CSR) from each
+// flow's loaded elements and discarded after one dual descent. Callers on
+// a churn path should hold a Solver instead and reuse its rows and prices
+// across calls.
 func SolveStats(caps *network.Capacities, flows []Flow, opt Options) ([]float64, Stats, error) {
 	if len(flows) == 0 {
 		return nil, Stats{}, ErrNoFlows
@@ -121,15 +122,4 @@ func SolveStats(caps *network.Capacities, flows []Flow, opt Options) ([]float64,
 		x[i] = rates[id]
 	}
 	return x, stats, nil
-}
-
-// Utility returns the objective of problem (4) at rates x:
-// sum_f Weight_f * log(x_f). A zero rate yields -Inf, matching the paper's
-// strict requirement that every admitted BE app receive a positive rate.
-func Utility(flows []Flow, x []float64) float64 {
-	u := 0.0
-	for f, flow := range flows {
-		u += flow.Weight * math.Log(x[f])
-	}
-	return u
 }

@@ -64,7 +64,7 @@ func TestSolveSingleBottleneckClosedForm(t *testing.T) {
 	net, links := line3(t, 100, 1e9)
 	f1 := pipelineFlow(t, net, 0, 1, 2, 10, 1, 1, []network.LinkID{links[0]}, []network.LinkID{links[1]})
 	f2 := pipelineFlow(t, net, 0, 1, 2, 20, 1, 3, []network.LinkID{links[0]}, []network.LinkID{links[1]})
-	x, err := Solve(net.BaseCapacities(), []Flow{f1, f2}, Options{})
+	x, _, err := SolveStats(net.BaseCapacities(), []Flow{f1, f2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSolveEqualWeightsEqualFlows(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		flows = append(flows, pipelineFlow(t, net, 0, 1, 2, 10, 1, 1, []network.LinkID{links[0]}, []network.LinkID{links[1]}))
 	}
-	x, err := Solve(net.BaseCapacities(), flows, Options{})
+	x, _, err := SolveStats(net.BaseCapacities(), flows, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSolveLinkBottleneck(t *testing.T) {
 	// x = bw / bits = 50/5 = 10.
 	net, links := line3(t, 1e9, 50)
 	f := pipelineFlow(t, net, 0, 1, 2, 1, 5, 2, []network.LinkID{links[0]}, []network.LinkID{links[1]})
-	x, err := Solve(net.BaseCapacities(), []Flow{f}, Options{})
+	x, _, err := SolveStats(net.BaseCapacities(), []Flow{f}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSolveKKTOnRandomInstances(t *testing.T) {
 				1+rng.Float64()*10, 1+rng.Float64()*10, 0.5+rng.Float64()*3,
 				[]network.LinkID{links[0]}, []network.LinkID{links[1]})
 		}
-		x, err := Solve(net.BaseCapacities(), flows, Options{})
+		x, _, err := SolveStats(net.BaseCapacities(), flows, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,11 +180,11 @@ func feasible(net *network.Network, flows []Flow, x []float64) bool {
 
 func TestSolveInputValidation(t *testing.T) {
 	net, links := line3(t, 10, 10)
-	if _, err := Solve(net.BaseCapacities(), nil, Options{}); !errors.Is(err, ErrNoFlows) {
+	if _, _, err := SolveStats(net.BaseCapacities(), nil, Options{}); !errors.Is(err, ErrNoFlows) {
 		t.Fatalf("err = %v, want ErrNoFlows", err)
 	}
 	f := pipelineFlow(t, net, 0, 1, 2, 1, 1, -1, []network.LinkID{links[0]}, []network.LinkID{links[1]})
-	if _, err := Solve(net.BaseCapacities(), []Flow{f}, Options{}); err == nil {
+	if _, _, err := SolveStats(net.BaseCapacities(), []Flow{f}, Options{}); err == nil {
 		t.Fatal("negative weight must error")
 	}
 }
@@ -194,7 +194,7 @@ func TestSolveZeroCapacityFlowGetsZero(t *testing.T) {
 	f := pipelineFlow(t, net, 0, 1, 2, 5, 1, 1, []network.LinkID{links[0]}, []network.LinkID{links[1]})
 	g := pipelineFlow(t, net, 0, 0, 0, 0, 1, 1, nil, nil) // src-host only flow, loads links? none
 	_ = g
-	x, err := Solve(net.BaseCapacities(), []Flow{f}, Options{})
+	x, _, err := SolveStats(net.BaseCapacities(), []Flow{f}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,14 +280,25 @@ func TestSolveStats(t *testing.T) {
 	if !stats.Converged || stats.Cycles <= 0 || stats.Cycles > 300 {
 		t.Fatalf("stats convergence = %+v", stats)
 	}
-	// Solve is SolveStats minus the stats.
-	y, err := Solve(net.BaseCapacities(), flows, Options{})
+	// A cold solve is deterministic: a second one repeats the first.
+	y, _, err := SolveStats(net.BaseCapacities(), flows, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for f := range x {
 		if x[f] != y[f] {
-			t.Fatalf("Solve diverges from SolveStats: %v vs %v", y, x)
+			t.Fatalf("second cold solve diverges: %v vs %v", y, x)
 		}
 	}
+}
+
+// Utility returns the objective of problem (4) at rates x:
+// sum_f Weight_f * log(x_f). A zero rate yields -Inf, matching the paper's
+// strict requirement that every admitted BE app receive a positive rate.
+func Utility(flows []Flow, x []float64) float64 {
+	u := 0.0
+	for f, flow := range flows {
+		u += flow.Weight * math.Log(x[f])
+	}
+	return u
 }

@@ -44,11 +44,13 @@ type csrRow struct {
 
 func (r *csrRow) liveNNZ() int { return len(r.ents) - int(r.dead) }
 
-// packedRow is one priced row of a single Solve: its capacity and its
-// span pk[off:end] of the packed entries.
+// packedRow is one priced row of a single Solve: its capacity, its span
+// pk[off:end] of the packed entries, and its slack certificate (D and G₀,
+// see Solve; D = +Inf: none yet).
 type packedRow struct {
 	row, off, end int32
 	cap           float64
+	slack, grown  float64
 }
 
 // rowRef locates one matrix entry from the flow side so RemoveFlows can
@@ -68,8 +70,9 @@ type sflow struct {
 // denominators between calls so that after a small change (one app
 // admitted or removed, capacities nudged) the next Solve warm-starts the
 // dual descent from the previous prices and converges in a couple of
-// cycles instead of a full cold run. Each cycle visits every priced row
-// once: one pass over the row tells whether its demand still meets its
+// cycles instead of a full cold run. Each cycle sweeps the priced rows: a
+// row at price 0 whose slack certificate still holds is skipped; any other
+// row gets one pass that tells whether its demand still meets its
 // capacity, and if not a few Newton passes (solveRow) move its price there.
 //
 // Capacities are read lazily at Solve time through the pointer given to
@@ -329,11 +332,24 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 	// optimum scale — previously priced rows keep their price, which is the
 	// warm start — rebuilds the denominators in O(nnz), and runs the cyclic
 	// coordinate descent until the tolerance or cycle budget is hit.
+	//
+	// Every row carries a slack certificate: the demand D its last
+	// evaluation found at its old price and the growth factor G₀ just
+	// before that evaluation. G multiplies, on every price drop — the
+	// row's own included — by the largest old/new ratio of the
+	// denominators the drop lowered, so none of the row's denominators has
+	// fallen by more than G/G₀ since and its demand is at most D·G/G₀. A
+	// row at price 0 whose bound stays below capacity, less a 1e-9 margin
+	// for rounding, is one solveRow would return unchanged at 0, so it is
+	// skipped.
 	descend := func() {
 		// denom[f] = Σ_j λ_j R_{jf}, maintained incrementally as prices
 		// move.
 		clear(denom)
-		for _, pr := range rows {
+		growth := 1.0
+		for i := range rows {
+			pr := &rows[i]
+			pr.slack = math.Inf(1)
 			r, ents := &s.rows[pr.row], pk[pr.off:pr.end]
 			if math.IsNaN(r.price) {
 				wSum := 0.0
@@ -350,15 +366,32 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 		for cycle := 0; cycle < s.opt.Cycles; cycle++ {
 			stats.Cycles++
 			maxRel := 0.0
-			for _, pr := range rows {
+			for i := range rows {
+				pr := &rows[i]
 				r, ents := &s.rows[pr.row], pk[pr.off:pr.end]
-				lambda, evals := solveRow(ents, denom, r.price, pr.cap, s.opt.Tolerance)
+				if r.price == 0 && pr.slack*(growth/pr.grown) <= pr.cap*(1-1e-9) {
+					continue
+				}
+				lambda, evals, demand := solveRow(ents, denom, r.price, pr.cap, s.opt.Tolerance)
 				stats.RowEvals += evals
+				pr.slack, pr.grown = demand, growth
 				if delta := lambda - r.price; delta != 0 {
 					maxRel = math.Max(maxRel, math.Abs(delta)/math.Max(lambda, r.price))
+					// up/down is the largest old/new denominator ratio (1
+					// unless the price fell), found without a division per
+					// entry; a denominator no longer positive makes it +Inf.
+					up, down := 1.0, 1.0
 					for _, e := range ents {
-						denom[e.slot] += delta * e.coef
+						old := denom[e.slot]
+						d := old + delta*e.coef
+						denom[e.slot] = d
+						if d <= 0 {
+							down = 0
+						} else if old*down > up*d {
+							up, down = old, d
+						}
 					}
+					growth *= up / down
 					r.price = lambda
 				}
 			}
@@ -422,35 +455,38 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 }
 
 // solveRow returns the price at which the row's demand meets cap with every
-// other price held fixed — zero when the row is slack even there — and the
-// number of row passes it took. A price whose demand is within tol of cap
-// is returned unchanged: the row is still at its root, the common case on
-// warm re-solves. Otherwise the root is found by a safeguarded Newton
+// other price held fixed — zero when the row is slack even there — the
+// number of row passes it took, and the demand its first pass found at the
+// current price. A price whose demand is within tol of cap is returned
+// unchanged: the row is still at its root, the common case on warm
+// re-solves. Otherwise the root is found by a safeguarded Newton
 // iteration on 1/demand − 1/cap, which is concave and increasing in the
 // price because demand is convex and decreasing: from the side where
 // demand exceeds cap the iterates rise monotonically to the root and never
 // pass it, and a step of relative size s leaves a relative error below s².
 // The root is located to the relative width rootTol, a fraction of tol, so
 // on that side a step within √rootTol already lands that close.
-func solveRow(ents []entry, denom []float64, price, cap, tol float64) (float64, int) {
+func solveRow(ents []entry, denom []float64, price, cap, tol float64) (float64, int, float64) {
 	rootTol := tol * 0.01
 	stepTol := math.Sqrt(rootTol)
 	// Demand exceeds cap at lo (−1: at no price tried yet) and does not at
 	// hi; lambda walks from the current price.
-	lo, hi, lambda := -1.0, math.Inf(1), price
+	lo, hi, lambda, d0 := -1.0, math.Inf(1), price, 0.0
 	for it := 1; it <= 100; it++ { // the cap is a safety net, not the usual exit
 		d, slope := rowDemand(ents, denom, lambda-price)
-		if it == 1 && math.Abs(d-cap) <= cap*tol {
-			return price, it
+		if it == 1 {
+			if d0 = d; math.Abs(d-cap) <= cap*tol {
+				return price, it, d0
+			}
 		}
 		if d > cap {
 			lo = lambda
 		} else if hi = lambda; lambda == 0 {
-			return 0, it // slack at price zero: complementary slackness
+			return 0, it, d0 // slack at price zero: complementary slackness
 		}
 		next := lambda + (d-cap)/slope*(d/cap)
 		if step := math.Abs(next - lambda); step <= rootTol*lambda || (d > cap && step <= stepTol*lambda) {
-			return next, it
+			return next, it, d0
 		}
 		if !(next > math.Max(lo, 0) && next < hi) {
 			// The step left the bracket (a start above the root overshoots
@@ -467,7 +503,7 @@ func solveRow(ents []entry, denom []float64, price, cap, tol float64) (float64, 
 		}
 		lambda = next
 	}
-	return lambda, 100
+	return lambda, 100, d0
 }
 
 // rowDemand returns a row's demand Σ cw/(denom+dl·coef) and the magnitude

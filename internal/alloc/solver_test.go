@@ -563,7 +563,7 @@ func TestSolveRowMatchesBisection(t *testing.T) {
 			}
 		}
 		want := bisectRow(ents, denom, start, cap, tol)
-		got, evals := solveRow(ents, denom, start, cap, tol)
+		got, evals, _ := solveRow(ents, denom, start, cap, tol)
 		if math.Abs(got-want) > 1e-12*want || evals > 40 {
 			t.Fatalf("trial %d: Newton %v in %d passes, bisection %v (start %v, cap %v, ents %v, denom %v)",
 				trial, got, evals, want, start, cap, ents, denom)
@@ -596,7 +596,7 @@ func TestSolveRowDegenerate(t *testing.T) {
 		{"coefficient spread 1e-6..1e6", spread, []float64{2e-6, 2, 2e6}, 1, 0.5, math.NaN()},
 		{"coefficient spread, only row", spread, []float64{1e-6, 1, 1e6}, 1, 40, math.NaN()},
 	} {
-		got, evals := solveRow(tc.ents, tc.denom, tc.price, tc.cap, tol)
+		got, evals, _ := solveRow(tc.ents, tc.denom, tc.price, tc.cap, tol)
 		want := tc.want
 		if math.IsNaN(want) {
 			want = bisectRow(tc.ents, tc.denom, tc.price, tc.cap, tol)

@@ -313,7 +313,9 @@ func TestRebuildRetiresPredecessorSeries(t *testing.T) {
 // its two outcome="rejected" lines were rewritten when SubmitBatch began
 // to count the rejections inside a batch, 28 in this script, and its
 // sparcle_assign_parallelism family was dropped with the scoring worker
-// pool). Families that hold wall-clock time are left out.
+// pool, and its sparcle_alloc_row_evals_total line fell from 25104 to 9508
+// when the BE solve began to skip rows certified slack). Families that
+// hold wall-clock time are left out.
 func TestChurnMetricsGolden(t *testing.T) {
 	net := meshNet(t)
 	script := churnScript(t, rand.New(rand.NewSource(2024)), net, 200)

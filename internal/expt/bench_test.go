@@ -222,7 +222,7 @@ func BenchmarkAllocSolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := alloc.Solve(caps, flows, alloc.Options{}); err != nil {
+		if _, _, err := alloc.SolveStats(caps, flows, alloc.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

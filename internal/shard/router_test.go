@@ -650,3 +650,67 @@ func TestFluctuationValidatedWhole(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoveLeavesOnlyZeroedBE is core's test of the same name through the
+// service's host: on a one-region router, a GR reservation takes BE app
+// "a"'s whole m1 branch down to zero capacity while "b" keeps m2.
+// Removing "b" leaves the region's solver only zeroed flows — an answer
+// (rate 0), not a failure, so the departure succeeds.
+func TestRemoveLeavesOnlyZeroedBE(t *testing.T) {
+	b := network.NewBuilder("twobranch")
+	src := b.AddNCP("src", nil, 0)
+	m1 := b.AddNCP("m1", resource.Vector{resource.CPU: 100}, 0)
+	m2 := b.AddNCP("m2", resource.Vector{resource.CPU: 60}, 0)
+	snk := b.AddNCP("snk", nil, 0)
+	b.AddLink("s1", src, m1, 10, 0)
+	b.AddLink("s2", src, m2, 10, 0)
+	b.AddLink("m1k", m1, snk, 10, 0)
+	b.AddLink("m2k", m2, snk, 10, 0)
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := New(net, 1, newCtlFactory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := func(name string, qos core.QoS) core.App {
+		g, err := taskgraph.Linear(name, []resource.Vector{{resource.CPU: 10}}, []float64{1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.App{Name: name, Graph: g, QoS: qos,
+			Pins: placement.Pins{g.Sources()[0]: src, g.Sinks()[0]: snk}}
+	}
+	for _, a := range []core.App{
+		app("a", core.QoS{Class: core.BestEffort, Priority: 1}),
+		app("b", core.QoS{Class: core.BestEffort, Priority: 1}),
+		// Rate 10 reserves the whole m1 branch: its cpu (10·10) and both
+		// 10-wide links.
+		app("g", core.QoS{Class: core.GuaranteedRate, MinRate: 10, MinRateAvailability: 0.9, MaxPaths: 1}),
+	} {
+		if _, err := router.Submit(a, nil); err != nil {
+			t.Fatalf("submit %s: %v", a.Name, err)
+		}
+	}
+	rate := func(name string) float64 {
+		for _, shard := range router.AppsByShard(nil) {
+			for _, p := range shard {
+				if p.App.Name == name {
+					return p.TotalRate()
+				}
+			}
+		}
+		t.Fatalf("no app %q", name)
+		return 0
+	}
+	if ra, rb := rate("a"), rate("b"); ra != 0 || rb <= 0 {
+		t.Fatalf("after the reservation a = %v, b = %v; want a zeroed on m1, b served on m2", ra, rb)
+	}
+	if err := router.Remove("b", nil); err != nil {
+		t.Fatalf("Remove leaving only zeroed flows: %v", err)
+	}
+	if got := rate("a"); got != 0 {
+		t.Fatalf("survivor rate = %v, want 0", got)
+	}
+}
