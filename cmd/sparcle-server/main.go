@@ -176,7 +176,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	file := fs.String("f", "", "scenario JSON file defining the network (required)")
 	addr := fs.String("addr", ":8080", "listen address")
 	submit := fs.Bool("submit", false, "admit the scenario's applications at startup")
-	seed := fs.Int64("seed", 1, "scheduler random seed")
+	seed := fs.Int64("seed", 1, "seed of the replica election-timeout jitter (with -replicate)")
 	withPprof := fs.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	verbose := fs.Bool("v", false, "log scheduler activity to stderr")
 	shards := fs.Int("shards", 1, "region shards: partition the network into N regions, one scheduler each, behind an admission router (1 = single scheduler)")
@@ -228,7 +228,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		return err
 	}
 
-	opts := []core.Option{core.WithRandSeed(*seed)}
+	var opts []core.Option
 	if *verbose {
 		opts = append(opts, core.WithLogger(obs.NewLogger(os.Stderr, slog.LevelDebug)))
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	sparcle -f scenario.json [-json] [-seed S] [-trace out.jsonl] [-v]
+//	sparcle -f scenario.json [-json] [-trace out.jsonl] [-v]
 //	sparcle -example > scenario.json
 //
 // -trace writes the span tree of every scheduler operation as JSON Lines
@@ -62,7 +62,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sparcle", flag.ContinueOnError)
 	file := fs.String("f", "", "scenario JSON file (required unless -example)")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	seed := fs.Int64("seed", 1, "random seed for availability estimation fallback")
 	example := fs.Bool("example", false, "print an example scenario and exit")
 	explain := fs.Bool("explain", false, "print each dynamic-ranking placement decision")
 	dot := fs.String("dot", "", "write the first path of each admitted app as Graphviz DOT to this file")
@@ -99,7 +98,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	opts := []core.Option{core.WithRandSeed(*seed)}
+	var opts []core.Option
 	if *verbose {
 		opts = append(opts, core.WithLogger(obs.NewLogger(os.Stderr, slog.LevelDebug)))
 	}

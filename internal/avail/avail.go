@@ -6,18 +6,21 @@
 // independently with known probabilities, and paths may share elements, so
 // path failures are correlated.
 //
-// Exact results use inclusion–exclusion over path subsets (at-least-one)
-// and conditioning on the states of shared elements (min-rate); both are
-// exponential only in the number of paths and shared elements, which the
-// scheduler keeps small. Monte-Carlo estimators cover larger instances.
+// Both analyses are exact and read one up-set table: for every subset of
+// paths, the probability that all of them are up. At-least-one sums it by
+// inclusion–exclusion; min-rate turns it into the probability of each
+// exact set of working paths. The work is exponential only in the number
+// of paths, which MaxPaths caps; any number of elements, shared or not,
+// costs a product term per element.
 package avail
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Path is one task assignment path for availability purposes: the set of
@@ -65,18 +68,20 @@ func (fp FailProbs) validateOn(paths []Path) error {
 	return nil
 }
 
-// ErrTooLarge is returned by the exact analyses when the instance exceeds
-// the exponential-work guards; callers should fall back to Monte Carlo.
-var ErrTooLarge = errors.New("avail: instance too large for exact analysis")
+// MaxPaths is the most paths one analysis accepts. The up-set table
+// holds 2^P entries and the min-rate transform costs P·2^P, so the cap
+// bounds the work one admission can ask for under the scheduler lock;
+// the scheduler's default is 4 paths.
+const MaxPaths = 8
 
-const (
-	maxExactPaths  = 20
-	maxExactShared = 16
-)
+// ErrTooLarge is returned by the analyses when they are given more than
+// MaxPaths paths.
+var ErrTooLarge = errors.New("avail: instance too large for exact analysis")
 
 // AtLeastOne returns the exact probability that at least one path works,
 // accounting for arbitrary element overlap via inclusion–exclusion over
-// path subsets: P(∪ A_p) = Σ_{S≠∅} (-1)^{|S|+1} Π_{e ∈ union(S)} (1-pf_e).
+// path subsets: P(∪ A_p) = Σ_{T≠∅} (-1)^{|T|+1} U_T, where U_T is the
+// up-set probability of T (see upSets).
 func AtLeastOne(paths []Path, fp FailProbs) (float64, error) {
 	if err := fp.validateOn(paths); err != nil {
 		return 0, err
@@ -84,41 +89,25 @@ func AtLeastOne(paths []Path, fp FailProbs) (float64, error) {
 	if len(paths) == 0 {
 		return 0, nil
 	}
-	if len(paths) > maxExactPaths {
+	if len(paths) > MaxPaths {
 		return 0, fmt.Errorf("%w: %d paths", ErrTooLarge, len(paths))
 	}
-	idx, masks := elementMasks(paths, fp)
-	if len(idx) > 64 {
-		return 0, fmt.Errorf("%w: %d fallible elements", ErrTooLarge, len(idx))
-	}
-	up := make([]float64, len(idx)) // per-element up probability
-	for e, i := range idx {
-		up[i] = 1 - fp[e]
-	}
+	u := upSets(paths, fp)
 	total := 0.0
-	for s := 1; s < 1<<len(paths); s++ {
-		union := uint64(0)
-		bits := 0
-		for p := 0; p < len(paths); p++ {
-			if s&(1<<p) != 0 {
-				union |= masks[p]
-				bits++
-			}
-		}
-		prob := probAllUp(union, up)
-		if bits%2 == 1 {
-			total += prob
+	for t := 1; t < len(u); t++ {
+		if bits.OnesCount(uint(t))%2 == 1 {
+			total += u[t]
 		} else {
-			total -= prob
+			total -= u[t]
 		}
 	}
 	return clampProb(total), nil
 }
 
 // MinRate returns the exact min-rate availability P(sum of rates of
-// working paths >= minRate), eq. (7). It conditions on the joint state of
-// the shared elements (those on more than one path), under which paths are
-// independent, and enumerates the qualifying path subsets.
+// working paths >= minRate), eq. (7). A superset Möbius transform turns
+// the up-set table into P(exactly the paths in S up) for every subset S,
+// and the subsets whose rates reach minRate are summed.
 func MinRate(paths []Path, fp FailProbs, minRate float64) (float64, error) {
 	if err := fp.validateOn(paths); err != nil {
 		return 0, err
@@ -129,162 +118,81 @@ func MinRate(paths []Path, fp FailProbs, minRate float64) (float64, error) {
 	if len(paths) == 0 {
 		return 0, nil
 	}
-	if len(paths) > maxExactPaths {
+	if len(paths) > MaxPaths {
 		return 0, fmt.Errorf("%w: %d paths", ErrTooLarge, len(paths))
 	}
-	idx, masks := elementMasks(paths, fp)
-	if len(idx) > 64 {
-		return 0, fmt.Errorf("%w: %d fallible elements", ErrTooLarge, len(idx))
-	}
-	// Shared elements appear in at least two path masks.
-	counts := make([]int, len(idx))
-	for _, m := range masks {
-		for i := 0; i < len(idx); i++ {
-			if m&(1<<i) != 0 {
-				counts[i]++
+	u := upSets(paths, fp)
+	// In place, u[S] becomes Σ_{T ⊇ S} (-1)^{|T|-|S|} U_T = P(exactly S up).
+	for p := range paths {
+		bit := 1 << p
+		for s := range u {
+			if s&bit == 0 {
+				u[s] -= u[s|bit]
 			}
 		}
 	}
-	var shared []int // bit positions
-	for i, c := range counts {
-		if c >= 2 {
-			shared = append(shared, i)
-		}
-	}
-	if len(shared) > maxExactShared {
-		return 0, fmt.Errorf("%w: %d shared elements", ErrTooLarge, len(shared))
-	}
-	up := make([]float64, len(idx))
-	for e, i := range idx {
-		up[i] = 1 - fp[e]
-	}
-	// Exclusive up-probability per path: product over its non-shared
-	// elements.
-	sharedMask := uint64(0)
-	for _, i := range shared {
-		sharedMask |= 1 << i
-	}
-	exclUp := make([]float64, len(paths))
-	for p, m := range masks {
-		exclUp[p] = probAllUp(m&^sharedMask, up)
-	}
-
 	total := 0.0
-	for state := 0; state < 1<<len(shared); state++ {
-		// stateMask: shared elements that are UP in this state.
-		stateMask := uint64(0)
-		stateProb := 1.0
-		for bi, i := range shared {
-			if state&(1<<bi) != 0 {
-				stateMask |= 1 << i
-				stateProb *= up[i]
-			} else {
-				stateProb *= 1 - up[i]
-			}
+	for s, exactly := range u {
+		rate := 0.0
+		for r := s; r != 0; r &= r - 1 {
+			rate += paths[bits.TrailingZeros(uint(r))].Rate
 		}
-		if stateProb == 0 {
-			continue
+		if rate >= minRate-1e-12 {
+			total += exactly
 		}
-		// Conditional up-probability of each path.
-		q := make([]float64, len(paths))
-		for p, m := range masks {
-			if m&sharedMask&^stateMask != 0 {
-				q[p] = 0 // a shared element of p is down
-			} else {
-				q[p] = exclUp[p]
-			}
-		}
-		total += stateProb * probRateAtLeast(paths, q, minRate)
 	}
 	return clampProb(total), nil
 }
 
-// probRateAtLeast returns P(sum over up paths of rate >= minRate) for
-// independent Bernoulli paths with up-probabilities q. This is the subset
-// enumeration the paper derives from the subset-sum formulation.
-func probRateAtLeast(paths []Path, q []float64, minRate float64) float64 {
-	total := 0.0
-	n := len(paths)
-	for s := 0; s < 1<<n; s++ {
-		rate := 0.0
+// upSets returns the up-set table: for every path subset T (bit p of the
+// index set when path p is in T), U_T = P(every path in T is up), the
+// product of (1 - p_e) over the fallible elements on T's paths, multiplied
+// in ascending element-id order. U_∅ = 1. Paths are wide bitsets over a
+// dense index of the sorted fallible element ids, so the element count is
+// unbounded.
+func upSets(paths []Path, fp FailProbs) []float64 {
+	n := 0
+	for _, p := range paths {
+		n += len(p.Elements)
+	}
+	ids := make([]int, 0, n)
+	for _, p := range paths {
+		for _, e := range p.Elements {
+			if fp[e] != 0 {
+				ids = append(ids, e)
+			}
+		}
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	up := make([]float64, len(ids))
+	for i, e := range ids {
+		up[i] = 1 - fp[e]
+	}
+	words := (len(ids) + 63) / 64
+	masks := make([]uint64, len(paths)*words) // path p's words at [p*words, (p+1)*words)
+	for p, path := range paths {
+		for _, e := range path.Elements {
+			if i, ok := slices.BinarySearch(ids, e); ok {
+				masks[p*words+i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	u := make([]float64, 1<<len(paths))
+	for t := range u {
 		prob := 1.0
-		for p := 0; p < n; p++ {
-			if s&(1<<p) != 0 {
-				rate += paths[p].Rate
-				prob *= q[p]
-			} else {
-				prob *= 1 - q[p]
+		for w := 0; w < words; w++ {
+			union := uint64(0)
+			for r := t; r != 0; r &= r - 1 {
+				union |= masks[bits.TrailingZeros(uint(r))*words+w]
+			}
+			for ; union != 0; union &= union - 1 {
+				prob *= up[w*64+bits.TrailingZeros64(union)]
 			}
 		}
-		if prob == 0 {
-			continue
-		}
-		if rate >= minRate-1e-12 {
-			total += prob
-		}
+		u[t] = prob
 	}
-	return total
-}
-
-// elementMasks assigns bit positions to the distinct fallible elements
-// across all paths (at most 64 supported by the exact analyses; beyond
-// that, elements with zero failure probability are already excluded and
-// larger instances should use Monte Carlo) and returns each path's mask.
-func elementMasks(paths []Path, fp FailProbs) (map[int]int, []uint64) {
-	// Dedup each path's element list once and reuse the set in both
-	// passes instead of recomputing it per loop.
-	elems := make([][]int, len(paths))
-	for pi, p := range paths {
-		elems[pi] = distinct(p.Elements)
-	}
-	idx := map[int]int{}
-	var order []int
-	for _, es := range elems {
-		for _, e := range es {
-			if fp[e] == 0 {
-				continue
-			}
-			if _, ok := idx[e]; !ok {
-				idx[e] = 0
-				order = append(order, e)
-			}
-		}
-	}
-	sort.Ints(order)
-	for i, e := range order {
-		idx[e] = i
-	}
-	masks := make([]uint64, len(paths))
-	for pi, es := range elems {
-		for _, e := range es {
-			if i, ok := idx[e]; ok && i < 64 {
-				masks[pi] |= 1 << i
-			}
-		}
-	}
-	return idx, masks
-}
-
-func probAllUp(mask uint64, up []float64) float64 {
-	prob := 1.0
-	for i := 0; i < len(up) && i < 64; i++ {
-		if mask&(1<<i) != 0 {
-			prob *= up[i]
-		}
-	}
-	return prob
-}
-
-func distinct(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	out := make([]int, 0, len(xs))
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
+	return u
 }
 
 func clampProb(p float64) float64 {
@@ -297,104 +205,10 @@ func clampProb(p float64) float64 {
 	return p
 }
 
-// MonteCarloAtLeastOne estimates AtLeastOne by sampling element states.
-func MonteCarloAtLeastOne(paths []Path, fp FailProbs, samples int, rng *rand.Rand) float64 {
-	return monteCarlo(paths, fp, samples, rng, func(upRate float64, anyUp bool) bool { return anyUp })
-}
-
-// MonteCarloMinRate estimates MinRate by sampling element states.
-func MonteCarloMinRate(paths []Path, fp FailProbs, minRate float64, samples int, rng *rand.Rand) float64 {
-	return monteCarlo(paths, fp, samples, rng, func(upRate float64, anyUp bool) bool {
-		return upRate >= minRate-1e-12
-	})
-}
-
-func monteCarlo(paths []Path, fp FailProbs, samples int, rng *rand.Rand, ok func(upRate float64, anyUp bool) bool) float64 {
-	if samples <= 0 || len(paths) == 0 {
-		return 0
-	}
-	// Hoisted out of the sampling loop: the sorted distinct fallible
-	// elements, and each path's distinct fallible elements as positions
-	// into that list. The inner loop then tests a dense []bool instead of
-	// deduplicating and probing a map per sample. Elements that never
-	// fail are dropped up front (they cannot take a path down), and the
-	// rng stream (one draw per distinct element, sorted order) is
-	// unchanged.
-	elems := map[int]bool{}
-	for _, p := range paths {
-		for _, e := range p.Elements {
-			if fp[e] > 0 {
-				elems[e] = true
-			}
-		}
-	}
-	ids := make([]int, 0, len(elems))
-	for e := range elems {
-		ids = append(ids, e)
-	}
-	sort.Ints(ids)
-	pos := make(map[int]int, len(ids))
-	for i, e := range ids {
-		pos[e] = i
-	}
-	pathPos := make([][]int, len(paths))
-	for pi, p := range paths {
-		for _, e := range distinct(p.Elements) {
-			if i, ok := pos[e]; ok {
-				pathPos[pi] = append(pathPos[pi], i)
-			}
-		}
-	}
-	hits := 0
-	down := make([]bool, len(ids))
-	for s := 0; s < samples; s++ {
-		for i, e := range ids {
-			down[i] = rng.Float64() < fp[e]
-		}
-		rate := 0.0
-		anyUp := false
-		for pi, p := range paths {
-			upP := true
-			for _, i := range pathPos[pi] {
-				if down[i] {
-					upP = false
-					break
-				}
-			}
-			if upP {
-				anyUp = true
-				rate += p.Rate
-			}
-		}
-		if ok(rate, anyUp) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(samples)
-}
-
-// AtLeastOneAuto uses the exact analysis when feasible and falls back to
-// Monte Carlo with the given sample budget otherwise.
-func AtLeastOneAuto(paths []Path, fp FailProbs, samples int, rng *rand.Rand) (float64, error) {
-	v, err := AtLeastOne(paths, fp)
-	if err == nil {
-		return v, nil
-	}
-	if errors.Is(err, ErrTooLarge) {
-		return MonteCarloAtLeastOne(paths, fp, samples, rng), nil
-	}
-	return 0, err
-}
-
-// MinRateAuto uses the exact analysis when feasible and falls back to
-// Monte Carlo otherwise.
+// MinRateAuto returns MinRate; samples and rng are ignored.
+//
+// Deprecated: call MinRate. MinRateAuto remains only for the benchmark's
+// layer probe (benchmark/probe.go), and goes when that caller does.
 func MinRateAuto(paths []Path, fp FailProbs, minRate float64, samples int, rng *rand.Rand) (float64, error) {
-	v, err := MinRate(paths, fp, minRate)
-	if err == nil {
-		return v, nil
-	}
-	if errors.Is(err, ErrTooLarge) {
-		return MonteCarloMinRate(paths, fp, minRate, samples, rng), nil
-	}
-	return 0, err
+	return MinRate(paths, fp, minRate)
 }

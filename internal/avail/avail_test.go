@@ -2,6 +2,7 @@ package avail
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -68,7 +69,7 @@ func TestAtLeastOneEdgeCases(t *testing.T) {
 		t.Fatal("want validation error")
 	}
 	// Too many paths.
-	many := make([]Path, maxExactPaths+1)
+	many := make([]Path, MaxPaths+1)
 	for i := range many {
 		many[i] = Path{Elements: []int{i}}
 	}
@@ -143,8 +144,8 @@ func TestMinRateEdgeCases(t *testing.T) {
 }
 
 func TestExactMatchesBruteForce(t *testing.T) {
-	// Compare the exact analyses against full element-state enumeration on
-	// random instances with heavy sharing.
+	// Compare the exact analyses against an enumeration of element states
+	// on random instances with heavy sharing.
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		nElems := 2 + rng.Intn(6)
@@ -165,121 +166,106 @@ func TestExactMatchesBruteForce(t *testing.T) {
 			}
 			paths[p].Rate = 0.5 + rng.Float64()*3
 		}
-		minRate := rng.Float64() * 4
-
-		wantAtLeast, wantMin := 0.0, 0.0
-		for state := 0; state < 1<<nElems; state++ {
-			prob := 1.0
-			for e := 0; e < nElems; e++ {
-				if state&(1<<e) != 0 {
-					prob *= 1 - fp[e]
-				} else {
-					prob *= fp[e]
+		checkBruteForce(t, fmt.Sprintf("trial %d", trial), paths, fp, rng.Float64()*4)
+	}
+	// Instances past the old element limits, which the conditioning
+	// analysis refused with ErrTooLarge: 65-104 fallible elements, most of
+	// them on several paths.
+	for trial := 0; trial < 12; trial++ {
+		nElems := 65 + rng.Intn(40)
+		nPaths := 2 + rng.Intn(3)
+		fp := FailProbs{}
+		paths := make([]Path, nPaths)
+		for e := 0; e < nElems; e++ {
+			fp[e] = rng.Float64() * 0.02
+			paths[e%nPaths].Elements = append(paths[e%nPaths].Elements, e)
+			for p := range paths {
+				if p != e%nPaths && rng.Float64() < 0.4 {
+					paths[p].Elements = append(paths[p].Elements, e)
 				}
 			}
-			rate, anyUp := 0.0, false
-			for _, p := range paths {
-				up := true
-				for _, e := range p.Elements {
-					if state&(1<<e) == 0 {
-						up = false
-						break
-					}
-				}
-				if up {
-					anyUp = true
-					rate += p.Rate
-				}
-			}
-			if anyUp {
-				wantAtLeast += prob
-			}
-			if rate >= minRate-1e-12 {
-				wantMin += prob
-			}
 		}
-
-		gotAtLeast, err := AtLeastOne(paths, fp)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		for p := range paths {
+			paths[p].Rate = 0.5 + rng.Float64()*3
 		}
-		if math.Abs(gotAtLeast-wantAtLeast) > 1e-9 {
-			t.Fatalf("trial %d: AtLeastOne %v, brute force %v", trial, gotAtLeast, wantAtLeast)
+		name := fmt.Sprintf("large trial %d", trial)
+		if _, err := refMinRate(paths, fp, 1); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%s: the reference analysis answered (err %v); the instance does not exceed its limits", name, err)
 		}
-		gotMin, err := MinRate(paths, fp, minRate)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if math.Abs(gotMin-wantMin) > 1e-9 {
-			t.Fatalf("trial %d: MinRate %v, brute force %v", trial, gotMin, wantMin)
-		}
+		checkBruteForce(t, name, paths, fp, rng.Float64()*4)
 	}
 }
 
-func TestMonteCarloAgreesWithExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	paths := []Path{
-		{Elements: []int{0, 1}, Rate: 2},
-		{Elements: []int{0, 2}, Rate: 1.5},
-		{Elements: []int{3}, Rate: 1},
+// checkBruteForce compares AtLeastOne and MinRate with an enumeration of
+// the joint states of the instance's element classes. A class is the
+// fallible elements that lie on exactly the same set of paths: the paths
+// see only whether all of a class is up, which happens with the product
+// of its members' up-probabilities, independently of the other classes.
+// Enumerating classes instead of elements keeps instances with a hundred
+// elements to at most 2^(2^P - 1) states.
+func checkBruteForce(t *testing.T, name string, paths []Path, fp FailProbs, minRate float64) {
+	t.Helper()
+	classOf := map[int]int{} // path-set bitmask -> class index
+	var classUp []float64
+	var classPaths []int
+	onPaths := map[int]int{}
+	for p, path := range paths {
+		for _, e := range path.Elements {
+			onPaths[e] |= 1 << p
+		}
 	}
-	fp := FailProbs{0: 0.05, 1: 0.1, 2: 0.15, 3: 0.2}
-	exactA, err := AtLeastOne(paths, fp)
-	if err != nil {
-		t.Fatal(err)
+	for e, set := range onPaths {
+		if fp[e] == 0 {
+			continue
+		}
+		c, ok := classOf[set]
+		if !ok {
+			c = len(classUp)
+			classOf[set] = c
+			classUp = append(classUp, 1)
+			classPaths = append(classPaths, set)
+		}
+		classUp[c] *= 1 - fp[e]
 	}
-	mcA := MonteCarloAtLeastOne(paths, fp, 200000, rng)
-	if math.Abs(exactA-mcA) > 0.01 {
-		t.Fatalf("MC at-least-one %v vs exact %v", mcA, exactA)
+	wantAtLeast, wantMin := 0.0, 0.0
+	for state := 0; state < 1<<len(classUp); state++ {
+		prob, down := 1.0, 0 // down: paths with a class down
+		for c, up := range classUp {
+			if state&(1<<c) != 0 {
+				prob *= up
+			} else {
+				prob *= 1 - up
+				down |= classPaths[c]
+			}
+		}
+		rate, anyUp := 0.0, false
+		for p, path := range paths {
+			if down&(1<<p) == 0 {
+				anyUp = true
+				rate += path.Rate
+			}
+		}
+		if anyUp {
+			wantAtLeast += prob
+		}
+		if rate >= minRate-1e-12 {
+			wantMin += prob
+		}
 	}
-	exactM, err := MinRate(paths, fp, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcM := MonteCarloMinRate(paths, fp, 3, 200000, rng)
-	if math.Abs(exactM-mcM) > 0.01 {
-		t.Fatalf("MC min-rate %v vs exact %v", mcM, exactM)
-	}
-}
 
-func TestAutoFallsBackToMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	// 22 single-element disjoint paths exceed the exact path limit.
-	var paths []Path
-	fp := FailProbs{}
-	for i := 0; i < 22; i++ {
-		paths = append(paths, Path{Elements: []int{i}, Rate: 1})
-		fp[i] = 0.5
-	}
-	got, err := AtLeastOneAuto(paths, fp, 100000, rng)
+	gotAtLeast, err := AtLeastOne(paths, fp)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	want := 1 - math.Pow(0.5, 22)
-	if math.Abs(got-want) > 0.01 {
-		t.Fatalf("auto at-least-one %v, want ~%v", got, want)
+	if math.Abs(gotAtLeast-wantAtLeast) > 1e-9 {
+		t.Fatalf("%s: AtLeastOne %v, brute force %v", name, gotAtLeast, wantAtLeast)
 	}
-	gotM, err := MinRateAuto(paths, fp, 11, 100000, rng)
+	gotMin, err := MinRate(paths, fp, minRate)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	// Binomial(22, 0.5) >= 11 has probability ~0.584.
-	if math.Abs(gotM-0.584) > 0.02 {
-		t.Fatalf("auto min-rate %v, want ~0.584", gotM)
-	}
-	// Invalid probabilities surface as errors, not fallbacks.
-	if _, err := AtLeastOneAuto(paths, FailProbs{0: -1}, 10, rng); err == nil {
-		t.Fatal("want validation error")
-	}
-}
-
-func TestMonteCarloDegenerateInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if got := MonteCarloAtLeastOne(nil, FailProbs{}, 100, rng); got != 0 {
-		t.Fatal("no paths must give 0")
-	}
-	if got := MonteCarloMinRate([]Path{{Elements: []int{1}, Rate: 1}}, FailProbs{}, 1, 0, rng); got != 0 {
-		t.Fatal("zero samples must give 0")
+	if math.Abs(gotMin-wantMin) > 1e-9 {
+		t.Fatalf("%s: MinRate %v, brute force %v", name, gotMin, wantMin)
 	}
 }
 

@@ -19,7 +19,7 @@ type Importance struct {
 // BirnbaumImportance computes the importance of every fallible element
 // appearing in the paths, sorted by decreasing Birnbaum value (ties by
 // element id). It relies on the exact at-least-one analysis and inherits
-// its size limits.
+// its MaxPaths limit.
 func BirnbaumImportance(paths []Path, fp FailProbs) ([]Importance, error) {
 	if err := fp.Validate(); err != nil {
 		return nil, err

@@ -70,7 +70,7 @@ func TestBatchSingleSolveSingleRecord(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	var recs []*Record
-	s := New(net, WithRandSeed(1), WithMetrics(reg))
+	s := New(net, WithMetrics(reg))
 	s.SetCommitHook(func(rec *Record) error {
 		recs = append(recs, roundTrip(t, rec))
 		return nil
@@ -110,7 +110,7 @@ func TestBatchSingleSolveSingleRecord(t *testing.T) {
 	}
 
 	// The single record must replay to the exact live state.
-	rebuilt, err := Rebuild(net, nil, recs, WithRandSeed(1))
+	rebuilt, err := Rebuild(net, nil, recs)
 	if err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
@@ -127,11 +127,11 @@ func TestBatchMatchesSequential(t *testing.T) {
 	net := batchMeshNet(t)
 	apps := batchApps(t, rand.New(rand.NewSource(8)), net, 5, false)
 
-	sb := New(net, WithRandSeed(1))
+	sb := New(net)
 	if _, err := sb.SubmitBatch(apps); err != nil {
 		t.Fatalf("SubmitBatch: %v", err)
 	}
-	ss := New(net, WithRandSeed(1))
+	ss := New(net)
 	for _, app := range apps {
 		if _, err := ss.Submit(app); err != nil && !errors.Is(err, ErrRejected) {
 			t.Fatalf("Submit %s: %v", app.Name, err)
@@ -150,7 +150,7 @@ func TestBatchPerAppRejection(t *testing.T) {
 	apps[1].QoS = QoS{Class: GuaranteedRate, MinRate: 1e12, MinRateAvailability: 0.5, MaxPaths: 2}
 
 	var recs []*Record
-	s := New(net, WithRandSeed(1))
+	s := New(net)
 	s.SetCommitHook(func(rec *Record) error {
 		recs = append(recs, roundTrip(t, rec))
 		return nil
@@ -173,7 +173,7 @@ func TestBatchPerAppRejection(t *testing.T) {
 	if got := recs[0].Batch[1].Outcome; got != "rejected" {
 		t.Fatalf("rejected entry outcome = %q, want rejected", got)
 	}
-	rebuilt, err := Rebuild(net, nil, recs, WithRandSeed(1))
+	rebuilt, err := Rebuild(net, nil, recs)
 	if err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestBatchPerAppRejection(t *testing.T) {
 // TestBatchNestedRejected guards the batching flag against reentrancy.
 func TestBatchNestedRejected(t *testing.T) {
 	net := batchMeshNet(t)
-	s := New(net, WithRandSeed(1))
+	s := New(net)
 	s.batching = true
 	if _, err := s.SubmitBatch(nil); err == nil {
 		t.Fatal("nested SubmitBatch accepted")
@@ -197,7 +197,7 @@ func TestBatchNestedRejected(t *testing.T) {
 func TestBatchEmpty(t *testing.T) {
 	net := batchMeshNet(t)
 	var recs []*Record
-	s := New(net, WithRandSeed(1))
+	s := New(net)
 	s.SetCommitHook(func(rec *Record) error {
 		recs = append(recs, roundTrip(t, rec))
 		return nil
@@ -209,7 +209,7 @@ func TestBatchEmpty(t *testing.T) {
 	if len(results) != 0 || len(recs) != 1 {
 		t.Fatalf("empty batch: %d results, %d records; want 0 and 1", len(results), len(recs))
 	}
-	if _, err := Rebuild(net, nil, recs, WithRandSeed(1)); err != nil {
+	if _, err := Rebuild(net, nil, recs); err != nil {
 		t.Fatalf("Rebuild of empty batch record: %v", err)
 	}
 }
@@ -219,7 +219,7 @@ func TestBatchEmpty(t *testing.T) {
 func TestBatchRatesPositive(t *testing.T) {
 	net := batchMeshNet(t)
 	apps := batchApps(t, rand.New(rand.NewSource(21)), net, 6, true)
-	s := New(net, WithRandSeed(1))
+	s := New(net)
 	results, err := s.SubmitBatch(apps)
 	if err != nil {
 		t.Fatalf("SubmitBatch: %v", err)

@@ -49,7 +49,7 @@ func churnBench(b *testing.B, n int, opts []Option) {
 		b.Fatal(err)
 	}
 	net := inst.Net
-	s := New(net, append([]Option{WithRandSeed(1)}, opts...)...)
+	s := New(net, opts...)
 
 	// App templates are generated once; churn events reuse them under
 	// fresh names so graph generation stays out of the measured loop.

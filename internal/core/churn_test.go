@@ -40,7 +40,7 @@ func TestSchedulerChurn(t *testing.T) {
 	}
 	net := inst.Net
 	reg := obs.NewRegistry()
-	s := New(net, WithRandSeed(1), WithMetrics(reg))
+	s := New(net, WithMetrics(reg))
 
 	appCount := 0
 	live := map[string]bool{}

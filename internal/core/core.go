@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"math/rand"
 	"time"
 
 	"sparcle/internal/alloc"
@@ -71,7 +70,8 @@ type QoS struct {
 	RateCap float64
 
 	// MaxPaths bounds the task assignment paths tried for this
-	// application; 0 uses the default, 4.
+	// application; 0 uses the default, 4. Above avail.MaxPaths the
+	// application is refused as malformed.
 	MaxPaths int
 }
 
@@ -129,12 +129,14 @@ func WithAlgorithm(alg placement.Algorithm) Option {
 	return func(s *Scheduler) { s.alg = alg }
 }
 
-// WithRandSeed seeds the scheduler's internal randomness (Monte-Carlo
-// availability fallback). The default seed is 1. The seed is part of the
-// scheduler's durable state: recovery re-seeds from it and fast-forwards
-// to the journaled draw count.
+// WithRandSeed does nothing: the scheduler draws no random numbers, since
+// its availability analyses are exact.
+//
+// Deprecated: the only remaining callers are in the repository benchmark
+// (benchmark/probe.go, benchmark/trace.go, benchmark/check.go); the option
+// goes when they stop passing it.
 func WithRandSeed(seed int64) Option {
-	return func(s *Scheduler) { s.setRandSeed(seed, 0) }
+	return func(*Scheduler) {}
 }
 
 // WithMetrics attaches a metrics registry: the scheduler then maintains
@@ -176,12 +178,6 @@ type Scheduler struct {
 
 	net *network.Network
 	alg placement.Algorithm
-
-	rng *rand.Rand
-	// rngSrc counts source-level draws and rngSeed remembers the seed, so
-	// the RNG position is persistable as (seed, draws); see durable.go.
-	rngSrc  *countedSource
-	rngSeed int64
 
 	failProbs avail.FailProbs
 
@@ -230,7 +226,6 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		alg: assign.Sparcle{},
 		log: obs.NopLogger(),
 	}
-	s.setRandSeed(1, 0)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -278,10 +273,6 @@ const (
 	metricAllocRowEvals    = "sparcle_alloc_row_evals_total"
 	metricFluctuations     = "sparcle_fluctuations_total"
 )
-
-// availSamples is the Monte-Carlo sample budget used when the exact
-// availability analysis is too large.
-const availSamples = 100000
 
 // allocCycleBuckets tiles the warm (1-3 cycles) through cold (tens to
 // hundreds) convergence regimes of the dual descent.
@@ -405,9 +396,9 @@ func (s *Scheduler) TotalGRRate() float64 {
 // then unchanged).
 //
 // When a durability hook is installed, the decision — including
-// rejections, which consume RNG draws and re-solve BE rates, so they are
-// state-visible — is committed to the journal before Submit returns; a
-// commit failure surfaces as ErrDurability alongside the placed app.
+// rejections, which re-solve BE rates, so they are state-visible — is
+// committed to the journal before Submit returns; a commit failure
+// surfaces as ErrDurability alongside the placed app.
 func (s *Scheduler) Submit(app App) (*PlacedApp, error) {
 	sp := s.startOpSpan("core.submit")
 	sp.SetAttr("app", app.Name)
@@ -481,6 +472,9 @@ func (s *Scheduler) submit(app App) (*PlacedApp, error) {
 	if app.Graph == nil {
 		return nil, errors.New("core: app has no task graph")
 	}
+	if app.QoS.MaxPaths > avail.MaxPaths {
+		return nil, fmt.Errorf("core: app %q QoS MaxPaths is %d, at most %d", app.Name, app.QoS.MaxPaths, avail.MaxPaths)
+	}
 	switch app.QoS.Class {
 	case GuaranteedRate:
 		return s.submitGR(app)
@@ -536,7 +530,7 @@ func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 
 		avsp := s.opSpan.Child("avail.analyze")
 		avsp.SetInt("paths", int64(len(paths)))
-		a, err := avail.MinRateAuto(availPaths(paths), s.failProbs, app.QoS.MinRate, availSamples, s.rng)
+		a, err := avail.MinRate(availPaths(paths), s.failProbs, app.QoS.MinRate)
 		avsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: GR app %q availability analysis: %w", app.Name, err)
@@ -628,7 +622,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 
 		avsp := s.opSpan.Child("avail.analyze")
 		avsp.SetInt("paths", int64(len(paths)))
-		a, err := avail.AtLeastOneAuto(availPaths(paths), s.failProbs, availSamples, s.rng)
+		a, err := avail.AtLeastOne(availPaths(paths), s.failProbs)
 		avsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: BE app %q availability analysis: %w", app.Name, err)

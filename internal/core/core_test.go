@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"sparcle/internal/avail"
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
 	"sparcle/internal/resource"
@@ -238,6 +239,10 @@ func TestSubmitValidation(t *testing.T) {
 	app.QoS = QoS{Class: GuaranteedRate, MinRate: 0}
 	if _, err := s.Submit(app); err == nil {
 		t.Fatal("GR without min rate must error")
+	}
+	app.QoS = QoS{Class: BestEffort, Priority: 1, MaxPaths: avail.MaxPaths + 1}
+	if _, err := s.Submit(app); err == nil || errors.Is(err, ErrRejected) {
+		t.Fatalf("MaxPaths past avail.MaxPaths: err = %v, want a spec error", err)
 	}
 }
 

@@ -31,7 +31,7 @@ func journaledRun(t *testing.T, net *network.Network, dir string, script []scrip
 	if _, _, err := j.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	s := New(net, WithRandSeed(1))
+	s := New(net)
 	s.SetCommitHook(func(rec *Record) error {
 		_, err := j.Append("op", rec)
 		return err
@@ -91,7 +91,7 @@ func recoverState(t *testing.T, net *network.Network, dir string) (string, error
 			return "", err
 		}
 	}
-	s, err := Rebuild(net, snap, coreRecs, WithRandSeed(1))
+	s, err := Rebuild(net, snap, coreRecs)
 	if err != nil {
 		return "", err
 	}
@@ -279,7 +279,7 @@ func TestCrashGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	s := New(net, WithRandSeed(1))
+	s := New(net)
 	s.SetCommitHook(func(rec *Record) error {
 		_, err := j.Append("op", rec)
 		return err

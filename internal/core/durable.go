@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
@@ -22,8 +21,8 @@ import (
 // replay is structural — it applies the recorded placements with the same
 // sparse capacity arithmetic the live path used, and never re-runs the
 // assignment algorithm or the rate solver. Re-execution would have to
-// reproduce warm-start solver noise and Monte-Carlo draws bit-for-bit;
-// applying results only has to repeat deterministic float arithmetic.
+// reproduce warm-start solver noise bit-for-bit; applying results only
+// has to repeat deterministic float arithmetic.
 
 // ErrNotFound is wrapped by Remove and Repair when no admitted
 // application has the requested name. The operation had no effect, so
@@ -79,9 +78,6 @@ type Record struct {
 	// operation per-path rates; replay sets them verbatim instead of
 	// re-solving.
 	BERates map[string][]float64 `json:"beRates,omitempty"`
-	// RngDraws is the post-operation source-level draw count of the
-	// scheduler RNG (rejected attempts consume draws too).
-	RngDraws uint64 `json:"rngDraws"`
 }
 
 // BatchRecordEntry is one application's verdict inside a batch record.
@@ -106,8 +102,6 @@ type Snapshot struct {
 	PoolNCP     []resource.Vector `json:"poolNCP"`
 	PoolLink    []float64         `json:"poolLink"`
 	PoolClamped bool              `json:"poolClamped"`
-	RngSeed     int64             `json:"rngSeed"`
-	RngDraws    uint64            `json:"rngDraws"`
 }
 
 // AppState is an admitted application: its full definition (the journal
@@ -153,47 +147,6 @@ type TTDef struct {
 	Bits float64 `json:"bits"`
 }
 
-// --- counted randomness ---
-
-// countedSource wraps a rand.Source64 and counts source-level draws, so
-// RNG state is persistable as (seed, draws): restoring is re-seeding and
-// skipping. Counting at the source level (not the rand.Rand method level)
-// is exact even for rejection-sampling methods that draw a variable
-// number of times.
-type countedSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countedSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-func (c *countedSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) { c.src.Seed(seed) }
-
-// setRandSeed installs a fresh counted RNG; draws > 0 fast-forwards it
-// (each Int63 advances the underlying generator exactly one step, the
-// same step Uint64 takes).
-func (s *Scheduler) setRandSeed(seed int64, draws uint64) {
-	src := rand.NewSource(seed).(rand.Source64)
-	for i := uint64(0); i < draws; i++ {
-		src.Int63()
-	}
-	s.rngSeed = seed
-	s.rngSrc = &countedSource{src: src, n: draws}
-	s.rng = rand.New(s.rngSrc)
-}
-
-// RngDraws returns the number of source-level draws the scheduler RNG has
-// made since seeding.
-func (s *Scheduler) RngDraws() uint64 { return s.rngSrc.n }
-
 // --- export ---
 
 // ExportSnapshot captures the scheduler's full persistent state. The
@@ -206,8 +159,6 @@ func (s *Scheduler) ExportSnapshot() (*Snapshot, error) {
 		GR:          []AppState{},
 		BE:          []AppState{},
 		PoolClamped: s.poolClamped,
-		RngSeed:     s.rngSeed,
-		RngDraws:    s.rngSrc.n,
 	}
 	for _, pa := range s.gr {
 		st, err := exportApp(pa)
@@ -325,14 +276,12 @@ func (st AppState) buildPlacedOn(app App, net *network.Network) (*PlacedApp, err
 // --- commit helpers ---
 
 // commitRecord finalizes and persists one record through the hook. It
-// stamps the post-operation BE rates and RNG draw count, which every
-// record carries.
+// stamps the post-operation BE rates, which every record carries.
 func (s *Scheduler) commitRecord(rec *Record) error {
 	if s.commit == nil {
 		return nil
 	}
 	rec.BERates = s.exportBERates()
-	rec.RngDraws = s.rngSrc.n
 	if err := s.commit(rec); err != nil {
 		return fmt.Errorf("%w: %v", ErrDurability, err)
 	}
@@ -371,14 +320,13 @@ func submitOutcome(err error) string {
 // Rebuild reconstructs a Scheduler on net from a recovered snapshot
 // (which may be nil: an empty journal) and the record tail after it. The
 // options must match the ones the original scheduler ran with — the
-// journal records outcomes, not configuration — except the random seed,
-// which the snapshot overrides.
+// journal records outcomes, not configuration.
 //
 // The result is byte-identical (ExportSnapshot marshaling) to the
 // scheduler that emitted the records: placements, rates, the capacity
-// pool's float low bits, the sparse loaded-element lists, and the RNG
-// position all pin. Solver warm-start state is not persisted; the first
-// re-allocation after a rebuild solves cold.
+// pool's float low bits and the sparse loaded-element lists all pin.
+// Solver warm-start state is not persisted; the first re-allocation after
+// a rebuild solves cold.
 func Rebuild(net *network.Network, snap *Snapshot, recs []*Record, opts ...Option) (*Scheduler, error) {
 	s := New(net, opts...)
 	if snap != nil {
@@ -424,7 +372,6 @@ func (s *Scheduler) restoreSnapshot(snap *Snapshot) error {
 		pool.NCP = append(pool.NCP, v.Clone())
 	}
 	s.beAvailable = pool
-	s.setRandSeed(snap.RngSeed, snap.RngDraws)
 	return nil
 }
 
@@ -480,10 +427,7 @@ func (s *Scheduler) applyRecord(rec *Record) error {
 	default:
 		return fmt.Errorf("unknown operation %q", rec.Op)
 	}
-	if err := s.applyBERates(rec.BERates); err != nil {
-		return err
-	}
-	return s.syncRng(rec.RngDraws)
+	return s.applyBERates(rec.BERates)
 }
 
 // admitReserved appends a recorded GR placement, repeating the live
@@ -556,19 +500,6 @@ func (s *Scheduler) applyBERates(rates map[string][]float64) error {
 		for i := range pa.Paths {
 			pa.Paths[i].Rate = r[i]
 		}
-	}
-	return nil
-}
-
-// syncRng fast-forwards the RNG to the recorded draw count. Rewinding is
-// impossible, so a record claiming fewer draws than already made means
-// the journal and replay have diverged.
-func (s *Scheduler) syncRng(draws uint64) error {
-	if draws < s.rngSrc.n {
-		return fmt.Errorf("recorded %d RNG draws, replay already at %d", draws, s.rngSrc.n)
-	}
-	for s.rngSrc.n < draws {
-		s.rngSrc.Int63()
 	}
 	return nil
 }

@@ -169,7 +169,7 @@ func TestRebuildByteEqual(t *testing.T) {
 	script := churnScript(t, rng, net, 40)
 
 	var records []*Record
-	live := New(net, WithRandSeed(1))
+	live := New(net)
 	live.SetCommitHook(func(rec *Record) error {
 		records = append(records, roundTrip(t, rec))
 		return nil
@@ -178,7 +178,7 @@ func TestRebuildByteEqual(t *testing.T) {
 	for i, op := range script {
 		applyOp(t, live, op)
 		want := stateJSON(t, live)
-		rebuilt, err := Rebuild(net, nil, records, WithRandSeed(1))
+		rebuilt, err := Rebuild(net, nil, records)
 		if err != nil {
 			t.Fatalf("op %d (%s): Rebuild: %v", i, op.kind, err)
 		}
@@ -199,7 +199,7 @@ func TestRebuildFromSnapshotPlusTail(t *testing.T) {
 	script := churnScript(t, rng, net, 30)
 
 	var records []*Record
-	live := New(net, WithRandSeed(1))
+	live := New(net)
 	live.SetCommitHook(func(rec *Record) error {
 		records = append(records, roundTrip(t, rec))
 		return nil
@@ -223,7 +223,7 @@ func TestRebuildFromSnapshotPlusTail(t *testing.T) {
 			tailFrom = len(records)
 		}
 	}
-	rebuilt, err := Rebuild(net, snapAt, records[tailFrom:], WithRandSeed(1))
+	rebuilt, err := Rebuild(net, snapAt, records[tailFrom:])
 	if err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestRecoveryEquivalenceUnderChurn(t *testing.T) {
 
 	for _, cut := range []int{7, 19, 33} {
 		var records []*Record
-		orig := New(net, WithRandSeed(1))
+		orig := New(net)
 		orig.SetCommitHook(func(rec *Record) error {
 			records = append(records, roundTrip(t, rec))
 			return nil
@@ -253,7 +253,7 @@ func TestRecoveryEquivalenceUnderChurn(t *testing.T) {
 		for _, op := range script[:cut] {
 			applyOp(t, orig, op)
 		}
-		recovered, err := Rebuild(net, nil, records, WithRandSeed(1))
+		recovered, err := Rebuild(net, nil, records)
 		if err != nil {
 			t.Fatalf("cut %d: Rebuild: %v", cut, err)
 		}
@@ -310,13 +310,13 @@ func compareSchedulers(t *testing.T, a, b *Scheduler, cut, op int) {
 // records referencing unknown apps or claiming impossible RNG positions.
 func TestReplayRejectsGapsAndGarbage(t *testing.T) {
 	net := meshNet(t)
-	if _, err := Rebuild(net, nil, []*Record{{Op: OpRemove, Outcome: "ok", Name: "ghost"}}, WithRandSeed(1)); err == nil {
+	if _, err := Rebuild(net, nil, []*Record{{Op: OpRemove, Outcome: "ok", Name: "ghost"}}); err == nil {
 		t.Fatal("replayed a remove of a never-admitted app")
 	}
-	if _, err := Rebuild(net, nil, []*Record{{Op: "mystery", Outcome: "ok"}}, WithRandSeed(1)); err == nil {
+	if _, err := Rebuild(net, nil, []*Record{{Op: "mystery", Outcome: "ok"}}); err == nil {
 		t.Fatal("replayed an unknown operation")
 	}
-	if _, err := Rebuild(net, nil, []*Record{{Op: OpRepair, Outcome: "repaired", Name: "ghost"}}, WithRandSeed(1)); err == nil {
+	if _, err := Rebuild(net, nil, []*Record{{Op: OpRepair, Outcome: "repaired", Name: "ghost"}}); err == nil {
 		t.Fatal("replayed a repair of a never-admitted app")
 	}
 }
@@ -328,7 +328,7 @@ func TestDurabilityCommitFailureSurfaces(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	script := churnScript(t, rng, net, 8)
 	boom := errors.New("disk full")
-	s := New(net, WithRandSeed(1))
+	s := New(net)
 	s.SetCommitHook(func(*Record) error { return boom })
 	var submitted *App
 	for _, op := range script {

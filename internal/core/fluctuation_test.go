@@ -140,7 +140,7 @@ func TestFluctuationRestoreProperty(t *testing.T) {
 		bw := 1e3 + rng.Float64()*1e6
 		build := func() (*Scheduler, *network.Network, []string) {
 			net := twoBranchNet(t, cpu1, cpu2, bw, 0)
-			s := New(net, WithRandSeed(int64(trial)))
+			s := New(net)
 			var names []string
 			if trial%2 == 0 {
 				if _, err := s.Submit(simpleApp(t, "g", net, 10, QoS{

@@ -92,14 +92,14 @@ func TestGroupSerialEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			apps := batchApps(t, rand.New(rand.NewSource(31)), net, tc.apps, true)
-			live := New(net, WithRandSeed(1))
+			live := New(net)
 			recs := groupedRun(t, live, apps, tc.goroutines, tc.maxSize, tc.batchEvery)
 
 			byName := map[string]App{}
 			for _, app := range apps {
 				byName[app.Name] = app
 			}
-			serial := New(net, WithRandSeed(1))
+			serial := New(net)
 			seen := 0
 			for _, rec := range recs {
 				if rec.Op != OpBatch {
@@ -124,7 +124,7 @@ func TestGroupSerialEquivalence(t *testing.T) {
 			if got, want := stateJSON(t, serial), stateJSON(t, live); got != want {
 				t.Fatalf("grouped state differs from the same groups applied serially\nserial:  %s\ngrouped: %s", got, want)
 			}
-			rebuilt, err := Rebuild(net, nil, recs, WithRandSeed(1))
+			rebuilt, err := Rebuild(net, nil, recs)
 			if err != nil {
 				t.Fatalf("Rebuild: %v", err)
 			}
@@ -143,14 +143,14 @@ func TestGroupSerialEquivalence(t *testing.T) {
 func TestGroupMatchesSequential(t *testing.T) {
 	net := batchMeshNet(t)
 	apps := batchApps(t, rand.New(rand.NewSource(41)), net, 12, false)
-	grouped := New(net, WithRandSeed(1))
+	grouped := New(net)
 	recs := groupedRun(t, grouped, apps, 6, 8, 0)
 
 	byName := map[string]App{}
 	for _, app := range apps {
 		byName[app.Name] = app
 	}
-	seq := New(net, WithRandSeed(1))
+	seq := New(net)
 	for _, rec := range recs {
 		for _, e := range rec.Batch {
 			if _, err := seq.Submit(byName[e.Name]); err != nil && !errors.Is(err, ErrRejected) {
@@ -169,7 +169,7 @@ func TestGroupMatchesSequential(t *testing.T) {
 func TestGroupLeaderFollower(t *testing.T) {
 	net := batchMeshNet(t)
 	apps := batchApps(t, rand.New(rand.NewSource(51)), net, 3, false)
-	s := New(net, WithRandSeed(1))
+	s := New(net)
 	reg := obs.NewRegistry()
 	st := obs.NewSpanTracer(obs.SpanOptions{Metrics: reg})
 
@@ -257,7 +257,7 @@ func TestGroupHammer(t *testing.T) {
 	apps := batchApps(t, rand.New(rand.NewSource(71)), net, 30, true)
 	var mu sync.Mutex
 	var recs []*Record
-	s := New(net, WithRandSeed(1))
+	s := New(net)
 	s.SetCommitHook(func(rec *Record) error {
 		recs = append(recs, roundTrip(t, rec))
 		return nil
@@ -315,7 +315,7 @@ func TestGroupHammer(t *testing.T) {
 		t.Fatalf("hammer op: %v", err)
 	}
 
-	rebuilt, err := Rebuild(net, nil, recs, WithRandSeed(1))
+	rebuilt, err := Rebuild(net, nil, recs)
 	if err != nil {
 		t.Fatalf("Rebuild after hammer: %v", err)
 	}

@@ -320,7 +320,7 @@ func TestChurnMetricsGolden(t *testing.T) {
 	net := meshNet(t)
 	script := churnScript(t, rand.New(rand.NewSource(2024)), net, 200)
 	reg := obs.NewRegistry()
-	s := New(net, WithRandSeed(1), WithMetrics(reg))
+	s := New(net, WithMetrics(reg))
 	for _, op := range script {
 		applyOp(t, s, op)
 	}
@@ -385,7 +385,7 @@ func TestServedChurnAllocsIndependentOfK(t *testing.T) {
 	app := App{Graph: tmpl.Graph, Pins: workload.PinRandomEnds(tmpl.Graph, net, rng),
 		QoS: QoS{Class: BestEffort, Priority: 1, MaxPaths: 1}}
 	perCycle := func(k int) float64 {
-		s := New(net, WithRandSeed(1), WithMetrics(obs.NewRegistry()))
+		s := New(net, WithMetrics(obs.NewRegistry()))
 		seq := 0
 		admit := func() {
 			a := app

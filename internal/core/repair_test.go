@@ -124,7 +124,7 @@ func TestRepairRollbackKeepsBEStateConsistent(t *testing.T) {
 
 	build := func() (*Scheduler, *network.Network) {
 		net := twoBranchNet(t, 100, 80, 1e6, 0)
-		s := New(net, WithRandSeed(1))
+		s := New(net)
 		if _, err := s.Submit(simpleApp(t, "g", net, 10, QoS{
 			Class: GuaranteedRate, MinRate: 5, MinRateAvailability: 0.9, MaxPaths: 1,
 		})); err != nil {

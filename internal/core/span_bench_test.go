@@ -28,7 +28,7 @@ func BenchmarkSubmitSpans(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := New(inst.Net, WithRandSeed(1))
+			s := New(inst.Net)
 			if traced {
 				st := obs.NewSpanTracer(obs.SpanOptions{JSONL: io.Discard})
 				defer st.Close()

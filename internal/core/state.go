@@ -83,7 +83,6 @@ type Control interface {
 	ApplyFluctuation(ElementScale) (*FluctuationReport, error)
 	ExportSnapshot() (*Snapshot, error)
 	ApplyCommitted(*Record) error
-	RngDraws() uint64
 	SetSpans(*obs.SpanTracer)
 	SetRequestSpan(*obs.Span)
 	OpSpan() *obs.Span

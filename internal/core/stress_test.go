@@ -46,7 +46,7 @@ func stressOnce(t *testing.T, opts []Option) {
 		t.Fatal(err)
 	}
 	net := inst.Net
-	s := New(net, append([]Option{WithRandSeed(1)}, opts...)...)
+	s := New(net, opts...)
 
 	appCount := 0
 	live := map[string]bool{}

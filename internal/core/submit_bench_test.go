@@ -64,7 +64,7 @@ type beStream struct {
 }
 
 func newBEStream(tb testing.TB, net *network.Network, templates []App) *beStream {
-	st := &beStream{tb: tb, s: New(net, WithRandSeed(1)), templates: templates}
+	st := &beStream{tb: tb, s: New(net), templates: templates}
 	for len(st.live) < 4 {
 		st.admit()
 	}

@@ -79,7 +79,7 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			s := core.New(inst.Net, core.WithRandSeed(1))
+			s := core.New(inst.Net)
 			if err := admitPopulation(s, inst.Net, rng, pop); err != nil {
 				return nil, fmt.Errorf("chaos mttr=%v trial %d: %w", mttr, trial, err)
 			}

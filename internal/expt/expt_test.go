@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -377,6 +378,22 @@ func TestFailureReplayMatchesAnalytic(t *testing.T) {
 		t.Fatalf("mean abs error %v too large", res.MeanAbsErr)
 	}
 	mustRenderTable(t, res.Table(), "availability")
+}
+
+// TestFailureReplayIsReproducible: a seed fixes every replayed outage,
+// so two runs agree on every empirical availability.
+func TestFailureReplayIsReproducible(t *testing.T) {
+	a, err := FailureReplay(Config{Trials: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := FailureReplay(Config{Trials: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different replays:\n%+v\n%+v", a, b)
+	}
 }
 
 func TestLatencyCurve(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"sparcle/internal/assign"
 	"sparcle/internal/avail"
@@ -67,12 +68,18 @@ func FailureReplay(cfg Config) (*FailureReplayResult, error) {
 		// is good when at least one path has all its elements up. (This
 		// is the same experiment the simulator runs end-to-end in
 		// examples/failover; here the per-slot evaluation keeps the
-		// trial count high.)
+		// trial count high.) Elements draw in id order, so a seed
+		// replays the same outages.
+		ids := make([]int, 0, len(fp))
+		for e := range fp {
+			ids = append(ids, e)
+		}
+		sort.Ints(ids)
 		good := 0
 		elemStates := map[int]bool{}
 		for s := 0; s < slots; s++ {
-			for e, p := range fp {
-				elemStates[e] = rng.Float64() >= p
+			for _, e := range ids {
+				elemStates[e] = rng.Float64() >= fp[e]
 			}
 			up := false
 			for _, p := range fig10AvailPaths(paths) {

@@ -92,7 +92,7 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 			}
 		}
 		for _, alg := range algs {
-			s := core.New(netInst.Net, core.WithAlgorithm(alg), core.WithRandSeed(cfg.Seed+int64(trial)))
+			s := core.New(netInst.Net, core.WithAlgorithm(alg))
 			admitted := 0
 			for _, app := range apps {
 				if _, err := s.Submit(app); err == nil {

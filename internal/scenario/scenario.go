@@ -13,6 +13,7 @@ import (
 	"math"
 	"strings"
 
+	"sparcle/internal/avail"
 	"sparcle/internal/core"
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
@@ -187,8 +188,8 @@ func validateApp(spec AppSpec) error {
 	if err := checkProbability(fmt.Sprintf("app %q QoS minRateAvailability", spec.Name), q.MinRateAvailability); err != nil {
 		return err
 	}
-	if q.MaxPaths < 0 {
-		return fmt.Errorf("scenario: app %q QoS maxPaths is %d, want non-negative", spec.Name, q.MaxPaths)
+	if q.MaxPaths < 0 || q.MaxPaths > avail.MaxPaths {
+		return fmt.Errorf("scenario: app %q QoS maxPaths is %d, want 0 to %d", spec.Name, q.MaxPaths, avail.MaxPaths)
 	}
 	return nil
 }

@@ -195,6 +195,9 @@ func TestParseRejectsInvalidNumbers(t *testing.T) {
 		{"negative maxPaths",
 			`{"apps":[{"name":"x","cts":[{"name":"c"}],"qos":{"class":"be","maxPaths":-2}}]}`,
 			`app "x" QoS maxPaths`},
+		{"maxPaths above the analysis cap",
+			`{"apps":[{"name":"x","cts":[{"name":"c"}],"qos":{"class":"be","maxPaths":9}}]}`,
+			`app "x" QoS maxPaths is 9, want 0 to 8`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,9 +22,8 @@ const metricRecovery = "sparcle_recovery_seconds"
 // region, bare core records and snapshots.
 //
 // On an empty journal a genesis snapshot of the current (fresh) router
-// is written first: it pins every region's RNG seed, so a later restart
-// with a different -seed flag recovers the original stream instead of
-// silently diverging.
+// is written first: it pins every region's initial state, so a later
+// restart replays onto the same bytes.
 //
 // While recovery runs, the server answers mutating routes with 503 (see
 // middleware); GETs stay available.
@@ -71,8 +70,8 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 		}
 		err = s.restore(snapBytes, entries, hook)
 	} else {
-		// Fresh journal: pin the initial state of every shard (seeds
-		// included) before the first operation can be acknowledged.
+		// Fresh journal: pin the initial state of every shard before the
+		// first operation can be acknowledged.
 		s.rt().SetEnvelopeHook(hook)
 		if err = s.snapshotTo(j); err != nil {
 			err = fmt.Errorf("write genesis snapshot: %w", err)

@@ -63,7 +63,7 @@ func getApps(t *testing.T, url string) string {
 func TestServerRecoversAfterCrash(t *testing.T) {
 	net := testNet(t)
 	dir := t.TempDir()
-	srv1, ts1 := journaledServer(t, net, dir, core.WithRandSeed(5))
+	srv1, ts1 := journaledServer(t, net, dir)
 
 	for i := 0; i < 4; i++ {
 		body := appJSON(fmt.Sprintf("app-%d", i), "best-effort", `, "priority": 1`)
@@ -83,7 +83,7 @@ func TestServerRecoversAfterCrash(t *testing.T) {
 	// "crashed" with the journal still open.
 	_ = srv1
 
-	srv2, ts2 := journaledServer(t, net, dir, core.WithRandSeed(5))
+	srv2, ts2 := journaledServer(t, net, dir)
 	if got := getApps(t, ts2.URL); got != want {
 		t.Fatalf("recovered /apps differs\nbefore crash: %s\nafter:        %s", want, got)
 	}
@@ -97,25 +97,6 @@ func TestServerRecoversAfterCrash(t *testing.T) {
 	}
 	if srv2.Journal().LastSeq() != 7 {
 		t.Fatalf("post-recovery journal at seq %d, want 7", srv2.Journal().LastSeq())
-	}
-}
-
-// TestServerGenesisSnapshotPinsSeed restarts the journaled server with a
-// different -seed; the genesis snapshot must win, reproducing the
-// original scheduler exactly.
-func TestServerGenesisSnapshotPinsSeed(t *testing.T) {
-	net := testNet(t)
-	dir := t.TempDir()
-	_, ts1 := journaledServer(t, net, dir, core.WithRandSeed(5))
-	if resp, b := do(t, http.MethodPost, ts1.URL+"/apps", appJSON("pinned", "guaranteed-rate", `, "minRate": 0.1, "minRateAvailability": 0.5, "maxPaths": 2`)); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: %d %s", resp.StatusCode, b)
-	}
-	want := getApps(t, ts1.URL)
-	ts1.Close()
-
-	_, ts2 := journaledServer(t, net, dir, core.WithRandSeed(999))
-	if got := getApps(t, ts2.URL); got != want {
-		t.Fatalf("restart with different seed diverged\nwant: %s\ngot:  %s", want, got)
 	}
 }
 
@@ -224,7 +205,7 @@ func TestSubmitAllSharesBatchPath(t *testing.T) {
 func TestServerPeriodicSnapshot(t *testing.T) {
 	net := testNet(t)
 	dir := t.TempDir()
-	srv := New(net, core.WithRandSeed(5))
+	srv := New(net)
 	if err := srv.EnableJournal(dir, journal.Options{Fsync: journal.SyncAlways}, 2); err != nil {
 		t.Fatalf("EnableJournal: %v", err)
 	}
@@ -241,7 +222,7 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	want := getApps(t, ts.URL)
 	ts.Close()
 
-	srv2, ts2 := journaledServer(t, net, dir, core.WithRandSeed(5))
+	srv2, ts2 := journaledServer(t, net, dir)
 	defer srv2.Close()
 	if got := getApps(t, ts2.URL); got != want {
 		t.Fatalf("snapshot+tail recovery diverged\nwant: %s\ngot:  %s", want, got)
@@ -263,7 +244,7 @@ func TestServerRecoversAdmitRecords(t *testing.T) {
 	if _, _, err := j.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	sched := core.New(net, core.WithRandSeed(5))
+	sched := core.New(net)
 	genesis, err := sched.ExportSnapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -205,7 +205,7 @@ func TestDecodeStrictPooled(t *testing.T) {
 func TestGroupCommitRemoveRepair(t *testing.T) {
 	net := testNet(t)
 	dir := t.TempDir()
-	srv := New(net, core.WithRandSeed(5))
+	srv := New(net)
 	if err := srv.EnableJournal(dir, journal.Options{Fsync: journal.SyncAlways}, 0); err != nil {
 		t.Fatalf("EnableJournal: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestGroupCommitRemoveRepair(t *testing.T) {
 	ts.Close()
 
 	// The interleaved history replays to the same scheduler.
-	srv2, ts2 := journaledServer(t, net, dir, core.WithRandSeed(5))
+	srv2, ts2 := journaledServer(t, net, dir)
 	defer srv2.Close()
 	if got := getApps(t, ts2.URL); got != want {
 		t.Fatalf("replayed remove/repair history diverged\nwant: %s\ngot:  %s", want, got)

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"sparcle/internal/core"
 	"sparcle/internal/journal"
 )
 
@@ -98,13 +97,13 @@ func (c *replTestCluster) boot(id string) *Server {
 	n := c.nodes[id]
 	var srv *Server
 	if c.sharded {
-		s, err := NewSharded(shardTestNet(c.t), 2, core.WithRandSeed(5))
+		s, err := NewSharded(shardTestNet(c.t), 2)
 		if err != nil {
 			c.t.Fatalf("NewSharded(%s): %v", id, err)
 		}
 		srv = s
 	} else {
-		srv = New(testNet(c.t), core.WithRandSeed(5))
+		srv = New(testNet(c.t))
 	}
 	if err := srv.EnableReplication(ReplicationConfig{
 		NodeID:          id,
@@ -516,7 +515,7 @@ func (c *replTestCluster) bootJoin(id string) *replTestNode {
 	c.nodes[id] = n
 	c.ids = append(c.ids, id)
 
-	srv := New(testNet(c.t), core.WithRandSeed(5))
+	srv := New(testNet(c.t))
 	if err := srv.EnableReplication(ReplicationConfig{
 		NodeID:          id,
 		Peers:           map[string]string{id: n.ts.URL},

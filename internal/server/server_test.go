@@ -165,6 +165,12 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad host: %d", resp.StatusCode)
 	}
+	// More paths than the availability analysis takes is a malformed
+	// request, not a rejection.
+	resp, body := do(t, http.MethodPost, ts.URL+"/apps", appJSON("wide", "best-effort", `, "priority": 1, "maxPaths": 9`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("maxPaths 9: %d %s", resp.StatusCode, body)
+	}
 }
 
 func TestFluctuationAndRepair(t *testing.T) {

@@ -110,7 +110,7 @@ func mixedOps(t *testing.T, net *network.Network) []runOp {
 func TestOneEnvelopePerOperation(t *testing.T) {
 	net := lopsidedNet(t)
 	for _, k := range []int{1, 2} {
-		r, err := New(net, k, newCtlFactory(core.WithRandSeed(1)))
+		r, err := New(net, k, newCtlFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestEveryPrefixReplaysWhole(t *testing.T) {
 	}
 	for n := 0; n <= len(tape.envs); n++ {
 		at := fmt.Sprintf("prefix %d of %d", n, len(tape.envs))
-		replayed, err := Replay(net, 2, nil, prefix(n), shardRebuilder(core.WithRandSeed(1)))
+		replayed, err := Replay(net, 2, nil, prefix(n), shardRebuilder())
 		if err != nil {
 			t.Fatalf("%s: replay: %v", at, err)
 		}
@@ -259,7 +259,7 @@ func TestEveryPrefixReplaysWhole(t *testing.T) {
 		if err := json.Unmarshal([]byte(routerStateJSON(t, hot)), &snap); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := Replay(net, 2, &snap, nil, shardRebuilder(core.WithRandSeed(1)))
+		restored, err := Replay(net, 2, &snap, nil, shardRebuilder())
 		if err != nil {
 			t.Fatalf("%s: replay from snapshot: %v", at, err)
 		}
@@ -391,12 +391,12 @@ func TestDecodeLogFoldsLegacyCrossRecords(t *testing.T) {
 	// recovery journaled for it fold into one envelope.
 	i := slices.IndexFunc(tape.envs, func(env *Envelope) bool { return env.Lease != nil && env.Lease.App == "xt" })
 	first := split(tape.envs[i : i+1])[0]
-	withdrawal := &Envelope{Shard: first.Shard, Cross: "xt", Rec: &core.Record{Op: core.OpRemove, Outcome: "ok", Name: first.Rec.Name, RngDraws: first.Rec.RngDraws}}
+	withdrawal := &Envelope{Shard: first.Shard, Cross: "xt", Rec: &core.Record{Op: core.OpRemove, Outcome: "ok", Name: first.Rec.Name}}
 	folded := foldLegacy(nil, append(split(tape.envs[:i]), first, withdrawal))
 	if last := folded[len(folded)-1]; len(last.Steps) != 2 || last.Lease != nil {
 		t.Fatalf("torn admission and its withdrawal fold into %s", mustJSON(t, last))
 	}
-	replayed, err := Replay(net, 2, nil, folded, shardRebuilder(core.WithRandSeed(1)))
+	replayed, err := Replay(net, 2, nil, folded, shardRebuilder())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestRebuildRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := Replay(net, 2, nil, tape.envs, shardRebuilder(core.WithRandSeed(1)))
+	r2, err := Replay(net, 2, nil, tape.envs, shardRebuilder())
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestRebuildFromSnapshotAndTail(t *testing.T) {
 	if err := json.Unmarshal(sb, &snap2); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Replay(net, 2, &snap2, tape.envs[cut:], shardRebuilder(core.WithRandSeed(1)))
+	r2, err := Replay(net, 2, &snap2, tape.envs[cut:], shardRebuilder())
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestSnapshotFromHookSeesWholeOperations(t *testing.T) {
 		if err := json.Unmarshal([]byte(mustJSON(t, snap)), &cp); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := Replay(net, 2, &cp, nil, shardRebuilder(core.WithRandSeed(1)))
+		restored, err := Replay(net, 2, &cp, nil, shardRebuilder())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestSnapshotFromHookSeesWholeOperations(t *testing.T) {
 // shards. Run under -race in CI.
 func TestConcurrentShardSubmits(t *testing.T) {
 	net := dumbbellNet(t, 10000)
-	r, err := New(net, 2, newCtlFactory(core.WithRandSeed(1)))
+	r, err := New(net, 2, newCtlFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestConcurrentShardSubmits(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("no apps survived the hammer")
 	}
-	r2, err := Replay(net, 2, nil, tape.envs, shardRebuilder(core.WithRandSeed(1)))
+	r2, err := Replay(net, 2, nil, tape.envs, shardRebuilder())
 	if err != nil {
 		t.Fatalf("rebuild after hammer: %v", err)
 	}
@@ -286,7 +286,7 @@ func TestConcurrentShardSubmits(t *testing.T) {
 func TestRebuildOntoSharedRegistry(t *testing.T) {
 	net := dumbbellNet(t, 1000)
 	reg := obs.NewRegistry()
-	r, err := New(net, 2, newCtlFactory(core.WithRandSeed(1), core.WithMetrics(reg)))
+	r, err := New(net, 2, newCtlFactory(core.WithMetrics(reg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestRebuildOntoSharedRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Replay(net, 2, nil, tape.envs[:committed], shardRebuilder(core.WithRandSeed(1), core.WithMetrics(reg))); err != nil {
+	if _, err := Replay(net, 2, nil, tape.envs[:committed], shardRebuilder(core.WithMetrics(reg))); err != nil {
 		t.Fatal(err)
 	}
 	var apps []string

@@ -40,8 +40,8 @@ func TestSingleShardByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := inst.Net
-	plain := core.New(net, core.WithRandSeed(1))
-	router, err := New(net, 1, newCtlFactory(core.WithRandSeed(1)))
+	plain := core.New(net)
+	router, err := New(net, 1, newCtlFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func pipelineApp(t *testing.T, name string, net *network.Network, from, to strin
 
 func twoShardRouter(t *testing.T, net *network.Network) *Router {
 	t.Helper()
-	r, err := New(net, 2, newCtlFactory(core.WithRandSeed(1)))
+	r, err := New(net, 2, newCtlFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestDuplicateNameRejected(t *testing.T) {
 		for _, grouped := range []bool{false, true} {
 			for _, batch := range []bool{false, true} {
 				t.Run(fmt.Sprintf("k%d/grouped=%v/batch=%v", k, grouped, batch), func(t *testing.T) {
-					r, err := New(net, k, newCtlFactory(core.WithRandSeed(1)))
+					r, err := New(net, k, newCtlFactory())
 					if err != nil {
 						t.Fatal(err)
 					}
