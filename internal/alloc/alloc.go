@@ -20,9 +20,14 @@
 // its last evaluation, times the most every congestion price could have
 // fallen since, still below capacity — because its row update would leave
 // it at zero. The skip changes no price, so the descent is bit-identical
-// to one that visits every constraint. The final rates are scaled into the
-// feasible region to absorb the last floating-point slack, so the returned
-// rates always satisfy R X <= C.
+// to one that visits every constraint. The descent converges only
+// linearly, so after every sweep that has not met the tolerance the
+// solver takes Newton steps on the whole block of priced constraints (a
+// small dense system, see newton), unless that block has more
+// constraints than there are flows; the sweeps remain the globally
+// convergent method and decide when to stop. The final rates are scaled
+// into the feasible region to absorb the last floating-point slack, so
+// the returned rates always satisfy R X <= C.
 //
 // The package also implements the Theorem 3 capacity prediction (eq. (6)):
 // before placing a new BE application, every element's capacity is scaled
@@ -51,7 +56,8 @@ type Options struct {
 	// Cycles bounds the number of sweeps over the constraints (default
 	// 300); each sweep moves every price to the root of its own
 	// constraint, located to a hundredth of Tolerance. A constraint
-	// certified slack at price zero is skipped: it would stay there.
+	// certified slack at price zero is skipped: it would stay there. The
+	// Newton steps between sweeps do not count against the bound.
 	Cycles int
 	// Tolerance is the relative price-change threshold that ends the
 	// descent early (default 1e-12); a constraint whose demand is within
@@ -80,13 +86,17 @@ type Stats struct {
 	// NNZ is the number of live constraint-matrix entries visited per
 	// descent sweep (the sparse solve cost).
 	NNZ int
-	// Cycles is the number of coordinate-descent sweeps performed.
+	// Cycles is the number of coordinate-descent sweeps performed; the
+	// Newton steps between them are counted in NewtonSteps.
 	Cycles int
 	// RowEvals is the number of row passes those cycles made to evaluate a
 	// row's demand and slope: one for a row still at its root, a few for
 	// a row whose price had to move, none for a row skipped as certified
-	// slack.
+	// slack. Newton steps make no row pass.
 	RowEvals int
+	// NewtonSteps is the number of Newton steps taken on the block of
+	// priced rows between sweeps.
+	NewtonSteps int
 	// Converged reports whether the descent met the tolerance before
 	// exhausting its cycle budget.
 	Converged bool

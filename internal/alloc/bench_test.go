@@ -80,9 +80,12 @@ func meshPipeline(tb testing.TB, rng *rand.Rand, net *network.Network, link [16]
 // BenchmarkSolverWarmChurn is the microbench twin of the admission
 // service's warm BE solve: a Solver holding K pipeline flows on mesh16,
 // each iteration withdrawing the oldest flow, admitting a fresh one and
-// re-solving warm. cycles/op and rowevals/op count the work behind ns/op.
+// re-solving warm. cycles/op, rowevals/op and newton/op count the work
+// behind ns/op. K=4 is the place_bound-sized solve: four flows, on most
+// sweeps on more priced rows than flows, where the gate skips Newton and
+// the skip must cost nothing.
 func BenchmarkSolverWarmChurn(b *testing.B) {
-	for _, k := range []int{64, 256} {
+	for _, k := range []int{4, 64, 256} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
 			net, link := mesh16(b)
@@ -100,7 +103,7 @@ func BenchmarkSolverWarmChurn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var cycles, evals int
+			var cycles, evals, steps int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -116,9 +119,11 @@ func BenchmarkSolverWarmChurn(b *testing.B) {
 				}
 				cycles += st.Cycles
 				evals += st.RowEvals
+				steps += st.NewtonSteps
 			}
 			b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 			b.ReportMetric(float64(evals)/float64(b.N), "rowevals/op")
+			b.ReportMetric(float64(steps)/float64(b.N), "newton/op")
 		})
 	}
 }

@@ -11,19 +11,25 @@ import (
 	"sparcle/internal/resource"
 )
 
-// twin feeds one operation stream to two Solvers: got runs Solve, ref runs
-// referenceSolve, the descent before slack certificates. Both read the
-// same capacities, so in-place capacity edits reach both.
+// twin feeds one operation stream to two Solvers with the same Options:
+// got runs Solve; ref runs referenceSolve, the descent before slack
+// certificates, or with newton set descentSolve, the descent before Newton
+// steps. Both read the same capacities, so in-place capacity edits reach
+// both.
 type twin struct {
 	t        *testing.T
+	newton   bool
 	got, ref *Solver
 	dg, dr   map[FlowID]float64
 	cold     int    // solves that did not start warm
+	solves   int    // solves run
 	evals    [2]int // RowEvals summed over got and ref
+	cycles   [2]int // Cycles summed over got and ref
+	first    int    // Rows summed: the passes a first sweep cannot skip
 }
 
-func newTwin(t *testing.T, caps *network.Capacities, opt Options) *twin {
-	return &twin{t: t, got: NewSolver(caps, opt), ref: NewSolver(caps, opt)}
+func newTwin(t *testing.T, newton bool, caps *network.Capacities, opt Options) *twin {
+	return &twin{t: t, newton: newton, got: NewSolver(caps, opt), ref: NewSolver(caps, opt)}
 }
 
 func (w *twin) add(flows ...Flow) []FlowID {
@@ -53,22 +59,38 @@ func (w *twin) invalidate() {
 	w.ref.invalidate()
 }
 
-// solve runs both Solvers and requires bit-identical rates, equal Stats
-// apart from RowEvals, and no more row passes than the reference made.
+// solve runs both Solvers. Against referenceSolve it requires
+// bit-identical rates, equal Stats apart from RowEvals, and no more row
+// passes than the reference made; against descentSolve, see newtonCheck.
 func (w *twin) solve(label string) Stats {
 	w.t.Helper()
 	var gs, rs Stats
 	var gerr, rerr error
 	w.dg, gs, gerr = w.got.Solve(w.dg)
-	w.dr, rs, rerr = referenceSolve(w.ref, w.dr)
+	if w.newton {
+		w.dr, rs, rerr = descentSolve(w.ref, w.dr)
+	} else {
+		w.dr, rs, rerr = referenceSolve(w.ref, w.dr)
+	}
 	if (gerr == nil) != (rerr == nil) {
 		w.t.Fatalf("%s: error %v, reference %v", label, gerr, rerr)
+	}
+	w.solves++
+	w.cycles[0] += gs.Cycles
+	w.cycles[1] += rs.Cycles
+	if !gs.Warm {
+		w.cold++
+	}
+	if w.newton {
+		w.newtonCheck(label, gs, rs)
+		return gs
 	}
 	if gs.RowEvals > rs.RowEvals {
 		w.t.Fatalf("%s: %d row passes, reference %d", label, gs.RowEvals, rs.RowEvals)
 	}
 	w.evals[0] += gs.RowEvals
 	w.evals[1] += rs.RowEvals
+	w.first += gs.Rows
 	gs.RowEvals = rs.RowEvals
 	if gs != rs {
 		w.t.Fatalf("%s: stats %+v, reference %+v", label, gs, rs)
@@ -81,10 +103,39 @@ func (w *twin) solve(label string) Stats {
 			w.t.Fatalf("%s: flow %v rate %v, reference %v", label, id, y, x)
 		}
 	}
-	if !gs.Warm {
-		w.cold++
-	}
 	return gs
+}
+
+// newtonCheck holds a Newton solve to the pure descent: converged whenever
+// the descent converged, in no more sweeps, meeting the KKT conditions,
+// and within 1e-9 relative of the descent's rates unless the descent's own
+// answer fails them. It does on collapsing prices, where the running
+// denominator sums that Newton recomputes drift by up to 1e-6.
+func (w *twin) newtonCheck(label string, gs, rs Stats) {
+	w.t.Helper()
+	if rs.Converged && !gs.Converged {
+		w.t.Fatalf("%s: not converged: %+v, reference %+v", label, gs, rs)
+	}
+	if gs.Cycles > rs.Cycles {
+		w.t.Fatalf("%s: %d cycles, reference %d", label, gs.Cycles, rs.Cycles)
+	}
+	if !rs.Converged {
+		return
+	}
+	if err := kktError(w.got, w.dg); err != nil {
+		w.t.Fatalf("%s: %v", label, err)
+	}
+	if kktError(w.ref, w.dr) != nil {
+		return
+	}
+	if len(w.dg) != len(w.dr) {
+		w.t.Fatalf("%s: %d rates, reference %d", label, len(w.dg), len(w.dr))
+	}
+	for id, x := range w.dr {
+		if y, ok := w.dg[id]; !ok || math.Abs(y-x) > 1e-9*math.Max(x, y) {
+			w.t.Fatalf("%s: flow %v rate %v, reference %v", label, id, y, x)
+		}
+	}
 }
 
 // setCap writes a row's capacity into caps.
@@ -101,12 +152,16 @@ func setCap(s *Solver, caps *network.Capacities, key rowKey, c float64) {
 // cycle count exactly where the uncertified descent puts them, on warm
 // churn, near-tight slack rows, collapsing prices, zeroed flows, capacity
 // swaps and cold restarts alike.
-func TestSlackSkipMatchesReference(t *testing.T) {
+func TestSlackSkipMatchesReference(t *testing.T) { twinScenarios(t, false) }
+
+// twinScenarios replays the differential scenarios through twins of the
+// given kind.
+func twinScenarios(t *testing.T, newton bool) {
 	churn := func(t *testing.T, k int, seed int64, opt Options, perturb func(w *twin, caps *network.Capacities, step int)) *twin {
 		rng := rand.New(rand.NewSource(seed))
 		net, link := mesh16(t)
 		caps := net.BaseCapacities()
-		w := newTwin(t, caps, opt)
+		w := newTwin(t, newton, caps, opt)
 		pool := make([]Flow, 2*k+64)
 		for i := range pool {
 			pool[i] = meshPipeline(t, rng, net, link)
@@ -127,8 +182,16 @@ func TestSlackSkipMatchesReference(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("churn/K=%d/seed=%d", k, seed), func(t *testing.T) {
 				w := churn(t, k, seed, Options{}, nil)
-				if k == 256 && 2*w.evals[0] > w.evals[1] {
-					t.Errorf("%d row passes against the reference's %d: certificates skip too little", w.evals[0], w.evals[1])
+				if newton {
+					if 5*w.cycles[0] > w.cycles[1] || k == 256 && w.cycles[0] > 3*w.solves {
+						t.Errorf("%d cycles in %d solves, the descent %d", w.cycles[0], w.solves, w.cycles[1])
+					}
+					return
+				}
+				// A descent's first sweep has no certificates yet; of the
+				// passes after it, certificates must skip half.
+				if got, ref := w.evals[0]-w.first, w.evals[1]-w.first; k == 256 && 2*got > ref {
+					t.Errorf("%d row passes after first sweeps against the reference's %d: certificates skip too little", got, ref)
 				}
 			})
 		}
@@ -170,7 +233,7 @@ func TestSlackSkipMatchesReference(t *testing.T) {
 	t.Run("collapse under a falling neighbour", func(t *testing.T) {
 		net, links := lineN(t, 3, 100, 1)
 		caps := net.BaseCapacities()
-		w := newTwin(t, caps, Options{})
+		w := newTwin(t, newton, caps, Options{})
 		w.add(segmentFlow(t, net, links, 0, 1, 2, 1, 1, 1), segmentFlow(t, net, links, 1, 2, 2, 1, 1, 1))
 		for i, c := range [][2]float64{{1, 3}, {2 * (1 + 1e-7), 6}, {100, 6}, {3 * (1 + 1e-8), 6}, {3 * (1 + 1e-8), 6 * (1 + 1e-7)}} {
 			caps.Link[links[0]], caps.Link[links[1]] = c[0], c[1]
@@ -178,7 +241,7 @@ func TestSlackSkipMatchesReference(t *testing.T) {
 				t.Fatalf("step %d: not converged: %+v", i, st)
 			}
 		}
-		if w.evals[0] == w.evals[1] {
+		if !newton && w.evals[0] == w.evals[1] {
 			t.Fatal("no row was skipped")
 		}
 	})
@@ -253,7 +316,9 @@ func TestSlackSkipMatchesReference(t *testing.T) {
 }
 
 // referenceSolve is Solver.Solve as it was before slack certificates,
-// kept verbatim as the differential oracle of TestSlackSkipMatchesReference.
+// kept verbatim as the differential oracle of TestSlackSkipMatchesReference
+// but for the Newton steps between sweeps, which it takes like Solve does
+// (without the growth factor it does not keep).
 func referenceSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stats, error) {
 	stats := Stats{Flows: s.live, Warm: s.solved}
 	if s.live == 0 {
@@ -271,7 +336,7 @@ func referenceSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stat
 	}
 	// Pass 1: read capacities; zero-capacity elements force their flows'
 	// rates to zero (they cannot be bounded away from it).
-	rows := s.pkRows[:0]
+	rows, nActive := s.pkRows[:0], s.live
 	for j := range s.rows {
 		r := &s.rows[j]
 		if r.liveNNZ() == 0 {
@@ -282,8 +347,9 @@ func referenceSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stat
 			continue
 		}
 		for _, e := range r.ents {
-			if e.slot >= 0 {
+			if e.slot >= 0 && active[e.slot] {
 				active[e.slot] = false
+				nActive--
 			}
 		}
 	}
@@ -304,6 +370,7 @@ func referenceSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stat
 		}
 	}
 	s.pk, s.pkRows, rows = pk, rows, priced
+	s.blk.rows = s.blk.rows[:0]
 	stats.NNZ = len(pk)
 
 	// descend (re)initializes never-priced rows at the single-constraint
@@ -330,7 +397,7 @@ func referenceSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stat
 
 		for cycle := 0; cycle < s.opt.Cycles; cycle++ {
 			stats.Cycles++
-			maxRel := 0.0
+			maxRel, nB := 0.0, 0
 			for _, pr := range rows {
 				r, ents := &s.rows[pr.row], pk[pr.off:pr.end]
 				lambda, evals, _ := solveRow(ents, denom, r.price, pr.cap, s.opt.Tolerance)
@@ -342,10 +409,17 @@ func referenceSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stat
 					}
 					r.price = lambda
 				}
+				if r.price > 0 {
+					nB++
+				}
 			}
 			if maxRel < s.opt.Tolerance {
 				stats.Converged = true
 				return
+			}
+			if 0 < nB && nB <= nActive {
+				steps, _ := s.newton(rows, pk, denom)
+				stats.NewtonSteps += steps
 			}
 		}
 	}

@@ -74,6 +74,8 @@ type sflow struct {
 // row at price 0 whose slack certificate still holds is skipped; any other
 // row gets one pass that tells whether its demand still meets its
 // capacity, and if not a few Newton passes (solveRow) move its price there.
+// Between cycles, Newton steps on the block of rows with a positive price
+// move all of those prices at once (newton).
 //
 // Capacities are read lazily at Solve time through the pointer given to
 // NewSolver/SetCapacities, so callers that mutate the capacity vectors in
@@ -105,7 +107,25 @@ type Solver struct {
 	active   []bool
 	pkRows   []packedRow
 	pk       []entry
+	blk      block
 	kindBuf  []resource.Kind
+}
+
+// block is the Newton scratch of one Solve: the priced rows B it was last
+// gathered for (indices into the packed rows), their packed entries
+// regrouped flow by flow — flow i of slots holds ents[off[i]:off[i+1]],
+// in B order — and the dense |B|×|B| system with its step.
+type block struct {
+	rows, cand       []int32
+	slots, off, pos  []int32
+	ents             []blockEntry
+	h, g, lam, denom []float64
+}
+
+// blockEntry is one coefficient of a flow on the row b of B.
+type blockEntry struct {
+	b    int32
+	coef float64
 }
 
 // NewSolver returns an empty incremental solver over the given capacities.
@@ -293,7 +313,7 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 	}
 	// Pass 1: read capacities; zero-capacity elements force their flows'
 	// rates to zero (they cannot be bounded away from it).
-	rows := s.pkRows[:0]
+	rows, nActive := s.pkRows[:0], s.live
 	for j := range s.rows {
 		r := &s.rows[j]
 		if r.liveNNZ() == 0 {
@@ -304,8 +324,9 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 			continue
 		}
 		for _, e := range r.ents {
-			if e.slot >= 0 {
+			if e.slot >= 0 && active[e.slot] {
 				active[e.slot] = false
+				nActive--
 			}
 		}
 	}
@@ -326,12 +347,18 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 		}
 	}
 	s.pk, s.pkRows, rows = pk, rows, priced
+	s.blk.rows = s.blk.rows[:0] // the packing moved: gather the block anew
 	stats.NNZ = len(pk)
 
 	// descend (re)initializes never-priced rows at the single-constraint
 	// optimum scale — previously priced rows keep their price, which is the
 	// warm start — rebuilds the denominators in O(nnz), and runs the cyclic
-	// coordinate descent until the tolerance or cycle budget is hit.
+	// coordinate descent until the tolerance or cycle budget is hit. After
+	// every sweep that moved a price by Tolerance or more, Newton steps on
+	// the block of priced rows (see newton) carry the descent most of the
+	// rest of the way, unless that block has more rows than there are
+	// flows: its Hessian is then singular and the steps seldom contract.
+	// The sweep counts the block, so a skipped step costs nothing.
 	//
 	// Every row carries a slack certificate: the demand D its last
 	// evaluation found at its old price and the growth factor G₀ just
@@ -341,10 +368,11 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 	// fallen by more than G/G₀ since and its demand is at most D·G/G₀. A
 	// row at price 0 whose bound stays below capacity, less a 1e-9 margin
 	// for rounding, is one solveRow would return unchanged at 0, so it is
-	// skipped.
+	// skipped. Newton multiplies G the same way, by the largest old/new
+	// ratio of the denominators it lowered.
 	descend := func() {
 		// denom[f] = Σ_j λ_j R_{jf}, maintained incrementally as prices
-		// move.
+		// move, and recomputed exactly by newton.
 		clear(denom)
 		growth := 1.0
 		for i := range rows {
@@ -365,7 +393,7 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 
 		for cycle := 0; cycle < s.opt.Cycles; cycle++ {
 			stats.Cycles++
-			maxRel := 0.0
+			maxRel, nB := 0.0, 0
 			for i := range rows {
 				pr := &rows[i]
 				r, ents := &s.rows[pr.row], pk[pr.off:pr.end]
@@ -394,10 +422,18 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 					growth *= up / down
 					r.price = lambda
 				}
+				if r.price > 0 {
+					nB++
+				}
 			}
 			if maxRel < s.opt.Tolerance {
 				stats.Converged = true
 				return
+			}
+			if 0 < nB && nB <= nActive {
+				steps, grow := s.newton(rows, pk, denom)
+				stats.NewtonSteps += steps
+				growth *= grow
 			}
 		}
 	}
@@ -452,6 +488,213 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 	}
 	s.solved = true
 	return dst, stats, nil
+}
+
+// newton takes Newton steps on the dual over the block B of rows whose
+// price is positive, every other price held at zero, and returns how many
+// it took and the factor they multiply the growth factor G by. The dual
+// D(λ) = Σ_f w_f(log(w_f/d_f) − 1) + Σ_b λ_b·cap_b, d_f = Σ_b λ_b·A_bf,
+// has gradient cap − demand and Hessian H = A_B·diag(w/d²)·A_Bᵀ on B, so
+// a step solves H·Δλ = demand − cap by an in-place Cholesky. A pivot below
+// 1e-10 of its diagonal marks a row linearly dependent on the rows before
+// it: the step leaves that row's price alone and solves for the others.
+// Each flow's denominator is recomputed exactly as Σ_B λ_b·A_bf, on entry
+// and after each step, so no drift of the running sums survives. A step is
+// tried only if every new price and denominator stays positive, and taken
+// only if it cuts the largest relative residual |demand − cap|/cap
+// fourfold; the steps stop once that residual is within Tolerance. G grows
+// by the largest old/new ratio of the denominators a step or the entry
+// rebuild lowered, exactly as on a descent price drop, so the slack
+// certificates stay sound.
+func (s *Solver) newton(rows []packedRow, pk []entry, denom []float64) (steps int, grow float64) {
+	b := &s.blk
+	b.cand = b.cand[:0]
+	for i := range rows {
+		if s.rows[rows[i].row].price > 0 {
+			b.cand = append(b.cand, int32(i))
+		}
+	}
+	if !slices.Equal(b.cand, b.rows) {
+		b.rows = append(b.rows[:0], b.cand...)
+		b.gather(rows, pk, len(denom))
+	}
+	m := len(b.rows)
+	b.h, b.g, b.lam = resize(b.h, m*m), resize(b.g, m), resize(b.lam, m)
+	b.denom = resize(b.denom, len(b.slots))
+	// Start from exact denominators, so that no drift of the running sums
+	// survives a sweep that reaches here.
+	for k, i := range b.rows {
+		b.lam[k] = s.rows[rows[i].row].price
+	}
+	res := b.system(s, rows)
+	if math.IsNaN(res) {
+		return 0, 1
+	}
+	grow = b.commit(s, rows, denom)
+	for res > s.opt.Tolerance {
+		b.step()
+		for k, i := range b.rows {
+			if b.lam[k] = s.rows[rows[i].row].price + b.g[k]; !(b.lam[k] > 0) {
+				return steps, grow
+			}
+		}
+		next := b.system(s, rows)
+		if !(next <= res/4) {
+			break
+		}
+		grow *= b.commit(s, rows, denom)
+		steps++
+		res = next
+	}
+	return steps, grow
+}
+
+// commit moves the prices of B to b.lam and its flows' denominators to
+// b.denom, and returns the largest old/new ratio of those denominators (1
+// if none fell).
+func (b *block) commit(s *Solver, rows []packedRow, denom []float64) float64 {
+	for k, i := range b.rows {
+		s.rows[rows[i].row].price = b.lam[k]
+	}
+	up, down := 1.0, 1.0
+	for i, slot := range b.slots {
+		old, d := denom[slot], b.denom[i]
+		if old*down > up*d {
+			up, down = old, d
+		}
+		denom[slot] = d
+	}
+	return up / down
+}
+
+// system builds the Newton system at the prices b.lam in one pass over
+// the flows: each flow's denominator Σ_B λ_b·A_bf into b.denom, g = demand
+// − cap, and the lower triangle of H. It returns the largest relative
+// residual, or NaN if a denominator is not positive.
+func (b *block) system(s *Solver, rows []packedRow) float64 {
+	m := len(b.rows)
+	h, g := b.h, b.g
+	clear(h)
+	for k, i := range b.rows {
+		g[k] = -rows[i].cap
+	}
+	for i, slot := range b.slots {
+		ents := b.ents[b.off[i]:b.off[i+1]]
+		d := 0.0
+		for _, e := range ents {
+			d += b.lam[e.b] * e.coef
+		}
+		if !(d > 0) {
+			return math.NaN()
+		}
+		b.denom[i] = d
+		x := s.flows[slot].weight / d
+		hw := x / d
+		for a, ea := range ents {
+			g[ea.b] += ea.coef * x
+			c, hr := ea.coef*hw, h[int(ea.b)*m:]
+			for _, eb := range ents[:a+1] {
+				hr[eb.b] += c * eb.coef
+			}
+		}
+	}
+	res := 0.0
+	for k, i := range b.rows {
+		res = math.Max(res, math.Abs(g[k])/rows[i].cap)
+	}
+	return res
+}
+
+// step factors H = L·Lᵀ in place (column j of L below the diagonal), a
+// dependent row's column zeroed, then turns g into the step Δλ by the two
+// triangular solves.
+func (b *block) step() {
+	m, h, g := len(b.rows), b.h, b.g
+	for j := 0; j < m; j++ {
+		hj := h[j*m : j*m+j+1]
+		p := hj[j]
+		for _, l := range hj[:j] {
+			p -= l * l
+		}
+		if p <= 1e-10*hj[j] {
+			for i := j; i < m; i++ {
+				h[i*m+j] = 0
+			}
+			continue
+		}
+		p = math.Sqrt(p)
+		hj[j] = p
+		for i := j + 1; i < m; i++ {
+			hi := h[i*m : i*m+j+1]
+			v := hi[j]
+			for k, l := range hj[:j] {
+				v -= hi[k] * l
+			}
+			hi[j] = v / p
+		}
+	}
+	for j := 0; j < m; j++ {
+		v := 0.0
+		if p := h[j*m+j]; p != 0 {
+			v = g[j]
+			for k, l := range h[j*m : j*m+j] {
+				v -= l * g[k]
+			}
+			v /= p
+		}
+		g[j] = v
+	}
+	for j := m - 1; j >= 0; j-- {
+		if p := h[j*m+j]; p != 0 {
+			v := g[j]
+			for i := j + 1; i < m; i++ {
+				v -= h[i*m+j] * g[i]
+			}
+			g[j] = v / p
+		}
+	}
+}
+
+// gather regroups the packed entries of the rows of B flow by flow, by a
+// counting sort keyed on the flow. Flows are numbered in order of first
+// appearance, so no sum depends on which slots the flows happen to hold.
+func (b *block) gather(rows []packedRow, pk []entry, n int) {
+	if cap(b.pos) < n {
+		b.pos = make([]int32, n)
+	}
+	pos := b.pos[:n] // a flow's number + 1; 0 = not in B
+	clear(pos)
+	b.slots, b.off = b.slots[:0], b.off[:0]
+	for _, i := range b.rows {
+		for _, e := range pk[rows[i].off:rows[i].end] {
+			if pos[e.slot] == 0 {
+				b.slots = append(b.slots, e.slot)
+				b.off = append(b.off, 0)
+				pos[e.slot] = int32(len(b.slots))
+			}
+			b.off[pos[e.slot]-1]++
+		}
+	}
+	at := int32(0)
+	for i, c := range b.off {
+		at += c
+		b.off[i] = at // the end of flow i's entries, for now
+	}
+	b.off = append(b.off, at)
+	if cap(b.ents) < int(at) {
+		b.ents = make([]blockEntry, at)
+	}
+	b.ents = b.ents[:at]
+	// Filled back to front, each flow's entries come out in B order and
+	// its offset ends at their start.
+	for k := len(b.rows) - 1; k >= 0; k-- {
+		i := b.rows[k]
+		for _, e := range pk[rows[i].off:rows[i].end] {
+			f := pos[e.slot] - 1
+			b.off[f]--
+			b.ents[b.off[f]] = blockEntry{b: int32(k), coef: e.coef}
+		}
+	}
 }
 
 // solveRow returns the price at which the row's demand meets cap with every

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -470,6 +471,13 @@ func bisectSolve(t *testing.T, caps *network.Capacities, flows []Flow, opt Optio
 // slackness, and stationarity w/x = Σ λ·c, each within 1e-9 relative.
 func checkKKT(t *testing.T, s *Solver, rates map[FlowID]float64) {
 	t.Helper()
+	if err := kktError(s, rates); err != nil {
+		t.Error(err)
+	}
+}
+
+// kktError returns the first optimality condition checkKKT finds violated.
+func kktError(s *Solver, rates map[FlowID]float64) error {
 	const tol = 1e-9
 	zeroed := make([]bool, len(s.flows))
 	for j := range s.rows {
@@ -497,11 +505,11 @@ func checkKKT(t *testing.T, s *Solver, rates map[FlowID]float64) {
 		case c <= 0 || !bound:
 			// prices nothing
 		case !(r.price >= 0):
-			t.Errorf("row %v: price %v", r.key, r.price)
+			return fmt.Errorf("row %v: price %v", r.key, r.price)
 		case demand > c*(1+tol):
-			t.Errorf("row %v: demand %v exceeds capacity %v", r.key, demand, c)
+			return fmt.Errorf("row %v: demand %v exceeds capacity %v", r.key, demand, c)
 		case r.price > 0 && demand < c*(1-tol):
-			t.Errorf("row %v: price %v on a slack row (demand %v of %v)", r.key, r.price, demand, c)
+			return fmt.Errorf("row %v: price %v on a slack row (demand %v of %v)", r.key, r.price, demand, c)
 		}
 	}
 	for i, f := range s.flows {
@@ -509,12 +517,13 @@ func checkKKT(t *testing.T, s *Solver, rates map[FlowID]float64) {
 		case !f.alive:
 		case zeroed[i]:
 			if x != 0 {
-				t.Errorf("flow %v: rate %v across a zero-capacity element", f.id, x)
+				return fmt.Errorf("flow %v: rate %v across a zero-capacity element", f.id, x)
 			}
 		case !(x > 0) || math.Abs(f.weight/x-pathPrice[i]) > tol*pathPrice[i]:
-			t.Errorf("flow %v: w/x = %v/%v but path price %v", f.id, f.weight, x, pathPrice[i])
+			return fmt.Errorf("flow %v: w/x = %v/%v but path price %v", f.id, f.weight, x, pathPrice[i])
 		}
 	}
+	return nil
 }
 
 // randomRow draws one row in the middle of a descent: n flows with

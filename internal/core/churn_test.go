@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,11 +25,27 @@ import (
 // reallocateBE's failed-incremental-solve branch, and a pool flagged
 // clamped (the next GR release rebuilds the pool from base capacities and
 // refreshes the flag).
+//
+// The seed table is 42-51 less two seeds that fail the 1e-6 check. Each
+// fails on a solve that ends Converged: false after its warm and cold
+// cycle budgets, with fewer live flows than priced rows, so the solver
+// takes no Newton step:
+//   - seed 47 first fails at op 79 (2 flows on 3 priced rows, a rate off
+//     by 7.7e-4 relative);
+//   - seed 50 first fails at op 16 (2 flows on 21 rows, a rate off by
+//     1.5%).
+//
+// Certifying those solves is ROADMAP's "Converged means certified" item.
 func TestSchedulerChurn(t *testing.T) {
 	deltaCapsCheck = true
 	defer func() { deltaCapsCheck = false }()
+	for _, seed := range []int64{42, 43, 44, 45, 46, 48, 49, 51} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { schedulerChurn(t, seed) })
+	}
+}
 
-	rng := rand.New(rand.NewSource(42))
+func schedulerChurn(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
 	inst, err := workload.Generate(workload.GenConfig{
 		Shape:    workload.ShapeLinear,
 		Topology: workload.TopoMesh,
@@ -136,9 +153,6 @@ func TestSchedulerChurn(t *testing.T) {
 		}
 	}
 
-	// The seed and the two cadences below are not free: other choices hit
-	// the warm solve's denominator drift (ROADMAP, known bugs) and fail the
-	// 1e-6 check.
 	fresh, rebuilds := 0, 0
 	for op := 0; op < 150; op++ {
 		dropped := op%10 == 9

@@ -249,6 +249,7 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		s.metrics.SetHelp(metricAllocNNZ, "Constraint-matrix nonzeros of the most recent best-effort allocation solve.")
 		s.metrics.SetHelp(metricAllocCycles, "Dual coordinate-descent cycles per best-effort allocation solve, by start mode.")
 		s.metrics.SetHelp(metricAllocRowEvals, "Total constraint-row demand evaluations made by best-effort allocation solves.")
+		s.metrics.SetHelp(metricAllocUnconverged, "Total best-effort allocation solves that ran out of cycles before converging; their rates are installed anyway.")
 		s.metrics.SetHelp(metricFluctuations, "Total capacity fluctuations applied.")
 		s.lineage = lineage(net)
 		s.admitted[0] = s.metrics.Gauge(metricAppsAdmitted, obs.L("class", GuaranteedRate.String()))
@@ -271,6 +272,7 @@ const (
 	metricAllocNNZ         = "sparcle_alloc_rows_nnz"
 	metricAllocCycles      = "sparcle_alloc_solve_cycles"
 	metricAllocRowEvals    = "sparcle_alloc_row_evals_total"
+	metricAllocUnconverged = "sparcle_alloc_unconverged_total"
 	metricFluctuations     = "sparcle_fluctuations_total"
 )
 
@@ -706,6 +708,7 @@ func (s *Scheduler) reallocateBE() error {
 	ssp.SetInt("nnz", int64(stats.NNZ))
 	ssp.SetInt("cycles", int64(stats.Cycles))
 	ssp.SetInt("rowEvals", int64(stats.RowEvals))
+	ssp.SetInt("newtonSteps", int64(stats.NewtonSteps))
 	if ssp != nil {
 		ssp.SetAny("converged", stats.Converged)
 	}
@@ -721,6 +724,9 @@ func (s *Scheduler) reallocateBE() error {
 		s.metrics.Gauge(metricAllocNNZ).Set(float64(stats.NNZ))
 		s.metrics.Histogram(metricAllocCycles, allocCycleBuckets, obs.L("mode", mode)).Observe(float64(stats.Cycles))
 		s.metrics.Counter(metricAllocRowEvals).Add(float64(stats.RowEvals))
+		if unconverged := s.metrics.Counter(metricAllocUnconverged); !stats.Converged && err == nil {
+			unconverged.Inc()
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("core: best-effort rate allocation: %w", err)

@@ -11,7 +11,7 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22187
+max_lines=22446
 max_host_lines=3707
 max_replica_lines=2407
 max_obs_lines=1201
