@@ -17,10 +17,11 @@
 // capacity lease (see docs/http-api.md, "Sharded deployments"). With
 // -shards 1 the one region is the whole network, and its placements are
 // byte-identical to a lone scheduler's.
-// Every admission goes through a region's group-commit queue: submits
-// that arrive while a commit is in flight share one solve and one
-// journal record, and a lone submit commits at once as a group of one
-// (-group-commit, which used to select this, is accepted and ignored).
+// Every intra-region admission goes through its region's group-commit
+// queue: submits that arrive while a commit is in flight share one solve
+// and one journal record, and a lone submit commits at once as a group of
+// one (-group-commit is accepted and ignored). Each half of a
+// cross-region admission is a batch of one under both regions' locks.
 // With -submit, the scenario's applications are admitted at startup. With
 // -journal, every mutating operation is committed to a write-ahead
 // journal in the given directory before it is acknowledged, and a restart

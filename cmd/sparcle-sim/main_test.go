@@ -97,7 +97,7 @@ func TestRunAllAppsRejected(t *testing.T) {
 }
 
 // TestRunTrace checks -trace writes the span records sparcle and
-// sparcle-server write: the admission verdict on core.submit.
+// sparcle-server write: the admission verdict on batch.submit.
 func TestRunTrace(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 	var out bytes.Buffer
@@ -114,7 +114,7 @@ func TestRunTrace(t *testing.T) {
 		if err := dec.Decode(&r); err != nil {
 			t.Fatal(err)
 		}
-		admitted = admitted || (r.Name == "core.submit" && r.Attrs["outcome"] == "admitted")
+		admitted = admitted || (r.Name == "batch.submit" && r.Attrs["outcome"] == "admitted")
 	}
 	if !admitted {
 		t.Fatalf("no admission verdict in the span trace:\n%s", data)

@@ -197,7 +197,7 @@ func TestRunTrace(t *testing.T) {
 	found := map[string]int{}
 	for _, r := range recs {
 		switch r.Name {
-		case "core.submit":
+		case "batch.submit":
 			if r.Attrs["app"] == "face-detection" && r.Attrs["outcome"] == "admitted" && r.Attrs["paths"] != nil {
 				found["admission"]++
 			}

@@ -55,10 +55,10 @@ func TestChaosHealsAreJournaled(t *testing.T) {
 	for _, rec := range recs {
 		ops[rec.Op]++
 	}
-	// 1 admit + at least the outage fluctuation, the repair, and the
-	// restore fluctuation.
-	if ops[core.OpAdmit] != 1 {
-		t.Fatalf("admit records = %d, want 1 (ops: %v)", ops[core.OpAdmit], ops)
+	// 1 admission (a batch of one) + at least the outage fluctuation,
+	// the repair, and the restore fluctuation.
+	if ops[core.OpBatch] != 1 {
+		t.Fatalf("batch records = %d, want 1 (ops: %v)", ops[core.OpBatch], ops)
 	}
 	if ops[core.OpFluctuation] < 2 {
 		t.Fatalf("fluctuation records = %d, want >= 2 for outage + restore (ops: %v)", ops[core.OpFluctuation], ops)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"sparcle/internal/network"
 	"sparcle/internal/obs"
 )
 
@@ -39,6 +40,8 @@ func (s *Scheduler) SubmitBatch(apps []App) ([]BatchResult, error) {
 	s.opSpan = sp
 	defer func() { s.opSpan = nil; sp.End() }()
 	results := make([]BatchResult, len(apps))
+	mark := batchMark{gr: len(s.gr), be: len(s.be), pool: s.beAvailable}
+	admitted := false
 	s.batching = true
 	for i, app := range apps {
 		// Each app's pipeline stages nest under its own per-app span.
@@ -54,22 +57,23 @@ func (s *Scheduler) SubmitBatch(apps []App) ([]BatchResult, error) {
 		recordVerdict(asp, app, pa, err)
 		asp.End()
 		results[i] = BatchResult{Name: app.Name, App: pa, Err: err}
+		admitted = admitted || err == nil
 	}
 	s.batching = false
 
+	// A batch that admitted nothing left the resident set as it was, so
+	// the last solve's rates stand. Otherwise solve, then evict the BE apps
+	// the solve left at zero rate (they are rejected) and solve again,
+	// until a pass evicts nothing. Eviction frees capacity, which can only
+	// raise the others' rates, but the check repeats anyway.
 	var batchErr error
-	if err := s.reallocateBE(); err != nil {
-		batchErr = s.failBatch(results, err)
-	} else {
-		// The deferred zero-rate check: a batch BE app whose solved rate
-		// is zero would have been rejected by a sequential Submit, so
-		// evict it now. Eviction frees capacity, which can only raise the
-		// others' rates, but re-check until a pass is clean anyway.
-		for s.evictZeroRate(results) {
-			if err := s.reallocateBE(); err != nil {
-				batchErr = s.failBatch(results, err)
-				break
-			}
+	for admitted {
+		if err := s.reallocateBE(); err != nil {
+			batchErr = s.failBatch(results, mark, err)
+			break
+		}
+		if !s.evictZeroRate(results) {
+			break
 		}
 	}
 	s.observeBatch(apps, results)
@@ -98,14 +102,26 @@ func (s *Scheduler) SubmitBatch(apps []App) ([]BatchResult, error) {
 	return results, batchErr
 }
 
+// batchMark is the state a batch started from: the resident-list lengths
+// and the BE pool object. Placement appends to the lists and swaps the
+// pool for a reduced clone, and a zero-rate eviction removes only the
+// batch's own apps, so restoring the mark undoes the batch exactly.
+type batchMark struct {
+	gr, be int
+	pool   *network.Capacities
+}
+
 // failBatch rolls the whole batch back and marks every admitted entry
-// rejected.
-func (s *Scheduler) failBatch(results []BatchResult, cause error) error {
-	s.rollbackBatch(results)
+// rejected, wrapping the allocation error that failed the batch.
+func (s *Scheduler) failBatch(results []BatchResult, mark batchMark, cause error) error {
+	s.gr, s.be, s.beAvailable = s.gr[:mark.gr], s.be[:mark.be], mark.pool
+	// Best effort: the rollback solve re-rates the survivors. If it fails
+	// the pool is still correct; rates are stale until the next solve.
+	_ = s.reallocateBE()
 	for i := range results {
 		if results[i].Err == nil {
 			results[i].App = nil
-			results[i].Err = fmt.Errorf("core: %w: batch allocation failed", ErrRejected)
+			results[i].Err = fmt.Errorf("core: %w: batch allocation failed: %w", ErrRejected, cause)
 			s.recordOverturn(results[i])
 		}
 	}
@@ -118,21 +134,6 @@ func (s *Scheduler) recordOverturn(r BatchResult) {
 	if s.opSpan != nil {
 		s.opSpan.Event("admission", map[string]any{"app": r.Name, "outcome": submitOutcome(r.Err), "reason": r.Err.Error()})
 	}
-}
-
-// rollbackBatch structurally withdraws every admitted app of the batch,
-// newest first, and re-solves for the surviving population.
-func (s *Scheduler) rollbackBatch(results []BatchResult) {
-	for i := len(results) - 1; i >= 0; i-- {
-		pa := results[i].App
-		if pa == nil || results[i].Err != nil {
-			continue
-		}
-		s.unlist(pa)
-	}
-	// Best effort: the rollback solve re-rates the survivors. If it fails
-	// the pool is still correct; rates are stale until the next solve.
-	_ = s.reallocateBE()
 }
 
 // evictZeroRate withdraws batch BE admissions whose solved rate is zero,
@@ -153,9 +154,8 @@ func (s *Scheduler) evictZeroRate(results []BatchResult) bool {
 	return evicted
 }
 
-// observeBatch emits per-app admission telemetry for a finished batch,
-// mirroring what sequential Submits would have recorded (the placement
-// time was observed as each app was placed).
+// observeBatch emits per-app admission telemetry for a finished batch
+// (the placement time was observed as each app was placed).
 func (s *Scheduler) observeBatch(apps []App, results []BatchResult) {
 	if !s.telemetryOn() {
 		return

@@ -109,7 +109,35 @@ func TestBatchSingleSolveSingleRecord(t *testing.T) {
 		t.Fatal("batch admitted nothing; the test exercises no allocation")
 	}
 
-	// The single record must replay to the exact live state.
+	// A batch whose members are all rejected leaves the resident set as
+	// it was: no solve, every rate and the pool bitwise unchanged, and
+	// still one record.
+	impossible := batchApps(t, rng, net, 2, false)
+	for i := range impossible {
+		impossible[i].Name = "impossible-" + itoa(i)
+		impossible[i].QoS = QoS{Class: GuaranteedRate, MinRate: 1e12, MinRateAvailability: 0.5, MaxPaths: 2}
+	}
+	state, before := stateJSON(t, s), solves()
+	results, err = s.SubmitBatch(impossible)
+	if err != nil {
+		t.Fatalf("all-rejected SubmitBatch: %v", err)
+	}
+	for _, r := range results {
+		if !errors.Is(r.Err, ErrRejected) {
+			t.Fatalf("%s: err %v, want ErrRejected", r.Name, r.Err)
+		}
+	}
+	if got := solves() - before; got != 0 {
+		t.Fatalf("an all-rejected batch performed %v solves, want 0", got)
+	}
+	if got := stateJSON(t, s); got != state {
+		t.Fatalf("an all-rejected batch changed the state\nbefore: %s\nafter:  %s", state, got)
+	}
+	if len(recs) != 2 || recs[1].Op != OpBatch || len(recs[1].Batch) != len(impossible) {
+		t.Fatalf("all-rejected batch: %d records, want 2 with the second a %d-entry batch", len(recs), len(impossible))
+	}
+
+	// The records must replay to the exact live state.
 	rebuilt, err := Rebuild(net, nil, recs)
 	if err != nil {
 		t.Fatalf("Rebuild: %v", err)

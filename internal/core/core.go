@@ -199,8 +199,8 @@ type Scheduler struct {
 	// noPrediction disables the eq. (6) capacity prediction (ablation).
 	noPrediction bool
 
-	// batching defers best-effort re-allocation during SubmitBatch so a
-	// K-app batch reconciles the solver once.
+	// batching marks a SubmitBatch in progress, so that a nested one
+	// (from a caller-supplied algorithm, say) is refused.
 	batching bool
 
 	// Reused per-operation scratch (never part of durable state): the
@@ -239,7 +239,7 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 	if s.metrics != nil {
 		assign.DescribeMetrics(s.metrics)
 		s.metrics.SetHelp(metricAdmissions, "Total admission decisions by application class and outcome.")
-		s.metrics.SetHelp(metricPlacementSeconds, "Latency of admission control (Submit), seconds.")
+		s.metrics.SetHelp(metricPlacementSeconds, "Latency of placing one application during admission (assignment, path multiplication, availability analysis; the batch's best-effort solve is excluded), seconds.")
 		s.metrics.SetHelp(metricRepairs, "Total repair attempts on guaranteed-rate applications by outcome.")
 		s.metrics.SetHelp(metricAppRate, "Current total allocated rate per admitted application, data units per second.")
 		s.metrics.SetHelp(metricAppsAdmitted, "Currently admitted applications by class.")
@@ -281,7 +281,7 @@ const (
 var allocCycleBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 100, 200, 300}
 
 // telemetryOn reports whether any sink beyond the no-op logger is
-// attached; Submit takes the zero-overhead path when it is false.
+// attached; observeBatch and Repair skip their telemetry when it is false.
 func (s *Scheduler) telemetryOn() bool {
 	return s.metrics != nil || s.log.Enabled(nil, slog.LevelWarn)
 }
@@ -393,61 +393,22 @@ func (s *Scheduler) TotalGRRate() float64 {
 
 // Submit runs admission control for one application (Fig. 3): task
 // assignment, path multiplication until the requested availability is met,
-// and resource allocation. It returns the placed application, or an error
-// wrapping ErrRejected when the QoE cannot be met (the scheduler state is
-// then unchanged).
+// and resource allocation. It is SubmitBatch with a batch of one and
+// returns the placed application, or an error wrapping ErrRejected when
+// the QoE cannot be met (the scheduler state is then unchanged).
 //
-// When a durability hook is installed, the decision — including
-// rejections, which re-solve BE rates, so they are state-visible — is
-// committed to the journal before Submit returns; a commit failure
+// When a durability hook is installed, the decision is committed to the
+// journal as one batch record before Submit returns; a commit failure
 // surfaces as ErrDurability alongside the placed app.
 func (s *Scheduler) Submit(app App) (*PlacedApp, error) {
-	sp := s.startOpSpan("core.submit")
-	sp.SetAttr("app", app.Name)
-	s.opSpan = sp
-	defer func() { s.opSpan = nil; sp.End() }()
-	pa, err := s.submitObserved(app)
-	recordVerdict(sp, app, pa, err)
-	rec := &Record{Op: OpAdmit, Outcome: submitOutcome(err), Name: app.Name}
-	if err != nil {
-		rec.Reason = err.Error()
-	} else {
-		st, exportErr := exportApp(pa)
-		if exportErr != nil {
-			return pa, fmt.Errorf("%w: %v", ErrDurability, exportErr)
-		}
-		rec.App = &st
+	res, err := s.SubmitBatch([]App{app})
+	if len(res) == 0 {
+		return nil, err
 	}
-	if cerr := s.commitRecord(rec); cerr != nil {
-		return pa, cerr
+	if errors.Is(err, ErrDurability) {
+		return res[0].App, err
 	}
-	return pa, err
-}
-
-// submitObserved is Submit's admission pipeline plus telemetry, without
-// the durability commit.
-func (s *Scheduler) submitObserved(app App) (*PlacedApp, error) {
-	if !s.telemetryOn() {
-		return s.submit(app)
-	}
-	start := time.Now()
-	pa, err := s.submit(app)
-	elapsed := time.Since(start).Seconds()
-
-	class := app.QoS.Class.String()
-	outcome := submitOutcome(err)
-	if s.metrics != nil {
-		s.metrics.Counter(metricAdmissions, obs.L("class", class), obs.L("outcome", outcome)).Inc()
-		s.metrics.Histogram(metricPlacementSeconds, nil, obs.L("class", class)).Observe(elapsed)
-		s.publish()
-	}
-	if err != nil {
-		s.log.Warn("admission refused", "app", app.Name, "class", class, "outcome", outcome, "err", err)
-	} else {
-		s.log.Info("application admitted", "app", app.Name, "class", class,
-			"paths", len(pa.Paths), "rate", pa.TotalRate(), "availability", pa.Availability, "seconds", elapsed)
-	}
-	return pa, err
+	return res[0].App, res[0].Err
 }
 
 // recordVerdict sets the admission verdict of app on its operation span:
@@ -469,7 +430,8 @@ func recordVerdict(sp *obs.Span, app App, pa *PlacedApp, err error) {
 	sp.SetFloat("availability", pa.Availability)
 }
 
-// submit is Submit without telemetry.
+// submit places one application of a batch: it joins the resident set,
+// and the batch's end solves, evicts it at zero rate, or rolls it back.
 func (s *Scheduler) submit(app App) (*PlacedApp, error) {
 	if app.Graph == nil {
 		return nil, errors.New("core: app has no task graph")
@@ -500,7 +462,8 @@ func (s *Scheduler) maxPaths(app App) int {
 
 // submitGR implements the GR algorithm of §IV.D: add paths one at a time
 // (each at the bottleneck rate the residual network supports), reserving
-// their resources, until the min-rate availability target is reached.
+// their resources, until the min-rate availability target is reached. The
+// batch's end re-solves the BE rates on the shrunken pool.
 func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 	if r := app.QoS.MinRate; !(r > 0) || math.IsInf(r, 1) {
 		return nil, fmt.Errorf("core: GR app %q needs MinRate > 0", app.Name)
@@ -540,24 +503,8 @@ func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 		achieved = a
 		if achieved >= app.QoS.MinRateAvailability {
 			pa := &PlacedApp{App: app, Paths: paths, Availability: achieved}
-			prev := s.beAvailable
 			s.gr = append(s.gr, pa)
 			s.beAvailable = residual
-			if s.batching {
-				// SubmitBatch re-allocates once at the end; a starving
-				// batch rolls back wholesale there.
-				return pa, nil
-			}
-			// GR admission shrinks the BE capacity pool: re-allocate.
-			if err := s.reallocateBE(); err != nil {
-				// Roll back the reservation rather than leave BE apps
-				// unallocated. The pre-admission pool object was never
-				// mutated (the reservation went onto the residual clone),
-				// so restoring the pointer is exact.
-				s.gr = s.gr[:len(s.gr)-1]
-				s.beAvailable = prev
-				return nil, fmt.Errorf("core: GR app %q starves BE allocation: %w: %w", app.Name, ErrRejected, err)
-			}
 			return pa, nil
 		}
 	}
@@ -567,7 +514,8 @@ func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 
 // submitBE implements the BE pipeline of Fig. 3 steps 1-5: predict this
 // app's capacity share from priorities (eq. (6)), assign paths until the
-// availability target holds, then re-solve problem (4) across all BE apps.
+// availability target holds. The batch's end re-solves problem (4) across
+// all BE apps.
 func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 	if w := app.QoS.Priority; !(w > 0) || math.IsInf(w, 1) {
 		return nil, fmt.Errorf("core: BE app %q needs Priority > 0", app.Name)
@@ -644,21 +592,6 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 
 	pa := &PlacedApp{App: app, Paths: paths, Availability: achieved}
 	s.be = append(s.be, pa)
-	if s.batching {
-		// SubmitBatch solves once at the end; its zero-rate check runs
-		// there, after the rates exist.
-		return pa, nil
-	}
-	if err := s.reallocateBE(); err != nil || pa.TotalRate() <= 0 {
-		s.be = s.be[:len(s.be)-1]
-		if reallocErr := s.reallocateBE(); reallocErr != nil {
-			return nil, fmt.Errorf("core: BE rollback failed: %w", reallocErr)
-		}
-		if err == nil {
-			err = errors.New("allocated rate is zero")
-		}
-		return nil, fmt.Errorf("core: BE app %q: %w: %w", app.Name, ErrRejected, err)
-	}
 	return pa, nil
 }
 

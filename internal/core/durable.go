@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the scheduler half of the durable control plane: every
-// mutating operation (admit, batch, remove, repair, fluctuation) can emit
+// mutating operation (batch, remove, repair, fluctuation) can emit
 // one Record through a commit hook, ExportSnapshot captures the full
 // scheduler state, and Rebuild reconstructs a Scheduler from snapshot +
 // record tail that is byte-identical to the one that emitted them.
@@ -46,7 +46,9 @@ type CommitHook func(*Record) error
 // recovery, which must itself run without a hook.
 func (s *Scheduler) SetCommitHook(h CommitHook) { s.commit = h }
 
-// Operation names used in Record.Op.
+// Operation names used in Record.Op. Every admission, Submit included,
+// writes an OpBatch record; OpAdmit is only decoded, from journals
+// written when Submit had its own record.
 const (
 	OpAdmit       = "admit"
 	OpBatch       = "batch"
@@ -59,10 +61,11 @@ const (
 // outcome for structural replay.
 type Record struct {
 	Op string `json:"op"`
-	// Outcome is "admitted"/"rejected"/"error" for admits, "ok"/"error"
-	// for removes and fluctuations, "repaired"/"failed" for repairs.
+	// Outcome is "admitted"/"rejected"/"error" for (legacy) admits,
+	// "ok"/"error" for batches, removes and fluctuations,
+	// "repaired"/"failed" for repairs.
 	Outcome string `json:"outcome"`
-	// Name is the target application (admit, remove, repair).
+	// Name is the target application (legacy admit, remove, repair).
 	Name string `json:"name,omitempty"`
 	// Reason carries the operation error text, for operators reading the
 	// journal; replay does not interpret it.

@@ -135,11 +135,13 @@ func TestGroupSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestGroupMatchesSequential compares a grouped concurrent run against
-// plain sequential Submits in commit order: same admitted set and
-// placements, rates within solver tolerance (the sequential side solves
-// once per app and may sit at a slightly different point of the same
-// optimum — the same slack TestBatchMatchesSequential allows).
+// TestGroupMatchesSequential compares a grouped concurrent run (groups of
+// up to 8) against the same apps submitted one at a time in commit order,
+// each Submit a batch of one: group composition must not change the
+// admitted set or placements, and rates agree within solver tolerance
+// (the one-at-a-time side solves once per app and may sit at a slightly
+// different point of the same optimum — the same slack
+// TestBatchMatchesSequential allows).
 func TestGroupMatchesSequential(t *testing.T) {
 	net := batchMeshNet(t)
 	apps := batchApps(t, rand.New(rand.NewSource(41)), net, 12, false)

@@ -105,7 +105,7 @@ func TestSchedulerTelemetry(t *testing.T) {
 	for _, trace := range st.Flight() {
 		for _, r := range trace {
 			switch r.Name {
-			case "core.submit", "core.repair", "core.fluctuation", "alloc.solve":
+			case "batch.submit", "core.repair", "core.fluctuation", "alloc.solve":
 				ops[r.Name] = append(ops[r.Name], r)
 			case "assign.rank":
 				if r.Attrs["ct"] != nil && len(r.Attrs["candidates"].([]map[string]any)) > 0 {
@@ -124,7 +124,7 @@ func TestSchedulerTelemetry(t *testing.T) {
 		t.Fatalf("ranked picks %d, route events %d", ranked, routes)
 	}
 	verdicts := map[string]map[string]any{}
-	for _, r := range ops["core.submit"] {
+	for _, r := range ops["batch.submit"] {
 		verdicts[r.Attrs["app"].(string)] = r.Attrs
 	}
 	if v := verdicts["gr"]; v["outcome"] != "admitted" || v["class"] != "guaranteed-rate" || v["paths"] != int64(1) || !(v["rate"].(obs.Float) > 0) {

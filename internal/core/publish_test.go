@@ -80,10 +80,12 @@ func rateOf(t *testing.T, reg *obs.Registry, app string) (float64, bool) {
 // TestRejectedBERollbackPublishes covers a rejection after the app joined
 // the resident list. The smallest positive priority split over two
 // availability paths underflows to a zero flow weight, which the
-// incremental solve and then the cold fallback both refuse, so submitBE
-// rolls back and re-solves for the incumbents.
+// incremental solve and then the cold fallback both refuse, so the
+// batch's end rolls the app back and re-solves for the incumbents.
 func TestRejectedBERollbackPublishes(t *testing.T) {
-	net := twoBranchNet(t, 100, 50, 1e6, 0.1)
+	// Capacities off the binary grid, so that subtracting a reservation
+	// and adding it back need not restore the pool bit for bit.
+	net := twoBranchNet(t, 100.0/7, 50.0/7, 1e6, 0.1)
 	reg := obs.NewRegistry()
 	s := New(net, WithMetrics(reg))
 	if _, err := s.Submit(simpleApp(t, "be1", net, 10, QoS{Class: BestEffort, Priority: 1})); err != nil {
@@ -100,6 +102,21 @@ func TestRejectedBERollbackPublishes(t *testing.T) {
 	assertPublished(t, "rejected BE rollback", s, reg)
 	if after, ok := rateOf(t, reg, "be1"); !ok || after != before || len(s.BEApps()) != 1 {
 		t.Fatalf("rollback left be1 at %v (was %v) among %d residents", after, before, len(s.BEApps()))
+	}
+
+	// A GR reservation that shares the failed batch is undone exactly: the
+	// pool is the pre-batch one bit for bit, as the batch's record (which
+	// places nothing) replays it.
+	state := stateJSON(t, s)
+	res, err := s.SubmitBatch([]App{
+		simpleApp(t, "gr", net, 3, QoS{Class: GuaranteedRate, MinRate: 0.4, RateCap: 0.4, MaxPaths: 1}),
+		simpleApp(t, "tiny2", net, 10, QoS{Class: BestEffort, Priority: math.SmallestNonzeroFloat64, Availability: 0.9, MaxPaths: 2}),
+	})
+	if err == nil || !errors.Is(res[0].Err, ErrRejected) || !strings.Contains(res[0].Err.Error(), "invalid weight") {
+		t.Fatalf("failed batch: err %v, gr %v; want the solver's error on both", err, res[0].Err)
+	}
+	if got := stateJSON(t, s); got != state {
+		t.Fatalf("failed batch changed the state\nbefore: %s\nafter:  %s", state, got)
 	}
 }
 

@@ -94,7 +94,17 @@ func (s *Scheduler) repair(name string) (*PlacedApp, error) {
 	// Release the old reservation.
 	s.unlist(old)
 
+	pool := s.beAvailable
 	repaired, err := s.submitGR(old.App)
+	if err == nil {
+		// The new reservation shrinks the BE pool: re-solve. A solver error
+		// withdraws the repaired app; submitGR reserved on a clone, so
+		// restoring the pool object is exact.
+		if err = s.reallocateBE(); err != nil {
+			s.gr, s.beAvailable = s.gr[:len(s.gr)-1], pool
+			err = fmt.Errorf("core: GR app %q starves BE allocation: %w: %w", old.App.Name, ErrRejected, err)
+		}
+	}
 	if err != nil {
 		// Restore the previous (violated) placement so the operator
 		// keeps whatever service remains. The failed attempt released and

@@ -7,13 +7,14 @@ import (
 )
 
 // This file wires the hierarchical latency-attribution spans of
-// internal/obs through the scheduler. Every mutating operation (admit,
-// batch, remove, repair, fluctuation) opens one operation span; the
-// stages inside it — assignment, availability analysis, capacity
+// internal/obs through the scheduler. Every mutating operation (batch —
+// which a single Submit is, with one app — remove, repair, fluctuation)
+// opens one operation span; the stages inside it — each app's
+// batch.submit with its assignment, availability analysis and capacity
 // prediction, the best-effort allocation solve, and (via the server's
 // commit hook) the journal append and fsync — become child spans. The
 // spans also carry the scheduler's decisions: the admission verdict on
-// core.submit and batch.submit, the repair outcome on core.repair, the
+// batch.submit, the repair outcome on core.repair, the
 // violated reservations on core.fluctuation, the solver statistics on
 // alloc.solve, and Algorithm 2's pins, ranked picks and routes under
 // assign.path (see assign.Sparcle.Span). A nil tracer keeps all of it

@@ -55,12 +55,14 @@ type state struct {
 
 // Control is the full surface of one scheduler: the read view of its
 // mutable state (placement view, BE capacity pool, alloc solver rows,
-// journal commit hook) plus admission, withdrawal, repair, fluctuation,
-// batching, durable export and committed-record replay, and the
-// request-span bracket. *Scheduler implements it. It is the seam along
-// which schedulers compose — a region-sharded control plane runs one
-// Control per region, routes operations to them, and observes its
-// members through it without reaching into concrete fields.
+// journal commit hook) plus admission (SubmitBatch; Submit is a batch of
+// one), withdrawal, repair, fluctuation, durable export and
+// committed-record replay, the request-span bracket, and the metrics
+// registry (which a router's group committer reports to as well).
+// *Scheduler implements it. It is the seam along which schedulers
+// compose — a region-sharded control plane runs one Control per region,
+// routes operations to them, and observes its members through it
+// without reaching into concrete fields.
 type Control interface {
 	// GRApps and BEApps are the placement view: the admitted applications
 	// of each class, in admission order.
@@ -86,9 +88,14 @@ type Control interface {
 	SetSpans(*obs.SpanTracer)
 	SetRequestSpan(*obs.Span)
 	OpSpan() *obs.Span
+	// Metrics is the registry the scheduler reports to (nil for none).
+	Metrics() *obs.Registry
 }
 
 var _ Control = (*Scheduler)(nil)
+
+// Metrics returns the registry WithMetrics attached, nil without one.
+func (s *Scheduler) Metrics() *obs.Registry { return s.metrics }
 
 // SolverRows reports the live flow and constraint-nonzero counts of the
 // incremental BE solver; both are 0 while no warm solver exists (before

@@ -22,7 +22,7 @@ import (
 //
 // Spans are also the scheduler's decision record: a span's single verdict
 // (the ranked pick of an assign.rank, the admission verdict of a
-// core.submit) is a set of attributes on it, and decisions repeated inside
+// batch.submit) is a set of attributes on it, and decisions repeated inside
 // one span (pinned placements, committed routes) are events on it.
 //
 // A nil *SpanTracer hands out nil *Spans whose methods are no-ops and

@@ -92,11 +92,11 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 
 // restore replaces the router with one replayed from a journal snapshot
 // and the entries after it — journal recovery and a replicated restore
-// are this one operation — re-arming spans, hook and the per-shard
-// committers on the replayed instance. It writes nothing: every entry is
-// a whole router operation, so the replayed state needs no repair. The
-// replay reads only the immutable network and the decoded log; the swap
-// is one store.
+// are this one operation — re-arming spans and hook on the replayed
+// instance (which builds its own per-shard committers). It writes
+// nothing: every entry is a whole router operation, so the replayed
+// state needs no repair. The replay reads only the immutable network and
+// the decoded log; the swap is one store.
 func (s *Server) restore(snapBytes []byte, entries [][]byte, hook shard.EnvelopeHook) error {
 	k := s.rt().NumShards()
 	snap, envs, err := shard.DecodeLog(k, snapBytes, entries)
@@ -104,7 +104,7 @@ func (s *Server) restore(snapBytes []byte, entries [][]byte, hook shard.Envelope
 		return err
 	}
 	s.mu.Lock()
-	opts, spans, groupOpt := s.opts, s.spans, s.groupOpt
+	opts, spans := s.opts, s.spans
 	s.mu.Unlock()
 	rebuilt, err := shard.Replay(s.net, k, snap, envs,
 		func(sub *network.Network, region int, ss *core.Snapshot, rs []*core.Record) (core.Control, error) {
@@ -115,7 +115,6 @@ func (s *Server) restore(snapBytes []byte, entries [][]byte, hook shard.Envelope
 	}
 	rebuilt.SetSpans(spans)
 	rebuilt.SetEnvelopeHook(hook)
-	rebuilt.EnableGroupCommit(groupOpt)
 	s.router.Store(rebuilt)
 	return nil
 }

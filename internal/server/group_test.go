@@ -15,12 +15,10 @@ import (
 
 // TestGroupCommitHTTP drives concurrent POST /apps through the commit
 // queue every server carries: every submit lands (201 with a real
-// placement), duplicates still 409, /healthz reports the committer's
-// activity, and the one EnableGroupCommit call pins that the bounds are
-// still settable and echoed.
+// placement), duplicates still 409, and /healthz reports the committer's
+// activity and echoes its default bound.
 func TestGroupCommitHTTP(t *testing.T) {
 	srv := New(testNet(t))
-	srv.EnableGroupCommit(core.GroupOptions{MaxSize: 8})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -78,8 +76,8 @@ func TestGroupCommitHTTP(t *testing.T) {
 	if hz.GroupCommit == nil || hz.GroupCommit.Apps != n+2 || hz.GroupCommit.Groups == 0 {
 		t.Fatalf("healthz groupCommit = %+v, want %d apps through groups", hz.GroupCommit, n+2)
 	}
-	if hz.GroupCommit.MaxSize != 8 {
-		t.Fatalf("healthz groupCommit echoes maxSize %d, want 8", hz.GroupCommit.MaxSize)
+	if hz.GroupCommit.MaxSize != 64 {
+		t.Fatalf("healthz groupCommit echoes maxSize %d, want 64", hz.GroupCommit.MaxSize)
 	}
 }
 
@@ -150,8 +148,8 @@ func TestGroupCommitSharded(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Cross-region admission stays on the ungrouped two-lock path beside
-	// the per-shard committers.
+	// Cross-region admission stays on the two-lock path outside the
+	// per-shard committers.
 	resp, body := do(t, http.MethodPost, ts.URL+"/apps", shardAppJSON("x", "a0", "b1", shardBEQoS))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("cross-region beside the committers: %d %s", resp.StatusCode, body)

@@ -69,9 +69,6 @@ type Server struct {
 	recovering atomic.Bool
 	// spans is non-nil once EnableSpans armed request tracing (spans.go).
 	spans *obs.SpanTracer
-	// groupOpt is the committers' configuration, kept so a rebuilt
-	// router is re-armed with the same bounds.
-	groupOpt core.GroupOptions
 
 	// router is an atomic pointer because journal recovery and a
 	// replicated restore swap in a rebuilt router at runtime; read it

@@ -12,7 +12,8 @@ import (
 
 // The admission router. NewSharded edge-cuts the network into regions;
 // each region runs its own scheduler and warm allocation solver behind
-// its own lock and group-commit queue, and cross-region applications are
+// its own lock and the group-commit queue shard.New builds for it, which
+// reports to the scheduler's registry; cross-region applications are
 // admitted against border-link capacity leases. Intra-region requests to
 // different shards run concurrently, so the lock.wait spans an open-loop
 // load harness induces shrink with the shard count.
@@ -31,13 +32,11 @@ func NewSharded(netw *network.Network, shards int, opts ...core.Option) (*Server
 		return nil, err
 	}
 	s := &Server{
-		net:      netw,
-		metrics:  reg,
-		start:    time.Now(),
-		opts:     opts,
-		groupOpt: core.GroupOptions{Metrics: reg},
+		net:     netw,
+		metrics: reg,
+		start:   time.Now(),
+		opts:    opts,
 	}
-	router.EnableGroupCommit(s.groupOpt)
 	s.router.Store(router)
 	s.metricsHelp()
 	return s, nil
@@ -47,18 +46,12 @@ func NewSharded(netw *network.Network, shards int, opts ...core.Option) (*Server
 // shards.
 func (s *Server) Router() *shard.Router { return s.rt() }
 
-// EnableGroupCommit replaces the per-shard commit queues' bounds (zero
-// fields keep the defaults: groups of at most 64). Call it before the
-// server takes traffic.
-func (s *Server) EnableGroupCommit(opt core.GroupOptions) {
-	if opt.Metrics == nil {
-		opt.Metrics = s.metrics
-	}
-	s.mu.Lock()
-	s.groupOpt = opt
-	s.mu.Unlock()
-	s.rt().EnableGroupCommit(opt)
-}
+// EnableGroupCommit does nothing: the router builds every shard's
+// group-commit queue (groups of at most 64) when it is built.
+//
+// Deprecated: the only remaining caller is the repository benchmark
+// (benchmark/trace.go); the method goes when it stops calling it.
+func (s *Server) EnableGroupCommit(core.GroupOptions) {}
 
 func (s *Server) metricsHelp() {
 	s.metrics.SetHelp("sparcle_shard_apps", "Admitted applications per shard and class.")

@@ -323,9 +323,10 @@ func TestCrossOperationDurabilityFailure(t *testing.T) {
 // cross-region operation was several envelopes — each half's record
 // tagged with its app, then a lease envelope — decodes into one envelope
 // per operation. The whole log folds into exactly the envelopes a current
-// router commits; a log cut inside a cross-region operation drops that
-// operation; and a torn admission a recovery withdrew folds into one
-// envelope that leaves nothing resident.
+// router commits, its halves' batch-of-one records written back as the
+// admit records of that time; a log cut inside a cross-region operation
+// drops that operation; and a torn admission a recovery withdrew folds
+// into one envelope that leaves nothing resident.
 func TestDecodeLogFoldsLegacyCrossRecords(t *testing.T) {
 	net := lopsidedNet(t)
 	r := twoShardRouter(t, net)
@@ -336,6 +337,8 @@ func TestDecodeLogFoldsLegacyCrossRecords(t *testing.T) {
 			t.Fatalf("%s: %v", op.name, err)
 		}
 	}
+	// The old binaries wrote each half's admission as an admit record.
+	envs := legacyHalves(tape.envs)
 	// split writes envs as a server that journaled each record on its
 	// own: a cross-region operation's records tagged with its app, a
 	// fluctuation's untagged.
@@ -359,25 +362,25 @@ func TestDecodeLogFoldsLegacyCrossRecords(t *testing.T) {
 	// Folding regroups the cross-region operations; an old log's
 	// fluctuations stay one record per shard plus a border envelope.
 	var want []*Envelope
-	for _, env := range tape.envs {
+	for _, env := range envs {
 		if env.IsBorderScale {
 			want = append(want, split([]*Envelope{env})...)
 		} else {
 			want = append(want, env)
 		}
 	}
-	if got, want := mustJSON(t, foldLegacy(nil, split(tape.envs))), mustJSON(t, want); got != want {
+	if got, want := mustJSON(t, foldLegacy(nil, split(envs))), mustJSON(t, want); got != want {
 		t.Fatalf("legacy log folds into\n%s\nwant\n%s", got, want)
 	}
 	cuts := 0
-	for i, env := range tape.envs {
+	for i, env := range envs {
 		if env.Rec != nil || env.IsBorderScale {
 			continue // a single record, or a fluctuation: nothing to tear
 		}
-		legacy := split(tape.envs[i : i+1])
+		legacy := split(envs[i : i+1])
 		for cut := 1; cut < len(legacy); cut++ {
-			torn := append(split(tape.envs[:i]), legacy[:cut]...)
-			if got, want := mustJSON(t, foldLegacy(nil, torn)), mustJSON(t, foldLegacy(nil, split(tape.envs[:i]))); got != want {
+			torn := append(split(envs[:i]), legacy[:cut]...)
+			if got, want := mustJSON(t, foldLegacy(nil, torn)), mustJSON(t, foldLegacy(nil, split(envs[:i]))); got != want {
 				t.Fatalf("operation %d cut after %d of %d records folds into\n%s\nwant\n%s", i, cut, len(legacy), got, want)
 			}
 			cuts++
@@ -389,10 +392,10 @@ func TestDecodeLogFoldsLegacyCrossRecords(t *testing.T) {
 
 	// A torn admission (the first half of xt's) and the withdrawal a
 	// recovery journaled for it fold into one envelope.
-	i := slices.IndexFunc(tape.envs, func(env *Envelope) bool { return env.Lease != nil && env.Lease.App == "xt" })
-	first := split(tape.envs[i : i+1])[0]
+	i := slices.IndexFunc(envs, func(env *Envelope) bool { return env.Lease != nil && env.Lease.App == "xt" })
+	first := split(envs[i : i+1])[0]
 	withdrawal := &Envelope{Shard: first.Shard, Cross: "xt", Rec: &core.Record{Op: core.OpRemove, Outcome: "ok", Name: first.Rec.Name}}
-	folded := foldLegacy(nil, append(split(tape.envs[:i]), first, withdrawal))
+	folded := foldLegacy(nil, append(split(envs[:i]), first, withdrawal))
 	if last := folded[len(folded)-1]; len(last.Steps) != 2 || last.Lease != nil {
 		t.Fatalf("torn admission and its withdrawal fold into %s", mustJSON(t, last))
 	}
@@ -401,4 +404,30 @@ func TestDecodeLogFoldsLegacyCrossRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkWhole(t, replayed, "withdrawn torn admission")
+}
+
+// legacyHalves rewrites the batch-of-one records in the steps of
+// multi-shard envelopes (the halves of cross-region admissions) as the
+// admit records the binaries that wrote per-record cross-region logs
+// journaled for them. Other envelopes pass through.
+func legacyHalves(envs []*Envelope) []*Envelope {
+	out := make([]*Envelope, len(envs))
+	for i, env := range envs {
+		out[i] = env
+		if env.Steps == nil {
+			continue
+		}
+		cp := *env
+		cp.Steps = make([]Step, len(env.Steps))
+		for j, st := range env.Steps {
+			cp.Steps[j] = st
+			if rec := st.Rec; rec.Op == core.OpBatch && len(rec.Batch) == 1 {
+				e := rec.Batch[0]
+				cp.Steps[j].Rec = &core.Record{Op: core.OpAdmit, Outcome: e.Outcome, Name: e.Name,
+					Reason: e.Reason, App: e.App, BERates: rec.BERates}
+			}
+		}
+		out[i] = &cp
+	}
+	return out
 }

@@ -48,9 +48,8 @@ type slot struct {
 	mu     sync.Mutex
 	region *Region
 	ctl    core.Control
-	// group, when set (EnableGroupCommit), coalesces this shard's
-	// intra-region submits into group commits; its commit closure takes
-	// mu once per group.
+	// group coalesces this shard's intra-region submits into group
+	// commits; its commit closure takes mu once per group.
 	group *core.GroupCommitter
 	// op is the envelope of the multi-shard operation holding mu, if any;
 	// the commit wrapper appends the shard's records to it (durable.go).
@@ -96,7 +95,9 @@ func build(net *network.Network, k int, ctl func(*Region) (core.Control, error))
 		if err != nil {
 			return nil, fmt.Errorf("shard: region %d: %w", reg.Index, err)
 		}
-		r.slots = append(r.slots, &slot{region: reg, ctl: c})
+		s := &slot{region: reg, ctl: c}
+		s.group = core.NewGroupCommitter(s.submitBatch, core.GroupOptions{Metrics: c.Metrics()})
+		r.slots = append(r.slots, s)
 	}
 	return r, nil
 }
@@ -115,7 +116,7 @@ func (r *Router) Shard(i int) core.Control { return r.slots[i].ctl }
 
 // SetSpans attaches a span tracer for router-level spans (the per-shard
 // lock.wait children) and propagates it to every shard scheduler, so the
-// shards' own operation spans (core.submit and its pipeline stages) keep
+// shards' own operation spans (core.batch and its pipeline stages) keep
 // flowing.
 func (r *Router) SetSpans(st *obs.SpanTracer) {
 	r.spans = st
@@ -277,27 +278,18 @@ func (r *Router) submitIntra(app core.App, shard int, sp *obs.Span) (*Result, er
 		r.unclaim(app.Name)
 		return nil, err
 	}
-	var pa *core.PlacedApp
-	if s.group != nil {
-		// Group path: park with the shard's committer; the leader takes
-		// the shard lock once for everyone it drains.
-		res, gerr := s.group.Submit(local, sp)
-		pa, err = res.App, res.Err
-		if err == nil {
-			err = gerr
-		}
-	} else {
-		s.lock(sp)
-		pa, err = s.ctl.Submit(local)
-		pa = detach(pa)
-		s.unlock()
+	// Park with the shard's committer; the leader takes the shard lock
+	// once for everyone it drains.
+	res, gerr := s.group.Submit(local, sp)
+	if err = res.Err; err == nil {
+		err = gerr
 	}
 	if err != nil {
 		r.unclaim(app.Name)
 		return nil, err
 	}
 	r.settle(app.Name, &appEntry{shard: shard})
-	return &Result{Shard: shard, App: pa}, nil
+	return &Result{Shard: shard, App: res.App}, nil
 }
 
 // leastLoadedShard picks the shard with the fewest admitted apps (ties
@@ -545,16 +537,9 @@ func (r *Router) SubmitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult,
 		if !ok && len(sub) == 0 {
 			continue
 		}
-		s := r.slots[shard]
-		var res []core.BatchResult
-		var err error
-		if s.group != nil {
-			// The shard's sub-batch enters its committer as one entry, so
-			// it stays atomic while merging with concurrent single submits.
-			res, err = s.group.SubmitMany(sub, sp)
-		} else {
-			res, err = s.submitBatch(sub, sp)
-		}
+		// The shard's sub-batch enters its committer as one entry, so it
+		// stays atomic while merging with concurrent single submits.
+		res, err := r.slots[shard].group.SubmitMany(sub, sp)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -10,6 +10,7 @@ import (
 
 	"sparcle/internal/core"
 	"sparcle/internal/network"
+	"sparcle/internal/obs"
 	"sparcle/internal/placement"
 	"sparcle/internal/resource"
 	"sparcle/internal/taskgraph"
@@ -512,48 +513,81 @@ func TestCrossRepairRenegotiatesDegradedBorder(t *testing.T) {
 	}
 }
 
-// TestDuplicateNameRejected: at every shard count, with and without
-// per-shard committers, a second admission of a resident name — through
-// Submit or SubmitBatch — is refused by the registry and leaves every
-// shard's state untouched.
+// TestDuplicateNameRejected: at every shard count, a second admission of
+// a resident name — through Submit or SubmitBatch — is refused by the
+// registry and leaves every shard's state untouched. Every router groups
+// (the ungrouped leg went with the branch it selected), and the subtest
+// names keep saying so.
 func TestDuplicateNameRejected(t *testing.T) {
 	net := dumbbellNet(t, 1000)
 	qos := core.QoS{Class: core.BestEffort, Priority: 1, MaxPaths: 1}
 	for _, k := range []int{1, 2} {
-		for _, grouped := range []bool{false, true} {
-			for _, batch := range []bool{false, true} {
-				t.Run(fmt.Sprintf("k%d/grouped=%v/batch=%v", k, grouped, batch), func(t *testing.T) {
-					r, err := New(net, k, newCtlFactory())
-					if err != nil {
-						t.Fatal(err)
+		for _, batch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("k%d/grouped=true/batch=%v", k, batch), func(t *testing.T) {
+				r, err := New(net, k, newCtlFactory())
+				if err != nil {
+					t.Fatal(err)
+				}
+				app := pipelineApp(t, "dup", net, "a0", "a1", 5, qos)
+				if _, err := r.Submit(app, nil); err != nil {
+					t.Fatalf("first admission: %v", err)
+				}
+				before := make([]string, k)
+				for i := range before {
+					before[i] = shardStateJSON(t, r.Shard(i))
+				}
+				if batch {
+					res, err := r.SubmitBatch([]core.App{app}, nil)
+					if err != nil || len(res) != 1 || !errors.Is(res[0].Err, core.ErrRejected) {
+						t.Fatalf("duplicate in a batch: results %+v, err %v (want ErrRejected)", res, err)
 					}
-					if grouped {
-						r.EnableGroupCommit(core.GroupOptions{})
+				} else if _, err := r.Submit(app, nil); !errors.Is(err, core.ErrRejected) {
+					t.Fatalf("duplicate submit: %v (want ErrRejected)", err)
+				}
+				for i := range before {
+					if got := shardStateJSON(t, r.Shard(i)); got != before[i] {
+						t.Fatalf("shard %d changed under a refused duplicate\nbefore: %s\nafter:  %s", i, before[i], got)
 					}
-					app := pipelineApp(t, "dup", net, "a0", "a1", 5, qos)
-					if _, err := r.Submit(app, nil); err != nil {
-						t.Fatalf("first admission: %v", err)
-					}
-					before := make([]string, k)
-					for i := range before {
-						before[i] = shardStateJSON(t, r.Shard(i))
-					}
-					if batch {
-						res, err := r.SubmitBatch([]core.App{app}, nil)
-						if err != nil || len(res) != 1 || !errors.Is(res[0].Err, core.ErrRejected) {
-							t.Fatalf("duplicate in a batch: results %+v, err %v (want ErrRejected)", res, err)
-						}
-					} else if _, err := r.Submit(app, nil); !errors.Is(err, core.ErrRejected) {
-						t.Fatalf("duplicate submit: %v (want ErrRejected)", err)
-					}
-					for i := range before {
-						if got := shardStateJSON(t, r.Shard(i)); got != before[i] {
-							t.Fatalf("shard %d changed under a refused duplicate\nbefore: %s\nafter:  %s", i, before[i], got)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
+	}
+}
+
+// TestNewRouterGroups: a router that New or Replay returns commits every
+// intra-region submit through its shard's group committer with no
+// further call, and each committer reports to the registry its shard's
+// scheduler reports to.
+func TestNewRouterGroups(t *testing.T) {
+	net := dumbbellNet(t, 1000)
+	for _, tc := range []struct {
+		name  string
+		build func(reg *obs.Registry) (*Router, error)
+	}{
+		{"New", func(reg *obs.Registry) (*Router, error) {
+			return New(net, 2, newCtlFactory(core.WithMetrics(reg)))
+		}},
+		{"Replay", func(reg *obs.Registry) (*Router, error) {
+			return Replay(net, 2, nil, nil, shardRebuilder(core.WithMetrics(reg)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			r, err := tc.build(reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := pipelineApp(t, "one", net, "a0", "a1", 5, core.QoS{Class: core.BestEffort, Priority: 1, MaxPaths: 1})
+			if _, err := r.Submit(app, nil); err != nil {
+				t.Fatal(err)
+			}
+			if st := r.GroupStats(); st.Groups != 1 || st.Apps != 1 || st.Follows != 0 || st.MaxSize != 64 {
+				t.Fatalf("GroupStats after one submit = %+v, want 1 group of 1 app, max size 64", st)
+			}
+			if got := reg.Counter("sparcle_group_commit_leads_total").Value(); got != 1 {
+				t.Fatalf("registry counts %v group leads, want 1", got)
+			}
+		})
 	}
 }
 

@@ -11,8 +11,8 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22446
-max_host_lines=3707
+max_lines=22364
+max_host_lines=3669
 max_replica_lines=2407
 max_obs_lines=1201
 max_flags=20
