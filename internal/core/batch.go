@@ -76,7 +76,10 @@ func (s *Scheduler) SubmitBatch(apps []App) ([]BatchResult, error) {
 			break
 		}
 	}
-	s.observeBatch(apps, results)
+	s.logBatch(apps, results)
+	if s.commit == nil {
+		return results, batchErr
+	}
 
 	rec := &Record{Op: OpBatch, Outcome: "ok"}
 	if batchErr != nil {
@@ -84,7 +87,7 @@ func (s *Scheduler) SubmitBatch(apps []App) ([]BatchResult, error) {
 		rec.Reason = batchErr.Error()
 	}
 	for i := range results {
-		entry := BatchRecordEntry{Name: results[i].Name, Outcome: submitOutcome(results[i].Err)}
+		entry := BatchRecordEntry{Name: results[i].Name, Outcome: SubmitOutcome(results[i].Err)}
 		if results[i].Err != nil {
 			entry.Reason = results[i].Err.Error()
 		} else {
@@ -132,7 +135,7 @@ func (s *Scheduler) failBatch(results []BatchResult, mark batchMark, cause error
 // reversed after the app's batch.submit span recorded it admitted.
 func (s *Scheduler) recordOverturn(r BatchResult) {
 	if s.opSpan != nil {
-		s.opSpan.Event("admission", map[string]any{"app": r.Name, "outcome": submitOutcome(r.Err), "reason": r.Err.Error()})
+		s.opSpan.Event("admission", map[string]any{"app": r.Name, "outcome": SubmitOutcome(r.Err), "reason": r.Err.Error()})
 	}
 }
 
@@ -154,26 +157,19 @@ func (s *Scheduler) evictZeroRate(results []BatchResult) bool {
 	return evicted
 }
 
-// observeBatch emits per-app admission telemetry for a finished batch
-// (the placement time was observed as each app was placed).
-func (s *Scheduler) observeBatch(apps []App, results []BatchResult) {
-	if !s.telemetryOn() {
+// logBatch logs each verdict of a finished batch.
+func (s *Scheduler) logBatch(apps []App, results []BatchResult) {
+	if !s.logging() {
 		return
 	}
 	for i := range results {
 		class := apps[i].QoS.Class.String()
-		outcome := submitOutcome(results[i].Err)
-		if s.metrics != nil {
-			s.metrics.Counter(metricAdmissions, obs.L("class", class), obs.L("outcome", outcome)).Inc()
-		}
+		outcome := SubmitOutcome(results[i].Err)
 		if results[i].Err != nil {
 			s.log.Warn("admission refused", "app", results[i].Name, "class", class, "outcome", outcome, "err", results[i].Err)
 		} else {
 			s.log.Info("application admitted", "app", results[i].Name, "class", class,
 				"paths", len(results[i].App.Paths), "rate", results[i].App.TotalRate())
 		}
-	}
-	if s.metrics != nil {
-		s.publish()
 	}
 }

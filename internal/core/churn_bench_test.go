@@ -26,8 +26,9 @@ func BenchmarkChurn(b *testing.B) {
 
 // BenchmarkChurnServed is BenchmarkChurn with a metrics
 // registry attached — the configuration the server runs — so the cost of
-// publishing per operation has a twin: ns/op, B/op and allocs/op of one
-// remove + admit at K residents must not grow with K beyond the solve.
+// recording metrics per operation has a twin: ns/op, B/op and allocs/op
+// of one remove + admit at K residents must not grow with K beyond the
+// solve.
 func BenchmarkChurnServed(b *testing.B) {
 	for _, k := range []int{16, 256} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {

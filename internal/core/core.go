@@ -97,11 +97,9 @@ type PlacedApp struct {
 	// BE apps, min-rate availability for GR apps.
 	Availability float64
 
-	// Derived state kept on the resident, so that no operation re-derives
-	// it for the whole resident set: the bound allocated-rate series (nil
-	// until first published) and the eq. (6) footprint (BE apps; built by
-	// the first prediction that reads it — paths never change).
-	rate      *obs.Gauge
+	// footprint is the eq. (6) footprint (BE apps), kept on the resident
+	// so that no admission re-derives it for the whole resident set; the
+	// first prediction that reads it builds it (paths never change).
 	footprint alloc.Footprint
 }
 
@@ -140,9 +138,11 @@ func WithRandSeed(seed int64) Option {
 }
 
 // WithMetrics attaches a metrics registry: the scheduler then maintains
-// admission counters, placement and allocation latency histograms,
-// repair counters and per-app allocated-rate gauges. The default (no
-// registry) records nothing and costs nothing.
+// placement and allocation latency histograms and the allocation
+// counters. It writes no gauge: RenderGauges renders those from the
+// residents at scrape, and the verdict counters (admissions, repairs,
+// fluctuations) belong to whoever serves the logical applications. The
+// default (no registry) records nothing and costs nothing.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Scheduler) { s.metrics = reg }
 }
@@ -191,10 +191,6 @@ type Scheduler struct {
 	spans   *obs.SpanTracer
 	reqSpan *obs.Span
 	opSpan  *obs.Span
-	// admitted holds the bound per-class resident-count gauges (GR, BE);
-	// lineage owns the per-app rate series (see lineage()).
-	admitted [2]*obs.Gauge
-	lineage  string
 
 	// noPrediction disables the eq. (6) capacity prediction (ablation).
 	noPrediction bool
@@ -238,9 +234,7 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 	}
 	if s.metrics != nil {
 		assign.DescribeMetrics(s.metrics)
-		s.metrics.SetHelp(metricAdmissions, "Total admission decisions by application class and outcome.")
 		s.metrics.SetHelp(metricPlacementSeconds, "Latency of placing one application during admission (assignment, path multiplication, availability analysis; the batch's best-effort solve is excluded), seconds.")
-		s.metrics.SetHelp(metricRepairs, "Total repair attempts on guaranteed-rate applications by outcome.")
 		s.metrics.SetHelp(metricAppRate, "Current total allocated rate per admitted application, data units per second.")
 		s.metrics.SetHelp(metricAppsAdmitted, "Currently admitted applications by class.")
 		s.metrics.SetHelp(metricAllocSolves, "Total best-effort rate-allocation solves by solver.")
@@ -250,20 +244,13 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		s.metrics.SetHelp(metricAllocCycles, "Dual coordinate-descent cycles per best-effort allocation solve, by start mode.")
 		s.metrics.SetHelp(metricAllocRowEvals, "Total constraint-row demand evaluations made by best-effort allocation solves.")
 		s.metrics.SetHelp(metricAllocUnconverged, "Total best-effort allocation solves that ran out of cycles before converging; their rates are installed anyway.")
-		s.metrics.SetHelp(metricFluctuations, "Total capacity fluctuations applied.")
-		s.lineage = lineage(net)
-		s.admitted[0] = s.metrics.Gauge(metricAppsAdmitted, obs.L("class", GuaranteedRate.String()))
-		s.admitted[1] = s.metrics.Gauge(metricAppsAdmitted, obs.L("class", BestEffort.String()))
-		s.publish()
 	}
 	return s
 }
 
-// Metric names maintained by the scheduler.
+// Metric names maintained by the scheduler, and by RenderGauges.
 const (
-	metricAdmissions       = "sparcle_admissions_total"
 	metricPlacementSeconds = "sparcle_placement_seconds"
-	metricRepairs          = "sparcle_repairs_total"
 	metricAppRate          = "sparcle_app_allocated_rate"
 	metricAppsAdmitted     = "sparcle_apps_admitted"
 	metricAllocSolves      = "sparcle_alloc_solves_total"
@@ -273,64 +260,52 @@ const (
 	metricAllocCycles      = "sparcle_alloc_solve_cycles"
 	metricAllocRowEvals    = "sparcle_alloc_row_evals_total"
 	metricAllocUnconverged = "sparcle_alloc_unconverged_total"
-	metricFluctuations     = "sparcle_fluctuations_total"
 )
 
 // allocCycleBuckets tiles the warm (1-3 cycles) through cold (tens to
 // hundreds) convergence regimes of the dual descent.
 var allocCycleBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 100, 200, 300}
 
-// telemetryOn reports whether any sink beyond the no-op logger is
-// attached; observeBatch and Repair skip their telemetry when it is false.
-func (s *Scheduler) telemetryOn() bool {
-	return s.metrics != nil || s.log.Enabled(nil, slog.LevelWarn)
+// logging reports whether the logger records anything; logBatch and
+// Repair skip building their log lines when it does not.
+func (s *Scheduler) logging() bool {
+	return s.log.Enabled(nil, slog.LevelWarn)
 }
 
-// publish writes the post-operation state to the per-app rate gauges and
-// the per-class resident counts: one atomic store per resident, whatever
-// the size of the resident set. An app's series is bound on its first
-// publish and stays bound until release; a rejected or rolled-back
-// admission leaves before any publish and never has one.
-func (s *Scheduler) publish() {
-	if s.metrics == nil {
+// RenderGauges renders the scheduler gauges onto reg from state: one
+// sparcle_app_allocated_rate series per resident at its total rate, the
+// per-class resident counts of sparcle_apps_admitted, and nnz, the live
+// constraint-matrix entries of the BE solvers, as sparcle_alloc_rows_nnz.
+// Each list in residents is one scheduler's (a region's, behind a
+// router), whose names are unique. Every family is replaced whole, so a
+// departed resident's series is gone by construction. A server calls it
+// on each scrape with every region's residents.
+func RenderGauges(reg *obs.Registry, nnz int, residents ...[]*PlacedApp) {
+	if reg == nil {
 		return
 	}
-	sp := s.opSpan.Child("core.publish")
-	for _, list := range [2][]*PlacedApp{s.gr, s.be} {
+	var rates []obs.Sample
+	gr, be := 0, 0
+	for _, list := range residents {
 		for _, pa := range list {
-			if pa.rate == nil {
-				pa.rate = s.metrics.OwnedGauge(s.lineage, metricAppRate, rateLabels(pa)...)
+			class := pa.App.QoS.Class
+			if class == GuaranteedRate {
+				gr++
+			} else {
+				be++
 			}
-			pa.rate.Set(pa.TotalRate())
+			rates = append(rates, obs.Sample{
+				Labels: []obs.Label{obs.L("app", pa.App.Name), obs.L("class", class.String())},
+				Value:  pa.TotalRate(),
+			})
 		}
 	}
-	s.admitted[0].Set(float64(len(s.gr)))
-	s.admitted[1].Set(float64(len(s.be)))
-	sp.End()
-}
-
-// release deletes a withdrawn resident's rate series; names are unique
-// among residents (the serving layers enforce it). A repaired app needs
-// none: its replacement, or the restored original, carries the same name
-// and class and re-binds the same series.
-func (s *Scheduler) release(pa *PlacedApp) {
-	if pa.rate != nil {
-		s.metrics.DeleteSeries(metricAppRate, rateLabels(pa)...)
-		pa.rate = nil
-	}
-}
-
-func rateLabels(pa *PlacedApp) []obs.Label {
-	return []obs.Label{obs.L("app", pa.App.Name), obs.L("class", pa.App.QoS.Class.String())}
-}
-
-// lineage names a scheduler's place on a registry across rebuilds, as the
-// owner of its rate series: the network's name and first NCP. The region
-// schedulers of a sharded deployment share one registry and one network
-// name but partition the NCPs, so each region is its own lineage, and a
-// rebuilt region retires only its predecessor's series.
-func lineage(net *network.Network) string {
-	return net.Name() + "/" + net.NCP(0).Name
+	reg.ReplaceGauges(metricAppRate, rates)
+	reg.ReplaceGauges(metricAppsAdmitted, []obs.Sample{
+		{Labels: []obs.Label{obs.L("class", GuaranteedRate.String())}, Value: float64(gr)},
+		{Labels: []obs.Label{obs.L("class", BestEffort.String())}, Value: float64(be)},
+	})
+	reg.ReplaceGauges(metricAllocNNZ, []obs.Sample{{Value: float64(nnz)}})
 }
 
 // failProbs collects the fallible elements of the network.
@@ -420,7 +395,7 @@ func recordVerdict(sp *obs.Span, app App, pa *PlacedApp, err error) {
 		return
 	}
 	sp.SetAttr("class", app.QoS.Class.String())
-	sp.SetAttr("outcome", submitOutcome(err))
+	sp.SetAttr("outcome", SubmitOutcome(err))
 	if err != nil {
 		sp.SetAttr("reason", err.Error())
 		return
@@ -654,7 +629,6 @@ func (s *Scheduler) reallocateBE() error {
 			mode = "warm"
 			s.metrics.Counter(metricWarmSolves).Inc()
 		}
-		s.metrics.Gauge(metricAllocNNZ).Set(float64(stats.NNZ))
 		s.metrics.Histogram(metricAllocCycles, allocCycleBuckets, obs.L("mode", mode)).Observe(float64(stats.Cycles))
 		s.metrics.Counter(metricAllocRowEvals).Add(float64(stats.RowEvals))
 		if unconverged := s.metrics.Counter(metricAllocUnconverged); !stats.Converged && err == nil {

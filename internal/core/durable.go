@@ -306,8 +306,10 @@ func (s *Scheduler) exportBERates() map[string][]float64 {
 	return out
 }
 
-// submitOutcome classifies a Submit error for records and telemetry.
-func submitOutcome(err error) string {
+// SubmitOutcome classifies an admission error as the outcome that
+// records, spans and the admission counter carry: "admitted",
+// "rejected" (ErrRejected) or "error".
+func SubmitOutcome(err error) string {
 	switch {
 	case err == nil:
 		return "admitted"
@@ -338,14 +340,10 @@ func Rebuild(net *network.Network, snap *Snapshot, recs []*Record, opts ...Optio
 		}
 	}
 	for i, rec := range recs {
-		if err := s.applyRecord(rec); err != nil {
+		if err := s.ApplyCommitted(rec); err != nil {
 			return nil, fmt.Errorf("core: replay record %d (%s %s): %w", i, rec.Op, rec.Name, err)
 		}
 	}
-	// Retire the rate series of the scheduler this one succeeds on the
-	// registry, so that exactly the rebuilt residents' are left.
-	s.metrics.DropOwned(s.lineage, metricAppRate)
-	s.publish()
 	return s, nil
 }
 
@@ -378,25 +376,13 @@ func (s *Scheduler) restoreSnapshot(snap *Snapshot) error {
 	return nil
 }
 
-// ApplyCommitted applies one committed replicated record to a live
-// scheduler, keeping a replication follower hot: the same structural
-// replay as Rebuild, one record at a time, with the app-level metric
-// gauges kept in sync so a follower's /metrics mirrors what it would
-// serve after promotion. The caller provides external serialization
-// (the replica apply loop is single-threaded and the server wraps this
-// in its scheduler lock).
+// ApplyCommitted structurally applies one committed operation record: the
+// same splice/subtract/add-back arithmetic as the live path, rates set
+// verbatim, no solver or assignment re-execution. Rebuild folds it over a
+// journal tail, and a replication follower stays hot through it. The
+// caller provides external serialization (the router applies under the
+// shard lock).
 func (s *Scheduler) ApplyCommitted(rec *Record) error {
-	if err := s.applyRecord(rec); err != nil {
-		return err
-	}
-	s.publish()
-	return nil
-}
-
-// applyRecord structurally applies one journaled operation: the same
-// splice/subtract/add-back arithmetic as the live path, rates set
-// verbatim, no solver or assignment re-execution.
-func (s *Scheduler) applyRecord(rec *Record) error {
 	switch rec.Op {
 	case OpAdmit:
 		if rec.App != nil {

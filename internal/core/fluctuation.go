@@ -57,6 +57,9 @@ func (s *Scheduler) ApplyFluctuation(scale ElementScale) (*FluctuationReport, er
 	s.opSpan = sp
 	defer func() { s.opSpan = nil; sp.End() }()
 	rep, err := s.applyFluctuation(scale)
+	if s.commit == nil {
+		return rep, err
+	}
 	rec := &Record{Op: OpFluctuation, Outcome: "ok", Scale: scale}
 	if err != nil {
 		// s.scale and the pool were already updated; only the BE re-solve
@@ -94,10 +97,6 @@ func (s *Scheduler) applyFluctuation(scale ElementScale) (*FluctuationReport, er
 	}
 	for _, pa := range s.be {
 		report.BERates[pa.App.Name] = pa.TotalRate()
-	}
-	if s.metrics != nil {
-		s.metrics.Counter(metricFluctuations).Inc()
-		s.publish()
 	}
 	if s.opSpan != nil && len(report.ViolatedGR) > 0 {
 		s.opSpan.SetAny("violatedGR", report.ViolatedGR)

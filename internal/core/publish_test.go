@@ -20,6 +20,15 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// scrape renders the gauges of s onto reg through RenderGauges, as a
+// one-region server's scrape does, and returns the exposition.
+func scrape(t testing.TB, s *Scheduler, reg *obs.Registry) string {
+	t.Helper()
+	_, nnz := s.SolverRows()
+	RenderGauges(reg, nnz, s.GRApps(), s.BEApps())
+	return metricsText(t, reg)
+}
+
 // metricsText is the registry's Prometheus exposition.
 func metricsText(t testing.TB, reg *obs.Registry) string {
 	t.Helper()
@@ -42,9 +51,10 @@ func appSeries(text string) []string {
 	return out
 }
 
-// assertPublished checks that the exposition holds exactly the residents'
-// rate series, each at the resident's current total rate, and the class
-// counts — what /metrics must say at every operation boundary.
+// assertPublished scrapes s and checks that the exposition holds exactly
+// the residents' rate series, each at the resident's current total rate,
+// and the class counts — what /metrics must say at every operation
+// boundary, whatever series an earlier scrape left.
 func assertPublished(t *testing.T, step string, s *Scheduler, reg *obs.Registry) {
 	t.Helper()
 	var want []string
@@ -56,16 +66,16 @@ func assertPublished(t *testing.T, step string, s *Scheduler, reg *obs.Registry)
 	want = append(want,
 		fmt.Sprintf("%s{class=%q} %d", metricAppsAdmitted, BestEffort.String(), len(s.BEApps())),
 		fmt.Sprintf("%s{class=%q} %d", metricAppsAdmitted, GuaranteedRate.String(), len(s.GRApps())))
-	got := appSeries(metricsText(t, reg))
+	got := appSeries(scrape(t, s, reg))
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("%s: /metrics disagrees with the resident set\ngot:\n  %s\nwant:\n  %s",
 			step, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }
 
-func rateOf(t *testing.T, reg *obs.Registry, app string) (float64, bool) {
+func rateOf(t *testing.T, s *Scheduler, reg *obs.Registry, app string) (float64, bool) {
 	t.Helper()
-	for _, line := range appSeries(metricsText(t, reg)) {
+	for _, line := range appSeries(scrape(t, s, reg)) {
 		if strings.HasPrefix(line, metricAppRate+`{app="`+app+`"`) {
 			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
 			if err != nil {
@@ -91,7 +101,7 @@ func TestRejectedBERollbackPublishes(t *testing.T) {
 	if _, err := s.Submit(simpleApp(t, "be1", net, 10, QoS{Class: BestEffort, Priority: 1})); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := rateOf(t, reg, "be1")
+	before, _ := rateOf(t, s, reg, "be1")
 
 	_, err := s.Submit(simpleApp(t, "tiny", net, 10, QoS{
 		Class: BestEffort, Priority: math.SmallestNonzeroFloat64, Availability: 0.9, MaxPaths: 2,
@@ -100,7 +110,7 @@ func TestRejectedBERollbackPublishes(t *testing.T) {
 		t.Fatalf("underflowing BE: err = %v, want ErrRejected from the solver", err)
 	}
 	assertPublished(t, "rejected BE rollback", s, reg)
-	if after, ok := rateOf(t, reg, "be1"); !ok || after != before || len(s.BEApps()) != 1 {
+	if after, ok := rateOf(t, s, reg, "be1"); !ok || after != before || len(s.BEApps()) != 1 {
 		t.Fatalf("rollback left be1 at %v (was %v) among %d residents", after, before, len(s.BEApps()))
 	}
 
@@ -141,14 +151,14 @@ func TestRateGaugeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPublished(t, "admit", s, reg)
-	alone, _ := rateOf(t, reg, "be1")
+	alone, _ := rateOf(t, s, reg, "be1")
 
 	// A second admission re-solves: the bound gauge of be1 must follow.
 	if _, err := s.Submit(be("be2", 3)); err != nil {
 		t.Fatal(err)
 	}
 	assertPublished(t, "re-solve", s, reg)
-	if shared, _ := rateOf(t, reg, "be1"); !(shared < alone) {
+	if shared, _ := rateOf(t, s, reg, "be1"); !(shared < alone) {
 		t.Fatalf("be1 gauge did not follow the re-solve: %v alone, %v shared", alone, shared)
 	}
 
@@ -156,7 +166,7 @@ func TestRateGaugeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPublished(t, "remove", s, reg)
-	if _, ok := rateOf(t, reg, "be2"); ok {
+	if _, ok := rateOf(t, s, reg, "be2"); ok {
 		t.Fatal("be2 series survived its removal")
 	}
 
@@ -199,7 +209,7 @@ func TestRateGaugeLifecycle(t *testing.T) {
 		t.Fatalf("repair on a dead network: err = %v, want ErrRejected", err)
 	}
 	assertPublished(t, "failed repair", s, reg)
-	if v, ok := rateOf(t, reg, "gr"); !ok || v != 2 {
+	if v, ok := rateOf(t, s, reg, "gr"); !ok || v != 2 {
 		t.Fatalf("restored GR app's gauge = %v, %v; want 2", v, ok)
 	}
 	if _, err := s.ApplyFluctuation(ElementScale{placement.NCPElement(m1): 0.001}); err != nil {
@@ -224,7 +234,7 @@ func TestRateGaugeLifecycle(t *testing.T) {
 		}
 		assertPublished(t, fmt.Sprintf("follower after record %d (%s %s)", i, rec.Op, rec.Name), follower, freg)
 	}
-	if got, want := appSeries(metricsText(t, freg)), appSeries(metricsText(t, reg)); strings.Join(got, "\n") != strings.Join(want, "\n") {
+	if got, want := appSeries(scrape(t, follower, freg)), appSeries(scrape(t, s, reg)); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("follower /metrics differs from the leader's\nfollower: %v\nleader:   %v", got, want)
 	}
 
@@ -243,96 +253,23 @@ func TestRateGaugeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPublished(t, "restore", restored, rreg)
-	if _, ok := rateOf(t, rreg, "late"); !ok {
+	if _, ok := rateOf(t, restored, rreg, "late"); !ok {
 		t.Fatal("restored scheduler does not publish the replayed admission")
 	}
 }
 
-// TestRebuildRetiresPredecessorSeries: a scheduler rebuilt onto the
-// registry of the one it replaces (the server's restore after a failed
-// propose, a follower materializing) leaves exactly its own residents'
-// series, while another scheduler on the registry keeps its own.
-func TestRebuildRetiresPredecessorSeries(t *testing.T) {
-	net := twoBranchNet(t, 100, 50, 1e6, 0)
-	reg := obs.NewRegistry()
-	be := func(name string) App { return simpleApp(t, name, net, 10, QoS{Class: BestEffort, Priority: 1}) }
-	var records []*Record
-	a := New(net, WithMetrics(reg))
-	a.SetCommitHook(func(rec *Record) error {
-		records = append(records, roundTrip(t, rec))
-		return nil
-	})
-	if _, err := a.Submit(be("kept")); err != nil {
-		t.Fatal(err)
-	}
-	committed := len(records)
-	// X is admitted in memory but never becomes part of the rebuilt state.
-	if _, err := a.Submit(be("X")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Another scheduler on the same registry, over other NCPs — what the
-	// regions of a sharded deployment are to each other.
-	sibNet := meshNet(t)
-	sibling := New(sibNet, WithMetrics(reg))
-	inst, err := workload.Generate(workload.GenConfig{
-		Shape: workload.ShapeLinear, Topology: workload.TopoMesh, Regime: workload.Balanced, NumNCPs: 6,
-	}, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sibling.Submit(App{
-		Name: "sib", Graph: inst.Graph, Pins: workload.PinRandomEnds(inst.Graph, sibNet, rand.New(rand.NewSource(4))),
-		QoS: QoS{Class: BestEffort, Priority: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	empty, err := Rebuild(net, nil, nil, WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.BEApps()) != 0 {
-		t.Fatal("rebuild from nothing has residents")
-	}
-	text := metricsText(t, reg)
-	if strings.Contains(text, metricAppRate+`{app="X"`) || strings.Contains(text, metricAppRate+`{app="kept"`) {
-		t.Fatalf("series of the replaced scheduler survived the rebuild:\n%s", strings.Join(appSeries(text), "\n"))
-	}
-	if !strings.Contains(text, metricAppRate+`{app="sib"`) {
-		t.Fatal("rebuild deleted a sibling scheduler's series")
-	}
-
-	b, err := Rebuild(net, nil, records[:committed], WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	text = metricsText(t, reg)
-	if strings.Contains(text, metricAppRate+`{app="X"`) {
-		t.Fatal("uncommitted X is on /metrics after the rebuild")
-	}
-	if v, ok := rateOf(t, reg, "kept"); !ok || v != b.BEApps()[0].TotalRate() {
-		t.Fatalf("rebuilt resident's gauge = %v, %v; want %v", v, ok, b.BEApps()[0].TotalRate())
-	}
-	// The rebuilt scheduler owns the series from here on.
-	if err := b.Remove("kept"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rateOf(t, reg, "kept"); ok {
-		t.Fatal("series survived removal from the rebuilt scheduler")
-	}
-}
-
 // TestChurnMetricsGolden runs a scripted 200-operation churn — every
-// operation kind, rejections included — and compares /metrics line for
-// line with the text the same script produced before rate gauges were
-// bound to residents (testdata/churn_metrics.golden, written at d207421;
-// its two outcome="rejected" lines were rewritten when SubmitBatch began
-// to count the rejections inside a batch, 28 in this script, and its
+// operation kind, rejections included — renders the gauges as a scrape
+// does, and compares /metrics line for line with the text the same script
+// produced before rate gauges were bound to residents
+// (testdata/churn_metrics.golden, written at d207421; its
 // sparcle_assign_parallelism family was dropped with the scoring worker
-// pool, and its sparcle_alloc_row_evals_total line fell from 25104 to 9508
-// when the BE solve began to skip rows certified slack). Families that
-// hold wall-clock time are left out.
+// pool, its sparcle_alloc_row_evals_total line fell from 25104 to 9508
+// when the BE solve began to skip rows certified slack, the admission,
+// repair and fluctuation counters left it when the router became their
+// one counter, and its sparcle_alloc_rows_nnz line became the solver's
+// live entries, rendered at scrape, instead of the last solve's packed
+// ones). Families that hold wall-clock time are left out.
 func TestChurnMetricsGolden(t *testing.T) {
 	net := meshNet(t)
 	script := churnScript(t, rand.New(rand.NewSource(2024)), net, 200)
@@ -345,7 +282,7 @@ func TestChurnMetricsGolden(t *testing.T) {
 		t.Fatalf("script ended with %d GR / %d BE residents; want both classes", len(s.GRApps()), len(s.BEApps()))
 	}
 	var lines []string
-	for _, line := range strings.Split(metricsText(t, reg), "\n") {
+	for _, line := range strings.Split(scrape(t, s, reg), "\n") {
 		if !strings.Contains(line, "_seconds") {
 			lines = append(lines, line)
 		}
@@ -381,8 +318,8 @@ func TestChurnMetricsGolden(t *testing.T) {
 
 // TestServedChurnAllocsIndependentOfK pins the tentpole: with a registry
 // attached, what one Remove + Submit allocates does not grow with the
-// resident set (the solver's own scratch is reused, footprints and gauges
-// live on the residents).
+// resident set (the solver's own scratch is reused, footprints live on
+// the residents, and no gauge is written on the admission path).
 func TestServedChurnAllocsIndependentOfK(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pin: the race detector changes allocation counts")

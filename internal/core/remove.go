@@ -23,7 +23,9 @@ func (s *Scheduler) Remove(name string) error {
 	}
 	if err == nil {
 		s.log.Info("application withdrawn", "app", name)
-		s.publish()
+	}
+	if s.commit == nil {
+		return err
 	}
 	rec := &Record{Op: OpRemove, Outcome: "ok", Name: name}
 	if err != nil {
@@ -48,15 +50,13 @@ func (s *Scheduler) remove(name string) error {
 
 // withdraw is the structural half of a removal, shared by the live path
 // and replay: it takes the named resident off its list (returning a GR
-// reservation to the BE pool) and releases its rate series. It reports
-// whether the name was resident.
+// reservation to the BE pool). It reports whether the name was resident.
 func (s *Scheduler) withdraw(name string) bool {
 	pa := s.resident(name)
 	if pa == nil {
 		return false
 	}
 	s.unlist(pa)
-	s.release(pa)
 	return true
 }
 

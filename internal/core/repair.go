@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"sparcle/internal/obs"
 )
 
 // Repair re-places a Guaranteed-Rate application whose reservation was
@@ -30,24 +28,37 @@ func (s *Scheduler) Repair(name string) (*PlacedApp, error) {
 	sp.SetAttr("app", name)
 	s.opSpan = sp
 	defer func() { s.opSpan = nil; sp.End() }()
-	pa, err := s.repairObserved(name)
+	start := time.Now()
+	pa, err := s.repair(name)
 	if errors.Is(err, ErrNotFound) {
 		return pa, err
 	}
-	rec := &Record{Op: OpRepair, Outcome: "repaired", Name: name}
+	outcome := "repaired"
 	if err != nil {
-		rec.Outcome = "failed"
-		rec.Reason = err.Error()
+		outcome = "failed"
 	}
 	if sp != nil {
-		sp.SetAttr("outcome", rec.Outcome)
+		sp.SetAttr("outcome", outcome)
 		if err != nil {
-			sp.SetAttr("reason", rec.Reason)
+			sp.SetAttr("reason", err.Error())
 		} else {
 			sp.SetFloat("rate", pa.TotalRate())
 		}
 	}
-	if err == nil {
+	if s.logging() {
+		if err != nil {
+			s.log.Warn("repair failed", "app", name, "err", err)
+		} else {
+			s.log.Info("application repaired", "app", name, "rate", pa.TotalRate(), "seconds", time.Since(start).Seconds())
+		}
+	}
+	if s.commit == nil {
+		return pa, err
+	}
+	rec := &Record{Op: OpRepair, Outcome: outcome, Name: name}
+	if err != nil {
+		rec.Reason = err.Error()
+	} else {
 		st, exportErr := exportApp(pa)
 		if exportErr != nil {
 			return pa, fmt.Errorf("%w: %v", ErrDurability, exportErr)
@@ -60,32 +71,7 @@ func (s *Scheduler) Repair(name string) (*PlacedApp, error) {
 	return pa, err
 }
 
-// repairObserved is Repair's pipeline plus telemetry, without the
-// durability commit.
-func (s *Scheduler) repairObserved(name string) (*PlacedApp, error) {
-	if !s.telemetryOn() {
-		return s.repair(name)
-	}
-	start := time.Now()
-	pa, err := s.repair(name)
-	elapsed := time.Since(start).Seconds()
-	outcome := "repaired"
-	if err != nil {
-		outcome = "failed"
-	}
-	if s.metrics != nil {
-		s.metrics.Counter(metricRepairs, obs.L("outcome", outcome)).Inc()
-		s.publish()
-	}
-	if err != nil {
-		s.log.Warn("repair failed", "app", name, "err", err)
-	} else {
-		s.log.Info("application repaired", "app", name, "rate", pa.TotalRate(), "seconds", elapsed)
-	}
-	return pa, err
-}
-
-// repair is Repair without telemetry.
+// repair is Repair without its span, log lines or record.
 func (s *Scheduler) repair(name string) (*PlacedApp, error) {
 	old := s.resident(name)
 	if old == nil || old.App.QoS.Class != GuaranteedRate {

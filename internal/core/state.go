@@ -58,8 +58,8 @@ type state struct {
 // journal commit hook) plus admission (SubmitBatch; Submit is a batch of
 // one), withdrawal, repair, fluctuation, durable export and
 // committed-record replay, the request-span bracket, and the metrics
-// registry (which a router's group committer reports to as well).
-// *Scheduler implements it. It is the seam along which schedulers
+// registry (which a router's group committer and verdict counters report
+// to as well). *Scheduler implements it. It is the seam along which schedulers
 // compose — a region-sharded control plane runs one Control per region,
 // routes operations to them, and observes its members through it
 // without reaching into concrete fields.

@@ -141,3 +141,32 @@ func TestSubmitBEAllocsIndependentOfNetworkSize(t *testing.T) {
 	}
 	t.Logf("allocs per step: mesh16 %.0f, mesh64 %.0f", allocs[16], allocs[64])
 }
+
+// TestUnjournaledStepBuildsNoRecord: without a commit hook nothing reads
+// an operation's record, so none is built. A remove-then-admit step
+// allocates less unjournaled than journaled by at least what exporting
+// the admitted app's placement costs; were the record built and then
+// dropped, only the BE rate map would tell the two apart.
+func TestUnjournaledStepBuildsNoRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var templates []App
+	for i := 0; i < 4; i++ {
+		templates = append(templates, bePipeline(t, rng, 4, network.NCPID(2*i), network.NCPID(2*i+1)))
+	}
+	net := beMesh(t, 16)
+	bare, journaled := newBEStream(t, net, templates), newBEStream(t, net, templates)
+	journaled.s.SetCommitHook(func(*Record) error { return nil })
+	unhooked := testing.AllocsPerRun(20, bare.step)
+	hooked := testing.AllocsPerRun(20, journaled.step)
+	resident := bare.s.BEApps()[0]
+	export := testing.AllocsPerRun(20, func() {
+		if _, err := exportApp(resident); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per step: %.0f unjournaled, %.0f journaled; one app export %.0f", unhooked, hooked, export)
+	if hooked-unhooked < export {
+		t.Fatalf("an unjournaled step allocates %.0f, only %.0f fewer than a journaled one (%.0f): it still builds the record a %.0f-allocation export goes into",
+			unhooked, hooked-unhooked, hooked, export)
+	}
+}

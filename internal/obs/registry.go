@@ -70,9 +70,6 @@ type family struct {
 type series struct {
 	labels []Label
 	key    string
-	// owner tags a series bound through OwnedGauge (nil otherwise);
-	// guarded by the registry lock.
-	owner any
 
 	// bits holds the float64 value of counters and gauges.
 	bits atomic.Uint64
@@ -129,7 +126,26 @@ func (r *Registry) getSeries(name string, typ metricType, buckets []float64, lab
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok = r.families[name]
+	f = r.familyLocked(name, typ, buckets)
+	s, ok := f.series[key]
+	if !ok {
+		s = &series{labels: append([]Label(nil), labels...), key: key}
+		if typ == typeHistogram {
+			s.hist = &histogramState{
+				buckets: f.buckets,
+				counts:  make([]atomic.Uint64, len(f.buckets)+1),
+			}
+		}
+		f.series[key] = s
+	}
+	return s
+}
+
+// familyLocked returns the family name, creating it or fixing its type
+// on first use. It panics when the name is reused with a different
+// metric type. The caller holds the write lock.
+func (r *Registry) familyLocked(name string, typ metricType, buckets []float64) *family {
+	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, series: map[string]*series{}}
 		r.families[name] = f
@@ -143,18 +159,7 @@ func (r *Registry) getSeries(name string, typ metricType, buckets []float64, lab
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.typ, typ))
 	}
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: append([]Label(nil), labels...), key: key}
-		if typ == typeHistogram {
-			s.hist = &histogramState{
-				buckets: f.buckets,
-				counts:  make([]atomic.Uint64, len(f.buckets)+1),
-			}
-		}
-		f.series[key] = s
-	}
-	return s
+	return f
 }
 
 // Counter returns the counter series name{labels}, creating it on first
@@ -189,37 +194,30 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	return (*Histogram)(r.getSeries(name, typeHistogram, buckets, labels))
 }
 
-// OwnedGauge is Gauge for a series that belongs to owner, any comparable
-// value: DropOwned later deletes the family's series by owner, so a
-// component rebuilt onto a live registry can retire its predecessor's
-// series without knowing their labels, and without touching the series
-// other components keep in the same family.
-func (r *Registry) OwnedGauge(owner any, name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	s := r.getSeries(name, typeGauge, nil, labels)
-	r.mu.Lock()
-	s.owner = owner
-	r.mu.Unlock()
-	return (*Gauge)(s)
+// Sample is one series of a gauge family: its labels and its value.
+type Sample struct {
+	Labels []Label
+	Value  float64
 }
 
-// DropOwned deletes every series of the family that was last bound
-// through OwnedGauge by owner.
-func (r *Registry) DropOwned(owner any, name string) {
+// ReplaceGauges makes the gauge family name hold exactly samples, whose
+// label slices it keeps. The swap happens under the registry lock, so a
+// concurrent scrape sees the family whole before or whole after it, and
+// a series left out of samples is gone without anyone deleting it: a
+// family rendered from state at scrape needs no per-series bookkeeping.
+func (r *Registry) ReplaceGauges(name string, samples []Sample) {
 	if r == nil {
 		return
 	}
+	fresh := make(map[string]*series, len(samples))
+	for _, sm := range samples {
+		s := &series{labels: sm.Labels, key: labelKey(sm.Labels)}
+		s.bits.Store(math.Float64bits(sm.Value))
+		fresh[s.key] = s
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		for key, s := range f.series {
-			if s.owner == owner {
-				delete(f.series, key)
-			}
-		}
-	}
+	r.familyLocked(name, typeGauge, nil).series = fresh
 }
 
 // DeleteSeries removes the series name{labels} if it exists (e.g. the

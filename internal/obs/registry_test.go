@@ -282,28 +282,72 @@ func TestLabelKeyCanonical(t *testing.T) {
 	}
 }
 
-func TestDropOwned(t *testing.T) {
+// TestReplaceGauges: a replaced family holds exactly the new samples,
+// other families keep theirs, and a concurrent scrape sees each
+// replacement whole — two series at 1 or three at 2, never a mix.
+func TestReplaceGauges(t *testing.T) {
 	r := NewRegistry()
-	r.OwnedGauge("east", "rate", L("app", "a")).Set(1)
-	r.OwnedGauge("east", "rate", L("app", "b")).Set(2)
-	r.OwnedGauge("west", "rate", L("app", "c")).Set(3)
-	r.Gauge("rate", L("app", "d")).Set(4) // nobody's
-	r.OwnedGauge("east", "other", L("app", "a")).Set(5)
-	// Re-binding hands a series to its new owner.
-	r.OwnedGauge("west", "rate", L("app", "b"))
-	r.DropOwned("east", "rate")
-	r.DropOwned("east", "missing") // no-op
+	r.Gauge("rate", L("app", "stale")).Set(9)
+	r.Gauge("other", L("app", "a")).Set(5)
+	small := []Sample{{Labels: []Label{L("app", "a")}, Value: 1}, {Labels: []Label{L("app", "b")}, Value: 1}}
+	large := []Sample{{Labels: []Label{L("app", "c")}, Value: 2}, {Labels: []Label{L("app", "d")}, Value: 2}, {Labels: []Label{L("app", "e")}, Value: 2}}
+	r.ReplaceGauges("rate", small)
 	var left []string
 	for _, s := range r.Snapshot()["rate"].Series {
 		left = append(left, s.Labels["app"])
 	}
-	if want := []string{"b", "c", "d"}; !slices.Equal(left, want) {
-		t.Fatalf("rate series after DropOwned = %v, want %v", left, want)
+	if want := []string{"a", "b"}; !slices.Equal(left, want) {
+		t.Fatalf("rate series after ReplaceGauges = %v, want %v", left, want)
 	}
-	if len(r.Snapshot()["other"].Series) != 1 {
-		t.Fatal("DropOwned reached into another family")
+	if got := r.Gauge("other", L("app", "a")).Value(); got != 5 {
+		t.Fatalf("ReplaceGauges reached into another family: %v", got)
 	}
+	r.ReplaceGauges("rate", nil)
+	if _, ok := r.Snapshot()["rate"]; ok {
+		t.Fatal("an emptied family is still exposed")
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				r.ReplaceGauges("rate", small)
+			} else {
+				r.ReplaceGauges("rate", large)
+			}
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		series := r.Snapshot()["rate"].Series
+		if len(series) == 0 {
+			continue
+		}
+		want := map[int]float64{2: 1, 3: 2}[len(series)]
+		for _, s := range series {
+			if *s.Value != Float(want) {
+				t.Errorf("scrape saw a half-replaced family: %+v", series)
+				break
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("replacing a counter family with gauges did not panic")
+		}
+	}()
 	var nilReg *Registry
-	nilReg.OwnedGauge("east", "rate").Set(1)
-	nilReg.DropOwned("east", "rate")
+	nilReg.ReplaceGauges("rate", small)
+	r.Counter("hits").Inc()
+	r.ReplaceGauges("hits", small)
 }

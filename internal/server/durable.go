@@ -85,7 +85,6 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 	s.journal = j
 	s.mu.Unlock()
 
-	s.metrics.SetHelp(metricRecovery, "Duration of the last journal recovery in seconds.")
 	s.metrics.Gauge(metricRecovery).Set(time.Since(start).Seconds())
 	return nil
 }

@@ -142,7 +142,6 @@ func (s *Server) EnableReplication(cfg ReplicationConfig) error {
 		return fmt.Errorf("start replica: %w", err)
 	}
 
-	s.metrics.SetHelp(metricRecovery, "Duration of the last journal recovery in seconds.")
 	s.metrics.Gauge(metricRecovery).Set(time.Since(start).Seconds())
 	return nil
 }

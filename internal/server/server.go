@@ -49,8 +49,8 @@ import (
 // The router carries a lock and a group-commit queue per region, so the
 // server itself serializes no scheduler work: mu only guards the
 // configuration the Enable* calls write. The metrics registry has its
-// own synchronization, so /metrics and /debug/vars never block
-// admissions.
+// own synchronization; a scrape only takes each shard lock in turn, to
+// read the residents its gauges are rendered from.
 type Server struct {
 	mu       sync.Mutex
 	net      *network.Network
@@ -249,12 +249,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// The registry is concurrency safe on its own: no mu here.
-	s.updateShardMetrics()
+	s.refreshMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w)
 }
 
 func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
+	s.refreshMetrics()
 	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
 }
 

@@ -38,7 +38,12 @@ func NewSharded(netw *network.Network, shards int, opts ...core.Option) (*Server
 		opts:    opts,
 	}
 	s.router.Store(router)
-	s.metricsHelp()
+	reg.SetHelp("sparcle_shard_apps", "Admitted applications per shard and class.")
+	reg.SetHelp("sparcle_shard_solver_flows", "Warm BE solver rows (flows) per shard.")
+	reg.SetHelp("sparcle_border_leases", "Granted border-link capacity leases.")
+	reg.SetHelp("sparcle_border_leased_bandwidth", "Leased bandwidth per border link.")
+	reg.SetHelp("sparcle_border_utilization", "Leased fraction of each border link's scaled capacity.")
+	reg.SetHelp(metricRecovery, "Duration of the last journal recovery in seconds.")
 	return s, nil
 }
 
@@ -53,21 +58,19 @@ func (s *Server) Router() *shard.Router { return s.rt() }
 // (benchmark/trace.go); the method goes when it stops calling it.
 func (s *Server) EnableGroupCommit(core.GroupOptions) {}
 
-func (s *Server) metricsHelp() {
-	s.metrics.SetHelp("sparcle_shard_apps", "Admitted applications per shard and class.")
-	s.metrics.SetHelp("sparcle_shard_solver_flows", "Warm BE solver rows (flows) per shard.")
-	s.metrics.SetHelp("sparcle_border_leases", "Granted border-link capacity leases.")
-	s.metrics.SetHelp("sparcle_border_leased_bandwidth", "Leased bandwidth per border link.")
-	s.metrics.SetHelp("sparcle_border_utilization", "Leased fraction of each border link's scaled capacity.")
-}
-
-// updateShardMetrics refreshes the sparcle_shard_* and sparcle_border_*
-// gauges from the router; /metrics calls it on every scrape so the
-// series are exact at observation time rather than maintained inline on
-// the admission path.
-func (s *Server) updateShardMetrics() {
-	st := s.rt().Stats()
+// refreshMetrics renders every gauge from the live router: the
+// scheduler gauges (core.RenderGauges over every region's residents, nnz
+// summed over shards) and the sparcle_shard_* and sparcle_border_*
+// series. /metrics and /debug/vars call it on every scrape, so the
+// series are exact at observation time and whichever router is live —
+// restored, replayed or following — shows exactly its residents, with
+// nothing maintained on the admission path.
+func (s *Server) refreshMetrics() {
+	rt := s.rt()
+	st := rt.Stats()
+	nnz := 0
 	for _, sh := range st.Shards {
+		nnz += sh.SolverNNZ
 		l := obs.L("shard", strconv.Itoa(sh.Region))
 		s.metrics.Gauge("sparcle_shard_apps", l, obs.L("class", core.GuaranteedRate.String())).Set(float64(sh.GRApps))
 		s.metrics.Gauge("sparcle_shard_apps", l, obs.L("class", core.BestEffort.String())).Set(float64(sh.BEApps))
@@ -79,6 +82,7 @@ func (s *Server) updateShardMetrics() {
 		s.metrics.Gauge("sparcle_border_leased_bandwidth", l).Set(b.Leased)
 		s.metrics.Gauge("sparcle_border_utilization", l).Set(b.Utilization)
 	}
+	core.RenderGauges(s.metrics, nnz, rt.AppsByShard(nil)...)
 }
 
 // shardAppView is appView plus the owning shard and, for a cross-region

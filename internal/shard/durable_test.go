@@ -4,14 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 	"sync"
 	"testing"
 
 	"sparcle/internal/core"
 	"sparcle/internal/network"
-	"sparcle/internal/obs"
 )
 
 func shardRebuilder(opts ...core.Option) ShardRebuilder {
@@ -275,45 +272,5 @@ func TestConcurrentShardSubmits(t *testing.T) {
 	}
 	if got, want := routerStateJSON(t, r2), routerStateJSON(t, r); got != want {
 		t.Fatal("journal replay diverged from live state after concurrent load")
-	}
-}
-
-// TestRebuildOntoSharedRegistry: the region schedulers share one metrics
-// registry. A router rebuilt onto the registry of the one it replaces (a
-// follower materializing, a restore after a failed propose) must leave
-// the rate series of exactly its own residents, in every region — each
-// rebuilt region retires its predecessor's series and nobody else's.
-func TestRebuildOntoSharedRegistry(t *testing.T) {
-	net := dumbbellNet(t, 1000)
-	reg := obs.NewRegistry()
-	r, err := New(net, 2, newCtlFactory(core.WithMetrics(reg)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tape := &journalTape{}
-	r.SetEnvelopeHook(tape.hook)
-	be := core.QoS{Class: core.BestEffort, Priority: 1, MaxPaths: 1}
-	for _, a := range []struct{ name, from, to string }{{"inA", "a0", "a1"}, {"inB", "b0", "b1"}} {
-		if _, err := r.Submit(pipelineApp(t, a.name, net, a.from, a.to, 5, be), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	committed := len(tape.envs)
-	// Admitted in memory in both regions, absent from the rebuilt state.
-	for _, a := range []struct{ name, from, to string }{{"lostA", "a0", "a1"}, {"lostB", "b0", "b1"}} {
-		if _, err := r.Submit(pipelineApp(t, a.name, net, a.from, a.to, 5, be), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Replay(net, 2, nil, tape.envs[:committed], shardRebuilder(core.WithMetrics(reg))); err != nil {
-		t.Fatal(err)
-	}
-	var apps []string
-	for _, s := range reg.Snapshot()["sparcle_app_allocated_rate"].Series {
-		apps = append(apps, s.Labels["app"])
-	}
-	sort.Strings(apps)
-	if want := []string{"inA", "inB"}; !slices.Equal(apps, want) {
-		t.Fatalf("rate series after the rebuild: %v, want %v", apps, want)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -25,6 +25,9 @@ type Router struct {
 	part  *Partitioning
 	slots []*slot
 	spans *obs.SpanTracer
+	// metrics is the registry the shards share; the router counts each
+	// logical verdict on it once (see countAdmission).
+	metrics *obs.Registry
 
 	// borderMu guards the lease table and border scales.
 	borderMu    sync.Mutex
@@ -99,7 +102,39 @@ func build(net *network.Network, k int, ctl func(*Region) (core.Control, error))
 		s.group = core.NewGroupCommitter(s.submitBatch, core.GroupOptions{Metrics: c.Metrics()})
 		r.slots = append(r.slots, s)
 	}
+	r.metrics = r.slots[0].ctl.Metrics()
+	describeMetrics(r.metrics)
 	return r, nil
+}
+
+// Metric names of the logical verdicts, counted once per application or
+// operation however many regions it spans.
+const (
+	metricAdmissions   = "sparcle_admissions_total"
+	metricRepairs      = "sparcle_repairs_total"
+	metricFluctuations = "sparcle_fluctuations_total"
+)
+
+// describeMetrics sets the verdict families' help and materializes
+// their series, so they are visible before traffic.
+func describeMetrics(reg *obs.Registry) {
+	reg.SetHelp(metricAdmissions, "Total admission decisions by application class and outcome.")
+	reg.SetHelp(metricRepairs, "Total repair attempts on guaranteed-rate applications by outcome.")
+	reg.SetHelp(metricFluctuations, "Total capacity fluctuations applied.")
+	for _, class := range []core.Class{core.GuaranteedRate, core.BestEffort} {
+		for _, outcome := range []string{"admitted", "rejected", "error"} {
+			reg.Counter(metricAdmissions, obs.L("class", class.String()), obs.L("outcome", outcome))
+		}
+	}
+	for _, outcome := range []string{"repaired", "failed"} {
+		reg.Counter(metricRepairs, obs.L("outcome", outcome))
+	}
+	reg.Counter(metricFluctuations)
+}
+
+// countAdmission counts one logical admission verdict.
+func (r *Router) countAdmission(class core.Class, err error) {
+	r.metrics.Counter(metricAdmissions, obs.L("class", class.String()), obs.L("outcome", core.SubmitOutcome(err))).Inc()
 }
 
 // Partitioning exposes the region partition (read-only).
@@ -249,47 +284,57 @@ func (r *Router) lookup(name string) (*appEntry, error) {
 // apps run the two-phase border-lease admission. sp (nil-safe) parents
 // the lock.wait and shard operation spans.
 func (r *Router) Submit(app core.App, sp *obs.Span) (*Result, error) {
-	if err := r.checkName(app.Name); err != nil {
-		return nil, err
-	}
-	regions, err := r.part.classify(app)
+	regions, err := r.route(app, sp)
 	if err != nil {
 		return nil, err
 	}
 	if len(regions) == 2 {
 		return r.submitCross(app, regions[0], regions[1], sp)
 	}
-	shard := 0
-	if len(regions) == 1 {
-		shard = regions[0]
-	} else {
-		shard = r.leastLoadedShard(sp)
+	return r.submitIntra(app, regions[0], sp)
+}
+
+// route checks app's name and returns the regions its pins span: two for
+// a cross-region app, else its one shard (the least loaded when unpinned).
+func (r *Router) route(app core.App, sp *obs.Span) ([]int, error) {
+	if err := r.checkName(app.Name); err != nil {
+		return nil, err
 	}
-	return r.submitIntra(app, shard, sp)
+	regions, err := r.part.classify(app)
+	if err == nil && len(regions) == 0 {
+		regions = []int{r.leastLoadedShard(sp)}
+	}
+	return regions, err
 }
 
 func (r *Router) submitIntra(app core.App, shard int, sp *obs.Span) (*Result, error) {
-	if err := r.claim(app.Name); err != nil {
-		return nil, err
-	}
-	s := r.slots[shard]
-	local, err := localizeApp(app, s.region.View)
+	local, err := r.claimIn(app, shard)
 	if err != nil {
-		r.unclaim(app.Name)
 		return nil, err
 	}
 	// Park with the shard's committer; the leader takes the shard lock
 	// once for everyone it drains.
-	res, gerr := s.group.Submit(local, sp)
-	if err = res.Err; err == nil {
-		err = gerr
-	}
-	if err != nil {
+	res, gerr := r.slots[shard].group.Submit(local, sp)
+	r.countAdmission(app.QoS.Class, res.Err)
+	if err = cmp.Or(res.Err, gerr); err != nil {
 		r.unclaim(app.Name)
 		return nil, err
 	}
 	r.settle(app.Name, &appEntry{shard: shard})
 	return &Result{Shard: shard, App: res.App}, nil
+}
+
+// claimIn claims app's name and localizes it to shard's region view,
+// releasing the name again if it does not localize.
+func (r *Router) claimIn(app core.App, shard int) (core.App, error) {
+	if err := r.claim(app.Name); err != nil {
+		return core.App{}, err
+	}
+	local, err := localizeApp(app, r.slots[shard].region.View)
+	if err != nil {
+		r.unclaim(app.Name)
+	}
+	return local, err
 }
 
 // leastLoadedShard picks the shard with the fewest admitted apps (ties
@@ -338,6 +383,7 @@ func (r *Router) submitCross(app core.App, a, b int, sp *obs.Span) (*Result, err
 		r.settle(app.Name, &appEntry{shard: a, cross: cross})
 		return nil
 	})
+	r.countAdmission(app.QoS.Class, err)
 	if err != nil {
 		r.unclaim(app.Name)
 		return nil, err
@@ -430,10 +476,7 @@ func (r *Router) admitCross(app core.App, a, b int) (*Result, *LeaseRecord, erro
 			r.part.Parent.Link(r.part.Border[border].Link).Name, core.ErrRejected)
 	}
 
-	rate = paB.TotalRate()
-	if rateA < rate {
-		rate = rateA
-	}
+	rate = min(paB.TotalRate(), rateA)
 	r.borderMu.Lock()
 	_, err = r.leases.Acquire(app.Name, border, plan.bits, rate)
 	r.borderMu.Unlock()
@@ -480,77 +523,40 @@ func (r *Router) admitCross(app core.App, a, b int) (*Result, *LeaseRecord, erro
 // atomicity is per shard, not global.
 func (r *Router) SubmitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult, error) {
 	results := make([]core.BatchResult, len(apps))
-	byShard := map[int][]int{} // shard -> indices into apps
-	var shards []int
+	// Each shard's claimed, localized members and their indices in apps.
+	subs, idx := make([][]core.App, len(r.slots)), make([][]int, len(r.slots))
 	for i, app := range apps {
 		results[i].Name = app.Name
-		if err := r.checkName(app.Name); err != nil {
-			results[i].Err = err
-			continue
-		}
-		regions, err := r.part.classify(app)
-		if err != nil {
-			results[i].Err = err
-			continue
-		}
-		switch len(regions) {
-		case 2:
-			res, err := r.submitCross(app, regions[0], regions[1], sp)
-			if err != nil {
-				results[i].Err = err
-			} else {
+		regions, err := r.route(app, sp)
+		switch {
+		case err != nil:
+		case len(regions) == 2:
+			var res *Result
+			if res, err = r.submitCross(app, regions[0], regions[1], sp); err == nil {
 				results[i].App = res.App
 			}
 		default:
-			shard := 0
-			if len(regions) == 1 {
-				shard = regions[0]
-			} else {
-				shard = r.leastLoadedShard(sp)
+			var local core.App
+			if local, err = r.claimIn(app, regions[0]); err == nil {
+				subs[regions[0]] = append(subs[regions[0]], local)
+				idx[regions[0]] = append(idx[regions[0]], i)
 			}
-			if err := r.claim(app.Name); err != nil {
-				results[i].Err = err
-				continue
-			}
-			if _, ok := byShard[shard]; !ok {
-				shards = append(shards, shard)
-			}
-			byShard[shard] = append(byShard[shard], i)
 		}
+		results[i].Err = err
 	}
-	sort.Ints(shards)
 	var firstErr error
-	for _, shard := range shards {
-		idx := byShard[shard]
-		sub := make([]core.App, 0, len(idx))
-		ok := true
-		for _, i := range idx {
-			local, err := localizeApp(apps[i], r.slots[shard].region.View)
-			if err != nil {
-				results[i].Err = err
-				r.unclaim(apps[i].Name)
-				ok = false
-				continue
-			}
-			sub = append(sub, local)
-		}
-		if !ok && len(sub) == 0 {
+	for shard, sub := range subs {
+		if len(sub) == 0 {
 			continue
 		}
 		// The shard's sub-batch enters its committer as one entry, so it
 		// stays atomic while merging with concurrent single submits.
 		res, err := r.slots[shard].group.SubmitMany(sub, sp)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		j := 0
-		for _, i := range idx {
-			if results[i].Err != nil {
-				continue // localization failure above
-			}
+		firstErr = cmp.Or(firstErr, err)
+		for j, i := range idx[shard] {
 			results[i] = res[j]
-			j++
-			if results[i].Err != nil {
+			r.countAdmission(apps[i].QoS.Class, res[j].Err)
+			if res[j].Err != nil {
 				r.unclaim(apps[i].Name)
 			} else {
 				r.settle(apps[i].Name, &appEntry{shard: shard})
@@ -573,7 +579,7 @@ func (r *Router) Remove(name string, sp *obs.Span) error {
 		s.lock(sp)
 		err := s.ctl.Remove(name)
 		s.unlock()
-		if err != nil && errors.Is(err, core.ErrNotFound) {
+		if errors.Is(err, core.ErrNotFound) {
 			return err
 		}
 		r.unclaim(name)
@@ -612,14 +618,21 @@ func (r *Router) Repair(name string, sp *obs.Span) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var res *Result
 	if e.cross == nil {
-		pa, err := r.slots[e.shard].repair(name, sp)
-		if err != nil {
-			return nil, err
+		var pa *core.PlacedApp
+		if pa, err = r.slots[e.shard].repair(name, sp); err == nil {
+			res = &Result{Shard: e.shard, App: pa}
 		}
-		return &Result{Shard: e.shard, App: pa}, nil
+	} else {
+		res, err = r.repairCross(name, e, sp)
 	}
-	return r.repairCross(name, e, sp)
+	outcome := "repaired"
+	if err != nil {
+		res, outcome = nil, "failed"
+	}
+	r.metrics.Counter(metricRepairs, obs.L("outcome", outcome)).Inc()
+	return res, err
 }
 
 func (r *Router) repairCross(name string, e *appEntry, sp *obs.Span) (*Result, error) {
@@ -661,10 +674,7 @@ func (r *Router) renewCross(c *LeaseRecord, sa, sb *slot) (*Result, error) {
 		return nil, err
 	}
 	rateA, rateB := paA.TotalRate(), paB.TotalRate()
-	rate := rateA
-	if rateB < rate {
-		rate = rateB
-	}
+	rate := min(rateA, rateB)
 	// The border link's capacity may have changed (fluctuation) since the
 	// lease was granted: renegotiate against its *current* headroom —
 	// capacity minus the OTHER apps' leases, since this app's own lease is
@@ -681,9 +691,7 @@ func (r *Router) renewCross(c *LeaseRecord, sa, sb *slot) (*Result, error) {
 		return nil, fmt.Errorf("shard: border link %q has no lease headroom: %w",
 			r.part.Parent.Link(r.part.Border[c.Border].Link).Name, core.ErrRejected)
 	}
-	if cap := headroom / c.Bits; cap < rate {
-		rate = cap
-	}
+	rate = min(rate, headroom/c.Bits)
 	trim := func(s *slot, pa *core.PlacedApp) (*core.PlacedApp, error) {
 		app := pa.App
 		app.QoS.RateCap = rate
@@ -820,10 +828,10 @@ func (r *Router) ApplyFluctuation(scale core.ElementScale, sp *obs.Span) (*core.
 		}
 		return firstErr
 	})
-	sort.Strings(violated)
+	r.metrics.Counter(metricFluctuations).Inc()
 	report.ViolatedGR = append(report.ViolatedGR, violated...)
-	sort.Strings(report.ViolatedGR)
-	report.ViolatedGR = dedupe(report.ViolatedGR)
+	slices.Sort(report.ViolatedGR)
+	report.ViolatedGR = slices.Compact(report.ViolatedGR)
 	return report, err
 }
 
@@ -840,19 +848,6 @@ func (r *Router) logicalName(name string) string {
 		return logical
 	}
 	return name
-}
-
-func dedupe(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // AppsByShard returns each shard's admitted apps (GR then BE, admission

@@ -11,10 +11,10 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22364
-max_host_lines=3669
+max_lines=22301
+max_host_lines=3667
 max_replica_lines=2407
-max_obs_lines=1201
+max_obs_lines=1199
 max_flags=20
 max_options=5
 
