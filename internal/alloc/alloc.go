@@ -119,17 +119,10 @@ func SolveStats(caps *network.Capacities, flows []Flow, opt Options) ([]float64,
 		return nil, Stats{}, ErrNoFlows
 	}
 	s := NewSolver(caps, opt)
-	ids, err := s.AddFlows(flows)
-	if err != nil {
+	// A fresh Solver issues ids 0..len(flows)-1 in input order, so the
+	// rates come back indexed like flows.
+	if _, err := s.AddFlows(flows); err != nil {
 		return nil, Stats{Flows: len(flows)}, err
 	}
-	rates, stats, err := s.Solve(nil)
-	if err != nil {
-		return nil, stats, err
-	}
-	x := make([]float64, len(flows))
-	for i, id := range ids {
-		x[i] = rates[id]
-	}
-	return x, stats, nil
+	return s.Solve(nil)
 }

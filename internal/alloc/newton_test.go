@@ -58,7 +58,7 @@ func TestNewtonStepDropsDependentRows(t *testing.T) {
 
 // descentSolve is Solver.Solve as it was before Newton steps, kept
 // verbatim as the differential oracle of TestNewtonMatchesDescent.
-func descentSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stats, error) {
+func descentSolve(s *Solver, dst []float64) ([]float64, Stats, error) {
 	stats := Stats{Flows: s.live, Warm: s.solved}
 	if s.live == 0 {
 		return nil, stats, ErrNoFlows
@@ -222,14 +222,11 @@ func descentSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stats,
 			scale = math.Min(scale, pr.cap/demand)
 		}
 	}
-	if dst == nil {
-		dst = make(map[FlowID]float64, s.live)
-	} else {
-		clear(dst)
-	}
+	dst = resize(dst, n)
 	for i := range s.flows {
+		dst[i] = 0
 		if s.flows[i].alive {
-			dst[s.flows[i].id] = x[i] * scale
+			dst[i] = x[i] * scale
 		}
 	}
 	s.solved = true

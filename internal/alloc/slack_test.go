@@ -20,7 +20,7 @@ type twin struct {
 	t        *testing.T
 	newton   bool
 	got, ref *Solver
-	dg, dr   map[FlowID]float64
+	dg, dr   []float64
 	cold     int    // solves that did not start warm
 	solves   int    // solves run
 	evals    [2]int // RowEvals summed over got and ref
@@ -99,7 +99,7 @@ func (w *twin) solve(label string) Stats {
 		w.t.Fatalf("%s: %d rates, reference %d", label, len(w.dg), len(w.dr))
 	}
 	for id, x := range w.dr {
-		if y, ok := w.dg[id]; !ok || math.Float64bits(y) != math.Float64bits(x) {
+		if y := w.dg[id]; math.Float64bits(y) != math.Float64bits(x) {
 			w.t.Fatalf("%s: flow %v rate %v, reference %v", label, id, y, x)
 		}
 	}
@@ -132,7 +132,7 @@ func (w *twin) newtonCheck(label string, gs, rs Stats) {
 		w.t.Fatalf("%s: %d rates, reference %d", label, len(w.dg), len(w.dr))
 	}
 	for id, x := range w.dr {
-		if y, ok := w.dg[id]; !ok || math.Abs(y-x) > 1e-9*math.Max(x, y) {
+		if y := w.dg[id]; math.Abs(y-x) > 1e-9*math.Max(x, y) {
 			w.t.Fatalf("%s: flow %v rate %v, reference %v", label, id, y, x)
 		}
 	}
@@ -319,7 +319,7 @@ func twinScenarios(t *testing.T, newton bool) {
 // kept verbatim as the differential oracle of TestSlackSkipMatchesReference
 // but for the Newton steps between sweeps, which it takes like Solve does
 // (without the growth factor it does not keep).
-func referenceSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stats, error) {
+func referenceSolve(s *Solver, dst []float64) ([]float64, Stats, error) {
 	stats := Stats{Flows: s.live, Warm: s.solved}
 	if s.live == 0 {
 		return nil, stats, ErrNoFlows
@@ -462,14 +462,11 @@ func referenceSolve(s *Solver, dst map[FlowID]float64) (map[FlowID]float64, Stat
 			scale = math.Min(scale, pr.cap/demand)
 		}
 	}
-	if dst == nil {
-		dst = make(map[FlowID]float64, s.live)
-	} else {
-		clear(dst)
-	}
+	dst = resize(dst, n)
 	for i := range s.flows {
+		dst[i] = 0
 		if s.flows[i].alive {
-			dst[s.flows[i].id] = x[i] * scale
+			dst[i] = x[i] * scale
 		}
 	}
 	s.solved = true

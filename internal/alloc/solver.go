@@ -10,9 +10,10 @@ import (
 	"sparcle/internal/resource"
 )
 
-// FlowID is a stable handle for a flow held by a Solver across incremental
-// updates. IDs are never reused within one Solver.
-type FlowID int64
+// FlowID is a flow's slot in a Solver: valid from the AddFlows call that
+// returned it until the flow is passed to RemoveFlows, after which a later
+// AddFlows may reissue it. Solve returns rates indexed by id.
+type FlowID int32
 
 // rowKey identifies one capacity constraint: an NCP resource kind or a
 // link. elem is the NCP id for NCP rows and numNCPs+linkID for link rows;
@@ -58,7 +59,6 @@ type packedRow struct {
 type rowRef struct{ row, pos int32 }
 
 type sflow struct {
-	id     FlowID
 	weight float64
 	path   *placement.Placement
 	refs   []rowRef
@@ -89,8 +89,6 @@ type Solver struct {
 
 	flows []sflow
 	free  []int32
-	byID  map[FlowID]int32
-	next  FlowID
 	live  int
 
 	rows     []csrRow
@@ -134,7 +132,6 @@ func NewSolver(caps *network.Capacities, opt Options) *Solver {
 		opt:      opt.withDefaults(),
 		caps:     caps,
 		numNCPs:  len(caps.NCP),
-		byID:     map[FlowID]int32{},
 		rowIndex: map[rowKey]int32{},
 	}
 }
@@ -153,9 +150,9 @@ func (s *Solver) Len() int { return s.live }
 // NNZ returns the number of live constraint-matrix entries.
 func (s *Solver) NNZ() int { return s.nnzLive }
 
-// AddFlows validates and inserts the given flows, returning one stable id
-// per flow. On error nothing is inserted; error messages index into the
-// argument slice.
+// AddFlows validates and inserts the given flows, returning one id per
+// flow, in input order. On error nothing is inserted; error messages index
+// into the argument slice.
 func (s *Solver) AddFlows(flows []Flow) ([]FlowID, error) {
 	for i, f := range flows {
 		if f.Weight <= 0 || math.IsNaN(f.Weight) {
@@ -186,18 +183,15 @@ func (s *Solver) hasDemand(p *placement.Placement) bool {
 }
 
 func (s *Solver) insert(f Flow) FlowID {
-	id := s.next
-	s.next++
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
 		s.free = s.free[:n-1]
-		s.flows[slot] = sflow{id: id, weight: f.Weight, path: f.Path, refs: s.flows[slot].refs[:0], alive: true}
+		s.flows[slot] = sflow{weight: f.Weight, path: f.Path, refs: s.flows[slot].refs[:0], alive: true}
 	} else {
 		slot = int32(len(s.flows))
-		s.flows = append(s.flows, sflow{id: id, weight: f.Weight, path: f.Path, alive: true})
+		s.flows = append(s.flows, sflow{weight: f.Weight, path: f.Path, alive: true})
 	}
-	s.byID[id] = slot
 	s.live++
 	p := f.Path
 	for i, v := range p.LoadedNCPs() {
@@ -216,7 +210,7 @@ func (s *Solver) insert(f Flow) FlowID {
 	for i, l := range p.LoadedLinks() {
 		s.addEntry(rowKey{elem: s.numNCPs + int(l)}, slot, p.LinkLoads()[i])
 	}
-	return id
+	return FlowID(slot)
 }
 
 func (s *Solver) addEntry(key rowKey, slot int32, coef float64) {
@@ -233,16 +227,15 @@ func (s *Solver) addEntry(key rowKey, slot int32, coef float64) {
 	s.nnzLive++
 }
 
-// RemoveFlows detaches the given flows. Unknown ids are ignored. Rows keep
-// their prices; tombstoned entries are compacted away once they outnumber
-// the live ones.
+// RemoveFlows detaches the given flows and frees their ids. Ids that hold
+// no flow are ignored. Rows keep their prices; tombstoned entries are
+// compacted away once they outnumber the live ones.
 func (s *Solver) RemoveFlows(ids []FlowID) {
 	for _, id := range ids {
-		slot, ok := s.byID[id]
-		if !ok {
+		if id < 0 || int(id) >= len(s.flows) || !s.flows[id].alive {
 			continue
 		}
-		delete(s.byID, id)
+		slot := int32(id)
 		f := &s.flows[slot]
 		for _, ref := range f.refs {
 			r := &s.rows[ref.row]
@@ -293,10 +286,11 @@ func (s *Solver) compact() {
 }
 
 // Solve runs the dual descent over the current flows and capacities and
-// returns the proportional-fair rate of every live flow keyed by id. If
-// dst is non-nil it is cleared and reused. The returned Stats report
-// whether the run was warm-started and the live constraint-matrix size.
-func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error) {
+// returns the proportional-fair rate of every live flow indexed by id; an
+// id that holds no flow reads 0. dst is reused when it is large enough.
+// The returned Stats report whether the run was warm-started and the live
+// constraint-matrix size.
+func (s *Solver) Solve(dst []float64) ([]float64, Stats, error) {
 	stats := Stats{Flows: s.live, Warm: s.solved}
 	if s.live == 0 {
 		return nil, stats, ErrNoFlows
@@ -476,14 +470,11 @@ func (s *Solver) Solve(dst map[FlowID]float64) (map[FlowID]float64, Stats, error
 			scale = math.Min(scale, pr.cap/demand)
 		}
 	}
-	if dst == nil {
-		dst = make(map[FlowID]float64, s.live)
-	} else {
-		clear(dst)
-	}
+	dst = resize(dst, n)
 	for i := range s.flows {
+		dst[i] = 0
 		if s.flows[i].alive {
-			dst[s.flows[i].id] = x[i] * scale
+			dst[i] = x[i] * scale
 		}
 	}
 	s.solved = true

@@ -89,7 +89,7 @@ func TestSolverWarmMatchesColdUnderChurn(t *testing.T) {
 		flow Flow
 	}
 	var live []held
-	var dst map[FlowID]float64
+	var dst []float64
 	newFlow := func() Flow {
 		a := rng.Intn(6)
 		m := a + 1 + rng.Intn(7-a-1)
@@ -163,8 +163,8 @@ func TestSolverWarmMatchesColdUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: cold solve: %v", step, err)
 		}
-		if len(dst) != len(live) {
-			t.Fatalf("step %d: %d rates for %d flows", step, len(dst), len(live))
+		if s.Len() != len(live) {
+			t.Fatalf("step %d: solver holds %d flows, want %d", step, s.Len(), len(live))
 		}
 		tol := 1e-6
 		if !stats.Converged {
@@ -339,7 +339,62 @@ func TestSolverValidation(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("failed AddFlows must insert nothing")
 	}
-	s.RemoveFlows([]FlowID{123}) // unknown ids are ignored
+}
+
+// TestSolverFlowIDsAreSlots pins the id contract: RemoveFlows frees an id,
+// Solve reads 0 for it until AddFlows reissues it to a new flow, whose
+// rate replaces the old flow's, and ids that hold no flow are ignored.
+func TestSolverFlowIDsAreSlots(t *testing.T) {
+	net, links := lineN(t, 4, 50, 60)
+	caps := net.BaseCapacities()
+	s := NewSolver(caps, Options{})
+	f := []Flow{
+		segmentFlow(t, net, links, 0, 1, 2, 5, 2, 1),
+		segmentFlow(t, net, links, 1, 2, 3, 5, 2, 2),
+		segmentFlow(t, net, links, 0, 2, 3, 3, 1, 1),
+	}
+	ids, err := s.AddFlows(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Solve(nil); err != nil {
+		t.Fatal(err)
+	}
+	freed := ids[1]
+	s.RemoveFlows([]FlowID{freed})
+	// Out of range, and freed already: ignored.
+	s.RemoveFlows([]FlowID{-1, FlowID(len(f)), 123, freed})
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d after removing one of 3 flows, want 2", s.Len())
+	}
+	rates, _, err := s.Solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rates) != len(f) || rates[freed] != 0 {
+		t.Fatalf("rates %v: want %d entries, 0 at freed id %d", rates, len(f), freed)
+	}
+	extra := segmentFlow(t, net, links, 2, 3, 3, 4, 3, 3)
+	again, err := s.AddFlows([]Flow{extra})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0] != freed {
+		t.Fatalf("AddFlows issued id %d, want the freed id %d", again[0], freed)
+	}
+	rates, _, err = s.Solve(rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := SolveStats(caps, []Flow{f[0], extra, f[2]}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []FlowID{ids[0], freed, ids[2]} {
+		if d := relDiff(rates[id], want[i]); d > 1e-9 {
+			t.Fatalf("id %d: rate %v, cold %v", id, rates[id], want[i])
+		}
+	}
 }
 
 // bisectRow is the row update the solver used before the Newton root-find,
@@ -469,7 +524,7 @@ func bisectSolve(t *testing.T, caps *network.Capacities, flows []Flow, opt Optio
 // optimality conditions of problem (4) over the flows no zero-capacity
 // element starves: primal feasibility, non-negative prices, complementary
 // slackness, and stationarity w/x = Σ λ·c, each within 1e-9 relative.
-func checkKKT(t *testing.T, s *Solver, rates map[FlowID]float64) {
+func checkKKT(t *testing.T, s *Solver, rates []float64) {
 	t.Helper()
 	if err := kktError(s, rates); err != nil {
 		t.Error(err)
@@ -477,7 +532,7 @@ func checkKKT(t *testing.T, s *Solver, rates map[FlowID]float64) {
 }
 
 // kktError returns the first optimality condition checkKKT finds violated.
-func kktError(s *Solver, rates map[FlowID]float64) error {
+func kktError(s *Solver, rates []float64) error {
 	const tol = 1e-9
 	zeroed := make([]bool, len(s.flows))
 	for j := range s.rows {
@@ -497,7 +552,7 @@ func kktError(s *Solver, rates map[FlowID]float64) error {
 		for _, e := range r.ents {
 			if e.slot >= 0 && !zeroed[e.slot] {
 				bound = true
-				demand += e.coef * rates[s.flows[e.slot].id]
+				demand += e.coef * rates[e.slot]
 				pathPrice[e.slot] += r.price * e.coef
 			}
 		}
@@ -513,14 +568,14 @@ func kktError(s *Solver, rates map[FlowID]float64) error {
 		}
 	}
 	for i, f := range s.flows {
-		switch x := rates[f.id]; {
+		switch x := rates[i]; {
 		case !f.alive:
 		case zeroed[i]:
 			if x != 0 {
-				return fmt.Errorf("flow %v: rate %v across a zero-capacity element", f.id, x)
+				return fmt.Errorf("flow %v: rate %v across a zero-capacity element", i, x)
 			}
 		case !(x > 0) || math.Abs(f.weight/x-pathPrice[i]) > tol*pathPrice[i]:
-			return fmt.Errorf("flow %v: w/x = %v/%v but path price %v", f.id, f.weight, x, pathPrice[i])
+			return fmt.Errorf("flow %v: w/x = %v/%v but path price %v", i, f.weight, x, pathPrice[i])
 		}
 	}
 	return nil

@@ -21,10 +21,10 @@ import (
 // against an independent cold solve after every operation. The two
 // production fallbacks have no other routine driver, so the loop forces
 // them periodically: a dropped solver (the next solve starts from empty
-// rows and zero prices) followed by coldSolve itself, the two halves of
-// reallocateBE's failed-incremental-solve branch, and a pool flagged
-// clamped (the next GR release rebuilds the pool from base capacities and
-// refreshes the flag).
+// rows and zero prices) followed by the retry itself, dropSolver and a
+// solve on a fresh solver, the two halves of reallocateBE's failed-solve
+// branch, and a pool flagged clamped (the next GR release rebuilds the
+// pool from base capacities and refreshes the flag).
 //
 // The seed table is 42-51 less two seeds that fail the 1e-6 check. Each
 // fails on a solve that ends Converged: false after its warm and cold
@@ -186,10 +186,11 @@ func schedulerChurn(t *testing.T, seed int64) {
 			// The operation solved on a fresh solver: the same descent from
 			// the same start as a standalone solve.
 			checkRatesAgainstCold(t, s, op, alloc.Options{}, 1e-9)
-			// And the fallback proper: coldSolve must install the same
-			// rates on the same paths.
-			if _, err := s.coldSolve(); err != nil {
-				t.Fatalf("op %d: coldSolve: %v", op, err)
+			// And the fallback proper: the retry on a fresh solver must
+			// install the same rates on the same paths.
+			s.dropSolver()
+			if _, err := s.incrementalSolve(); err != nil {
+				t.Fatalf("op %d: retry on a fresh solver: %v", op, err)
 			}
 			checkRatesAgainstCold(t, s, op, alloc.Options{}, 1e-9)
 			fresh++
@@ -221,6 +222,21 @@ func checkDeltaPoolAgainstRebuild(t *testing.T, s *Scheduler, op int) {
 	if err := capsApproxEqual(s.beAvailable, s.recomputeBEAvailable(), 1e-6); err != nil {
 		t.Fatalf("op %d: delta BE pool diverged from rebuild: %v", op, err)
 	}
+}
+
+// beFlows flattens the admitted BE apps into allocation flows, in
+// resident and path order, plus the paths owning each flow's rate.
+func (s *Scheduler) beFlows() ([]alloc.Flow, []*placement.Path) {
+	var flows []alloc.Flow
+	var owners []*placement.Path
+	for _, pa := range s.be {
+		w := pa.App.QoS.Priority / float64(len(pa.Paths))
+		for i := range pa.Paths {
+			flows = append(flows, alloc.Flow{Weight: w, Path: pa.Paths[i].P})
+			owners = append(owners, &pa.Paths[i])
+		}
+	}
+	return flows, owners
 }
 
 // checkRatesAgainstCold re-solves the current BE allocation from scratch

@@ -101,6 +101,9 @@ type PlacedApp struct {
 	// so that no admission re-derives it for the whole resident set; the
 	// first prediction that reads it builds it (paths never change).
 	footprint alloc.Footprint
+	// flows are the BE solver's flow ids of Paths, in path order; nil while
+	// the solver does not hold the app (see incrementalSolve, dropSolver).
+	flows []alloc.FlowID
 }
 
 // TotalRate returns the application's aggregate processing rate across its
@@ -201,15 +204,13 @@ type Scheduler struct {
 
 	// Reused per-operation scratch (never part of durable state): the
 	// eq. (6) footprint slice and prediction buffer of every BE
-	// admission, and the liveness map plus new-flow slices the
-	// incremental solver reconciliation rebuilds on every solve. Pooling
-	// these takes the steady-churn allocation count down without changing
-	// behaviour — all are fully overwritten before each use.
+	// admission, and the new-flow slice and rate vector of every BE solve.
+	// Pooling these takes the steady-churn allocation count down without
+	// changing behaviour — all are fully overwritten before each use.
 	fpScratch      []alloc.Footprint
 	prediction     alloc.Prediction
-	liveScratch    map[*PlacedApp]bool
-	newAppsScratch []*PlacedApp
 	newFlowScratch []alloc.Flow
+	rateScratch    []float64
 }
 
 // New returns a Scheduler over net.
@@ -240,7 +241,7 @@ func New(net *network.Network, opts ...Option) *Scheduler {
 		s.metrics.SetHelp(metricAllocSolves, "Total best-effort rate-allocation solves by solver.")
 		s.metrics.SetHelp(metricAllocSeconds, "Latency of best-effort rate-allocation solves, seconds.")
 		s.metrics.SetHelp(metricWarmSolves, "Total best-effort rate-allocation solves warm-started from the previous dual prices.")
-		s.metrics.SetHelp(metricAllocNNZ, "Constraint-matrix nonzeros of the most recent best-effort allocation solve.")
+		s.metrics.SetHelp(metricAllocNNZ, "Live constraint-matrix nonzeros of the best-effort allocation solvers, summed over shards.")
 		s.metrics.SetHelp(metricAllocCycles, "Dual coordinate-descent cycles per best-effort allocation solve, by start mode.")
 		s.metrics.SetHelp(metricAllocRowEvals, "Total constraint-row demand evaluations made by best-effort allocation solves.")
 		s.metrics.SetHelp(metricAllocUnconverged, "Total best-effort allocation solves that ran out of cycles before converging; their rates are installed anyway.")
@@ -458,12 +459,17 @@ func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 		if err != nil {
 			break
 		}
+		// A path that loads no element supports any rate, and Rate reads 0
+		// for it: a capped reservation (a cross-region half whose CTs all
+		// sit on its border endpoint) reserves its cap, an uncapped one
+		// cannot be made.
 		rate := p.Rate(residual)
+		unbounded := len(p.LoadedNCPs()) == 0 && len(p.LoadedLinks()) == 0
+		if cap := app.QoS.RateCap; cap > 0 && (rate > cap || unbounded) {
+			rate = cap
+		}
 		if rate <= 0 || math.IsInf(rate, 1) {
 			break
-		}
-		if cap := app.QoS.RateCap; cap > 0 && rate > cap {
-			rate = cap
 		}
 		p.Subtract(residual, rate)
 		paths = append(paths, placement.Path{P: p, Rate: rate})
@@ -575,21 +581,12 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 // weighted by Priority/len(paths), so an application's aggregate weight is
 // its priority regardless of how many availability paths it holds.
 //
-// The default path is incremental: the scheduler-owned alloc.Solver keeps
-// the sparse constraint rows and dual prices of the previous solve, the
-// admitted-app set is reconciled against it by delta, and the descent
-// warm-starts from the previous prices. An incremental-solve failure
-// falls back to the cold path, which rebuilds everything from scratch.
+// The scheduler-owned alloc.Solver keeps the sparse constraint rows and
+// dual prices of the previous solve, so the descent warm-starts from the
+// previous prices. A failed solve drops it and retries once on a fresh
+// solver, which starts cold.
 func (s *Scheduler) reallocateBE() error {
 	if len(s.be) == 0 {
-		// Keep the solver honest when the last BE app departs, so a later
-		// admission does not resurrect stale flows.
-		if s.beSolver != nil {
-			for pa, ids := range s.beFlowIDs {
-				s.beSolver.RemoveFlows(ids)
-				delete(s.beFlowIDs, pa)
-			}
-		}
 		return nil
 	}
 	const solver = "proportional-fair"
@@ -602,8 +599,12 @@ func (s *Scheduler) reallocateBE() error {
 	if err != nil {
 		// The incremental state may be unusable (e.g. a divergence from
 		// pathological prices); discard it and retry cold before giving up.
+		// A fresh solver that fails too is dropped as well, so no resident
+		// a failed batch rolls back still holds flows.
 		s.dropSolver()
-		stats, err = s.coldSolve()
+		if stats, err = s.incrementalSolve(); err != nil {
+			s.dropSolver()
+		}
 	}
 	ssp.SetAttr("solver", solver)
 	if stats.Warm {
@@ -641,98 +642,48 @@ func (s *Scheduler) reallocateBE() error {
 	return nil
 }
 
-// beFlows flattens the admitted BE apps into allocation flows plus the
-// paths owning each flow's resulting rate.
-func (s *Scheduler) beFlows() ([]alloc.Flow, []*placement.Path) {
-	var flows []alloc.Flow
-	var owners []*placement.Path
-	for _, pa := range s.be {
-		w := pa.App.QoS.Priority / float64(len(pa.Paths))
-		for i := range pa.Paths {
-			flows = append(flows, alloc.Flow{Weight: w, Path: pa.Paths[i].P})
-			owners = append(owners, &pa.Paths[i])
-		}
-	}
-	return flows, owners
-}
-
-// coldSolve runs a from-scratch proportional-fair solve and writes the
-// rates back. Path rates are only updated on success.
-func (s *Scheduler) coldSolve() (alloc.Stats, error) {
-	flows, owners := s.beFlows()
-	x, stats, err := alloc.SolveStats(s.beAvailable, flows, alloc.Options{})
-	if err != nil {
-		return stats, err
-	}
-	for i := range x {
-		owners[i].Rate = x[i]
-	}
-	return stats, nil
-}
-
-// incrementalSolve reconciles the scheduler-owned Solver against the
-// admitted-app set, warm-starts the dual descent, and writes the rates
-// back.
+// incrementalSolve adds the residents the scheduler-owned Solver does not
+// hold yet, warm-starts the dual descent, and writes the rates back.
 func (s *Scheduler) incrementalSolve() (alloc.Stats, error) {
 	if s.beSolver == nil {
 		s.beSolver = alloc.NewSolver(s.beAvailable, alloc.Options{})
-		s.beFlowIDs = map[*PlacedApp][]alloc.FlowID{}
 	}
 	// The pool pointer changes on GR admission and fluctuation rebuilds;
 	// in-place delta mutations need no notice (capacities are read lazily).
 	s.beSolver.SetCapacities(s.beAvailable)
-	current := s.liveScratch
-	if current == nil {
-		current = make(map[*PlacedApp]bool, len(s.be))
-		s.liveScratch = current
-	} else {
-		clear(current)
-	}
-	for _, pa := range s.be {
-		current[pa] = true
-	}
-	for pa, ids := range s.beFlowIDs {
-		if !current[pa] {
-			s.beSolver.RemoveFlows(ids)
-			delete(s.beFlowIDs, pa)
-		}
-	}
-	// All missing apps' flows go in through one AddFlows call (ids come
-	// back in input order): a K-app batch admission reconciles the solver
-	// with exactly one insertion instead of K.
-	newApps := s.newAppsScratch[:0]
+	// All missing apps' flows go in through one AddFlows call, in resident
+	// order (ids come back in input order): a K-app batch admission adds
+	// its flows with exactly one insertion instead of K.
 	newFlows := s.newFlowScratch[:0]
 	for _, pa := range s.be {
-		if _, ok := s.beFlowIDs[pa]; ok {
+		if pa.flows != nil {
 			continue
 		}
 		w := pa.App.QoS.Priority / float64(len(pa.Paths))
 		for i := range pa.Paths {
 			newFlows = append(newFlows, alloc.Flow{Weight: w, Path: pa.Paths[i].P})
 		}
-		newApps = append(newApps, pa)
 	}
+	s.newFlowScratch = newFlows[:0]
 	if len(newFlows) > 0 {
 		ids, err := s.beSolver.AddFlows(newFlows)
 		if err != nil {
-			s.newAppsScratch, s.newFlowScratch = newApps[:0], newFlows[:0]
 			return alloc.Stats{}, err
 		}
-		off := 0
-		for _, pa := range newApps {
-			n := len(pa.Paths)
-			s.beFlowIDs[pa] = ids[off : off+n : off+n]
-			off += n
+		for _, pa := range s.be {
+			if pa.flows == nil {
+				n := len(pa.Paths)
+				pa.flows, ids = ids[:n:n], ids[n:]
+			}
 		}
 	}
-	s.newAppsScratch, s.newFlowScratch = newApps[:0], newFlows[:0]
-	rates, stats, err := s.beSolver.Solve(s.beRates)
+	rates, stats, err := s.beSolver.Solve(s.rateScratch)
 	if err != nil {
 		return stats, err
 	}
-	s.beRates = rates
+	s.rateScratch = rates
 	for _, pa := range s.be {
-		for i, id := range s.beFlowIDs[pa] {
+		for i, id := range pa.flows {
 			pa.Paths[i].Rate = rates[id]
 		}
 	}
@@ -743,8 +694,9 @@ func (s *Scheduler) incrementalSolve() (alloc.Stats, error) {
 // reallocateBE rebuilds it from the admitted apps.
 func (s *Scheduler) dropSolver() {
 	s.beSolver = nil
-	s.beFlowIDs = nil
-	s.beRates = nil
+	for _, pa := range s.be {
+		pa.flows = nil
+	}
 }
 
 // recomputeBEAvailable rebuilds the BE capacity pool from scratch: the

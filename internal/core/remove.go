@@ -61,12 +61,16 @@ func (s *Scheduler) withdraw(name string) bool {
 }
 
 // unlist splices pa out of its class's resident list; a GR application's
-// reservation goes back to the BE pool. Rollbacks undo the newest
-// admissions, so the search runs from the end.
+// reservation goes back to the BE pool, and a BE application's flows leave
+// the solver. Rollbacks undo the newest admissions, so the search runs
+// from the end.
 func (s *Scheduler) unlist(pa *PlacedApp) {
 	list := &s.be
 	if pa.App.QoS.Class == GuaranteedRate {
 		list = &s.gr
+	} else if pa.flows != nil {
+		s.beSolver.RemoveFlows(pa.flows)
+		pa.flows = nil
 	}
 	for i := len(*list) - 1; i >= 0; i-- {
 		if (*list)[i] == pa {

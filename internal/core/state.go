@@ -32,12 +32,10 @@ type state struct {
 
 	// beSolver incrementally re-solves problem (4), keeping constraint
 	// rows and dual prices across churn events so each re-solve
-	// warm-starts near the previous optimum. beFlowIDs maps each admitted
-	// BE app to its solver flow ids (one per path, in path order), and
-	// beRates is the reusable rate map of the last solve.
-	beSolver  *alloc.Solver
-	beFlowIDs map[*PlacedApp][]alloc.FlowID
-	beRates   map[alloc.FlowID]float64
+	// warm-starts near the previous optimum. While it is set, every BE
+	// resident it holds carries its flow ids (PlacedApp.flows), and a
+	// departing resident takes its flows out (unlist).
+	beSolver *alloc.Solver
 	// poolClamped records that a fluctuation left some element's GR
 	// reservations above its scaled capacity: the zero-clamp in Subtract
 	// then makes the pool lossy, so releasing a GR path by AddBack would

@@ -149,6 +149,19 @@ func checkInvariants(t *testing.T, s *Scheduler, net *network.Network, live map[
 	if len(all) != len(live) {
 		t.Fatalf("op %d: scheduler tracks %d apps, expected %d", op, len(all), len(live))
 	}
+	// The solver holds exactly the BE residents' paths, one flow id each.
+	if s.beSolver != nil {
+		paths := 0
+		for _, pa := range s.be {
+			if len(pa.flows) != len(pa.Paths) {
+				t.Fatalf("op %d: BE app %q holds %d flow ids for %d paths", op, pa.App.Name, len(pa.flows), len(pa.Paths))
+			}
+			paths += len(pa.Paths)
+		}
+		if flows, _ := s.SolverRows(); flows != paths {
+			t.Fatalf("op %d: solver holds %d flows, BE residents have %d paths", op, flows, paths)
+		}
+	}
 	// Aggregate demand across every admitted app stays within
 	// max(scaled capacity, GR reservations) on every element: GR
 	// reservations made before a downscale may legitimately exceed the

@@ -309,6 +309,51 @@ func TestCrossRegionAdmitRemove(t *testing.T) {
 	}
 }
 
+// TestCrossRegionBorderEndpointPins admits apps pinned on either side of
+// the dumbbell, the bridge's endpoints (a1, b0) included. A half whose
+// CTs all sit on its border endpoint loads no element, so its path is
+// rate-unbounded; the half's lease cap is then its reservation. The
+// two-CT app has no middle CT, so pinned a1→b0 neither half loads
+// anything.
+func TestCrossRegionBorderEndpointPins(t *testing.T) {
+	twoCT := func(name, from, to string, qos core.QoS, net *network.Network) core.App {
+		b := taskgraph.NewBuilder(name + "-graph")
+		src, dst := b.AddCT("src", nil), b.AddCT("dst", nil)
+		b.AddTT("t0", src, dst, 10)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromID, _ := net.NCPIDByName(from)
+		toID, _ := net.NCPIDByName(to)
+		return core.App{Name: name, Graph: g, Pins: placement.Pins{src: fromID, dst: toID}, QoS: qos}
+	}
+	for _, qos := range []core.QoS{
+		{Class: core.BestEffort, Priority: 1, Availability: 0.5, MaxPaths: 1},
+		{Class: core.GuaranteedRate, MinRate: 1, MinRateAvailability: 0.5, MaxPaths: 1},
+	} {
+		for _, from := range []string{"a0", "a1"} {
+			for _, to := range []string{"b0", "b1"} {
+				for _, shape := range []string{"pipeline", "two-CT"} {
+					net := dumbbellNet(t, 1000)
+					r := twoShardRouter(t, net)
+					app := pipelineApp(t, "cross", net, from, to, 10, qos)
+					if shape == "two-CT" {
+						app = twoCT("cross", from, to, qos, net)
+					}
+					res, err := r.Submit(app, nil)
+					if err != nil {
+						t.Fatalf("%v %s %s→%s: %v", qos.Class, shape, from, to, err)
+					}
+					if res.Cross == nil || !(res.Cross.Rate > 0) || math.IsInf(res.Cross.Rate, 1) {
+						t.Fatalf("%v %s %s→%s: cross result %+v", qos.Class, shape, from, to, res.Cross)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCrossRegionLeaseCap: when the border link is the bottleneck, the
 // admitted rate is exactly the lease headroom over the cut bits, and a
 // second cross app competes for what remains.
