@@ -3,7 +3,6 @@ package assign
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
@@ -62,7 +61,7 @@ func multiPath(alg placement.Algorithm, g *taskgraph.Graph, pins placement.Pins,
 			return nil, nil, fmt.Errorf("%w: %w", ErrNoMorePaths, err)
 		}
 		rate := p.Rate(residual)
-		if rate <= 0 || math.IsInf(rate, 1) {
+		if rate <= 0 {
 			if len(paths) > 0 {
 				break
 			}

@@ -468,7 +468,7 @@ func (s *Scheduler) submitGR(app App) (*PlacedApp, error) {
 		if cap := app.QoS.RateCap; cap > 0 && (rate > cap || unbounded) {
 			rate = cap
 		}
-		if rate <= 0 || math.IsInf(rate, 1) {
+		if rate <= 0 {
 			break
 		}
 		p.Subtract(residual, rate)
@@ -545,7 +545,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 			break
 		}
 		rate := p.Rate(predicted)
-		if rate <= 0 || math.IsInf(rate, 1) {
+		if rate <= 0 {
 			break
 		}
 		p.Subtract(predicted, rate)

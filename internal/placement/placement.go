@@ -249,7 +249,10 @@ func (p *Placement) LinkLoads() []float64 { return p.linkLoads }
 
 // Rate returns the maximum stable processing rate of this placement under
 // the given residual capacities: min over elements of capacity / load
-// (§IV.A). An incomplete placement has rate 0.
+// (§IV.A). An incomplete placement has rate 0, and so does a complete one
+// that loads no element, although it supports any rate: Rate is never
+// +Inf, and a caller that must tell "unbounded" from "starved" checks
+// LoadedNCPs and LoadedLinks itself.
 func (p *Placement) Rate(caps *network.Capacities) float64 {
 	if !p.Complete() {
 		return 0
@@ -274,9 +277,7 @@ func (p *Placement) Rate(caps *network.Capacities) float64 {
 		}
 	}
 	if rate < 0 {
-		// A placement that consumes nothing anywhere supports any rate;
-		// report 0 to keep callers honest about degenerate graphs.
-		return 0
+		return 0 // loads nothing: see the doc comment
 	}
 	return rate
 }

@@ -1,6 +1,15 @@
 package replica
 
-import "testing"
+import (
+	"context"
+	"encoding/json"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"sparcle/internal/journal"
+)
 
 // BenchmarkPropose is the replica layer's twin of the durable_repl3
 // write path: three in-process nodes over real SyncAlways journals, one
@@ -27,4 +36,71 @@ func BenchmarkPropose(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(exports()-before)/float64(b.N), "exports/op")
+}
+
+// BenchmarkAppendRPC is the transport layer's twin: one AppendEntries
+// per op, carrying one entry of durable_repl3's journal record size
+// (~680 bytes), to a follower served by Handler behind a loopback HTTP
+// server. The follower's journal never fsyncs, so the op is the wire
+// round trip plus the follower's append. It reaches the follower
+// through the Transport interface only.
+func BenchmarkAppendRPC(b *testing.B) {
+	ts := httptest.NewServer(loneFollower(b).Handler())
+	defer ts.Close()
+	var tr Transport = NewHTTPTransport(ts.URL, nil)
+	data := json.RawMessage(`{"pad":"` + strings.Repeat("x", 670) + `"}`)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq := uint64(i) + 1
+		resp, err := tr.AppendEntries(ctx, appendAt(seq, data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !resp.Success || resp.LastSeq != seq {
+			b.Fatalf("append %d refused: %+v", seq, resp)
+		}
+	}
+}
+
+// appendAt builds the append of entry seq (term 1) carrying data to a
+// follower that holds seq-1.
+func appendAt(seq uint64, data json.RawMessage) *AppendRequest {
+	req := &AppendRequest{Term: 1, LeaderID: "ldr", PrevSeq: seq - 1, LeaderCommit: seq,
+		Entries: []Entry{{Seq: seq, Term: 1, Data: data}}}
+	if seq > 1 {
+		req.PrevTerm = 1
+	}
+	return req
+}
+
+// loneFollower starts a node with no peers, a SyncNever journal, no
+// periodic snapshots and timeouts long enough that it never campaigns:
+// it only ever answers what it is sent.
+func loneFollower(tb testing.TB) *Node {
+	tb.Helper()
+	j, err := journal.Open(tb.TempDir(), journal.Options{Fsync: journal.SyncNever})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { j.Close() })
+	n, err := New(Config{
+		ID:              "follower",
+		Peers:           map[string]Transport{},
+		Journal:         j,
+		SM:              permissiveSM{},
+		SnapshotEvery:   -1,
+		Heartbeat:       time.Hour,
+		ElectionTimeout: 24 * time.Hour,
+		Seed:            1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(n.Stop) // runs before the journal's close
+	return n
 }

@@ -1,98 +1,99 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"strings"
+	"errors"
+	"io"
 	"testing"
-	"time"
-
-	"sparcle/internal/journal"
 )
 
 // permissiveSM accepts any replicated payload: the fuzz target probes
-// the RPC decode and log-manipulation paths, not state-machine decoding.
+// the stream decode and log-manipulation paths, not state-machine
+// decoding.
 type permissiveSM struct{}
 
 func (permissiveSM) Apply([]byte) error                          { return nil }
 func (permissiveSM) SnapshotWith(write func([]byte) error) error { return write([]byte("{}")) }
 func (permissiveSM) Restore([]byte, [][]byte) error              { return nil }
 
-// FuzzRPCDecode drives the three replication RPC endpoints (append,
-// vote, snapshot install) end to end with arbitrary bodies: the handler
-// must never panic — the append and install paths do uint sequence
-// arithmetic and slice the in-memory tail from attacker-controlled
-// Seq/PrevSeq/SnapSeq values — must answer only the statuses the
-// protocol uses, and must always produce JSON on success.
-func FuzzRPCDecode(f *testing.F) {
-	paths := []string{PathAppend, PathVote, PathSnapshot}
+// message is one call of a fuzz seed.
+type message struct {
+	kind byte
+	body any
+}
 
-	seed := func(path int, v any) {
-		b, err := json.Marshal(v)
-		if err != nil {
-			f.Fatal(err)
+// encodeStream writes msgs as a caller's side of one stream would.
+func encodeStream(tb testing.TB, msgs ...message) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	c := newCodec(nil, &buf)
+	for i, m := range msgs {
+		if err := c.write(m.kind, uint64(i+1), m.body, true); err != nil {
+			tb.Fatal(err)
 		}
-		f.Add(path, string(b))
 	}
-	seed(0, AppendRequest{Term: 1, LeaderID: "ldr", PrevSeq: 0, LeaderCommit: 1,
-		Entries: []Entry{{Seq: 1, Term: 1, Data: json.RawMessage(`"x"`)}}})
-	seed(0, AppendRequest{Term: 2, LeaderID: "ldr", PrevSeq: 7, PrevTerm: 1})
-	seed(0, AppendRequest{Term: 2, LeaderID: "ldr",
-		Entries: []Entry{{Seq: 1, Term: 1, Conf: &Membership{Seq: 1, Members: []Member{{ID: "a", Voter: true}}}}}})
-	seed(1, VoteRequest{Term: 3, CandidateID: "cand", LastSeq: 9, LastTerm: 2})
-	seed(1, VoteRequest{Term: 3, CandidateID: "cand", PreVote: true})
-	seed(2, InstallSnapshotRequest{Term: 2, LeaderID: "ldr", SnapSeq: 5, SnapTerm: 1,
+	return buf.Bytes()
+}
+
+// FuzzRPCDecode feeds arbitrary bytes to the server loop of one inbound
+// replication stream. It must never panic — the append and install
+// paths do uint sequence arithmetic and slice the in-memory tail from
+// sender-controlled Seq/PrevSeq/SnapSeq values — every reply it writes
+// must decode as a reply of a known kind, and no entry whose data is not
+// JSON may reach the log.
+func FuzzRPCDecode(f *testing.F) {
+	appendOne := &AppendRequest{Term: 1, LeaderID: "ldr", PrevSeq: 0, LeaderCommit: 1,
+		Entries: []Entry{{Seq: 1, Term: 1, Data: json.RawMessage(`"x"`)}}}
+	seed := func(msgs ...message) { f.Add(encodeStream(f, msgs...)) }
+	seed(message{kindAppend, appendOne})
+	seed(message{kindAppend, &AppendRequest{Term: 2, LeaderID: "ldr", PrevSeq: 7, PrevTerm: 1}})
+	seed(message{kindAppend, &AppendRequest{Term: 2, LeaderID: "ldr",
+		Entries: []Entry{{Seq: 1, Term: 1, Conf: &Membership{Seq: 1, Members: []Member{{ID: "a", Voter: true}}}}}}})
+	seed(message{kindVote, &VoteRequest{Term: 3, CandidateID: "cand", LastSeq: 9, LastTerm: 2}})
+	seed(message{kindVote, &VoteRequest{Term: 3, CandidateID: "cand", PreVote: true}})
+	seed(message{kindSnapshot, &InstallSnapshotRequest{Term: 2, LeaderID: "ldr", SnapSeq: 5, SnapTerm: 1,
 		SnapConf: Membership{Seq: 3, Members: []Member{{ID: "a", Addr: "http://a", Voter: true}}},
-		State:    []byte(`{}`), Entries: []Entry{{Seq: 6, Term: 2, Nop: true}}, LeaderCommit: 6})
-	f.Add(0, `{}`)
-	f.Add(1, `not json`)
-	f.Add(2, `{"term":18446744073709551615,"snapSeq":18446744073709551615}`)
-	f.Add(0, `{"term":1,"entries":[{"seq":0,"term":0},{"seq":18446744073709551615,"term":1}]}`)
-	f.Add(2, "\x00\xff")
+		State:    []byte(`{}`), Entries: []Entry{{Seq: 6, Term: 2, Nop: true}}, LeaderCommit: 6}})
+	seed(message{kindAppend, &AppendRequest{}})
+	seed(message{kindAppend, appendOne}, message{kindVote, &VoteRequest{Term: 1, CandidateID: "ldr"}},
+		message{kindAppend, &AppendRequest{Term: 1, LeaderID: "ldr", PrevSeq: 1, PrevTerm: 1, LeaderCommit: 1}})
+	seed(message{kindSnapshot, &InstallSnapshotRequest{Term: ^uint64(0), SnapSeq: ^uint64(0)}})
+	seed(message{kindAppend, &AppendRequest{Term: 1,
+		Entries: []Entry{{Seq: 0, Term: 0}, {Seq: ^uint64(0), Term: 1}}}})
+	f.Add([]byte("\x00\xff"))
+	// An entry whose data is not JSON: the follower's journal refuses it.
+	seed(message{kindAppend, &AppendRequest{Term: 1, LeaderID: "ldr", LeaderCommit: 1,
+		Entries: []Entry{{Seq: 1, Term: 1, Data: json.RawMessage(`{"x":`)}}}})
+	// A kind no peer sends, and a size past the bound.
+	seed(message{kindError, "boom"})
+	f.Add(binary.BigEndian.AppendUint32(nil, maxMessage+1))
 
-	f.Fuzz(func(t *testing.T, which int, body string) {
-		// Fresh node per input: RPCs mutate the journal and log, and a
-		// shared node would make failures depend on corpus order. Timeouts
-		// are effectively infinite so the tick loop stays out of the way.
-		j, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.SyncNever})
-		if err != nil {
-			t.Fatal(err)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		// Fresh node per input: messages mutate the journal and log, and a
+		// shared node would make failures depend on corpus order.
+		n := loneFollower(t)
+		var out bytes.Buffer
+		if err := n.serveStream(bytes.NewReader(in), &out); err == nil {
+			t.Fatal("serveStream returned without an error")
 		}
-		defer j.Close()
-		n, err := New(Config{
-			ID:              "fuzz",
-			Peers:           map[string]Transport{},
-			Journal:         j,
-			SM:              permissiveSM{},
-			SnapshotEvery:   -1,
-			Heartbeat:       time.Hour,
-			ElectionTimeout: 24 * time.Hour,
-			Seed:            1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer n.Stop()
-
-		path := paths[((which%len(paths))+len(paths))%len(paths)]
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-		n.Handler().ServeHTTP(rec, req)
-
-		switch rec.Code {
-		case http.StatusOK:
-			var parsed map[string]any
-			if err := json.Unmarshal(rec.Body.Bytes(), &parsed); err != nil {
-				t.Fatalf("%s: non-JSON 200 body %q: %v", path, rec.Body.String(), err)
+		replies := newCodec(&out, nil)
+		for {
+			_, _, _, err := replies.read(replyBody)
+			if errors.Is(err, io.EOF) {
+				break
 			}
-		case http.StatusBadRequest, http.StatusInternalServerError:
-			// Decode failures and handler errors; never a crash.
-		default:
-			t.Fatalf("%s -> %d (unexpected status) for body %q", path, rec.Code, body)
+			if err != nil {
+				t.Fatalf("reply stream: %v", err)
+			}
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for _, e := range n.tail {
+			if len(e.Data) > 0 && !json.Valid(e.Data) {
+				t.Fatalf("entry %d reached the log with data %q", e.Seq, e.Data)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 )
 
@@ -178,6 +179,9 @@ func (n *Node) applyConfLocked(conf Membership) {
 	}
 	for id := range n.trans {
 		if _, ok := conf.member(id); !ok {
+			if c, ok := n.trans[id].(io.Closer); ok {
+				c.Close()
+			}
 			delete(n.trans, id)
 			delete(n.match, id)
 			delete(n.prog, id)

@@ -279,6 +279,10 @@ type Node struct {
 
 	proposeMu sync.Mutex
 
+	// streams holds the inbound replication streams Handler serves; Stop
+	// closes them.
+	streams map[io.Closer]struct{}
+
 	applyc  chan struct{}
 	stopc   chan struct{}
 	wg      sync.WaitGroup
@@ -320,6 +324,7 @@ func New(cfg Config) (*Node, error) {
 		match:       make(map[string]uint64, len(cfg.Peers)),
 		prog:        make(map[string]*progress, len(cfg.Peers)),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		streams:     make(map[io.Closer]struct{}),
 		applyc:      make(chan struct{}, 1),
 		stopc:       make(chan struct{}),
 	}
@@ -417,23 +422,30 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// Stop halts the node's loops and fails any parked proposals. The
-// journal stays open (its owner closes it).
+// Stop halts the node's loops, fails any parked proposals and closes
+// its inbound streams and its peers' transports. The journal stays open
+// (its owner closes it).
 func (n *Node) Stop() {
 	n.mu.Lock()
-	if n.stopped || !n.started {
-		n.stopped = true
-		n.mu.Unlock()
-		return
-	}
+	running := n.started && !n.stopped
 	n.stopped = true
 	for _, w := range n.waiters {
 		w.c <- ErrStopped
 	}
 	n.waiters = nil
+	for c := range n.streams {
+		c.Close()
+	}
+	for _, tr := range n.trans {
+		if c, ok := tr.(io.Closer); ok {
+			c.Close()
+		}
+	}
 	n.mu.Unlock()
-	close(n.stopc)
-	n.wg.Wait()
+	if running {
+		close(n.stopc)
+		n.wg.Wait()
+	}
 }
 
 // --- accessors ---

@@ -154,10 +154,10 @@ func (s *Server) Replica() *replica.Node {
 	return s.replica
 }
 
-// handleRepl forwards a peer RPC to the replica node. The route exists
-// before EnableReplication runs (see Handler), so it resolves the node
-// per request; peers hitting a node whose replica is not up yet get a
-// 503 and retry on their next heartbeat.
+// handleRepl forwards a peer's stream upgrade to the replica node. The
+// route exists before EnableReplication runs (see Handler), so it
+// resolves the node per request; peers dialing a node whose replica is
+// not up yet get a 503 and dial again with their next heartbeat.
 func (s *Server) handleRepl(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	h := s.replH

@@ -78,7 +78,7 @@ type Server struct {
 	snapshotting atomic.Bool
 
 	// replica is non-nil once EnableReplication armed the 3-node
-	// replicated control plane; replH serves its peer RPCs and replPeers
+	// replicated control plane; replH serves its peer streams and replPeers
 	// maps node IDs to base URLs for the follower-redirect Location
 	// header. All are written once under mu before the recovering gate
 	// drops, so the write gate's unlocked reads are ordered after them.
@@ -129,11 +129,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /apps/{name}", s.handleRemove)
 	mux.HandleFunc("POST /apps/{name}/repair", s.handleRepair)
 	mux.HandleFunc("POST /fluctuation", s.handleFluctuation)
-	// Replication RPCs (append, vote, snapshot install) between peers.
-	// Mounted unconditionally and dispatched lazily: peer URLs are only
-	// known once every listener is bound, so EnableReplication runs after
-	// Handler during cluster bootstrap. The membership admin routes are
-	// more specific than the RPC prefix, so they win dispatch (replica.go).
+	// The peers' replication streams. Mounted unconditionally and
+	// dispatched lazily: peer URLs are only known once every listener is
+	// bound, so EnableReplication runs after Handler during cluster
+	// bootstrap. The membership admin routes are more specific than the
+	// stream's prefix, so they win dispatch (replica.go).
 	mux.HandleFunc("POST /repl/", s.handleRepl)
 	mux.HandleFunc("GET /repl/members", s.handleMembersGet)
 	mux.HandleFunc("POST /repl/members", s.handleMembersChange)
@@ -160,7 +160,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		s.requests.Add(1)
 		s.metrics.Counter("sparcle_http_requests_total", obs.L("method", r.Method)).Inc()
 		if r.Method != http.MethodGet && !strings.HasPrefix(r.URL.Path, "/repl/") {
-			// Replication RPCs are exempt from both gates: they must flow
+			// The replication stream is exempt from both gates: it must flow
 			// on followers and during recovery or the cluster cannot heal.
 			if s.recovering.Load() {
 				// Journal recovery is rebuilding the scheduler; nothing may
