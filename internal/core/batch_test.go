@@ -76,15 +76,12 @@ func TestBatchSingleSolveSingleRecord(t *testing.T) {
 		return nil
 	})
 
-	solves := func() float64 {
-		return reg.Counter(metricAllocSolves, obs.L("solver", "proportional-fair")).Value()
-	}
-	before := solves()
+	before := solveCount(reg)
 	results, err := s.SubmitBatch(apps)
 	if err != nil {
 		t.Fatalf("SubmitBatch: %v", err)
 	}
-	if got := solves() - before; got != 1 {
+	if got := solveCount(reg) - before; got != 1 {
 		t.Fatalf("batch of %d apps performed %v solves, want exactly 1", len(apps), got)
 	}
 	if len(recs) != 1 {
@@ -117,7 +114,7 @@ func TestBatchSingleSolveSingleRecord(t *testing.T) {
 		impossible[i].Name = "impossible-" + itoa(i)
 		impossible[i].QoS = QoS{Class: GuaranteedRate, MinRate: 1e12, MinRateAvailability: 0.5, MaxPaths: 2}
 	}
-	state, before := stateJSON(t, s), solves()
+	state, before := stateJSON(t, s), solveCount(reg)
 	results, err = s.SubmitBatch(impossible)
 	if err != nil {
 		t.Fatalf("all-rejected SubmitBatch: %v", err)
@@ -127,7 +124,7 @@ func TestBatchSingleSolveSingleRecord(t *testing.T) {
 			t.Fatalf("%s: err %v, want ErrRejected", r.Name, r.Err)
 		}
 	}
-	if got := solves() - before; got != 0 {
+	if got := solveCount(reg) - before; got != 0 {
 		t.Fatalf("an all-rejected batch performed %v solves, want 0", got)
 	}
 	if got := stateJSON(t, s); got != state {

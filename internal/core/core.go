@@ -90,8 +90,8 @@ type App struct {
 type PlacedApp struct {
 	App App
 	// Paths holds the task assignment paths. For GR apps Rate is the
-	// reserved rate of each path; for BE apps it is the current
-	// proportional-fair allocation.
+	// reserved rate of each path; for BE apps it is the proportional-fair
+	// allocation as of the scheduler's last settle (see settle).
 	Paths []placement.Path
 	// Availability is the achieved QoE probability: at-least-one-path for
 	// BE apps, min-rate availability for GR apps.
@@ -328,8 +328,12 @@ func failProbs(net *network.Network) avail.FailProbs {
 // GRApps returns the admitted Guaranteed-Rate applications.
 func (s *Scheduler) GRApps() []*PlacedApp { return append([]*PlacedApp(nil), s.gr...) }
 
-// BEApps returns the admitted Best-Effort applications.
-func (s *Scheduler) BEApps() []*PlacedApp { return append([]*PlacedApp(nil), s.be...) }
+// BEApps returns the admitted Best-Effort applications, their rates
+// settled first (see settle).
+func (s *Scheduler) BEApps() []*PlacedApp {
+	_ = s.settle()
+	return append([]*PlacedApp(nil), s.be...)
+}
 
 // resident returns the admitted application (either class) carrying the
 // name, or nil.
@@ -349,8 +353,9 @@ func (s *Scheduler) resident(name string) *PlacedApp {
 func (s *Scheduler) BEAvailableCapacities() *network.Capacities { return s.beAvailable.Clone() }
 
 // Utility returns the problem-(4) objective over admitted BE apps:
-// sum of Priority * log(total rate).
+// sum of Priority * log(total rate), over settled rates.
 func (s *Scheduler) Utility() float64 {
+	_ = s.settle()
 	u := 0.0
 	for _, pa := range s.be {
 		u += pa.App.QoS.Priority * math.Log(pa.TotalRate())
@@ -511,7 +516,8 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 	if s.noPrediction {
 		// Ablation mode: the newcomer sees whatever is left after the
 		// incumbents' current allocations — the arrival-order-dependent
-		// behaviour eq. (6) exists to avoid.
+		// behaviour eq. (6) exists to avoid. It reads their rates.
+		_ = s.settle()
 		predicted = s.prediction.Predict(s.beAvailable, nil, app.QoS.Priority)
 		for _, pa := range s.be {
 			for _, path := range pa.Paths {
@@ -576,6 +582,18 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 	return pa, nil
 }
 
+// settle solves problem (4) while removals have left the BE rates
+// unsolved. Every reader of those rates calls it first, so it sees the
+// solution for the current resident set; the batch, repair and fluctuation
+// solves absorb pending removals too. A failed settle stays pending for
+// the next reader, and only readers with an error to return report it.
+func (s *Scheduler) settle() error {
+	if s.unsolved == 0 {
+		return nil
+	}
+	return s.reallocateBE()
+}
+
 // reallocateBE re-solves problem (4) for all admitted BE applications and
 // writes the resulting rates back onto their paths. Each path is a flow
 // weighted by Priority/len(paths), so an application's aggregate weight is
@@ -587,6 +605,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 // solver, which starts cold.
 func (s *Scheduler) reallocateBE() error {
 	if len(s.be) == 0 {
+		s.unsolved = 0
 		return nil
 	}
 	const solver = "proportional-fair"
@@ -618,6 +637,9 @@ func (s *Scheduler) reallocateBE() error {
 	ssp.SetInt("cycles", int64(stats.Cycles))
 	ssp.SetInt("rowEvals", int64(stats.RowEvals))
 	ssp.SetInt("newtonSteps", int64(stats.NewtonSteps))
+	if s.unsolved > 0 {
+		ssp.SetInt("folded", int64(s.unsolved))
+	}
 	if ssp != nil {
 		ssp.SetAny("converged", stats.Converged)
 	}
@@ -639,6 +661,7 @@ func (s *Scheduler) reallocateBE() error {
 	if err != nil {
 		return fmt.Errorf("core: best-effort rate allocation: %w", err)
 	}
+	s.unsolved = 0
 	return nil
 }
 

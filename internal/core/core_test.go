@@ -248,7 +248,9 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestRemoveBEReallocatesPeers(t *testing.T) {
 	// Two equal BE apps share the only usable NCP; when one leaves, the
-	// survivor's rate on its unchanged path must double.
+	// survivor's rate on its unchanged path must double. A held placement's
+	// rates are as of the last settle, so the survivor is read back
+	// through BEApps, which settles.
 	net := twoBranchNet(t, 90, 0, 1e9, 0)
 	s := New(net)
 	a, err := s.Submit(simpleApp(t, "a", net, 10, QoS{Class: BestEffort, Priority: 1}))
@@ -265,7 +267,11 @@ func TestRemoveBEReallocatesPeers(t *testing.T) {
 	if err := s.Remove("b"); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.TotalRate(); math.Abs(got-9) > 0.05 {
+	be := s.BEApps()
+	if len(be) != 1 || be[0] != a {
+		t.Fatalf("BE residents after removal = %v, want only a", be)
+	}
+	if got := be[0].TotalRate(); math.Abs(got-9) > 0.05 {
 		t.Fatalf("rate after peer removal = %v, want ~9", got)
 	}
 	if err := s.Remove("nope"); err == nil {

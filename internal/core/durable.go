@@ -155,8 +155,11 @@ type TTDef struct {
 // ExportSnapshot captures the scheduler's full persistent state. The
 // result marshals deterministically (slices are ordered, map keys are
 // sorted by encoding/json), so byte comparison of marshaled snapshots is
-// the state-equality test used throughout the recovery suite.
+// the state-equality test used throughout the recovery suite. It settles.
 func (s *Scheduler) ExportSnapshot() (*Snapshot, error) {
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
 	snap := &Snapshot{
 		Scale:       s.scale,
 		GR:          []AppState{},
@@ -279,16 +282,22 @@ func (st AppState) buildPlacedOn(app App, net *network.Network) (*PlacedApp, err
 // --- commit helpers ---
 
 // commitRecord finalizes and persists one record through the hook. It
-// stamps the post-operation BE rates, which every record carries.
+// stamps the post-operation BE rates, which every record carries, settled
+// first (a journaled removal solves here): a failed settle turns an "ok"
+// outcome into "error" and is returned once the record is committed.
 func (s *Scheduler) commitRecord(rec *Record) error {
 	if s.commit == nil {
 		return nil
 	}
-	rec.BERates = s.exportBERates()
-	if err := s.commit(rec); err != nil {
-		return fmt.Errorf("%w: %v", ErrDurability, err)
+	err := s.settle()
+	if err != nil && rec.Outcome == "ok" {
+		rec.Outcome, rec.Reason = "error", err.Error()
 	}
-	return nil
+	rec.BERates = s.exportBERates()
+	if cerr := s.commit(rec); cerr != nil {
+		return fmt.Errorf("%w: %v", ErrDurability, cerr)
+	}
+	return err
 }
 
 func (s *Scheduler) exportBERates() map[string][]float64 {
@@ -400,7 +409,7 @@ func (s *Scheduler) ApplyCommitted(rec *Record) error {
 			}
 		}
 	case OpRemove:
-		// The re-solve of the live path is replaced by the record's
+		// The live path's settle at commit is replaced by the record's
 		// verbatim rates.
 		if !s.withdraw(rec.Name) {
 			return fmt.Errorf("recorded remove of unknown app %q", rec.Name)

@@ -269,8 +269,9 @@ func TestRateGaugeLifecycle(t *testing.T) {
 // repair and fluctuation counters left it when the router became their
 // one counter, and its sparcle_alloc_rows_nnz line became the solver's
 // live entries, rendered at scrape, instead of the last solve's packed
-// ones, its HELP text following later). Families that hold wall-clock
-// time are left out.
+// ones, its HELP text following later, and its solve counters fell from
+// 148 solves to 135 when a removal left its solve to the next reader).
+// Families that hold wall-clock time are left out.
 func TestChurnMetricsGolden(t *testing.T) {
 	net := meshNet(t)
 	script := churnScript(t, rand.New(rand.NewSource(2024)), net, 200)

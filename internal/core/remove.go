@@ -1,51 +1,27 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Remove withdraws an admitted application by name, releasing its
 // resources: a departing GR application returns its reservation to the BE
-// pool, and the Best-Effort allocation is re-solved either way. Removing
-// an unknown name wraps ErrNotFound.
+// pool. The Best-Effort rates are left to their next reader (see settle),
+// so a removal and the admission after it share one solve. Removing an
+// unknown name wraps ErrNotFound.
 //
 // A successful removal is committed to the journal before Remove returns;
-// an unknown name had no effect and is not journaled.
+// its record stamps the settled rates. An unknown name had no effect and
+// is not journaled.
 func (s *Scheduler) Remove(name string) error {
 	sp := s.startOpSpan("core.remove")
 	sp.SetAttr("app", name)
 	s.opSpan = sp
 	defer func() { s.opSpan = nil; sp.End() }()
-	err := s.remove(name)
-	if errors.Is(err, ErrNotFound) {
-		return err
-	}
-	if err == nil {
-		s.log.Info("application withdrawn", "app", name)
-	}
-	if s.commit == nil {
-		return err
-	}
-	rec := &Record{Op: OpRemove, Outcome: "ok", Name: name}
-	if err != nil {
-		// The app is gone but the re-allocation failed: the structural
-		// change is journaled anyway (it happened), with the error noted.
-		rec.Outcome = "error"
-		rec.Reason = err.Error()
-	}
-	if cerr := s.commitRecord(rec); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// remove is Remove without telemetry or durability.
-func (s *Scheduler) remove(name string) error {
 	if !s.withdraw(name) {
 		return fmt.Errorf("core: no admitted application named %q: %w", name, ErrNotFound)
 	}
-	return s.reallocateBE()
+	s.unsolved++
+	s.log.Info("application withdrawn", "app", name)
+	return s.commitRecord(&Record{Op: OpRemove, Outcome: "ok", Name: name})
 }
 
 // withdraw is the structural half of a removal, shared by the live path

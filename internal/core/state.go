@@ -36,6 +36,9 @@ type state struct {
 	// resident it holds carries its flow ids (PlacedApp.flows), and a
 	// departing resident takes its flows out (unlist).
 	beSolver *alloc.Solver
+	// unsolved counts the removals since the last BE solve: while it is
+	// nonzero the residents' rates are stale (see settle).
+	unsolved int
 	// poolClamped records that a fluctuation left some element's GR
 	// reservations above its scaled capacity: the zero-clamp in Subtract
 	// then makes the pool lossy, so releasing a GR path by AddBack would
@@ -63,7 +66,7 @@ type state struct {
 // without reaching into concrete fields.
 type Control interface {
 	// GRApps and BEApps are the placement view: the admitted applications
-	// of each class, in admission order.
+	// of each class, in admission order; BEApps settles their rates.
 	GRApps() []*PlacedApp
 	BEApps() []*PlacedApp
 	// BEAvailableCapacities is a copy of the BE capacity pool (base minus

@@ -859,3 +859,63 @@ func TestLeaderCountsItselfOnlyWhenSynced(t *testing.T) {
 		t.Fatalf("commit index %d once the leader synced 5, want 5", n.commitIndex)
 	}
 }
+
+// TestFollowerSyncsOncePerAppend: a multi-entry AppendEntries to a
+// SyncAlways follower (catch-up after a restart, pipelined proposals)
+// costs one fsync for the whole request, acks the new log end, and the
+// entries are on disk after a reopen.
+func TestFollowerSyncsOncePerAppend(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	j, err := journal.Open(dir, journal.Options{Fsync: journal.SyncAlways, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{
+		ID:              "b",
+		Peers:           map[string]Transport{"a": &localTransport{net: newTestNet(), from: "b", to: "a", resolve: func(string) *Node { return nil }}},
+		Journal:         j,
+		SM:              &fakeSM{},
+		Heartbeat:       time.Hour,
+		ElectionTimeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fsyncs := reg.Histogram("sparcle_journal_fsync_seconds", nil)
+	before := fsyncs.Count()
+	req := &AppendRequest{Term: 1, LeaderID: "a"}
+	for seq := uint64(1); seq <= 3; seq++ {
+		req.Entries = append(req.Entries, Entry{Seq: seq, Term: 1, Data: json.RawMessage(fmt.Sprintf(`"op-%d"`, seq))})
+	}
+	resp, err := n.HandleAppendEntries(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Success || resp.LastSeq != 3 {
+		t.Fatalf("append response %+v, want success at LastSeq 3", resp)
+	}
+	if got := fsyncs.Count() - before; got != 1 {
+		t.Fatalf("a 3-entry append ran %d fsyncs, want 1", got)
+	}
+	n.Stop()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j, err = journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	_, recs, err := j.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[2].Seq != 3 {
+		t.Fatalf("recovered %d records after reopen, want entries 1-3", len(recs))
+	}
+}

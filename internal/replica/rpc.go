@@ -187,14 +187,14 @@ func (n *Node) acceptEntriesLocked(prevSeq, prevTerm uint64, entries []Entry, le
 			t, _ := n.termAtLocked(last)
 			return &AppendResponse{Term: n.term, HintSeq: last, HintTerm: t}, false, nil
 		}
-		if err := n.appendEntryLocked(e, false); err != nil {
+		if err := n.appendEntryLocked(e, true); err != nil {
 			return nil, false, err
 		}
 		last = e.Seq
 	}
 	if n.synced < last {
-		// A deposed leader's deferred appends whose fsync has not run yet:
-		// the leader counts the log end reported here toward its quorum.
+		// One fsync for this request's appends (and a deposed leader's
+		// deferred ones): the leader counts this log end toward quorum.
 		if err := n.cfg.Journal.Sync(); err != nil {
 			return nil, false, err
 		}
