@@ -177,7 +177,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	file := fs.String("f", "", "scenario JSON file defining the network (required)")
 	addr := fs.String("addr", ":8080", "listen address")
 	submit := fs.Bool("submit", false, "admit the scenario's applications at startup")
-	seed := fs.Int64("seed", 1, "seed of the replica election-timeout jitter (with -replicate)")
+	seed := fs.Int64("seed", 1, "seed of the replica election-timeout jitter, uniform below one timeout; a booting node's first deadline is that jitter alone (with -replicate)")
 	withPprof := fs.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	verbose := fs.Bool("v", false, "log scheduler activity to stderr")
 	shards := fs.Int("shards", 1, "region shards: partition the network into N regions, one scheduler each, behind an admission router (1 = single scheduler)")
@@ -192,7 +192,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	replicate := fs.String("replicate", "", "node ID: run as one member of a replicated cluster (requires -journal and -peers)")
 	peersFlag := fs.String("peers", "", "comma-separated id=url pairs naming every cluster node, this one included (with -replicate)")
 	replHeartbeat := fs.Duration("repl-heartbeat", 100*time.Millisecond, "leader heartbeat period (with -replicate)")
-	replElection := fs.Duration("repl-election-timeout", 0, "follower election timeout (0 = 10x heartbeat; with -replicate)")
+	replElection := fs.Duration("repl-election-timeout", 0, "follower election timeout, plus jitter; at boot the jitter alone (0 = 10x heartbeat; with -replicate)")
 	joinURL := fs.String("join", "", "base URL of any live cluster node: join its cluster as a new member instead of bootstrapping (with -replicate; -peers then only needs this node's own id=url)")
 	if err := fs.Parse(args); err != nil {
 		return err

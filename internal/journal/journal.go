@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -262,8 +263,8 @@ func (j *Journal) appendSpan(parent *obs.Span, typ string, data any, mode flushM
 	if !j.recovered {
 		return 0, fmt.Errorf("journal: Append before Recover")
 	}
-	rec := Record{Seq: j.seq + 1, Type: typ, Data: payload}
-	frame, err := encodeFrame(rec)
+	seq := j.seq + 1
+	frame, err := encodeFrame(seq, typ, payload)
 	if err != nil {
 		return 0, err
 	}
@@ -273,12 +274,12 @@ func (j *Journal) appendSpan(parent *obs.Span, typ string, data any, mode flushM
 		// snapshot boundary): recovery may have left tail records in an
 		// older segment, and naming the new file past them keeps every
 		// segment's range disjoint for the skip/prune logic.
-		if err := j.openSegment(rec.Seq); err != nil {
+		if err := j.openSegment(seq); err != nil {
 			return 0, err
 		}
 	}
 	if _, err := j.f.Write(frame); err != nil {
-		return 0, fmt.Errorf("journal: append seq %d: %w", rec.Seq, err)
+		return 0, fmt.Errorf("journal: append seq %d: %w", seq, err)
 	}
 	switch {
 	case mode == flushForce || (j.opt.Fsync == SyncAlways && mode == flushPolicy):
@@ -293,12 +294,12 @@ func (j *Journal) appendSpan(parent *obs.Span, typ string, data any, mode flushM
 		// that the next fsync covers.
 		j.dirty = true
 	}
-	j.seq = rec.Seq
+	j.seq = seq
 	j.sinceSnap++
 	if reg := j.opt.Metrics; reg != nil {
 		reg.Counter(metricAppends).Inc()
 	}
-	return rec.Seq, nil
+	return seq, nil
 }
 
 // Sync forces buffered records to stable storage.
@@ -359,7 +360,7 @@ func (j *Journal) WriteSnapshot(state any) error {
 		return fmt.Errorf("journal: WriteSnapshot before Recover")
 	}
 	seq := j.seq
-	frame, err := encodeFrame(Record{Seq: seq, Type: "snapshot", Data: payload})
+	frame, err := encodeFrame(seq, "snapshot", payload)
 	if err != nil {
 		return err
 	}
@@ -468,19 +469,27 @@ func parseName(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// encodeFrame renders one record as a length-prefixed, checksummed frame.
-func encodeFrame(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+// encodeFrame renders the record (seq, typ, data) as a length-prefixed,
+// checksummed frame. data must be json.Marshal output: it is already
+// valid, compact and HTML-escaped, so it is written as is, and the frame
+// is byte-identical to one framing json.Marshal(Record{seq, typ, data}).
+func encodeFrame(seq uint64, typ string, data []byte) ([]byte, error) {
+	quoted, err := json.Marshal(typ)
 	if err != nil {
-		return nil, fmt.Errorf("journal: marshal record: %w", err)
+		return nil, fmt.Errorf("journal: marshal record type: %w", err)
 	}
+	frame := make([]byte, frameHeader, frameHeader+len(`{"seq":,"type":,"data":}`)+20+len(quoted)+len(data))
+	frame = append(frame, `{"seq":`...)
+	frame = strconv.AppendUint(frame, seq, 10)
+	frame = append(append(frame, `,"type":`...), quoted...)
+	frame = append(append(frame, `,"data":`...), data...)
+	frame = append(frame, '}')
+	payload := frame[frameHeader:]
 	if len(payload) > maxFrame {
 		return nil, fmt.Errorf("journal: record of %d bytes exceeds frame limit", len(payload))
 	}
-	frame := make([]byte, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
 	return frame, nil
 }
 

@@ -489,3 +489,52 @@ func TestAppendDeferredLeavesTheFsyncToSync(t *testing.T) {
 		})
 	}
 }
+
+// TestEncodeFrameMatchesMarshal: encodeFrame writes a record's envelope
+// around its already-marshaled payload instead of marshaling the Record
+// again, so its frames must be byte-identical to framing
+// json.Marshal(Record): HTML characters, U+2028/U+2029, invalid UTF-8
+// and nested raw messages in the payload, and type tags that need
+// escaping.
+func TestEncodeFrameMatchesMarshal(t *testing.T) {
+	type inner struct {
+		Raw  json.RawMessage `json:"raw"`
+		List []any           `json:"list"`
+	}
+	datas := []any{
+		nil,
+		"<script>&amp;</script>",
+		"line\u2028sep\u2029para",
+		"bad utf-8: \xff\xfe",
+		map[string]any{"a<b": []any{1.5, "x>y", map[string]any{"&": nil}}, "z": true},
+		inner{Raw: json.RawMessage(` { "html" : "<&>" , "ls" : "\u2028" } `), List: []any{"q\"uote", `back\slash`, 0}},
+		json.RawMessage(`[1, 2, {"k": "<v>"}]`),
+		testOp{Op: "submit", N: 7},
+	}
+	types := []string{"batch", "snapshot", "replica-conf", "", "a<b>&c", `q"uote\`, "tab\there", "ünï", "\u2028", "bad\xff"}
+	for di, d := range datas {
+		payload, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, typ := range types {
+			for _, seq := range []uint64{0, 1, 1 << 40, ^uint64(0)} {
+				got, err := encodeFrame(seq, typ, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(Record{Seq: seq, Type: typ, Data: payload})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got[frameHeader:]) != string(want) {
+					t.Fatalf("data %d type %q seq %d:\n got %s\nwant %s", di, typ, seq, got[frameHeader:], want)
+				}
+				rec, ok := decodeFrame(got)
+				if !ok || rec.Seq != seq {
+					t.Fatalf("data %d type %q seq %d: frame does not decode (ok=%v seq=%d)", di, typ, seq, ok, rec.Seq)
+				}
+			}
+		}
+	}
+}

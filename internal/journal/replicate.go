@@ -131,7 +131,7 @@ func (j *Journal) InstallSnapshot(seq uint64, state any) error {
 	if err != nil {
 		return fmt.Errorf("journal: marshal snapshot: %w", err)
 	}
-	frame, err := encodeFrame(Record{Seq: seq, Type: "snapshot", Data: payload})
+	frame, err := encodeFrame(seq, "snapshot", payload)
 	if err != nil {
 		return err
 	}

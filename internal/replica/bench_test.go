@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -61,6 +62,53 @@ func BenchmarkAppendRPC(b *testing.B) {
 		if !resp.Success || resp.LastSeq != seq {
 			b.Fatalf("append %d refused: %+v", seq, resp)
 		}
+	}
+}
+
+// BenchmarkFollowerAppend is a follower's half of durable_repl3's
+// closed-loop stream: one single-entry AppendEntries per op, handled in
+// process, on top of an in-memory tail of the named length that no
+// snapshot cuts (the leader's commit stays at the tail's end, as behind
+// a slow quorum). Every 64 ops, off the clock, a new term overwrites the
+// entries past that end, so the tail stays within 64 of its length. The
+// op must cost the same at every tail length.
+func BenchmarkFollowerAppend(b *testing.B) {
+	for _, tail := range []uint64{256, 4096} {
+		b.Run(fmt.Sprintf("tail=%d", tail), func(b *testing.B) {
+			n := loneFollower(b)
+			data := json.RawMessage(`{"pad":"` + strings.Repeat("x", 670) + `"}`)
+			fill := &AppendRequest{Term: 1, LeaderID: "ldr", LeaderCommit: tail}
+			for seq := uint64(1); seq <= tail; seq++ {
+				fill.Entries = append(fill.Entries, Entry{Seq: seq, Term: 1, Data: data})
+			}
+			term, last, lastTerm := uint64(1), tail, uint64(1)
+			appendOne := func() {
+				resp, err := n.HandleAppendEntries(&AppendRequest{Term: term, LeaderID: "ldr",
+					PrevSeq: last, PrevTerm: lastTerm, LeaderCommit: tail,
+					Entries: []Entry{{Seq: last + 1, Term: term, Data: data}}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !resp.Success || resp.LastSeq != last+1 {
+					b.Fatalf("append %d refused: %+v", last+1, resp)
+				}
+				last, lastTerm = last+1, term
+			}
+			if _, err := n.HandleAppendEntries(fill); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%64 == 0 {
+					b.StopTimer()
+					term, last, lastTerm = term+1, tail, 1
+					appendOne() // truncates the previous term's entries
+					b.StartTimer()
+				}
+				appendOne()
+			}
+		})
 	}
 }
 

@@ -35,7 +35,8 @@ func (e *NotLeaderError) Error() string {
 
 // resetElectionLocked renews this node's view of the leadership lease:
 // nothing heard for a randomized [1x, 2x) election timeout means the
-// lease expired and an election starts.
+// lease expired and an election starts. (Start arms the first deadline
+// at the jitter alone.)
 func (n *Node) resetElectionLocked(now time.Time) {
 	n.lastHeard = now
 	n.rearmElectionLocked(now)

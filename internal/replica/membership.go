@@ -139,21 +139,17 @@ func (n *Node) transportForLocked(m Member) Transport {
 // point of truth after any event that moves the committed prefix or
 // rewrites the tail: commit advance, conflict truncation (which may ROLL
 // BACK an optimistically folded configuration), snapshot install, and
-// restart replay.
+// restart replay. It visits only the tail's configuration entries
+// (tailConfs), so a follower pays nothing per append for a long tail.
 func (n *Node) recomputeConfLocked() {
 	conf := n.snapConf
 	var next uint64
-	for i := range n.tail {
-		e := &n.tail[i]
-		if e.Conf == nil {
-			continue
-		}
-		if e.Seq <= n.commitIndex {
-			conf = *e.Conf
-		} else {
-			next = e.Seq
+	for _, seq := range n.tailConfs {
+		if seq > n.commitIndex {
+			next = seq
 			break
 		}
+		conf = *n.tail[seq-n.snapBase-1].Conf
 	}
 	n.nextConfSeq = next
 	if conf.Seq != n.conf.Seq {

@@ -394,3 +394,54 @@ func TestConfChangeInFlightRejected(t *testing.T) {
 	c.net.isolate(c.ids, lead.ID(), false)
 	<-done
 }
+
+// TestInstallReplacesTailConfigurations: a follower tracks the
+// configuration entries its tail holds, so the committed configuration
+// is re-derived without scanning the tail. A snapshot install replaces
+// the whole tail, those entries included: the configuration is then the
+// snapshot's, and a configuration entry shipped after it folds in on
+// commit like any other.
+func TestInstallReplacesTailConfigurations(t *testing.T) {
+	n := loneFollower(t)
+	members := func(ids ...string) []Member {
+		out := []Member{{ID: "follower", Voter: true}}
+		for _, id := range ids {
+			out = append(out, Member{ID: id, Voter: true})
+		}
+		return out
+	}
+	resp, err := n.HandleAppendEntries(&AppendRequest{Term: 1, LeaderID: "ldr", LeaderCommit: 2, Entries: []Entry{
+		{Seq: 1, Term: 1, Data: []byte(`"a"`)},
+		{Seq: 2, Term: 1, Conf: &Membership{Seq: 2, Members: members("ldr")}},
+	}})
+	if err != nil || !resp.Success {
+		t.Fatalf("append: %+v, %v", resp, err)
+	}
+	if st := n.Status(); st.ConfSeq != 2 {
+		t.Fatalf("committed configuration %d, want 2", st.ConfSeq)
+	}
+	ir, err := n.HandleInstallSnapshot(&InstallSnapshotRequest{Term: 1, LeaderID: "ldr", SnapSeq: 5, SnapTerm: 1,
+		SnapConf: Membership{Seq: 4, Members: members("ldr", "x")}, State: []byte(`{}`),
+		Entries: []Entry{{Seq: 6, Term: 1, Data: []byte(`"b"`)}}, LeaderCommit: 6})
+	if err != nil || !ir.Success {
+		t.Fatalf("install: %+v, %v", ir, err)
+	}
+	if st := n.Status(); st.ConfSeq != 4 || st.PendingConf {
+		t.Fatalf("after the install: configuration %d pending %v, want the snapshot's 4", st.ConfSeq, st.PendingConf)
+	}
+	resp, err = n.HandleAppendEntries(&AppendRequest{Term: 1, LeaderID: "ldr", PrevSeq: 6, PrevTerm: 1, LeaderCommit: 6,
+		Entries: []Entry{{Seq: 7, Term: 1, Conf: &Membership{Seq: 7, Members: members("ldr")}}}})
+	if err != nil || !resp.Success {
+		t.Fatalf("append after the install: %+v, %v", resp, err)
+	}
+	if st := n.Status(); st.ConfSeq != 4 || !st.PendingConf {
+		t.Fatalf("configuration %d pending %v, want 4 with 7 pending", st.ConfSeq, st.PendingConf)
+	}
+	resp, err = n.HandleAppendEntries(&AppendRequest{Term: 1, LeaderID: "ldr", PrevSeq: 7, PrevTerm: 1, LeaderCommit: 7})
+	if err != nil || !resp.Success {
+		t.Fatalf("commit heartbeat: %+v, %v", resp, err)
+	}
+	if st := n.Status(); st.ConfSeq != 7 || st.PendingConf || len(st.Members) != 2 {
+		t.Fatalf("configuration %d pending %v with %d members, want 7 committed with 2", st.ConfSeq, st.PendingConf, len(st.Members))
+	}
+}

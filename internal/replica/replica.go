@@ -242,11 +242,13 @@ type Node struct {
 	// newest snapshot, tail holds every entry after it (contiguous, so
 	// tail[i].Seq == snapBase+1+i). The tail serves catch-up streaming
 	// and term lookups without disk reads; the journal holds the same
-	// bytes durably.
-	snapBase uint64
-	snapTerm uint64
-	snapData []byte
-	tail     []Entry
+	// bytes durably. tailConfs lists the Seq of every configuration
+	// entry in the tail, ascending.
+	snapBase  uint64
+	snapTerm  uint64
+	snapData  []byte
+	tail      []Entry
+	tailConfs []uint64
 
 	// synced is the highest log index this node holds on stable storage
 	// under the journal's policy. It trails the log end only while a
@@ -380,7 +382,9 @@ func (n *Node) Start() error {
 			return fmt.Errorf("replica: entry %d carries seq %d", r.Seq, e.Seq)
 		}
 		n.tail = append(n.tail, e)
-		if !e.Nop && e.Conf == nil {
+		if e.Conf != nil {
+			n.tailConfs = append(n.tailConfs, e.Seq)
+		} else if !e.Nop {
 			datas = append(datas, e.Data)
 		}
 	}
@@ -411,7 +415,11 @@ func (n *Node) Start() error {
 	// local tail is optimistically treated as committed at restart; a
 	// conflict truncation later rolls the configuration back with it.
 	n.recomputeConfLocked()
+	// Boot: no leader is known to wait for, so the first deadline is the
+	// jitter alone; pre-vote stickiness refuses the canvass of a node
+	// restarting into a serving cluster. Every re-arm keeps the floor.
 	n.resetElectionLocked(time.Now())
+	n.electionDeadline = n.electionDeadline.Add(-n.cfg.ElectionTimeout)
 	n.observeStateLocked()
 	n.mu.Unlock()
 
@@ -621,8 +629,11 @@ func (n *Node) appendEntryLocked(e Entry, deferSync bool) error {
 	if !deferSync {
 		n.synced = e.Seq
 	}
-	if e.Conf != nil && n.nextConfSeq == 0 {
-		n.nextConfSeq = e.Seq
+	if e.Conf != nil {
+		n.tailConfs = append(n.tailConfs, e.Seq)
+		if n.nextConfSeq == 0 {
+			n.nextConfSeq = e.Seq
+		}
 	}
 	return nil
 }
@@ -837,7 +848,7 @@ func (n *Node) snapshotNow() error {
 		n.snapBase, n.snapTerm = last, term
 		n.snapConf = n.conf
 		n.snapData = append([]byte(nil), state...)
-		n.tail = nil
+		n.tail, n.tailConfs = nil, nil
 		n.nextConfSeq = 0
 		n.countSnapshot("cut")
 		return nil

@@ -32,10 +32,15 @@ func (tn *testNet) blocked(from, to string) bool {
 }
 
 func (tn *testNet) setCut(a, b string, cut bool) {
+	tn.setCutFrom(a, b, cut)
+	tn.setCutFrom(b, a, cut)
+}
+
+// setCutFrom cuts (or heals) only the calls from one node to another.
+func (tn *testNet) setCutFrom(from, to string, cut bool) {
 	tn.mu.Lock()
 	defer tn.mu.Unlock()
-	tn.cut[a+"->"+b] = cut
-	tn.cut[b+"->"+a] = cut
+	tn.cut[from+"->"+to] = cut
 }
 
 // isolate cuts id from every other node.
@@ -165,9 +170,21 @@ type cluster struct {
 	regs map[string]*obs.Registry
 
 	snapshotEvery int
+	// electionTimeout is every node's ElectionTimeout (60ms when zero).
+	electionTimeout time.Duration
 }
 
 func newCluster(t testing.TB, snapshotEvery int) *cluster {
+	t.Helper()
+	c := newIdleCluster(t, snapshotEvery)
+	for i, id := range c.ids {
+		c.startNode(id, int64(i+1))
+	}
+	return c
+}
+
+// newIdleCluster is newCluster with no node started yet.
+func newIdleCluster(t testing.TB, snapshotEvery int) *cluster {
 	t.Helper()
 	c := &cluster{
 		t:             t,
@@ -181,9 +198,6 @@ func newCluster(t testing.TB, snapshotEvery int) *cluster {
 	}
 	for _, id := range c.ids {
 		c.dirs[id] = t.TempDir()
-	}
-	for i, id := range c.ids {
-		c.startNode(id, int64(i+1))
 	}
 	t.Cleanup(c.stopAll)
 	return c
@@ -236,6 +250,10 @@ func (c *cluster) bootNode(id string, seed int64, peers map[string]Transport, jo
 	}
 	sm := &fakeSM{}
 	reg := obs.NewRegistry()
+	election := c.electionTimeout
+	if election == 0 {
+		election = 60 * time.Millisecond
+	}
 	n, err := New(Config{
 		ID:    id,
 		Peers: peers,
@@ -248,7 +266,7 @@ func (c *cluster) bootNode(id string, seed int64, peers map[string]Transport, jo
 		SM:              sm,
 		SnapshotEvery:   snapshotEvery,
 		Heartbeat:       5 * time.Millisecond,
-		ElectionTimeout: 60 * time.Millisecond,
+		ElectionTimeout: election,
 		RPCTimeout:      80 * time.Millisecond,
 		ProposeTimeout:  700 * time.Millisecond,
 		Metrics:         reg,

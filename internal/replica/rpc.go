@@ -167,8 +167,11 @@ func (n *Node) acceptEntriesLocked(prevSeq, prevTerm uint64, entries []Entry, le
 			if err := n.cfg.Journal.TruncateTo(e.Seq - 1); err != nil {
 				return nil, false, fmt.Errorf("replica: truncate divergent tail: %w", err)
 			}
-			n.tail = n.tail[:e.Seq-1-n.snapBase]
 			last = e.Seq - 1
+			n.tail = n.tail[:last-n.snapBase]
+			for k := len(n.tailConfs); k > 0 && n.tailConfs[k-1] > last; k-- {
+				n.tailConfs = n.tailConfs[:k-1]
+			}
 			n.synced = last // TruncateTo flushed the kept prefix
 			if n.commitIndex > last {
 				// Only possible when a restart optimistically treated the
@@ -294,7 +297,7 @@ func (n *Node) HandleInstallSnapshot(req *InstallSnapshotRequest) (*InstallSnaps
 		n.snapConf = req.SnapConf
 	}
 	n.snapData = append([]byte(nil), req.State...)
-	n.tail = nil
+	n.tail, n.tailConfs = nil, nil
 	n.nextConfSeq = 0
 	n.synced = req.SnapSeq
 	last := req.SnapSeq

@@ -11,9 +11,9 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22515
+max_lines=22535
 max_host_lines=3667
-max_replica_lines=2672
+max_replica_lines=2683
 max_obs_lines=1199
 max_flags=20
 max_options=5
