@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"sync"
 
 	"sparcle/internal/network"
 	"sparcle/internal/obs"
@@ -79,6 +79,7 @@ func (a Sparcle) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 	if err != nil {
 		return nil, err
 	}
+	defer st.release()
 	if a.Span != nil {
 		for i, ct := range st.placed {
 			a.Span.Event("pin", map[string]any{"step": int64(i), "ct": g.CT(ct).Name, "host": net.NCP(st.p.Host(ct)).Name})
@@ -137,6 +138,7 @@ func (o Ordered) Assign(g *taskgraph.Graph, pins placement.Pins, net *network.Ne
 	if err != nil {
 		return nil, err
 	}
+	defer st.release()
 	order := o.Order(g)
 	if len(order) != g.NumCTs() {
 		return nil, fmt.Errorf("assign: %s order covers %d of %d CTs", o.AlgName, len(order), g.NumCTs())
@@ -186,26 +188,11 @@ type state struct {
 	caps *network.Capacities
 	p    *placement.Placement
 
-	unplaced int              // CTs not yet placed
-	placed   []taskgraph.CTID // in placement order
+	unplaced int // CTs not yet placed
 
-	// view is the dense evaluation snapshot (residual capacities, loads,
-	// hosts); cache memoizes single-source widest-path trees against it.
-	view  *placement.EvalView
-	cache *widestCache
-	// scratch is the search memory of every route and tree.
-	scratch widestScratch
-	// changedLinks and route are scratch for the links a place() loads and
-	// the route it is committing, reused across placements.
-	changedLinks []network.LinkID
-	route        []network.LinkID
-	// Scratch of the ranking iterations, reused across them: the unplaced
-	// CTs in id order, their scores, the link terms of the CT being
-	// scored, and the frontier walk that collects those terms.
-	cts     []taskgraph.CTID
-	results []scored
-	terms   []linkTerm
-	walk    frontierWalk
+	// evalScratch holds every array the assignment evaluates in, taken
+	// from scratchPool and handed back by release.
+	*evalScratch
 
 	// noCache bypasses the tree memo (ablation benchmarks).
 	noCache bool
@@ -220,6 +207,33 @@ type state struct {
 	// Evaluation-core metrics; nil no-ops when no registry is attached.
 	mGamma *obs.Counter
 }
+
+// evalScratch is an assignment's working memory. Assignments recycle it
+// through scratchPool, so an admission on a network the pool has seen
+// allocates none of it; concurrent assignments each take their own.
+type evalScratch struct {
+	placed []taskgraph.CTID // in placement order
+
+	// view is the dense evaluation snapshot (residual capacities, loads,
+	// hosts); cache memoizes single-source widest-path trees against it.
+	view  placement.EvalView
+	cache widestCache
+	// scratch is the search memory of every route and tree.
+	scratch widestScratch
+	// changedLinks and route are scratch for the links a place() loads and
+	// the route it is committing, reused across placements.
+	changedLinks []network.LinkID
+	route        []network.LinkID
+	// Scratch of the ranking iterations, reused across them: the unplaced
+	// CTs in id order, their scores, the link terms of the CT being
+	// scored, and the frontier walk that collects those terms.
+	cts     []taskgraph.CTID
+	results []scored
+	terms   []linkTerm
+	walk    frontierWalk
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 func newState(g *taskgraph.Graph, pins placement.Pins, net *network.Network, caps *network.Capacities) (*state, error) {
 	return newStateCfg(g, pins, net, caps, stateConfig{})
@@ -236,36 +250,48 @@ func newStateCfg(g *taskgraph.Graph, pins placement.Pins, net *network.Network, 
 			return nil, fmt.Errorf("assign: sink CT %q (%d) has no pinned host", g.CT(snk).Name, snk)
 		}
 	}
-	view := placement.NewEvalView(g, net, caps)
+	sc := scratchPool.Get().(*evalScratch)
+	sc.placed = sc.placed[:0]
+	placement.NewEvalView(&sc.view, g, net, caps)
+	sc.cache.reset(g, net, caps, sc.view.LoadLink)
+	sc.cache.hits = cfg.metrics.Counter(metricWidestHits)
+	sc.cache.misses = cfg.metrics.Counter(metricWidestMisses)
 	st := &state{
-		g:         g,
-		net:       net,
-		caps:      caps,
-		p:         placement.New(g, net),
-		unplaced:  g.NumCTs(),
-		view:      view,
-		cache:     newWidestCache(g, net, caps, view.LoadLink),
-		noCache:   cfg.noCache,
-		literalNu: cfg.literalNu,
-		span:      cfg.span,
-		results:   make([]scored, 0, g.NumCTs()),
-		mGamma:    cfg.metrics.Counter(metricGammaEvals),
+		g:           g,
+		net:         net,
+		caps:        caps,
+		p:           placement.New(g, net),
+		unplaced:    g.NumCTs(),
+		evalScratch: sc,
+		noCache:     cfg.noCache,
+		literalNu:   cfg.literalNu,
+		span:        cfg.span,
+		mGamma:      cfg.metrics.Counter(metricGammaEvals),
 	}
-	st.cache.hits = cfg.metrics.Counter(metricWidestHits)
-	st.cache.misses = cfg.metrics.Counter(metricWidestMisses)
 	// Place pinned CTs first (Algorithm 2 lines 3-5), in id order for
 	// determinism, routing TTs between pinned pairs as they close.
 	pinned := make([]taskgraph.CTID, 0, len(pins))
 	for ct := range pins {
 		pinned = append(pinned, ct)
 	}
-	sort.Slice(pinned, func(i, j int) bool { return pinned[i] < pinned[j] })
+	slices.Sort(pinned)
 	for _, ct := range pinned {
 		if err := st.place(ct, pins[ct]); err != nil {
+			st.release()
 			return nil, err
 		}
 	}
 	return st, nil
+}
+
+// release hands st's scratch back to scratchPool, dropping its references
+// to this assignment's inputs. st must not be used afterwards.
+func (st *state) release() {
+	sc := st.evalScratch
+	st.evalScratch = nil
+	sc.view.CapLink = nil
+	sc.cache.net, sc.cache.caps, sc.cache.hits, sc.cache.misses = nil, nil, nil, nil
+	scratchPool.Put(sc)
 }
 
 // place commits CT ct to host and routes every TT between ct and an

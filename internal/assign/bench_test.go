@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,6 +74,7 @@ func BenchmarkDynamicRank(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				st.release()
 			}
 		}
 		b.Run(c.name+"/uncached", func(b *testing.B) { run(b, stateConfig{noCache: true}) })
@@ -161,23 +163,58 @@ func BenchmarkRateWith(b *testing.B) {
 }
 
 // BenchmarkWidestTree compares one full single-source tree build against
-// the per-pair searches it amortizes (source to every other NCP), on the
-// large random-DAG case's network and on the 64-NCP full mesh.
+// the per-pair searches it amortizes (source to every other NCP), and
+// reports the NCPs a tree build expands (pops/tree). A tree stops once
+// every NCP holds the width just popped, so the cases differ in how many
+// NCPs share the widest residual width: "large" is the random-DAG case's
+// network; "mesh64" the idle 64-NCP full mesh, where every NCP does;
+// "mesh64-loaded" that mesh with a pipeline's worth of links loaded, as
+// the place_bound workload's trees see it; and "mesh64-hetero" a 64-NCP
+// full mesh with link bandwidths spread 500-1500, where hardly any share
+// and the stop rarely fires.
 func BenchmarkWidestTree(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		net  *network.Network
-	}{
-		{"large", benchLarge(b).Net},
-		{"mesh64", goldenMesh64(b)},
+	type treeCase struct {
+		name  string
+		net   *network.Network
+		loads []float64
+	}
+	idle := func(name string, net *network.Network) treeCase {
+		return treeCase{name, net, make([]float64, net.NumLinks())}
+	}
+	mesh := goldenMesh64(b)
+	loaded := idle("mesh64-loaded", mesh)
+	rng := rand.New(rand.NewSource(4))
+	for _, l := range rng.Perm(mesh.NumLinks())[:6] {
+		loaded.loads[l] = 20 + 980*rng.Float64()
+	}
+	for _, a := range mesh.OutArcs(0)[:2] {
+		loaded.loads[a.Link] = 20 + 980*rng.Float64()
+	}
+	hb := network.NewBuilder("hetero64")
+	for i := 0; i < 64; i++ {
+		hb.AddNCP(fmt.Sprintf("n%d", i), resource.Vector{resource.CPU: 3000}, 0)
+	}
+	for i := 0; i < 64; i++ {
+		for j := i + 1; j < 64; j++ {
+			hb.AddLink("l", network.NCPID(i), network.NCPID(j), 500+1000*rng.Float64(), 0)
+		}
+	}
+	hetero, err := hb.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []treeCase{
+		idle("large", benchLarge(b).Net),
+		idle("mesh64", mesh),
+		loaded,
+		idle("mesh64-hetero", hetero),
 	} {
 		caps := c.net.BaseCapacities()
-		loads := make([]float64, c.net.NumLinks())
 		b.Run(c.name+"/per-pair-all-targets", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for v := 1; v < c.net.NumNCPs(); v++ {
-					if _, _, ok := WidestPath(c.net, caps, loads, 10, 0, network.NCPID(v)); !ok {
+					if _, _, ok := WidestPath(c.net, caps, c.loads, 10, 0, network.NCPID(v)); !ok {
 						b.Fatal("unreachable")
 					}
 				}
@@ -187,9 +224,11 @@ func BenchmarkWidestTree(b *testing.B) {
 			b.ReportAllocs()
 			var s widestScratch
 			var t widestTree
+			pops := 0
 			for i := 0; i < b.N; i++ {
-				s.tree(c.net, caps, loads, 10, 0, false, &t)
+				pops += s.tree(c.net, caps, c.loads, 10, 0, false, &t)
 			}
+			b.ReportMetric(float64(pops)/float64(b.N), "pops/tree")
 		})
 	}
 }

@@ -12,30 +12,55 @@ import (
 	"sparcle/internal/taskgraph"
 )
 
-// randomInstance builds a random connected network plus a random layered
-// application for property testing.
-func randomInstance(t *testing.T, rng *rand.Rand) (*taskgraph.Graph, placement.Pins, *network.Network) {
+// randomInstance builds a random connected network, residual capacities
+// for it and a random layered application for property testing. A third
+// of the networks are full meshes of 6-16 NCPs whose links share one
+// bandwidth, with one to three links pre-loaded (their residual cut), so
+// that most NCPs tie on the widest residual width and tree searches stop
+// early; the rest are rings with random chords and bandwidths, at full
+// capacity.
+func randomInstance(t *testing.T, rng *rand.Rand) (*taskgraph.Graph, placement.Pins, *network.Network, *network.Capacities) {
 	t.Helper()
+	mesh := rng.Intn(3) == 0
 	n := 4 + rng.Intn(5)
+	if mesh {
+		n = 6 + rng.Intn(11)
+	}
 	nb := network.NewBuilder("prop")
 	ids := make([]network.NCPID, n)
 	for i := range ids {
 		ids[i] = nb.AddNCP(fmt.Sprintf("n%d", i), resource.Vector{resource.CPU: 20 + rng.Float64()*100}, 0)
 	}
-	// Ring for connectivity plus random chords.
 	for i := 0; i < n; i++ {
-		nb.AddLink("l", ids[i], ids[(i+1)%n], 10+rng.Float64()*100, 0)
+		for j := i + 1; j < n; j++ {
+			switch {
+			case mesh:
+				nb.AddLink("m", ids[i], ids[j], 100, 0)
+			case j == i+1:
+				nb.AddLink("l", ids[i], ids[j], 10+rng.Float64()*100, 0)
+			}
+		}
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 2; j < n; j++ {
-			if rng.Float64() < 0.2 {
-				nb.AddLink("c", ids[i], ids[j], 10+rng.Float64()*100, 0)
+	if !mesh {
+		// Close the ring, then add random chords.
+		nb.AddLink("l", ids[n-1], ids[0], 10+rng.Float64()*100, 0)
+		for i := 0; i < n; i++ {
+			for j := i + 2; j < n; j++ {
+				if rng.Float64() < 0.2 {
+					nb.AddLink("c", ids[i], ids[j], 10+rng.Float64()*100, 0)
+				}
 			}
 		}
 	}
 	net, err := nb.Build()
 	if err != nil {
 		t.Fatal(err)
+	}
+	caps := net.BaseCapacities()
+	if mesh {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			caps.Link[rng.Intn(net.NumLinks())] *= rng.Float64()
+		}
 	}
 	g, err := taskgraph.RandomLayered("prop", taskgraph.RandomConfig{
 		Layers:   1 + rng.Intn(3),
@@ -54,7 +79,7 @@ func randomInstance(t *testing.T, rng *rand.Rand) (*taskgraph.Graph, placement.P
 		g.Sources()[0]: ids[rng.Intn(n)],
 		g.Sinks()[0]:   ids[rng.Intn(n)],
 	}
-	return g, pins, net
+	return g, pins, net, caps
 }
 
 // TestPropertyPlacementsValid: on random instances, every algorithm built
@@ -63,8 +88,7 @@ func randomInstance(t *testing.T, rng *rand.Rand) (*taskgraph.Graph, placement.P
 func TestPropertyPlacementsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 60; trial++ {
-		g, pins, net := randomInstance(t, rng)
-		caps := net.BaseCapacities()
+		g, pins, net, caps := randomInstance(t, rng)
 		for _, alg := range []placement.Algorithm{
 			Sparcle{},
 			Sparcle{LiteralNu: true},
@@ -98,8 +122,7 @@ func TestPropertyPlacementsValid(t *testing.T) {
 func TestPropertyDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 20; trial++ {
-		g, pins, net := randomInstance(t, rng)
-		caps := net.BaseCapacities()
+		g, pins, net, caps := randomInstance(t, rng)
 		a, err := Sparcle{}.Assign(g, pins, net, caps)
 		if err != nil {
 			t.Fatal(err)
@@ -134,8 +157,7 @@ func TestPropertyDeterministic(t *testing.T) {
 func TestPropertyMultiPathFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 40; trial++ {
-		g, pins, net := randomInstance(t, rng)
-		caps := net.BaseCapacities()
+		g, pins, net, caps := randomInstance(t, rng)
 		paths, residual, err := MultiPath(Sparcle{}, g, pins, net, caps, 4)
 		if err != nil {
 			continue // some instances have no positive-rate path
@@ -161,8 +183,8 @@ func TestPropertyMultiPathFeasible(t *testing.T) {
 func TestPropertyFrontierSubsetOfReachable(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
-		g, pins, net := randomInstance(t, rng)
-		st, err := newState(g, pins, net, net.BaseCapacities())
+		g, pins, net, caps := randomInstance(t, rng)
+		st, err := newState(g, pins, net, caps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,12 +215,12 @@ func TestPropertyFrontierSubsetOfReachable(t *testing.T) {
 
 // TestPropertyCacheIdentical: the widest-path tree memo never changes a
 // result — a cache-disabled run (every bottleneck from a fresh per-pair
-// search) places identically, γ for γ.
+// search) places identically, γ for γ. The mesh instances, with most
+// links equally wide, are where tree searches stop early.
 func TestPropertyCacheIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 25; trial++ {
-		g, pins, net := randomInstance(t, rng)
-		caps := net.BaseCapacities()
+	for trial := 0; trial < 40; trial++ {
+		g, pins, net, caps := randomInstance(t, rng)
 		_, cached, _, err := tracedAssign(t, Sparcle{}, g, pins, net, caps)
 		if err != nil {
 			t.Fatal(err)

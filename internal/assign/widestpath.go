@@ -69,16 +69,18 @@ type widestNode struct {
 // time: the assignment state holds one.
 type widestScratch struct {
 	nodes []widestNode
-	pq    widestQueue
+	// prev[v] is a tree search's predecessor link of NCP v, -1 if none.
+	prev []network.LinkID
+	pq   widestQueue
 }
 
 // search runs Algorithm 1's relaxation from `from` on fresh nodes, along
 // the arcs leaving each NCP or, reversed, entering it (phi is then the
 // bottleneck to `from`): maximize the bottleneck, tie-break toward fewer
-// hops. It stops once `to` is settled (-1: never, as for a tree) and
-// returns the number of successful relaxations. Which of several equally
-// wide, equally short paths a route takes is decided by the pop order of
-// equal keys, so widestQueue sifts exactly as container/heap does.
+// hops. It stops once `to` is settled (-1: never) and returns the number
+// of successful relaxations. Which of several equally wide, equally short
+// paths a route takes is decided by the pop order of equal keys, so
+// widestQueue sifts exactly as container/heap does.
 //
 // An arc whose head already holds v's bottleneck at no more hops is
 // skipped before its link is read. The relaxed value min(pv, w) never

@@ -3,6 +3,7 @@ package assign
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -134,34 +135,35 @@ func randomPruneCase(t *testing.T, rng *rand.Rand, trial int) pruneCase {
 // and the unpruned reference settle the same nodes with the same
 // bottlenecks, predecessor links and hop counts after the same number of
 // relaxations, from every source, to exhaustion and to each target, in
-// both directions. Trees (phi and edges) and routes (links, bottleneck,
-// relaxations) built from them are therefore identical.
+// both directions, so routes (links, bottleneck, relaxations) built from
+// them are identical. A tree's values-only search reproduces the
+// reference's phi bit for bit, and its edges form a tree that carries
+// them: every reached NCP's predecessor link is a tree edge and no other
+// link is, phi[v] == min(phi[parent], weight) bitwise, and the chain of
+// parents reaches the root.
 func TestWidestSearchPruneMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	var pruned, ref widestScratch
-	var got, want widestTree
+	var got widestTree
 	for trial := 0; trial < 120; trial++ {
 		c := randomPruneCase(t, rng, trial)
 		n := c.net.NumNCPs()
 		for _, bits := range []float64{0, 1, 10, 10 + rng.Float64()} {
 			for from := network.NCPID(0); int(from) < n; from++ {
 				for _, reversed := range []bool{false, true} {
-					// Trees: the search run to exhaustion.
+					// Trees: values against the reference run to exhaustion.
 					pruned.tree(c.net, c.caps, c.loads, bits, from, reversed, &got)
 					wantRel := ref.searchUnpruned(c.net, c.caps, c.loads, bits, from, -1, reversed)
-					want.fill(ref.nodes, c.net.NumLinks())
-					gotRel := pruned.search(c.net, c.caps, c.loads, bits, from, -1, reversed)
 					where := fmt.Sprintf("%s, bits %v, from %d, reversed %v", c.name, bits, from, reversed)
-					if gotRel != wantRel {
-						t.Fatalf("%s: tree relaxations %d, reference %d", where, gotRel, wantRel)
-					}
-					for v := range want.phi {
-						if math.Float64bits(got.phi[v]) != math.Float64bits(want.phi[v]) {
-							t.Fatalf("%s: tree phi[%d] = %v, reference %v", where, v, got.phi[v], want.phi[v])
+					for v, nd := range ref.nodes {
+						if math.Float64bits(got.phi[v]) != math.Float64bits(nd.phi) {
+							t.Fatalf("%s: tree phi[%d] = %v, reference %v", where, v, got.phi[v], nd.phi)
 						}
 					}
-					if !slices.Equal(got.edges, want.edges) {
-						t.Fatalf("%s: tree edges %x, reference %x", where, got.edges, want.edges)
+					checkTreeEdges(t, where, c, bits, from, pruned.prev, &got)
+					gotRel := pruned.search(c.net, c.caps, c.loads, bits, from, -1, reversed)
+					if gotRel != wantRel || !equalNodes(pruned.nodes, ref.nodes) {
+						t.Fatalf("%s: exhaustive search state differs (relaxations %d, reference %d)", where, gotRel, wantRel)
 					}
 					// Early-stopping searches: every node's state matches.
 					to := network.NCPID(rng.Intn(n))
@@ -186,6 +188,49 @@ func TestWidestSearchPruneMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkTreeEdges holds tree t, built from `from` with predecessor links
+// prev, to a tree that realizes its phi values: each reached NCP but the
+// root has a predecessor link, that link is a tree edge, its head's phi
+// is the min of its tail's phi and its weight bit for bit, the chain of
+// tails reaches the root within n steps, and no other link is an edge.
+func checkTreeEdges(t *testing.T, where string, c pruneCase, size float64, from network.NCPID, prev []network.LinkID, tr *widestTree) {
+	t.Helper()
+	n := c.net.NumNCPs()
+	edges := 0
+	for _, w := range tr.edges {
+		edges += bits.OnesCount64(w)
+	}
+	reached := 0
+	for v := network.NCPID(0); int(v) < n; v++ {
+		l := prev[v]
+		if v == from || math.IsInf(tr.phi[v], -1) {
+			if l >= 0 {
+				t.Fatalf("%s: NCP %d (phi %v) has predecessor link %d", where, v, tr.phi[v], l)
+			}
+			continue
+		}
+		reached++
+		if l < 0 || tr.edges[l/64]&(1<<(l%64)) == 0 {
+			t.Fatalf("%s: NCP %d's predecessor link %d is not a tree edge", where, v, l)
+		}
+		parent := c.net.Other(l, v)
+		want := min(tr.phi[parent], linkWeight(c.caps.Link[l], c.loads[l], size))
+		if math.Float64bits(tr.phi[v]) != math.Float64bits(want) {
+			t.Fatalf("%s: phi[%d] = %v, min(phi[parent %d], weight of link %d) = %v", where, v, tr.phi[v], parent, l, want)
+		}
+		u := v
+		for steps := 0; u != from; steps++ {
+			if steps == n || prev[u] < 0 {
+				t.Fatalf("%s: NCP %d's chain of predecessors does not reach root %d", where, v, from)
+			}
+			u = c.net.Other(prev[u], u)
+		}
+	}
+	if edges != reached {
+		t.Fatalf("%s: %d tree edges for %d reached NCPs", where, edges, reached)
 	}
 }
 

@@ -11,12 +11,10 @@ import (
 
 // widestTree is the single-source widest-path tree from one NCP for one
 // TT size: phi[v] is the best achievable bottleneck C_l/(bits+load_l)
-// from the source to every NCP v (−Inf when unreachable), computed by the
-// exact relaxation rule of Algorithm 1, run to exhaustion instead of
-// stopping at a single target. One tree therefore answers every
-// (source, target) widest-path *value* query for that (source, bits)
-// pair — which is all γ evaluation needs; committed routes still run the
-// route-reconstructing per-pair search.
+// from the source to every NCP v (−Inf when unreachable). One tree
+// therefore answers every (source, target) widest-path *value* query for
+// that (source, bits) pair — which is all γ evaluation needs; committed
+// routes still run the route-reconstructing per-pair search.
 //
 // γ evaluation roots trees at the *placed* end of each link term: one
 // tree then serves the entire candidate-host scan of an iteration, and
@@ -36,28 +34,67 @@ type widestTree struct {
 	edges []uint64
 }
 
-// tree runs the search from `from` to exhaustion on s, along the links
+// tree computes the widest-path values from `from` along the links
 // leaving each NCP or, reversed, along those entering it (phi[v] is then
-// the bottleneck from v to `from`), and records the result in t, reusing
-// t's arrays. It is the same search a route runs, so for every target the
-// tree's phi equals the per-pair search's bottleneck bit for bit.
-func (s *widestScratch) tree(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from network.NCPID, reversed bool, t *widestTree) {
-	s.search(net, caps, linkLoad, bits, from, -1, reversed)
-	t.fill(s.nodes, net.NumLinks())
-}
-
-// fill records the bottlenecks and predecessor links of a finished search
-// in t, reusing t's arrays.
-func (t *widestTree) fill(nodes []widestNode, numLinks int) {
-	t.phi = slices.Grow(t.phi[:0], len(nodes))[:len(nodes)]
-	t.edges = slices.Grow(t.edges[:0], (numLinks+63)/64)[:(numLinks+63)/64]
+// the bottleneck from v to `from`), and records them and the tree edges
+// in t, reusing t's arrays. It returns the number of NCPs it expanded.
+//
+// Unlike a route's search it computes values only: it pops on phi alone
+// and keeps no done flag — a popped item below its NCP's phi is
+// superseded, and an arc whose head already holds the popped value pv is
+// skipped, since min(pv, w) cannot raise it. Pops come in non-increasing
+// phi, so once every NCP holds at least pv nothing can change and the
+// search stops. It looks for that only after an expansion that scanned
+// at least n−1 arcs and left no head below pv, so the pass costs no more
+// than the scan before it; on a mesh whose links share one width it
+// stops after the second pop. The values are the route search's bit for
+// bit (the same weights combined by min and max), and each recorded
+// predecessor link realizes its head's phi from an expanded tail.
+func (s *widestScratch) tree(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from network.NCPID, reversed bool, t *widestTree) (pops int) {
+	n := net.NumNCPs()
+	phi := slices.Grow(t.phi[:0], n)[:n]
+	prev := slices.Grow(s.prev[:0], n)[:n]
+	for v := range phi {
+		phi[v], prev[v] = math.Inf(-1), -1
+	}
+	t.phi, s.prev, s.pq = phi, prev, s.pq[:0]
+	phi[from] = math.Inf(1)
+	s.pq.push(widestItem{ncp: int32(from), phi: math.Inf(1)})
+	for len(s.pq) > 0 {
+		it := s.pq.pop()
+		v, pv := network.NCPID(it.ncp), it.phi
+		if pv < phi[v] {
+			continue
+		}
+		pops++
+		arcs := net.OutArcs(v)
+		if reversed {
+			arcs = net.InArcs(v)
+		}
+		settled := true
+		for _, a := range arcs {
+			if phi[a.To] >= pv {
+				continue
+			}
+			if b := min(pv, linkWeight(caps.Link[a.Link], linkLoad[a.Link], bits)); b > phi[a.To] {
+				phi[a.To], prev[a.To] = b, a.Link
+				s.pq.push(widestItem{ncp: int32(a.To), phi: b})
+			}
+			settled = settled && phi[a.To] >= pv
+		}
+		if settled && len(arcs) >= n-1 && !slices.ContainsFunc(phi, func(p float64) bool { return p < pv }) {
+			break
+		}
+	}
+	words := (net.NumLinks() + 63) / 64
+	t.edges = slices.Grow(t.edges[:0], words)[:words]
 	clear(t.edges)
-	for v, nd := range nodes {
-		t.phi[v] = nd.phi
-		if l := nd.prevLink; l >= 0 {
+	for _, l := range prev {
+		if l >= 0 {
 			t.edges[l/64] |= 1 << (l % 64)
 		}
 	}
+	return pops
 }
 
 // bottleneck returns the widest-path bottleneck from the tree's source to
@@ -72,7 +109,7 @@ func (t *widestTree) bottleneck(to network.NCPID) (float64, bool) {
 // TT size, direction) for the current state of the link loads.
 //
 // The slots are a dense array: the application's distinct TT sizes are
-// interned when the cache is built, so a key is (size index, direction,
+// interned when the cache is reset, so a key is (size index, direction,
 // root) and a lookup hashes nothing.
 //
 // Invalidation (mutation layer only, between scoring phases): committing a
@@ -93,23 +130,27 @@ type widestCache struct {
 	bits   []float64
 	ttBits []int
 	// entries[bits index*NumNCPs + root] are the forward trees; the
-	// reversed ones follow, only on a network with directed links. nil is
-	// never built.
-	entries []*widestEntry
+	// reversed ones follow, only on a network with directed links.
+	entries []widestEntry
 
 	// hits/misses are the obs counters (nil-safe no-ops by default).
 	hits, misses *obs.Counter
 }
 
-// widestEntry is one cache slot's tree. An invalidated tree is stale and
-// is rebuilt in its own arrays on its next lookup.
+// widestEntry is one cache slot. Its tree is current only while current
+// is set: a slot not yet built in this assignment, or invalidated since,
+// is rebuilt in its own arrays — kept from earlier assignments — on its
+// next lookup.
 type widestEntry struct {
-	tree  widestTree
-	stale bool
+	tree    widestTree
+	current bool
 }
 
-func newWidestCache(g *taskgraph.Graph, net *network.Network, caps *network.Capacities, linkLoad []float64) *widestCache {
-	c := &widestCache{net: net, caps: caps, linkLoad: linkLoad}
+// reset readies c for an assignment of g on net against caps, with link
+// loads linkLoad: no tree is current, and every array is reused.
+func (c *widestCache) reset(g *taskgraph.Graph, net *network.Network, caps *network.Capacities, linkLoad []float64) {
+	c.net, c.caps, c.linkLoad = net, caps, linkLoad
+	c.bits, c.ttBits = c.bits[:0], c.ttBits[:0]
 	for tt := 0; tt < g.NumTTs(); tt++ {
 		b := g.TT(taskgraph.TTID(tt)).Bits
 		i := slices.Index(c.bits, b)
@@ -123,8 +164,10 @@ func newWidestCache(g *taskgraph.Graph, net *network.Network, caps *network.Capa
 	if !net.Symmetric() {
 		n *= 2
 	}
-	c.entries = make([]*widestEntry, n)
-	return c
+	c.entries = slices.Grow(c.entries[:0], n)[:n]
+	for i := range c.entries {
+		c.entries[i].current = false
+	}
 }
 
 // tree returns the memoized widest-path tree for (from, c.bits[bits],
@@ -137,18 +180,14 @@ func (c *widestCache) tree(from network.NCPID, bits int, reversed bool, s *wides
 	if reversed {
 		i += len(c.bits) * c.net.NumNCPs()
 	}
-	e := c.entries[i]
-	switch {
-	case e == nil:
-		e = new(widestEntry)
-		c.entries[i] = e
-	case !e.stale:
+	e := &c.entries[i]
+	if e.current {
 		c.hits.Inc()
 		return &e.tree
 	}
 	c.misses.Inc()
 	s.tree(c.net, c.caps, c.linkLoad, c.bits[bits], from, reversed, &e.tree)
-	e.stale = false
+	e.current = true
 	return &e.tree
 }
 
@@ -158,13 +197,14 @@ func (c *widestCache) invalidate(changed []network.LinkID) {
 	if len(changed) == 0 {
 		return
 	}
-	for _, e := range c.entries {
-		if e == nil || e.stale {
+	for i := range c.entries {
+		e := &c.entries[i]
+		if !e.current {
 			continue
 		}
 		for _, l := range changed {
 			if e.tree.edges[l/64]&(1<<(l%64)) != 0 {
-				e.stale = true
+				e.current = false
 				break
 			}
 		}

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"slices"
+
 	"sparcle/internal/network"
 	"sparcle/internal/resource"
 	"sparcle/internal/taskgraph"
@@ -38,30 +40,40 @@ type EvalView struct {
 	LoadLink []float64
 	// Host[ct] is the NCP hosting ct, -1 while unplaced.
 	Host []network.NCPID
+
+	// rows backs the dense rows of Req, CapNCP and LoadNCP.
+	rows []float64
 }
 
-// NewEvalView builds the evaluation snapshot for one assignment of g on
-// net against residual capacities caps: it interns the kind universe
-// (capacity kinds first, then requirement kinds), densifies capacities and
-// requirements once, and starts with empty loads and no hosts. Every dense
-// row is carved from one backing array.
-func NewEvalView(g *taskgraph.Graph, net *network.Network, caps *network.Capacities) *EvalView {
-	in := resource.NewInterner()
+// NewEvalView builds into v the evaluation snapshot for one assignment of
+// g on net against residual capacities caps, and returns v: it interns
+// the kind universe (capacity kinds first, then requirement kinds),
+// densifies capacities and requirements once, and starts with empty
+// loads and no hosts. Every array is v's own from its previous snapshot,
+// grown when too short (a zero EvalView grows them all), and every dense
+// row is carved from one backing array, so a view reused across
+// assignments of a network allocates nothing once it has grown.
+func NewEvalView(v *EvalView, g *taskgraph.Graph, net *network.Network, caps *network.Capacities) *EvalView {
+	if v.In == nil {
+		v.In = resource.NewInterner()
+	}
+	in := v.In
+	in.Reset()
 	net.InternKinds(in)
 	for ct := 0; ct < g.NumCTs(); ct++ {
 		in.InternVector(g.CT(taskgraph.CTID(ct)).Req)
 	}
-	v := &EvalView{
-		In:       in,
-		Req:      make([]resource.Dense, g.NumCTs()),
-		CapNCP:   make([]resource.Dense, len(caps.NCP)),
-		LoadNCP:  make([]resource.Dense, net.NumNCPs()),
-		CapLink:  caps.Link,
-		LoadLink: make([]float64, net.NumLinks()),
-		Host:     make([]network.NCPID, g.NumCTs()),
-	}
+	v.Req = resize(v.Req, g.NumCTs())
+	v.CapNCP = resize(v.CapNCP, len(caps.NCP))
+	v.LoadNCP = resize(v.LoadNCP, net.NumNCPs())
+	v.CapLink = caps.Link
+	v.LoadLink = resize(v.LoadLink, net.NumLinks())
+	clear(v.LoadLink)
+	v.Host = resize(v.Host, g.NumCTs())
 	k := in.Len()
-	buf := make([]float64, (len(v.Req)+len(v.CapNCP)+len(v.LoadNCP))*k)
+	v.rows = resize(v.rows, (len(v.Req)+len(v.CapNCP)+len(v.LoadNCP))*k)
+	clear(v.rows)
+	buf := v.rows
 	row := func() resource.Dense {
 		r := resource.Dense(buf[:k:k])
 		buf = buf[k:]
@@ -80,6 +92,12 @@ func NewEvalView(g *taskgraph.Graph, net *network.Network, caps *network.Capacit
 		v.Host[ct] = -1
 	}
 	return v
+}
+
+// resize returns s resliced to n elements, reallocated only when its
+// capacity is short; the elements keep whatever they held.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // RateWith returns the bottleneck service rate NCP host offers to its

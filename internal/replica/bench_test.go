@@ -149,6 +149,6 @@ func loneFollower(tb testing.TB) *Node {
 	if err := n.Start(); err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(n.Stop) // runs before the journal's close
+	tb.Cleanup(func() { stopWithin(tb, "follower", n.Stop) }) // runs before the journal's close
 	return n
 }

@@ -307,7 +307,29 @@ func (c *cluster) stopNode(id string) {
 
 func (c *cluster) stopAll() {
 	for _, id := range c.ids {
-		c.stopNode(id)
+		stopWithin(c.t, "node "+id, func() { c.stopNode(id) })
+	}
+}
+
+// stopTimeout bounds how long a test cleanup waits for a node to stop.
+const stopTimeout = 5 * time.Second
+
+// stopWithin runs stop, a cleanup's stop of what, and waits for it at
+// most stopTimeout. When the test goroutine panics inside a node handler
+// that holds the node's lock, testing runs the cleanups before it prints
+// the panic, and a stop then blocks on that lock for good: reporting the
+// stuck node and returning lets the panic reach the output within
+// seconds instead of the package timeout's goroutine dump.
+func stopWithin(tb testing.TB, what string, stop func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		stop()
+	}()
+	select {
+	case <-done:
+	case <-time.After(stopTimeout):
+		tb.Errorf("%s did not stop within %v: a handler panicked holding its lock?", what, stopTimeout)
 	}
 }
 

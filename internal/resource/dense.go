@@ -22,6 +22,12 @@ func NewInterner() *Interner {
 	return &Interner{index: map[Kind]int{}}
 }
 
+// Reset empties the interner for a new universe, keeping its memory.
+func (in *Interner) Reset() {
+	in.kinds = in.kinds[:0]
+	clear(in.index)
+}
+
 // Intern returns the dense index of k, assigning the next free index on
 // first use.
 func (in *Interner) Intern(k Kind) int {

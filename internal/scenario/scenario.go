@@ -131,61 +131,73 @@ func (f *File) Validate() error {
 }
 
 // checkQuantity rejects NaN, infinite and negative values.
-func checkQuantity(what string, v float64) error {
+func checkQuantity(v float64, format string, parts ...string) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return fmt.Errorf("scenario: %s is %v, want a finite non-negative number", what, v)
+		return fmt.Errorf("scenario: %s is %v, want a finite non-negative number", label(format, parts), v)
 	}
 	return nil
 }
 
-// checkProbability rejects values outside [0, 1] (and NaN).
-func checkProbability(what string, v float64) error {
+// checkProbability rejects values outside [0, 1] (and NaN), labelled as
+// checkQuantity does.
+func checkProbability(v float64, format string, parts ...string) error {
 	if math.IsNaN(v) || v < 0 || v > 1 {
-		return fmt.Errorf("scenario: %s is %v, want a probability in [0, 1]", what, v)
+		return fmt.Errorf("scenario: %s is %v, want a probability in [0, 1]", label(format, parts), v)
 	}
 	return nil
+}
+
+// label formats a rejected value's name from its %q parts. The checks
+// call it only on failure, so a valid spec formats nothing.
+func label(format string, parts []string) string {
+	args := make([]any, len(parts))
+	for i, p := range parts {
+		args[i] = p
+	}
+	return fmt.Sprintf(format, args...)
 }
 
 func validateNCP(spec NCPSpec) error {
 	for kind, cap := range spec.Capacity {
-		if err := checkQuantity(fmt.Sprintf("NCP %q capacity %q", spec.Name, kind), cap); err != nil {
+		if err := checkQuantity(cap, "NCP %q capacity %q", spec.Name, kind); err != nil {
 			return err
 		}
 	}
-	return checkProbability(fmt.Sprintf("NCP %q failProb", spec.Name), spec.FailProb)
+	return checkProbability(spec.FailProb, "NCP %q failProb", spec.Name)
 }
 
 func validateLink(spec LinkSpec) error {
-	if err := checkQuantity(fmt.Sprintf("link %q bandwidth", spec.Name), spec.Bandwidth); err != nil {
+	if err := checkQuantity(spec.Bandwidth, "link %q bandwidth", spec.Name); err != nil {
 		return err
 	}
-	return checkProbability(fmt.Sprintf("link %q failProb", spec.Name), spec.FailProb)
+	return checkProbability(spec.FailProb, "link %q failProb", spec.Name)
 }
 
+// validateApp range-checks an app spec's numeric fields.
 func validateApp(spec AppSpec) error {
 	for _, ct := range spec.CTs {
 		for kind, req := range ct.Req {
-			if err := checkQuantity(fmt.Sprintf("app %q CT %q requirement %q", spec.Name, ct.Name, kind), req); err != nil {
+			if err := checkQuantity(req, "app %q CT %q requirement %q", spec.Name, ct.Name, kind); err != nil {
 				return err
 			}
 		}
 	}
 	for _, tt := range spec.TTs {
-		if err := checkQuantity(fmt.Sprintf("app %q TT %q->%q bits", spec.Name, tt.From, tt.To), tt.Bits); err != nil {
+		if err := checkQuantity(tt.Bits, "app %q TT %q->%q bits", spec.Name, tt.From, tt.To); err != nil {
 			return err
 		}
 	}
 	q := spec.QoS
-	if err := checkQuantity(fmt.Sprintf("app %q QoS priority", spec.Name), q.Priority); err != nil {
+	if err := checkQuantity(q.Priority, "app %q QoS priority", spec.Name); err != nil {
 		return err
 	}
-	if err := checkQuantity(fmt.Sprintf("app %q QoS minRate", spec.Name), q.MinRate); err != nil {
+	if err := checkQuantity(q.MinRate, "app %q QoS minRate", spec.Name); err != nil {
 		return err
 	}
-	if err := checkProbability(fmt.Sprintf("app %q QoS availability", spec.Name), q.Availability); err != nil {
+	if err := checkProbability(q.Availability, "app %q QoS availability", spec.Name); err != nil {
 		return err
 	}
-	if err := checkProbability(fmt.Sprintf("app %q QoS minRateAvailability", spec.Name), q.MinRateAvailability); err != nil {
+	if err := checkProbability(q.MinRateAvailability, "app %q QoS minRateAvailability", spec.Name); err != nil {
 		return err
 	}
 	if q.MaxPaths < 0 || q.MaxPaths > avail.MaxPaths {

@@ -232,3 +232,27 @@ func TestBuildAppValidatesDirectSpecs(t *testing.T) {
 		t.Fatal("BuildApp accepted a negative requirement")
 	}
 }
+
+// TestValidateAppFormatsOnlyOnFailure: a valid app spec is checked
+// without formatting a single field label, and a rejected one still
+// names its field in the error.
+func TestValidateAppFormatsOnlyOnFailure(t *testing.T) {
+	spec := AppSpec{
+		Name: "ok",
+		CTs:  []CTSpec{{Name: "src", Req: map[string]float64{"cpu": 1, "memory": 2}}, {Name: "snk"}},
+		TTs:  []TTSpec{{From: "src", To: "snk", Bits: 10}},
+		QoS:  QoSSpec{Class: "best-effort", Priority: 1, Availability: 0.9, MaxPaths: 2},
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := validateApp(spec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("validating a valid app allocates %v times, want 0", allocs)
+	}
+	spec.TTs[0].Bits = -1
+	const want = `scenario: app "ok" TT "src"->"snk" bits is -1, want a finite non-negative number`
+	if err := validateApp(spec); err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}

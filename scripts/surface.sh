@@ -11,7 +11,7 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22535
+max_lines=22639
 max_host_lines=3667
 max_replica_lines=2683
 max_obs_lines=1199
