@@ -182,8 +182,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	verbose := fs.Bool("v", false, "log scheduler activity to stderr")
 	shards := fs.Int("shards", 1, "region shards: partition the network into N regions, one scheduler each, behind an admission router (1 = single scheduler)")
 	journalDir := fs.String("journal", "", "directory for the write-ahead operation journal (empty = not durable)")
-	journalFsync := fs.String("journal-fsync", "always", "journal fsync policy: always, interval, or never")
-	journalFsyncInterval := fs.Duration("journal-fsync-interval", 100*time.Millisecond, "flush period for -journal-fsync=interval")
+	journalFsync := fs.String("journal-fsync", "always", "journal fsync policy: always (every acknowledged operation is on stable storage) or never (left to the page cache)")
 	snapshotEvery := fs.Int("snapshot-every", 256, "journal records between snapshots (0 = only the genesis snapshot)")
 	trace := fs.String("trace", "", "arm span tracing and stream every finished span, decisions included, to this JSONL file")
 	flightSize := fs.Int("flight", 0, "arm span tracing and keep the last N traces for /debug/flight (0 = off, or 64 with -trace)")
@@ -271,7 +270,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		jopt := journal.Options{Fsync: policy, FsyncInterval: *journalFsyncInterval}
+		jopt := journal.Options{Fsync: policy}
 		if *replicate != "" {
 			if err := srv.EnableReplication(server.ReplicationConfig{
 				NodeID:          *replicate,

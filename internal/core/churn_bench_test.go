@@ -115,3 +115,60 @@ func churnBench(b *testing.B, n int, opts []Option) {
 		admit()
 	}
 }
+
+// BenchmarkGRRelease measures what a GR departure costs the BE pool: one
+// op withdraws the oldest of n GR residents (its reservation leaves the
+// middle of the GR list, so the pool is recomputed) and replays the same
+// placement back in at the end of the list, as a journal replay would.
+func BenchmarkGRRelease(b *testing.B) {
+	for _, n := range []int{8, 128, 512} {
+		if testing.Short() && n > 8 {
+			continue
+		}
+		b.Run(fmt.Sprintf("GR=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(9))
+			inst, err := workload.Generate(workload.GenConfig{
+				Shape:    workload.ShapeLinear,
+				Topology: workload.TopoMesh,
+				Regime:   workload.Balanced,
+				NumNCPs:  12,
+			}, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := New(inst.Net)
+			for seq := 0; len(s.gr) < n; seq++ {
+				if seq > 4*n {
+					b.Fatalf("could not admit %d GR apps (stuck at %d)", n, len(s.gr))
+				}
+				ti, err := workload.Generate(workload.GenConfig{
+					Shape:    workload.ShapeDiamond,
+					Topology: workload.TopoMesh,
+					Regime:   workload.Balanced,
+					NumNCPs:  12,
+				}, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				app := App{
+					Name:  fmt.Sprintf("gr-%d", seq),
+					Graph: ti.Graph,
+					Pins:  workload.PinRandomEnds(ti.Graph, inst.Net, rng),
+					QoS:   QoS{Class: GuaranteedRate, MinRate: 0.001, RateCap: 0.001, MinRateAvailability: 0.5, MaxPaths: 2},
+				}
+				if _, err := s.Submit(app); err != nil && !errors.Is(err, ErrRejected) {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pa := s.gr[0]
+				if err := s.Remove(pa.App.Name); err != nil {
+					b.Fatal(err)
+				}
+				s.admitReserved(pa)
+			}
+		})
+	}
+}

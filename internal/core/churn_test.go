@@ -16,15 +16,16 @@ import (
 
 // TestSchedulerChurn hammers the incremental control plane: interleaved
 // BE/GR submissions, removals, repairs and capacity fluctuations, with the
-// delta-maintained BE pool cross-checked against a full rebuild after every
-// delta update (deltaCapsCheck) and the warm-started rates cross-checked
-// against an independent cold solve after every operation. The two
-// production fallbacks have no other routine driver, so the loop forces
-// them periodically: a dropped solver (the next solve starts from empty
-// rows and zero prices) followed by the retry itself, dropSolver and a
-// solve on a fresh solver, the two halves of reallocateBE's failed-solve
-// branch, and a pool flagged clamped (the next GR release rebuilds the
-// pool from base capacities and refreshes the flag).
+// BE pool held bit for bit to its rebuild from the GR list
+// (checkInvariants) and the warm-started rates cross-checked against an
+// independent cold solve after every operation. The loop forces two
+// cases periodically. One is reallocateBE's failed-solve fallback, which
+// has no other routine driver: a dropped solver (the next solve starts
+// from empty rows and zero prices) followed by the retry itself,
+// dropSolver and a solve on a fresh solver. The other is a GR release
+// from a clamped pool: a fluctuation crushes one GR app's NCPs until its
+// reservation exceeds their capacity (Subtract clamps them at zero), and
+// then that app departs.
 //
 // The seed table is 42-51 less two seeds that fail the 1e-6 check. Each
 // fails on a solve that ends Converged: false after its warm and cold
@@ -37,8 +38,6 @@ import (
 //
 // Certifying those solves is ROADMAP's "Converged means certified" item.
 func TestSchedulerChurn(t *testing.T) {
-	deltaCapsCheck = true
-	defer func() { deltaCapsCheck = false }()
 	for _, seed := range []int64{42, 43, 44, 45, 46, 48, 49, 51} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { schedulerChurn(t, seed) })
 	}
@@ -153,7 +152,7 @@ func schedulerChurn(t *testing.T, seed int64) {
 		}
 	}
 
-	fresh, rebuilds := 0, 0
+	fresh, clamped := 0, 0
 	for op := 0; op < 150; op++ {
 		dropped := op%10 == 9
 		if dropped {
@@ -161,16 +160,25 @@ func schedulerChurn(t *testing.T, seed int64) {
 		}
 		switch r := rng.Intn(10); {
 		case op%14 == 13 && len(liveGR) > 0:
-			s.poolClamped = true
 			name := liveGR[rng.Intn(len(liveGR))]
+			crush := ElementScale{}
+			for _, p := range s.resident(name).Paths {
+				for _, v := range p.P.LoadedNCPs() {
+					crush[placement.NCPElement(v)] = 1e-6
+				}
+			}
+			if _, err := s.ApplyFluctuation(crush); err != nil {
+				t.Fatalf("op %d: fluctuation: %v", op, err)
+			}
+			if len(s.oversubscribedByGR()) == 0 {
+				t.Fatalf("op %d: crushing %s's NCPs oversubscribed nothing", op, name)
+			}
+			checkInvariants(t, s, net, live, op)
 			dropName(name)
 			if err := s.Remove(name); err != nil {
 				t.Fatalf("remove %s: %v", name, err)
 			}
-			if want := len(s.oversubscribedByGR()) > 0; s.poolClamped != want {
-				t.Fatalf("op %d: poolClamped = %v after a rebuilding release, want %v", op, s.poolClamped, want)
-			}
-			rebuilds++
+			clamped++
 		case r < 5:
 			submitRandom(op)
 		case r < 7:
@@ -181,7 +189,6 @@ func schedulerChurn(t *testing.T, seed int64) {
 			fluctuate()
 		}
 		checkInvariants(t, s, net, live, op)
-		checkDeltaPoolAgainstRebuild(t, s, op)
 		if dropped && s.beSolver != nil {
 			// The operation solved on a fresh solver: the same descent from
 			// the same start as a standalone solve.
@@ -197,8 +204,8 @@ func schedulerChurn(t *testing.T, seed int64) {
 		}
 		checkRatesAgainstCold(t, s, op, alloc.Options{Cycles: 5000}, 1e-6)
 	}
-	if fresh == 0 || rebuilds == 0 {
-		t.Fatalf("churn run took %d fresh-solver solves and %d pool rebuilds; both fallbacks must run", fresh, rebuilds)
+	if fresh == 0 || clamped == 0 {
+		t.Fatalf("churn run took %d fresh-solver solves and %d clamped releases; both cases must run", fresh, clamped)
 	}
 
 	// The run above must actually have exercised the warm path; otherwise
@@ -212,15 +219,6 @@ func schedulerChurn(t *testing.T, seed int64) {
 	}
 	if !warmed {
 		t.Fatal("churn run never took a warm-started solve")
-	}
-}
-
-// checkDeltaPoolAgainstRebuild asserts the delta-maintained BE pool equals
-// a from-scratch rebuild (base capacities minus GR reservations).
-func checkDeltaPoolAgainstRebuild(t *testing.T, s *Scheduler, op int) {
-	t.Helper()
-	if err := capsApproxEqual(s.beAvailable, s.recomputeBEAvailable(), 1e-6); err != nil {
-		t.Fatalf("op %d: delta BE pool diverged from rebuild: %v", op, err)
 	}
 }
 

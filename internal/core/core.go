@@ -722,18 +722,6 @@ func (s *Scheduler) dropSolver() {
 	}
 }
 
-// recomputeBEAvailable rebuilds the BE capacity pool from scratch: the
-// (fluctuation-scaled) base capacities minus every GR reservation.
-func (s *Scheduler) recomputeBEAvailable() *network.Capacities {
-	caps := s.scaledBaseCapacities()
-	for _, pa := range s.gr {
-		for _, p := range pa.Paths {
-			p.P.Subtract(caps, p.Rate)
-		}
-	}
-	return caps
-}
-
 // availPaths converts placement paths to availability paths.
 func availPaths(paths []placement.Path) []avail.Path {
 	out := make([]avail.Path, len(paths))

@@ -91,20 +91,18 @@ type BatchRecordEntry struct {
 	App     *AppState `json:"app,omitempty"`
 }
 
-// Snapshot is the full persistent state of a Scheduler. Everything
-// derivable from it (solver warm-start state, footprints, metric
-// gauges) is deliberately absent: a recovered scheduler re-derives those
-// lazily, at the cost of one cold solve after restart.
+// Snapshot is the full persistent state of a Scheduler: its decisions,
+// the fluctuation scale and the residents. Everything derivable from it
+// is deliberately absent: the BE capacity pool (recomputed from the scale
+// and the GR list, the same bits the live scheduler holds), solver
+// warm-start state, footprints and metric gauges. A recovered scheduler
+// re-derives those, at the cost of one cold solve after restart.
+// Snapshots that still carry the pool fields an older binary wrote
+// decode, and the fields are ignored.
 type Snapshot struct {
 	Scale ElementScale `json:"scale,omitempty"`
 	GR    []AppState   `json:"gr"`
 	BE    []AppState   `json:"be"`
-	// PoolNCP/PoolLink are the delta-maintained BE capacity pool, stored
-	// verbatim: a rebuild from base capacities would differ in float low
-	// bits from the running sum the live scheduler carries.
-	PoolNCP     []resource.Vector `json:"poolNCP"`
-	PoolLink    []float64         `json:"poolLink"`
-	PoolClamped bool              `json:"poolClamped"`
 }
 
 // AppState is an admitted application: its full definition (the journal
@@ -160,12 +158,7 @@ func (s *Scheduler) ExportSnapshot() (*Snapshot, error) {
 	if err := s.settle(); err != nil {
 		return nil, err
 	}
-	snap := &Snapshot{
-		Scale:       s.scale,
-		GR:          []AppState{},
-		BE:          []AppState{},
-		PoolClamped: s.poolClamped,
-	}
+	snap := &Snapshot{Scale: s.scale, GR: []AppState{}, BE: []AppState{}}
 	for _, pa := range s.gr {
 		st, err := exportApp(pa)
 		if err != nil {
@@ -180,10 +173,6 @@ func (s *Scheduler) ExportSnapshot() (*Snapshot, error) {
 		}
 		snap.BE = append(snap.BE, st)
 	}
-	for _, v := range s.beAvailable.NCP {
-		snap.PoolNCP = append(snap.PoolNCP, v.Clone())
-	}
-	snap.PoolLink = append([]float64{}, s.beAvailable.Link...)
 	return snap, nil
 }
 
@@ -337,8 +326,9 @@ func SubmitOutcome(err error) string {
 // journal records outcomes, not configuration.
 //
 // The result is byte-identical (ExportSnapshot marshaling) to the
-// scheduler that emitted the records: placements, rates, the capacity
-// pool's float low bits and the sparse loaded-element lists all pin.
+// scheduler that emitted the records: placements, rates and the sparse
+// loaded-element lists all pin, and the capacity pool, a function of the
+// scale and the GR list, holds the same bits.
 // Solver warm-start state is not persisted; the first re-allocation after
 // a rebuild solves cold.
 func Rebuild(net *network.Network, snap *Snapshot, recs []*Record, opts ...Option) (*Scheduler, error) {
@@ -357,12 +347,10 @@ func Rebuild(net *network.Network, snap *Snapshot, recs []*Record, opts ...Optio
 }
 
 func (s *Scheduler) restoreSnapshot(snap *Snapshot) error {
-	if len(snap.PoolNCP) != s.net.NumNCPs() || len(snap.PoolLink) != s.net.NumLinks() {
-		return fmt.Errorf("core: snapshot pool has %d NCPs / %d links, network has %d / %d",
-			len(snap.PoolNCP), len(snap.PoolLink), s.net.NumNCPs(), s.net.NumLinks())
+	if err := snap.Scale.Validate(s.net); err != nil {
+		return fmt.Errorf("core: snapshot scale: %w", err)
 	}
 	s.scale = snap.Scale
-	s.poolClamped = snap.PoolClamped
 	for _, st := range snap.GR {
 		pa, err := st.buildPlaced(s.net)
 		if err != nil {
@@ -377,16 +365,12 @@ func (s *Scheduler) restoreSnapshot(snap *Snapshot) error {
 		}
 		s.be = append(s.be, pa)
 	}
-	pool := &network.Capacities{Link: append([]float64(nil), snap.PoolLink...)}
-	for _, v := range snap.PoolNCP {
-		pool.NCP = append(pool.NCP, v.Clone())
-	}
-	s.beAvailable = pool
+	s.beAvailable = s.recomputeBEAvailable()
 	return nil
 }
 
 // ApplyCommitted structurally applies one committed operation record: the
-// same splice/subtract/add-back arithmetic as the live path, rates set
+// same splice, subtract and pool recompute as the live path, rates set
 // verbatim, no solver or assignment re-execution. Rebuild folds it over a
 // journal tail, and a replication follower stays hot through it. The
 // caller provides external serialization (the router applies under the
@@ -419,8 +403,10 @@ func (s *Scheduler) ApplyCommitted(rec *Record) error {
 			return err
 		}
 	case OpFluctuation:
+		if err := rec.Scale.Validate(s.net); err != nil {
+			return err
+		}
 		s.scale = rec.Scale
-		s.poolClamped = len(s.oversubscribedByGR()) > 0
 		s.beAvailable = s.recomputeBEAvailable()
 	default:
 		return fmt.Errorf("unknown operation %q", rec.Op)

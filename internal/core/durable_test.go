@@ -351,3 +351,31 @@ func TestDurabilityCommitFailureSurfaces(t *testing.T) {
 		t.Fatal("in-memory admission was not applied")
 	}
 }
+
+// TestBadScaleRefused: a fluctuation scale that names no element of the
+// network, or carries a negative or NaN factor, is an error from replay,
+// in a record and in a snapshot alike, never a panic.
+func TestBadScaleRefused(t *testing.T) {
+	net := batchMeshNet(t)
+	for _, tc := range []struct {
+		name  string
+		scale ElementScale
+	}{
+		{"out of range", ElementScale{placement.Element(net.NumNCPs() + net.NumLinks() + 5): 0.5}},
+		{"negative", ElementScale{placement.NCPElement(0): -0.5}},
+		{"NaN", ElementScale{placement.NCPElement(0): math.NaN()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &Record{Op: OpFluctuation, Outcome: "ok", Scale: tc.scale}
+			if err := New(net).ApplyCommitted(rec); err == nil {
+				t.Error("ApplyCommitted accepted the record")
+			}
+			if _, err := Rebuild(net, nil, []*Record{rec}); err == nil {
+				t.Error("Rebuild accepted the record")
+			}
+			if _, err := Rebuild(net, &Snapshot{Scale: tc.scale}, nil); err == nil {
+				t.Error("Rebuild accepted the snapshot")
+			}
+		})
+	}
+}

@@ -21,6 +21,23 @@ import (
 // that no longer fit are surfaced for the operator to act on.
 type ElementScale map[placement.Element]float64
 
+// Validate checks that every key names an element of net and every factor
+// is finite and non-negative. Every path that installs a scale — a live
+// fluctuation, a replayed record, a restored snapshot, a router's global
+// map — checks it here first, so a bad scale is an error, never an index
+// out of range.
+func (scale ElementScale) Validate(net *network.Network) error {
+	for e, f := range scale {
+		if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("core: invalid capacity scale %v for element %d", f, e)
+		}
+		if int(e) < 0 || int(e) >= net.NumNCPs()+net.NumLinks() {
+			return fmt.Errorf("core: unknown element %d in fluctuation", e)
+		}
+	}
+	return nil
+}
+
 // FluctuationReport describes the effect of a capacity fluctuation.
 type FluctuationReport struct {
 	// ViolatedGR names the guaranteed-rate applications whose reserved
@@ -38,13 +55,8 @@ type FluctuationReport struct {
 // restore (nil/empty scale) is a fluctuation like any other. Validation
 // errors mutate nothing and are not journaled.
 func (s *Scheduler) ApplyFluctuation(scale ElementScale) (*FluctuationReport, error) {
-	for e, f := range scale {
-		if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("core: invalid capacity scale %v for element %d", f, e)
-		}
-		if int(e) < 0 || int(e) >= s.net.NumNCPs()+s.net.NumLinks() {
-			return nil, fmt.Errorf("core: unknown element %d in fluctuation", e)
-		}
+	if err := scale.Validate(s.net); err != nil {
+		return nil, err
 	}
 	if len(scale) == 0 {
 		// Normalize "restore to nominal" to nil so live state and its
@@ -86,11 +98,6 @@ func (s *Scheduler) applyFluctuation(scale ElementScale) (*FluctuationReport, er
 			report.ViolatedGR = append(report.ViolatedGR, pa.App.Name)
 		}
 	}
-	// While oversubscribed, the rebuild below clamps some element at zero
-	// and the pool stops being an exact running sum: delta add-backs are
-	// suspended until the clamp clears (see releaseGR).
-	s.poolClamped = len(over) > 0
-
 	s.beAvailable = s.recomputeBEAvailable()
 	if err := s.reallocateBE(); err != nil {
 		return nil, err

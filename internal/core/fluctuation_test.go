@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sparcle/internal/network"
@@ -129,9 +130,6 @@ func TestFluctuationValidation(t *testing.T) {
 // contract the chaos driver leans on when it tears the network apart and
 // puts it back together.
 func TestFluctuationRestoreProperty(t *testing.T) {
-	deltaCapsCheck = true
-	defer func() { deltaCapsCheck = false }()
-
 	const trials = 40
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < trials; trial++ {
@@ -206,8 +204,8 @@ func TestFluctuationRestoreProperty(t *testing.T) {
 		if len(s.BEApps()) != len(names) {
 			t.Fatalf("trial %d: %d BE apps after restore, want %d", trial, len(s.BEApps()), len(names))
 		}
-		if err := capsApproxEqual(s.BEAvailableCapacities(), fresh.BEAvailableCapacities(), 1e-9); err != nil {
-			t.Fatalf("trial %d: BE pool after restore: %v", trial, err)
+		if got, want := s.BEAvailableCapacities(), fresh.BEAvailableCapacities(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: BE pool after restore %v, want %v", trial, got, want)
 		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 // mutex (the server's locking discipline), and returns the scheduler
 // plus the journal records in commit order. batchEvery > 0 makes every
 // batchEvery-th submitter use SubmitMany with a pair of apps, so client
-// batches compose with single submits inside the same groups.
+// batches compose with single submits inside the same groups. Every group
+// must leave the BE pool bit for bit its rebuild from the GR list.
 func groupedRun(t *testing.T, s *Scheduler, apps []App, goroutines, maxSize, batchEvery int) []*Record {
 	t.Helper()
 	var mu sync.Mutex
@@ -30,7 +31,11 @@ func groupedRun(t *testing.T, s *Scheduler, apps []App, goroutines, maxSize, bat
 	gc := NewGroupCommitter(func(batch []App, lead *obs.Span) ([]BatchResult, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		return s.SubmitBatch(batch)
+		res, err := s.SubmitBatch(batch)
+		if derr := poolDrift(s); derr != nil {
+			return res, derr
+		}
+		return res, err
 	}, GroupOptions{MaxSize: maxSize})
 
 	work := make(chan []App)
@@ -251,8 +256,9 @@ func TestGroupLeaderFollower(t *testing.T) {
 
 // TestGroupHammer mixes grouped submits with removes, repairs and
 // fluctuations (each taking the same scheduler mutex the commit
-// function uses), then proves the interleaved journal replays to the
-// exact live state. Run under -race this is the group-commit
+// function uses), holds the BE pool bit for bit to its rebuild from the
+// GR list after every one, then proves the interleaved journal replays to
+// the exact live state. Run under -race this is the group-commit
 // concurrency gauntlet.
 func TestGroupHammer(t *testing.T) {
 	net := batchMeshNet(t)
@@ -264,14 +270,26 @@ func TestGroupHammer(t *testing.T) {
 		recs = append(recs, roundTrip(t, rec))
 		return nil
 	})
-	gc := NewGroupCommitter(func(batch []App, lead *obs.Span) ([]BatchResult, error) {
+	// locked runs one operation under the scheduler mutex and checks the
+	// pool before releasing it.
+	locked := func(op func() error) error {
 		mu.Lock()
 		defer mu.Unlock()
-		return s.SubmitBatch(batch)
+		if err := op(); err != nil {
+			return err
+		}
+		return poolDrift(s)
+	}
+	gc := NewGroupCommitter(func(batch []App, lead *obs.Span) (res []BatchResult, err error) {
+		derr := locked(func() error { res, err = s.SubmitBatch(batch); return nil })
+		if derr != nil {
+			return res, derr
+		}
+		return res, err
 	}, GroupOptions{MaxSize: 8})
 
 	var wg sync.WaitGroup
-	errc := make(chan error, len(apps))
+	errc := make(chan error, 2*len(apps))
 	for i, app := range apps {
 		wg.Add(1)
 		go func(i int, app App) {
@@ -280,34 +298,35 @@ func TestGroupHammer(t *testing.T) {
 				errc <- err
 				return
 			}
+			var err error
 			switch i % 4 {
 			case 0:
-				mu.Lock()
-				err := s.Remove(app.Name)
-				mu.Unlock()
-				if err != nil && !errors.Is(err, ErrNotFound) {
-					errc <- err
-				}
+				err = locked(func() error {
+					err := s.Remove(app.Name)
+					if errors.Is(err, ErrNotFound) {
+						return nil
+					}
+					return err
+				})
 			case 1:
-				mu.Lock()
-				_, err := s.Repair(app.Name)
-				mu.Unlock()
-				if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrRejected) {
-					errc <- err
-				}
+				err = locked(func() error {
+					_, err := s.Repair(app.Name)
+					if errors.Is(err, ErrNotFound) || errors.Is(err, ErrRejected) {
+						return nil
+					}
+					return err
+				})
 			case 2:
-				mu.Lock()
-				_, err := s.ApplyFluctuation(ElementScale{placement.NCPElement(network.NCPID(i % net.NumNCPs())): 0.9})
-				mu.Unlock()
-				if err != nil {
-					errc <- err
+				err = locked(func() error {
+					_, err := s.ApplyFluctuation(ElementScale{placement.NCPElement(network.NCPID(i % net.NumNCPs())): 0.9})
+					return err
+				})
+				if err == nil {
+					err = locked(func() error { _, err := s.ApplyFluctuation(nil); return err })
 				}
-				mu.Lock()
-				_, err = s.ApplyFluctuation(nil)
-				mu.Unlock()
-				if err != nil {
-					errc <- err
-				}
+			}
+			if err != nil {
+				errc <- err
 			}
 		}(i, app)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"sparcle/internal/network"
@@ -119,9 +120,6 @@ func TestRepairReleasesOldReservation(t *testing.T) {
 // capacity pool must be indistinguishable from a scheduler that never
 // attempted the repair.
 func TestRepairRollbackKeepsBEStateConsistent(t *testing.T) {
-	deltaCapsCheck = true
-	defer func() { deltaCapsCheck = false }()
-
 	build := func() (*Scheduler, *network.Network) {
 		net := twoBranchNet(t, 100, 80, 1e6, 0)
 		s := New(net)
@@ -191,7 +189,7 @@ func TestRepairRollbackKeepsBEStateConsistent(t *testing.T) {
 			t.Fatalf("BE rate %q = %v after rollback, want %v (pristine replay)", name, g, w)
 		}
 	}
-	if err := capsApproxEqual(repaired.BEAvailableCapacities(), pristine.BEAvailableCapacities(), 1e-9); err != nil {
-		t.Fatalf("BE pool diverged after rollback: %v", err)
+	if got, want := repaired.BEAvailableCapacities(), pristine.BEAvailableCapacities(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("BE pool after rollback %v, want %v (pristine replay)", got, want)
 	}
 }

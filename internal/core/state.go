@@ -22,10 +22,9 @@ import (
 // itself.
 type state struct {
 	// beAvailable is the capacity available to the BE class: (possibly
-	// fluctuation-scaled) base capacities minus all GR reservations. It is
-	// maintained incrementally — GR admissions and removals apply their
-	// paths' Subtract/AddBack deltas — and rebuilt from scratch only on
-	// fluctuation rescaling (or while poolClamped, see below).
+	// fluctuation-scaled) base capacities minus every GR reservation, in
+	// s.gr order. It is always recomputeBEAvailable()'s value, bit for bit
+	// (see delta.go).
 	beAvailable *network.Capacities
 	gr          []*PlacedApp
 	be          []*PlacedApp
@@ -39,11 +38,6 @@ type state struct {
 	// unsolved counts the removals since the last BE solve: while it is
 	// nonzero the residents' rates are stale (see settle).
 	unsolved int
-	// poolClamped records that a fluctuation left some element's GR
-	// reservations above its scaled capacity: the zero-clamp in Subtract
-	// then makes the pool lossy, so releasing a GR path by AddBack would
-	// over-credit. While set, GR releases fall back to a full rebuild.
-	poolClamped bool
 
 	// scale holds the current capacity fluctuation (see ApplyFluctuation);
 	// nil means nominal capacities.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sparcle/internal/network"
@@ -15,7 +17,8 @@ import (
 // TestSchedulerStress drives the scheduler through long random sequences
 // of submissions, removals and capacity fluctuations and checks the global
 // invariants after every operation: the BE capacity pool stays
-// non-negative, every admitted app keeps a positive rate and its original
+// non-negative and equals its rebuild from the GR list bit for bit, every
+// admitted app keeps a positive rate and its original
 // placement, and the aggregate demand never exceeds the (scaled) network
 // capacity.
 func TestSchedulerStress(t *testing.T) {
@@ -145,6 +148,9 @@ func checkInvariants(t *testing.T, s *Scheduler, net *network.Network, live map[
 	if !s.BEAvailableCapacities().NonNegative() {
 		t.Fatalf("op %d: BE capacity pool went negative", op)
 	}
+	if err := poolDrift(s); err != nil {
+		t.Fatalf("op %d: %v", op, err)
+	}
 	all := append(s.GRApps(), s.BEApps()...)
 	if len(all) != len(live) {
 		t.Fatalf("op %d: scheduler tracks %d apps, expected %d", op, len(all), len(live))
@@ -218,4 +224,13 @@ func checkInvariants(t *testing.T, s *Scheduler, net *network.Network, live map[
 			t.Fatalf("op %d: link %d demand %v exceeds bound %v", op, l, linkDemand[l], bound)
 		}
 	}
+}
+
+// poolDrift reports a BE pool that is not bit for bit its rebuild: the
+// scaled base capacities minus every GR reservation, in s.gr order.
+func poolDrift(s *Scheduler) error {
+	if want := s.recomputeBEAvailable(); !reflect.DeepEqual(s.beAvailable, want) {
+		return fmt.Errorf("BE pool %v differs from its rebuild %v", s.beAvailable, want)
+	}
+	return nil
 }

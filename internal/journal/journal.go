@@ -44,10 +44,6 @@ const (
 	// SyncAlways fsyncs after every append: an acknowledged operation is
 	// durable even across power loss. The safe default.
 	SyncAlways Policy = iota
-	// SyncInterval fsyncs on a background timer: a crash may lose the last
-	// interval's worth of acknowledged operations, in exchange for
-	// amortizing the fsync cost across a burst of appends.
-	SyncInterval
 	// SyncNever leaves flushing to the operating system: fastest, and only
 	// as durable as the page cache. For tests and throwaway deployments.
 	SyncNever
@@ -58,12 +54,10 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	default:
-		return 0, fmt.Errorf("journal: unknown fsync policy %q (want always, interval or never)", s)
+		return 0, fmt.Errorf("journal: unknown fsync policy %q (want always or never)", s)
 	}
 }
 
@@ -72,8 +66,6 @@ func (p Policy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	default:
@@ -85,19 +77,9 @@ func (p Policy) String() string {
 type Options struct {
 	// Fsync selects the durability/latency trade-off (default SyncAlways).
 	Fsync Policy
-	// FsyncInterval is the background flush period under SyncInterval
-	// (default 100ms).
-	FsyncInterval time.Duration
 	// Metrics, when non-nil, receives the journal counters and the fsync
 	// latency histogram.
 	Metrics *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
-	return o
 }
 
 // Record is one journaled operation.
@@ -148,9 +130,7 @@ type Journal struct {
 	recovered bool
 	closed    bool
 
-	dirty  bool          // unsynced bytes (SyncInterval, or a deferred append)
-	stopc  chan struct{} // interval flusher shutdown
-	stopwg sync.WaitGroup
+	dirty bool // unsynced bytes of a deferred append
 }
 
 // Open prepares a journal in dir, creating the directory if needed. No
@@ -164,16 +144,11 @@ func Open(dir string, opt Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create %s: %w", dir, err)
 	}
-	j := &Journal{dir: dir, opt: opt.withDefaults()}
+	j := &Journal{dir: dir, opt: opt}
 	if reg := j.opt.Metrics; reg != nil {
 		reg.SetHelp(metricAppends, "Total records appended to the write-ahead journal.")
 		reg.SetHelp(metricFsync, "Latency of journal fsync calls, seconds.")
 		reg.SetHelp(metricReplayed, "Records replayed from the journal tail by the last recovery.")
-	}
-	if j.opt.Fsync == SyncInterval {
-		j.stopc = make(chan struct{})
-		j.stopwg.Add(1)
-		go j.flushLoop()
 	}
 	return j, nil
 }
@@ -213,8 +188,8 @@ func (j *Journal) Append(typ string, data any) (uint64, error) {
 // stable storage when it returns regardless of the configured fsync
 // policy. Replication uses it for membership-change records — a node
 // that forgets a configuration it acknowledged could count votes under
-// a stale quorum after a crash, so these records never ride the
-// interval flusher.
+// a stale quorum after a crash, so these records are flushed even
+// under SyncNever.
 func (j *Journal) AppendSync(typ string, data any) (uint64, error) {
 	return j.appendSpan(nil, typ, data, flushForce)
 }
@@ -222,8 +197,8 @@ func (j *Journal) AppendSync(typ string, data any) (uint64, error) {
 // AppendDeferred is Append without the per-record flush of SyncAlways:
 // the record is written to the active segment but is durable only once a
 // later Sync returns (or anything else fsyncs the segment — a synced
-// append, a snapshot rotation, a truncation). Under the other policies
-// it is Append. A replication leader uses it to fsync beside the
+// append, a snapshot rotation, a truncation). Under SyncNever it is
+// Append. A replication leader uses it to fsync beside the
 // follower round instead of before it.
 func (j *Journal) AppendDeferred(typ string, data any) (uint64, error) {
 	return j.appendSpan(nil, typ, data, flushDefer)
@@ -290,8 +265,8 @@ func (j *Journal) appendSpan(parent *obs.Span, typ string, data any, mode flushM
 			return 0, err
 		}
 	case j.opt.Fsync != SyncNever:
-		// SyncInterval, or a deferred SyncAlways append: unsynced bytes
-		// that the next fsync covers.
+		// A deferred SyncAlways append: unsynced bytes that the next
+		// fsync covers.
 		j.dirty = true
 	}
 	j.seq = seq
@@ -322,24 +297,6 @@ func (j *Journal) fsyncLocked() error {
 		reg.Histogram(metricFsync, fsyncBuckets).Observe(time.Since(start).Seconds())
 	}
 	return nil
-}
-
-func (j *Journal) flushLoop() {
-	defer j.stopwg.Done()
-	t := time.NewTicker(j.opt.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-j.stopc:
-			return
-		case <-t.C:
-			j.mu.Lock()
-			if j.dirty && j.f != nil && !j.closed {
-				_ = j.fsyncLocked()
-			}
-			j.mu.Unlock()
-		}
-	}
 }
 
 // WriteSnapshot atomically persists state as covering every record up to
@@ -437,10 +394,6 @@ func (j *Journal) Close() error {
 		j.f = nil
 	}
 	j.mu.Unlock()
-	if j.stopc != nil {
-		close(j.stopc)
-		j.stopwg.Wait()
-	}
 	return err
 }
 

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"sparcle/internal/obs"
 )
@@ -306,17 +305,14 @@ func TestSequenceGapRejected(t *testing.T) {
 }
 
 func TestFsyncPolicies(t *testing.T) {
-	for _, pol := range []Policy{SyncAlways, SyncInterval, SyncNever} {
+	for _, pol := range []Policy{SyncAlways, SyncNever} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			j := openEmpty(t, dir, Options{Fsync: pol, FsyncInterval: 5 * time.Millisecond})
+			j := openEmpty(t, dir, Options{Fsync: pol})
 			for i := 1; i <= 3; i++ {
 				if _, err := j.Append("op", testOp{N: i}); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if pol == SyncInterval {
-				time.Sleep(30 * time.Millisecond) // let the flusher run
 			}
 			if err := j.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
@@ -338,7 +334,7 @@ func TestParsePolicy(t *testing.T) {
 		err  bool
 	}{
 		{"always", SyncAlways, false},
-		{"interval", SyncInterval, false},
+		{"interval", 0, true},
 		{"never", SyncNever, false},
 		{"sometimes", 0, true},
 	} {
@@ -386,54 +382,44 @@ func segmentPaths(t *testing.T, dir string) []string {
 // replication layer uses it for membership-change records, which must
 // never be lost to a crash window.
 func TestAppendSyncForcesFsync(t *testing.T) {
-	for _, policy := range []Policy{SyncInterval, SyncNever} {
-		t.Run(policy.String(), func(t *testing.T) {
-			j, err := Open(t.TempDir(), Options{Fsync: policy, FsyncInterval: time.Hour})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
-			if _, _, err := j.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := j.Append("op", testOp{Op: "lazy"}); err != nil {
-				t.Fatal(err)
-			}
-			if policy == SyncInterval {
-				j.mu.Lock()
-				dirty := j.dirty
-				j.mu.Unlock()
-				if !dirty {
-					t.Fatal("interval-policy append did not mark the journal dirty")
-				}
-			}
-			seq, err := j.AppendSync("op", testOp{Op: "forced"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq != 2 {
-				t.Fatalf("AppendSync seq = %d, want 2", seq)
-			}
-			// The forced fsync flushed everything buffered before it too.
-			j.mu.Lock()
-			dirty := j.dirty
-			j.mu.Unlock()
-			if dirty {
-				t.Fatal("journal still dirty after AppendSync")
-			}
-		})
-	}
+	t.Run(SyncNever.String(), func(t *testing.T) {
+		j, err := Open(t.TempDir(), Options{Fsync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if _, _, err := j.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Append("op", testOp{Op: "lazy"}); err != nil {
+			t.Fatal(err)
+		}
+		seq, err := j.AppendSync("op", testOp{Op: "forced"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != 2 {
+			t.Fatalf("AppendSync seq = %d, want 2", seq)
+		}
+		// The forced fsync flushed everything buffered before it too.
+		j.mu.Lock()
+		dirty := j.dirty
+		j.mu.Unlock()
+		if dirty {
+			t.Fatal("journal still dirty after AppendSync")
+		}
+	})
 }
 
 // TestAppendDeferredLeavesTheFsyncToSync: under SyncAlways a deferred
 // append writes its record without flushing it, the next Sync flushes it,
 // and a truncation flushes what it keeps (appends after the cut go to a
-// fresh segment whose fsyncs would never cover it). Under the other
-// policies a deferred append is an ordinary one.
+// fresh segment whose fsyncs would never cover it). Under SyncNever a
+// deferred append is an ordinary one.
 func TestAppendDeferredLeavesTheFsyncToSync(t *testing.T) {
 	open := func(t *testing.T, policy Policy) (*Journal, *obs.Registry) {
 		reg := obs.NewRegistry()
-		j, err := Open(t.TempDir(), Options{Fsync: policy, FsyncInterval: time.Hour, Metrics: reg})
+		j, err := Open(t.TempDir(), Options{Fsync: policy, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,17 +463,15 @@ func TestAppendDeferredLeavesTheFsyncToSync(t *testing.T) {
 			t.Fatalf("after TruncateTo: dirty %v, %d fsyncs; want the kept prefix flushed", dirty, fsyncs)
 		}
 	})
-	for _, policy := range []Policy{SyncInterval, SyncNever} {
-		t.Run(policy.String(), func(t *testing.T) {
-			j, reg := open(t, policy)
-			if _, err := j.AppendDeferred("op", testOp{Op: "x"}); err != nil {
-				t.Fatal(err)
-			}
-			if dirty, fsyncs := state(j, reg); dirty != (policy == SyncInterval) || fsyncs != 0 {
-				t.Fatalf("dirty %v, %d fsyncs; want what Append leaves", dirty, fsyncs)
-			}
-		})
-	}
+	t.Run(SyncNever.String(), func(t *testing.T) {
+		j, reg := open(t, SyncNever)
+		if _, err := j.AppendDeferred("op", testOp{Op: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		if dirty, fsyncs := state(j, reg); dirty || fsyncs != 0 {
+			t.Fatalf("dirty %v, %d fsyncs; want what Append leaves", dirty, fsyncs)
+		}
+	})
 }
 
 // TestEncodeFrameMatchesMarshal: encodeFrame writes a record's envelope

@@ -293,23 +293,6 @@ func (p *Placement) Subtract(caps *network.Capacities, rate float64) {
 	}
 }
 
-// AddBack releases this placement's resources at the given rate in caps:
-// the sparse inverse of Subtract. Because Subtract clamps tiny negative
-// residues at zero, AddBack may overshoot the original capacity by
-// floating-point residue only; callers that need exactness rebuild from
-// base capacities instead.
-func (p *Placement) AddBack(caps *network.Capacities, rate float64) {
-	for i, v := range p.loadedNCPs {
-		if caps.NCP[v] == nil {
-			caps.NCP[v] = resource.Vector{}
-		}
-		caps.NCP[v].AddScaled(p.ncpLoads[i], rate)
-	}
-	for i, l := range p.loadedLinks {
-		caps.Link[l] += p.linkLoads[i] * rate
-	}
-}
-
 // Validate checks structural integrity: completeness, pin adherence, and
 // route contiguity for every TT.
 func (p *Placement) Validate(pins Pins) error {

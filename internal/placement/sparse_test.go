@@ -96,18 +96,6 @@ func (d *densePlacement) Subtract(caps *network.Capacities, rate float64) {
 	}
 }
 
-func (d *densePlacement) AddBack(caps *network.Capacities, rate float64) {
-	for _, v := range d.loadedNCPs {
-		if caps.NCP[v] == nil {
-			caps.NCP[v] = resource.Vector{}
-		}
-		caps.NCP[v].AddScaled(d.ncpLoad[v], rate)
-	}
-	for _, l := range d.loadedLinks {
-		caps.Link[l] += d.linkLoad[l] * rate
-	}
-}
-
 func (d *densePlacement) Encode() Encoded {
 	enc := Encoded{CTHosts: make([]int, len(d.ctHost)), TTRoutes: make([][]int, len(d.ttRoute))}
 	for i, h := range d.ctHost {
@@ -307,8 +295,7 @@ func sameCaps(a, b *network.Capacities) bool {
 
 // checkAgainstDense holds every load-derived output of p to the dense
 // reference d: Encode bytes (zero-valued kinds included), per-element
-// loads, loaded lists, Rate, and Subtract/AddBack on random residual
-// capacities.
+// loads, loaded lists, Rate, and Subtract on random residual capacities.
 func checkAgainstDense(t *testing.T, rng *rand.Rand, net *network.Network, p *Placement, d *densePlacement) {
 	t.Helper()
 	enc, err := p.Encode()
@@ -345,11 +332,6 @@ func checkAgainstDense(t *testing.T, rng *rand.Rand, net *network.Network, p *Pl
 		d.Subtract(dense, rate)
 		if !sameCaps(sparse, dense) {
 			t.Fatalf("Subtract at rate %v differs from dense", rate)
-		}
-		p.AddBack(sparse, rate)
-		d.AddBack(dense, rate)
-		if !sameCaps(sparse, dense) {
-			t.Fatalf("AddBack at rate %v differs from dense", rate)
 		}
 	}
 }

@@ -201,7 +201,7 @@ type healthzResponse struct {
 // whether recovery is still rebuilding the scheduler.
 type journalHealth struct {
 	Enabled bool `json:"enabled"`
-	// Fsync is the policy spelling ("always", "interval", "never").
+	// Fsync is the policy spelling ("always" or "never").
 	Fsync string `json:"fsync,omitempty"`
 	// LastSeq is the sequence number of the last committed record; an
 	// operator comparing it across replicas sees which is ahead.

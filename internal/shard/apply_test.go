@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -275,10 +276,26 @@ func TestEveryPrefixReplaysWhole(t *testing.T) {
 				t.Fatalf("%s: %s registry differs from replay\n%s:\n%s\nreplay:\n%s", at, got.name, got.name, reg, wantReg)
 			}
 		}
+		// The border leases a router restored from a snapshot sums match the
+		// router it was taken from, bit for bit.
+		if got, want := restored.Stats().Border, hot.Stats().Border; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: restored border %+v, snapshotted router %+v", at, got, want)
+		}
 		checkWhole(t, replayed, at)
 		if n == len(tape.envs) {
 			if s, reg := routerStateJSON(t, live), registryOf(live); s != want || reg != wantReg {
 				t.Fatalf("replay of the whole log differs from the live router\nlive:   %s\n%s\nreplay: %s\n%s", s, reg, want, wantReg)
+			}
+			var liveSnap RouterSnapshot
+			if err := json.Unmarshal([]byte(routerStateJSON(t, live)), &liveSnap); err != nil {
+				t.Fatal(err)
+			}
+			fromLive, err := Replay(net, 2, &liveSnap, nil, shardRebuilder())
+			if err != nil {
+				t.Fatalf("replay from the live snapshot: %v", err)
+			}
+			if got, want := fromLive.Stats().Border, live.Stats().Border; !reflect.DeepEqual(got, want) {
+				t.Fatalf("border restored from the live snapshot %+v, live %+v", got, want)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -272,5 +273,35 @@ func TestConcurrentShardSubmits(t *testing.T) {
 	}
 	if got, want := routerStateJSON(t, r2), routerStateJSON(t, r); got != want {
 		t.Fatal("journal replay diverged from live state after concurrent load")
+	}
+}
+
+// TestLeasedIsAFunctionOfTheLeases: a border link's leased bandwidth is
+// the sum of its leases in name order, the order a snapshot lists them,
+// so a table restored from the survivors holds the live bits. Summed in
+// acquisition order with the release subtracted, the live table would
+// read 0.5000000000000001 for the restored 0.5.
+func TestLeasedIsAFunctionOfTheLeases(t *testing.T) {
+	p, err := Partition(lopsidedNet(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewLeaseTable(p)
+	for _, l := range []struct {
+		app  string
+		rate float64
+	}{{"b", 0.1}, {"a", 0.2}, {"c", 0.3}} {
+		if _, err := live.Acquire(l.app, 0, 1, l.rate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := live.Release("b"); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewLeaseTable(p)
+	restored.restore(&Lease{App: "a", Border: 0, Bits: 1, Rate: 0.2})
+	restored.restore(&Lease{App: "c", Border: 0, Bits: 1, Rate: 0.3})
+	if got, want := live.Leased(0), restored.Leased(0); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("live table leases %v, restored %v", got, want)
 	}
 }

@@ -1,6 +1,10 @@
 package shard
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // LeaseTable owns the border links' bandwidth. Regions never see border
 // links in their sub-networks; a cross-region application instead
@@ -15,8 +19,10 @@ import "fmt"
 type LeaseTable struct {
 	part *Partitioning
 	// base[i] is Border[i]'s nominal bandwidth; scale[i] the current
-	// fluctuation factor (1 = nominal); leased[i] the sum of granted
-	// leases.
+	// fluctuation factor (1 = nominal); leased[i] the sum of its leases
+	// in app-name order, recomputed whenever one of them changes. A
+	// snapshot lists leases by name, so a restored table sums them in
+	// the same order and holds the same bits as the live one.
 	base   []float64
 	scale  []float64
 	leased []float64
@@ -87,8 +93,7 @@ func (t *LeaseTable) Acquire(app string, i int, bits, rate float64) (*Lease, err
 			i, bw, t.Available(i))
 	}
 	l := &Lease{App: app, Border: i, Bits: bits, Rate: rate}
-	t.leased[i] += bw
-	t.byApp[app] = l
+	t.restore(l)
 	return l, nil
 }
 
@@ -99,10 +104,7 @@ func (t *LeaseTable) Release(app string) (*Lease, error) {
 		return nil, fmt.Errorf("shard: app %q holds no lease", app)
 	}
 	delete(t.byApp, app)
-	t.leased[l.Border] -= l.Bandwidth()
-	if t.leased[l.Border] < 0 {
-		t.leased[l.Border] = 0
-	}
+	t.resum(l.Border)
 	return l, nil
 }
 
@@ -110,7 +112,24 @@ func (t *LeaseTable) Release(app string) (*Lease, error) {
 // applies recorded facts, it does not re-validate them.
 func (t *LeaseTable) restore(l *Lease) {
 	t.byApp[l.App] = l
-	t.leased[l.Border] += l.Bandwidth()
+	t.resum(l.Border)
+}
+
+// resum recomputes border link i's leased bandwidth from its leases, in
+// name order.
+func (t *LeaseTable) resum(i int) {
+	var on []*Lease
+	for _, l := range t.byApp {
+		if l.Border == i {
+			on = append(on, l)
+		}
+	}
+	slices.SortFunc(on, func(a, b *Lease) int { return strings.Compare(a.App, b.App) })
+	sum := 0.0
+	for _, l := range on {
+		sum += l.Bandwidth()
+	}
+	t.leased[i] = sum
 }
 
 // SetScale applies a fluctuation factor to border link i's capacity and

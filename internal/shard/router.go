@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -753,15 +752,10 @@ func (r *Router) renewCross(c *LeaseRecord, sa, sb *slot) (*Result, error) {
 // table sees a share of it.
 func (r *Router) ApplyFluctuation(scale core.ElementScale, sp *obs.Span) (*core.FluctuationReport, error) {
 	parent := r.part.Parent
-	nNCP, nLink := parent.NumNCPs(), parent.NumLinks()
-	for e, f := range scale {
-		if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("shard: invalid capacity scale %v for element %d", f, e)
-		}
-		if int(e) < 0 || int(e) >= nNCP+nLink {
-			return nil, fmt.Errorf("shard: unknown element %d in fluctuation", e)
-		}
+	if err := scale.Validate(parent); err != nil {
+		return nil, err
 	}
+	nNCP := parent.NumNCPs()
 	// Split the parent-element scale into per-region local scales and
 	// border scales.
 	borderIdx := map[network.LinkID]int{}

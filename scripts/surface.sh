@@ -11,11 +11,11 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22639
-max_host_lines=3667
+max_lines=22538
+max_host_lines=3680
 max_replica_lines=2683
 max_obs_lines=1199
-max_flags=20
+max_flags=19
 max_options=5
 
 cd "$(dirname "$0")/.."
