@@ -47,10 +47,8 @@ type CommitHook func(*Record) error
 func (s *Scheduler) SetCommitHook(h CommitHook) { s.commit = h }
 
 // Operation names used in Record.Op. Every admission, Submit included,
-// writes an OpBatch record; OpAdmit is only decoded, from journals
-// written when Submit had its own record.
+// writes an OpBatch record.
 const (
-	OpAdmit       = "admit"
 	OpBatch       = "batch"
 	OpRemove      = "remove"
 	OpRepair      = "repair"
@@ -61,11 +59,10 @@ const (
 // outcome for structural replay.
 type Record struct {
 	Op string `json:"op"`
-	// Outcome is "admitted"/"rejected"/"error" for (legacy) admits,
-	// "ok"/"error" for batches, removes and fluctuations,
+	// Outcome is "ok"/"error" for batches, removes and fluctuations,
 	// "repaired"/"failed" for repairs.
 	Outcome string `json:"outcome"`
-	// Name is the target application (legacy admit, remove, repair).
+	// Name is the target application (remove, repair).
 	Name string `json:"name,omitempty"`
 	// Reason carries the operation error text, for operators reading the
 	// journal; replay does not interpret it.
@@ -377,12 +374,6 @@ func (s *Scheduler) restoreSnapshot(snap *Snapshot) error {
 // shard lock).
 func (s *Scheduler) ApplyCommitted(rec *Record) error {
 	switch rec.Op {
-	case OpAdmit:
-		if rec.App != nil {
-			if err := s.replayAdmit(rec.App); err != nil {
-				return err
-			}
-		}
 	case OpBatch:
 		for _, e := range rec.Batch {
 			if e.App == nil {

@@ -178,6 +178,56 @@ func TestSnapshotPruneKeepsPreviousGeneration(t *testing.T) {
 	}
 }
 
+// TestRecoverFromSnapshotZero: the empty state is snapshot 0. With the
+// only snapshot corrupt and the segments still starting at seq 1,
+// recovery returns no snapshot and every record; once a second snapshot
+// has pruned the first segment, unreadable snapshots are an error.
+func TestRecoverFromSnapshotZero(t *testing.T) {
+	// write journals gens generations of three records and a snapshot,
+	// then two more records, and corrupts every snapshot.
+	write := func(gens int) string {
+		dir := t.TempDir()
+		j := openEmpty(t, dir, Options{})
+		for gen := 0; gen <= gens; gen++ {
+			if gen > 0 {
+				if err := j.WriteSnapshot(map[string]int{"gen": gen}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := j.Append("op", testOp{N: i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		j.Close()
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), "snap-") {
+				path := filepath.Join(dir, e.Name())
+				data, _ := os.ReadFile(path)
+				data[len(data)-1] ^= 0xff
+				os.WriteFile(path, data, 0o644)
+			}
+		}
+		return dir
+	}
+	j, _ := Open(write(1), Options{})
+	defer j.Close()
+	snap, recs, err := j.Recover()
+	if err != nil {
+		t.Fatalf("Recover with the only snapshot corrupt: %v", err)
+	}
+	if snap != nil || len(recs) != 6 || recs[0].Seq != 1 {
+		t.Fatalf("recovered snapshot %s and %d records, want none and seqs 1..6", snap, len(recs))
+	}
+	j2, _ := Open(write(2), Options{})
+	defer j2.Close()
+	if _, _, err := j2.Recover(); err == nil || !strings.Contains(err.Error(), "no readable snapshot") {
+		t.Fatalf("Recover with every snapshot corrupt and seq 1 pruned: %v, want an error", err)
+	}
+}
+
 func TestTornTailTruncated(t *testing.T) {
 	for _, cut := range []int{1, 3, 7, 8, 12} { // header-torn and payload-torn
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {

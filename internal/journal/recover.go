@@ -95,7 +95,9 @@ func sameRecord(a, b Record) bool {
 // loadSnapshot picks the newest readable snapshot. A torn or corrupt
 // newest snapshot falls back to the previous generation (which pruning
 // keeps around for exactly this case); an older corrupt snapshot is an
-// error only if no newer one loads.
+// error only if no newer one loads. The empty state is snapshot 0: when
+// no snapshot loads but the segments still start at seq 1, recovery
+// replays every record from nothing.
 func (j *Journal) loadSnapshot(entries []os.DirEntry) ([]byte, uint64, error) {
 	type cand struct {
 		name string
@@ -126,7 +128,7 @@ func (j *Journal) loadSnapshot(entries []os.DirEntry) ([]byte, uint64, error) {
 		}
 		return rec.Data, c.seq, nil
 	}
-	if firstErr != nil && len(cands) > 0 {
+	if segs := listSegments(entries); firstErr != nil && (len(segs) == 0 || segs[0].start != 1) {
 		return nil, 0, fmt.Errorf("journal: no readable snapshot: %w", firstErr)
 	}
 	return nil, 0, nil

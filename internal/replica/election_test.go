@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -110,4 +111,35 @@ func TestBootBeforePeersElectsThroughReArm(t *testing.T) {
 	}
 	c.waitConverged([]string{fmt.Sprintf("%q", "x")})
 	t.Logf("leader %s in term %d", lead.ID(), lead.Status().Term)
+}
+
+// TestBootWritesNoSnapshot: a fresh node writes no snapshot and exports
+// nothing at boot, since its state machine restored from nothing is the
+// genesis state. Restarted before any snapshot, a follower restores from
+// nothing plus its own log and keeps following.
+func TestBootWritesNoSnapshot(t *testing.T) {
+	c := newCluster(t, -1)
+	lead := c.waitLeader()
+	for _, id := range c.ids {
+		snaps, _ := filepath.Glob(filepath.Join(c.dirs[id], "snap-*"))
+		if exports := c.sm(id).exports.Load(); len(snaps) > 0 || exports != 0 {
+			t.Fatalf("node %s booted with snapshots %v and %d exports, want none", id, snaps, exports)
+		}
+	}
+	for _, p := range []string{"x", "y"} {
+		if err := c.propose(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.waitConverged(quoted("x", "y"))
+	f := "b"
+	if lead.ID() == f {
+		f = "c"
+	}
+	c.stopNode(f)
+	c.startNode(f, 9)
+	if err := c.propose("z"); err != nil {
+		t.Fatal(err)
+	}
+	c.waitConverged(quoted("x", "y", "z"))
 }

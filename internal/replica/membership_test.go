@@ -56,7 +56,7 @@ func TestAddLearnerCatchesUpAndPromotes(t *testing.T) {
 		}
 		want = append(want, fmt.Sprintf("%q", p))
 	}
-	// Make sure the leader has compacted past genesis so catch-up cannot
+	// Make sure the leader has compacted past seq 1 so catch-up cannot
 	// stream from seq 1.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && c.node(lead.ID()).Status().SnapshotSeq <= 1 {

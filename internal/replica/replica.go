@@ -340,8 +340,10 @@ func New(cfg Config) (*Node, error) {
 // Start recovers the journal, restores the state machine through the
 // full local log (safe: every acknowledged entry is quorum-persisted, so
 // an unacknowledged local suffix is either adopted by the next leader or
-// truncated by the conflict path), persists a genesis snapshot on an
-// empty journal, and launches the election and apply loops.
+// truncated by the conflict path), and launches the election and apply
+// loops. An empty journal needs no snapshot: the machine restored from
+// nothing is the genesis state, and a log not yet compacted streams to
+// any follower from seq 1.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	if n.started {
@@ -393,22 +395,6 @@ func (n *Node) Start() error {
 	}
 	last := n.snapBase + uint64(len(n.tail))
 	n.commitIndex, n.lastApplied, n.synced = last, last, last
-
-	if snapBytes == nil && len(recs) == 0 {
-		// Genesis: pin the initial state so every later recovery — and
-		// every snapshot catch-up of an empty peer — starts from the
-		// same bytes.
-		err := n.cfg.SM.SnapshotWith(func(state []byte) error {
-			if err := n.cfg.Journal.WriteSnapshot(snapPayload{Conf: n.snapConf, State: state}); err != nil {
-				return err
-			}
-			n.snapData = append([]byte(nil), state...)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("replica: genesis snapshot: %w", err)
-		}
-	}
 
 	n.mu.Lock()
 	// Fold any recovered configuration entries: like data entries, the

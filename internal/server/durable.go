@@ -21,9 +21,9 @@ const metricRecovery = "sparcle_recovery_seconds"
 // periodic snapshots). The journal's format is shard's codec: with one
 // region, bare core records and snapshots.
 //
-// On an empty journal a genesis snapshot of the current (fresh) router
-// is written first: it pins every region's initial state, so a later
-// restart replays onto the same bytes.
+// An empty journal needs no snapshot: a fresh router is a function of
+// the network alone, so replay from nothing rebuilds the same bytes, and
+// the hook is armed on the live router.
 //
 // While recovery runs, the server answers mutating routes with 503 (see
 // middleware); GETs stay available.
@@ -63,23 +63,17 @@ func (s *Server) EnableJournal(dir string, opt journal.Options, snapshotEvery in
 		}
 		return nil
 	}
-	if len(snapBytes) > 0 || len(recs) > 0 {
+	if len(snapBytes) == 0 && len(recs) == 0 {
+		s.rt().SetEnvelopeHook(hook)
+	} else {
 		entries := make([][]byte, len(recs))
 		for i := range recs {
 			entries[i] = recs[i].Data
 		}
-		err = s.restore(snapBytes, entries, hook)
-	} else {
-		// Fresh journal: pin the initial state of every shard before the
-		// first operation can be acknowledged.
-		s.rt().SetEnvelopeHook(hook)
-		if err = s.snapshotTo(j); err != nil {
-			err = fmt.Errorf("write genesis snapshot: %w", err)
+		if err := s.restore(snapBytes, entries, hook); err != nil {
+			j.Close()
+			return err
 		}
-	}
-	if err != nil {
-		j.Close()
-		return err
 	}
 	s.mu.Lock()
 	s.journal = j
@@ -118,20 +112,17 @@ func (s *Server) restore(snapBytes []byte, entries [][]byte, hook shard.Envelope
 	return nil
 }
 
-// snapshotTo writes one consistent router snapshot into j.
-func (s *Server) snapshotTo(j *journal.Journal) error {
-	rt := s.rt()
-	return rt.SnapshotWith(func(snap *shard.RouterSnapshot) error {
-		return j.WriteSnapshot(shard.EncodeSnapshot(rt.NumShards(), snap))
-	})
-}
-
-// writeSnapshot is the journal hook's background snapshot. Failures are
-// counted, not fatal: the journal still holds every record, so recovery
-// just replays a longer tail.
+// writeSnapshot is the journal hook's background snapshot: one
+// consistent router snapshot written into j. Failures are counted, not
+// fatal: the journal still holds every record, so recovery just replays
+// a longer tail.
 func (s *Server) writeSnapshot(j *journal.Journal) {
 	defer s.snapshotting.Store(false)
-	if err := s.snapshotTo(j); err != nil {
+	rt := s.rt()
+	err := rt.SnapshotWith(func(snap *shard.RouterSnapshot) error {
+		return j.WriteSnapshot(shard.EncodeSnapshot(rt.NumShards(), snap))
+	})
+	if err != nil {
 		s.metrics.Counter("sparcle_snapshot_errors_total").Inc()
 	}
 }

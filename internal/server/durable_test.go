@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -48,6 +49,15 @@ func journaledServer(t *testing.T, net *network.Network, dir string, opts ...cor
 	return srv, ts
 }
 
+// noSnapshots fails unless dir holds no snapshot file: a fresh journal
+// boots with none, since replay from nothing rebuilds a fresh router.
+func noSnapshots(t *testing.T, dir string) {
+	t.Helper()
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*")); len(snaps) > 0 {
+		t.Fatalf("fresh journal wrote snapshots at boot: %v", snaps)
+	}
+}
+
 func getApps(t *testing.T, url string) string {
 	t.Helper()
 	resp, body := do(t, http.MethodGet, url+"/apps", "")
@@ -64,6 +74,7 @@ func TestServerRecoversAfterCrash(t *testing.T) {
 	net := testNet(t)
 	dir := t.TempDir()
 	srv1, ts1 := journaledServer(t, net, dir)
+	noSnapshots(t, dir)
 
 	for i := 0; i < 4; i++ {
 		body := appJSON(fmt.Sprintf("app-%d", i), "best-effort", `, "priority": 1`)
@@ -229,11 +240,11 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	}
 }
 
-// TestServerRecoversAdmitRecords: a journal of per-submit admit records —
-// what core.Scheduler.Submit's commit hook writes, and what a server
-// wrote before every admission went through the commit queue — is
-// recovered by EnableJournal to the scheduler that wrote it. The log also
-// holds an empty batch record, which a retried POST used to leave behind.
+// TestServerRecoversAdmitRecords: a journal that a lone scheduler's
+// commit hook wrote — a batch-of-one record per Submit, a remove, and an
+// empty batch record, which a retried POST used to leave behind — and
+// that holds no snapshot is recovered by EnableJournal, from nothing, to
+// the scheduler that wrote it.
 func TestServerRecoversAdmitRecords(t *testing.T) {
 	net := testNet(t)
 	dir := t.TempDir()
@@ -245,13 +256,6 @@ func TestServerRecoversAdmitRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := core.New(net)
-	genesis, err := sched.ExportSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WriteSnapshot(genesis); err != nil {
-		t.Fatal(err)
-	}
 	sched.SetCommitHook(func(rec *core.Record) error {
 		_, err := j.Append("op", rec)
 		return err

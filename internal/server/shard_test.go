@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -262,6 +261,7 @@ func TestShardServerJournalRecovery(t *testing.T) {
 	if err := srv.EnableJournal(dir, journal.Options{Fsync: journal.SyncAlways}, 0); err != nil {
 		t.Fatal(err)
 	}
+	noSnapshots(t, dir)
 	ts := httptest.NewServer(srv.Handler())
 	resp, body := do(t, http.MethodPost, ts.URL+"/apps", shardAppJSON("xr", "a0", "b1", shardGRQoS))
 	if resp.StatusCode != http.StatusCreated {
@@ -308,13 +308,13 @@ func TestShardServerJournalRecovery(t *testing.T) {
 
 // TestJournalFixturesRecover recovers journals older servers wrote —
 // one unsharded and one with -shards 2 by a server that still had an
-// unsharded host, and one with -shards 2 by a server that journaled a
-// cross-region operation as several records, torn twice
-// (testdata/*/journal, each with snapshots and a record tail). It checks GET /apps against the listing that server
-// served from the same journal, that recovery appends no record, and
-// that every listed application routes by its logical name afterwards.
-// The torn journal's second tear is dropped where the writer withdrew it
-// and re-solved, so its rates compare at 1e-9 relative tolerance.
+// unsharded host (testdata/*/journal, each with snapshots and a record
+// tail). It checks GET /apps against the listing that server served from
+// the same journal, that recovery appends no record, and that every
+// listed application routes by its logical name afterwards. The third
+// fixture was written with -shards 2 by a server that journaled a
+// cross-region operation as several records; that format is retired, so
+// recovery refuses it, appending nothing and writing no snapshot.
 func TestJournalFixturesRecover(t *testing.T) {
 	type listing []struct {
 		Name      string  `json:"name"`
@@ -326,10 +326,10 @@ func TestJournalFixturesRecover(t *testing.T) {
 		} `json:"paths"`
 	}
 	for _, fx := range []struct {
-		dir    string
-		shards int
-		tol    float64
-	}{{"journal-unsharded", 1, 0}, {"journal-shards2", 2, 0}, {"journal-shards2-torn", 2, 1e-9}} {
+		dir     string
+		shards  int
+		retired bool
+	}{{"journal-unsharded", 1, false}, {"journal-shards2", 2, false}, {"journal-shards2-torn", 2, true}} {
 		t.Run(fx.dir, func(t *testing.T) {
 			base := filepath.Join("testdata", fx.dir)
 			data, err := os.ReadFile(filepath.Join(base, "scenario.json"))
@@ -374,6 +374,17 @@ func TestJournalFixturesRecover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if fx.retired {
+				before := dirListing(t, dir)
+				err := srv.EnableJournal(dir, journal.Options{Fsync: journal.SyncNever}, 1)
+				if err == nil || !strings.Contains(err.Error(), "retired journal format") {
+					t.Fatalf("recover retired fixture: %v, want a retired-format refusal", err)
+				}
+				if after := dirListing(t, dir); after != before {
+					t.Fatalf("refused recovery changed the journal\nbefore: %s\nafter:  %s", before, after)
+				}
+				return
+			}
 			if err := srv.EnableJournal(dir, journal.Options{Fsync: journal.SyncNever}, 0); err != nil {
 				t.Fatalf("recover fixture: %v", err)
 			}
@@ -395,17 +406,6 @@ func TestJournalFixturesRecover(t *testing.T) {
 			if err := json.Unmarshal(golden, &want); err != nil {
 				t.Fatal(err)
 			}
-			near := func(a, b float64) bool { return math.Abs(a-b) <= fx.tol*math.Max(math.Abs(a), math.Abs(b)) }
-			for i := range want {
-				if i < len(got) && near(got[i].TotalRate, want[i].TotalRate) {
-					got[i].TotalRate = want[i].TotalRate
-				}
-				for p := range want[i].Paths {
-					if i < len(got) && p < len(got[i].Paths) && near(got[i].Paths[p].Rate, want[i].Paths[p].Rate) {
-						got[i].Paths[p].Rate = want[i].Paths[p].Rate
-					}
-				}
-			}
 			if len(want) == 0 || !reflect.DeepEqual(got, want) {
 				t.Fatalf("recovered listing differs from the writer's\nwant: %+v\ngot:  %+v", want, got)
 			}
@@ -423,4 +423,22 @@ func TestJournalFixturesRecover(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dirListing renders the names and sizes of dir's files.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range files {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s:%d ", e.Name(), info.Size())
+	}
+	return b.String()
 }

@@ -336,115 +336,67 @@ func TestCrossOperationDurabilityFailure(t *testing.T) {
 	}
 }
 
-// TestDecodeLogFoldsLegacyCrossRecords: a journal written when a
-// cross-region operation was several envelopes — each half's record
-// tagged with its app, then a lease envelope — decodes into one envelope
-// per operation. The whole log folds into exactly the envelopes a current
-// router commits, its halves' batch-of-one records written back as the
-// admit records of that time; a log cut inside a cross-region operation
-// drops that operation; and a torn admission a recovery withdrew folds
-// into one envelope that leaves nothing resident.
-func TestDecodeLogFoldsLegacyCrossRecords(t *testing.T) {
+// TestDecodeLogRefusesRetiredFormats: a log holding a per-half record
+// tagged with its cross-region app, or an "admit" record (bare at k = 1,
+// a single-shard envelope's or a step's record at k = 2), is refused
+// whole, naming the retired format.
+func TestDecodeLogRefusesRetiredFormats(t *testing.T) {
+	admit := &core.Record{Op: "admit", Outcome: "admitted", Name: "a"}
+	batch := &core.Record{Op: core.OpBatch, Outcome: "ok"}
+	for _, tc := range []struct {
+		name string
+		k    int
+		bad  any
+	}{
+		{"bare admit", 1, admit},
+		{"shard admit", 2, &Envelope{Shard: 0, Rec: admit}},
+		{"step admit", 2, &Envelope{Shard: -1, Steps: []Step{{0, batch}, {1, admit}}}},
+		{"tagged half", 2, &Envelope{Shard: 1, Cross: "x", Rec: batch}},
+	} {
+		good := mustJSON(t, EncodeEnvelope(tc.k, &Envelope{Rec: batch}))
+		_, _, err := DecodeLog(tc.k, nil, [][]byte{[]byte(good), []byte(mustJSON(t, tc.bad))})
+		if err == nil || !strings.Contains(err.Error(), "retired journal format") {
+			t.Fatalf("%s: DecodeLog = %v, want a retired-format refusal", tc.name, err)
+		}
+	}
+}
+
+// TestCrossAvailabilityRollback: a cross-region app whose halves each
+// reach its availability target, but whose end-to-end availability
+// aA·aB·(1−p) misses it, is refused after both halves are placed. Both
+// rollbacks journal in its one envelope, which holds no lease; neither
+// shard keeps a half, the border holds no lease and the name is free
+// again; and the log replays to the live router's bytes.
+func TestCrossAvailabilityRollback(t *testing.T) {
 	net := lopsidedNet(t)
 	r := twoShardRouter(t, net)
 	tape := &journalTape{}
 	r.SetEnvelopeHook(tape.hook)
-	for _, op := range mixedOps(t, net) {
-		if err := op.run(r); err != nil && !errors.Is(err, core.ErrRejected) {
-			t.Fatalf("%s: %v", op.name, err)
+	qos := core.QoS{Class: core.BestEffort, Priority: 1, Availability: 0.95, MaxPaths: 1}
+	_, err := r.Submit(pipelineApp(t, "xa", net, "a0", "b1", 2, qos), nil)
+	if !errors.Is(err, core.ErrRejected) || !strings.Contains(err.Error(), "end-to-end availability") {
+		t.Fatalf("cross admit below its end-to-end target: %v, want an availability rejection", err)
+	}
+	for i := range r.slots {
+		if n := len(r.Shard(i).GRApps()) + len(r.Shard(i).BEApps()); n != 0 {
+			t.Fatalf("shard %d keeps %d residents after the rollback", i, n)
 		}
 	}
-	// The old binaries wrote each half's admission as an admit record.
-	envs := legacyHalves(tape.envs)
-	// split writes envs as a server that journaled each record on its
-	// own: a cross-region operation's records tagged with its app, a
-	// fluctuation's untagged.
-	split := func(envs []*Envelope) []*Envelope {
-		var out []*Envelope
-		for _, env := range envs {
-			if env.Rec != nil {
-				out = append(out, env)
-				continue
-			}
-			for _, st := range env.Steps {
-				logical, _, _ := logicalOfHalf(st.Rec.Name)
-				out = append(out, &Envelope{Shard: st.Shard, Cross: logical, Rec: st.Rec})
-			}
-			if env.Lease != nil || env.IsBorderScale {
-				out = append(out, &Envelope{Shard: -1, Lease: env.Lease, BorderScale: env.BorderScale, IsBorderScale: env.IsBorderScale})
-			}
-		}
-		return out
+	if r.leases.byApp["xa"] != nil || r.Stats().Border[0].Leased != 0 {
+		t.Fatalf("the rolled-back app holds a lease: %+v", r.Stats().Border)
 	}
-	// Folding regroups the cross-region operations; an old log's
-	// fluctuations stay one record per shard plus a border envelope.
-	var want []*Envelope
-	for _, env := range envs {
-		if env.IsBorderScale {
-			want = append(want, split([]*Envelope{env})...)
-		} else {
-			want = append(want, env)
-		}
+	if len(tape.envs) != 1 || len(tape.envs[0].Steps) != 4 || tape.envs[0].Lease != nil || !hasOp(tape.envs[0], core.OpRemove) {
+		t.Fatalf("committed %s, want one envelope of both halves and both rollbacks, no lease", mustJSON(t, tape.envs))
 	}
-	if got, want := mustJSON(t, foldLegacy(nil, split(envs))), mustJSON(t, want); got != want {
-		t.Fatalf("legacy log folds into\n%s\nwant\n%s", got, want)
-	}
-	cuts := 0
-	for i, env := range envs {
-		if env.Rec != nil || env.IsBorderScale {
-			continue // a single record, or a fluctuation: nothing to tear
-		}
-		legacy := split(envs[i : i+1])
-		for cut := 1; cut < len(legacy); cut++ {
-			torn := append(split(envs[:i]), legacy[:cut]...)
-			if got, want := mustJSON(t, foldLegacy(nil, torn)), mustJSON(t, foldLegacy(nil, split(envs[:i]))); got != want {
-				t.Fatalf("operation %d cut after %d of %d records folds into\n%s\nwant\n%s", i, cut, len(legacy), got, want)
-			}
-			cuts++
-		}
-	}
-	if cuts == 0 {
-		t.Fatal("no cross-region operation was cut")
-	}
-
-	// A torn admission (the first half of xt's) and the withdrawal a
-	// recovery journaled for it fold into one envelope.
-	i := slices.IndexFunc(envs, func(env *Envelope) bool { return env.Lease != nil && env.Lease.App == "xt" })
-	first := split(envs[i : i+1])[0]
-	withdrawal := &Envelope{Shard: first.Shard, Cross: "xt", Rec: &core.Record{Op: core.OpRemove, Outcome: "ok", Name: first.Rec.Name}}
-	folded := foldLegacy(nil, append(split(envs[:i]), first, withdrawal))
-	if last := folded[len(folded)-1]; len(last.Steps) != 2 || last.Lease != nil {
-		t.Fatalf("torn admission and its withdrawal fold into %s", mustJSON(t, last))
-	}
-	replayed, err := Replay(net, 2, nil, folded, shardRebuilder())
+	replayed, err := Replay(net, 2, nil, tape.envs, shardRebuilder())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWhole(t, replayed, "withdrawn torn admission")
-}
-
-// legacyHalves rewrites the batch-of-one records in the steps of
-// multi-shard envelopes (the halves of cross-region admissions) as the
-// admit records the binaries that wrote per-record cross-region logs
-// journaled for them. Other envelopes pass through.
-func legacyHalves(envs []*Envelope) []*Envelope {
-	out := make([]*Envelope, len(envs))
-	for i, env := range envs {
-		out[i] = env
-		if env.Steps == nil {
-			continue
-		}
-		cp := *env
-		cp.Steps = make([]Step, len(env.Steps))
-		for j, st := range env.Steps {
-			cp.Steps[j] = st
-			if rec := st.Rec; rec.Op == core.OpBatch && len(rec.Batch) == 1 {
-				e := rec.Batch[0]
-				cp.Steps[j].Rec = &core.Record{Op: core.OpAdmit, Outcome: e.Outcome, Name: e.Name,
-					Reason: e.Reason, App: e.App, BERates: rec.BERates}
-			}
-		}
-		out[i] = &cp
+	if got, want := routerStateJSON(t, replayed), routerStateJSON(t, r); got != want {
+		t.Fatalf("replay of the rollback differs from the live router\nreplay: %s\nlive:   %s", got, want)
 	}
-	return out
+	qos.Availability = 0.5
+	if _, err := r.Submit(pipelineApp(t, "xa", net, "a0", "b1", 2, qos), nil); err != nil {
+		t.Fatalf("reusing the rolled-back name: %v", err)
+	}
 }

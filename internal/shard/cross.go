@@ -47,10 +47,10 @@ func logicalOfHalf(name string) (string, int, bool) {
 	return name[:i], region, true
 }
 
-// classify determines the regions an application's pins touch. Apps with
-// no pins or pins in one region are intra-region; pins across exactly two
-// regions are cross-region; more is rejected (the lease protocol is
-// pairwise).
+// classify determines the regions an application's pins touch: none for
+// an app without pins (which the router rejects), one for an intra-region
+// app, two for a cross-region one; more is rejected (the lease protocol
+// is pairwise).
 func (p *Partitioning) classify(app core.App) (regions []int, err error) {
 	seen := map[int]bool{}
 	for ct, ncp := range app.Pins {

@@ -2,13 +2,16 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"sparcle/internal/core"
 	"sparcle/internal/network"
 	"sparcle/internal/obs"
+	"sparcle/internal/placement"
 )
 
 // Durability of the sharded control plane: one router operation, one
@@ -31,9 +34,8 @@ type Envelope struct {
 	// Shard is the region of a single-shard operation's record; -1 for an
 	// operation that touches several shards or the border.
 	Shard int `json:"shard"`
-	// Cross tags a half's record in journals written before a
-	// cross-region operation was one envelope; DecodeLog folds those
-	// records (legacy.go). Nothing sets it any more.
+	// Cross tagged a half's record in a retired format, one entry per
+	// half; nothing sets it, and DecodeEnvelope refuses an entry that does.
 	Cross string `json:"cross,omitempty"`
 	// Rec is the record of a single-shard operation.
 	Rec *core.Record `json:"rec,omitempty"`
@@ -116,7 +118,9 @@ func EncodeSnapshot(k int, snap *RouterSnapshot) any {
 	return snap
 }
 
-// DecodeEnvelope decodes one entry of a k-region journal.
+// DecodeEnvelope decodes one entry of a k-region journal. It refuses the
+// two retired entry formats, which no current binary writes: a
+// cross-region half's record tagged with its app, and an "admit" record.
 func DecodeEnvelope(k int, data []byte) (*Envelope, error) {
 	env := &Envelope{}
 	var err error
@@ -126,15 +130,20 @@ func DecodeEnvelope(k int, data []byte) (*Envelope, error) {
 	} else {
 		err = json.Unmarshal(data, env)
 	}
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case env.Cross != "":
+		return nil, fmt.Errorf("shard: retired journal format: a per-half record of cross-region app %q, not one envelope per operation", env.Cross)
+	case env.Rec != nil && env.Rec.Op == "admit", slices.ContainsFunc(env.Steps, func(st Step) bool { return st.Rec != nil && st.Rec.Op == "admit" }):
+		return nil, errors.New(`shard: retired journal format: an "admit" record, not a "batch" of one`)
 	}
 	return env, nil
 }
 
 // DecodeLog decodes a k-region journal: its snapshot (nil when snapBytes
-// is empty) and the entries after it, with the records of older journals'
-// cross-region operations folded into one envelope each.
+// is empty) and the entries after it. A retired entry format refuses the
+// whole log before anything applies.
 func DecodeLog(k int, snapBytes []byte, entries [][]byte) (*RouterSnapshot, []*Envelope, error) {
 	var snap *RouterSnapshot
 	if len(snapBytes) > 0 {
@@ -158,7 +167,7 @@ func DecodeLog(k int, snapBytes []byte, entries [][]byte) (*RouterSnapshot, []*E
 		}
 		envs[i] = env
 	}
-	return snap, foldLegacy(snap, envs), nil
+	return snap, envs, nil
 }
 
 // SetEnvelopeHook installs (or clears, with nil) the durability hook:
@@ -280,6 +289,9 @@ func (r *Router) SnapshotWith(write func(*RouterSnapshot) error) error {
 // like everything else. A replication follower stays hot through Apply
 // and Replay folds it over a journal. It commits nothing.
 func (r *Router) Apply(env *Envelope) error {
+	if err := r.checkBorderScale(env.BorderScale); err != nil {
+		return err
+	}
 	steps := env.Steps
 	if env.Rec != nil {
 		steps = []Step{{Shard: env.Shard, Rec: env.Rec}}
@@ -307,7 +319,7 @@ func (r *Router) Apply(env *Envelope) error {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
 	switch {
-	case env.Rec != nil && env.Cross == "":
+	case env.Rec != nil:
 		r.registerLocked(env.Shard, env.Rec)
 	case env.Lease != nil:
 		r.applyLeaseLocked(env.Lease)
@@ -321,11 +333,8 @@ func (r *Router) Apply(env *Envelope) error {
 // registerLocked folds one intra-region record into the name registry,
 // as the live path's settle and unclaim leave it. The caller holds regMu.
 func (r *Router) registerLocked(shard int, rec *core.Record) {
-	switch {
-	case rec.Op == core.OpRemove:
+	if rec.Op == core.OpRemove {
 		delete(r.apps, rec.Name)
-	case rec.Op == core.OpAdmit && rec.App != nil:
-		r.apps[rec.Name] = &appEntry{shard: shard}
 	}
 	for _, e := range rec.Batch {
 		if e.App != nil {
@@ -350,19 +359,31 @@ func (r *Router) applyLeaseLocked(lr *LeaseRecord) {
 	r.apps[lr.App] = &appEntry{shard: lr.A, cross: lr.with("")}
 }
 
-// applyScaleLocked replaces the border-link scales; links absent from
-// border return to nominal, and indices outside the partition are
-// ignored. The caller holds borderMu.
+// checkBorderScale holds a border scale to the live path's rule: each
+// index names a border link, whose factor core.ElementScale.Validate
+// accepts.
+func (r *Router) checkBorderScale(border map[int]float64) error {
+	scale := core.ElementScale{}
+	for i, f := range border {
+		if i < 0 || i >= len(r.part.Border) {
+			return fmt.Errorf("shard: unknown border link %d in scale", i)
+		}
+		scale[placement.LinkElement(r.part.Parent, r.part.Border[i].Link)] = f
+	}
+	return scale.Validate(r.part.Parent)
+}
+
+// applyScaleLocked replaces the border-link scales, which
+// checkBorderScale has passed; links absent from border return to
+// nominal. The caller holds borderMu.
 func (r *Router) applyScaleLocked(border map[int]float64) {
 	for i := range r.part.Border {
 		r.leases.SetScale(i, 1)
 	}
 	r.borderScale = map[int]float64{}
 	for i, f := range border {
-		if i >= 0 && i < len(r.part.Border) {
-			r.leases.SetScale(i, f)
-			r.borderScale[i] = f
-		}
+		r.leases.SetScale(i, f)
+		r.borderScale[i] = f
 	}
 }
 
@@ -388,6 +409,9 @@ func Replay(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope,
 	})
 	if err != nil {
 		return nil, err
+	}
+	if err := r.checkBorderScale(snap.BorderScale); err != nil {
+		return nil, fmt.Errorf("shard: snapshot: %w", err)
 	}
 	// r is not shared yet: the snapshot's registry and border state apply
 	// unlocked. Every resident is an intra-region app except the halves,

@@ -305,3 +305,25 @@ func TestLeasedIsAFunctionOfTheLeases(t *testing.T) {
 		t.Fatalf("live table leases %v, restored %v", got, want)
 	}
 }
+
+// TestBadBorderScaleRefused: replay holds a border scale to the live
+// path's rule. An envelope or a snapshot whose border scale names an
+// unknown border link, or carries a negative or non-finite factor, is
+// refused, and the envelope leaves the router as it found it.
+func TestBadBorderScaleRefused(t *testing.T) {
+	net := lopsidedNet(t)
+	for _, bad := range []map[int]float64{{0: -3}, {0: math.NaN()}, {0: math.Inf(1)}, {1: 0.5}, {-1: 0.5}} {
+		r := twoShardRouter(t, net)
+		before := fmt.Sprintf("%+v", r.Stats().Border)
+		if err := r.Apply(&Envelope{Shard: -1, IsBorderScale: true, BorderScale: bad}); err == nil {
+			t.Fatalf("Apply of border scale %v: no error", bad)
+		}
+		if after := fmt.Sprintf("%+v", r.Stats().Border); after != before {
+			t.Fatalf("refused border scale %v changed the border: %s, was %s", bad, after, before)
+		}
+		snap := &RouterSnapshot{Shards: make([]*core.Snapshot, 2), BorderScale: bad}
+		if _, err := Replay(net, 2, snap, nil, shardRebuilder()); err == nil {
+			t.Fatalf("Replay of a snapshot with border scale %v: no error", bad)
+		}
+	}
+}

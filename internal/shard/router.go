@@ -283,7 +283,7 @@ func (r *Router) lookup(name string) (*appEntry, error) {
 // apps run the two-phase border-lease admission. sp (nil-safe) parents
 // the lock.wait and shard operation spans.
 func (r *Router) Submit(app core.App, sp *obs.Span) (*Result, error) {
-	regions, err := r.route(app, sp)
+	regions, err := r.route(app)
 	if err != nil {
 		return nil, err
 	}
@@ -294,14 +294,19 @@ func (r *Router) Submit(app core.App, sp *obs.Span) (*Result, error) {
 }
 
 // route checks app's name and returns the regions its pins span: two for
-// a cross-region app, else its one shard (the least loaded when unpinned).
-func (r *Router) route(app core.App, sp *obs.Span) ([]int, error) {
+// a cross-region app, else its one shard. An app that pins no CT is
+// rejected here, counted once, without a shard lock: Algorithm 2 places
+// only graphs whose sources and sinks are pinned, so every shard would
+// reject it.
+func (r *Router) route(app core.App) ([]int, error) {
 	if err := r.checkName(app.Name); err != nil {
 		return nil, err
 	}
 	regions, err := r.part.classify(app)
 	if err == nil && len(regions) == 0 {
-		regions = []int{r.leastLoadedShard(sp)}
+		err = fmt.Errorf("shard: app %q pins no CT; every source and sink must be pinned to a host: %w",
+			app.Name, core.ErrRejected)
+		r.countAdmission(app.QoS.Class, err)
 	}
 	return regions, err
 }
@@ -334,24 +339,6 @@ func (r *Router) claimIn(app core.App, shard int) (core.App, error) {
 		r.unclaim(app.Name)
 	}
 	return local, err
-}
-
-// leastLoadedShard picks the shard with the fewest admitted apps (ties
-// to the lowest region index) for apps with no pins.
-func (r *Router) leastLoadedShard(sp *obs.Span) int {
-	if len(r.slots) < 2 {
-		return 0
-	}
-	best, bestN := 0, -1
-	for i, s := range r.slots {
-		s.lock(sp)
-		n := len(s.ctl.GRApps()) + len(s.ctl.BEApps())
-		s.unlock()
-		if bestN < 0 || n < bestN {
-			best, bestN = i, n
-		}
-	}
-	return best
 }
 
 // rateTol is the relative tolerance inside which the two halves' rates
@@ -526,7 +513,7 @@ func (r *Router) SubmitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult,
 	subs, idx := make([][]core.App, len(r.slots)), make([][]int, len(r.slots))
 	for i, app := range apps {
 		results[i].Name = app.Name
-		regions, err := r.route(app, sp)
+		regions, err := r.route(app)
 		switch {
 		case err != nil:
 		case len(regions) == 2:

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"sparcle/internal/core"
 	"sparcle/internal/network"
@@ -791,5 +793,60 @@ func TestRemoveLeavesOnlyZeroedBE(t *testing.T) {
 	}
 	if got := rate("a"); got != 0 {
 		t.Fatalf("survivor rate = %v, want 0", got)
+	}
+}
+
+// TestUnpinnedAppRejectedByRoute: Algorithm 2 places only graphs whose
+// sources and sinks are pinned, so the router rejects an app that pins
+// no CT itself, through Submit and SubmitBatch alike: ErrRejected naming
+// the pin rule, counted once as rejected, with every shard lock held
+// elsewhere (it takes none) and no record written. Its name stays free.
+func TestUnpinnedAppRejectedByRoute(t *testing.T) {
+	net := lopsidedNet(t)
+	reg := obs.NewRegistry()
+	r, err := New(net, 2, newCtlFactory(core.WithMetrics(reg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape := &journalTape{}
+	r.SetEnvelopeHook(tape.hook)
+	be := core.QoS{Class: core.BestEffort, Priority: 1, Availability: 0.5, MaxPaths: 1}
+	unpinned := pipelineApp(t, "u", net, "a0", "a1", 1, be)
+	unpinned.Pins = nil
+	for _, s := range r.slots {
+		s.mu.Lock()
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Submit(unpinned, nil)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		err = errors.New("Submit waited for a shard lock")
+	}
+	for _, s := range r.slots {
+		s.mu.Unlock()
+	}
+	if !errors.Is(err, core.ErrRejected) || !strings.Contains(err.Error(), "pinned") {
+		t.Fatalf("Submit of an unpinned app: %v, want ErrRejected naming the pin rule", err)
+	}
+	res, err := r.SubmitBatch([]core.App{unpinned, pipelineApp(t, "p", net, "a0", "a1", 1, be)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res[0].Err, core.ErrRejected) || res[1].Err != nil {
+		t.Fatalf("SubmitBatch verdicts %v, %v: want the unpinned app rejected, the pinned one admitted", res[0].Err, res[1].Err)
+	}
+	if len(tape.envs) != 1 || tape.envs[0].Rec == nil || len(tape.envs[0].Rec.Batch) != 1 {
+		t.Fatalf("committed %s, want one record of the pinned app alone", mustJSON(t, tape.envs))
+	}
+	rejected := reg.Counter(metricAdmissions, obs.L("class", be.Class.String()), obs.L("outcome", "rejected")).Value()
+	if rejected != 2 {
+		t.Fatalf("%v rejections counted, want 2 (one per submission)", rejected)
+	}
+	if _, ok := r.ShardOf("u"); ok {
+		t.Fatal("the rejected app's name is still claimed")
 	}
 }

@@ -11,9 +11,9 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22538
-max_host_lines=3680
-max_replica_lines=2683
+max_lines=22397
+max_host_lines=3560
+max_replica_lines=2669
 max_obs_lines=1199
 max_flags=19
 max_options=5
