@@ -14,14 +14,20 @@ import (
 
 // mesh16 is testdata/mesh16.json built in place: 16 NCPs of 3000 cpu, a
 // 1000-bandwidth link between every pair. link[a][b] is the a-b link.
-func mesh16(tb testing.TB) (*network.Network, [16][16]network.LinkID) {
+func mesh16(tb testing.TB) (*network.Network, [][]network.LinkID) { return meshN(tb, 16) }
+
+// meshN is the n-NCP full mesh of mesh16's elements.
+func meshN(tb testing.TB, n int) (*network.Network, [][]network.LinkID) {
 	tb.Helper()
-	b := network.NewBuilder("mesh16")
-	var ids [16]network.NCPID
+	b := network.NewBuilder(fmt.Sprintf("mesh%d", n))
+	ids := make([]network.NCPID, n)
 	for i := range ids {
 		ids[i] = b.AddNCP(fmt.Sprintf("n%02d", i), resource.Vector{resource.CPU: 3000}, 0)
 	}
-	var link [16][16]network.LinkID
+	link := make([][]network.LinkID, n)
+	for i := range link {
+		link[i] = make([]network.LinkID, n)
+	}
 	for i := range ids {
 		for j := i + 1; j < len(ids); j++ {
 			l := b.AddLink(fmt.Sprintf("l%02d-%02d", i, j), ids[i], ids[j], 1000, 0.01)
@@ -39,11 +45,11 @@ func mesh16(tb testing.TB) (*network.Network, [16][16]network.LinkID) {
 // generator does (2-8 work CTs, bounded-Pareto requirements, bits and
 // priority scaled to 2% of an element) and places every CT on a random
 // NCP, each TT on the direct link between its end hosts.
-func meshPipeline(tb testing.TB, rng *rand.Rand, net *network.Network, link [16][16]network.LinkID) Flow {
+func meshPipeline(tb testing.TB, rng *rand.Rand, net *network.Network, link [][]network.LinkID) Flow {
 	tb.Helper()
 	pareto := func(lo, hi float64) float64 { return workload.BoundedPareto(rng, 1.3, lo, hi) }
 	gb := taskgraph.NewBuilder("p")
-	hosts := []int{rng.Intn(16)}
+	hosts := []int{rng.Intn(len(link))}
 	prev := gb.AddCT("in", nil)
 	for i, n := 0, max(2, int(pareto(1, 8)+0.5)); i <= n; i++ {
 		var req resource.Vector
@@ -52,7 +58,7 @@ func meshPipeline(tb testing.TB, rng *rand.Rand, net *network.Network, link [16]
 		}
 		ct := gb.AddCT(fmt.Sprintf("c%d", i), req)
 		gb.AddTT(fmt.Sprintf("t%d", i), prev, ct, 20*pareto(1, 50))
-		hosts = append(hosts, rng.Intn(16))
+		hosts = append(hosts, rng.Intn(len(link)))
 		prev = ct
 	}
 	g, err := gb.Build()

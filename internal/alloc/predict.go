@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"maps"
 	"slices"
 
 	"sparcle/internal/network"
@@ -33,12 +34,21 @@ func FootprintOf(priority float64, paths []placement.Path) Footprint {
 }
 
 // Prediction is a reusable destination for eq. (6): the predicted
-// capacities, whose maps and link array are reused, and the per-element
-// totals, zero between predictions. A prediction lives until the next one
-// into the same Prediction; the Scheduler owns one per region.
+// capacities and the per-element totals, zero between predictions. A
+// prediction lives until the next one into the same Prediction; the
+// Scheduler owns one per region.
+//
+// The predicted capacities copy the input's link array but share its NCP
+// vectors: NCP v gets its own copy, in mine[v] (reused across
+// predictions), only when eq. (6) scales it or Subtract reserves on it.
 type Prediction struct {
 	caps  network.Capacities
+	mine  []resource.Vector
+	owned []bool // owned[v]: caps.NCP[v] is mine[v] in this prediction
 	total []float64
+	// links lists the links the footprints name, each once, in the order
+	// they were first named.
+	links []network.LinkID
 }
 
 // Predict implements eq. (6) into d: the capacity of every element as seen
@@ -47,6 +57,10 @@ type Prediction struct {
 // already placed on that element). Elements nobody uses are offered in
 // full. caps is not mutated.
 //
+// The result shares the NCP vectors of caps that eq. (6) leaves alone, so
+// it may be changed only through d.Subtract, and caps must not change
+// while the result is in use.
+//
 // The placed priority of an element is summed in `placed` order — a
 // footprint names an element at most once — so the result depends only on
 // the footprints and their order, never on how the caller arrived at them:
@@ -54,30 +68,43 @@ type Prediction struct {
 // that wrote it.
 func (d *Prediction) Predict(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
 	out := &d.caps
-	out.CopyFrom(caps)
-	// One dense total per element (NCPs first, then links): O(sum of
-	// footprint sizes) to fill, no hashing.
-	if n := len(out.NCP) + len(out.Link); len(d.total) != n {
-		d.total = make([]float64, n)
+	n := len(caps.NCP)
+	out.Link = append(out.Link[:0], caps.Link...)
+	out.NCP = append(out.NCP[:0], caps.NCP...)
+	if len(d.owned) != n {
+		d.mine, d.owned = make([]resource.Vector, n), make([]bool, n)
 	}
-	ncpTotal, linkTotal := d.total[:len(out.NCP)], d.total[len(out.NCP):]
+	clear(d.owned)
+	// One dense total per element (NCPs first, then links): O(sum of
+	// footprint sizes) to fill, no hashing. Each total is zeroed as it is
+	// applied. The NCP totals are scanned; the links named are listed on
+	// first touch and applied from that list, so a mesh's thousands of
+	// links cost nothing unless named.
+	if m := n + len(out.Link); len(d.total) != m {
+		d.total = make([]float64, m)
+	}
+	ncpTotal, linkTotal := d.total[:n], d.total[n:]
+	d.links = d.links[:0]
 	for i := range placed {
 		p := placed[i].Priority
 		for _, v := range placed[i].NCPs {
 			ncpTotal[v] += p
 		}
 		for _, l := range placed[i].Links {
+			if linkTotal[l] == 0 {
+				d.links = append(d.links, l)
+			}
 			linkTotal[l] += p
 		}
 	}
 	for v, t := range ncpTotal {
 		if t != 0 {
-			scaleVector(out.NCP[v], priority/(priority+t))
+			scaleVector(d.own(network.NCPID(v)), priority/(priority+t))
 			ncpTotal[v] = 0
 		}
 	}
-	for l, t := range linkTotal {
-		if t != 0 {
+	for _, l := range d.links {
+		if t := linkTotal[l]; t != 0 {
 			out.Link[l] *= priority / (priority + t)
 			linkTotal[l] = 0
 		}
@@ -85,7 +112,32 @@ func (d *Prediction) Predict(caps *network.Capacities, placed []Footprint, prior
 	return out
 }
 
-// Predict is eq. (6) into a fresh Prediction.
+// Subtract reserves p's resources at rate in the last prediction into d,
+// as p.Subtract does, first giving each NCP p loads a vector of d's own.
+func (d *Prediction) Subtract(p *placement.Placement, rate float64) {
+	for _, v := range p.LoadedNCPs() {
+		d.own(v)
+	}
+	p.Subtract(&d.caps, rate)
+}
+
+// own makes NCP v's predicted vector d's own, copying the shared one into
+// d's reused map the first time in a prediction, and returns it.
+func (d *Prediction) own(v network.NCPID) resource.Vector {
+	if !d.owned[v] {
+		if d.mine[v] == nil {
+			d.mine[v] = resource.Vector{}
+		}
+		clear(d.mine[v])
+		maps.Copy(d.mine[v], d.caps.NCP[v])
+		d.caps.NCP[v], d.owned[v] = d.mine[v], true
+	}
+	return d.caps.NCP[v]
+}
+
+// Predict is eq. (6) into a fresh Prediction. The result shares caps' NCP
+// vectors where eq. (6) leaves them alone: read it, or Clone it before
+// changing it.
 func Predict(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
 	return new(Prediction).Predict(caps, placed, priority)
 }

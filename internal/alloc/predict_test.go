@@ -2,11 +2,13 @@ package alloc
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
 	"sparcle/internal/resource"
+	"sparcle/internal/taskgraph"
 )
 
 // predictByMaps is eq. (6) as it was computed before footprints became
@@ -41,10 +43,10 @@ func predictByMaps(caps *network.Capacities, placed []Footprint, priority float6
 	return out
 }
 
-// residentFootprints draws k pipelines on mesh16 and returns their eq. (6)
-// footprints, priorities included.
-func residentFootprints(tb testing.TB, rng *rand.Rand, k int) (*network.Network, []Footprint) {
-	net, link := mesh16(tb)
+// residentFootprints draws k pipelines on an n-NCP mesh and returns their
+// eq. (6) footprints, priorities included.
+func residentFootprints(tb testing.TB, rng *rand.Rand, n, k int) (*network.Network, []Footprint) {
+	net, link := meshN(tb, n)
 	fps := make([]Footprint, k)
 	for i := range fps {
 		f := meshPipeline(tb, rng, net, link)
@@ -81,15 +83,70 @@ func TestFootprintOfSortedAndDistinct(t *testing.T) {
 	}
 }
 
+// kindPath places a source, a work CT and a sink on random NCPs of the
+// mesh, routed over direct links, whose work CT needs CPU and a kind no
+// NCP offers: reserving it adds that kind to its host's vector.
+func kindPath(tb testing.TB, rng *rand.Rand, net *network.Network, link [][]network.LinkID) *placement.Placement {
+	tb.Helper()
+	gb := taskgraph.NewBuilder("k")
+	src := gb.AddCT("in", nil)
+	work := gb.AddCT("work", resource.Vector{resource.CPU: 50, "scribble": 1})
+	snk := gb.AddCT("out", nil)
+	gb.AddTT("t0", src, work, 20)
+	gb.AddTT("t1", work, snk, 20)
+	g, err := gb.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := placement.New(g, net)
+	hosts := []int{rng.Intn(len(link)), rng.Intn(len(link)), rng.Intn(len(link))}
+	for ct, h := range hosts {
+		if err := p.PlaceCT(taskgraph.CTID(ct), network.NCPID(h)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for tt := 0; tt < 2; tt++ {
+		var route []network.LinkID
+		if a, b := hosts[tt], hosts[tt+1]; a != b {
+			route = []network.LinkID{link[a][b]}
+		}
+		if err := p.PlaceTT(taskgraph.TTID(tt), route); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p
+}
+
 // TestPredictBitIdenticalToMaps holds Predict to the map implementation
 // with == on every float, over 2000 seeded footprint sets. Every set is
 // predicted twice: into a fresh Prediction, and into one Prediction reused
 // across all sets and dirtied after each use the way an admission dirties
-// it (paths subtracted, kinds added), so reuse must leave no trace.
+// it, through Subtract (paths reserved, kinds added), so reuse must leave
+// no trace. The prediction shares the input's NCP vectors, so the input
+// must equal a copy taken before every Predict and Subtract.
 func TestPredictBitIdenticalToMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	net, pool := residentFootprints(t, rng, 300)
+	net, link := mesh16(t)
+	pool := make([]Footprint, 300)
+	for i := range pool {
+		f := meshPipeline(t, rng, net, link)
+		pool[i] = FootprintOf(f.Weight, []placement.Path{{P: f.Path}})
+	}
+	dirt := make([]*placement.Placement, 64)
+	for i := range dirt {
+		if i%2 == 0 {
+			dirt[i] = meshPipeline(t, rng, net, link).Path
+		} else {
+			dirt[i] = kindPath(t, rng, net, link)
+		}
+	}
 	caps := net.BaseCapacities()
+	unchanged := func(set int, after string, want *network.Capacities) {
+		t.Helper()
+		if !reflect.DeepEqual(caps, want) {
+			t.Fatalf("set %d: %s changed its input capacities", set, after)
+		}
+	}
 	var reused Prediction
 	for set := 0; set < 2000; set++ {
 		k := rng.Intn(64)
@@ -101,12 +158,14 @@ func TestPredictBitIdenticalToMaps(t *testing.T) {
 		for l := range caps.Link {
 			caps.Link[l] = 1000 * rng.Float64()
 		}
+		before := caps.Clone()
 		priority := 0.1 + 10*rng.Float64()
 		want := predictByMaps(caps, placed, priority)
-		for name, got := range map[string]*network.Capacities{
-			"fresh":  new(Prediction).Predict(caps, placed, priority),
-			"reused": reused.Predict(caps, placed, priority),
-		} {
+		fresh := new(Prediction).Predict(caps, placed, priority)
+		unchanged(set, "a fresh Predict", before)
+		warm := reused.Predict(caps, placed, priority)
+		unchanged(set, "a reused Predict", before)
+		for name, got := range map[string]*network.Capacities{"fresh": fresh, "reused": warm} {
 			for v := range want.NCP {
 				if len(got.NCP[v]) != len(want.NCP[v]) {
 					t.Fatalf("set %d, %s: NCP %d = %v, maps say %v", set, name, v, got.NCP[v], want.NCP[v])
@@ -123,13 +182,9 @@ func TestPredictBitIdenticalToMaps(t *testing.T) {
 				}
 			}
 		}
-		dirty := reused.Predict(caps, placed, priority)
-		for v := range dirty.NCP {
-			dirty.NCP[v][resource.CPU] *= rng.Float64()
-			dirty.NCP[v]["scribble"] = 1
-		}
-		for l := range dirty.Link {
-			dirty.Link[l] = -1
+		for range rng.Intn(4) {
+			reused.Subtract(dirt[rng.Intn(len(dirt))], 5*rng.Float64())
+			unchanged(set, "Subtract", before)
 		}
 	}
 }
@@ -138,7 +193,7 @@ func TestPredictBitIdenticalToMaps(t *testing.T) {
 // zero allocations: the destination's maps and the totals are reused.
 func TestPredictReusedAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	net, fps := residentFootprints(t, rng, 64)
+	net, fps := residentFootprints(t, rng, 16, 64)
 	caps := net.BaseCapacities()
 	var d Prediction
 	d.Predict(caps, fps, 1.5)
@@ -150,18 +205,25 @@ func TestPredictReusedAllocatesNothing(t *testing.T) {
 var predictSink *network.Capacities
 
 // BenchmarkPredict is the microbench twin of alloc.predict_us: eq. (6)
-// over the footprints of K resident pipelines on mesh16, into a warm
-// Prediction as the Scheduler runs it.
+// over the footprints of K resident pipelines, into a warm Prediction as
+// the Scheduler runs it. "K=256" is 256 residents on mesh16; "mesh64-K=4"
+// is the place_bound shape, four residents on a 64-NCP full mesh, where
+// the footprints name a few of the 64 NCPs and 2,016 links.
 func BenchmarkPredict(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	net, fps := residentFootprints(b, rng, 256)
-	caps := net.BaseCapacities()
-	b.Run("K=256", func(b *testing.B) {
-		var d Prediction
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			predictSink = d.Predict(caps, fps, 1.5)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		n, k int
+	}{{"K=256", 16, 256}, {"mesh64-K=4", 64, 4}} {
+		rng := rand.New(rand.NewSource(13))
+		net, fps := residentFootprints(b, rng, c.n, c.k)
+		caps := net.BaseCapacities()
+		b.Run(c.name, func(b *testing.B) {
+			var d Prediction
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				predictSink = d.Predict(caps, fps, 1.5)
+			}
+		})
+	}
 }

@@ -29,9 +29,9 @@ type Sparcle struct {
 	// (the ablation benchmarks quantify this); it exists for comparison.
 	LiteralNu bool
 	// Metrics, when set, maintains the evaluation-core counters (γ
-	// evaluations, widest-path cache hits/misses). A nil registry is
-	// free: the hot loop increments nil no-op metrics and allocates
-	// nothing extra.
+	// evaluations, widest-path cache hits/misses). The hot loop counts in
+	// plain fields of the assignment's scratch, added to the registry
+	// once when the assignment ends; a nil registry drops them.
 	Metrics *obs.Registry
 	// Span, when set, records every placement decision, which explains
 	// why each task landed where it did. It gets one "pin" event per
@@ -204,8 +204,9 @@ type state struct {
 	// case) disables all event construction.
 	span *obs.Span
 
-	// Evaluation-core metrics; nil no-ops when no registry is attached.
-	mGamma *obs.Counter
+	// metrics receives the evaluation-core counts once, on release; nil
+	// (no registry attached) drops them.
+	metrics *obs.Registry
 }
 
 // evalScratch is an assignment's working memory. Assignments recycle it
@@ -231,6 +232,8 @@ type evalScratch struct {
 	results []scored
 	terms   []linkTerm
 	walk    frontierWalk
+	// gammaEvals counts this assignment's γ evaluations for release.
+	gammaEvals int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -251,11 +254,9 @@ func newStateCfg(g *taskgraph.Graph, pins placement.Pins, net *network.Network, 
 		}
 	}
 	sc := scratchPool.Get().(*evalScratch)
-	sc.placed = sc.placed[:0]
+	sc.placed, sc.gammaEvals = sc.placed[:0], 0
 	placement.NewEvalView(&sc.view, g, net, caps)
 	sc.cache.reset(g, net, caps, sc.view.LoadLink)
-	sc.cache.hits = cfg.metrics.Counter(metricWidestHits)
-	sc.cache.misses = cfg.metrics.Counter(metricWidestMisses)
 	st := &state{
 		g:           g,
 		net:         net,
@@ -266,7 +267,7 @@ func newStateCfg(g *taskgraph.Graph, pins placement.Pins, net *network.Network, 
 		noCache:     cfg.noCache,
 		literalNu:   cfg.literalNu,
 		span:        cfg.span,
-		mGamma:      cfg.metrics.Counter(metricGammaEvals),
+		metrics:     cfg.metrics,
 	}
 	// Place pinned CTs first (Algorithm 2 lines 3-5), in id order for
 	// determinism, routing TTs between pinned pairs as they close.
@@ -284,13 +285,17 @@ func newStateCfg(g *taskgraph.Graph, pins placement.Pins, net *network.Network, 
 	return st, nil
 }
 
-// release hands st's scratch back to scratchPool, dropping its references
-// to this assignment's inputs. st must not be used afterwards.
+// release adds the assignment's evaluation counts to the registry and
+// hands st's scratch back to scratchPool, dropping its references to this
+// assignment's inputs. st must not be used afterwards.
 func (st *state) release() {
 	sc := st.evalScratch
 	st.evalScratch = nil
+	st.metrics.Counter(metricGammaEvals).Add(float64(sc.gammaEvals))
+	st.metrics.Counter(metricWidestHits).Add(float64(sc.cache.hits))
+	st.metrics.Counter(metricWidestMisses).Add(float64(sc.cache.misses))
 	sc.view.CapLink = nil
-	sc.cache.net, sc.cache.caps, sc.cache.hits, sc.cache.misses = nil, nil, nil, nil
+	sc.cache.net, sc.cache.caps = nil, nil
 	scratchPool.Put(sc)
 }
 
@@ -393,7 +398,7 @@ func (st *state) linkTerms(ct taskgraph.CTID, dst []linkTerm, w *frontierWalk) [
 
 // gammaTerms is gamma with the host-independent link terms precomputed.
 func (st *state) gammaTerms(ct taskgraph.CTID, host network.NCPID, terms []linkTerm) (rate float64, feasible bool) {
-	st.mGamma.Inc()
+	st.gammaEvals++
 	rate = st.view.RateWith(host, st.view.Req[ct])
 	for _, term := range terms {
 		if term.oHost == host {

@@ -164,14 +164,15 @@ func BenchmarkRateWith(b *testing.B) {
 
 // BenchmarkWidestTree compares one full single-source tree build against
 // the per-pair searches it amortizes (source to every other NCP), and
-// reports the NCPs a tree build expands (pops/tree). A tree stops once
-// every NCP holds the width just popped, so the cases differ in how many
-// NCPs share the widest residual width: "large" is the random-DAG case's
-// network; "mesh64" the idle 64-NCP full mesh, where every NCP does;
-// "mesh64-loaded" that mesh with a pipeline's worth of links loaded, as
-// the place_bound workload's trees see it; and "mesh64-hetero" a 64-NCP
-// full mesh with link bandwidths spread 500-1500, where hardly any share
-// and the stop rarely fires.
+// reports the NCPs a tree build expands (pops/tree) and a route search
+// expands (pops/route). A tree stops once every NCP holds the width just
+// popped, and a route once no relaxation can succeed, so the cases differ
+// in how many NCPs share the widest residual width: "large" is the
+// random-DAG case's network; "mesh64" the idle 64-NCP full mesh, where
+// every NCP does; "mesh64-loaded" that mesh with a pipeline's worth of
+// links loaded, as the place_bound workload's trees see it; and
+// "mesh64-hetero" a 64-NCP full mesh with link bandwidths spread
+// 500-1500, where hardly any share and the stop rarely fires.
 func BenchmarkWidestTree(b *testing.B) {
 	type treeCase struct {
 		name  string
@@ -212,13 +213,20 @@ func BenchmarkWidestTree(b *testing.B) {
 		caps := c.net.BaseCapacities()
 		b.Run(c.name+"/per-pair-all-targets", func(b *testing.B) {
 			b.ReportAllocs()
+			var s widestScratch
+			var route []network.LinkID
+			pops := 0
 			for i := 0; i < b.N; i++ {
-				for v := 1; v < c.net.NumNCPs(); v++ {
-					if _, _, ok := WidestPath(c.net, caps, c.loads, 10, 0, network.NCPID(v)); !ok {
+				for v := network.NCPID(1); int(v) < c.net.NumNCPs(); v++ {
+					_, p := s.search(c.net, caps, c.loads, 10, 0, v, false)
+					pops += p
+					var ok bool
+					if route, _, ok = s.route(c.net, 0, v, route); !ok {
 						b.Fatal("unreachable")
 					}
 				}
 			}
+			b.ReportMetric(float64(pops)/float64(b.N*(c.net.NumNCPs()-1)), "pops/route")
 		})
 		b.Run(c.name+"/tree", func(b *testing.B) {
 			b.ReportAllocs()

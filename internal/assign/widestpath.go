@@ -35,7 +35,7 @@ func (s *widestScratch) path(net *network.Network, caps *network.Capacities, lin
 	if from == to {
 		return dst[:0], math.Inf(1), 0, true
 	}
-	relaxations = s.search(net, caps, linkLoad, bits, from, to, false)
+	relaxations, _ = s.search(net, caps, linkLoad, bits, from, to, false)
 	route, bottleneck, ok = s.route(net, from, to, dst)
 	return route, bottleneck, relaxations, ok
 }
@@ -62,7 +62,6 @@ type widestNode struct {
 	phi      float64        // best bottleneck from the source
 	prevLink network.LinkID // last link of the best-known path, -1 if none
 	hops     int32          // hop count of the best-known path
-	done     bool
 }
 
 // widestScratch is a search's working memory, reused by one search at a
@@ -78,41 +77,58 @@ type widestScratch struct {
 // the arcs leaving each NCP or, reversed, entering it (phi is then the
 // bottleneck to `from`): maximize the bottleneck, tie-break toward fewer
 // hops. It stops once `to` is settled (-1: never) and returns the number
-// of successful relaxations. Which of several equally wide, equally short
-// paths a route takes is decided by the pop order of equal keys, so
-// widestQueue sifts exactly as container/heap does.
+// of successful relaxations and of NCPs expanded. Which of several
+// equally wide, equally short paths a route takes is decided by the pop
+// order of equal keys, so widestQueue sifts exactly as container/heap
+// does.
 //
-// An arc whose head already holds v's bottleneck at no more hops is
-// skipped before its link is read. The relaxed value min(pv, w) never
-// exceeds pv, so such a head could improve only on a strictly shorter hop
-// count: the skipped arcs are exactly those the relax test would reject,
-// and pushes, pop order, routes and relaxations are unchanged. On a
-// uniform mesh that is almost every arc.
-func (s *widestScratch) search(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from, to network.NCPID, reversed bool) (relaxations int) {
-	nodes := slices.Grow(s.nodes[:0], net.NumNCPs())[:net.NumNCPs()]
+// Keys (phi, then fewer hops) come off the queue in non-increasing order,
+// and a relaxation from v yields a key strictly below v's, so a node's
+// state never improves once popped: a popped item whose key no longer
+// matches its node's state is stale. An arc whose head already holds
+// more than v's bottleneck pv, or pv at no more hops, is skipped before
+// its link is read: min(pv, w) never exceeds pv, so the skipped arcs are
+// exactly those the relax test would reject (every arc into a popped
+// node among them). On a uniform mesh that is almost every arc.
+//
+// A route search (to >= 0) also stops once nothing can change: when an
+// expansion over at least n-1 arcs relaxed nothing, and every NCP holds
+// more than the next popped bottleneck pv, or pv at no more than the hop
+// count hv it would hand on, every later relaxation (at most pv, at no
+// fewer than hv hops) would fail, so every state is already final. The
+// arc-count guard keeps that pass no dearer than the scan before it. On
+// a uniform mesh the search stops at the second expansion.
+func (s *widestScratch) search(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from, to network.NCPID, reversed bool) (relaxations, pops int) {
+	n := net.NumNCPs()
+	nodes := slices.Grow(s.nodes[:0], n)[:n]
 	for i := range nodes {
 		nodes[i] = widestNode{phi: math.Inf(-1), prevLink: -1}
 	}
 	s.nodes, s.pq = nodes, s.pq[:0]
 	nodes[from].phi = math.Inf(1)
 	s.pq.push(widestItem{ncp: int32(from), phi: math.Inf(1)})
+	idle := false // the last expansion scanned >= n-1 arcs and relaxed nothing
 	for len(s.pq) > 0 {
-		v := network.NCPID(s.pq.pop().ncp)
-		if nodes[v].done {
+		it := s.pq.pop()
+		v := network.NCPID(it.ncp)
+		if it.phi != nodes[v].phi || it.hops != nodes[v].hops {
 			continue
 		}
-		nodes[v].done = true
-		if v == to {
+		pv, hv := it.phi, it.hops+1
+		if v == to || (idle && to >= 0 && !slices.ContainsFunc(nodes, func(u widestNode) bool {
+			return u.phi < pv || (u.phi == pv && u.hops > hv)
+		})) {
 			break
 		}
+		pops++
 		arcs := net.OutArcs(v)
 		if reversed {
 			arcs = net.InArcs(v)
 		}
-		pv, hv := nodes[v].phi, nodes[v].hops+1
+		relaxed := relaxations
 		for _, a := range arcs {
 			u := &nodes[a.To]
-			if u.done || (u.phi == pv && u.hops <= hv) {
+			if u.phi > pv || (u.phi == pv && u.hops <= hv) {
 				continue
 			}
 			b := min(pv, linkWeight(caps.Link[a.Link], linkLoad[a.Link], bits))
@@ -122,8 +138,9 @@ func (s *widestScratch) search(net *network.Network, caps *network.Capacities, l
 				s.pq.push(widestItem{ncp: int32(a.To), phi: b, hops: hv})
 			}
 		}
+		idle = relaxations == relaxed && len(arcs) >= n-1
 	}
-	return relaxations
+	return relaxations, pops
 }
 
 // linkWeight is the per-link bottleneck a TT of `bits` would see on a link

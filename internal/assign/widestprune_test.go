@@ -13,22 +13,25 @@ import (
 )
 
 // searchUnpruned is widestScratch.search as it was before arcs whose head
-// cannot improve were skipped, kept verbatim as the reference the pruned
-// search must reproduce bit for bit.
+// cannot improve were skipped and before route searches stopped once
+// nothing could change, kept as the reference the search must reproduce
+// bit for bit. Its settled set, a done flag per node when the search kept
+// one, is now a local slice.
 func (s *widestScratch) searchUnpruned(net *network.Network, caps *network.Capacities, linkLoad []float64, bits float64, from, to network.NCPID, reversed bool) (relaxations int) {
 	nodes := slices.Grow(s.nodes[:0], net.NumNCPs())[:net.NumNCPs()]
 	for i := range nodes {
 		nodes[i] = widestNode{phi: math.Inf(-1), prevLink: -1}
 	}
+	done := make([]bool, len(nodes))
 	s.nodes, s.pq = nodes, s.pq[:0]
 	nodes[from].phi = math.Inf(1)
 	s.pq.push(widestItem{ncp: int32(from), phi: math.Inf(1)})
 	for len(s.pq) > 0 {
 		v := network.NCPID(s.pq.pop().ncp)
-		if nodes[v].done {
+		if done[v] {
 			continue
 		}
-		nodes[v].done = true
+		done[v] = true
 		if v == to {
 			break
 		}
@@ -39,7 +42,7 @@ func (s *widestScratch) searchUnpruned(net *network.Network, caps *network.Capac
 		pv, hv := nodes[v].phi, nodes[v].hops+1
 		for _, a := range arcs {
 			u := &nodes[a.To]
-			if u.done {
+			if done[a.To] {
 				continue
 			}
 			b := min(pv, linkWeight(caps.Link[a.Link], linkLoad[a.Link], bits))
@@ -161,14 +164,14 @@ func TestWidestSearchPruneMatchesReference(t *testing.T) {
 						}
 					}
 					checkTreeEdges(t, where, c, bits, from, pruned.prev, &got)
-					gotRel := pruned.search(c.net, c.caps, c.loads, bits, from, -1, reversed)
+					gotRel, _ := pruned.search(c.net, c.caps, c.loads, bits, from, -1, reversed)
 					if gotRel != wantRel || !equalNodes(pruned.nodes, ref.nodes) {
 						t.Fatalf("%s: exhaustive search state differs (relaxations %d, reference %d)", where, gotRel, wantRel)
 					}
 					// Early-stopping searches: every node's state matches.
 					to := network.NCPID(rng.Intn(n))
 					wantRel = ref.searchUnpruned(c.net, c.caps, c.loads, bits, from, to, reversed)
-					gotRel = pruned.search(c.net, c.caps, c.loads, bits, from, to, reversed)
+					gotRel, _ = pruned.search(c.net, c.caps, c.loads, bits, from, to, reversed)
 					if gotRel != wantRel || !equalNodes(pruned.nodes, ref.nodes) {
 						t.Fatalf("%s, to %d: search state differs (relaxations %d, reference %d)", where, to, gotRel, wantRel)
 					}
@@ -241,7 +244,7 @@ func equalNodes(a, b []widestNode) bool {
 	}
 	for i := range a {
 		if math.Float64bits(a[i].phi) != math.Float64bits(b[i].phi) || a[i].prevLink != b[i].prevLink ||
-			a[i].hops != b[i].hops || a[i].done != b[i].done {
+			a[i].hops != b[i].hops {
 			return false
 		}
 	}

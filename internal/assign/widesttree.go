@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"sparcle/internal/network"
-	"sparcle/internal/obs"
 	"sparcle/internal/taskgraph"
 )
 
@@ -39,10 +38,10 @@ type widestTree struct {
 // the bottleneck from v to `from`), and records them and the tree edges
 // in t, reusing t's arrays. It returns the number of NCPs it expanded.
 //
-// Unlike a route's search it computes values only: it pops on phi alone
-// and keeps no done flag — a popped item below its NCP's phi is
-// superseded, and an arc whose head already holds the popped value pv is
-// skipped, since min(pv, w) cannot raise it. Pops come in non-increasing
+// Unlike a route's search it computes values only: it pops on phi alone,
+// without hop counts — a popped item below its NCP's phi is superseded,
+// and an arc whose head already holds the popped value pv is skipped,
+// since min(pv, w) cannot raise it. Pops come in non-increasing
 // phi, so once every NCP holds at least pv nothing can change and the
 // search stops. It looks for that only after an expansion that scanned
 // at least n−1 arcs and left no head below pv, so the pass costs no more
@@ -133,8 +132,9 @@ type widestCache struct {
 	// reversed ones follow, only on a network with directed links.
 	entries []widestEntry
 
-	// hits/misses are the obs counters (nil-safe no-ops by default).
-	hits, misses *obs.Counter
+	// hits/misses count this assignment's lookups served from memory and
+	// computed; the state adds them to the registry on release.
+	hits, misses int
 }
 
 // widestEntry is one cache slot. Its tree is current only while current
@@ -150,6 +150,7 @@ type widestEntry struct {
 // loads linkLoad: no tree is current, and every array is reused.
 func (c *widestCache) reset(g *taskgraph.Graph, net *network.Network, caps *network.Capacities, linkLoad []float64) {
 	c.net, c.caps, c.linkLoad = net, caps, linkLoad
+	c.hits, c.misses = 0, 0
 	c.bits, c.ttBits = c.bits[:0], c.ttBits[:0]
 	for tt := 0; tt < g.NumTTs(); tt++ {
 		b := g.TT(taskgraph.TTID(tt)).Bits
@@ -182,10 +183,10 @@ func (c *widestCache) tree(from network.NCPID, bits int, reversed bool, s *wides
 	}
 	e := &c.entries[i]
 	if e.current {
-		c.hits.Inc()
+		c.hits++
 		return &e.tree
 	}
-	c.misses.Inc()
+	c.misses++
 	s.tree(c.net, c.caps, c.linkLoad, c.bits[bits], from, reversed, &e.tree)
 	e.current = true
 	return &e.tree

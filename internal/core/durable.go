@@ -373,6 +373,9 @@ func (s *Scheduler) restoreSnapshot(snap *Snapshot) error {
 // caller provides external serialization (the router applies under the
 // shard lock).
 func (s *Scheduler) ApplyCommitted(rec *Record) error {
+	if rec == nil {
+		return errors.New("core: no record to apply")
+	}
 	switch rec.Op {
 	case OpBatch:
 		for _, e := range rec.Batch {

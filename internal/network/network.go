@@ -13,7 +13,6 @@ package network
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 
 	"sparcle/internal/graph"
@@ -291,26 +290,14 @@ func (n *Network) BaseCapacities() *Capacities {
 
 // Clone returns an independent copy of c.
 func (c *Capacities) Clone() *Capacities {
-	out := &Capacities{}
-	out.CopyFrom(c)
+	out := &Capacities{
+		NCP:  make([]resource.Vector, len(c.NCP)),
+		Link: append([]float64(nil), c.Link...),
+	}
+	for i, v := range c.NCP {
+		out.NCP[i] = v.Clone()
+	}
 	return out
-}
-
-// CopyFrom makes c an independent copy of src, reusing c's NCP maps and
-// link array: once c has src's shape, copying allocates nothing.
-func (c *Capacities) CopyFrom(src *Capacities) {
-	c.Link = append(c.Link[:0], src.Link...)
-	if len(c.NCP) != len(src.NCP) {
-		c.NCP = make([]resource.Vector, len(src.NCP))
-	}
-	for i, v := range src.NCP {
-		if v == nil || c.NCP[i] == nil {
-			c.NCP[i] = v.Clone()
-			continue
-		}
-		clear(c.NCP[i])
-		maps.Copy(c.NCP[i], v)
-	}
 }
 
 // SubtractNCP removes s*req from NCP v's residual capacity, clamping at

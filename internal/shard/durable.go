@@ -120,7 +120,8 @@ func EncodeSnapshot(k int, snap *RouterSnapshot) any {
 
 // DecodeEnvelope decodes one entry of a k-region journal. It refuses the
 // two retired entry formats, which no current binary writes: a
-// cross-region half's record tagged with its app, and an "admit" record.
+// cross-region half's record tagged with its app, and an "admit" record;
+// and a multi-shard step without a record, which nothing can apply.
 func DecodeEnvelope(k int, data []byte) (*Envelope, error) {
 	env := &Envelope{}
 	var err error
@@ -137,6 +138,8 @@ func DecodeEnvelope(k int, data []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("shard: retired journal format: a per-half record of cross-region app %q, not one envelope per operation", env.Cross)
 	case env.Rec != nil && env.Rec.Op == "admit", slices.ContainsFunc(env.Steps, func(st Step) bool { return st.Rec != nil && st.Rec.Op == "admit" }):
 		return nil, errors.New(`shard: retired journal format: an "admit" record, not a "batch" of one`)
+	case slices.ContainsFunc(env.Steps, func(st Step) bool { return st.Rec == nil }):
+		return nil, errors.New("shard: a multi-shard step carries no record")
 	}
 	return env, nil
 }
@@ -300,6 +303,9 @@ func (r *Router) Apply(env *Envelope) error {
 	for _, st := range steps {
 		if st.Shard < 0 || st.Shard >= len(r.slots) {
 			return fmt.Errorf("shard: envelope for unknown shard %d", st.Shard)
+		}
+		if st.Rec == nil {
+			return fmt.Errorf("shard: step for shard %d carries no record", st.Shard)
 		}
 		held[st.Shard] = true
 	}

@@ -327,3 +327,39 @@ func TestBadBorderScaleRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestStepWithoutRecordRefused: a multi-shard envelope whose step carries
+// no record is refused, not applied: DecodeLog refuses the journal entry,
+// Replay and a live Router.Apply refuse the envelope and leave the router
+// as they found it, and a shard's ApplyCommitted refuses a nil record.
+func TestStepWithoutRecordRefused(t *testing.T) {
+	net := lopsidedNet(t)
+	entry := []byte(`{"shard":-1,"steps":[{"shard":0}]}`)
+	if _, envs, err := DecodeLog(2, nil, [][]byte{entry}); err == nil {
+		_, err = Replay(net, 2, nil, envs, shardRebuilder())
+		t.Fatalf("DecodeLog of a step without a record: no error (Replay: %v)", err)
+	}
+	bad := &Envelope{Shard: -1, Steps: []Step{{Shard: 0}}}
+	if _, err := Replay(net, 2, nil, []*Envelope{bad}, shardRebuilder()); err == nil {
+		t.Fatal("Replay of a step without a record: no error")
+	}
+	r := twoShardRouter(t, net)
+	qos := core.QoS{Class: core.BestEffort, Priority: 1, Availability: 0}
+	if _, err := r.Submit(pipelineApp(t, "a", net, "a0", "a1", 1, qos), nil); err != nil {
+		t.Fatal(err)
+	}
+	before := routerStateJSON(t, r)
+	// The second envelope's first step is valid: refusing the envelope
+	// must not apply it.
+	for i, env := range []*Envelope{bad, {Shard: -1, Steps: []Step{{Shard: 0, Rec: &core.Record{Op: core.OpRemove, Name: "a"}}, {Shard: 1}}}} {
+		if err := r.Apply(env); err == nil {
+			t.Fatalf("Apply of envelope %d: no error", i)
+		}
+		if after := routerStateJSON(t, r); after != before {
+			t.Fatalf("refused envelope %d changed the router:\n%s\nwas\n%s", i, after, before)
+		}
+	}
+	if err := r.Shard(0).ApplyCommitted(nil); err == nil {
+		t.Fatal("ApplyCommitted(nil): no error")
+	}
+}
