@@ -229,7 +229,7 @@ func TestPredictSharesByPriority(t *testing.T) {
 		t.Fatalf("footprint links wrong: %v", fp.Links)
 	}
 	pred := Predict(net.BaseCapacities(), []Footprint{fp}, 2)
-	if got := pred.NCP[1][resource.CPU]; math.Abs(got-60) > 1e-9 {
+	if got := pred.Get(1, resource.CPU); math.Abs(got-60) > 1e-9 {
 		t.Fatalf("predicted NCP capacity = %v, want 60", got)
 	}
 	if got := pred.Link[links[0]]; math.Abs(got-40) > 1e-9 {
@@ -242,7 +242,7 @@ func TestPredictSharesByPriority(t *testing.T) {
 		t.Fatalf("prediction with no placed apps must keep capacity, got %v", got)
 	}
 	// The original capacities must be untouched.
-	if caps := net.BaseCapacities(); caps.NCP[1][resource.CPU] != 90 {
+	if caps := net.BaseCapacities(); caps.Get(1, resource.CPU) != 90 {
 		t.Fatal("Predict mutated input")
 	}
 }
@@ -256,10 +256,10 @@ func TestPredictOrderIndependence(t *testing.T) {
 	fpB := FootprintOf(1, []placement.Path{{P: path}})
 	predForB := Predict(net.BaseCapacities(), []Footprint{fpA}, 1)
 	predForA := Predict(net.BaseCapacities(), []Footprint{fpB}, 1)
-	if got, want := predForB.NCP[1][resource.CPU], 50.0; math.Abs(got-want) > 1e-9 {
+	if got, want := predForB.Get(1, resource.CPU), 50.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("B sees %v, want %v", got, want)
 	}
-	if predForA.NCP[1][resource.CPU] != predForB.NCP[1][resource.CPU] {
+	if predForA.Get(1, resource.CPU) != predForB.Get(1, resource.CPU) {
 		t.Fatal("prediction is order dependent")
 	}
 }

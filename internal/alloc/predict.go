@@ -1,12 +1,10 @@
 package alloc
 
 import (
-	"maps"
 	"slices"
 
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
-	"sparcle/internal/resource"
 )
 
 // Footprint summarizes which network elements an already-placed BE
@@ -37,14 +35,8 @@ func FootprintOf(priority float64, paths []placement.Path) Footprint {
 // capacities and the per-element totals, zero between predictions. A
 // prediction lives until the next one into the same Prediction; the
 // Scheduler owns one per region.
-//
-// The predicted capacities copy the input's link array but share its NCP
-// vectors: NCP v gets its own copy, in mine[v] (reused across
-// predictions), only when eq. (6) scales it or Subtract reserves on it.
 type Prediction struct {
 	caps  network.Capacities
-	mine  []resource.Vector
-	owned []bool // owned[v]: caps.NCP[v] is mine[v] in this prediction
 	total []float64
 	// links lists the links the footprints name, each once, in the order
 	// they were first named.
@@ -55,11 +47,7 @@ type Prediction struct {
 // by a new BE application with the given priority is the element's
 // BE-class capacity scaled by priority / (priority + sum of priorities
 // already placed on that element). Elements nobody uses are offered in
-// full. caps is not mutated.
-//
-// The result shares the NCP vectors of caps that eq. (6) leaves alone, so
-// it may be changed only through d.Subtract, and caps must not change
-// while the result is in use.
+// full. caps is not mutated; the result is d's own copy of it.
 //
 // The placed priority of an element is summed in `placed` order — a
 // footprint names an element at most once — so the result depends only on
@@ -67,14 +55,8 @@ type Prediction struct {
 // a scheduler rebuilt from a snapshot predicts the same bits as the one
 // that wrote it.
 func (d *Prediction) Predict(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
-	out := &d.caps
-	n := len(caps.NCP)
-	out.Link = append(out.Link[:0], caps.Link...)
-	out.NCP = append(out.NCP[:0], caps.NCP...)
-	if len(d.owned) != n {
-		d.mine, d.owned = make([]resource.Vector, n), make([]bool, n)
-	}
-	clear(d.owned)
+	out := caps.CloneInto(&d.caps)
+	n := out.NumNCPs()
 	// One dense total per element (NCPs first, then links): O(sum of
 	// footprint sizes) to fill, no hashing. Each total is zeroed as it is
 	// applied. The NCP totals are scanned; the links named are listed on
@@ -99,7 +81,7 @@ func (d *Prediction) Predict(caps *network.Capacities, placed []Footprint, prior
 	}
 	for v, t := range ncpTotal {
 		if t != 0 {
-			scaleVector(d.own(network.NCPID(v)), priority/(priority+t))
+			out.ScaleNCP(network.NCPID(v), priority/(priority+t))
 			ncpTotal[v] = 0
 		}
 	}
@@ -112,38 +94,7 @@ func (d *Prediction) Predict(caps *network.Capacities, placed []Footprint, prior
 	return out
 }
 
-// Subtract reserves p's resources at rate in the last prediction into d,
-// as p.Subtract does, first giving each NCP p loads a vector of d's own.
-func (d *Prediction) Subtract(p *placement.Placement, rate float64) {
-	for _, v := range p.LoadedNCPs() {
-		d.own(v)
-	}
-	p.Subtract(&d.caps, rate)
-}
-
-// own makes NCP v's predicted vector d's own, copying the shared one into
-// d's reused map the first time in a prediction, and returns it.
-func (d *Prediction) own(v network.NCPID) resource.Vector {
-	if !d.owned[v] {
-		if d.mine[v] == nil {
-			d.mine[v] = resource.Vector{}
-		}
-		clear(d.mine[v])
-		maps.Copy(d.mine[v], d.caps.NCP[v])
-		d.caps.NCP[v], d.owned[v] = d.mine[v], true
-	}
-	return d.caps.NCP[v]
-}
-
-// Predict is eq. (6) into a fresh Prediction. The result shares caps' NCP
-// vectors where eq. (6) leaves them alone: read it, or Clone it before
-// changing it.
+// Predict is eq. (6) into a fresh Prediction.
 func Predict(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
 	return new(Prediction).Predict(caps, placed, priority)
-}
-
-func scaleVector(v resource.Vector, s float64) {
-	for k := range v {
-		v[k] *= s
-	}
 }

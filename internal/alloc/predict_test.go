@@ -3,6 +3,7 @@ package alloc
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sparcle/internal/network"
@@ -11,11 +12,25 @@ import (
 	"sparcle/internal/taskgraph"
 )
 
+// ncpMaps returns caps' NCP rows as one map per NCP, every kind of the
+// rows keyed: the form the map reference computes on.
+func ncpMaps(caps *network.Capacities) []resource.Vector {
+	out := make([]resource.Vector, caps.NumNCPs())
+	for v := range out {
+		out[v] = resource.Vector{}
+		for i, a := range caps.NCP(network.NCPID(v)) {
+			out[v][caps.Kinds()[i]] = a
+		}
+	}
+	return out
+}
+
 // predictByMaps is eq. (6) as it was computed before footprints became
-// sorted slices: per-element totals in hash maps, filled footprint by
-// footprint. Kept as the reference Predict is held bit-equal to.
-func predictByMaps(caps *network.Capacities, placed []Footprint, priority float64) *network.Capacities {
-	out := caps.Clone()
+// sorted slices and capacities dense rows: per-element totals in hash
+// maps, filled footprint by footprint, scaling per-NCP capacity maps.
+// Kept as the reference Predict is held bit-equal to.
+func predictByMaps(caps *network.Capacities, placed []Footprint, priority float64) (ncp []resource.Vector, link []float64) {
+	ncp, link = ncpMaps(caps), slices.Clone(caps.Link)
 	ncpTotal := make(map[network.NCPID]float64)
 	linkTotal := make(map[network.LinkID]float64)
 	for _, fp := range placed {
@@ -35,12 +50,15 @@ func predictByMaps(caps *network.Capacities, placed []Footprint, priority float6
 		}
 	}
 	for v, total := range ncpTotal {
-		scaleVector(out.NCP[v], priority/(priority+total))
+		s := priority / (priority + total)
+		for k := range ncp[v] {
+			ncp[v][k] *= s
+		}
 	}
 	for l, total := range linkTotal {
-		out.Link[l] *= priority / (priority + total)
+		link[l] *= priority / (priority + total)
 	}
-	return out
+	return ncp, link
 }
 
 // residentFootprints draws k pipelines on an n-NCP mesh and returns their
@@ -85,7 +103,7 @@ func TestFootprintOfSortedAndDistinct(t *testing.T) {
 
 // kindPath places a source, a work CT and a sink on random NCPs of the
 // mesh, routed over direct links, whose work CT needs CPU and a kind no
-// NCP offers: reserving it adds that kind to its host's vector.
+// NCP offers: reserving it must drop that kind, which has no column.
 func kindPath(tb testing.TB, rng *rand.Rand, net *network.Network, link [][]network.LinkID) *placement.Placement {
 	tb.Helper()
 	gb := taskgraph.NewBuilder("k")
@@ -121,9 +139,10 @@ func kindPath(tb testing.TB, rng *rand.Rand, net *network.Network, link [][]netw
 // with == on every float, over 2000 seeded footprint sets. Every set is
 // predicted twice: into a fresh Prediction, and into one Prediction reused
 // across all sets and dirtied after each use the way an admission dirties
-// it, through Subtract (paths reserved, kinds added), so reuse must leave
-// no trace. The prediction shares the input's NCP vectors, so the input
-// must equal a copy taken before every Predict and Subtract.
+// it, through Placement.Subtract (paths reserved, kinds no NCP offers
+// among them), so reuse must leave no trace. A prediction must not alias
+// its input, so the input must equal a copy taken before every Predict
+// and Subtract.
 func TestPredictBitIdenticalToMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	net, link := mesh16(t)
@@ -160,37 +179,38 @@ func TestPredictBitIdenticalToMaps(t *testing.T) {
 		}
 		before := caps.Clone()
 		priority := 0.1 + 10*rng.Float64()
-		want := predictByMaps(caps, placed, priority)
+		wantNCP, wantLink := predictByMaps(caps, placed, priority)
 		fresh := new(Prediction).Predict(caps, placed, priority)
 		unchanged(set, "a fresh Predict", before)
 		warm := reused.Predict(caps, placed, priority)
 		unchanged(set, "a reused Predict", before)
 		for name, got := range map[string]*network.Capacities{"fresh": fresh, "reused": warm} {
-			for v := range want.NCP {
-				if len(got.NCP[v]) != len(want.NCP[v]) {
-					t.Fatalf("set %d, %s: NCP %d = %v, maps say %v", set, name, v, got.NCP[v], want.NCP[v])
+			gotNCP := ncpMaps(got)
+			for v := range wantNCP {
+				if len(gotNCP[v]) != len(wantNCP[v]) {
+					t.Fatalf("set %d, %s: NCP %d = %v, maps say %v", set, name, v, gotNCP[v], wantNCP[v])
 				}
-				for kind, w := range want.NCP[v] {
-					if got.NCP[v][kind] != w {
-						t.Fatalf("set %d, %s: NCP %d %s = %v, maps say %v", set, name, v, kind, got.NCP[v][kind], w)
+				for kind, w := range wantNCP[v] {
+					if gotNCP[v][kind] != w {
+						t.Fatalf("set %d, %s: NCP %d %s = %v, maps say %v", set, name, v, kind, gotNCP[v][kind], w)
 					}
 				}
 			}
-			for l, w := range want.Link {
+			for l, w := range wantLink {
 				if got.Link[l] != w {
 					t.Fatalf("set %d, %s: link %d = %v, maps say %v", set, name, l, got.Link[l], w)
 				}
 			}
 		}
 		for range rng.Intn(4) {
-			reused.Subtract(dirt[rng.Intn(len(dirt))], 5*rng.Float64())
+			dirt[rng.Intn(len(dirt))].Subtract(warm, 5*rng.Float64())
 			unchanged(set, "Subtract", before)
 		}
 	}
 }
 
 // TestPredictReusedAllocatesNothing pins eq. (6) into a warm Prediction at
-// zero allocations: the destination's maps and the totals are reused.
+// zero allocations: the destination's capacities and the totals are reused.
 func TestPredictReusedAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	net, fps := residentFootprints(t, rng, 16, 64)

@@ -141,7 +141,7 @@ func (w *twin) newtonCheck(label string, gs, rs Stats) {
 // setCap writes a row's capacity into caps.
 func setCap(s *Solver, caps *network.Capacities, key rowKey, c float64) {
 	if key.elem < s.numNCPs {
-		caps.NCP[key.elem][key.kind] = c
+		*ncpCap(caps, key.elem, key.kind) = c
 		return
 	}
 	caps.Link[key.elem-s.numNCPs] = c
@@ -276,11 +276,11 @@ func twinScenarios(t *testing.T, newton bool) {
 			v := step % 16
 			switch step % 3 {
 			case 0:
-				caps.NCP[v][resource.CPU] = 0
+				*ncpCap(caps, v, resource.CPU) = 0
 			case 1:
 				caps.Link[v] = 0
 			default:
-				caps.NCP[v][resource.CPU], caps.Link[v] = 3000, 1000
+				*ncpCap(caps, v, resource.CPU), caps.Link[v] = 3000, 1000
 			}
 		})
 	})
@@ -289,8 +289,8 @@ func twinScenarios(t *testing.T, newton bool) {
 		rng := rand.New(rand.NewSource(8))
 		churn(t, 64, 8, Options{}, func(w *twin, caps *network.Capacities, _ int) {
 			next := caps.Clone()
-			for v := range next.NCP {
-				next.NCP[v][resource.CPU] *= 0.5 + rng.Float64()/2
+			for v := range next.NumNCPs() {
+				*ncpCap(next, v, resource.CPU) *= 0.5 + rng.Float64()/2
 			}
 			for l := range next.Link {
 				next.Link[l] *= 0.5 + rng.Float64()/2

@@ -131,7 +131,7 @@ func NewSolver(caps *network.Capacities, opt Options) *Solver {
 	return &Solver{
 		opt:      opt.withDefaults(),
 		caps:     caps,
-		numNCPs:  len(caps.NCP),
+		numNCPs:  caps.NumNCPs(),
 		rowIndex: map[rowKey]int32{},
 	}
 }
@@ -141,7 +141,7 @@ func NewSolver(caps *network.Capacities, opt Options) *Solver {
 // still an excellent starting point.
 func (s *Solver) SetCapacities(caps *network.Capacities) {
 	s.caps = caps
-	s.numNCPs = len(caps.NCP)
+	s.numNCPs = caps.NumNCPs()
 }
 
 // Len returns the number of live flows held by the Solver.
@@ -770,7 +770,7 @@ func (s *Solver) invalidate() {
 
 func (s *Solver) capOf(key rowKey) float64 {
 	if key.elem < s.numNCPs {
-		return s.caps.NCP[key.elem].Get(key.kind)
+		return s.caps.Get(network.NCPID(key.elem), key.kind)
 	}
 	return s.caps.Link[key.elem-s.numNCPs]
 }

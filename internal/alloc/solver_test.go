@@ -63,6 +63,12 @@ func segmentFlow(t *testing.T, net *network.Network, links []network.LinkID, a, 
 	return Flow{Weight: weight, Path: p}
 }
 
+// ncpCap returns the cell of caps holding NCP v's capacity of kind k,
+// which the network must offer.
+func ncpCap(caps *network.Capacities, v int, k resource.Kind) *float64 {
+	return &caps.NCP(network.NCPID(v))[caps.Kinds().Index(k)]
+}
+
 // relDiff is the relative difference of two rates, falling back to the
 // absolute difference near zero.
 func relDiff(a, b float64) float64 {
@@ -130,7 +136,7 @@ func TestSolverWarmMatchesColdUnderChurn(t *testing.T) {
 			// In-place capacity mutation: the Solver reads lazily, so no
 			// notification is required.
 			v := rng.Intn(8)
-			caps.NCP[v][resource.CPU] = 20 + rng.Float64()*120
+			*ncpCap(caps, v, resource.CPU) = 20 + rng.Float64()*120
 		default:
 			l := rng.Intn(len(links))
 			caps.Link[links[l]] = 30 + rng.Float64()*80
@@ -298,7 +304,7 @@ func TestSolverZeroCapacityMatchesCold(t *testing.T) {
 	if _, _, err := s.Solve(nil); err != nil {
 		t.Fatal(err)
 	}
-	caps.NCP[1][resource.CPU] = 0 // starve f1's compute host
+	*ncpCap(caps, 1, resource.CPU) = 0 // starve f1's compute host
 	rates, _, err := s.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +320,7 @@ func TestSolverZeroCapacityMatchesCold(t *testing.T) {
 		t.Fatalf("surviving flow: warm %v vs cold %v", rates[ids[1]], want[1])
 	}
 	// Restore capacity: the starved flow must come back.
-	caps.NCP[1][resource.CPU] = 50
+	*ncpCap(caps, 1, resource.CPU) = 50
 	rates, _, err = s.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -745,8 +751,8 @@ func TestSolverDegenerateStates(t *testing.T) {
 	checkKKT(t, s, again)
 	// Every element at zero capacity: all rates zero, nothing to price —
 	// an answer, not an error.
-	for v := range caps.NCP {
-		caps.NCP[v][resource.CPU] = 0
+	for v := range caps.NumNCPs() {
+		*ncpCap(caps, v, resource.CPU) = 0
 	}
 	for l := range caps.Link {
 		caps.Link[l] = 0

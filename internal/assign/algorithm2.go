@@ -294,7 +294,7 @@ func (st *state) release() {
 	st.metrics.Counter(metricGammaEvals).Add(float64(sc.gammaEvals))
 	st.metrics.Counter(metricWidestHits).Add(float64(sc.cache.hits))
 	st.metrics.Counter(metricWidestMisses).Add(float64(sc.cache.misses))
-	sc.view.CapLink = nil
+	sc.view.Caps = nil
 	sc.cache.net, sc.cache.caps = nil, nil
 	scratchPool.Put(sc)
 }

@@ -442,8 +442,8 @@ func TestMultiPath(t *testing.T) {
 		t.Fatalf("path rates = %v, %v; want 10, 5", paths[0].Rate, paths[1].Rate)
 	}
 	// All CPU consumed.
-	if residual.NCP[m1][resource.CPU] > 1e-9 || residual.NCP[m2][resource.CPU] > 1e-9 {
-		t.Fatalf("residual CPU = %v / %v", residual.NCP[m1], residual.NCP[m2])
+	if residual.Get(m1, resource.CPU) > 1e-9 || residual.Get(m2, resource.CPU) > 1e-9 {
+		t.Fatalf("residual CPU = %v / %v", residual.NCP(m1), residual.NCP(m2))
 	}
 	// maxPaths must bound the count.
 	one, _, err := MultiPath(Sparcle{}, g, pins, net, net.BaseCapacities(), 1)
@@ -473,7 +473,7 @@ func TestMultiPathDoesNotMutateCaps(t *testing.T) {
 	if _, _, err := MultiPath(Sparcle{}, g, pins, net, caps, 4); err != nil {
 		t.Fatal(err)
 	}
-	if caps.NCP[1][resource.CPU] != 100 {
+	if caps.Get(1, resource.CPU) != 100 {
 		t.Fatal("MultiPath mutated caller capacities")
 	}
 }

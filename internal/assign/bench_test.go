@@ -142,11 +142,13 @@ func BenchmarkRateWith(b *testing.B) {
 	capV := resource.Vector{resource.CPU: 100, resource.Memory: 64, "gpu": 2, "disk": 500}
 	baseV := resource.Vector{resource.CPU: 30, resource.Memory: 16, "gpu": 1}
 	extraV := resource.Vector{resource.CPU: 5, resource.Memory: 2, "disk": 20}
-	in := resource.NewInterner()
-	in.InternVector(capV)
-	in.InternVector(baseV)
-	in.InternVector(extraV)
-	capD, baseD, extraD := in.Dense(capV), in.Dense(baseV), in.Dense(extraV)
+	kinds := resource.Kinds{resource.CPU, "disk", "gpu", resource.Memory}
+	dense := func(v resource.Vector) resource.Dense {
+		d := make(resource.Dense, len(kinds))
+		kinds.DenseInto(d, v)
+		return d
+	}
+	capD, baseD, extraD := dense(capV), dense(baseV), dense(extraV)
 	if math.Float64bits(resource.RateDense(capD, baseD, extraD)) != math.Float64bits(rateWithMap(capV, baseV, extraV)) {
 		b.Fatal("dense and map rates disagree")
 	}

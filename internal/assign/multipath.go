@@ -82,7 +82,7 @@ func diverseView(residual *network.Capacities, paths []placement.Path, bias floa
 		return residual
 	}
 	view := residual.Clone()
-	usedNCP := make([]bool, len(view.NCP))
+	usedNCP := make([]bool, view.NumNCPs())
 	usedLink := make([]bool, len(view.Link))
 	for _, path := range paths {
 		for _, v := range path.P.LoadedNCPs() {
@@ -94,9 +94,7 @@ func diverseView(residual *network.Capacities, paths []placement.Path, bias floa
 	}
 	for v, used := range usedNCP {
 		if used {
-			for k := range view.NCP[v] {
-				view.NCP[v][k] *= bias
-			}
+			view.ScaleNCP(network.NCPID(v), bias)
 		}
 	}
 	for l, used := range usedLink {

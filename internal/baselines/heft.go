@@ -145,21 +145,21 @@ func execTimes(g *taskgraph.Graph, net *network.Network, caps *network.Capacitie
 		out[i] = make([]float64, net.NumNCPs())
 		req := g.CT(taskgraph.CTID(i)).Req
 		for j := 0; j < net.NumNCPs(); j++ {
-			out[i][j] = unitTime(req, caps.NCP[j])
+			out[i][j] = unitTime(req, caps, network.NCPID(j))
 		}
 	}
 	return out
 }
 
-// unitTime is max_r req[r]/cap[r] (0 for an empty requirement, +Inf when a
-// required capacity is zero).
-func unitTime(req, cap resource.Vector) float64 {
+// unitTime is max_r req[r]/cap[r] on NCP v (0 for an empty requirement,
+// +Inf when a required capacity is zero).
+func unitTime(req resource.Vector, caps *network.Capacities, v network.NCPID) float64 {
 	t := 0.0
 	for k, a := range req {
 		if a <= 0 {
 			continue
 		}
-		c := cap[k]
+		c := caps.Get(v, k)
 		if c <= 0 {
 			return math.Inf(1)
 		}
@@ -230,7 +230,7 @@ func richestNCP(net *network.Network, caps *network.Capacities) network.NCPID {
 	best, bestSum := network.NCPID(0), -1.0
 	for j := 0; j < net.NumNCPs(); j++ {
 		sum := 0.0
-		for _, a := range caps.NCP[j] {
+		for _, a := range caps.NCP(network.NCPID(j)) {
 			sum += a
 		}
 		if sum > bestSum {

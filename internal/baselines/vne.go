@@ -61,7 +61,7 @@ func ncpStrength(net *network.Network, caps *network.Capacities) []float64 {
 	h := make([]float64, net.NumNCPs())
 	for v := 0; v < net.NumNCPs(); v++ {
 		capSum := 0.0
-		for _, a := range caps.NCP[v] {
+		for _, a := range caps.NCP(network.NCPID(v)) {
 			capSum += a
 		}
 		bwSum := 0.0

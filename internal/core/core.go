@@ -510,9 +510,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 		return nil, fmt.Errorf("core: BE app %q has a NaN Availability", app.Name)
 	}
 	// predicted is s.prediction's buffer: it lives for this admission only,
-	// and the paths below keep no reference to it. It shares s.beAvailable's
-	// NCP vectors, so every reservation on it goes through
-	// s.prediction.Subtract.
+	// and the paths below keep no reference to it.
 	psp := s.opSpan.Child("alloc.predict")
 	var predicted *network.Capacities
 	if s.noPrediction {
@@ -523,7 +521,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 		predicted = s.prediction.Predict(s.beAvailable, nil, app.QoS.Priority)
 		for _, pa := range s.be {
 			for _, path := range pa.Paths {
-				s.prediction.Subtract(path.P, path.Rate)
+				path.P.Subtract(predicted, path.Rate)
 			}
 		}
 	} else {
@@ -556,7 +554,7 @@ func (s *Scheduler) submitBE(app App) (*PlacedApp, error) {
 		if rate <= 0 {
 			break
 		}
-		s.prediction.Subtract(p, rate)
+		p.Subtract(predicted, rate)
 		paths = append(paths, placement.Path{P: p, Rate: rate})
 
 		avsp := s.opSpan.Child("avail.analyze")

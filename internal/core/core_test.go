@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
+	"sparcle/internal/assign"
 	"sparcle/internal/avail"
 	"sparcle/internal/network"
 	"sparcle/internal/placement"
@@ -149,8 +151,73 @@ func TestSubmitGRReservesAndAdmits(t *testing.T) {
 	// The reservation must shrink what BE apps can get.
 	caps := s.BEAvailableCapacities()
 	m1, _ := net.NCPIDByName("m1")
-	if caps.NCP[m1][resource.CPU] >= 100 {
+	if caps.Get(m1, resource.CPU) >= 100 {
 		t.Fatal("GR reservation did not reduce BE capacities")
+	}
+}
+
+// TestDemandOnUnofferedKind pins a CT that needs a kind no NCP offers
+// ("gpu" on a network of cpu/memory NCPs): that kind has capacity zero on
+// every NCP, so every placement of the CT has rate 0. Algorithm 2 still
+// returns a complete placement, whose rate is 0, and Submit rejects the
+// application in either class.
+func TestDemandOnUnofferedKind(t *testing.T) {
+	b := network.NewBuilder("nogpu")
+	src := b.AddNCP("src", resource.Vector{resource.CPU: 10, resource.Memory: 8}, 0)
+	m1 := b.AddNCP("m1", resource.Vector{resource.CPU: 100, resource.Memory: 64}, 0)
+	m2 := b.AddNCP("m2", resource.Vector{resource.CPU: 50, resource.Memory: 32}, 0)
+	snk := b.AddNCP("snk", resource.Vector{resource.CPU: 10, resource.Memory: 8}, 0)
+	b.AddLink("s1", src, m1, 1e3, 0)
+	b.AddLink("s2", src, m2, 1e3, 0)
+	b.AddLink("m1k", m1, snk, 1e3, 0)
+	b.AddLink("m2k", m2, snk, 1e3, 0)
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := taskgraph.Linear("gpuapp", []resource.Vector{{resource.CPU: 10, "gpu": 1}}, []float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := placement.Pins{g.Sources()[0]: src, g.Sinks()[0]: snk}
+	caps := net.BaseCapacities()
+
+	// A hand placement on the richest NCP.
+	p := placement.New(g, net)
+	work := g.TopoOrder()[1]
+	for ct, host := range map[taskgraph.CTID]network.NCPID{g.Sources()[0]: src, work: m1, g.Sinks()[0]: snk} {
+		if err := p.PlaceCT(ct, host); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tt, route := range [][]network.LinkID{{0}, {2}} {
+		if err := p.PlaceTT(taskgraph.TTID(tt), route); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := p.Rate(caps); r != 0 {
+		t.Fatalf("hand placement rate = %v, want 0", r)
+	}
+
+	got, err := assign.Sparcle{}.Assign(g, pins, net, caps)
+	if err != nil {
+		t.Fatalf("Algorithm 2: %v, want a rate-0 placement", err)
+	}
+	if r := got.Rate(caps); r != 0 {
+		t.Fatalf("Algorithm 2 placement rate = %v, want 0", r)
+	}
+
+	s := New(net)
+	for _, qos := range []QoS{
+		{Class: BestEffort, Priority: 1},
+		{Class: GuaranteedRate, MinRate: 1, MinRateAvailability: 0.5},
+	} {
+		if _, err := s.Submit(App{Name: "gpu", Graph: g, Pins: pins, QoS: qos}); !errors.Is(err, ErrRejected) {
+			t.Fatalf("%v: Submit err = %v, want ErrRejected", qos.Class, err)
+		}
+	}
+	if !reflect.DeepEqual(s.BEAvailableCapacities(), net.BaseCapacities()) {
+		t.Fatal("a rejected application changed the BE pool")
 	}
 }
 
@@ -288,7 +355,7 @@ func TestRemoveGRRestoresCapacityPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1, _ := net.NCPIDByName("m1")
-	if got := s.BEAvailableCapacities().NCP[m1][resource.CPU]; got >= 100 {
+	if got := s.BEAvailableCapacities().Get(m1, resource.CPU); got >= 100 {
 		t.Fatalf("reservation missing: %v", got)
 	}
 	if err := s.Remove("g"); err != nil {
@@ -297,7 +364,7 @@ func TestRemoveGRRestoresCapacityPool(t *testing.T) {
 	if len(s.GRApps()) != 0 {
 		t.Fatal("GR app not removed")
 	}
-	if got := s.BEAvailableCapacities().NCP[m1][resource.CPU]; got != 100 {
+	if got := s.BEAvailableCapacities().Get(m1, resource.CPU); got != 100 {
 		t.Fatalf("capacity after removal = %v, want 100", got)
 	}
 }

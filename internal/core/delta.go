@@ -32,7 +32,7 @@ func (s *Scheduler) releaseGR(pa *PlacedApp) {
 	for _, p := range pa.Paths {
 		for _, v := range p.P.LoadedNCPs() {
 			released[v] = true
-			pool.NCP[v] = s.net.NCP(v).Capacity.Clone()
+			copy(pool.NCP(v), s.net.BaseNCP(v))
 		}
 		for _, l := range p.P.LoadedLinks() {
 			released[nNCP+int(l)] = true
@@ -43,7 +43,7 @@ func (s *Scheduler) releaseGR(pa *PlacedApp) {
 		switch {
 		case !released[e]:
 		case int(e) < nNCP:
-			scaleVec(pool.NCP[e], f)
+			pool.ScaleNCP(network.NCPID(e), f)
 		default:
 			pool.Link[int(e)-nNCP] *= f
 		}

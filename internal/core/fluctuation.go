@@ -118,18 +118,12 @@ func (s *Scheduler) scaledBaseCapacities() *network.Capacities {
 	caps := s.net.BaseCapacities()
 	for e, f := range s.scale {
 		if int(e) < s.net.NumNCPs() {
-			scaleVec(caps.NCP[e], f)
+			caps.ScaleNCP(network.NCPID(e), f)
 		} else {
 			caps.Link[int(e)-s.net.NumNCPs()] *= f
 		}
 	}
 	return caps
-}
-
-func scaleVec(v resource.Vector, f float64) {
-	for k := range v {
-		v[k] *= f
-	}
 }
 
 // oversubscribedByGR returns the elements whose scaled capacity no longer
@@ -155,7 +149,7 @@ func (s *Scheduler) oversubscribedByGR() map[placement.Element]bool {
 	over := map[placement.Element]bool{}
 	for v := 0; v < s.net.NumNCPs(); v++ {
 		for k, d := range ncpDemand[v] {
-			if d > caps.NCP[v][k]*tol {
+			if d > caps.Get(network.NCPID(v), k)*tol {
 				over[placement.NCPElement(network.NCPID(v))] = true
 			}
 		}

@@ -108,7 +108,7 @@ func TestRepairReleasesOldReservation(t *testing.T) {
 	}
 	// m1 is at 50 capacity, and the repaired app sits on m2: the whole 50
 	// must be in the BE pool.
-	if got := s.BEAvailableCapacities().NCP[network.NCPID(m1)]["cpu"]; got != 50 {
+	if got := s.BEAvailableCapacities().Get(network.NCPID(m1), "cpu"); got != 50 {
 		t.Fatalf("m1 residual = %v, want 50", got)
 	}
 }

@@ -212,7 +212,7 @@ func checkInvariants(t *testing.T, s *Scheduler, net *network.Network, live map[
 	const tol = 1 + 1e-6
 	for v := 0; v < net.NumNCPs(); v++ {
 		for k, d := range ncpDemand[v] {
-			bound := math.Max(caps.NCP[v][k], ncpGR[v][k])
+			bound := math.Max(caps.Get(network.NCPID(v), k), ncpGR[v][k])
 			if d > bound*tol {
 				t.Fatalf("op %d: NCP %d %s demand %v exceeds bound %v", op, v, k, d, bound)
 			}

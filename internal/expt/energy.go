@@ -35,7 +35,7 @@ func EnergyEfficiency(p *placement.Placement, caps *network.Capacities, rate flo
 	for _, v := range ncps {
 		util := 0.0
 		for k, a := range p.NCPLoad(v) {
-			c := caps.NCP[v][k]
+			c := caps.Get(v, k)
 			if c <= 0 {
 				return 0 // placed on a dead element: no useful work
 			}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sparcle/internal/graph"
 	"sparcle/internal/resource"
@@ -72,9 +73,9 @@ type Network struct {
 	// NCP v. Without directed links (symmetric) inArcs is outArcs, shared.
 	outArcs, inArcs [][]Arc
 	symmetric       bool
-	// kinds holds the NCP capacity kinds in the order InternKinds
-	// interns them, resolved once at Build.
-	kinds *resource.Interner
+	// base holds every element's full capacity. Its kinds are every kind
+	// an NCP's capacity names, interned once at Build in sorted order.
+	base Capacities
 }
 
 // Builder incrementally constructs a Network.
@@ -154,9 +155,24 @@ func (b *Builder) Build() (*Network, error) {
 		ncps:  append([]NCP(nil), b.ncps...),
 		links: append([]Link(nil), b.links...),
 	}
-	net.kinds = resource.NewInterner()
+	var kinds resource.Kinds
 	for _, n := range net.ncps {
-		net.kinds.InternVector(n.Capacity)
+		for k := range n.Capacity {
+			kinds = append(kinds, k)
+		}
+	}
+	slices.Sort(kinds)
+	net.base = Capacities{
+		kinds:   slices.Compact(kinds),
+		numNCPs: len(net.ncps),
+		Link:    make([]float64, len(net.links)),
+	}
+	net.base.ncp = make([]float64, len(net.ncps)*len(net.base.kinds))
+	for v, n := range net.ncps {
+		net.base.kinds.DenseInto(net.base.NCP(NCPID(v)), n.Capacity)
+	}
+	for j, l := range net.links {
+		net.base.Link[j] = l.Bandwidth
 	}
 	net.incident = make([][]LinkID, len(net.ncps))
 	net.outArcs = make([][]Arc, len(net.ncps))
@@ -183,16 +199,10 @@ func (b *Builder) Build() (*Network, error) {
 	return net, nil
 }
 
-// InternKinds interns every capacity kind of the network's NCPs, in NCP id
-// order with each NCP's kinds sorted — the order resolved once at Build —
-// so identical networks always produce identical dense indices.
-// Evaluation cores call this at snapshot build time, before densifying
-// capacities and requirements.
-func (n *Network) InternKinds(in *resource.Interner) {
-	for i := 0; i < n.kinds.Len(); i++ {
-		in.Intern(n.kinds.KindAt(i))
-	}
-}
+// BaseNCP returns NCP v's full capacity as a row over the kinds of
+// BaseCapacities. The row is the network's own: callers must not change
+// it.
+func (n *Network) BaseNCP(v NCPID) []float64 { return n.base.NCP(v) }
 
 // Name returns the network name.
 func (n *Network) Name() string { return n.name }
@@ -264,76 +274,110 @@ func (n *Network) String() string {
 
 // Capacities holds the mutable residual capacities of a network's elements:
 // what remains available to the next application (or next task-assignment
-// path) after earlier placements reserved their shares.
+// path) after earlier placements reserved their shares. NCP capacities are
+// one slab of rows, one row per NCP and one column per kind an NCP's
+// capacity names (Kinds); any other kind has capacity zero everywhere.
 type Capacities struct {
-	// NCP[i] is the residual capacity vector of NCP i.
-	NCP []resource.Vector
+	kinds   resource.Kinds
+	numNCPs int
+	// ncp holds NCP v's capacity of kinds[i] at v*len(kinds)+i.
+	ncp []float64
 	// Link[j] is the residual bandwidth of link j.
 	Link []float64
 }
 
 // BaseCapacities returns a fresh Capacities equal to the network's full
 // element capacities.
-func (n *Network) BaseCapacities() *Capacities {
-	c := &Capacities{
-		NCP:  make([]resource.Vector, len(n.ncps)),
-		Link: make([]float64, len(n.links)),
-	}
-	for i, ncp := range n.ncps {
-		c.NCP[i] = ncp.Capacity.Clone()
-	}
-	for j, l := range n.links {
-		c.Link[j] = l.Bandwidth
-	}
-	return c
-}
+func (n *Network) BaseCapacities() *Capacities { return n.base.Clone() }
 
 // Clone returns an independent copy of c.
-func (c *Capacities) Clone() *Capacities {
-	out := &Capacities{
-		NCP:  make([]resource.Vector, len(c.NCP)),
-		Link: append([]float64(nil), c.Link...),
+func (c *Capacities) Clone() *Capacities { return c.CloneInto(new(Capacities)) }
+
+// CloneInto makes dst an independent copy of c, reusing dst's arrays, and
+// returns dst.
+func (c *Capacities) CloneInto(dst *Capacities) *Capacities {
+	dst.kinds, dst.numNCPs = c.kinds, c.numNCPs
+	dst.ncp = append(dst.ncp[:0], c.ncp...)
+	dst.Link = append(dst.Link[:0], c.Link...)
+	return dst
+}
+
+// Kinds returns the kinds of every NCP row, sorted.
+func (c *Capacities) Kinds() resource.Kinds { return c.kinds }
+
+// NumNCPs returns the number of NCP rows.
+func (c *Capacities) NumNCPs() int { return c.numNCPs }
+
+// NCP returns NCP v's residual capacity row: entry i is its amount of
+// Kinds()[i]. The row aliases c.
+func (c *Capacities) NCP(v NCPID) []float64 {
+	k := len(c.kinds)
+	return c.ncp[int(v)*k : (int(v)+1)*k : (int(v)+1)*k]
+}
+
+// Get returns NCP v's residual capacity of kind k, zero for a kind no NCP
+// offers.
+func (c *Capacities) Get(v NCPID, k resource.Kind) float64 {
+	if i := c.kinds.Index(k); i >= 0 {
+		return c.ncp[int(v)*len(c.kinds)+i]
 	}
-	for i, v := range c.NCP {
-		out.NCP[i] = v.Clone()
+	return 0
+}
+
+// DivMin is resource.DivMin of NCP v's residual capacity over load: the
+// largest rate v sustains for the per-unit load. A positive load of a kind
+// no NCP offers yields 0.
+func (c *Capacities) DivMin(v NCPID, load resource.Vector) float64 {
+	rate := math.Inf(1)
+	for k, a := range load {
+		if a <= 0 {
+			continue
+		}
+		if r := c.Get(v, k) / a; r < rate {
+			rate = r
+		}
 	}
-	return out
+	return rate
 }
 
 // SubtractNCP removes s*req from NCP v's residual capacity, clamping at
-// zero to absorb floating-point residue.
+// zero to absorb floating-point residue. Kinds no NCP offers are dropped:
+// their capacity stays zero.
 func (c *Capacities) SubtractNCP(v NCPID, req resource.Vector, s float64) {
-	if c.NCP[v] == nil {
-		c.NCP[v] = resource.Vector{}
+	row := c.NCP(v)
+	for k, a := range req {
+		i := c.kinds.Index(k)
+		if i < 0 {
+			continue
+		}
+		row[i] += a * -s
+		if row[i] < 0 {
+			row[i] = 0
+		}
 	}
-	c.NCP[v].AddScaled(req, -s)
-	clampVector(c.NCP[v])
+}
+
+// ScaleNCP multiplies NCP v's residual capacity of every kind by f.
+func (c *Capacities) ScaleNCP(v NCPID, f float64) {
+	row := c.NCP(v)
+	for i := range row {
+		row[i] *= f
+	}
 }
 
 // SubtractLink removes s*bits from link l's residual bandwidth, clamping at
 // zero.
 func (c *Capacities) SubtractLink(l LinkID, bits, s float64) {
 	c.Link[l] -= bits * s
-	if c.Link[l] < 0 && c.Link[l] > -1e-9*bits*s {
-		c.Link[l] = 0
-	}
 	if c.Link[l] < 0 {
 		c.Link[l] = 0
 	}
 }
 
-func clampVector(v resource.Vector) {
-	for k, a := range v {
-		if a < 0 {
-			v[k] = 0
-		}
-	}
-}
-
 // NonNegative reports whether no residual capacity is negative.
 func (c *Capacities) NonNegative() bool {
-	for _, v := range c.NCP {
-		if !v.NonNegative() {
+	for _, a := range c.ncp {
+		if a < 0 {
 			return false
 		}
 	}

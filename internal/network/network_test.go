@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,19 +168,19 @@ func TestCapacities(t *testing.T) {
 		t.Fatal(err)
 	}
 	caps := net.BaseCapacities()
-	if caps.NCP[0][resource.CPU] != 3000 || caps.Link[0] != 1e6 {
+	if caps.Get(0, resource.CPU) != 3000 || caps.Link[0] != 1e6 {
 		t.Fatal("base capacities wrong")
 	}
 	// Mutating the base must not affect the network or later snapshots.
 	caps.SubtractNCP(0, resource.Vector{resource.CPU: 1000}, 2)
-	if caps.NCP[0][resource.CPU] != 1000 {
-		t.Fatalf("SubtractNCP: %v", caps.NCP[0])
+	if caps.Get(0, resource.CPU) != 1000 {
+		t.Fatalf("SubtractNCP: %v", caps.NCP(0))
 	}
 	if net.NCP(0).Capacity[resource.CPU] != 3000 {
 		t.Fatal("network mutated through capacities")
 	}
 	fresh := net.BaseCapacities()
-	if fresh.NCP[0][resource.CPU] != 3000 {
+	if fresh.Get(0, resource.CPU) != 3000 {
 		t.Fatal("fresh capacities polluted")
 	}
 
@@ -198,11 +199,42 @@ func TestCapacities(t *testing.T) {
 		t.Fatalf("clamp failed: %v", clone.Link[0])
 	}
 	clone.SubtractNCP(0, resource.Vector{resource.CPU: 1e9}, 1)
-	if clone.NCP[0][resource.CPU] != 0 {
-		t.Fatalf("NCP clamp failed: %v", clone.NCP[0])
+	if clone.Get(0, resource.CPU) != 0 {
+		t.Fatalf("NCP clamp failed: %v", clone.NCP(0))
 	}
 	if !clone.NonNegative() {
 		t.Fatal("NonNegative after clamping must hold")
+	}
+}
+
+// TestBuildInternsKindsSorted pins the capacity columns: every kind an
+// NCP names, zero amounts included, each once in sorted order whatever
+// the map order, with each NCP's amounts in its row and zero where it
+// names no amount. A kind no NCP names reads as zero and drops out of a
+// reservation.
+func TestBuildInternsKindsSorted(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		b := NewBuilder("kinds")
+		b.AddNCP("a", resource.Vector{"zz": 1, "aa": 2, "skip": 0}, 0)
+		b.AddNCP("b", resource.Vector{"mm": 3, "aa": 4}, 0)
+		net, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := net.BaseCapacities()
+		if got, want := caps.Kinds(), (resource.Kinds{"aa", "mm", "skip", "zz"}); !slices.Equal(got, want) {
+			t.Fatalf("Kinds() = %v, want %v", got, want)
+		}
+		if got, want := caps.NCP(0), []float64{2, 0, 0, 1}; !slices.Equal(got, want) {
+			t.Fatalf("row 0 = %v, want %v", got, want)
+		}
+		if got, want := caps.NCP(1), []float64{4, 3, 0, 0}; !slices.Equal(got, want) {
+			t.Fatalf("row 1 = %v, want %v", got, want)
+		}
+		caps.SubtractNCP(1, resource.Vector{"mm": 1, "gpu": 5}, 2)
+		if caps.Get(1, "mm") != 1 || caps.Get(1, "gpu") != 0 || caps.Get(0, "gpu") != 0 {
+			t.Fatalf("after a reservation naming gpu: row 1 = %v", caps.NCP(1))
+		}
 	}
 }
 

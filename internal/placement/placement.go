@@ -262,7 +262,7 @@ func (p *Placement) Rate(caps *network.Capacities) float64 {
 		if load.IsZero() {
 			continue
 		}
-		r := resource.DivMin(caps.NCP[p.loadedNCPs[i]], load)
+		r := caps.DivMin(p.loadedNCPs[i], load)
 		if rate < 0 || r < rate {
 			rate = r
 		}

@@ -158,7 +158,7 @@ func TestSubtract(t *testing.T) {
 	p := f.placeExample(t)
 	caps := f.net.BaseCapacities()
 	p.Subtract(caps, 4)
-	if got := caps.NCP[f.ncp[2]][resource.CPU]; math.Abs(got-40) > 1e-9 {
+	if got := caps.Get(f.ncp[2], resource.CPU); math.Abs(got-40) > 1e-9 {
 		t.Fatalf("NCP2 residual = %v, want 100-4*15=40", got)
 	}
 	if got := caps.Link[f.link["L1"]]; math.Abs(got-0) > 1e-9 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparcle/internal/network"
@@ -61,13 +62,13 @@ func (d *densePlacement) PlaceTT(tt taskgraph.TTID, route []network.LinkID) {
 	}
 }
 
-func (d *densePlacement) Rate(caps *network.Capacities) float64 {
+func (d *densePlacement) Rate(caps capMaps) float64 {
 	rate := -1.0
 	for v, load := range d.ncpLoad {
 		if load.IsZero() {
 			continue
 		}
-		r := resource.DivMin(caps.NCP[v], load)
+		r := resource.DivMin(caps.ncp[v], load)
 		if rate < 0 || r < rate {
 			rate = r
 		}
@@ -76,7 +77,7 @@ func (d *densePlacement) Rate(caps *network.Capacities) float64 {
 		if bits <= 0 {
 			continue
 		}
-		r := caps.Link[network.LinkID(l)] / bits
+		r := caps.link[l] / bits
 		if rate < 0 || r < rate {
 			rate = r
 		}
@@ -87,13 +88,41 @@ func (d *densePlacement) Rate(caps *network.Capacities) float64 {
 	return rate
 }
 
-func (d *densePlacement) Subtract(caps *network.Capacities, rate float64) {
+// Subtract is Capacities.SubtractNCP and SubtractLink as map arithmetic:
+// every loaded kind loses rate times its load, clamped at zero.
+func (d *densePlacement) Subtract(caps capMaps, rate float64) {
 	for _, v := range d.loadedNCPs {
-		caps.SubtractNCP(v, d.ncpLoad[v], rate)
+		vec := caps.ncp[v]
+		vec.AddScaled(d.ncpLoad[v], -rate)
+		for k, a := range vec {
+			if a < 0 {
+				vec[k] = 0
+			}
+		}
 	}
 	for _, l := range d.loadedLinks {
-		caps.SubtractLink(l, d.linkLoad[l], rate)
+		if caps.link[l] -= d.linkLoad[l] * rate; caps.link[l] < 0 {
+			caps.link[l] = 0
+		}
 	}
+}
+
+// capMaps is Capacities as the reference computes on them: one map per
+// NCP, every kind of the network's rows keyed.
+type capMaps struct {
+	ncp  []resource.Vector
+	link []float64
+}
+
+func toMaps(c *network.Capacities) capMaps {
+	m := capMaps{ncp: make([]resource.Vector, c.NumNCPs()), link: slices.Clone(c.Link)}
+	for v := range m.ncp {
+		m.ncp[v] = resource.Vector{}
+		for i, a := range c.NCP(network.NCPID(v)) {
+			m.ncp[v][c.Kinds()[i]] = a
+		}
+	}
+	return m
 }
 
 func (d *densePlacement) Encode() Encoded {
@@ -228,9 +257,10 @@ func diffRoute(net *network.Network, rng *rand.Rand, a, z network.NCPID) (route 
 // some elements exhausted.
 func diffCaps(net *network.Network, rng *rand.Rand) *network.Capacities {
 	caps := net.BaseCapacities()
-	for _, vec := range caps.NCP {
-		for k := range vec {
-			vec[k] *= float64(rng.Intn(3)) * rng.Float64()
+	for v := range caps.NumNCPs() {
+		row := caps.NCP(network.NCPID(v))
+		for k := range net.NCP(network.NCPID(v)).Capacity {
+			row[caps.Kinds().Index(k)] *= float64(rng.Intn(3)) * rng.Float64()
 		}
 	}
 	for l := range caps.Link {
@@ -249,20 +279,6 @@ func encodedBytes(t *testing.T, enc Encoded) []byte {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// sameVector reports whether a and b hold the same kinds, zero-valued ones
-// included, with bit-identical amounts.
-func sameVector(a, b resource.Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, x := range a {
-		if y, ok := b[k]; !ok || !sameBits(x, y) {
-			return false
-		}
-	}
-	return true
-}
-
 // sameAmounts reports whether a and b hold bit-identical amounts of every
 // kind either names; a kind one of them lacks reads as zero.
 func sameAmounts(a, b resource.Vector) bool {
@@ -279,14 +295,14 @@ func sameAmounts(a, b resource.Vector) bool {
 	return true
 }
 
-func sameCaps(a, b *network.Capacities) bool {
-	for v := range a.NCP {
-		if !sameVector(a.NCP[v], b.NCP[v]) {
+func sameCaps(a, b capMaps) bool {
+	for v := range a.ncp {
+		if !sameAmounts(a.ncp[v], b.ncp[v]) {
 			return false
 		}
 	}
-	for l := range a.Link {
-		if !sameBits(a.Link[l], b.Link[l]) {
+	for l := range a.link {
+		if !sameBits(a.link[l], b.link[l]) {
 			return false
 		}
 	}
@@ -321,16 +337,16 @@ func checkAgainstDense(t *testing.T, rng *rand.Rand, net *network.Network, p *Pl
 	for trial := 0; trial < 3; trial++ {
 		caps := diffCaps(net, rng)
 		rate := p.Rate(caps)
-		if want := d.Rate(caps); !sameBits(rate, want) {
+		if want := d.Rate(toMaps(caps)); !sameBits(rate, want) {
 			t.Fatalf("Rate = %v, dense %v", rate, want)
 		}
 		if math.IsInf(rate, 1) || rate == 0 {
 			rate = 1 + rng.Float64()
 		}
-		sparse, dense := caps.Clone(), caps.Clone()
+		sparse, dense := caps.Clone(), toMaps(caps)
 		p.Subtract(sparse, rate)
 		d.Subtract(dense, rate)
-		if !sameCaps(sparse, dense) {
+		if !sameCaps(toMaps(sparse), dense) {
 			t.Fatalf("Subtract at rate %v differs from dense", rate)
 		}
 	}

@@ -1,88 +1,43 @@
 package resource
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
-// Interner assigns small dense integer indices to resource kinds, so hot
-// evaluation loops can trade map lookups for slice indexing. The map-based
-// Vector remains the API and JSON boundary representation; models convert
-// to Dense once at build/snapshot time and never on the hot path.
-//
-// Index assignment is first-come-first-served; InternVector interns kinds
-// in sorted order so that building the same model always yields the same
-// indices. An Interner is not safe for concurrent mutation, but read-only
-// use (Dense, Index, KindAt) after the universe is frozen is safe from any
-// number of goroutines.
-type Interner struct {
-	kinds []Kind
-	index map[Kind]int
-}
+// Kinds is a sorted list of distinct resource kinds: the column order of
+// dense rows, so that index order is name order. A network interns its
+// NCPs' capacity kinds into one Kinds when it is built; capacities are
+// rows over it, and a task's requirement is densified against it once per
+// assignment. The map-based Vector stays the API and JSON boundary
+// representation.
+type Kinds []Kind
 
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{index: map[Kind]int{}}
-}
-
-// Reset empties the interner for a new universe, keeping its memory.
-func (in *Interner) Reset() {
-	in.kinds = in.kinds[:0]
-	clear(in.index)
-}
-
-// Intern returns the dense index of k, assigning the next free index on
-// first use.
-func (in *Interner) Intern(k Kind) int {
-	if i, ok := in.index[k]; ok {
+// Index returns the position of k in ks, or -1 when ks lacks it.
+func (ks Kinds) Index(k Kind) int {
+	if i, ok := slices.BinarySearch(ks, k); ok {
 		return i
 	}
-	i := len(in.kinds)
-	in.kinds = append(in.kinds, k)
-	in.index[k] = i
-	return i
+	return -1
 }
 
-// InternVector interns every kind of v with a non-zero amount, in sorted
-// order for deterministic index assignment.
-func (in *Interner) InternVector(v Vector) {
-	for _, k := range v.Kinds() {
-		in.Intern(k)
-	}
-}
-
-// Index returns the dense index of k and whether it has been interned.
-func (in *Interner) Index(k Kind) (int, bool) {
-	i, ok := in.index[k]
-	return i, ok
-}
-
-// KindAt returns the kind with dense index i.
-func (in *Interner) KindAt(i int) Kind { return in.kinds[i] }
-
-// Len returns the number of interned kinds (the length of every Dense
-// vector produced by this interner).
-func (in *Interner) Len() int { return len(in.kinds) }
-
-// Dense projects v onto the interner's current universe: out[i] is the
-// amount of kind KindAt(i). Kinds of v that have not been interned are
-// dropped — by construction the universe covers every kind any demand can
-// reference, so dropped capacity kinds can never enter a rate computation.
-func (in *Interner) Dense(v Vector) Dense {
-	return in.DenseInto(make(Dense, len(in.kinds)), v)
-}
-
-// DenseInto is Dense writing into out, which must be zero and Len() long:
-// callers that densify many vectors carve them from one backing array.
-func (in *Interner) DenseInto(out Dense, v Vector) Dense {
+// DenseInto writes v's amounts into out, which must be zero and len(ks)
+// long, and reports whether v has a positive amount of a kind ks lacks,
+// which out cannot hold.
+func (ks Kinds) DenseInto(out Dense, v Vector) (dropped bool) {
 	for k, a := range v {
-		if i, ok := in.index[k]; ok {
+		if i := ks.Index(k); i >= 0 {
 			out[i] = a
+		} else if a > 0 {
+			dropped = true
 		}
 	}
-	return out
+	return dropped
 }
 
-// Dense is a slice-backed resource vector: index i holds the amount of the
-// kind an Interner assigned index i. All Dense values combined by the
-// arithmetic below must come from the same interner.
+// Dense is a slice-backed resource vector: index i holds the amount of
+// the kind at index i of a Kinds. All Dense values combined by the
+// arithmetic below must be rows over the same Kinds.
 type Dense []float64
 
 // Clone returns an independent copy of d.
@@ -114,11 +69,11 @@ func (d Dense) IsZero() bool {
 
 // Vector converts d back to the map representation (non-zero components
 // only), for boundary code and debugging.
-func (d Dense) Vector(in *Interner) Vector {
+func (d Dense) Vector(ks Kinds) Vector {
 	out := Vector{}
 	for i, a := range d {
 		if a != 0 {
-			out[in.KindAt(i)] = a
+			out[ks[i]] = a
 		}
 	}
 	return out
@@ -129,8 +84,8 @@ func (d Dense) Vector(in *Interner) Vector {
 // offers to the combined load of an existing base plus a candidate extra
 // requirement. It is the dense equivalent of the map-based rate arithmetic
 // (resource.DivMin over base+extra) and computes the exact same set of
-// divisions, so results are bit-identical. All three vectors must come
-// from the same interner; a shorter vector is treated as zero-padded.
+// divisions, so results are bit-identical. All three vectors must be rows
+// over the same Kinds; a shorter vector is treated as zero-padded.
 func RateDense(capacity, base, extra Dense) float64 {
 	rate := math.Inf(1)
 	if len(capacity) == len(base) && len(base) == len(extra) {

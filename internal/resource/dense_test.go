@@ -3,65 +3,47 @@ package resource
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-func TestInternerBasics(t *testing.T) {
-	in := NewInterner()
-	if in.Len() != 0 {
-		t.Fatalf("empty interner Len = %d", in.Len())
-	}
-	i := in.Intern(CPU)
-	if j := in.Intern(CPU); j != i {
-		t.Fatalf("re-interning CPU: %d != %d", j, i)
-	}
-	j := in.Intern(Memory)
-	if i == j {
-		t.Fatal("distinct kinds share an index")
-	}
-	if in.KindAt(i) != CPU || in.KindAt(j) != Memory {
-		t.Fatal("KindAt mismatch")
-	}
-	if got, ok := in.Index(Memory); !ok || got != j {
-		t.Fatalf("Index(Memory) = %d, %v", got, ok)
-	}
-	if _, ok := in.Index(Bandwidth); ok {
-		t.Fatal("uninterned kind found")
-	}
-	if in.Len() != 2 {
-		t.Fatalf("Len = %d", in.Len())
-	}
-}
-
-func TestInternVectorDeterministicOrder(t *testing.T) {
-	// Kinds are interned in sorted order regardless of map iteration.
-	for trial := 0; trial < 20; trial++ {
-		in := NewInterner()
-		in.InternVector(Vector{"zz": 1, "aa": 2, "mm": 3, "skip": 0})
-		if in.Len() != 3 {
-			t.Fatalf("Len = %d", in.Len())
+func TestKindsIndex(t *testing.T) {
+	ks := Kinds{CPU, "gpu", Memory}
+	for i, k := range ks {
+		if got := ks.Index(k); got != i {
+			t.Fatalf("Index(%s) = %d, want %d", k, got, i)
 		}
-		if in.KindAt(0) != "aa" || in.KindAt(1) != "mm" || in.KindAt(2) != "zz" {
-			t.Fatalf("order: %v %v %v", in.KindAt(0), in.KindAt(1), in.KindAt(2))
+	}
+	for _, k := range []Kind{Bandwidth, "aa", "zz", ""} {
+		if got := ks.Index(k); got != -1 {
+			t.Fatalf("Index(%q) = %d for a kind ks lacks", k, got)
 		}
+	}
+	if (Kinds(nil)).Index(CPU) != -1 {
+		t.Fatal("empty Kinds found a kind")
 	}
 }
 
 func TestDenseRoundTrip(t *testing.T) {
-	in := NewInterner()
+	ks := Kinds{CPU, Memory}
 	v := Vector{CPU: 3, Memory: 0.5}
-	in.InternVector(v)
-	d := in.Dense(v)
-	if len(d) != 2 {
-		t.Fatalf("len = %d", len(d))
+	d := make(Dense, len(ks))
+	if ks.DenseInto(d, v) {
+		t.Fatal("DenseInto dropped a kind ks holds")
 	}
-	if !d.Vector(in).Equal(v) {
-		t.Fatalf("round trip: %v", d.Vector(in))
+	if !d.Vector(ks).Equal(v) {
+		t.Fatalf("round trip: %v", d.Vector(ks))
 	}
-	// Uninterned kinds are dropped on projection.
-	d2 := in.Dense(Vector{CPU: 1, "gpu": 9})
-	if !d2.Vector(in).Equal(Vector{CPU: 1}) {
-		t.Fatalf("projection kept uninterned kind: %v", d2.Vector(in))
+	// Kinds outside ks are dropped, and reported when positive.
+	d2 := make(Dense, len(ks))
+	if !ks.DenseInto(d2, Vector{CPU: 1, "gpu": 9}) {
+		t.Fatal("DenseInto did not report a positive amount it dropped")
+	}
+	if !d2.Vector(ks).Equal(Vector{CPU: 1}) {
+		t.Fatalf("projection kept an outside kind: %v", d2.Vector(ks))
+	}
+	if ks.DenseInto(make(Dense, len(ks)), Vector{CPU: 1, "gpu": 0}) {
+		t.Fatal("DenseInto reported a zero amount it dropped")
 	}
 }
 
@@ -126,10 +108,15 @@ func TestRateDenseMatchesMapReference(t *testing.T) {
 	}
 	for trial := 0; trial < 500; trial++ {
 		capV, base, extra := randVec(), randVec(), randVec()
-		in := NewInterner()
-		in.InternVector(base)
-		in.InternVector(extra)
-		got := RateDense(in.Dense(capV), in.Dense(base), in.Dense(extra))
+		ks := Kinds(append(base.Kinds(), extra.Kinds()...))
+		slices.Sort(ks)
+		ks = slices.Compact(ks)
+		dense := func(v Vector) Dense {
+			d := make(Dense, len(ks))
+			ks.DenseInto(d, v)
+			return d
+		}
+		got := RateDense(dense(capV), dense(base), dense(extra))
 		want := rateWithMaps(capV, base, extra)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: dense %v != map %v", trial, got, want)

@@ -5,6 +5,10 @@
 // amount is the quantity of that resource consumed to process one data unit
 // (e.g. CPU megacycles per image); for NCPs it is the capacity per second
 // (e.g. MHz). Transport tasks and links use the single Bandwidth kind.
+//
+// Vector is the form of requirements, placement loads and every encoding.
+// Held capacities are dense instead: rows of float64 over a sorted Kinds
+// that a network interns once, when it is built (see Dense).
 package resource
 
 import (

@@ -11,7 +11,7 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22470
+max_lines=22405
 max_host_lines=3566
 max_replica_lines=2669
 max_obs_lines=1199
