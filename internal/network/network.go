@@ -147,7 +147,7 @@ func (b *Builder) Build() (*Network, error) {
 	}
 	for _, n := range b.ncps {
 		if !n.Capacity.NonNegative() {
-			return nil, fmt.Errorf("network: NCP %q has negative capacity %v", n.Name, n.Capacity)
+			return nil, fmt.Errorf("network: NCP %q has a negative or NaN capacity %v", n.Name, n.Capacity)
 		}
 	}
 	net := &Network{

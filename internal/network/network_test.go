@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -92,6 +93,20 @@ func TestBuilderErrors(t *testing.T) {
 		b.AddNCP("a", resource.Vector{resource.CPU: -1}, 0)
 		if _, err := b.Build(); err == nil {
 			t.Fatal("want error")
+		}
+	})
+	t.Run("NaN amounts", func(t *testing.T) {
+		b := NewBuilder("c")
+		b.AddNCP("a", resource.Vector{resource.CPU: math.NaN()}, 0)
+		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("NaN capacity: err = %v, want a NaN error", err)
+		}
+		b = NewBuilder("n")
+		a := b.AddNCP("a", nil, 0)
+		c := b.AddNCP("c", nil, 0)
+		b.AddLink("l", a, c, math.NaN(), 0)
+		if _, err := b.Build(); err == nil {
+			t.Fatal("want error for NaN bandwidth")
 		}
 	})
 }

@@ -68,7 +68,7 @@ func (d *densePlacement) Rate(caps capMaps) float64 {
 		if load.IsZero() {
 			continue
 		}
-		r := resource.DivMin(caps.ncp[v], load)
+		r := divMin(caps.ncp[v], load)
 		if rate < 0 || r < rate {
 			rate = r
 		}
@@ -84,6 +84,21 @@ func (d *densePlacement) Rate(caps capMaps) float64 {
 	}
 	if rate < 0 {
 		return 0
+	}
+	return rate
+}
+
+// divMin is the map form of an NCP's rate: min over kinds with a positive
+// load of capacity/load, +Inf when no kind is loaded.
+func divMin(capacity, load resource.Vector) float64 {
+	rate := math.Inf(1)
+	for k, a := range load {
+		if a <= 0 {
+			continue
+		}
+		if r := capacity[k] / a; r < rate {
+			rate = r
+		}
 	}
 	return rate
 }

@@ -31,16 +31,16 @@ func TestDenseRoundTrip(t *testing.T) {
 	if ks.DenseInto(d, v) {
 		t.Fatal("DenseInto dropped a kind ks holds")
 	}
-	if !d.Vector(ks).Equal(v) {
-		t.Fatalf("round trip: %v", d.Vector(ks))
+	if !slices.Equal(d, Dense{3, 0.5}) {
+		t.Fatalf("DenseInto(%v) = %v", v, d)
 	}
 	// Kinds outside ks are dropped, and reported when positive.
 	d2 := make(Dense, len(ks))
 	if !ks.DenseInto(d2, Vector{CPU: 1, "gpu": 9}) {
 		t.Fatal("DenseInto did not report a positive amount it dropped")
 	}
-	if !d2.Vector(ks).Equal(Vector{CPU: 1}) {
-		t.Fatalf("projection kept an outside kind: %v", d2.Vector(ks))
+	if !slices.Equal(d2, Dense{1, 0}) {
+		t.Fatalf("projection kept an outside kind: %v", d2)
 	}
 	if ks.DenseInto(make(Dense, len(ks)), Vector{CPU: 1, "gpu": 0}) {
 		t.Fatal("DenseInto reported a zero amount it dropped")
@@ -50,20 +50,8 @@ func TestDenseRoundTrip(t *testing.T) {
 func TestDenseArithmetic(t *testing.T) {
 	d := Dense{1, 2, 3}
 	d.Add(Dense{1, 1, 1})
-	d.AddScaled(Dense{2, 0, 2}, 0.5)
-	want := Dense{3, 3, 5}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("d = %v", d)
-		}
-	}
-	if d.IsZero() || !(Dense{0, 0}).IsZero() {
-		t.Fatal("IsZero")
-	}
-	c := d.Clone()
-	c[0] = 99
-	if d[0] == 99 {
-		t.Fatal("Clone aliases")
+	if want := (Dense{2, 3, 4}); !slices.Equal(d, want) {
+		t.Fatalf("d = %v, want %v", d, want)
 	}
 }
 
@@ -121,18 +109,5 @@ func TestRateDenseMatchesMapReference(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: dense %v != map %v", trial, got, want)
 		}
-	}
-}
-
-func TestRateDenseMixedLengths(t *testing.T) {
-	// The zero-padded slow path: shorter vectors act as zeros.
-	if got := RateDense(Dense{10}, Dense{2, 5}, nil); got != 0 {
-		t.Fatalf("missing capacity should yield 0, got %v", got)
-	}
-	if got := RateDense(Dense{10, 20}, Dense{2}, Dense{0, 4}); got != 5 {
-		t.Fatalf("got %v, want 5", got)
-	}
-	if got := RateDense(nil, nil, nil); !math.IsInf(got, 1) {
-		t.Fatalf("no demand should be +Inf, got %v", got)
 	}
 }

@@ -13,7 +13,6 @@ package resource
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -72,14 +71,6 @@ func (v Vector) Sub(w Vector) Vector {
 	return v
 }
 
-// Scale multiplies every component of v by s in place and returns v.
-func (v Vector) Scale(s float64) Vector {
-	for k := range v {
-		v[k] *= s
-	}
-	return v
-}
-
 // IsZero reports whether every component of v is zero.
 func (v Vector) IsZero() bool {
 	for _, a := range v {
@@ -90,10 +81,11 @@ func (v Vector) IsZero() bool {
 	return true
 }
 
-// NonNegative reports whether no component of v is negative.
+// NonNegative reports whether every component of v is a non-negative
+// number: a negative or NaN amount fails.
 func (v Vector) NonNegative() bool {
 	for _, a := range v {
-		if a < 0 {
+		if !(a >= 0) {
 			return false
 		}
 	}
@@ -113,23 +105,6 @@ func (v Vector) Equal(w Vector) bool {
 		}
 	}
 	return true
-}
-
-// DivMin returns min over kinds k present in load (with load[k] > 0) of
-// capacity[k] / load[k]: the largest rate a capacity vector can sustain for
-// a per-unit load vector. A zero or entirely absent load imposes no
-// constraint and yields +Inf. A positive load against zero capacity yields 0.
-func DivMin(capacity, load Vector) float64 {
-	rate := math.Inf(1)
-	for k, a := range load {
-		if a <= 0 {
-			continue
-		}
-		if r := capacity[k] / a; r < rate {
-			rate = r
-		}
-	}
-	return rate
 }
 
 // String renders the vector with kinds in sorted order, e.g.

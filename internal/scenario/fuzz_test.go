@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -89,5 +92,106 @@ func checkNumericInvariants(t *testing.T, f *File) {
 		quantity("QoS minRate", app.QoS.MinRate)
 		prob("QoS availability", app.QoS.Availability)
 		prob("QoS minRateAvailability", app.QoS.MinRateAvailability)
+	}
+}
+
+// FuzzDecodeApp checks DecodeApp against the strict reflective decode it
+// stands in for: for every input, the same value (reflect.DeepEqual) or
+// the same error text.
+func FuzzDecodeApp(f *testing.F) {
+	for _, seed := range decodeSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		checkDecodeApp(t, []byte(data))
+	})
+}
+
+// decodeSeeds are bodies on both sides of the canonical form's edge.
+var decodeSeeds = []string{
+	`{"name":"a","cts":[{"name":"in","host":"n00"},{"name":"w0","req":{"cpu":12.5}},{"name":"out","host":"n01"}],` +
+		`"tts":[{"from":"in","to":"w0","bits":1e-07},{"from":"w0","to":"out","bits":3}],"qos":{"class":"best-effort","priority":2.25}}`,
+	`{"name":"g","cts":[],"tts":[],"qos":{"class":"guaranteed-rate","minRate":0.5,"minRateAvailability":0.95,"maxPaths":3}}`,
+	` { "name" : "ws" , "cts" : [ { "name" : "c" , "req" : { } } ] } ` + "\n\t\r",
+	// Escapes, \u surrogates (paired, lone, reversed) and invalid UTF-8.
+	`{"name":"a\"b","cts":[{"name":"\u00e9"}]}`,
+	`{"name":"\ud83d\ude00"}`,
+	`{"name":"\ud83d"}`,
+	`{"name":"\ude00\ud83d"}`,
+	"{\"name\":\"\xff\xfe\"}",
+	"{\"name\":\"\xed\xa0\x80\"}",
+	"{\"cts\":[{\"name\":\"c\",\"req\":{\"\xc3\":1}}]}",
+	"{\"name\":\"caf\xc3\xa9\"}",
+	"{\"name\":\"tab\there\"}",
+	// null, whole body and per field.
+	`null`,
+	`{"name":null}`,
+	`{"cts":null,"tts":null,"qos":null}`,
+	`{"cts":[null,{"name":"c","req":null,"host":null}]}`,
+	`{"cts":[{"name":"c","req":{"cpu":null}}]}`,
+	`{"tts":[{"from":"a","to":"b","bits":null}],"qos":{"class":"be","maxPaths":null}}`,
+	// Case-folded and duplicated keys, unknown keys.
+	`{"Name":"a","CTS":[]}`,
+	`{"qos":{"Class":"be","MINRATE":1}}`,
+	`{"name":"a","name":"b"}`,
+	`{"cts":[{"name":"a","req":{"cpu":1}}],"cts":[{"name":"b"}]}`,
+	`{"cts":[{"name":"a","req":{"cpu":1},"req":{"mem":2}}]}`,
+	`{"cts":[{"name":"a","req":{"cpu":1,"cpu":2}}]}`,
+	`{"qos":{"class":"be","priority":1,"priority":2}}`,
+	`{"name":"a","extra":1}`,
+	// Trailing data after the object.
+	`{"name":"a"} {"name":"b"}`,
+	`{"name":"a"}x`,
+	`{"name":"a"}}`,
+	// Numbers: out of range, non-integer maxPaths, JSON-invalid forms.
+	`{"tts":[{"from":"a","to":"b","bits":1e400}]}`,
+	`{"tts":[{"from":"a","to":"b","bits":-1e-400}]}`,
+	`{"qos":{"class":"gr","maxPaths":3.0}}`,
+	`{"qos":{"class":"gr","maxPaths":3e0}}`,
+	`{"qos":{"class":"gr","maxPaths":-0}}`,
+	`{"qos":{"class":"gr","maxPaths":99999999999999999999}}`,
+	`{"qos":{"priority":01}}`,
+	`{"qos":{"priority":.5}}`,
+	`{"qos":{"priority":1.}}`,
+	`{"qos":{"priority":+1}}`,
+	`{"qos":{"priority":1e}}`,
+	`{"qos":{"priority":-0.0E+00}}`,
+	`{"qos":{"priority":"1"}}`,
+	`{"qos":{"priority":true}}`,
+	// Empty and non-object bodies, truncations.
+	``,
+	`   `,
+	`[]`,
+	`{}`,
+	`"name"`,
+	`{"name":"a"`,
+	`{"name":"a",}`,
+	`{"cts":[{"name":"c"},]}`,
+	`{"cts":[{"name":"c"}`,
+	`{"name"}`,
+}
+
+// decodeReflective is the reference DecodeApp answers for: the strict
+// decode the server's other handlers use.
+func decodeReflective(data []byte) (AppSpec, error) {
+	var spec AppSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// checkDecodeApp fails unless DecodeApp and the reference agree on data.
+func checkDecodeApp(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantErr := decodeReflective(data)
+	got, err := DecodeApp(data)
+	switch {
+	case wantErr != nil && (err == nil || err.Error() != wantErr.Error()):
+		t.Fatalf("DecodeApp(%q) error = %v, want %v", data, err, wantErr)
+	case wantErr == nil && err != nil:
+		t.Fatalf("DecodeApp(%q) error = %v, want %+v", data, err, want)
+	case wantErr == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("DecodeApp(%q) = %+v, want %+v", data, got, want)
 	}
 }

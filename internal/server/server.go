@@ -373,7 +373,10 @@ func errStatus(err error) int {
 func (s *Server) decodeApp(w http.ResponseWriter, r *http.Request, root *obs.Span) (core.App, bool) {
 	dsp := root.Child("http.decode")
 	var spec scenario.AppSpec
-	err := decodeStrict(r.Body, &spec)
+	err := readBody(r.Body, func(data []byte) (err error) {
+		spec, err = scenario.DecodeApp(data)
+		return err
+	})
 	dsp.End()
 	if err != nil {
 		root.SetAttr("outcome", "bad-request")
@@ -597,6 +600,16 @@ var decodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // decodeStrict decodes one JSON value from body into v, rejecting
 // unknown fields, through a pooled read buffer.
 func decodeStrict(body io.Reader, v any) error {
+	return readBody(body, func(data []byte) error {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v)
+	})
+}
+
+// readBody reads body into a pooled buffer and hands its bytes to
+// decode, which must not keep them.
+func readBody(body io.Reader, decode func([]byte) error) error {
 	buf := decodeBufs.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
@@ -605,9 +618,7 @@ func decodeStrict(body io.Reader, v any) error {
 	if _, err := buf.ReadFrom(body); err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	return decode(buf.Bytes())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -122,7 +122,7 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	for i, ct := range b.cts {
 		if !ct.Req.NonNegative() {
-			return nil, fmt.Errorf("taskgraph: CT %q (%d) has negative resource requirement %v", ct.Name, i, ct.Req)
+			return nil, fmt.Errorf("taskgraph: CT %q (%d) has a negative or NaN resource requirement %v", ct.Name, i, ct.Req)
 		}
 	}
 	g := &Graph{

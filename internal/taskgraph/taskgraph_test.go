@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -101,6 +102,20 @@ func TestBuildErrors(t *testing.T) {
 		b.AddCT("a", resource.Vector{resource.CPU: -5})
 		if _, err := b.Build(); err == nil {
 			t.Fatal("want error for negative requirement")
+		}
+	})
+	t.Run("NaN amounts", func(t *testing.T) {
+		b := NewBuilder("r")
+		b.AddCT("a", resource.Vector{resource.CPU: math.NaN()})
+		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("NaN requirement: err = %v, want a NaN error", err)
+		}
+		b = NewBuilder("n")
+		a := b.AddCT("a", nil)
+		c := b.AddCT("b", nil)
+		b.AddTT("t", a, c, math.NaN())
+		if _, err := b.Build(); err == nil {
+			t.Fatal("want error for NaN bits")
 		}
 	})
 }
