@@ -183,7 +183,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	shards := fs.Int("shards", 1, "region shards: partition the network into N regions, one scheduler each, behind an admission router (1 = single scheduler)")
 	journalDir := fs.String("journal", "", "directory for the write-ahead operation journal (empty = not durable)")
 	journalFsync := fs.String("journal-fsync", "always", "journal fsync policy: always (every acknowledged operation is on stable storage) or never (left to the page cache)")
-	snapshotEvery := fs.Int("snapshot-every", 256, "journal records between snapshots (0 = none, so recovery replays the whole log; -replicate reads 0 as 256)")
+	snapshotEvery := fs.Int("snapshot-every", 256, "journal records between snapshots, with -journal or -replicate (<= 0 = none, so recovery replays the whole log)")
 	trace := fs.String("trace", "", "arm span tracing and stream every finished span, decisions included, to this JSONL file")
 	flightSize := fs.Int("flight", 0, "arm span tracing and keep the last N traces for /debug/flight (0 = off, or 64 with -trace)")
 	runtimeMetrics := fs.Duration("runtime-metrics", 10*time.Second, "Go runtime sampling period for /metrics (0 = off)")

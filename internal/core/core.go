@@ -171,13 +171,34 @@ func WithoutPrediction() Option {
 }
 
 // Scheduler is the SPARCLE system: it owns the network's capacity
-// bookkeeping and the set of admitted applications. Everything it
-// mutates lives in the embedded state (see state.go); *Scheduler
-// implements Control, the interface along which schedulers compose.
+// bookkeeping and the set of admitted applications. A region-sharded
+// deployment (internal/shard) runs one Scheduler per region.
 type Scheduler struct {
-	// state is the mutable scheduler state: placement view, BE capacity
-	// pool, alloc solver rows, and the journal commit hook.
-	state
+	// beAvailable is the capacity available to the BE class: (possibly
+	// fluctuation-scaled) base capacities minus every GR reservation, in
+	// s.gr order. It is always recomputeBEAvailable()'s value, bit for bit
+	// (see delta.go).
+	beAvailable *network.Capacities
+	gr          []*PlacedApp
+	be          []*PlacedApp
+
+	// beSolver incrementally re-solves problem (4), keeping constraint
+	// rows and dual prices across churn events so each re-solve
+	// warm-starts near the previous optimum. While it is set, every BE
+	// resident it holds carries its flow ids (PlacedApp.flows), and a
+	// departing resident takes its flows out (unlist).
+	beSolver *alloc.Solver
+	// unsolved counts the removals since the last BE solve: while it is
+	// nonzero the residents' rates are stale (see settle).
+	unsolved int
+
+	// scale holds the current capacity fluctuation (see ApplyFluctuation);
+	// nil means nominal capacities.
+	scale ElementScale
+
+	// commit, when set, persists a Record for every mutating operation
+	// before the operation returns (see durable.go).
+	commit CommitHook
 
 	net *network.Network
 	alg placement.Algorithm
@@ -213,15 +234,20 @@ type Scheduler struct {
 	rateScratch    []float64
 }
 
+// Control is the scheduler type under its former interface name.
+//
+// Deprecated: use *Scheduler. The only remaining callers are in the
+// repository benchmark (benchmark/probe.go, benchmark/check.go); the
+// alias goes when they stop naming it.
+type Control = *Scheduler
+
 // New returns a Scheduler over net.
 func New(net *network.Network, opts ...Option) *Scheduler {
 	s := &Scheduler{
-		state: state{
-			beAvailable: net.BaseCapacities(),
-		},
-		net: net,
-		alg: assign.Sparcle{},
-		log: obs.NopLogger(),
+		beAvailable: net.BaseCapacities(),
+		net:         net,
+		alg:         assign.Sparcle{},
+		log:         obs.NopLogger(),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -335,6 +361,10 @@ func (s *Scheduler) BEApps() []*PlacedApp {
 	return append([]*PlacedApp(nil), s.be...)
 }
 
+// NumApps returns the number of admitted applications of each class. It
+// neither copies the lists nor settles rates, so reading it moves no solve.
+func (s *Scheduler) NumApps() (gr, be int) { return len(s.gr), len(s.be) }
+
 // resident returns the admitted application (either class) carrying the
 // name, or nil.
 func (s *Scheduler) resident(name string) *PlacedApp {
@@ -351,6 +381,19 @@ func (s *Scheduler) resident(name string) *PlacedApp {
 // BEAvailableCapacities returns a copy of the capacities available to the
 // BE class (base minus GR reservations).
 func (s *Scheduler) BEAvailableCapacities() *network.Capacities { return s.beAvailable.Clone() }
+
+// Metrics returns the registry WithMetrics attached, nil without one.
+func (s *Scheduler) Metrics() *obs.Registry { return s.metrics }
+
+// SolverRows reports the live flow and constraint-nonzero counts of the
+// incremental BE solver; both are 0 while no warm solver exists (before
+// the first solve or after dropSolver).
+func (s *Scheduler) SolverRows() (flows, nnz int) {
+	if s.beSolver == nil {
+		return 0, 0
+	}
+	return s.beSolver.Len(), s.beSolver.NNZ()
+}
 
 // Utility returns the problem-(4) objective over admitted BE apps:
 // sum of Priority * log(total rate), over settled rates.

@@ -18,7 +18,7 @@ import (
 // exports/op counts full state-machine exports on all three nodes —
 // snapshot cuts plus any export a cut then refused.
 func BenchmarkPropose(b *testing.B) {
-	c := newCluster(b, 0) // the default snapshot cadence
+	c := newCluster(b, 256) // the server's default snapshot cadence
 	lead := c.waitLeader()
 	exports := func() (sum int64) {
 		for _, id := range c.ids {

@@ -53,9 +53,6 @@ func (n *Node) rearmElectionLocked(now time.Time) {
 }
 
 func (n *Node) becomeFollowerLocked() {
-	if n.role == Leader {
-		n.cfg.Logger.Info("replica deposed", "id", n.cfg.ID, "term", n.term)
-	}
 	n.role = Follower
 	n.ready = false
 	n.barrier = 0
@@ -86,9 +83,7 @@ func (n *Node) outrankedLocked(term uint64) bool {
 	if term <= n.term {
 		return false
 	}
-	if err := n.stepDownLocked(term); err != nil {
-		n.cfg.Logger.Error("replica: persist step-down failed", "err", err)
-	}
+	_ = n.stepDownLocked(term)
 	return true
 }
 
@@ -177,8 +172,6 @@ func (n *Node) checkQuorumLocked(now time.Time) bool {
 	if heard >= n.quorumLocked() {
 		return false
 	}
-	n.cfg.Logger.Warn("replica check-quorum step-down", "id", n.cfg.ID, "term", n.term,
-		"heard", heard, "quorum", n.quorumLocked())
 	n.countCheckQuorumStepdown()
 	n.leaderID = ""
 	n.becomeFollowerLocked()
@@ -213,7 +206,6 @@ func (n *Node) startElectionLocked() {
 	if err := n.persistMetaLocked(); err != nil {
 		// Candidacy without a durable self-vote risks a double vote
 		// after a crash; skip this round and retry at the next timeout.
-		n.cfg.Logger.Error("replica: persist candidacy failed", "err", err)
 		n.term--
 		n.votedFor = ""
 		n.resetElectionLocked(time.Now())
@@ -226,7 +218,6 @@ func (n *Node) startElectionLocked() {
 	n.resetElectionLocked(time.Now())
 	n.observeStateLocked()
 	term := n.term
-	n.cfg.Logger.Info("replica election", "id", n.cfg.ID, "term", term)
 	n.canvassLocked(term, false, func() bool { return n.role == Candidate && n.term == term }, func() {
 		n.becomeLeaderLocked(term)
 		n.mu.Unlock()
@@ -287,7 +278,6 @@ func (n *Node) becomeLeaderLocked(term uint64) {
 		n.prog[id] = &progress{next: n.lastSeqLocked() + 1} // the barrier comes next
 	}
 	n.observeStateLocked()
-	n.cfg.Logger.Info("replica leader elected", "id", n.cfg.ID, "term", term)
 	go n.promote(term)
 }
 
@@ -321,7 +311,6 @@ func (n *Node) promote(term uint64) {
 	// Barrier entry: a no-op stamped with the new term.
 	e := Entry{Seq: n.lastSeqLocked() + 1, Term: term, Nop: true}
 	if err := n.appendEntryLocked(e, false); err != nil {
-		n.cfg.Logger.Error("replica: barrier append failed", "err", err)
 		n.becomeFollowerLocked()
 		return
 	}
@@ -498,7 +487,6 @@ func (n *Node) advanceCommitLocked() {
 		n.commitIndex = cand
 		if !n.ready && n.barrier > 0 && cand >= n.barrier {
 			n.ready = true
-			n.cfg.Logger.Info("replica leader ready", "id", n.cfg.ID, "term", n.term, "barrier", n.barrier)
 		}
 		n.observeStateLocked()
 		// Waiters first, membership second: a committed self-removal must

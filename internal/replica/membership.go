@@ -161,7 +161,6 @@ func (n *Node) recomputeConfLocked() {
 // configuration: reconcile transports and per-peer bookkeeping with the
 // member list, and step down if this node lost its vote while leading.
 func (n *Node) applyConfLocked(conf Membership) {
-	old := n.conf
 	n.conf = conf
 	for _, m := range conf.Members {
 		if m.ID == n.cfg.ID {
@@ -187,14 +186,10 @@ func (n *Node) applyConfLocked(conf Membership) {
 		}
 	}
 	n.countConfChange()
-	n.cfg.Logger.Info("replica membership changed",
-		"id", n.cfg.ID, "confSeq", conf.Seq, "members", len(conf.Members),
-		"voters", conf.voters(), "prevConfSeq", old.Seq)
 	if n.role == Leader && !n.isVoterLocked(n.cfg.ID) {
 		// Removed (or demoted) while leading: hand off. Waiters for
 		// entries committed up to and including the removal have already
 		// been notified; the rest fail with a redirect.
-		n.cfg.Logger.Info("replica leader removed by membership change; stepping down", "id", n.cfg.ID, "term", n.term)
 		n.leaderID = ""
 		n.becomeFollowerLocked()
 		n.resetElectionLocked(time.Now())
@@ -301,14 +296,9 @@ func (n *Node) maybePromoteLocked(id string) {
 	}
 	n.promoting[id] = true
 	go func() {
-		err := n.PromoteMember(id)
+		_ = n.PromoteMember(id)
 		n.mu.Lock()
 		delete(n.promoting, id)
 		n.mu.Unlock()
-		if err != nil {
-			n.cfg.Logger.Info("replica learner auto-promotion deferred", "id", id, "err", err)
-		} else {
-			n.cfg.Logger.Info("replica learner promoted to voter", "id", id)
-		}
 	}()
 }

@@ -322,7 +322,7 @@ func TestIsolatedLeaderStepsDownAndFailsWaiters(t *testing.T) {
 	if limit := 2*60*time.Millisecond + 250*time.Millisecond; elapsed > limit {
 		t.Fatalf("parked Propose failed after %v, want < %v (check-quorum step-down)", elapsed, limit)
 	}
-	if lead.IsLeader() {
+	if lead.Status().Role == "leader" {
 		t.Fatal("isolated leader did not step down")
 	}
 	// The majority elected a replacement; the healed node truncates its

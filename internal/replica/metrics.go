@@ -34,7 +34,7 @@ func (n *Node) registerMetrics() {
 	reg.SetHelp(metricCommitIndex, "Highest quorum-committed journal sequence number.")
 	reg.SetHelp(metricQuorumAcks, "Proposals acknowledged after reaching quorum on this leader.")
 	reg.SetHelp(metricCatchupSnaps, "Snapshot installs accepted from a leader to catch this node up.")
-	reg.SetHelp(metricSnapshots, "Local journal snapshots by result: cut, or skipped after the export because the log moved past the applied state.")
+	reg.SetHelp(metricSnapshots, "Local journal snapshots by result: cut, skipped after the export because the log moved past the applied state, or failed (the export or the journal write erred).")
 	reg.SetHelp(metricMembers, "Members of the committed cluster configuration, by role (voter/learner).")
 	reg.SetHelp(metricConfChanges, "Committed membership changes applied by this node (including rollbacks).")
 	reg.SetHelp(metricPreVotes, "Pre-vote canvass rounds started by this node.")
@@ -45,6 +45,7 @@ func (n *Node) registerMetrics() {
 	reg.Counter(metricCatchupSnaps)
 	reg.Counter(metricSnapshots, obs.L("result", "cut"))
 	reg.Counter(metricSnapshots, obs.L("result", "skipped"))
+	reg.Counter(metricSnapshots, obs.L("result", "failed"))
 	reg.Counter(metricConfChanges)
 	reg.Counter(metricPreVotes)
 	reg.Counter(metricCheckQuorum)
@@ -107,8 +108,8 @@ func (n *Node) countCatchupSnapshot() {
 	}
 }
 
-// countSnapshot counts one local snapshot attempt that exported the
-// state machine; result is "cut" or "skipped".
+// countSnapshot counts one local snapshot attempt; result is "cut",
+// "skipped" or "failed".
 func (n *Node) countSnapshot(result string) {
 	if reg := n.cfg.Metrics; reg != nil {
 		reg.Counter(metricSnapshots, obs.L("result", result)).Inc()

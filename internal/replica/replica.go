@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -146,8 +145,8 @@ type Config struct {
 	Journal *journal.Journal
 	// SM is the replicated state machine.
 	SM StateMachine
-	// SnapshotEvery is the record count between journal snapshots
-	// (default 256; <0 disables periodic snapshots).
+	// SnapshotEvery is the record count between journal snapshots; at
+	// or below 0 the node cuts none.
 	SnapshotEvery int
 	// Heartbeat is the leader's heartbeat period (default 100ms). A
 	// follower treats each heartbeat as a leadership lease renewal.
@@ -163,16 +162,11 @@ type Config struct {
 	ProposeTimeout time.Duration
 	// Metrics, when non-nil, receives the sparcle_repl_* series.
 	Metrics *obs.Registry
-	// Logger, when non-nil, receives role transitions and repair events.
-	Logger *slog.Logger
 	// Seed seeds the election jitter (0 = time-seeded).
 	Seed int64
 }
 
 func (c Config) withDefaults() Config {
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 256
-	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 100 * time.Millisecond
 	}
@@ -187,9 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxLearnerLag == 0 {
 		c.MaxLearnerLag = 64
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	if c.Seed == 0 {
 		c.Seed = time.Now().UnixNano()
@@ -259,6 +250,9 @@ type Node struct {
 
 	commitIndex uint64
 	lastApplied uint64
+	// applyErr is why the apply loop halted: the state machine refused
+	// a restore or an entry ("" while applies run). Status reports it.
+	applyErr string
 	// restoreBase asks the apply loop to reset the state machine to the
 	// local snapshot before applying (set after a divergent-suffix
 	// truncation or a snapshot install).
@@ -412,7 +406,6 @@ func (n *Node) Start() error {
 	n.wg.Add(2)
 	go n.tickLoop()
 	go n.applyLoop()
-	n.cfg.Logger.Info("replica started", "id", n.cfg.ID, "term", n.term, "lastSeq", last)
 	return nil
 }
 
@@ -484,6 +477,9 @@ type Status struct {
 	ConfSeq     uint64         `json:"confSeq"`
 	PendingConf bool           `json:"pendingConf,omitempty"`
 	Members     []MemberStatus `json:"members,omitempty"`
+	// ApplyError is why this node's applies halted: the state machine
+	// refused a restore or a committed entry ("" while applies run).
+	ApplyError string `json:"applyError,omitempty"`
 }
 
 // Status returns a point-in-time view of the node.
@@ -525,6 +521,7 @@ func (n *Node) Status() Status {
 		ConfSeq:     n.conf.Seq,
 		PendingConf: n.nextConfSeq != 0,
 		Members:     members,
+		ApplyError:  n.applyErr,
 	}
 }
 
@@ -555,14 +552,6 @@ func (n *Node) ForceRestore() {
 	n.restoreBase = true
 	n.mu.Unlock()
 	n.kickApply()
-}
-
-// IsLeader reports whether the node currently leads (it may not be ready
-// yet).
-func (n *Node) IsLeader() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.role == Leader
 }
 
 // --- log helpers (mu held) ---
@@ -717,11 +706,14 @@ func (n *Node) drainApply() {
 			n.lastApplied = 0
 			n.mu.Unlock()
 			if err := n.cfg.SM.Restore(snap, nil); err != nil {
-				n.cfg.Logger.Error("replica: state machine restore failed; applies halted", "err", err)
+				n.mu.Lock()
+				n.applyErr = "state machine restore: " + err.Error()
+				n.mu.Unlock()
 				return
 			}
 			n.mu.Lock()
 			n.lastApplied = base
+			n.applyErr = ""
 			n.mu.Unlock()
 			continue
 		}
@@ -741,12 +733,15 @@ func (n *Node) drainApply() {
 		n.mu.Unlock()
 		if !e.Nop && e.Conf == nil {
 			if err := n.cfg.SM.Apply(e.Data); err != nil {
-				n.cfg.Logger.Error("replica: apply failed; applies halted", "seq", e.Seq, "err", err)
+				n.mu.Lock()
+				n.applyErr = fmt.Sprintf("apply entry %d: %v", e.Seq, err)
+				n.mu.Unlock()
 				return
 			}
 		}
 		n.mu.Lock()
 		n.lastApplied = e.Seq
+		n.applyErr = ""
 		n.mu.Unlock()
 		n.maybeSnapshot()
 	}
@@ -786,7 +781,7 @@ func (n *Node) maybeSnapshot() {
 		}
 		n.mu.Unlock()
 		if err != nil {
-			n.cfg.Logger.Error("replica: snapshot failed", "err", err)
+			n.countSnapshot("failed")
 		}
 	}()
 }

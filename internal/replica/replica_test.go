@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,24 +101,45 @@ func (lt *localTransport) InstallSnapshot(_ context.Context, req *InstallSnapsho
 
 // fakeSM is an order-sensitive log of applied payloads. exports counts
 // SnapshotWith calls: each is a full state export, whether or not the
-// node then cuts a snapshot from it.
+// node then cuts a snapshot from it. While applyErr (snapErr) is set,
+// Apply (SnapshotWith) fails with it.
 type fakeSM struct {
-	mu      sync.Mutex
-	applied []string
-	exports atomic.Int64
+	mu       sync.Mutex
+	applied  []string
+	applyErr error
+	snapErr  error
+	exports  atomic.Int64
 }
 
 func (s *fakeSM) Apply(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.applyErr != nil {
+		return s.applyErr
+	}
 	s.applied = append(s.applied, string(data))
 	return nil
+}
+
+func (s *fakeSM) setApplyErr(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.applyErr = err
+}
+
+func (s *fakeSM) setSnapErr(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.snapErr = err
 }
 
 func (s *fakeSM) SnapshotWith(write func(state []byte) error) error {
 	s.exports.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.snapErr != nil {
+		return s.snapErr
+	}
 	state, err := json.Marshal(s.applied)
 	if err != nil {
 		return err
@@ -468,7 +490,7 @@ func TestElectionAndReplication(t *testing.T) {
 	// Exactly one leader.
 	leaders := 0
 	for _, n := range c.live() {
-		if n.IsLeader() {
+		if n.Status().Role == "leader" {
 			leaders++
 		}
 	}
@@ -786,7 +808,7 @@ func TestMetricsMirrorRoleTermCommit(t *testing.T) {
 	defer n.Stop()
 	// A single-node cluster (quorum 1) elects itself and commits alone.
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !(n.IsLeader() && n.Status().Ready) {
+	for time.Now().Before(deadline) && !n.Status().Ready {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if !n.Status().Ready {
@@ -862,6 +884,98 @@ func TestFollowersExportOnlyWhenACutCanLand(t *testing.T) {
 		if float64(exports) > cuts+1 {
 			t.Fatalf("follower %s exported its state %d times for %v cuts", id, exports, cuts)
 		}
+	}
+}
+
+// TestSnapshotEveryZeroCutsNone: a SnapshotEvery at or below 0 means no
+// snapshots, the same as a journal's -snapshot-every 0, so a log that
+// runs well past 256 entries is never cut and no node exports its state.
+func TestSnapshotEveryZeroCutsNone(t *testing.T) {
+	const ops = 300
+	c := newCluster(t, 0)
+	c.waitLeader()
+	var want []string
+	for i := 0; i < ops; i++ {
+		p := fmt.Sprintf("z-%d", i)
+		if err := c.propose(p); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, fmt.Sprintf("%q", p))
+	}
+	c.waitConverged(want)
+	// A cut runs in the background after the apply that makes it due.
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for _, id := range c.ids {
+			if st, exports := c.node(id).Status(), c.sm(id).exports.Load(); st.SnapshotSeq != 0 || exports != 0 {
+				t.Fatalf("node %s: snapshot at seq %d, %d state exports, want none", id, st.SnapshotSeq, exports)
+			}
+		}
+	}
+}
+
+// TestStatusReportsHaltedApplies: a follower whose state machine refuses
+// a committed entry stops applying, and its Status says why; the next
+// commit retries the entry, and once it applies the report clears.
+func TestStatusReportsHaltedApplies(t *testing.T) {
+	c := newCluster(t, -1)
+	lead := c.waitLeader()
+	var follower string
+	for _, id := range c.ids {
+		if id != lead.ID() {
+			follower = id
+			break
+		}
+	}
+	c.sm(follower).setApplyErr(errors.New("disk on fire"))
+	if err := c.propose("refused"); err != nil {
+		t.Fatal(err)
+	}
+	n := c.node(follower)
+	deadline := time.Now().Add(5 * time.Second)
+	for n.Status().ApplyError == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower %s: Status reports no apply error: %+v", follower, n.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	st := n.Status()
+	if !strings.Contains(st.ApplyError, "disk on fire") || st.LastApplied >= st.CommitIndex {
+		t.Fatalf("follower %s: apply error %q at applied %d of commit %d, want the refusal with applies behind", follower, st.ApplyError, st.LastApplied, st.CommitIndex)
+	}
+
+	c.sm(follower).setApplyErr(nil)
+	if err := c.propose("after"); err != nil {
+		t.Fatal(err)
+	}
+	c.waitConverged([]string{`"refused"`, `"after"`})
+	for deadline := time.Now().Add(5 * time.Second); n.Status().ApplyError != ""; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower %s: apply error %q after applies resumed", follower, n.Status().ApplyError)
+		}
+	}
+}
+
+// TestSnapshotFailuresAreCounted: a snapshot whose state export fails
+// cuts nothing and counts as result "failed".
+func TestSnapshotFailuresAreCounted(t *testing.T) {
+	c := newCluster(t, 2)
+	for _, id := range c.ids {
+		c.sm(id).setSnapErr(errors.New("export refused"))
+	}
+	lead := c.waitLeader()
+	for i := 0; i < 4; i++ {
+		if err := c.propose(fmt.Sprintf("f-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := c.regs[lead.ID()]
+	for deadline := time.Now().Add(5 * time.Second); reg.Counter(metricSnapshots, obs.L("result", "failed")).Value() == 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("leader counted no failed snapshot")
+		}
+	}
+	if st := lead.Status(); st.SnapshotSeq != 0 {
+		t.Fatalf("leader cut a snapshot at seq %d from a failed export", st.SnapshotSeq)
 	}
 }
 

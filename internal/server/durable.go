@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"sparcle/internal/core"
 	"sparcle/internal/journal"
-	"sparcle/internal/network"
 	"sparcle/internal/shard"
 )
 
@@ -17,8 +15,8 @@ const metricRecovery = "sparcle_recovery_seconds"
 // dir is opened and recovered, a router byte-equal to the pre-crash one
 // is rebuilt from snapshot + bounded replay, and from then on each
 // operation appends its one record before the HTTP response acks it. Every
-// snapshotEvery records a snapshot bounds future replay (0 disables
-// periodic snapshots). The journal's format is shard's codec: with one
+// snapshotEvery records a snapshot bounds future replay (at or below 0,
+// none is cut). The journal's format is shard's codec: with one
 // region, bare core records and snapshots.
 //
 // An empty journal needs no snapshot: a fresh router is a function of
@@ -97,12 +95,9 @@ func (s *Server) restore(snapBytes []byte, entries [][]byte, hook shard.Envelope
 		return err
 	}
 	s.mu.Lock()
-	opts, spans := s.opts, s.spans
+	spans := s.spans
 	s.mu.Unlock()
-	rebuilt, err := shard.Replay(s.net, k, snap, envs,
-		func(sub *network.Network, region int, ss *core.Snapshot, rs []*core.Record) (core.Control, error) {
-			return core.Rebuild(sub, ss, rs, opts...)
-		})
+	rebuilt, err := shard.Replay(s.net, k, snap, envs, s.rebuildShard)
 	if err != nil {
 		return fmt.Errorf("rebuild router: %w", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"sparcle/internal/core"
 	"sparcle/internal/journal"
 	"sparcle/internal/network"
+	"sparcle/internal/obs"
 	"sparcle/internal/resource"
 	"sparcle/internal/scenario"
 )
@@ -322,7 +323,7 @@ func TestNothingToAdmitCommitsNothing(t *testing.T) {
 	}
 	seq := srv.Journal().LastSeq()
 	appends := srv.Metrics().Counter("sparcle_journal_appends_total").Value()
-	solves := srv.Metrics().Counter("sparcle_alloc_solves_total").Value()
+	solves := srv.Metrics().Counter("sparcle_alloc_solves_total", obs.L("solver", "proportional-fair")).Value()
 
 	if resp, body := do(t, http.MethodPost, ts.URL+"/apps", spec); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate submit: %d %s, want 409", resp.StatusCode, body)
@@ -344,7 +345,7 @@ func TestNothingToAdmitCommitsNothing(t *testing.T) {
 	if got := srv.Metrics().Counter("sparcle_journal_appends_total").Value(); got != appends {
 		t.Fatalf("sparcle_journal_appends_total moved %v -> %v", appends, got)
 	}
-	if got := srv.Metrics().Counter("sparcle_alloc_solves_total").Value(); got != solves {
+	if got := srv.Metrics().Counter("sparcle_alloc_solves_total", obs.L("solver", "proportional-fair")).Value(); got != solves {
 		t.Fatalf("sparcle_alloc_solves_total moved %v -> %v", solves, got)
 	}
 }

@@ -34,8 +34,8 @@ type ReplicationConfig struct {
 	Dir string
 	// Journal configures the node's write-ahead journal.
 	Journal journal.Options
-	// SnapshotEvery is the record count between journal snapshots
-	// (default 256; <0 disables periodic snapshots).
+	// SnapshotEvery is the record count between journal snapshots; at
+	// or below 0 the node cuts none.
 	SnapshotEvery int
 	// Heartbeat and ElectionTimeout tune the leader lease (defaults
 	// 100ms and 10x the heartbeat).

@@ -227,7 +227,7 @@ func (c *replTestCluster) leaderDo(t *testing.T, n *replTestNode, method, path, 
 // the leader, checks the follower redirect and the /healthz mirror, and
 // asserts every node's scheduler converges to the same state.
 func TestReplicatedClusterQuorumAck(t *testing.T) {
-	c := startReplCluster(t, false, 0)
+	c := startReplCluster(t, false, 256)
 	leader := c.waitLeader(t)
 
 	for i := 0; i < 4; i++ {
@@ -290,7 +290,7 @@ func TestReplicatedClusterQuorumAck(t *testing.T) {
 // TestReplicatedFailover kills the leader mid-stream and asserts a
 // survivor takes over with every acked admission intact.
 func TestReplicatedFailover(t *testing.T) {
-	c := startReplCluster(t, false, 0)
+	c := startReplCluster(t, false, 256)
 	leader := c.waitLeader(t)
 
 	names := []string{"f-0", "f-1", "f-2"}
@@ -385,7 +385,7 @@ func TestReplicatedFollowerCatchup(t *testing.T) {
 // local journal; when it returns after a new quorum has committed past
 // that index, the orphan is truncated, not resurrected.
 func TestReplicatedDeposedLeaderTruncates(t *testing.T) {
-	c := startReplCluster(t, false, 0)
+	c := startReplCluster(t, false, 256)
 	leader := c.waitLeader(t)
 
 	resp, b := c.postLeader(t, leader, "/apps", appJSON("acked", "best-effort", `, "priority": 1`))
@@ -448,7 +448,7 @@ func TestReplicatedDeposedLeaderTruncates(t *testing.T) {
 // cross-region — with no pass of its own before its first write. A
 // follower restarted from its own log serves the leader's listing.
 func TestReplicatedShardFailover(t *testing.T) {
-	c := startReplCluster(t, true, 0)
+	c := startReplCluster(t, true, 256)
 	leader := c.waitLeader(t)
 
 	for _, app := range []struct{ name, from, to string }{
@@ -553,7 +553,7 @@ func getMembers(t *testing.T, base string) membersResponse {
 // catches up, is auto-promoted to voter, serves identical state; then a
 // dead original member is removed and the cluster keeps writing.
 func TestReplicatedMembershipJoinAndRemove(t *testing.T) {
-	c := startReplCluster(t, false, 0)
+	c := startReplCluster(t, false, 256)
 	leader := c.waitLeader(t)
 
 	for i := 0; i < 3; i++ {

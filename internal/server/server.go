@@ -58,10 +58,9 @@ type Server struct {
 	start    time.Time
 	requests atomic.Uint64
 
-	// opts are the scheduler options NewSharded resolved, kept so a
-	// rebuilt router (journal recovery, replicated restore) runs its
-	// schedulers under identical configuration.
-	opts []core.Option
+	// rebuildShard builds each region's scheduler under the options
+	// NewSharded resolved, for the first router and every rebuilt one.
+	rebuildShard shard.ShardRebuilder
 	// journal is non-nil once EnableJournal succeeds.
 	journal *journal.Journal
 	// recovering gates mutating routes behind 503 while journal recovery

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sparcle/internal/network"
+	"sparcle/internal/obs"
 	"sparcle/internal/resource"
 )
 
@@ -76,6 +77,32 @@ func TestHealthz(t *testing.T) {
 	resp, body := do(t, http.MethodGet, ts.URL+"/healthz", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "ok") {
 		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestHealthzMovesNoSolve: an unjournaled DELETE leaves the best-effort
+// rates to the region's next reader, and /healthz is not one: it counts
+// residents without settling them, so it runs no solve.
+func TestHealthzMovesNoSolve(t *testing.T) {
+	srv := New(testNet(t))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, name := range []string{"a", "b"} {
+		if resp, body := do(t, http.MethodPost, ts.URL+"/apps", appJSON(name, "best-effort", `, "priority": 1`)); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit %s: %d %s", name, resp.StatusCode, body)
+		}
+	}
+	if resp, body := do(t, http.MethodDelete, ts.URL+"/apps/a", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %d %s", resp.StatusCode, body)
+	}
+	solves := srv.Metrics().Counter("sparcle_alloc_solves_total", obs.L("solver", "proportional-fair"))
+	before := solves.Value()
+	resp, body := do(t, http.MethodGet, ts.URL+"/healthz", "")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"admitted":1`) {
+		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
+	}
+	if got := solves.Value(); got != before {
+		t.Fatalf("GET /healthz moved sparcle_alloc_solves_total %v -> %v", before, got)
 	}
 }
 

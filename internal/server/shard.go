@@ -12,7 +12,7 @@ import (
 
 // The admission router. NewSharded edge-cuts the network into regions;
 // each region runs its own scheduler and warm allocation solver behind
-// its own lock and the group-commit queue shard.New builds for it, which
+// its own lock and the group-commit queue the router builds for it, which
 // reports to the scheduler's registry; cross-region applications are
 // admitted against border-link capacity leases. Intra-region requests to
 // different shards run concurrently, so the lock.wait spans an open-loop
@@ -25,17 +25,18 @@ import (
 func NewSharded(netw *network.Network, shards int, opts ...core.Option) (*Server, error) {
 	reg := obs.NewRegistry()
 	opts = append([]core.Option{core.WithMetrics(reg)}, opts...)
-	router, err := shard.New(netw, shards, func(sub *network.Network, region int) core.Control {
-		return core.New(sub, opts...)
-	})
+	rebuild := func(sub *network.Network, _ int, ss *core.Snapshot) (*core.Scheduler, error) {
+		return core.Rebuild(sub, ss, nil, opts...)
+	}
+	router, err := shard.Replay(netw, shards, nil, nil, rebuild)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		net:     netw,
-		metrics: reg,
-		start:   time.Now(),
-		opts:    opts,
+		net:          netw,
+		metrics:      reg,
+		start:        time.Now(),
+		rebuildShard: rebuild,
 	}
 	s.router.Store(router)
 	reg.SetHelp("sparcle_shard_apps", "Admitted applications per shard and class.")

@@ -48,6 +48,16 @@ func shardTestServer(t *testing.T) (*httptest.Server, *Server) {
 	return ts, srv
 }
 
+// TestNewShardedRefusesBadShardCounts: a region count the network cannot
+// be cut into is an error from the partitioner, not a panic.
+func TestNewShardedRefusesBadShardCounts(t *testing.T) {
+	for _, k := range []int{0, -1, 5} {
+		if _, err := NewSharded(shardTestNet(t), k); err == nil || !strings.Contains(err.Error(), "region") {
+			t.Errorf("NewSharded(%d shards) = %v, want the partitioner's error", k, err)
+		}
+	}
+}
+
 // shardAppJSON pins a pipeline from one NCP to another.
 func shardAppJSON(name, from, to, qos string) string {
 	return fmt.Sprintf(`{

@@ -182,15 +182,15 @@ func (r *Router) SetEnvelopeHook(h EnvelopeHook) {
 	r.commit = h
 	for i, s := range r.slots {
 		if h == nil {
-			s.ctl.SetCommitHook(nil)
+			s.sched.SetCommitHook(nil)
 			continue
 		}
-		s.ctl.SetCommitHook(func(rec *core.Record) error {
+		s.sched.SetCommitHook(func(rec *core.Record) error {
 			if s.op != nil {
 				s.op.Steps = append(s.op.Steps, Step{Shard: i, Rec: rec})
 				return nil
 			}
-			return h(&Envelope{Shard: i, Rec: rec, Span: s.ctl.OpSpan()})
+			return h(&Envelope{Shard: i, Rec: rec, Span: s.sched.OpSpan()})
 		})
 	}
 }
@@ -259,7 +259,7 @@ func (r *Router) SnapshotWith(write func(*RouterSnapshot) error) error {
 
 	snap := &RouterSnapshot{}
 	for _, s := range r.slots {
-		ss, err := s.ctl.ExportSnapshot()
+		ss, err := s.sched.ExportSnapshot()
 		if err != nil {
 			return err
 		}
@@ -316,7 +316,7 @@ func (r *Router) Apply(env *Envelope) error {
 		}
 	}
 	for _, st := range steps {
-		if err := r.slots[st.Shard].ctl.ApplyCommitted(st.Rec); err != nil {
+		if err := r.slots[st.Shard].sched.ApplyCommitted(st.Rec); err != nil {
 			return err
 		}
 	}
@@ -394,9 +394,8 @@ func (r *Router) applyScaleLocked(border map[int]float64) {
 }
 
 // ShardRebuilder reconstructs one region's scheduler from its snapshot
-// and replayed records (typically a closure over core.Rebuild with the
-// deployment's options).
-type ShardRebuilder func(sub *network.Network, region int, snap *core.Snapshot, recs []*core.Record) (core.Control, error)
+// (typically a closure over core.Rebuild with the deployment's options).
+type ShardRebuilder func(sub *network.Network, region int, snap *core.Snapshot) (*core.Scheduler, error)
 
 // Replay reconstructs a Router from a snapshot and the envelopes
 // journaled after it: rebuildShard restores each region's scheduler
@@ -405,13 +404,14 @@ type ShardRebuilder func(sub *network.Network, region int, snap *core.Snapshot, 
 // applies in order. The partition is recomputed.
 func Replay(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope, rebuildShard ShardRebuilder) (*Router, error) {
 	if snap == nil {
-		snap = &RouterSnapshot{Shards: make([]*core.Snapshot, k)}
+		snap = &RouterSnapshot{Shards: make([]*core.Snapshot, max(k, 0))}
 	}
-	if len(snap.Shards) != k {
+	// A k below 1 is refused by Partition, in build.
+	if k > 0 && len(snap.Shards) != k {
 		return nil, fmt.Errorf("shard: snapshot has %d shards, deployment has %d", len(snap.Shards), k)
 	}
-	r, err := build(net, k, func(reg *Region) (core.Control, error) {
-		return rebuildShard(reg.View.Net, reg.Index, snap.Shards[reg.Index], nil)
+	r, err := build(net, k, func(reg *Region) (*core.Scheduler, error) {
+		return rebuildShard(reg.View.Net, reg.Index, snap.Shards[reg.Index])
 	})
 	if err != nil {
 		return nil, err
@@ -423,7 +423,7 @@ func Replay(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope,
 	// unlocked. Every resident is an intra-region app except the halves,
 	// which only a sharded deployment names (it refuses halfSep in names).
 	for i, s := range r.slots {
-		for _, pa := range append(s.ctl.GRApps(), s.ctl.BEApps()...) {
+		for _, pa := range append(s.sched.GRApps(), s.sched.BEApps()...) {
 			if k == 1 || !strings.Contains(pa.App.Name, halfSep) {
 				r.apps[pa.App.Name] = &appEntry{shard: i}
 			}
@@ -443,7 +443,11 @@ func Replay(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope,
 	return r, nil
 }
 
-// Rebuild is Replay, kept for benchmark/probe.go.
-func Rebuild(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope, rebuildShard ShardRebuilder) (*Router, error) {
-	return Replay(net, k, snap, envs, rebuildShard)
+// Rebuild is Replay for a rebuilder that also takes records (given nil).
+//
+// Deprecated: use Replay; only benchmark/probe.go still calls it.
+func Rebuild(net *network.Network, k int, snap *RouterSnapshot, envs []*Envelope, rebuildShard func(*network.Network, int, *core.Snapshot, []*core.Record) (*core.Scheduler, error)) (*Router, error) {
+	return Replay(net, k, snap, envs, func(sub *network.Network, region int, ss *core.Snapshot) (*core.Scheduler, error) {
+		return rebuildShard(sub, region, ss, nil)
+	})
 }

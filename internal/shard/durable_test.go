@@ -13,8 +13,8 @@ import (
 )
 
 func shardRebuilder(opts ...core.Option) ShardRebuilder {
-	return func(sub *network.Network, region int, snap *core.Snapshot, recs []*core.Record) (core.Control, error) {
-		return core.Rebuild(sub, snap, recs, opts...)
+	return func(sub *network.Network, region int, snap *core.Snapshot) (*core.Scheduler, error) {
+		return core.Rebuild(sub, snap, nil, opts...)
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 )
 
 // Router is the thin admission front of a region-sharded control plane:
-// one core scheduler (behind the core.Control seam) per region, each
-// under its own lock, plus the border-lease table. Intra-region
-// operations touch exactly one shard lock, so unrelated regions admit
-// concurrently; cross-region operations take the two shard locks (in
-// region order, so they cannot deadlock) and the border mutex.
+// one core scheduler per region, each under its own lock, plus the
+// border-lease table. Intra-region operations touch exactly one shard
+// lock, so unrelated regions admit concurrently; cross-region operations
+// take the two shard locks (in region order, so they cannot deadlock)
+// and the border mutex.
 type Router struct {
 	part  *Partitioning
 	slots []*slot
@@ -49,7 +49,7 @@ type Router struct {
 type slot struct {
 	mu     sync.Mutex
 	region *Region
-	ctl    core.Control
+	sched  *core.Scheduler
 	// group coalesces this shard's intra-region submits into group
 	// commits; its commit closure takes mu once per group.
 	group *core.GroupCommitter
@@ -71,17 +71,17 @@ type appEntry struct {
 }
 
 // New partitions net into k regions and builds a Router running one
-// scheduler per region. newCtl constructs each region's scheduler over
+// scheduler per region. newSched constructs each region's scheduler over
 // its sub-network (for k = 1 the sub-network IS net).
-func New(net *network.Network, k int, newCtl func(sub *network.Network, region int) core.Control) (*Router, error) {
-	return build(net, k, func(reg *Region) (core.Control, error) {
-		return newCtl(reg.View.Net, reg.Index), nil
+func New(net *network.Network, k int, newSched func(sub *network.Network, region int) *core.Scheduler) (*Router, error) {
+	return build(net, k, func(reg *Region) (*core.Scheduler, error) {
+		return newSched(reg.View.Net, reg.Index), nil
 	})
 }
 
-// build partitions net into k regions and gives each the scheduler ctl
-// makes for it.
-func build(net *network.Network, k int, ctl func(*Region) (core.Control, error)) (*Router, error) {
+// build partitions net into k regions and gives each the scheduler
+// newSched makes for it.
+func build(net *network.Network, k int, newSched func(*Region) (*core.Scheduler, error)) (*Router, error) {
 	part, err := Partition(net, k)
 	if err != nil {
 		return nil, err
@@ -93,15 +93,15 @@ func build(net *network.Network, k int, ctl func(*Region) (core.Control, error))
 		apps:        map[string]*appEntry{},
 	}
 	for _, reg := range part.Regions {
-		c, err := ctl(reg)
+		sched, err := newSched(reg)
 		if err != nil {
 			return nil, fmt.Errorf("shard: region %d: %w", reg.Index, err)
 		}
-		s := &slot{region: reg, ctl: c}
-		s.group = core.NewGroupCommitter(s.submitBatch, core.GroupOptions{Metrics: c.Metrics()})
+		s := &slot{region: reg, sched: sched}
+		s.group = core.NewGroupCommitter(s.submitBatch, core.GroupOptions{Metrics: sched.Metrics()})
 		r.slots = append(r.slots, s)
 	}
-	r.metrics = r.slots[0].ctl.Metrics()
+	r.metrics = r.slots[0].sched.Metrics()
 	describeMetrics(r.metrics)
 	return r, nil
 }
@@ -146,7 +146,7 @@ func (r *Router) NumShards() int { return len(r.slots) }
 // through it while the router is serving (the router owns the locks);
 // tests use it to compare one-region state against a lone
 // scheduler.
-func (r *Router) Shard(i int) core.Control { return r.slots[i].ctl }
+func (r *Router) Shard(i int) *core.Scheduler { return r.slots[i].sched }
 
 // SetSpans attaches a span tracer for router-level spans (the per-shard
 // lock.wait children) and propagates it to every shard scheduler, so the
@@ -155,7 +155,7 @@ func (r *Router) Shard(i int) core.Control { return r.slots[i].ctl }
 func (r *Router) SetSpans(st *obs.SpanTracer) {
 	r.spans = st
 	for _, s := range r.slots {
-		s.ctl.SetSpans(st)
+		s.sched.SetSpans(st)
 	}
 }
 
@@ -168,11 +168,11 @@ func (s *slot) lock(sp *obs.Span) {
 	w.SetInt("shard", int64(s.region.Index))
 	s.mu.Lock()
 	w.End()
-	s.ctl.SetRequestSpan(sp)
+	s.sched.SetRequestSpan(sp)
 }
 
 func (s *slot) unlock() {
-	s.ctl.SetRequestSpan(nil)
+	s.sched.SetRequestSpan(nil)
 	s.mu.Unlock()
 }
 
@@ -194,7 +194,7 @@ func detach(pa *core.PlacedApp) *core.PlacedApp {
 func (s *slot) submitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult, error) {
 	s.lock(sp)
 	defer s.unlock()
-	res, err := s.ctl.SubmitBatch(apps)
+	res, err := s.sched.SubmitBatch(apps)
 	for i := range res {
 		res[i].App = detach(res[i].App)
 	}
@@ -205,7 +205,7 @@ func (s *slot) submitBatch(apps []core.App, sp *obs.Span) ([]core.BatchResult, e
 func (s *slot) repair(name string, sp *obs.Span) (*core.PlacedApp, error) {
 	s.lock(sp)
 	defer s.unlock()
-	pa, err := s.ctl.Repair(name)
+	pa, err := s.sched.Repair(name)
 	return detach(pa), err
 }
 
@@ -416,7 +416,7 @@ func (r *Router) admitCross(app core.App, a, b int) (*Result, *LeaseRecord, erro
 
 	submitHalf := func(s *slot, half core.App, cap float64) (*core.PlacedApp, error) {
 		half.QoS.RateCap = cap
-		return s.ctl.Submit(half)
+		return s.sched.Submit(half)
 	}
 	paA, err := submitHalf(sa, plan.halfA, r0)
 	if err != nil {
@@ -424,14 +424,14 @@ func (r *Router) admitCross(app core.App, a, b int) (*Result, *LeaseRecord, erro
 	}
 	// A rollback's record joins the envelope; a remove that fails to
 	// re-solve leaves the state its record describes.
-	rollbackA := func() { _ = sa.ctl.Remove(plan.halfA.Name) }
+	rollbackA := func() { _ = sa.sched.Remove(plan.halfA.Name) }
 	rateA := paA.TotalRate()
 	paB, err := submitHalf(sb, plan.halfB, rateA)
 	if err != nil {
 		rollbackA()
 		return nil, nil, fmt.Errorf("shard: app %q region %d half: %w", app.Name, b, err)
 	}
-	rollbackB := func() { _ = sb.ctl.Remove(plan.halfB.Name) }
+	rollbackB := func() { _ = sb.sched.Remove(plan.halfB.Name) }
 	rate := paB.TotalRate()
 	if rate < rateA*(1-rateTol) {
 		// Side B is the bottleneck: trim side A's reservation down to
@@ -563,7 +563,7 @@ func (r *Router) Remove(name string, sp *obs.Span) error {
 	if e.cross == nil {
 		s := r.slots[e.shard]
 		s.lock(sp)
-		err := s.ctl.Remove(name)
+		err := s.sched.Remove(name)
 		s.unlock()
 		if errors.Is(err, core.ErrNotFound) {
 			return err
@@ -577,8 +577,8 @@ func (r *Router) Remove(name string, sp *obs.Span) error {
 func (r *Router) removeCross(name string, c *LeaseRecord, sp *obs.Span) error {
 	sa, sb := r.slots[c.A], r.slots[c.B]
 	return r.atomically(sp, []*slot{sa, sb}, func(env *Envelope) error {
-		errA := sa.ctl.Remove(halfName(name, c.A))
-		errB := sb.ctl.Remove(halfName(name, c.B))
+		errA := sa.sched.Remove(halfName(name, c.A))
+		errB := sb.sched.Remove(halfName(name, c.B))
 		env.Lease = c.with(leaseRelease)
 		r.unclaim(name)
 		return cmp.Or(errA, errB, r.releaseLease(name))
@@ -633,8 +633,8 @@ func (r *Router) repairCross(name string, e *appEntry, sp *obs.Span) (*Result, e
 		}
 		// Full withdrawal: remove whatever halves remain and the lease,
 		// which renewCross may already have released.
-		_ = sa.ctl.Remove(halfName(name, c.A))
-		_ = sb.ctl.Remove(halfName(name, c.B))
+		_ = sa.sched.Remove(halfName(name, c.A))
+		_ = sb.sched.Remove(halfName(name, c.B))
 		_ = r.releaseLease(name)
 		env.Lease = c.with(leaseRelease)
 		r.unclaim(name)
@@ -651,11 +651,11 @@ func (r *Router) repairCross(name string, e *appEntry, sp *obs.Span) (*Result, e
 // holds both shards and withdraws the app on error.
 func (r *Router) renewCross(c *LeaseRecord, sa, sb *slot) (*Result, error) {
 	name := c.App
-	paA, err := sa.ctl.Repair(halfName(name, c.A))
+	paA, err := sa.sched.Repair(halfName(name, c.A))
 	if err != nil {
 		return nil, err
 	}
-	paB, err := sb.ctl.Repair(halfName(name, c.B))
+	paB, err := sb.sched.Repair(halfName(name, c.B))
 	if err != nil {
 		return nil, err
 	}
@@ -681,10 +681,10 @@ func (r *Router) renewCross(c *LeaseRecord, sa, sb *slot) (*Result, error) {
 	trim := func(s *slot, pa *core.PlacedApp) (*core.PlacedApp, error) {
 		app := pa.App
 		app.QoS.RateCap = rate
-		if err := s.ctl.Remove(pa.App.Name); err != nil {
+		if err := s.sched.Remove(pa.App.Name); err != nil {
 			return nil, err
 		}
-		return s.ctl.Submit(app)
+		return s.sched.Submit(app)
 	}
 	if rateA > rate*(1+rateTol) {
 		if paA, err = trim(sa, paA); err != nil {
@@ -785,7 +785,7 @@ func (r *Router) ApplyFluctuation(scale core.ElementScale, sp *obs.Span) (*core.
 	err := r.atomically(sp, r.slots, func(env *Envelope) error {
 		var firstErr error
 		for i, s := range r.slots {
-			rep, err := s.ctl.ApplyFluctuation(sub[i])
+			rep, err := s.sched.ApplyFluctuation(sub[i])
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -839,7 +839,7 @@ func (r *Router) AppsByShard(sp *obs.Span) [][]*core.PlacedApp {
 	out := make([][]*core.PlacedApp, len(r.slots))
 	for i, s := range r.slots {
 		s.lock(sp)
-		out[i] = append(s.ctl.GRApps(), s.ctl.BEApps()...)
+		out[i] = append(s.sched.GRApps(), s.sched.BEApps()...)
 		for j, pa := range out[i] {
 			out[i][j] = detach(pa)
 		}
@@ -899,8 +899,8 @@ func (r *Router) Stats() Stats {
 	st := Stats{}
 	for i, s := range r.slots {
 		s.mu.Lock()
-		gr, be := len(s.ctl.GRApps()), len(s.ctl.BEApps())
-		flows, nnz := s.ctl.SolverRows()
+		gr, be := s.sched.NumApps()
+		flows, nnz := s.sched.SolverRows()
 		s.mu.Unlock()
 		st.Shards = append(st.Shards, ShardStats{
 			Region:      i,

@@ -19,8 +19,8 @@ import (
 	"sparcle/internal/workload"
 )
 
-func newCtlFactory(opts ...core.Option) func(sub *network.Network, region int) core.Control {
-	return func(sub *network.Network, region int) core.Control {
+func newCtlFactory(opts ...core.Option) func(sub *network.Network, region int) *core.Scheduler {
+	return func(sub *network.Network, region int) *core.Scheduler {
 		return core.New(sub, opts...)
 	}
 }
@@ -662,7 +662,7 @@ func TestAppsByShardDetached(t *testing.T) {
 	}
 }
 
-func shardStateJSON(t *testing.T, c core.Control) string {
+func shardStateJSON(t *testing.T, c *core.Scheduler) string {
 	t.Helper()
 	snap, err := c.ExportSnapshot()
 	if err != nil {

@@ -11,9 +11,9 @@
 # DESIGN.md.
 set -euo pipefail
 
-max_lines=22634
-max_host_lines=3577
-max_replica_lines=2669
+max_lines=22547
+max_host_lines=3576
+max_replica_lines=2643
 max_obs_lines=1199
 max_flags=19
 max_options=5
